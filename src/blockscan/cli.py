@@ -13,39 +13,19 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
+from typing import get_args, get_type_hints
+
+import numpy as np
 
 from . import __version__
 from .blockfactor import LatticeGeometry, catalog_transform
-from .errors import AlignmentError, BlockScanError, ConfigError
+from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError
 from .fields import MarginalDistribution, SeedSpec
 from .pipeline import ApproxRow, ExperimentSpec, SimRow, approximate, simulate_distribution
 from .scan import ScanGeometry
 
 _THREADS_ENV = "BLOCKSCAN_THREADS"
-
-# key -> (type, required, default); the published flat config schema
-_SCHEMA = {
-    "transform": (str, True, None),
-    "ma_coeffs": (list, False, None),
-    "distribution": (str, True, None),
-    "p": (float, False, None),
-    "trials": (int, False, None),
-    "mean": (float, False, None),
-    "variance": (float, False, None),
-    "source_cols": (int, True, None),
-    "source_rows": (int, True, None),
-    "m1": (int, True, None),
-    "m2": (int, False, 1),
-    "thresholds": (list, True, None),
-    "iterations": (int, False, 100_000),
-    "replicas": (int, False, 100_000),
-    "seed": (int, False, 0),
-    "confidence_z": (float, False, 1.96),
-    "l_mode": (str, False, "boundary"),
-    "threads": (int, False, None),
-    "include_sim": (bool, False, False),
-}
 
 
 @dataclass(frozen=True)
@@ -76,33 +56,33 @@ class RunConfig:
         for key, value in (overrides or {}).items():
             if value is not None:
                 data[key] = value
-        unknown = set(data) - set(_SCHEMA)
+        schema = dataclass_fields(cls)
+        unknown = set(data) - {f.name for f in schema}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown key")
+        hints = get_type_hints(cls)
         coerced = {}
-        for key, (typ, required, default) in _SCHEMA.items():
+        for f in schema:
+            key = f.name
             if key not in data:
-                if required:
+                if f.default is MISSING:
                     raise ConfigError(key, "required key is missing")
-                coerced[key] = default
                 continue
             value = data[key]
+            # an ``X | None`` field checks against X; a tuple field takes a JSON list
+            typ = next((a for a in get_args(hints[key]) if a is not type(None)), hints[key])
             if typ in (int, float):
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ConfigError(key, f"expected a number, got {value!r}")
                 if typ is int and int(value) != value:
                     raise ConfigError(key, f"expected an integer, got {value!r}")
                 value = typ(value)
-            elif typ is bool:
-                if not isinstance(value, bool):
-                    raise ConfigError(key, f"expected a boolean, got {value!r}")
-            elif typ is str:
-                if not isinstance(value, str):
-                    raise ConfigError(key, f"expected a string, got {value!r}")
-            elif typ is list:
+            elif typ is tuple:
                 if not isinstance(value, (list, tuple)):
                     raise ConfigError(key, f"expected a list, got {value!r}")
                 value = tuple(value)
+            elif not isinstance(value, typ):
+                raise ConfigError(key, f"expected a {typ.__name__}, got {value!r}")
             coerced[key] = value
         config = cls(**coerced)
         config.build_spec()  # validate eagerly so failures name their key
@@ -120,34 +100,16 @@ class RunConfig:
         return cls.from_mapping(raw, overrides)
 
     def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return self.threads
-        env = os.environ.get(_THREADS_ENV)
-        return int(env) if env else 1
-
-    def distribution_spec(self) -> MarginalDistribution:
-        try:
-            if self.distribution == "bernoulli":
-                if self.p is None:
-                    raise ConfigError("p", "required for bernoulli")
-                return MarginalDistribution.bernoulli(self.p)
-            if self.distribution == "binomial":
-                if self.trials is None or self.p is None:
-                    raise ConfigError("trials", "binomial needs 'trials' and 'p'")
-                return MarginalDistribution.binomial(self.trials, self.p)
-            if self.distribution == "poisson":
-                if self.mean is None:
-                    raise ConfigError("mean", "required for poisson")
-                return MarginalDistribution.poisson(self.mean)
-            if self.distribution == "gaussian":
-                if self.mean is None or self.variance is None:
-                    raise ConfigError("mean", "gaussian needs 'mean' and 'variance'")
-                return MarginalDistribution.gaussian(self.mean, self.variance)
-        except BlockScanError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("distribution", str(exc)) from exc
-        raise ConfigError("distribution", f"unknown distribution {self.distribution!r}")
+        threads = self.threads
+        if threads is None:
+            env = os.environ.get(_THREADS_ENV)
+            try:
+                threads = int(env) if env else 1
+            except ValueError:
+                raise ConfigError("threads", f"{_THREADS_ENV}={env!r} is not an integer") from None
+        if threads < 1:
+            raise ConfigError("threads", f"must be >= 1, got {threads}")
+        return threads
 
     def build_spec(self) -> ExperimentSpec:
         params = {}
@@ -159,8 +121,16 @@ class RunConfig:
             transform, (x1, x2, y1, y2) = catalog_transform(self.transform, **params)
             geometry = LatticeGeometry(self.source_cols, self.source_rows, x1, x2, y1, y2)
             scan = ScanGeometry(self.m1, self.m2)
-            dist = self.distribution_spec()
-            if dist.integer_valued and transform.weights is not None and np_is_integer(transform):
+            try:
+                dist = MarginalDistribution(
+                    self.distribution, p=self.p, trials=self.trials,
+                    mean=self.mean, variance=self.variance,
+                )
+            except ParameterError as exc:
+                raise ConfigError("distribution", str(exc)) from exc
+            weights = transform.weights
+            integer_weights = weights is not None and np.issubdtype(weights.dtype, np.integer)
+            if dist.integer_valued and integer_weights:
                 for n in self.thresholds:
                     if float(n) != int(n):
                         raise ConfigError(
@@ -190,12 +160,6 @@ class RunConfig:
             if value is not None:
                 out.append((f.name, value))
         return out
-
-
-def np_is_integer(transform) -> bool:
-    import numpy as np
-
-    return np.issubdtype(transform.weights.dtype, np.integer)
 
 
 def _fmt(value, raw: bool) -> str:
@@ -418,7 +382,7 @@ def main(argv=None) -> int:
         else:
             run_sim(config, out, raw=args.raw)
         return 0
-    except BlockScanError as exc:
+    except (BlockScanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

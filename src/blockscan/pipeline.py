@@ -163,13 +163,42 @@ def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, t
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, range(n_chunks)))
-    else:
-        parts = [one(k) for k in range(n_chunks)]
-    total_counts = parts[0]
-    for part in parts[1:]:
-        total_counts = total_counts + part
-    return total_counts
+            return sum(pool.map(one, range(n_chunks)))
+    return sum(map(one, range(n_chunks)))
+
+
+def _tally(
+    spec: ExperimentSpec, thresholds, threads, task: str, total: int, geometry, extents
+):
+    """Monte Carlo estimates of P(max window sum <= n) over nested anchor extents.
+
+    Each replica samples one source field of ``geometry``, applies the block
+    factor and takes every window sum once; each ``(rows, cols)`` extent then
+    reads its maximum from a leading view of those sums.  Returns the
+    thresholds and, per extent and threshold, the estimate and its Wald
+    half-width.
+    """
+    thr = np.asarray(spec.thresholds if thresholds is None else thresholds, dtype=np.float64)
+    if thr.size == 0:
+        empty = np.empty((len(extents), 0))
+        return thr, empty, empty
+    threads = spec.threads if threads is None else threads
+    cols, rows = geometry.source_cols, geometry.source_rows
+    m1, m2 = spec.scan.m1, spec.scan.m2
+
+    def chunk_eval(rng: np.random.Generator, count: int) -> np.ndarray:
+        source = spec.distribution.sample(rng, (count, rows, cols))
+        derived = apply_block_factor_batch(source, spec.transform, geometry)
+        sums = window_sums_batch(derived, m1, m2)
+        counts = np.zeros((len(extents), thr.size), dtype=np.int64)
+        for idx, (v_ext, u_ext) in enumerate(extents):
+            maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
+            counts[idx] = (maxima[:, None] <= thr[None, :]).sum(axis=0)
+        return counts
+
+    counts = _accumulate(total, _chunk_size(rows * cols), spec.seed, task, chunk_eval, threads)
+    probs = counts / total
+    return thr, probs, spec.confidence_z * np.sqrt(probs * (1.0 - probs) / total)
 
 
 def estimate_quv(
@@ -180,38 +209,13 @@ def estimate_quv(
     One source field of the largest (3, 3) size serves all four nested maxima
     per replica; all thresholds share the same replicas.
     """
-    thr = np.asarray(spec.thresholds if thresholds is None else thresholds, dtype=np.float64)
-    if thr.size == 0:
-        return []
-    threads = spec.threads if threads is None else threads
     cols, rows = quv_field_dims(3, 3, spec.geometry, spec.scan)
+    extents = [
+        (1 if spec.one_dimensional else (v - 1) * spec.block2, (u - 1) * spec.block1)
+        for u, v in _UV_PAIRS
+    ]
     sub_geom = spec.geometry.with_source(cols, rows)
-    b1, b2 = spec.block1, spec.block2
-    one_d = spec.one_dimensional
-    m1, m2 = spec.scan.m1, spec.scan.m2
-
-    def chunk_eval(rng: np.random.Generator, count: int) -> np.ndarray:
-        source = spec.distribution.sample(rng, (count, rows, cols))
-        derived = apply_block_factor_batch(source, spec.transform, sub_geom)
-        sums = window_sums_batch(derived, m1, m2)
-        counts = np.zeros((4, thr.size), dtype=np.int64)
-        for idx, (u, v) in enumerate(_UV_PAIRS):
-            u_ext = (u - 1) * b1
-            v_ext = 1 if one_d else (v - 1) * b2
-            maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
-            counts[idx] = (maxima[:, None] <= thr[None, :]).sum(axis=0)
-        return counts
-
-    counts = _accumulate(
-        spec.iterations,
-        _chunk_size(rows * cols),
-        spec.seed,
-        "quv",
-        chunk_eval,
-        threads,
-    )
-    q_hat = counts / spec.iterations
-    beta = spec.confidence_z * np.sqrt(q_hat * (1.0 - q_hat) / spec.iterations)
+    thr, q_hat, beta = _tally(spec, thresholds, threads, "quv", spec.iterations, sub_geom, extents)
     records = []
     for t_idx, n in enumerate(thr):
         records.append(
@@ -252,6 +256,21 @@ def _error_factor(alpha: float, m: int, l_mode: str):
         return 1.0 + 3.0 / m, None
     constants = theorem1_constants(alpha, l_mode=l_mode, m=m)
     return error_factor_F(constants, m, 1.0 - alpha), constants
+
+
+def _with_ledger(row: ApproxRow, e_app, e_sf, e_sapp, c1, c2=None) -> ApproxRow:
+    """Fill the ledger and each bound step's l/t2 from its Theorem1Constants (None: empty)."""
+    return replace(
+        row,
+        e_app=e_app,
+        e_sf=e_sf,
+        e_sapp=e_sapp,
+        e_total=e_app + e_sf + e_sapp,
+        l1=None if c1 is None else c1.l,
+        l2=None if c2 is None else c2.l,
+        t2_1=None if c1 is None else c1.t2,
+        t2_2=None if c2 is None else c2.t2,
+    )
 
 
 def two_step_approximation(
@@ -296,17 +315,7 @@ def two_step_approximation(
     c23 = 1.0 - q23 + rec.b23
     c2_term = 1.0 - r2 + L1 * (rec.b22 + rec.b32) + L1 * f1 * c22**2
     e_sapp = L2 * f2 * c2_term**2 + L1 * L2 * f1 * (c22**2 + c23**2)
-    return replace(
-        row,
-        e_app=e_app,
-        e_sf=e_sf,
-        e_sapp=e_sapp,
-        e_total=e_app + e_sf + e_sapp,
-        l1=None if c1 is None else c1.l,
-        l2=None if c2 is None else c2.l,
-        t2_1=None if c1 is None else c1.t2,
-        t2_2=None if c2 is None else c2.t2,
-    )
+    return _with_ledger(row, e_app, e_sf, e_sapp, c1, c2)
 
 
 def one_step_approximation(
@@ -341,15 +350,7 @@ def one_step_approximation(
     e_app = L1 * f1 * (1.0 - q2) ** 2
     e_sf = L1 * (rec.b22 + rec.b32)
     e_sapp = L1 * f1 * (1.0 - q2 + rec.b22) ** 2
-    return replace(
-        row,
-        e_app=e_app,
-        e_sf=e_sf,
-        e_sapp=e_sapp,
-        e_total=e_app + e_sf + e_sapp,
-        l1=None if c1 is None else c1.l,
-        t2_1=None if c1 is None else c1.t2,
-    )
+    return _with_ledger(row, e_app, e_sf, e_sapp, c1)
 
 
 def _assemble(spec: ExperimentSpec, rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
@@ -358,13 +359,13 @@ def _assemble(spec: ExperimentSpec, rec: EstimateRecord, L1: int, L2: int) -> Ap
     return two_step_approximation(rec, L1, L2, l_mode=spec.l_mode)
 
 
-def _dimension_levels(n_tilde: int, block: int) -> tuple[list[tuple[int, float]], bool]:
-    """Block-count levels and interpolation weights along one dimension."""
+def _dimension_levels(n_tilde: int, block: int) -> list[tuple[int, float]]:
+    """Block-count levels and interpolation weights; one level when size is exact."""
     ratio = n_tilde // block
     if n_tilde % block == 0:
-        return [(ratio - 1, 1.0)], True
+        return [(ratio - 1, 1.0)]
     weight = (n_tilde - ratio * block) / block
-    return [(ratio - 1, 1.0 - weight), (ratio, weight)], False
+    return [(ratio - 1, 1.0 - weight), (ratio, weight)]
 
 
 def interpolated_approximation(
@@ -372,28 +373,29 @@ def interpolated_approximation(
     records: list[EstimateRecord] | None = None,
     threads: int | None = None,
 ) -> list[ApproxRow]:
-    """Approximation for sizes that are not exact block multiples.
+    """Approximation at any lattice size, exact block multiple or not.
 
-    Each non-multiple dimension is bracketed by the two nearest exact sizes;
-    the scan CDF is monotone decreasing in size, so the brackets sandwich the
+    An exact size gives the single row assembled at its block counts.  Each
+    non-multiple dimension is bracketed by the two nearest exact sizes; the
+    scan CDF is monotone decreasing in size, so the brackets sandwich the
     target and the interpolant is their convex combination.  The bracket
     width is folded into the theory term of the ledger so the interpolation
     choice is covered by the reported error.
     """
     if records is None:
         records = estimate_quv(spec, threads=threads)
-    levels1, exact1 = _dimension_levels(spec.geometry.source_cols, spec.block1)
+    levels1 = _dimension_levels(spec.geometry.source_cols, spec.block1)
     if spec.one_dimensional:
-        levels2, exact2 = [(1, 1.0)], True
+        levels2 = [(1, 1.0)]
     else:
-        levels2, exact2 = _dimension_levels(spec.geometry.source_rows, spec.block2)
+        levels2 = _dimension_levels(spec.geometry.source_rows, spec.block2)
     rows = []
     for rec in records:
         combos = []
         for L1, w1 in levels1:
             for L2, w2 in levels2:
                 combos.append((w1 * w2, _assemble(spec, rec, L1, L2)))
-        if exact1 and exact2:
+        if len(combos) == 1:
             rows.append(combos[0][1])
             continue
         base = combos[0][1]
@@ -427,16 +429,7 @@ def interpolated_approximation(
 
 def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[ApproxRow]:
     """Full pipeline: estimate Q_uv once, assemble one row per threshold."""
-    records = estimate_quv(spec, threads=threads)
-    _, exact1 = _dimension_levels(spec.geometry.source_cols, spec.block1)
-    exact2 = True
-    if not spec.one_dimensional:
-        _, exact2 = _dimension_levels(spec.geometry.source_rows, spec.block2)
-    if exact1 and exact2:
-        L1 = spec.geometry.source_cols // spec.block1 - 1
-        L2 = 1 if spec.one_dimensional else spec.geometry.source_rows // spec.block2 - 1
-        return [_assemble(spec, rec, L1, L2) for rec in records]
-    return interpolated_approximation(spec, records=records, threads=threads)
+    return interpolated_approximation(spec, threads=threads)
 
 
 def simulate_distribution(
@@ -448,32 +441,12 @@ def simulate_distribution(
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
     if replicas < 1:
         raise ParameterError("replicas must be >= 1")
-    thr = np.asarray(spec.thresholds if thresholds is None else thresholds, dtype=np.float64)
-    if thr.size == 0:
-        return []
-    threads = spec.threads if threads is None else threads
-    rows_dim, cols_dim = spec.geometry.source_rows, spec.geometry.source_cols
-    m1, m2 = spec.scan.m1, spec.scan.m2
-
-    def chunk_eval(rng: np.random.Generator, count: int) -> np.ndarray:
-        source = spec.distribution.sample(rng, (count, rows_dim, cols_dim))
-        derived = apply_block_factor_batch(source, spec.transform, spec.geometry)
-        maxima = window_sums_batch(derived, m1, m2).max(axis=(1, 2))
-        return (maxima[:, None] <= thr[None, :]).sum(axis=0).astype(np.int64)
-
-    counts = _accumulate(
-        replicas,
-        _chunk_size(rows_dim * cols_dim),
-        spec.seed,
-        "sim",
-        chunk_eval,
-        threads,
-    )
-    probs = counts / replicas
-    half = spec.confidence_z * np.sqrt(probs * (1.0 - probs) / replicas)
+    g, s = spec.geometry, spec.scan
+    full = [(g.derived_rows - s.m2 + 1, g.derived_cols - s.m1 + 1)]
+    thr, probs, half = _tally(spec, thresholds, threads, "sim", replicas, g, full)
     return [
         SimRow(n=float(n), prob=float(p), half_width=float(h), replicas=replicas)
-        for n, p, h in zip(thr, probs, half)
+        for n, p, h in zip(thr, probs[0], half[0])
     ]
 
 

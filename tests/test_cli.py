@@ -110,6 +110,42 @@ def test_threads_env_fallback(monkeypatch):
     assert explicit.resolved_threads() == 2
 
 
+def test_bad_threads_are_config_errors(monkeypatch):
+    monkeypatch.delenv("BLOCKSCAN_THREADS", raising=False)
+    for bad in ({"threads": 0}, {"threads": -3}):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_mapping(BASE_CONFIG, overrides=bad)
+        assert err.value.key == "threads"
+    config = RunConfig.from_mapping(BASE_CONFIG)
+    for env in ("abc", "1.5", "0", "-2"):
+        monkeypatch.setenv("BLOCKSCAN_THREADS", env)
+        with pytest.raises(ConfigError) as err:
+            config.resolved_threads()
+        assert err.value.key == "threads"
+        with pytest.raises(ConfigError):
+            RunConfig.from_mapping(BASE_CONFIG)
+
+
+def test_bad_threads_exit_with_code_2(tmp_path, monkeypatch, capsys):
+    path = _write_config(tmp_path)
+    out = tmp_path / "approx.tsv"
+    monkeypatch.delenv("BLOCKSCAN_THREADS", raising=False)
+    assert main(["approximate", "-c", path, "-o", str(out), "--threads", "-3"]) == 2
+    assert not out.exists()
+    monkeypatch.setenv("BLOCKSCAN_THREADS", "abc")
+    assert main(["validate-config", "-c", path]) == 2
+    assert capsys.readouterr().err.count("'threads'") == 2
+
+
+def test_distribution_parameters_are_checked(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_mapping({k: v for k, v in BASE_CONFIG.items() if k != "p"})
+    assert err.value.key == "distribution" and "bernoulli p" in str(err.value)
+    path = _write_config(tmp_path, p=None)
+    assert main(["validate-config", "-c", path]) == 2
+    assert "bernoulli p" in capsys.readouterr().err
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -126,6 +162,22 @@ def test_validate_config_reports_errors(tmp_path, capsys):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")
     assert main(["validate-config", "-c", str(bad_json)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["-c", "--approx", "--sim"])
+def test_missing_input_file_exits_with_code_2(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing.json")
+    approx = str(tmp_path / "approx.tsv")
+    plot = str(tmp_path / "plot.tsv")
+    main(["approximate", "-c", _write_config(tmp_path), "-o", approx])
+    argv = {
+        "-c": ["simulate", "-c", missing, "-o", str(tmp_path / "sim.tsv")],
+        "--approx": ["plotdata", "--approx", missing, "-o", plot],
+        "--sim": ["plotdata", "--approx", approx, "--sim", missing, "-o", plot],
+    }[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.json" in err
 
 
 def test_approximate_round_trip(tmp_path):

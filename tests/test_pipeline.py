@@ -128,6 +128,29 @@ def test_estimation_deterministic_across_thread_counts():
     )
 
 
+def test_tallies_pin_the_stream_partition():
+    # Exact replica counts at a fixed seed, so platform independent: they move
+    # only if the chunk partition, the per-chunk streams or the per-replica
+    # sample -> block factor -> window sums -> maxima pipeline changes.
+    t, extents = catalog_transform("minesweeper")
+    spec = ExperimentSpec(
+        geometry=LatticeGeometry(12, 12, *extents),
+        scan=ScanGeometry(3, 3),
+        distribution=MarginalDistribution.bernoulli(0.3),
+        transform=t,
+        thresholds=(22.0, 26.0, 30.0),
+        iterations=20_000,  # three chunks, the last one partial
+        seed=SeedSpec(2014),
+    )
+    counts = [
+        [round(getattr(rec, q) * rec.iterations) for q in ("q22", "q23", "q32", "q33")]
+        for rec in estimate_quv(spec)
+    ]
+    assert counts == [[2123, 457, 421, 30], [5576, 2234, 2191, 468], [10324, 6238, 6260, 2670]]
+    sims = simulate_distribution(spec, replicas=10_000)
+    assert [round(row.prob * row.replicas) for row in sims] == [15, 212, 1291]
+
+
 # --- assembly and the error ledger -----------------------------------------
 
 
