@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GeometryError, IndexRangeError, ParameterError
 from .fields import RandomField
@@ -111,20 +112,38 @@ def configuration_matrix(
     return block[::-1, :].copy()
 
 
-def _result_dtype(src_dtype: np.dtype, transform: BlockFactorTransform) -> np.dtype:
-    if (
-        transform.weights is not None
-        and np.issubdtype(src_dtype, np.integer)
-        and np.issubdtype(transform.weights.dtype, np.integer)
-    ):
-        return np.dtype(np.int64)
-    return np.dtype(np.float64)
+def narrow_int(src_dtype, gain: int) -> np.dtype:
+    """Narrowest of int16, int32 and int64 that holds ``max|src_dtype| * gain``.
+
+    The bound reads only the dtype, never the data: any sum of ``gain``
+    unit-weight terms (or terms whose absolute weights add up to ``gain``)
+    of values of ``src_dtype`` fits.  Past int64 the result stays int64.
+    """
+    src_dtype = np.dtype(src_dtype)
+    if src_dtype == np.bool_:
+        top = 1
+    else:
+        info = np.iinfo(src_dtype)
+        top = max(-int(info.min), int(info.max))
+    bound = top * int(gain)
+    for candidate in (np.int16, np.int32):
+        if bound <= np.iinfo(candidate).max:
+            return np.dtype(candidate)
+    return np.dtype(np.int64)
 
 
 def apply_block_factor_batch(
     source: np.ndarray, transform: BlockFactorTransform, geom: LatticeGeometry
 ) -> np.ndarray:
-    """Vectorised transform of a ``(batch, rows, cols)`` stack of source lattices."""
+    """Vectorised transform of a ``(batch, rows, cols)`` stack of source lattices.
+
+    A linear transform is a sum of shifted source views.  Integer sources
+    with integer weights accumulate in ``narrow_int(source.dtype, sum|w|)``,
+    e.g. int16 for minesweeper over an int8 Bernoulli source; everything
+    else is float64.  The values are exact, but the narrow dtype can
+    overflow in later arithmetic (``out * out`` on int16), so widen first.
+    A non-linear ``func`` is evaluated per window and returns float64.
+    """
     if source.shape[-2:] != (geom.source_rows, geom.source_cols):
         raise GeometryError(
             f"source shape {source.shape[-2:]} != ({geom.source_rows}, {geom.source_cols})"
@@ -136,24 +155,33 @@ def apply_block_factor_batch(
         )
     n1, n2 = geom.derived_cols, geom.derived_rows
     if transform.weights is None:
-        out = np.empty(source.shape[:-2] + (n2, n1))
-        flat = out.reshape((-1, n2, n1))
-        src = source.reshape((-1,) + source.shape[-2:])
-        for b in range(src.shape[0]):
-            for jj in range(n2):
-                for ii in range(n1):
-                    window = src[b, jj : jj + geom.c2, ii : ii + geom.c1][::-1, :]
-                    flat[b, jj, ii] = transform.func(window)
-        return out
+        # windows[..., jj, ii, :, :] is source[..., jj : jj + c2, ii : ii + c1]
+        windows = sliding_window_view(source, (geom.c2, geom.c1), axis=(-2, -1))
+        sites = np.ndindex(windows.shape[:-2])
+        values = [transform.func(windows[site][::-1, :]) for site in sites]
+        return np.array(values, dtype=np.float64).reshape(windows.shape[:-2])
     # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
     kernel = transform.weights[::-1, :]
-    out = np.zeros(source.shape[:-2] + (n2, n1), dtype=_result_dtype(source.dtype, transform))
+    if np.issubdtype(source.dtype, np.integer) and np.issubdtype(kernel.dtype, np.integer):
+        dtype = narrow_int(source.dtype, np.abs(kernel).sum())
+    else:
+        dtype = np.dtype(np.float64)
+    out = scratch = None
     for s in range(geom.c2):
         for t in range(geom.c1):
             w = kernel[s, t]
-            if w != 0:
-                out += w * source[..., s : s + n2, t : t + n1]
-    return out
+            if w == 0:
+                continue
+            view = source[..., s : s + n2, t : t + n1]
+            if out is None:
+                out = view.astype(dtype) if w == 1 else np.multiply(view, w, dtype=dtype)
+            elif w == 1:
+                np.add(out, view, out=out)
+            else:
+                # one reused buffer for the weighted terms saves an allocation each
+                scratch = np.empty_like(out) if scratch is None else scratch
+                np.add(out, np.multiply(view, w, out=scratch, dtype=dtype), out=out)
+    return np.zeros(source.shape[:-2] + (n2, n1), dtype=dtype) if out is None else out
 
 
 def apply_block_factor(

@@ -148,6 +148,11 @@ def _chunk_size(cells: int) -> int:
     return max(256, min(8192, 4_000_000 // max(cells, 1)))
 
 
+def _worker_count(threads: int | None, n_chunks: int) -> int:
+    """Threads worth starting: the requested count, at most one per chunk."""
+    return max(1, min(threads or 1, n_chunks))
+
+
 def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, threads):
     """Sum integer tallies over fixed-size replica chunks, one stream per chunk.
 
@@ -155,14 +160,15 @@ def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, t
     bit-identical for any worker count.
     """
     n_chunks = -(-total // chunk)
+    workers = _worker_count(threads, n_chunks)
 
     def one(k: int):
         count = chunk if (k + 1) * chunk <= total else total - k * chunk
         rng = seed.with_stream(_stream_id(task, k)).generator()
         return chunk_eval(rng, count)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(one, range(n_chunks)))
     return sum(map(one, range(n_chunks)))
 

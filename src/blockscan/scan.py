@@ -1,9 +1,14 @@
-"""Moving-window sums and scan maxima via 2-D prefix sums.
+"""Moving-window sums and scan maxima by doubling running sums.
 
-Integer fields accumulate exactly in int64; floating-point fields run the
-prefix pass in extended precision so window sums stay within 1e-9 relative
-of the direct summation.  ``brute_*`` functions are the O(N^2 m^2) oracles
-used by the test suite.
+A window sum is separable: width-``m1`` running sums along each row, then
+height-``m2`` running sums of those along each column.  Each running sum is
+built by doubling, adding shifted copies of blocks of width 1, 2, 4, ...
+and combining the blocks named by the set bits of ``m``, so a window of
+side ``m`` costs O(log m) array passes and no prefix sums.  Integer fields
+sum exactly in the narrowest integer dtype their dtype bounds allow;
+floating-point fields sum in float64, each result a short tree of at most
+``m1 * m2`` terms.  ``brute_*`` functions are the O(N^2 m^2) oracles used by
+the test suite.
 """
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blockfactor import narrow_int
 from .errors import GeometryError, IndexRangeError
 from .fields import RandomField
 
@@ -44,24 +50,51 @@ class MovingSums:
         return self.values.shape[0]
 
 
+def _running_sums(arr: np.ndarray, m: int, axis: int, dtype: np.dtype) -> np.ndarray:
+    """Width-``m`` running sums along ``axis``, by doubling, in ``dtype``.
+
+    ``block`` holds the width-``w`` running sums for ``w`` = 1, 2, 4, ...; the
+    block of each set bit of ``m`` is added in at the offset the lower bits
+    already cover.
+    """
+    n = arr.shape[axis] - m + 1
+    lead = (slice(None),) * (axis % arr.ndim)
+
+    def part(x, start, stop):
+        return x[lead + (slice(start, stop),)]
+
+    out = None
+    block, width, offset = arr, 1, 0
+    while True:
+        if m & width:
+            piece = part(block, offset, offset + n)
+            out = piece if out is None else np.add(out, piece, dtype=dtype)
+            offset += width
+        if 2 * width > m:
+            break
+        length = block.shape[axis] - width
+        block = np.add(part(block, 0, length), part(block, width, width + length), dtype=dtype)
+        width *= 2
+    # only m == 1 leaves a view of the input
+    return out.astype(dtype, copy=m == 1)
+
+
 def window_sums_batch(arr: np.ndarray, m1: int, m2: int) -> np.ndarray:
-    """Window sums over the trailing two axes of ``arr`` for an m1 x m2 window."""
+    """Window sums over the trailing two axes of ``arr`` for an m1 x m2 window.
+
+    Integer and boolean inputs give ``narrow_int(arr.dtype, m1 * m2)``, e.g.
+    int32 for 3x3 sums of an int16 minesweeper field; the values are exact,
+    but the dtype can overflow in later arithmetic, so widen before it.
+    Floating-point inputs give float64.
+    """
     rows, cols = arr.shape[-2:]
     if not (1 <= m1 <= cols and 1 <= m2 <= rows):
         raise GeometryError(
             f"window {m1}x{m2} does not fit in {cols}x{rows} field"
         )
     integer = np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_
-    acc_dtype = np.int64 if integer else np.longdouble
-    prefix = np.zeros(arr.shape[:-2] + (rows + 1, cols + 1), dtype=acc_dtype)
-    prefix[..., 1:, 1:] = arr.cumsum(axis=-2, dtype=acc_dtype).cumsum(axis=-1)
-    sums = (
-        prefix[..., m2:, m1:]
-        - prefix[..., :-m2, m1:]
-        - prefix[..., m2:, :-m1]
-        + prefix[..., :-m2, :-m1]
-    )
-    return sums if integer else sums.astype(np.float64)
+    dtype = narrow_int(arr.dtype, m1 * m2) if integer else np.dtype(np.float64)
+    return _running_sums(_running_sums(arr, m1, -1, dtype), m2, -2, dtype)
 
 
 def moving_sums(field: RandomField, m1: int, m2: int) -> MovingSums:
@@ -96,7 +129,7 @@ def row_scan_max(field: RandomField, m1: int, k: int):
 
 
 def brute_moving_sums(values: np.ndarray, m1: int, m2: int) -> np.ndarray:
-    """Direct per-window summation; the oracle for the prefix-sum path."""
+    """Direct per-window summation; the oracle for ``window_sums_batch``."""
     rows, cols = values.shape
     if not (1 <= m1 <= cols and 1 <= m2 <= rows):
         raise GeometryError(f"window {m1}x{m2} does not fit in {cols}x{rows} field")

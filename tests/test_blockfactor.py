@@ -16,7 +16,7 @@ from blockscan import (
     ma_transform,
     minesweeper_transform,
 )
-from blockscan.blockfactor import apply_block_factor_batch
+from blockscan.blockfactor import apply_block_factor_batch, narrow_int
 from blockscan.errors import GeometryError, IndexRangeError, ParameterError
 
 
@@ -216,3 +216,52 @@ def test_catalog_lookup():
         catalog_transform("ma")
     with pytest.raises(ParameterError):
         catalog_transform("minesweeper", radius=2)
+
+
+@pytest.mark.parametrize(
+    "func",
+    [np.max, lambda m: float(3 * m[0, 0] - m[-1, -1] + m.min())],
+    ids=["max", "corner-weighted"],
+)
+def test_nonlinear_fallback_matches_configuration_matrix(func):
+    """Every site of the fallback equals the transform of its configuration matrix."""
+    rng = np.random.default_rng(19)
+    stack = rng.integers(-6, 10, size=(3, 6, 7)).astype(np.int64)
+    geom = LatticeGeometry(7, 6, 1, 0, 2, 0)  # 3 rows by 2 columns, off-centre
+    t = BlockFactorTransform(name="nonlinear", c1=geom.c1, c2=geom.c2, func=func)
+    batch = apply_block_factor_batch(stack, t, geom)
+    assert batch.dtype == np.float64
+    assert batch.shape == (3, geom.derived_rows, geom.derived_cols)
+    for b in range(stack.shape[0]):
+        field = RandomField(values=stack[b])
+        for jj in range(geom.derived_rows):
+            for ii in range(geom.derived_cols):
+                i, j = ii + geom.x1 + 1, jj + geom.y1 + 1
+                assert batch[b, jj, ii] == t(configuration_matrix(field, i, j, geom))
+
+
+def test_narrow_int_bounds_the_dtype_not_the_data():
+    assert narrow_int(np.int8, 8) == np.int16  # minesweeper over Bernoulli
+    assert narrow_int(np.int8, 255) == np.int16  # 128 * 255 = 32640
+    assert narrow_int(np.int8, 256) == np.int32  # 128 * 256 = 32768
+    assert narrow_int(np.int16, 9) == np.int32
+    assert narrow_int(np.int32, 9) == np.int64
+    assert narrow_int(np.int64, 1) == np.int64
+    assert narrow_int(np.bool_, 9) == np.int16
+    assert narrow_int(np.uint8, 128) == np.int16  # 255 * 128 = 32640
+
+
+def test_linear_batch_dtype_holds_int8_extremes():
+    """Weights summing to 255 (int16) and 256 (int32) over all -128 / all 127 sources."""
+    geom = LatticeGeometry(4, 4, 1, 0, 1, 0)
+    for total, dtype in ((255, np.int16), (256, np.int32)):
+        weights = np.array([[64, 64], [64, total - 192]], dtype=np.int64)
+        t = BlockFactorTransform(name="wide", c1=2, c2=2, weights=weights)
+        for fill in (-128, 127):
+            out = apply_block_factor_batch(np.full((2, 4, 4), fill, dtype=np.int8), t, geom)
+            assert out.dtype == dtype
+            assert np.all(out == fill * total)
+    minesweeper = apply_block_factor_batch(
+        np.ones((2, 5, 5), dtype=np.int8), minesweeper_transform(), LatticeGeometry(5, 5, 1, 1, 1, 1)
+    )
+    assert minesweeper.dtype == np.int16 and np.all(minesweeper == 8)

@@ -301,3 +301,31 @@ def test_ma_theory_window_hypothesis():
         ma_theory((0.1, 0.2, 0.3, 0.4), 2)
     with pytest.raises(ParameterError):
         ma_theory((), 5)
+
+
+def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
+    """A huge thread request starts one worker per chunk; the pool is never started."""
+    from blockscan import pipeline
+
+    assert pipeline._worker_count(10**9, 13) == 13
+    assert pipeline._worker_count(2, 13) == 2
+    assert pipeline._worker_count(None, 13) == 1
+    assert pipeline._worker_count(8, 1) == 1
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+    total = pipeline._accumulate(10, 4, SeedSpec(1), "cap", lambda rng, count: count, 10**9)
+    assert total == 10 and requested == [3]

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockscan import (
+    BlockFactorTransform,
+    LatticeGeometry,
     MarginalDistribution,
     RandomField,
     ScanGeometry,
     SeedSpec,
     brute_moving_sums,
     brute_scan_statistic,
+    configuration_matrix,
     generate_field,
     moving_sums,
     row_scan_max,
     scan_statistic,
     sub_rectangle_scan_max,
 )
+from blockscan.blockfactor import apply_block_factor_batch
 from blockscan.errors import GeometryError, IndexRangeError
 from blockscan.scan import window_sums_batch
 
@@ -109,3 +115,92 @@ def test_batched_axis_matches_per_field():
     batched = window_sums_batch(stack, 3, 2)
     for b in range(5):
         assert np.array_equal(batched[b], window_sums_batch(stack[b], 3, 2))
+
+
+@st.composite
+def _linear_kernel_cases(draw):
+    """A source stack, a linear transform, its geometry and a window that fits."""
+    kind = draw(st.sampled_from(["int8", "int64", "float64"]))
+    c1, c2 = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    x1, y1 = draw(st.integers(0, c1 - 1)), draw(st.integers(0, c2 - 1))
+    cols, rows = draw(st.integers(c1, c1 + 8)), draw(st.integers(c2, c2 + 8))
+    geom = LatticeGeometry(cols, rows, x1, c1 - 1 - x1, y1, c2 - 1 - y1)
+    m1 = draw(st.integers(1, geom.derived_cols))
+    m2 = draw(st.integers(1, geom.derived_rows))
+    fill = draw(st.sampled_from(["random", "min", "max"])) if kind == "int8" else "random"
+    if fill != "random":
+        # the largest |weights| on an all-extreme source: |sum| reaches 128 * sum|w|,
+        # the bound narrow_int sizes the result for
+        sign = draw(st.sampled_from([-1, 1]))
+        weights = np.full((c2, c1), sign * 127, dtype=np.int64)
+    elif draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(-127, 127), min_size=c1 * c2, max_size=c1 * c2)))
+        weights = weights.astype(np.int64).reshape(c2, c1)
+    else:
+        floats = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+        weights = np.array(draw(st.lists(floats, min_size=c1 * c2, max_size=c1 * c2))).reshape(c2, c1)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    shape = (2, rows, cols)
+    if kind == "float64":
+        source = rng.normal(0.0, 100.0, size=shape)
+    elif kind == "int64":
+        source = rng.integers(-(10**6), 10**6, size=shape, dtype=np.int64)
+    elif fill == "random":
+        source = rng.integers(-128, 128, size=shape, dtype=np.int8)
+    else:
+        source = np.full(shape, -128 if fill == "min" else 127, dtype=np.int8)
+    transform = BlockFactorTransform(name="drawn", c1=c1, c2=c2, weights=weights)
+    return source, transform, geom, m1, m2
+
+
+@given(case=_linear_kernel_cases())
+@settings(max_examples=150)
+def test_linear_kernel_matches_per_site_oracle(case):
+    """Window sums of the batched block factor equal brute force over per-site transforms."""
+    source, transform, geom, m1, m2 = case
+    fast = window_sums_batch(apply_block_factor_batch(source, transform, geom), m1, m2)
+    exact = np.issubdtype(source.dtype, np.integer) and np.issubdtype(transform.weights.dtype, np.integer)
+    assert np.issubdtype(fast.dtype, np.integer) if exact else fast.dtype == np.float64
+    for b in range(source.shape[0]):
+        field = RandomField(values=source[b])
+        derived = np.array(
+            [
+                [
+                    transform(configuration_matrix(field, ii + geom.x1 + 1, jj + geom.y1 + 1, geom))
+                    for ii in range(geom.derived_cols)
+                ]
+                for jj in range(geom.derived_rows)
+            ]
+        )
+        slow = brute_moving_sums(derived, m1, m2)
+        if exact:
+            assert np.array_equal(fast[b], slow)
+        else:
+            scale = np.abs(derived).sum() + 1.0
+            assert np.max(np.abs(fast[b] - slow)) <= 1e-12 * scale
+
+
+def test_float_sums_do_not_need_extended_precision():
+    """Mean-1e6 Gaussian sums stay within 1e-12 relative of brute force, in float64."""
+    rng = np.random.default_rng(303)
+    values = rng.normal(1e6, 1.0, size=(40, 50))
+    for m1, m2 in ((7, 5), (20, 1), (1, 16), (50, 40)):
+        fast = window_sums_batch(values, m1, m2)
+        slow = brute_moving_sums(values, m1, m2)
+        assert fast.dtype == np.float64
+        assert np.max(np.abs(fast - slow) / np.abs(slow)) <= 1e-12
+    assert window_sums_batch(values.astype(np.float32), 3, 3).dtype == np.float64
+
+
+def test_integer_sums_use_the_narrow_dtype_bound():
+    # 3x3 sums of an int16 minesweeper field fit int32; int8 and bool fit int16
+    assert window_sums_batch(np.full((2, 6, 6), 8, dtype=np.int16), 3, 3).dtype == np.int32
+    assert window_sums_batch(np.ones((6, 6), dtype=np.bool_), 3, 3).dtype == np.int16
+    extreme = np.full((9, 9), -(2**15), dtype=np.int16)
+    sums = window_sums_batch(extreme, 9, 9)
+    assert sums.dtype == np.int32 and sums.item() == -(2**15) * 81
+    single = np.arange(12, dtype=np.int8).reshape(3, 4)
+    ones = window_sums_batch(single, 1, 1)
+    assert ones.dtype == np.int16 and np.array_equal(ones, single)
+    assert not np.shares_memory(ones, single)
