@@ -3,7 +3,8 @@
 Each derived value is a fixed function of the configuration matrix, the
 ``c2 x c1`` window of source values around a site.  The built-in transforms
 (minesweeper neighbour count, moving-average dot product, identity) are all
-linear, which lets the batched code path run as a handful of shifted adds.
+linear, which lets the batched code path run as a handful of shifted adds
+on one flat 1-D layout of the whole stack.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import GeometryError, IndexRangeError, ParameterError
 from .fields import RandomField
@@ -113,11 +114,13 @@ def configuration_matrix(
 
 
 def narrow_int(src_dtype, gain: int) -> np.dtype:
-    """Narrowest of int16, int32 and int64 that holds ``max|src_dtype| * gain``.
+    """Narrowest of int8, int16, int32 and int64 that holds ``max|src_dtype| * gain``.
 
     The bound reads only the dtype, never the data: any sum of ``gain``
     unit-weight terms (or terms whose absolute weights add up to ``gain``)
-    of values of ``src_dtype`` fits.  Past int64 the result stays int64.
+    of values of ``src_dtype`` fits.  A bool counts as 1, so of nonzero
+    gains only bool sources reach int8: every other integer dtype already
+    bounds a value by 128 or more.  Past int64 the result stays int64.
     """
     src_dtype = np.dtype(src_dtype)
     if src_dtype == np.bool_:
@@ -126,23 +129,58 @@ def narrow_int(src_dtype, gain: int) -> np.dtype:
         info = np.iinfo(src_dtype)
         top = max(-int(info.min), int(info.max))
     bound = top * int(gain)
-    for candidate in (np.int16, np.int32):
+    for candidate in (np.int8, np.int16, np.int32):
         if bound <= np.iinfo(candidate).max:
             return np.dtype(candidate)
     return np.dtype(np.int64)
 
 
+def _flat_kernel(arr: np.ndarray, out_rows: int, out_cols: int, kernel) -> np.ndarray:
+    """Run a shift kernel on the flat layout of ``arr`` and view its result.
+
+    ``arr`` is read as one 1-D run ``flat`` over its memory with row step
+    ``R``: element ``(..., r, c)`` is ``flat[lead + r * R + c]``, so a shift
+    by ``(s, t)`` is the offset ``s * R + t``.  ``kernel(flat, R, length)``
+    returns a fresh 1-D array whose lane ``k < length`` is the result
+    anchored at ``flat[k]``; lanes that wrap across a row or a leading index
+    are computed but never read.  The valid ``(..., out_rows, out_cols)``
+    lanes come back as a strided view that ends at the last lane.  Inputs
+    the flat run cannot describe (an axis with a stride that is not a
+    positive multiple of the item size, or a last stride other than the
+    item size) are copied with ``np.ascontiguousarray`` first.
+    """
+    out_shape = arr.shape[:-2] + (out_rows, out_cols)
+    if arr.size == 0:
+        return kernel(arr.reshape(-1), 0, 0).reshape(out_shape)
+    size = arr.itemsize
+    odd = any(n > 1 and (st <= 0 or st % size) for n, st in zip(arr.shape, arr.strides))
+    if odd or (arr.shape[-1] > 1 and arr.strides[-1] != size):
+        arr = np.ascontiguousarray(arr)
+    steps = [st // size if n > 1 else 0 for n, st in zip(arr.shape, arr.strides)]
+    span = 1 + sum((n - 1) * step for n, step in zip(arr.shape, steps))
+    rows, cols = arr.shape[-2:]
+    row_step = steps[-2]
+    length = span - (rows - out_rows) * row_step - (cols - out_cols)
+    flat = as_strided(arr, shape=(span,), strides=(size,), writeable=False)
+    result = kernel(flat, row_step, length)
+    strides = [step * result.itemsize for step in steps]
+    return np.ndarray(out_shape, dtype=result.dtype, buffer=result, strides=strides)
+
+
 def apply_block_factor_batch(
     source: np.ndarray, transform: BlockFactorTransform, geom: LatticeGeometry
 ) -> np.ndarray:
-    """Vectorised transform of a ``(batch, rows, cols)`` stack of source lattices.
+    """Vectorised transform of a ``(..., rows, cols)`` stack of source lattices.
 
-    A linear transform is a sum of shifted source views.  Integer sources
-    with integer weights accumulate in ``narrow_int(source.dtype, sum|w|)``,
-    e.g. int16 for minesweeper over an int8 Bernoulli source; everything
-    else is float64.  The values are exact, but the narrow dtype can
-    overflow in later arithmetic (``out * out`` on int16), so widen first.
-    A non-linear ``func`` is evaluated per window and returns float64.
+    A linear transform is a sum of shifted sources: on the flat layout of
+    ``_flat_kernel`` each shifted add is one contiguous 1-D ufunc over the
+    whole stack, and the result is a strided view of a fresh array.
+    Integer and bool sources with integer weights accumulate in
+    ``narrow_int(source.dtype, sum|w|)``, e.g. int8 for minesweeper over a
+    bool Bernoulli source; everything else is float64.  The values are
+    exact, but the narrow dtype can overflow in later arithmetic
+    (``out * out`` on int8), so widen first.  A non-linear ``func`` is
+    evaluated per window and returns float64.
     """
     if source.shape[-2:] != (geom.source_rows, geom.source_cols):
         raise GeometryError(
@@ -153,7 +191,6 @@ def apply_block_factor_batch(
             f"transform window ({transform.c1}, {transform.c2}) != geometry "
             f"({geom.c1}, {geom.c2})"
         )
-    n1, n2 = geom.derived_cols, geom.derived_rows
     if transform.weights is None:
         # windows[..., jj, ii, :, :] is source[..., jj : jj + c2, ii : ii + c1]
         windows = sliding_window_view(source, (geom.c2, geom.c1), axis=(-2, -1))
@@ -162,26 +199,32 @@ def apply_block_factor_batch(
         return np.array(values, dtype=np.float64).reshape(windows.shape[:-2])
     # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
     kernel = transform.weights[::-1, :]
-    if np.issubdtype(source.dtype, np.integer) and np.issubdtype(kernel.dtype, np.integer):
+    integer = np.issubdtype(source.dtype, np.integer) or source.dtype == np.bool_
+    if integer and np.issubdtype(kernel.dtype, np.integer):
         dtype = narrow_int(source.dtype, np.abs(kernel).sum())
     else:
         dtype = np.dtype(np.float64)
-    out = scratch = None
-    for s in range(geom.c2):
-        for t in range(geom.c1):
-            w = kernel[s, t]
-            if w == 0:
-                continue
-            view = source[..., s : s + n2, t : t + n1]
-            if out is None:
-                out = view.astype(dtype) if w == 1 else np.multiply(view, w, dtype=dtype)
-            elif w == 1:
-                np.add(out, view, out=out)
-            else:
-                # one reused buffer for the weighted terms saves an allocation each
-                scratch = np.empty_like(out) if scratch is None else scratch
-                np.add(out, np.multiply(view, w, out=scratch, dtype=dtype), out=out)
-    return np.zeros(source.shape[:-2] + (n2, n1), dtype=dtype) if out is None else out
+
+    def shifted_sum(flat: np.ndarray, row_step: int, length: int) -> np.ndarray:
+        out = scratch = None
+        for s in range(geom.c2):
+            for t in range(geom.c1):
+                w = kernel[s, t]
+                if w == 0:
+                    continue
+                start = s * row_step + t
+                view = flat[start : start + length]
+                if out is None:
+                    out = view.astype(dtype) if w == 1 else np.multiply(view, w, dtype=dtype)
+                elif w == 1:
+                    np.add(out, view, out=out)
+                else:
+                    # one reused buffer for the weighted terms saves an allocation each
+                    scratch = np.empty_like(out) if scratch is None else scratch
+                    np.add(out, np.multiply(view, w, out=scratch, dtype=dtype), out=out)
+        return np.zeros(length, dtype=dtype) if out is None else out
+
+    return _flat_kernel(source, geom.derived_rows, geom.derived_cols, shifted_sum)
 
 
 def apply_block_factor(

@@ -6,6 +6,7 @@ are stored row-major as ``values[j - 1, i - 1]``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +89,19 @@ class MarginalDistribution:
         return self.kind in ("bernoulli", "binomial", "poisson")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw an array of i.i.d. values of the given shape."""
+        """Draw an array of i.i.d. values of the given shape.
+
+        Bernoulli gives ``bool``, exactly ``rng.random(size) < p`` from the
+        same draws: ``random()`` is ``(x >> 11) * 2**-53`` of the raw 64-bit
+        draw ``x``, so ``u < p`` holds exactly when ``x < ceil(p * 2**53) << 11``,
+        and comparing the raw draws skips the float pass.  Binomial and
+        Poisson give int64, Gaussian float64.
+        """
         if self.kind == "bernoulli":
-            # uniform-compare keeps the hot Bernoulli path branch-free
-            return (rng.random(size) < self.p).astype(np.int8)
+            raw = rng.bit_generator.random_raw(size)
+            cut = math.ceil(self.p * 2.0**53) << 11
+            # p == 1 cuts at 2**64, past uint64; the draws above still advance the stream
+            return np.ones(raw.shape, dtype=np.bool_) if cut >> 64 else raw < np.uint64(cut)
         if self.kind == "binomial":
             return rng.binomial(self.trials, self.p, size).astype(np.int64)
         if self.kind == "poisson":

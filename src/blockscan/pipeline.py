@@ -24,7 +24,7 @@ from .haiman import (
     error_factor_F,
     theorem1_constants,
 )
-from .scan import ScanGeometry, window_sums_batch
+from .scan import ScanGeometry, tile_maxima, window_sums_batch
 
 _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 
@@ -145,7 +145,8 @@ def _stream_id(task: str, index: int) -> int:
 
 
 def _chunk_size(cells: int) -> int:
-    return max(256, min(8192, 4_000_000 // max(cells, 1)))
+    """Replicas per chunk: about 4e6 source cells, at most 8192 and at least one replica."""
+    return max(1, min(8192, 4_000_000 // max(cells, 1)))
 
 
 def _worker_count(threads: int | None, n_chunks: int) -> int:
@@ -174,14 +175,17 @@ def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, t
 
 
 def _tally(
-    spec: ExperimentSpec, thresholds, threads, task: str, total: int, geometry, extents
+    spec: ExperimentSpec, thresholds, threads, task: str, total: int, geometry, tile, extents
 ):
     """Monte Carlo estimates of P(max window sum <= n) over nested anchor extents.
 
     Each replica samples one source field of ``geometry``, applies the block
-    factor and takes every window sum once; each ``(rows, cols)`` extent then
-    reads its maximum from a leading view of those sums.  Returns the
-    thresholds and, per extent and threshold, the estimate and its Wald
+    factor and takes every window sum once.  The sums are cut into
+    ``tile = (rows, cols)`` tiles of anchors and each tile's maximum is taken
+    once; an extent ``(v, u)`` is the leading ``v x u`` tiles, so its maximum
+    is entry ``[v - 1, u - 1]`` of the running maxima of the tile maxima
+    over both tile axes.  Returns
+    the thresholds and, per extent and threshold, the estimate and its Wald
     half-width.
     """
     thr = np.asarray(spec.thresholds if thresholds is None else thresholds, dtype=np.float64)
@@ -196,11 +200,14 @@ def _tally(
         source = spec.distribution.sample(rng, (count, rows, cols))
         derived = apply_block_factor_batch(source, spec.transform, geometry)
         sums = window_sums_batch(derived, m1, m2)
-        counts = np.zeros((len(extents), thr.size), dtype=np.int64)
-        for idx, (v_ext, u_ext) in enumerate(extents):
-            maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
-            counts[idx] = (maxima[:, None] <= thr[None, :]).sum(axis=0)
-        return counts
+        # tile axes first, so every step below runs over the replicas
+        lead = np.moveaxis(tile_maxima(sums, *tile), 0, -1)
+        for i in range(1, lead.shape[0]):
+            np.maximum(lead[i], lead[i - 1], out=lead[i])
+        for j in range(1, lead.shape[1]):
+            np.maximum(lead[:, j], lead[:, j - 1], out=lead[:, j])
+        maxima = np.stack([lead[v - 1, u - 1] for v, u in extents])
+        return (maxima[:, None, :] <= thr[:, None]).sum(axis=2, dtype=np.int64)
 
     counts = _accumulate(total, _chunk_size(rows * cols), spec.seed, task, chunk_eval, threads)
     probs = counts / total
@@ -216,12 +223,17 @@ def estimate_quv(
     per replica; all thresholds share the same replicas.
     """
     cols, rows = quv_field_dims(3, 3, spec.geometry, spec.scan)
-    extents = [
-        (1 if spec.one_dimensional else (v - 1) * spec.block2, (u - 1) * spec.block1)
-        for u, v in _UV_PAIRS
-    ]
+    # the window sums of the (3, 3) field are 2 x 2 tiles of block2 x block1
+    # anchors (1 x 2 tiles of one row in 1-D); Q_uv reads the leading
+    # (v - 1) x (u - 1) of them
+    if spec.one_dimensional:
+        tile, extents = (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
+    else:
+        tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
     sub_geom = spec.geometry.with_source(cols, rows)
-    thr, q_hat, beta = _tally(spec, thresholds, threads, "quv", spec.iterations, sub_geom, extents)
+    thr, q_hat, beta = _tally(
+        spec, thresholds, threads, "quv", spec.iterations, sub_geom, tile, extents
+    )
     records = []
     for t_idx, n in enumerate(thr):
         records.append(
@@ -448,8 +460,8 @@ def simulate_distribution(
     if replicas < 1:
         raise ParameterError("replicas must be >= 1")
     g, s = spec.geometry, spec.scan
-    full = [(g.derived_rows - s.m2 + 1, g.derived_cols - s.m1 + 1)]
-    thr, probs, half = _tally(spec, thresholds, threads, "sim", replicas, g, full)
+    full = (g.derived_rows - s.m2 + 1, g.derived_cols - s.m1 + 1)
+    thr, probs, half = _tally(spec, thresholds, threads, "sim", replicas, g, full, [(1, 1)])
     return [
         SimRow(n=float(n), prob=float(p), half_width=float(h), replicas=replicas)
         for n, p, h in zip(thr, probs[0], half[0])

@@ -247,7 +247,7 @@ def test_narrow_int_bounds_the_dtype_not_the_data():
     assert narrow_int(np.int16, 9) == np.int32
     assert narrow_int(np.int32, 9) == np.int64
     assert narrow_int(np.int64, 1) == np.int64
-    assert narrow_int(np.bool_, 9) == np.int16
+    assert narrow_int(np.bool_, 9) == np.int8
     assert narrow_int(np.uint8, 128) == np.int16  # 255 * 128 = 32640
 
 

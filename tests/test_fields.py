@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -94,3 +96,45 @@ def test_at_uses_column_row_convention():
     assert field.at(2, 3) == field.values[2, 1]
     with pytest.raises(IndexError):
         field.at(6, 1)
+
+
+_RAW_DRAW_PS = [
+    0.0, 1.0, 2.0**-53, 3 * 2.0**-53, 1.0 - 2.0**-53, 0.1, 0.5,
+    float(np.nextafter(0.1, 0.0)), float(np.nextafter(0.1, 1.0)),
+]
+
+
+@pytest.mark.parametrize("p", _RAW_DRAW_PS)
+@pytest.mark.parametrize("size", [(300, 7, 9), (0, 4)])
+def test_bernoulli_from_raw_draws_equals_uniform_compare(p, size):
+    """Raw-draw Bernoulli is ``rng.random(size) < p``: same values, bool, same stream position."""
+    dist = MarginalDistribution.bernoulli(p)
+    fast_rng, slow_rng = SeedSpec(2014, 9).generator(), SeedSpec(2014, 9).generator()
+    fast = dist.sample(fast_rng, size)
+    slow = slow_rng.random(size) < p
+    assert fast.dtype == np.bool_ and fast.shape == size
+    assert np.array_equal(fast, slow)
+    assert fast_rng.random() == slow_rng.random()
+
+
+class _RawDraws:
+    """Stands in for a Generator whose bit generator returns the given raw draws."""
+
+    def __init__(self, raw):
+        self.bit_generator = self
+        self.raw = raw
+
+    def random_raw(self, size):
+        return self.raw.reshape(size)
+
+
+def test_bernoulli_cut_is_exact_at_the_draw_boundary():
+    """Raw draws on either side of each cut give what ``random() < p`` gives for them."""
+    for p in _RAW_DRAW_PS[2:]:
+        cut = math.ceil(p * 2.0**53) << 11
+        near = [cut + d for d in (-2049, -2048, -1, 0, 2047, 2048) if 0 <= cut + d < 2**64]
+        raw = np.array(near + [0, 2**64 - 1], dtype=np.uint64)
+        # what Generator.random() makes of each raw draw, computed in float64
+        uniform = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        drawn = MarginalDistribution.bernoulli(p).sample(_RawDraws(raw), raw.shape)
+        assert np.array_equal(drawn, uniform < p)

@@ -329,3 +329,68 @@ def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
     total = pipeline._accumulate(10, 4, SeedSpec(1), "cap", lambda rng, count: count, 10**9)
     assert total == 10 and requested == [3]
+
+
+def test_chunk_size_keeps_the_cell_budget_for_large_lattices():
+    """About 4e6 source cells per chunk, at most 8192 replicas and at least one."""
+    from blockscan import pipeline
+
+    assert pipeline._chunk_size(12 * 12) == 8192
+    assert pipeline._chunk_size(44 * 44) == 2066
+    assert pipeline._chunk_size(125 * 125) == 256
+    assert pipeline._chunk_size(1000 * 1000) == 4
+    assert pipeline._chunk_size(2000 * 2000) == 1
+
+
+def _ma_spec():
+    return ExperimentSpec(
+        geometry=LatticeGeometry(66, 1, 0, 2, 0, 0),
+        scan=ScanGeometry(20, 1),
+        distribution=MarginalDistribution.gaussian(0.0, 1.0),
+        transform=ma_transform((0.3, 0.1, 0.5)),
+        thresholds=(9.0, 11.0, 13.0, 15.0),
+        iterations=9000,
+        seed=SeedSpec(13),
+    )
+
+
+@pytest.mark.parametrize("shape", ["quv-2d", "quv-1d", "simulate"])
+def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
+    """Tallies from shared tile maxima equal ``sums[:, :v, :u].max(axis=(1, 2))`` per extent."""
+    from blockscan import pipeline
+
+    recorded, window_sums = [], pipeline.window_sums_batch
+
+    def recording(arr, m1, m2):
+        recorded.append(window_sums(arr, m1, m2))
+        return recorded[-1]
+
+    monkeypatch.setattr(pipeline, "window_sums_batch", recording)
+    if shape == "simulate":
+        spec = _minesweeper_spec(cols=14, rows=13, thresholds=range(40, 64, 3))
+        rows = simulate_distribution(spec, replicas=9000, threads=1)
+        tallies = [[round(row.prob * row.replicas) for row in rows]]
+        g, scan = spec.geometry, spec.scan
+        extents = [(g.derived_rows - scan.m2 + 1, g.derived_cols - scan.m1 + 1)]
+    else:
+        if shape == "quv-2d":
+            spec = _minesweeper_spec(thresholds=range(34, 58, 3), iterations=9000)
+        else:
+            spec = _ma_spec()
+        records = estimate_quv(spec, threads=1)
+        tallies = [
+            [round(getattr(rec, q) * rec.iterations) for rec in records]
+            for q in ("q22", "q23", "q32", "q33")
+        ]
+        rows_per_block = 1 if spec.one_dimensional else spec.block2
+        extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
+    thr = np.array(spec.thresholds)
+    expected = np.zeros((len(extents), thr.size), dtype=np.int64)
+    for sums in recorded:
+        for idx, (v_ext, u_ext) in enumerate(extents):
+            maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
+            expected[idx] += (maxima[:, None] <= thr[None, :]).sum(axis=0)
+    assert len(recorded) == 2  # two chunks, the second one partial
+    # at least three thresholds per extent split the replicas
+    assert np.all(((expected > 0) & (expected < 9000)).sum(axis=1) >= 3)
+    assert np.array_equal(np.array(tallies), expected)

@@ -21,7 +21,7 @@ from blockscan import (
 )
 from blockscan.blockfactor import apply_block_factor_batch
 from blockscan.errors import GeometryError, IndexRangeError
-from blockscan.scan import window_sums_batch
+from blockscan.scan import tile_maxima, window_sums_batch
 
 
 def test_scan_geometry_validation():
@@ -120,7 +120,7 @@ def test_batched_axis_matches_per_field():
 @st.composite
 def _linear_kernel_cases(draw):
     """A source stack, a linear transform, its geometry and a window that fits."""
-    kind = draw(st.sampled_from(["int8", "int64", "float64"]))
+    kind = draw(st.sampled_from(["bool", "int8", "int64", "float64"]))
     c1, c2 = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     x1, y1 = draw(st.integers(0, c1 - 1)), draw(st.integers(0, c2 - 1))
     cols, rows = draw(st.integers(c1, c1 + 8)), draw(st.integers(c2, c2 + 8))
@@ -144,6 +144,8 @@ def _linear_kernel_cases(draw):
     shape = (2, rows, cols)
     if kind == "float64":
         source = rng.normal(0.0, 100.0, size=shape)
+    elif kind == "bool":
+        source = rng.random(shape) < draw(st.sampled_from([0.1, 0.5, 1.0]))
     elif kind == "int64":
         source = rng.integers(-(10**6), 10**6, size=shape, dtype=np.int64)
     elif fill == "random":
@@ -160,7 +162,8 @@ def test_linear_kernel_matches_per_site_oracle(case):
     """Window sums of the batched block factor equal brute force over per-site transforms."""
     source, transform, geom, m1, m2 = case
     fast = window_sums_batch(apply_block_factor_batch(source, transform, geom), m1, m2)
-    exact = np.issubdtype(source.dtype, np.integer) and np.issubdtype(transform.weights.dtype, np.integer)
+    integer_source = np.issubdtype(source.dtype, np.integer) or source.dtype == np.bool_
+    exact = integer_source and np.issubdtype(transform.weights.dtype, np.integer)
     assert np.issubdtype(fast.dtype, np.integer) if exact else fast.dtype == np.float64
     for b in range(source.shape[0]):
         field = RandomField(values=source[b])
@@ -194,9 +197,9 @@ def test_float_sums_do_not_need_extended_precision():
 
 
 def test_integer_sums_use_the_narrow_dtype_bound():
-    # 3x3 sums of an int16 minesweeper field fit int32; int8 and bool fit int16
+    # 3x3 sums of an int16 field fit int32, of an int8 field int16, of a bool field int8
     assert window_sums_batch(np.full((2, 6, 6), 8, dtype=np.int16), 3, 3).dtype == np.int32
-    assert window_sums_batch(np.ones((6, 6), dtype=np.bool_), 3, 3).dtype == np.int16
+    assert window_sums_batch(np.ones((6, 6), dtype=np.bool_), 3, 3).dtype == np.int8
     extreme = np.full((9, 9), -(2**15), dtype=np.int16)
     sums = window_sums_batch(extreme, 9, 9)
     assert sums.dtype == np.int32 and sums.item() == -(2**15) * 81
@@ -204,3 +207,77 @@ def test_integer_sums_use_the_narrow_dtype_bound():
     ones = window_sums_batch(single, 1, 1)
     assert ones.dtype == np.int16 and np.array_equal(ones, single)
     assert not np.shares_memory(ones, single)
+
+
+def _per_site_transform(values: np.ndarray, transform, geom) -> np.ndarray:
+    """The block factor of one 2-D field, one configuration matrix per site."""
+    field = RandomField(values=values)
+    return np.array(
+        [
+            [
+                transform(configuration_matrix(field, ii + geom.x1 + 1, jj + geom.y1 + 1, geom))
+                for ii in range(geom.derived_cols)
+            ]
+            for jj in range(geom.derived_rows)
+        ]
+    )
+
+
+# the same (batch, rows, cols) values in memory layouts the flat kernel must handle
+_LAYOUTS = {
+    "contiguous": lambda x: x,
+    "transposed": lambda x: np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2),
+    "batch-inner": lambda x: np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2),
+    "negative-stride": lambda x: np.ascontiguousarray(x[..., ::-1])[..., ::-1],
+    "reversed-batch": lambda x: x[::-1],
+    "broadcast": lambda x: np.broadcast_to(x[1], x.shape),
+    "stepped": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
+    "row-padded": lambda x: np.concatenate([x, x[..., :3]], axis=-1)[..., : x.shape[-1]],
+    "2-D": lambda x: x[1],
+    "4-D": lambda x: np.stack([x, x[::-1]]),
+    "empty-batch": lambda x: x[:0],
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.float64])
+def test_flat_kernel_handles_any_input_layout(layout, dtype):
+    """Block factor and window sums equal the per-site and brute oracles in every layout."""
+    rng = np.random.default_rng(77)
+    stack = rng.integers(-3, 4, size=(3, 7, 8))
+    stack = (stack > 0) if dtype == np.bool_ else stack.astype(dtype)
+    source = _LAYOUTS[layout](stack)
+    weights = np.array([[1, -2, 0], [3, 1, 1]], dtype=np.int64)
+    transform = BlockFactorTransform(name="drawn", c1=3, c2=2, weights=weights)
+    geom = LatticeGeometry(8, 7, 1, 1, 0, 1)
+    derived = apply_block_factor_batch(source, transform, geom)
+    sums = window_sums_batch(derived, 3, 2)
+    raw_sums = window_sums_batch(source, 4, 3)
+    assert derived.shape == source.shape[:-2] + (6, 6)
+    assert sums.shape == source.shape[:-2] + (5, 4)
+    assert raw_sums.shape == source.shape[:-2] + (5, 5)
+    for out in (derived, sums, raw_sums):
+        assert not np.shares_memory(out, source)
+        # no two elements of a result share memory either
+        assert all(st > 0 for n, st in zip(out.shape, out.strides) if n > 1)
+    for index in np.ndindex(source.shape[:-2]):
+        expected = _per_site_transform(source[index], transform, geom)
+        assert np.array_equal(derived[index], expected)
+        assert np.array_equal(sums[index], brute_moving_sums(expected, 3, 2))
+        assert np.array_equal(raw_sums[index], brute_moving_sums(source[index], 4, 3))
+
+
+def test_tile_maxima_match_per_tile_maxima():
+    """Every tile's maximum, for ragged edges, one tile, single rows and a 2-D input."""
+    rng = np.random.default_rng(55)
+    stack = rng.integers(-50, 50, size=(4, 9, 11)).astype(np.int16)
+    for tile_rows, tile_cols in ((1, 1), (2, 3), (4, 4), (9, 11), (5, 6), (1, 5), (9, 2)):
+        tiles = tile_maxima(stack, tile_rows, tile_cols)
+        grid = (9 // tile_rows, 11 // tile_cols)
+        assert tiles.shape == (4,) + grid and tiles.dtype == stack.dtype
+        for b, r, c in np.ndindex(tiles.shape):
+            block = stack[b, r * tile_rows : (r + 1) * tile_rows, c * tile_cols : (c + 1) * tile_cols]
+            assert tiles[b, r, c] == block.max()
+        assert np.array_equal(tile_maxima(stack[2], tile_rows, tile_cols), tiles[2])
+    with pytest.raises(GeometryError):
+        tile_maxima(stack, 10, 1)
