@@ -120,11 +120,14 @@ def narrow_int(src_dtype, gain: int) -> np.dtype:
     unit-weight terms (or terms whose absolute weights add up to ``gain``)
     of values of ``src_dtype`` fits.  A bool counts as 1, so of nonzero
     gains only bool sources reach int8: every other integer dtype already
-    bounds a value by 128 or more.  Past int64 the result stays int64.
+    bounds a value by 128 or more.  Past int64 the result stays int64.  A
+    dtype that is neither integer nor bool accumulates in float64.
     """
     src_dtype = np.dtype(src_dtype)
     if src_dtype == np.bool_:
         top = 1
+    elif not np.issubdtype(src_dtype, np.integer):
+        return np.dtype(np.float64)
     else:
         info = np.iinfo(src_dtype)
         top = max(-int(info.min), int(info.max))
@@ -199,8 +202,7 @@ def apply_block_factor_batch(
         return np.array(values, dtype=np.float64).reshape(windows.shape[:-2])
     # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
     kernel = transform.weights[::-1, :]
-    integer = np.issubdtype(source.dtype, np.integer) or source.dtype == np.bool_
-    if integer and np.issubdtype(kernel.dtype, np.integer):
+    if np.issubdtype(kernel.dtype, np.integer):
         dtype = narrow_int(source.dtype, np.abs(kernel).sum())
     else:
         dtype = np.dtype(np.float64)

@@ -22,10 +22,23 @@ from . import __version__
 from .blockfactor import LatticeGeometry, catalog_transform
 from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError
 from .fields import MarginalDistribution, SeedSpec
-from .pipeline import ApproxRow, ExperimentSpec, SimRow, approximate, simulate_distribution
+from .pipeline import L_MODES, ApproxRow, ExperimentSpec, SimRow, approximate, simulate_distribution
 from .scan import ScanGeometry
 
 _THREADS_ENV = "BLOCKSCAN_THREADS"
+
+
+def _check_number(key: str, value) -> None:
+    """Raise unless ``value`` is an int or float (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(key, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, infinities and ints past the float range
+        raise ConfigError(key, f"expected a finite number, got {value!r}")
+
+
+def _reject_constant(name: str):
+    """``json.load`` hook for the non-standard ``NaN``, ``Infinity`` and ``-Infinity`` literals."""
+    raise ConfigError("<file>", f"non-finite number {name} is not allowed")
 
 
 @dataclass(frozen=True)
@@ -72,14 +85,15 @@ class RunConfig:
             # an ``X | None`` field checks against X; a tuple field takes a JSON list
             typ = next((a for a in get_args(hints[key]) if a is not type(None)), hints[key])
             if typ in (int, float):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(key, f"expected a number, got {value!r}")
+                _check_number(key, value)
                 if typ is int and int(value) != value:
                     raise ConfigError(key, f"expected an integer, got {value!r}")
                 value = typ(value)
             elif typ is tuple:
                 if not isinstance(value, (list, tuple)):
                     raise ConfigError(key, f"expected a list, got {value!r}")
+                for item in value:
+                    _check_number(key, item)
                 value = tuple(value)
             elif not isinstance(value, typ):
                 raise ConfigError(key, f"expected a {typ.__name__}, got {value!r}")
@@ -92,7 +106,7 @@ class RunConfig:
     def from_file(cls, path: str, overrides: dict | None = None) -> "RunConfig":
         with open(path) as handle:
             try:
-                raw = json.load(handle)
+                raw = json.load(handle, parse_constant=_reject_constant)
             except json.JSONDecodeError as exc:
                 raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -112,6 +126,8 @@ class RunConfig:
         return threads
 
     def build_spec(self) -> ExperimentSpec:
+        if self.replicas < 1:
+            raise ConfigError("replicas", f"must be >= 1, got {self.replicas}")
         params = {}
         if self.transform == "ma":
             if self.ma_coeffs is None:
@@ -153,14 +169,6 @@ class RunConfig:
         except BlockScanError as exc:
             raise ConfigError("<spec>", str(exc)) from exc
 
-    def to_metadata(self) -> list[tuple[str, object]]:
-        out = []
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                out.append((f.name, value))
-        return out
-
 
 def _fmt(value, raw: bool) -> str:
     if value is None:
@@ -168,9 +176,7 @@ def _fmt(value, raw: bool) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value) if raw else f"{value:.6f}"
+        return repr(value) if raw else f"{value:.6f}"  # both print nan as "nan"
     return str(value)
 
 
@@ -178,7 +184,35 @@ def _fmt_threshold(n: float) -> str:
     return str(int(n)) if float(n) == int(n) else repr(float(n))
 
 
-_COLUMNS = ("n", "sim", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid")
+def _write_table(
+    path: str,
+    command: str,
+    columns: tuple,
+    rows,
+    raw: bool = False,
+    config: RunConfig | None = None,
+    notes=(),
+    wall_time: float | None = None,
+) -> None:
+    """Write a ``#`` header and one line per ``(threshold, *values)`` row.
+
+    The header holds the version line, the config keys that are set (lists
+    as JSON), the ``notes`` lines, the wall time and the column names, in
+    that order.
+    """
+    lines = [f"# blockscan {command} v{__version__}"]
+    for f in dataclass_fields(config) if config is not None else ():
+        value = getattr(config, f.name)
+        if value is not None:
+            lines.append(f"# {f.name} = {json.dumps(value) if isinstance(value, tuple) else value}")
+    lines.extend(notes)
+    if wall_time is not None:
+        lines.append(f"# wall_time_s = {wall_time:.3f}")
+    lines.append("# columns: " + "\t".join(columns))
+    for n, *values in rows:
+        lines.append("\t".join([_fmt_threshold(n)] + [_fmt(value, raw) for value in values]))
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def write_approx_table(
@@ -189,10 +223,8 @@ def write_approx_table(
     raw: bool = False,
     wall_time: float | None = None,
 ) -> None:
-    sim_by_n = {row.n: row for row in (sim_rows or [])}
-    lines = [f"# blockscan approximate v{__version__}"]
-    for key, value in config.to_metadata():
-        lines.append(f"# {key} = {json.dumps(value) if isinstance(value, tuple) else value}")
+    sim_by_n = {row.n: row.prob for row in (sim_rows or [])}
+    notes = []
     for row in rows:
         details = [f"alpha1={row.alpha1:.6g}", f"alpha2={row.alpha2:.6g}"]
         for label, value in (("l1", row.l1), ("l2", row.l2), ("t2_1", row.t2_1), ("t2_2", row.t2_2)):
@@ -202,25 +234,13 @@ def write_approx_table(
             details.append(f"bracket=[{row.bracket_low:.6g},{row.bracket_high:.6g}]")
         if row.clamped:
             details.append("clamped")
-        lines.append(f"# row n={_fmt_threshold(row.n)}: " + " ".join(details))
-    if wall_time is not None:
-        lines.append(f"# wall_time_s = {wall_time:.3f}")
-    lines.append("# columns: " + "\t".join(_COLUMNS))
-    for row in rows:
-        sim = sim_by_n.get(row.n)
-        cells = (
-            _fmt_threshold(row.n),
-            _fmt(None if sim is None else sim.prob, raw),
-            _fmt(row.approx, raw),
-            _fmt(row.e_app, raw),
-            _fmt(row.e_sf, raw),
-            _fmt(row.e_sapp, raw),
-            _fmt(row.e_total, raw),
-            _fmt(row.valid, raw),
-        )
-        lines.append("\t".join(cells))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        notes.append(f"# row n={_fmt_threshold(row.n)}: " + " ".join(details))
+    columns = ("n", "sim", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid")
+    cells = [
+        [row.n, sim_by_n.get(row.n)] + [getattr(row, name) for name in columns[2:]]
+        for row in rows
+    ]
+    _write_table(path, "approximate", columns, cells, raw, config, notes, wall_time)
 
 
 def write_sim_table(
@@ -230,20 +250,8 @@ def write_sim_table(
     raw: bool = False,
     wall_time: float | None = None,
 ) -> None:
-    lines = [f"# blockscan simulate v{__version__}"]
-    for key, value in config.to_metadata():
-        lines.append(f"# {key} = {json.dumps(value) if isinstance(value, tuple) else value}")
-    if wall_time is not None:
-        lines.append(f"# wall_time_s = {wall_time:.3f}")
-    lines.append("# columns: n\tsim\thalf_width")
-    for row in rows:
-        lines.append(
-            "\t".join(
-                (_fmt_threshold(row.n), _fmt(row.prob, raw), _fmt(row.half_width, raw))
-            )
-        )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    cells = [(row.n, row.prob, row.half_width) for row in rows]
+    _write_table(path, "simulate", ("n", "sim", "half_width"), cells, raw, config, (), wall_time)
 
 
 def read_table(path: str) -> tuple[list[str], list[str], list[dict]]:
@@ -279,7 +287,7 @@ def emit_plotdata(approx_path: str, out_path: str, sim_path: str | None = None) 
             raise AlignmentError(
                 f"threshold mismatch: approx {approx_ns} vs sim {sorted(sim_by_n)}"
             )
-    lines = [f"# blockscan plotdata v{__version__}", "# columns: n\tsim\tapprox\tlower\tupper"]
+    cells = []
     for row in approx_rows:
         approx = row["approx"]
         e_total = row["e_total"]
@@ -288,30 +296,8 @@ def emit_plotdata(approx_path: str, out_path: str, sim_path: str | None = None) 
         else:
             lower = max(0.0, approx - e_total)
             upper = min(1.0, approx + e_total)
-        sim = sim_by_n.get(row["n"], row.get("sim"))
-        lines.append(
-            "\t".join(
-                (
-                    _fmt_threshold(row["n"]),
-                    "" if sim is None else f"{sim:.6f}",
-                    f"{approx:.6f}",
-                    f"{lower:.6f}",
-                    f"{upper:.6f}",
-                )
-            )
-        )
-    with open(out_path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _common_overrides(args) -> dict:
-    return {
-        "seed": args.seed,
-        "iterations": getattr(args, "iterations", None),
-        "replicas": getattr(args, "replicas", None),
-        "threads": args.threads,
-        "l_mode": getattr(args, "l_mode", None),
-    }
+        cells.append((row["n"], sim_by_n.get(row["n"], row.get("sim")), approx, lower, upper))
+    _write_table(out_path, "plotdata", ("n", "sim", "approx", "lower", "upper"), cells)
 
 
 def run_approx(config: RunConfig, out_path: str, raw: bool = False) -> list[ApproxRow]:
@@ -340,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blockscan")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_iter=False, with_replicas=False):
+    def add_common(p, with_iter=False):
         p.add_argument("-c", "--config", required=True, help="path to JSON config")
         p.add_argument("-o", "--output", default=None, help="output table path")
         p.add_argument("--seed", type=int, default=None)
@@ -348,12 +334,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--raw", action="store_true", help="full-precision output")
         if with_iter:
             p.add_argument("--iterations", type=int, default=None)
-            p.add_argument("--l-mode", dest="l_mode", choices=("boundary", "optimize"), default=None)
-        if with_replicas:
-            p.add_argument("--replicas", type=int, default=None)
+            p.add_argument("--l-mode", dest="l_mode", choices=L_MODES, default=None)
+        p.add_argument("--replicas", type=int, default=None)
 
-    add_common(sub.add_parser("approximate"), with_iter=True, with_replicas=True)
-    add_common(sub.add_parser("simulate"), with_replicas=True)
+    add_common(sub.add_parser("approximate"), with_iter=True)
+    add_common(sub.add_parser("simulate"))
 
     plot = sub.add_parser("plotdata")
     plot.add_argument("--approx", required=True, help="approximation table path")
@@ -375,12 +360,12 @@ def main(argv=None) -> int:
         if args.command == "plotdata":
             emit_plotdata(args.approx, args.output, sim_path=args.sim)
             return 0
-        config = RunConfig.from_file(args.config, overrides=_common_overrides(args))
+        names = {f.name for f in dataclass_fields(RunConfig)}
+        overrides = {key: value for key, value in vars(args).items() if key in names}
+        config = RunConfig.from_file(args.config, overrides=overrides)
         out = args.output or f"blockscan-{args.command}.tsv"
-        if args.command == "approximate":
-            run_approx(config, out, raw=args.raw)
-        else:
-            run_sim(config, out, raw=args.raw)
+        run = run_approx if args.command == "approximate" else run_sim
+        run(config, out, raw=args.raw)
         return 0
     except (BlockScanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

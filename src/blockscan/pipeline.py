@@ -27,6 +27,8 @@ from .haiman import (
 from .scan import ScanGeometry, tile_maxima, window_sums_batch
 
 _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
+# how Theorem 1's l is chosen; see ``haiman.theorem1_constants``
+L_MODES = ("boundary", "optimize")
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,10 @@ class ExperimentSpec:
             raise GeometryError("two-dimensional scans require m1 >= 2 and m2 >= 2")
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
+        if not 0.0 < self.confidence_z < math.inf:
+            raise ParameterError(f"confidence_z must be finite and > 0, got {self.confidence_z}")
+        if self.l_mode not in L_MODES:
+            raise ParameterError(f"l_mode must be one of {L_MODES}, got {self.l_mode!r}")
         if self.block1 < 1:
             raise GeometryError("m1 + c1 - 2 must be >= 1")
         if self.geometry.source_cols // self.block1 < 3:
@@ -93,20 +99,19 @@ class EstimateRecord:
 
 @dataclass(frozen=True)
 class ApproxRow:
-    """One output row: threshold, approximation, and the error ledger."""
+    """One output row: threshold, approximation, and the error ledger (``nan`` if invalid)."""
 
     n: float
     approx: float
-    e_app: float
-    e_sf: float
-    e_sapp: float
-    e_total: float
     valid: bool
     clamped: bool
     alpha1: float
     alpha2: float
     q2: float
     q3: float
+    e_app: float = math.nan
+    e_sf: float = math.nan
+    e_sapp: float = math.nan
     l1: float | None = None
     l2: float | None = None
     t2_1: float | None = None
@@ -114,6 +119,10 @@ class ApproxRow:
     alpha1_conservative: bool = False
     bracket_low: float | None = None
     bracket_high: float | None = None
+
+    @property
+    def e_total(self) -> float:
+        return self.e_app + self.e_sf + self.e_sapp
 
 
 @dataclass(frozen=True)
@@ -253,122 +262,108 @@ def estimate_quv(
     return records
 
 
-def _check_nesting(rec: EstimateRecord) -> None:
-    slack = [
-        (rec.q33, rec.q23, rec.b33, rec.b23, "q33 <= q23"),
-        (rec.q33, rec.q32, rec.b33, rec.b32, "q33 <= q32"),
-        (rec.q23, rec.q22, rec.b23, rec.b22, "q23 <= q22"),
-        (rec.q32, rec.q22, rec.b32, rec.b22, "q32 <= q22"),
-    ]
-    for small, big, bs, bb, label in slack:
-        if small > big + 2.0 * (bs + bb):
+def _check_slack(n: float, pairs) -> None:
+    """Raise unless ``small <= big + 2 * (b_small + b_big)`` for each pair's estimates."""
+    for small, big, b_small, b_big, label in pairs:
+        if small > big + 2.0 * (b_small + b_big):
             raise OrderingError(
                 f"nesting violated beyond Monte Carlo slack: {label} "
-                f"({small} vs {big}, n={rec.n})"
+                f"({small} vs {big}, n={n})"
             )
 
 
 def _error_factor(alpha: float, m: int, l_mode: str):
-    """F evaluated at the hypothesis boundary q1 = 1 - alpha; None alpha -> exact limit."""
+    """F at the hypothesis boundary q1 = 1 - alpha with its l and t2; None at the exact limit."""
     if alpha <= 0.0:
-        return 1.0 + 3.0 / m, None
+        return 1.0 + 3.0 / m, None, None
     constants = theorem1_constants(alpha, l_mode=l_mode, m=m)
-    return error_factor_F(constants, m, 1.0 - alpha), constants
-
-
-def _with_ledger(row: ApproxRow, e_app, e_sf, e_sapp, c1, c2=None) -> ApproxRow:
-    """Fill the ledger and each bound step's l/t2 from its Theorem1Constants (None: empty)."""
-    return replace(
-        row,
-        e_app=e_app,
-        e_sf=e_sf,
-        e_sapp=e_sapp,
-        e_total=e_app + e_sf + e_sapp,
-        l1=None if c1 is None else c1.l,
-        l2=None if c2 is None else c2.l,
-        t2_1=None if c1 is None else c1.t2,
-        t2_2=None if c2 is None else c2.t2,
-    )
+    return error_factor_F(constants, m, 1.0 - alpha), constants.l, constants.t2
 
 
 def two_step_approximation(
     rec: EstimateRecord, L1: int, L2: int, l_mode: str = "boundary"
 ) -> ApproxRow:
     """Assemble one threshold row from the four Q_uv estimates (2-D path)."""
-    _check_nesting(rec)
+    _check_slack(
+        rec.n,
+        [
+            (rec.q33, rec.q23, rec.b33, rec.b23, "q33 <= q23"),
+            (rec.q33, rec.q32, rec.b33, rec.b32, "q33 <= q32"),
+            (rec.q23, rec.q22, rec.b23, rec.b22, "q23 <= q22"),
+            (rec.q32, rec.q22, rec.b32, rec.b22, "q32 <= q22"),
+        ],
+    )
     q22, q23 = rec.q22, rec.q23
     q32, q33 = min(rec.q32, rec.q22), min(rec.q33, rec.q23)
     r2, cl2 = approximant_H_with_flag(q22, q32, L1)
     r3, cl3 = approximant_H_with_flag(q23, q33, L1)
     r3_ordered = min(r3, r2)
     approx, cl = approximant_H_with_flag(r2, r3_ordered, L2)
-    clamped = cl or cl2 or cl3 or (r3_ordered != r3) or (q32 != rec.q32) or (q33 != rec.q33)
     alpha2 = 1.0 - q23
     alpha1 = 1.0 - r3
     valid = alpha1 <= ALPHA_MAX and alpha2 <= ALPHA_MAX
-    nan = float("nan")
-    row = ApproxRow(
+    ledger = {}
+    if valid:
+        f1, l1, t2_1 = _error_factor(alpha2, L1, l_mode)
+        f2, l2, t2_2 = _error_factor(alpha1, L2, l_mode)
+        b2_term = 1.0 - r2 + L1 * f1 * (1.0 - q22) ** 2
+        c22 = 1.0 - q22 + rec.b22
+        c23 = 1.0 - q23 + rec.b23
+        c2_term = 1.0 - r2 + L1 * (rec.b22 + rec.b32) + L1 * f1 * c22**2
+        ledger = dict(
+            e_app=L2 * f2 * b2_term**2 + L1 * L2 * f1 * ((1.0 - q22) ** 2 + (1.0 - q23) ** 2),
+            e_sf=L1 * L2 * (rec.b22 + rec.b23 + rec.b32 + rec.b33),
+            e_sapp=L2 * f2 * c2_term**2 + L1 * L2 * f1 * (c22**2 + c23**2),
+            l1=l1,
+            l2=l2,
+            t2_1=t2_1,
+            t2_2=t2_2,
+        )
+    return ApproxRow(
         n=rec.n,
         approx=approx,
-        e_app=nan,
-        e_sf=nan,
-        e_sapp=nan,
-        e_total=nan,
         valid=valid,
-        clamped=clamped,
+        clamped=cl or cl2 or cl3 or (r3_ordered != r3) or (q32 != rec.q32) or (q33 != rec.q33),
         alpha1=alpha1,
         alpha2=alpha2,
         q2=r2,
         q3=r3,
         alpha1_conservative=r3 < q33,
+        **ledger,
     )
-    if not valid:
-        return row
-    f1, c1 = _error_factor(alpha2, L1, l_mode)
-    f2, c2 = _error_factor(alpha1, L2, l_mode)
-    b2_term = 1.0 - r2 + L1 * f1 * (1.0 - q22) ** 2
-    e_app = L2 * f2 * b2_term**2 + L1 * L2 * f1 * ((1.0 - q22) ** 2 + (1.0 - q23) ** 2)
-    e_sf = L1 * L2 * (rec.b22 + rec.b23 + rec.b32 + rec.b33)
-    c22 = 1.0 - q22 + rec.b22
-    c23 = 1.0 - q23 + rec.b23
-    c2_term = 1.0 - r2 + L1 * (rec.b22 + rec.b32) + L1 * f1 * c22**2
-    e_sapp = L2 * f2 * c2_term**2 + L1 * L2 * f1 * (c22**2 + c23**2)
-    return _with_ledger(row, e_app, e_sf, e_sapp, c1, c2)
 
 
 def one_step_approximation(
     rec: EstimateRecord, L1: int, l_mode: str = "boundary"
 ) -> ApproxRow:
     """Row-scan path: a single bound application over the block columns."""
+    _check_slack(rec.n, [(rec.q32, rec.q22, rec.b32, rec.b22, "q32 <= q22")])
     q2 = rec.q22
     q3 = min(rec.q32, q2)
-    if rec.q32 > q2 + 2.0 * (rec.b32 + rec.b22):
-        raise OrderingError(f"q3={rec.q32} exceeds q2={q2} beyond slack (n={rec.n})")
     approx, cl = approximant_H_with_flag(q2, q3, L1)
     alpha = 1.0 - q3
     valid = alpha <= ALPHA_MAX
-    nan = float("nan")
-    row = ApproxRow(
+    ledger = {}
+    if valid:
+        f1, l1, t2_1 = _error_factor(alpha, L1, l_mode)
+        ledger = dict(
+            e_app=L1 * f1 * (1.0 - q2) ** 2,
+            e_sf=L1 * (rec.b22 + rec.b32),
+            e_sapp=L1 * f1 * (1.0 - q2 + rec.b22) ** 2,
+            l1=l1,
+            t2_1=t2_1,
+        )
+    return ApproxRow(
         n=rec.n,
         approx=approx,
-        e_app=nan,
-        e_sf=nan,
-        e_sapp=nan,
-        e_total=nan,
         valid=valid,
         clamped=cl or (q3 != rec.q32),
         alpha1=alpha,
         alpha2=alpha,
         q2=q2,
         q3=q3,
+        **ledger,
     )
-    if not valid:
-        return row
-    f1, c1 = _error_factor(alpha, L1, l_mode)
-    e_app = L1 * f1 * (1.0 - q2) ** 2
-    e_sf = L1 * (rec.b22 + rec.b32)
-    e_sapp = L1 * f1 * (1.0 - q2 + rec.b22) ** 2
-    return _with_ledger(row, e_app, e_sf, e_sapp, c1)
 
 
 def _assemble(spec: ExperimentSpec, rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
@@ -386,11 +381,7 @@ def _dimension_levels(n_tilde: int, block: int) -> list[tuple[int, float]]:
     return [(ratio - 1, 1.0 - weight), (ratio, weight)]
 
 
-def interpolated_approximation(
-    spec: ExperimentSpec,
-    records: list[EstimateRecord] | None = None,
-    threads: int | None = None,
-) -> list[ApproxRow]:
+def interpolated_approximation(spec: ExperimentSpec, threads: int | None = None) -> list[ApproxRow]:
     """Approximation at any lattice size, exact block multiple or not.
 
     An exact size gives the single row assembled at its block counts.  Each
@@ -398,48 +389,39 @@ def interpolated_approximation(
     scan CDF is monotone decreasing in size, so the brackets sandwich the
     target and the interpolant is their convex combination.  The bracket
     width is folded into the theory term of the ledger so the interpolation
-    choice is covered by the reported error.
+    choice is covered by the reported error; a bracket with an invalid level
+    is invalid, with a ``nan`` ledger.
     """
-    if records is None:
-        records = estimate_quv(spec, threads=threads)
     levels1 = _dimension_levels(spec.geometry.source_cols, spec.block1)
     if spec.one_dimensional:
         levels2 = [(1, 1.0)]
     else:
         levels2 = _dimension_levels(spec.geometry.source_rows, spec.block2)
     rows = []
-    for rec in records:
-        combos = []
-        for L1, w1 in levels1:
-            for L2, w2 in levels2:
-                combos.append((w1 * w2, _assemble(spec, rec, L1, L2)))
+    for rec in estimate_quv(spec, threads=threads):
+        combos = [
+            (w1 * w2, _assemble(spec, rec, L1, L2)) for L1, w1 in levels1 for L2, w2 in levels2
+        ]
         if len(combos) == 1:
             rows.append(combos[0][1])
             continue
-        base = combos[0][1]
-        approx = sum(w * row.approx for w, row in combos)
         lo = min(row.approx for _, row in combos)
         hi = max(row.approx for _, row in combos)
         valid = all(row.valid for _, row in combos)
-        if valid:
-            e_app = max(row.e_app for _, row in combos) + (hi - lo)
-            e_sf = max(row.e_sf for _, row in combos)
-            e_sapp = max(row.e_sapp for _, row in combos)
-            e_total = e_app + e_sf + e_sapp
-        else:
-            e_app = e_sf = e_sapp = e_total = float("nan")
+        ledger = {
+            key: max(getattr(row, key) for _, row in combos) if valid else math.nan
+            for key in ("e_app", "e_sf", "e_sapp")
+        }
+        ledger["e_app"] += hi - lo
         rows.append(
             replace(
-                base,
-                approx=approx,
-                e_app=e_app,
-                e_sf=e_sf,
-                e_sapp=e_sapp,
-                e_total=e_total,
+                combos[0][1],
+                approx=sum(w * row.approx for w, row in combos),
                 valid=valid,
                 clamped=any(row.clamped for _, row in combos),
                 bracket_low=lo,
                 bracket_high=hi,
+                **ledger,
             )
         )
     return rows

@@ -95,8 +95,7 @@ def window_sums_batch(arr: np.ndarray, m1: int, m2: int) -> np.ndarray:
         raise GeometryError(
             f"window {m1}x{m2} does not fit in {cols}x{rows} field"
         )
-    integer = np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_
-    dtype = narrow_int(arr.dtype, m1 * m2) if integer else np.dtype(np.float64)
+    dtype = narrow_int(arr.dtype, m1 * m2)
 
     def sums(flat: np.ndarray, row_step: int, length: int) -> np.ndarray:
         across = _running_sums(flat, m1, 1, dtype, length + (m2 - 1) * row_step)

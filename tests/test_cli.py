@@ -146,6 +146,76 @@ def test_distribution_parameters_are_checked(tmp_path, capsys):
     assert "bernoulli p" in capsys.readouterr().err
 
 
+MA_CONFIG = {
+    **BASE_CONFIG,
+    "transform": "ma",
+    "ma_coeffs": [0.3, 0.1, 0.5],
+    "distribution": "gaussian",
+    "p": None,
+    "mean": 0.0,
+    "variance": 1.0,
+    "source_cols": 66,
+    "source_rows": 1,
+    "m1": 20,
+    "m2": 1,
+    "thresholds": [13, 15],
+}
+MINESWEEPER_CONFIG = {**BASE_CONFIG, "transform": "minesweeper", "thresholds": [31]}
+
+
+@pytest.mark.parametrize(
+    "base, updates, key",
+    [
+        (BASE_CONFIG, {"thresholds": ["a"]}, "thresholds"),
+        (BASE_CONFIG, {"thresholds": [True]}, "thresholds"),
+        (BASE_CONFIG, {"thresholds": [10**400]}, "thresholds"),
+        (MA_CONFIG, {"ma_coeffs": ["x", 1]}, "ma_coeffs"),
+        (MINESWEEPER_CONFIG, {"thresholds": [math.inf]}, "<file>"),
+        (MA_CONFIG, {"thresholds": [math.nan, 13]}, "<file>"),
+        (MA_CONFIG, {"mean": math.nan}, "<file>"),
+    ],
+    ids=["str-threshold", "bool-threshold", "huge-threshold", "str-coeff", "infinity",
+         "nan-threshold", "nan-mean"],
+)
+@pytest.mark.parametrize("command", ["validate-config", "approximate"])
+def test_bad_numbers_exit_with_code_2(tmp_path, capsys, command, base, updates, key):
+    path = tmp_path / "config.json"
+    data = {k: v for k, v in {**base, **updates}.items() if v is not None}
+    path.write_text(json.dumps(data))  # writes NaN and Infinity literals
+    out = tmp_path / "out.tsv"
+    argv = [command, "-c", str(path)] + (["-o", str(out)] if command == "approximate" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["p", "confidence_z", "thresholds"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_name_their_key(key, bad):
+    value = [bad] if key == "thresholds" else bad
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_mapping({**BASE_CONFIG, key: value})
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize(
+    "updates",
+    [
+        {"l_mode": "bogus"},
+        {"confidence_z": 0},
+        {"confidence_z": -1.96},
+        {"replicas": 0, "include_sim": True},
+    ],
+    ids=["l_mode", "zero-z", "negative-z", "zero-replicas"],
+)
+def test_validate_config_rejects_what_the_run_would(tmp_path, capsys, updates):
+    path = _write_config(tmp_path, **updates)
+    assert main(["validate-config", "-c", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(updates)) in err
+
+
 # --- subcommands ------------------------------------------------------------
 
 

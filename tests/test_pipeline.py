@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from blockscan import (
     simulate_distribution,
     two_step_approximation,
 )
+from blockscan import pipeline
 from blockscan.errors import GeometryError, HypothesisError, OrderingError, ParameterError
 
 
@@ -84,6 +86,16 @@ def test_spec_validation():
         _bernoulli_spec(cols=2, rows=12)
     with pytest.raises(ParameterError):
         _bernoulli_spec(iterations=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("l_mode", "bogus"), ("confidence_z", 0.0), ("confidence_z", -1.0),
+     ("confidence_z", math.nan), ("confidence_z", math.inf)],
+)
+def test_spec_rejects_bad_l_mode_and_confidence_z(field, value):
+    with pytest.raises(ParameterError, match=field):
+        dataclasses.replace(_bernoulli_spec(), **{field: value})
 
 
 # --- Monte Carlo estimates --------------------------------------------------
@@ -197,6 +209,13 @@ def test_one_step_ledger():
         one_step_approximation(_record(q22=0.9, q32=0.99), 46)
 
 
+def test_slack_errors_name_the_nested_pair():
+    with pytest.raises(OrderingError, match="q32 <= q22"):
+        one_step_approximation(_record(q22=0.9, q32=0.99), 46)
+    with pytest.raises(OrderingError, match="q33 <= q23"):
+        two_step_approximation(_record(q33=0.999, q23=0.5), 10, 10)
+
+
 def test_monte_carlo_noise_clamps_to_consistency():
     # q32 a hair above q22 is within slack: clamped, not an error
     row = one_step_approximation(_record(q22=0.99, q32=0.9901), 10)
@@ -224,6 +243,21 @@ def test_interpolated_rows_are_convex_combinations():
         if row.valid:
             assert row.e_total == row.e_app + row.e_sf + row.e_sapp
             assert row.e_app >= row.bracket_high - row.bracket_low
+
+
+def test_bracket_straddling_validity_has_a_nan_ledger(monkeypatch):
+    # 13 columns of block width 2 lie between 5 and 6 block columns; this
+    # record is valid at 5 and invalid at 6, so the bracketed row is invalid
+    # and must not carry the ledger of its valid level
+    rec = _record(n=7.0, q22=0.99, q23=0.95, q32=0.985, q33=0.938)
+    low, high = two_step_approximation(rec, 5, 5), two_step_approximation(rec, 6, 5)
+    assert low.valid and not high.valid
+    monkeypatch.setattr(pipeline, "estimate_quv", lambda spec, threads=None: [rec])
+    [row] = interpolated_approximation(_bernoulli_spec(cols=13, thresholds=(7,)))
+    assert not row.valid
+    assert all(math.isnan(e) for e in (row.e_app, row.e_sf, row.e_sapp, row.e_total))
+    assert row.bracket_low == min(low.approx, high.approx)
+    assert row.bracket_high == max(low.approx, high.approx)
 
 
 def test_interpolation_bracketed_by_direct_simulation():
