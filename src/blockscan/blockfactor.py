@@ -34,14 +34,16 @@ class LatticeGeometry:
     y2: int = 0
 
     def __post_init__(self):
-        if self.source_cols < 1 or self.source_rows < 1:
-            raise GeometryError("source dimensions must be >= 1")
+        if self.source_cols < 1:
+            raise GeometryError("source dimensions must be >= 1", field="source_cols")
+        if self.source_rows < 1:
+            raise GeometryError("source dimensions must be >= 1", field="source_rows")
         if min(self.x1, self.x2, self.y1, self.y2) < 0:
-            raise GeometryError("window extents must be non-negative")
+            raise GeometryError("window extents must be non-negative", field="transform")
         if self.x1 + self.x2 > self.source_cols - 1:
-            raise GeometryError("x1 + x2 must be <= source_cols - 1")
+            raise GeometryError("x1 + x2 must be <= source_cols - 1", field="source_cols")
         if self.y1 + self.y2 > self.source_rows - 1:
-            raise GeometryError("y1 + y2 must be <= source_rows - 1")
+            raise GeometryError("y1 + y2 must be <= source_rows - 1", field="source_rows")
 
     @property
     def c1(self) -> int:
@@ -138,23 +140,74 @@ def narrow_int(src_dtype, gain: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _flat_kernel(arr: np.ndarray, out_rows: int, out_cols: int, kernel) -> np.ndarray:
+class Buffers:
+    """Named 1-D work arrays that one worker reuses from chunk to chunk.
+
+    ``take(name, size, dtype)`` returns ``size`` elements of ``dtype`` over
+    the bytes kept under ``name``, so a worker that passes the same
+    ``Buffers`` to every chunk writes each temporary into the memory the
+    last chunk used, instead of asking the allocator, and the kernel for
+    fresh pages, again.  ``layout`` (bytes per name, see ``layout_for``)
+    places names in one block up front; any other name, or a take larger
+    than its bytes, gets new bytes of its own.  ``taken`` records the most
+    bytes taken per name.  Contents are not kept: the next take of a name
+    may overwrite what the last one handed out.  ``scratch0`` and
+    ``scratch1`` hold temporaries of one layer call only.  Not thread-safe:
+    give each worker its own.  A fresh ``Buffers()`` hands out fresh
+    arrays.
+    """
+
+    def __init__(self, layout: dict[str, int] | None = None):
+        layout = layout or {}
+        starts, end = {}, 0
+        for name, nbytes in layout.items():
+            starts[name] = end
+            end += -(-nbytes // 64) * 64  # every slot keeps the alignment of the block
+        block = np.empty(end, dtype=np.uint8)
+        self._bytes = {name: block[starts[name] : starts[name] + n] for name, n in layout.items()}
+        self.taken: dict[str, int] = {}
+
+    def take(self, name: str, size: int, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = size * dtype.itemsize
+        raw = self._bytes.get(name)
+        if raw is None or raw.size < nbytes:
+            raw = self._bytes[name] = np.empty(nbytes, dtype=np.uint8)
+        self.taken[name] = max(self.taken.get(name, 0), nbytes)
+        return raw[:nbytes].view(dtype)
+
+    @staticmethod
+    def layout_for(run, count: int) -> dict[str, int]:
+        """Bytes per name that ``run(count, buffers)`` takes.
+
+        The size of every temporary of a chunk is affine in its replica
+        count (a flat run over the replicas, short by a fixed tail), so two
+        small runs, of one and two replicas, fix it for ``count``.
+        """
+        one, two = Buffers(), Buffers()
+        run(1, one)
+        run(2, two)
+        return {name: n + (count - 1) * (two.taken[name] - n) for name, n in one.taken.items()}
+
+
+def _flat_kernel(arr: np.ndarray, out_rows: int, out_cols: int, kernel, take) -> np.ndarray:
     """Run a shift kernel on the flat layout of ``arr`` and view its result.
 
     ``arr`` is read as one 1-D run ``flat`` over its memory with row step
     ``R``: element ``(..., r, c)`` is ``flat[lead + r * R + c]``, so a shift
-    by ``(s, t)`` is the offset ``s * R + t``.  ``kernel(flat, R, length)``
-    returns a fresh 1-D array whose lane ``k < length`` is the result
-    anchored at ``flat[k]``; lanes that wrap across a row or a leading index
-    are computed but never read.  The valid ``(..., out_rows, out_cols)``
-    lanes come back as a strided view that ends at the last lane.  Inputs
-    the flat run cannot describe (an axis with a stride that is not a
-    positive multiple of the item size, or a last stride other than the
-    item size) are copied with ``np.ascontiguousarray`` first.
+    by ``(s, t)`` is the offset ``s * R + t``.  ``take(length)`` gives the
+    1-D array ``lanes`` and ``kernel(flat, R, lanes)`` writes into each
+    ``lanes[k]`` the result anchored at ``flat[k]``; lanes that wrap across
+    a row or a leading index are computed but never read.  The valid
+    ``(..., out_rows, out_cols)`` lanes come back as a strided view of
+    ``lanes`` that ends at its last element.  Inputs the flat run cannot
+    describe (an axis with a stride that is not a positive multiple of the
+    item size, or a last stride other than the item size) are copied with
+    ``np.ascontiguousarray`` first.  ``lanes`` must not overlap ``arr``.
     """
     out_shape = arr.shape[:-2] + (out_rows, out_cols)
     if arr.size == 0:
-        return kernel(arr.reshape(-1), 0, 0).reshape(out_shape)
+        return take(0).reshape(out_shape)
     size = arr.itemsize
     odd = any(n > 1 and (st <= 0 or st % size) for n, st in zip(arr.shape, arr.strides))
     if odd or (arr.shape[-1] > 1 and arr.strides[-1] != size):
@@ -165,25 +218,33 @@ def _flat_kernel(arr: np.ndarray, out_rows: int, out_cols: int, kernel) -> np.nd
     row_step = steps[-2]
     length = span - (rows - out_rows) * row_step - (cols - out_cols)
     flat = as_strided(arr, shape=(span,), strides=(size,), writeable=False)
-    result = kernel(flat, row_step, length)
-    strides = [step * result.itemsize for step in steps]
-    return np.ndarray(out_shape, dtype=result.dtype, buffer=result, strides=strides)
+    lanes = take(length)
+    kernel(flat, row_step, lanes)
+    strides = [step * lanes.itemsize for step in steps]
+    return np.ndarray(out_shape, dtype=lanes.dtype, buffer=lanes, strides=strides)
 
 
 def apply_block_factor_batch(
-    source: np.ndarray, transform: BlockFactorTransform, geom: LatticeGeometry
+    source: np.ndarray,
+    transform: BlockFactorTransform,
+    geom: LatticeGeometry,
+    *,
+    buffers: Buffers | None = None,
 ) -> np.ndarray:
     """Vectorised transform of a ``(..., rows, cols)`` stack of source lattices.
 
     A linear transform is a sum of shifted sources: on the flat layout of
     ``_flat_kernel`` each shifted add is one contiguous 1-D ufunc over the
-    whole stack, and the result is a strided view of a fresh array.
-    Integer and bool sources with integer weights accumulate in
-    ``narrow_int(source.dtype, sum|w|)``, e.g. int8 for minesweeper over a
-    bool Bernoulli source; everything else is float64.  The values are
-    exact, but the narrow dtype can overflow in later arithmetic
-    (``out * out`` on int8), so widen first.  A non-linear ``func`` is
-    evaluated per window and returns float64.
+    whole stack, written in place into the ``blockfactor`` array of
+    ``buffers`` (weighted terms go through ``scratch0``), and
+    the result is a strided view of it.  Without ``buffers`` those arrays
+    are fresh; with them the result is overwritten by the next call on the
+    same ``buffers``.  Integer and bool sources with integer weights
+    accumulate in ``narrow_int(source.dtype, sum|w|)``, e.g. int8 for
+    minesweeper over a bool Bernoulli source; everything else is float64.
+    The values are exact, but the narrow dtype can overflow in later
+    arithmetic (``out * out`` on int8), so widen first.  A non-linear
+    ``func`` is evaluated per window and returns a fresh float64 array.
     """
     if source.shape[-2:] != (geom.source_rows, geom.source_cols):
         raise GeometryError(
@@ -206,27 +267,35 @@ def apply_block_factor_batch(
         dtype = narrow_int(source.dtype, np.abs(kernel).sum())
     else:
         dtype = np.dtype(np.float64)
+    buffers = Buffers() if buffers is None else buffers
 
-    def shifted_sum(flat: np.ndarray, row_step: int, length: int) -> np.ndarray:
-        out = scratch = None
+    def shifted_sum(flat: np.ndarray, row_step: int, out: np.ndarray) -> None:
+        first = True
         for s in range(geom.c2):
             for t in range(geom.c1):
                 w = kernel[s, t]
                 if w == 0:
                     continue
                 start = s * row_step + t
-                view = flat[start : start + length]
-                if out is None:
-                    out = view.astype(dtype) if w == 1 else np.multiply(view, w, dtype=dtype)
+                view = flat[start : start + out.size]
+                if first:
+                    if w == 1:
+                        np.copyto(out, view, casting="unsafe")
+                    else:
+                        np.multiply(view, w, out=out, dtype=dtype)
+                    first = False
                 elif w == 1:
                     np.add(out, view, out=out)
                 else:
-                    # one reused buffer for the weighted terms saves an allocation each
-                    scratch = np.empty_like(out) if scratch is None else scratch
+                    scratch = buffers.take("scratch0", out.size, dtype)
                     np.add(out, np.multiply(view, w, out=scratch, dtype=dtype), out=out)
-        return np.zeros(length, dtype=dtype) if out is None else out
+        if first:
+            out.fill(0)
 
-    return _flat_kernel(source, geom.derived_rows, geom.derived_cols, shifted_sum)
+    return _flat_kernel(
+        source, geom.derived_rows, geom.derived_cols, shifted_sum,
+        lambda length: buffers.take("blockfactor", length, dtype),
+    )
 
 
 def apply_block_factor(

@@ -135,6 +135,10 @@ class RunConfig:
             params["coeffs"] = list(self.ma_coeffs)
         try:
             transform, (x1, x2, y1, y2) = catalog_transform(self.transform, **params)
+        except ParameterError as exc:
+            # only the ma transform takes parameters; any other name is unknown
+            raise ConfigError("ma_coeffs" if params else "transform", str(exc)) from exc
+        try:
             geometry = LatticeGeometry(self.source_cols, self.source_rows, x1, x2, y1, y2)
             scan = ScanGeometry(self.m1, self.m2)
             try:
@@ -167,7 +171,7 @@ class RunConfig:
         except ConfigError:
             raise
         except BlockScanError as exc:
-            raise ConfigError("<spec>", str(exc)) from exc
+            raise ConfigError(exc.field or "<spec>", str(exc)) from exc
 
 
 def _fmt(value, raw: bool) -> str:

@@ -2,7 +2,15 @@
 
 
 class BlockScanError(Exception):
-    """Base class for all blockscan errors."""
+    """Base class for all blockscan errors.
+
+    ``field`` names the input field at fault when the check knows it, e.g.
+    ``m1`` or ``confidence_z``; the config keys share these names.
+    """
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class ParameterError(BlockScanError, ValueError):

@@ -14,6 +14,12 @@ import numpy as np
 from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
+# a Bernoulli cell compares a random byte, then the low 45 bits of one more word
+_LOW_BITS = 45
+_LOW_MASK = np.uint64((1 << _LOW_BITS) - 1)
+# cells whose byte words are drawn at once (a multiple of 8): 256 KiB of words,
+# so a chunk's raw draws never sit in memory in full next to its buffers
+_DRAW_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,33 @@ class SeedSpec:
 
     def with_stream(self, stream_id: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, stream_id)
+
+
+def _bernoulli_from_bytes(bit_generator, p: float, flat: np.ndarray) -> None:
+    """Fill the bool array ``flat`` with Bernoulli(``ceil(p * 2**53) / 2**53``) cells.
+
+    See ``MarginalDistribution.sample`` for the draws.  The byte words come
+    ``_DRAW_CELLS`` cells at a time, which leaves the stream as one draw
+    would, and each part of ``flat`` first holds which of its bytes tie
+    with ``top`` and then the result.
+    """
+    cut = math.ceil(p * 2.0**53)
+    top, rest = cut >> _LOW_BITS, cut & int(_LOW_MASK)
+    ties = [np.zeros(0, dtype=np.intp)]
+    for start in range(0, flat.size, _DRAW_CELLS):
+        part = flat[start : start + _DRAW_CELLS]
+        words = bit_generator.random_raw(-(-part.size // 8))
+        # '<u8' fixes the byte order; on a little-endian machine it copies nothing
+        cells = words.astype("<u8", copy=False).view(np.uint8)[: part.size]
+        if top == 256:  # p == 1; the words still advance the stream
+            part.fill(True)
+            continue
+        ties.append(start + np.flatnonzero(np.equal(cells, np.uint8(top), out=part)))
+        np.less(cells, np.uint8(top), out=part)
+    ties = np.concatenate(ties)
+    if ties.size:
+        low = bit_generator.random_raw(ties.size) & _LOW_MASK
+        flat[ties] = low < np.uint64(rest)
 
 
 @dataclass(frozen=True)
@@ -88,25 +121,63 @@ class MarginalDistribution:
     def integer_valued(self) -> bool:
         return self.kind in ("bernoulli", "binomial", "poisson")
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw an array of i.i.d. values of the given shape.
-
-        Bernoulli gives ``bool``, exactly ``rng.random(size) < p`` from the
-        same draws: ``random()`` is ``(x >> 11) * 2**-53`` of the raw 64-bit
-        draw ``x``, so ``u < p`` holds exactly when ``x < ceil(p * 2**53) << 11``,
-        and comparing the raw draws skips the float pass.  Binomial and
-        Poisson give int64, Gaussian float64.
-        """
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype ``sample`` returns: bool, int64 or float64."""
         if self.kind == "bernoulli":
-            raw = rng.bit_generator.random_raw(size)
-            cut = math.ceil(self.p * 2.0**53) << 11
-            # p == 1 cuts at 2**64, past uint64; the draws above still advance the stream
-            return np.ones(raw.shape, dtype=np.bool_) if cut >> 64 else raw < np.uint64(cut)
-        if self.kind == "binomial":
-            return rng.binomial(self.trials, self.p, size).astype(np.int64)
-        if self.kind == "poisson":
-            return rng.poisson(self.mean, size).astype(np.int64)
-        return rng.normal(self.mean, np.sqrt(self.variance), size)
+            return np.dtype(np.bool_)
+        return np.dtype(np.int64 if self.integer_valued else np.float64)
+
+    def sample(
+        self, rng: np.random.Generator, size, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Draw an array of i.i.d. values of the given shape, into ``out`` if given.
+
+        ``out`` must be a C-contiguous array of shape ``size`` and dtype
+        ``self.dtype``; it is filled and returned.  Binomial and Poisson draws,
+        for which NumPy takes no ``out``, are copied into it.
+
+        Bernoulli gives ``bool`` with success probability exactly
+        ``cut / 2**53``, ``cut = ceil(p * 2**53)``, from one random byte per
+        cell: ``ceil(cells / 8)`` raw 64-bit words are read as bytes in
+        little-endian order, the same on every platform.  With
+        ``top = cut >> 45``, a byte below ``top`` is a success and one above
+        it a failure; only a byte equal to ``top`` (1 in 256) settles its
+        cell with one more word, drawn after the byte words in ascending
+        cell order, a success when its low 45 bits are below
+        ``cut & (2**45 - 1)``.  The byte and those 45 bits are the top and
+        bottom of a uniform 53-bit draw compared with ``cut`` (lazy
+        comparison with the binary expansion of ``p``, Knuth and Yao 1976).
+        Binomial and Poisson give int64, Gaussian float64 equal to
+        ``rng.normal(mean, sqrt(variance), size)``.
+        """
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        if out is not None and (
+            out.shape != shape or out.dtype != self.dtype or not out.flags.c_contiguous
+        ):
+            raise ParameterError(
+                f"out must be a C-contiguous {self.dtype} array of shape {shape}, "
+                f"got a {out.dtype} array of shape {out.shape}"
+            )
+        if self.kind in ("binomial", "poisson"):
+            if self.kind == "binomial":
+                draws = rng.binomial(self.trials, self.p, size)
+            else:
+                draws = rng.poisson(self.mean, size)
+            draws = draws.astype(np.int64, copy=False)
+            if out is None:
+                return draws
+            np.copyto(out, draws)
+            return out
+        out = np.empty(shape, dtype=self.dtype) if out is None else out
+        if self.kind == "bernoulli":
+            _bernoulli_from_bytes(rng.bit_generator, self.p, out.reshape(-1))
+        else:
+            # normal() computes mean + sd * z per draw: the same two roundings
+            rng.standard_normal(out=out)
+            np.multiply(out, math.sqrt(self.variance), out=out)
+            np.add(out, self.mean, out=out)
+        return out
 
     def describe(self) -> str:
         if self.kind == "bernoulli":

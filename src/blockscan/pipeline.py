@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockfactor import BlockFactorTransform, LatticeGeometry, apply_block_factor_batch
+from .blockfactor import (
+    BlockFactorTransform,
+    Buffers,
+    LatticeGeometry,
+    apply_block_factor_batch,
+)
 from .errors import GeometryError, HypothesisError, OrderingError, ParameterError
 from .fields import MarginalDistribution, SeedSpec
 from .haiman import (
@@ -49,23 +55,33 @@ class ExperimentSpec:
     def __post_init__(self):
         g, s = self.geometry, self.scan
         if (self.transform.c1, self.transform.c2) != (g.c1, g.c2):
-            raise GeometryError("transform window does not match geometry")
-        if not (1 <= s.m1 <= g.derived_cols and 1 <= s.m2 <= g.derived_rows):
-            raise GeometryError("scan window does not fit in the derived field")
-        if not self.one_dimensional and (s.m1 < 2 or s.m2 < 2):
-            raise GeometryError("two-dimensional scans require m1 >= 2 and m2 >= 2")
+            raise GeometryError("transform window does not match geometry", field="transform")
+        for side, size in (("m1", g.derived_cols), ("m2", g.derived_rows)):
+            if not 1 <= getattr(s, side) <= size:
+                raise GeometryError("scan window does not fit in the derived field", field=side)
+            if not self.one_dimensional and getattr(s, side) < 2:
+                raise GeometryError("two-dimensional scans require m1 >= 2 and m2 >= 2", field=side)
         if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
+            raise ParameterError("iterations must be >= 1", field="iterations")
         if not 0.0 < self.confidence_z < math.inf:
-            raise ParameterError(f"confidence_z must be finite and > 0, got {self.confidence_z}")
+            raise ParameterError(
+                f"confidence_z must be finite and > 0, got {self.confidence_z}",
+                field="confidence_z",
+            )
         if self.l_mode not in L_MODES:
-            raise ParameterError(f"l_mode must be one of {L_MODES}, got {self.l_mode!r}")
+            raise ParameterError(
+                f"l_mode must be one of {L_MODES}, got {self.l_mode!r}", field="l_mode"
+            )
         if self.block1 < 1:
-            raise GeometryError("m1 + c1 - 2 must be >= 1")
+            raise GeometryError("m1 + c1 - 2 must be >= 1", field="m1")
         if self.geometry.source_cols // self.block1 < 3:
-            raise GeometryError("source width must cover at least three block units")
+            raise GeometryError(
+                "source width must cover at least three block units", field="source_cols"
+            )
         if not self.one_dimensional and self.geometry.source_rows // self.block2 < 3:
-            raise GeometryError("source height must cover at least three block units")
+            raise GeometryError(
+                "source height must cover at least three block units", field="source_rows"
+            )
 
     @property
     def one_dimensional(self) -> bool:
@@ -204,13 +220,35 @@ def _tally(
     threads = spec.threads if threads is None else threads
     cols, rows = geometry.source_cols, geometry.source_rows
     m1, m2 = spec.scan.m1, spec.scan.m2
+    dist = spec.distribution
+    chunk = _chunk_size(rows * cols)
+
+    def layers(rng: np.random.Generator, count: int, buffers: Buffers) -> np.ndarray:
+        """Tile maxima of ``count`` replicas, every temporary taken from ``buffers``."""
+        shape = (count, rows, cols)
+        out = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
+        source = dist.sample(rng, shape, out=out)
+        derived = apply_block_factor_batch(source, spec.transform, geometry, buffers=buffers)
+        sums = window_sums_batch(derived, m1, m2, buffers=buffers)
+        return tile_maxima(sums, *tile, buffers=buffers)
+
+    # Each worker keeps its chunk temporaries in one block, laid out by two
+    # tiny passes on a throwaway stream.  One block, not one allocation per
+    # temporary: glibc trims its heap once the free memory at the top
+    # exceeds twice the largest block it has mapped and freed, so separate
+    # temporaries, all freed as this call ends, would be faulted in again
+    # by the next call, while one freed block stays under that bound.
+    layout = Buffers.layout_for(
+        lambda count, buffers: layers(SeedSpec(0).generator(), count, buffers), chunk
+    )
+    workers = threading.local()
 
     def chunk_eval(rng: np.random.Generator, count: int) -> np.ndarray:
-        source = spec.distribution.sample(rng, (count, rows, cols))
-        derived = apply_block_factor_batch(source, spec.transform, geometry)
-        sums = window_sums_batch(derived, m1, m2)
+        buffers = getattr(workers, "buffers", None)
+        if buffers is None:
+            buffers = workers.buffers = Buffers(layout)
         # tile axes first, so every step below runs over the replicas
-        lead = np.moveaxis(tile_maxima(sums, *tile), 0, -1)
+        lead = np.moveaxis(layers(rng, count, buffers), 0, -1)
         for i in range(1, lead.shape[0]):
             np.maximum(lead[i], lead[i - 1], out=lead[i])
         for j in range(1, lead.shape[1]):
@@ -218,7 +256,7 @@ def _tally(
         maxima = np.stack([lead[v - 1, u - 1] for v, u in extents])
         return (maxima[:, None, :] <= thr[:, None]).sum(axis=2, dtype=np.int64)
 
-    counts = _accumulate(total, _chunk_size(rows * cols), spec.seed, task, chunk_eval, threads)
+    counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
     probs = counts / total
     return thr, probs, spec.confidence_z * np.sqrt(probs * (1.0 - probs) / total)
 

@@ -14,11 +14,12 @@ the test suite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blockfactor import _flat_kernel, narrow_int
+from .blockfactor import Buffers, _flat_kernel, narrow_int
 from .errors import GeometryError, IndexRangeError
 from .fields import RandomField
 
@@ -31,8 +32,9 @@ class ScanGeometry:
     m2: int
 
     def __post_init__(self):
-        if self.m1 < 1 or self.m2 < 1:
-            raise GeometryError("window sides must be >= 1")
+        for side in ("m1", "m2"):
+            if getattr(self, side) < 1:
+                raise GeometryError("window sides must be >= 1", field=side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,39 +54,58 @@ class MovingSums:
         return self.values.shape[0]
 
 
-def _running_sums(x: np.ndarray, m: int, step: int, dtype: np.dtype, n: int) -> np.ndarray:
-    """Lanes ``k < n`` of ``sum(x[k + i * step] for i < m)``, by doubling, in ``dtype``.
+def _running_sums(x: np.ndarray, m: int, step: int, out: np.ndarray, buffers: Buffers) -> None:
+    """Write lanes ``k < out.size`` of ``sum(x[k + i * step] for i < m)`` into ``out``.
 
-    ``block`` holds the width-``w`` running sums for ``w`` = 1, 2, 4, ...; the
-    block of each set bit of ``m`` is added in at the offset the lower bits
-    already cover.  Every pass is one contiguous 1-D ufunc, and the result
-    is always a fresh array.
+    ``block`` holds the width-``w`` running sums for ``w`` = 1, 2, 4, ...,
+    built by doubling in ``out.dtype`` in ``scratch0`` and ``scratch1`` of
+    ``buffers`` in turn; the block of each set bit of ``m`` is added in at
+    the offset the lower bits already cover.  Every pass is one contiguous
+    1-D ufunc.  The first piece stays a view until the second is added into
+    ``out``; it is copied there first only if its block is about to be
+    overwritten, and last if it is the only piece.
     """
-    if m == 1:
-        return x[:n].astype(dtype)
-    out = None
+    n, dtype = out.size, out.dtype
+    # the pieces so far, the scratch index holding them and the one holding block
+    total = held = here = None
     block, width, offset = x, 1, 0
     while True:
         if m & width:
             piece = block[offset * step : offset * step + n]
-            out = piece if out is None else np.add(out, piece, dtype=dtype)
+            if total is None:
+                total, held = piece, here
+            else:
+                total, held = np.add(total, piece, out=out, dtype=dtype), None
             offset += width
         if 2 * width > m:
             break
+        there = 1 if here == 0 else 0
+        if held == there:
+            np.copyto(out, total)
+            total, held = out, None
         length = block.size - width * step
-        block = np.add(block[:length], block[width * step : width * step + length], dtype=dtype)
-        width *= 2
-    # a power-of-two m leaves a slice of the last block, already in dtype
-    return out
+        block = np.add(
+            block[:length], block[width * step : width * step + length],
+            out=buffers.take(f"scratch{there}", length, dtype), dtype=dtype,
+        )
+        here, width = there, 2 * width
+    if total is not out:
+        np.copyto(out, total)
 
 
-def window_sums_batch(arr: np.ndarray, m1: int, m2: int) -> np.ndarray:
+def window_sums_batch(
+    arr: np.ndarray, m1: int, m2: int, *, buffers: Buffers | None = None
+) -> np.ndarray:
     """Window sums over the trailing two axes of ``arr`` for an m1 x m2 window.
 
     Running sums along rows (offset 1) and then along columns (offset the
     row step) run on the flat layout of ``blockfactor._flat_kernel``, each
-    doubling step one contiguous 1-D ufunc over the whole stack; the result
-    is a strided view of a fresh array.  Integer and boolean inputs give
+    doubling step one contiguous 1-D ufunc over the whole stack.  The row
+    pass writes into the ``scan.across`` array of ``buffers`` and the
+    column pass into ``scan.sums``, of which the result is a strided view;
+    without ``buffers`` these arrays are fresh, with them the result is
+    overwritten by the next call on the same ``buffers``, and ``arr`` must
+    not be a view of them.  Integer and boolean inputs give
     ``narrow_int(arr.dtype, m1 * m2)``, e.g. int16 for 3x3 sums of an int8
     minesweeper field; the values are exact, but the dtype can overflow in
     later arithmetic, so widen before it.  Floating-point inputs give
@@ -96,20 +117,31 @@ def window_sums_batch(arr: np.ndarray, m1: int, m2: int) -> np.ndarray:
             f"window {m1}x{m2} does not fit in {cols}x{rows} field"
         )
     dtype = narrow_int(arr.dtype, m1 * m2)
+    buffers = Buffers() if buffers is None else buffers
 
-    def sums(flat: np.ndarray, row_step: int, length: int) -> np.ndarray:
-        across = _running_sums(flat, m1, 1, dtype, length + (m2 - 1) * row_step)
-        return across if m2 == 1 else _running_sums(across, m2, row_step, dtype, length)
+    def sums(flat: np.ndarray, row_step: int, out: np.ndarray) -> None:
+        if m2 == 1:
+            _running_sums(flat, m1, 1, out, buffers)
+        else:
+            across = buffers.take("scan.across", out.size + (m2 - 1) * row_step, dtype)
+            _running_sums(flat, m1, 1, across, buffers)
+            _running_sums(across, m2, row_step, out, buffers)
 
-    return _flat_kernel(arr, rows - m2 + 1, cols - m1 + 1, sums)
+    return _flat_kernel(
+        arr, rows - m2 + 1, cols - m1 + 1, sums,
+        lambda length: buffers.take("scan.sums", length, dtype),
+    )
 
 
-def tile_maxima(arr: np.ndarray, tile_rows: int, tile_cols: int) -> np.ndarray:
+def tile_maxima(
+    arr: np.ndarray, tile_rows: int, tile_cols: int, *, buffers: Buffers | None = None
+) -> np.ndarray:
     """Maximum of each disjoint ``tile_rows x tile_cols`` tile of the trailing two axes.
 
     The tiles cover ``arr`` from its first row and column; a ragged edge is
-    left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``.  One
-    tile is one direct maximum.  Several tiles fold in each of the
+    left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``, a
+    view of the ``scan.tiles`` array of ``buffers`` (fresh without them).
+    One tile is one direct maximum.  Several tiles fold in each of the
     ``tile_rows * tile_cols`` offsets inside a tile at once, an elementwise
     maximum over every tile of the stack with the stack axes innermost.
     """
@@ -118,10 +150,15 @@ def tile_maxima(arr: np.ndarray, tile_rows: int, tile_cols: int) -> np.ndarray:
         raise GeometryError(f"tile {tile_cols}x{tile_rows} does not fit in {cols}x{rows} array")
     grid_rows, grid_cols = rows // tile_rows, cols // tile_cols
     covered = arr[..., : grid_rows * tile_rows, : grid_cols * tile_cols]
+    buffers = Buffers() if buffers is None else buffers
+    shape = (grid_rows, grid_cols) + arr.shape[:-2]
+    out = buffers.take("scan.tiles", math.prod(shape), arr.dtype).reshape(shape)
     if grid_rows == grid_cols == 1:
-        return covered.max(axis=(-2, -1))[..., None, None]
+        maxima = out[0, 0, ...]
+        covered.max(axis=(-2, -1), out=maxima)
+        return maxima[..., None, None]
     grid = np.moveaxis(covered, (-2, -1), (0, 1))
-    out = grid[::tile_rows, ::tile_cols].copy()
+    np.copyto(out, grid[::tile_rows, ::tile_cols])
     for i, j in np.ndindex(tile_rows, tile_cols):
         if i or j:
             np.maximum(out, grid[i::tile_rows, j::tile_cols], out=out)

@@ -16,7 +16,7 @@ from blockscan import (
     ma_transform,
     minesweeper_transform,
 )
-from blockscan.blockfactor import apply_block_factor_batch, narrow_int
+from blockscan.blockfactor import Buffers, apply_block_factor_batch, narrow_int
 from blockscan.errors import GeometryError, IndexRangeError, ParameterError
 
 
@@ -265,3 +265,40 @@ def test_linear_batch_dtype_holds_int8_extremes():
         np.ones((2, 5, 5), dtype=np.int8), minesweeper_transform(), LatticeGeometry(5, 5, 1, 1, 1, 1)
     )
     assert minesweeper.dtype == np.int16 and np.all(minesweeper == 8)
+
+
+def _owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_buffers_keep_named_bytes_and_lay_them_out_in_one_block():
+    buffers = Buffers({"a": 100, "b": 24})
+    a, b = buffers.take("a", 50, np.int16), buffers.take("b", 3, np.float64)
+    assert a.dtype == np.int16 and a.shape == (50,) and b.shape == (3,)
+    assert _owner(a) is _owner(b) and not np.shares_memory(a, b)
+    assert (b.ctypes.data - a.ctypes.data) % 64 == 0
+    # the same name reuses its bytes in any dtype; a larger take or a new name gets its own
+    assert np.shares_memory(buffers.take("a", 12, np.float64), a)
+    assert not np.shares_memory(buffers.take("a", 51, np.int16), a)
+    c = buffers.take("c", 10, np.int8)
+    assert _owner(c) is not _owner(b)
+    assert buffers.taken == {"a": 102, "b": 24, "c": 10}
+    assert np.shares_memory(buffers.take("c", 4, np.int16), c)
+    # a fresh Buffers hands out fresh arrays
+    assert not np.shares_memory(Buffers().take("a", 50, np.int16), a)
+
+
+def test_layout_for_fixes_the_bytes_of_a_larger_count():
+    """Sizes affine in the count are exact from runs of one and two."""
+
+    def run(count, buffers):
+        buffers.take("flat", 144 * count - 26, np.int16)
+        buffers.take("tiles", 4 * count, np.int8)
+        buffers.take("source", 144 * count, np.bool_)
+
+    for count in (1, 2, 7, 8192):
+        measured = Buffers()
+        run(count, measured)
+        assert Buffers.layout_for(run, count) == measured.taken

@@ -216,6 +216,30 @@ def test_validate_config_rejects_what_the_run_would(tmp_path, capsys, updates):
     assert err.startswith("error: ") and next(iter(updates)) in err
 
 
+@pytest.mark.parametrize(
+    "updates, key",
+    [
+        ({"l_mode": "bogus"}, "l_mode"),
+        ({"confidence_z": 0}, "confidence_z"),
+        ({"m1": 60}, "m1"),
+        ({"transform": "minesweeper", "source_cols": 8}, "source_cols"),
+        ({"source_rows": 5}, "source_rows"),
+        ({"m2": 0}, "m2"),
+        ({"iterations": 0}, "iterations"),
+        ({"transform": "nope"}, "transform"),
+        ({"transform": "ma", "ma_coeffs": [0.0, 0.0]}, "ma_coeffs"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_spec_rejections_name_their_config_key(tmp_path, capsys, updates, key):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_mapping({**BASE_CONFIG, **updates})
+    assert err.value.key == key
+    path = _write_config(tmp_path, **updates)
+    assert main(["validate-config", "-c", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
+
+
 # --- subcommands ------------------------------------------------------------
 
 

@@ -102,39 +102,143 @@ _RAW_DRAW_PS = [
     0.0, 1.0, 2.0**-53, 3 * 2.0**-53, 1.0 - 2.0**-53, 0.1, 0.5,
     float(np.nextafter(0.1, 0.0)), float(np.nextafter(0.1, 1.0)),
 ]
+_LOW = 2**45 - 1
+
+
+def _uniform_compare(rng, p, size):
+    """Reference Bernoulli cells, one at a time, from the raw draws of ``rng``.
+
+    Cell ``i`` reads byte ``i`` of the raw words, little-endian; a byte equal
+    to ``top`` takes the low 45 bits of the next word drawn after them.  The
+    cell is ``U < p`` for the uniform ``U = (byte * 2**45 + low) / 2**53``
+    (low 0 for the other cells, whose byte alone decides the comparison).
+    """
+    cells = math.prod(size)
+    words = [int(w) for w in rng.bit_generator.random_raw(-(-cells // 8))]
+    cell_bytes = [(w >> (8 * k)) & 0xFF for w in words for k in range(8)][:cells]
+    top = math.ceil(p * 2.0**53) >> 45
+    ties = [i for i, b in enumerate(cell_bytes) if b == top]
+    low = dict(zip(ties, (int(w) & _LOW for w in rng.bit_generator.random_raw(len(ties)))))
+    uniform = [(b * 2**45 + low.get(i, 0)) * 2.0**-53 for i, b in enumerate(cell_bytes)]
+    return np.array([u < p for u in uniform], dtype=bool).reshape(size)
 
 
 @pytest.mark.parametrize("p", _RAW_DRAW_PS)
 @pytest.mark.parametrize("size", [(300, 7, 9), (0, 4)])
 def test_bernoulli_from_raw_draws_equals_uniform_compare(p, size):
-    """Raw-draw Bernoulli is ``rng.random(size) < p``: same values, bool, same stream position."""
+    """Byte Bernoulli equals a per-cell uniform compare: same values, bool, same stream position."""
     dist = MarginalDistribution.bernoulli(p)
     fast_rng, slow_rng = SeedSpec(2014, 9).generator(), SeedSpec(2014, 9).generator()
     fast = dist.sample(fast_rng, size)
-    slow = slow_rng.random(size) < p
+    slow = _uniform_compare(slow_rng, p, size)
     assert fast.dtype == np.bool_ and fast.shape == size
     assert np.array_equal(fast, slow)
     assert fast_rng.random() == slow_rng.random()
 
 
-class _RawDraws:
-    """Stands in for a Generator whose bit generator returns the given raw draws."""
+@pytest.mark.parametrize("draw_cells", [8, 64, 2**18])
+def test_bernoulli_bytes_drawn_in_parts_keep_the_stream(draw_cells, monkeypatch):
+    """Byte words drawn a part at a time give the values and stream position of one draw."""
+    from blockscan import fields
 
-    def __init__(self, raw):
+    monkeypatch.setattr(fields, "_DRAW_CELLS", draw_cells)
+    for p in (0.1, 0.5, 1.0):
+        fast_rng, slow_rng = SeedSpec(7, 3).generator(), SeedSpec(7, 3).generator()
+        fast = MarginalDistribution.bernoulli(p).sample(fast_rng, (20, 9, 11))
+        assert np.array_equal(fast, _uniform_compare(slow_rng, p, (20, 9, 11)))
+        assert fast_rng.random() == slow_rng.random()
+
+
+class _RawWords:
+    """Stands in for a Generator whose bit generator hands out the given raw words in turn."""
+
+    def __init__(self, words):
         self.bit_generator = self
-        self.raw = raw
+        self.words = np.array(words, dtype=np.uint64)
+        self.used = 0
 
     def random_raw(self, size):
-        return self.raw.reshape(size)
+        if self.used + size > self.words.size:
+            raise AssertionError("sampler asked for more raw words than it should")
+        self.used += size
+        return self.words[self.used - size : self.used]
+
+
+def _pack(cell_bytes):
+    """Little-endian 64-bit words holding the given bytes, the last one padded with 0xAB."""
+    padded = list(cell_bytes) + [0xAB] * (-len(cell_bytes) % 8)
+    return [
+        sum(b << (8 * k) for k, b in enumerate(padded[i : i + 8]))
+        for i in range(0, len(padded), 8)
+    ]
 
 
 def test_bernoulli_cut_is_exact_at_the_draw_boundary():
-    """Raw draws on either side of each cut give what ``random() < p`` gives for them."""
-    for p in _RAW_DRAW_PS[2:]:
-        cut = math.ceil(p * 2.0**53) << 11
-        near = [cut + d for d in (-2049, -2048, -1, 0, 2047, 2048) if 0 <= cut + d < 2**64]
-        raw = np.array(near + [0, 2**64 - 1], dtype=np.uint64)
-        # what Generator.random() makes of each raw draw, computed in float64
-        uniform = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        drawn = MarginalDistribution.bernoulli(p).sample(_RawDraws(raw), raw.shape)
-        assert np.array_equal(drawn, uniform < p)
+    """Bytes at top - 1, top, top + 1 and tie words at rest - 1, rest, rest + 1 give
+    exactly ``(byte << 45 | low45) < cut``, drawing ceil(cells / 8) words plus one per tie."""
+    # 2**-9 and 3 * 2**-10 have top == 0 < rest; 0.999 and 1 - 2**-53 have top == 255
+    for p in [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 0.1, 0.5, 2.0**-9, 3 * 2.0**-10, 0.999]:
+        cut = math.ceil(p * 2.0**53)
+        top, rest = cut >> 45, cut & _LOW
+        lows = [r for r in (rest - 1, rest, rest + 1, 0, _LOW) if 0 <= r <= _LOW]
+        others = [b for b in (top - 1, top + 1, 0, 255) if 0 <= b <= 255 and b != top]
+        cell_bytes = others + [top] * len(lows) if top <= 255 else others
+        # high bits above the 45 low ones must not matter
+        tie_words = [low | (0x5A5A5 << 45) for low in lows[: cell_bytes.count(top)]]
+        stand_in = _RawWords(_pack(cell_bytes) + tie_words)
+        drawn = MarginalDistribution.bernoulli(p).sample(stand_in, (len(cell_bytes),))
+        low_of = iter(lows)
+        expected = [(b << 45 | (next(low_of) if b == top else 0)) < cut for b in cell_bytes]
+        assert drawn.tolist() == expected, p
+        assert stand_in.used == -(-len(cell_bytes) // 8) + len(tie_words), p
+
+
+def test_bernoulli_reads_bytes_little_endian():
+    """Word 0x0807060504030201 gives cells from bytes 1, 2, ..., 8 in that order."""
+    p = 4.5 / 256  # top 4, rest 2**44: bytes 1-3 succeed, 4 ties, 5-8 fail
+    stand_in = _RawWords([0x0807060504030201, 0])  # the tie word's low bits 0 < rest
+    drawn = MarginalDistribution.bernoulli(p).sample(stand_in, 8)
+    assert drawn.tolist() == [True] * 4 + [False] * 4
+    assert stand_in.used == 2
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        MarginalDistribution.bernoulli(0.3),
+        MarginalDistribution.binomial(4, 0.2),
+        MarginalDistribution.poisson(1.5),
+        MarginalDistribution.gaussian(0.4, 2.3),
+    ],
+    ids=lambda d: d.kind,
+)
+def test_sample_into_out_equals_a_fresh_sample(dist):
+    size = (5, 6, 7)
+    fresh = dist.sample(SeedSpec(8).generator(), size)
+    out = np.full(size, 7, dtype=dist.dtype)
+    filled = dist.sample(SeedSpec(8).generator(), size, out=out)
+    assert filled is out and fresh.dtype == dist.dtype
+    assert np.array_equal(fresh, out)
+
+
+def test_gaussian_sample_is_numpys_normal():
+    """mean + sd * z over standard normals rounds like ``Generator.normal``, bit for bit."""
+    for mean, variance in [(0.0, 1.0), (0.4, 2.3), (-1e6, 0.017)]:
+        dist = MarginalDistribution.gaussian(mean, variance)
+        drawn = dist.sample(SeedSpec(3).generator(), (40, 50))
+        normal = SeedSpec(3).generator().normal(mean, np.sqrt(variance), (40, 50))
+        assert np.array_equal(drawn.view(np.uint64), normal.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((4, 5), dtype=np.int64),
+        np.empty((5, 4), dtype=bool),
+        np.empty((4, 10), dtype=bool)[:, ::2],
+    ],
+    ids=["dtype", "shape", "strided"],
+)
+def test_sample_rejects_an_unusable_out(out):
+    with pytest.raises(ParameterError):
+        MarginalDistribution.bernoulli(0.5).sample(SeedSpec(1).generator(), (4, 5), out=out)

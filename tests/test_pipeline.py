@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -142,8 +143,10 @@ def test_estimation_deterministic_across_thread_counts():
 
 def test_tallies_pin_the_stream_partition():
     # Exact replica counts at a fixed seed, so platform independent: they move
-    # only if the chunk partition, the per-chunk streams or the per-replica
-    # sample -> block factor -> window sums -> maxima pipeline changes.
+    # only if the chunk partition, the per-chunk streams, the way a chunk's
+    # Bernoulli cells are drawn from its stream (one byte per cell) or the
+    # per-replica sample -> block factor -> window sums -> maxima pipeline
+    # changes.
     t, extents = catalog_transform("minesweeper")
     spec = ExperimentSpec(
         geometry=LatticeGeometry(12, 12, *extents),
@@ -158,9 +161,9 @@ def test_tallies_pin_the_stream_partition():
         [round(getattr(rec, q) * rec.iterations) for q in ("q22", "q23", "q32", "q33")]
         for rec in estimate_quv(spec)
     ]
-    assert counts == [[2123, 457, 421, 30], [5576, 2234, 2191, 468], [10324, 6238, 6260, 2670]]
+    assert counts == [[2044, 432, 412, 20], [5473, 2192, 2089, 430], [10308, 6343, 6185, 2652]]
     sims = simulate_distribution(spec, replicas=10_000)
-    assert [round(row.prob * row.replicas) for row in sims] == [15, 212, 1291]
+    assert [round(row.prob * row.replicas) for row in sims] == [11, 228, 1254]
 
 
 # --- assembly and the error ledger -----------------------------------------
@@ -395,9 +398,11 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
 
     recorded, window_sums = [], pipeline.window_sums_batch
 
-    def recording(arr, m1, m2):
-        recorded.append(window_sums(arr, m1, m2))
-        return recorded[-1]
+    def recording(arr, m1, m2, **kwargs):
+        # the sums live in the worker's buffers, which the next chunk overwrites
+        sums = window_sums(arr, m1, m2, **kwargs)
+        recorded.append(sums.copy())
+        return sums
 
     monkeypatch.setattr(pipeline, "window_sums_batch", recording)
     if shape == "simulate":
@@ -420,6 +425,7 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
     thr = np.array(spec.thresholds)
     expected = np.zeros((len(extents), thr.size), dtype=np.int64)
+    recorded = recorded[2:]  # the first two calls lay out the chunk buffers
     for sums in recorded:
         for idx, (v_ext, u_ext) in enumerate(extents):
             maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
@@ -428,3 +434,75 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     # at least three thresholds per extent split the replicas
     assert np.all(((expected > 0) & (expected < 9000)).sum(axis=1) >= 3)
     assert np.array_equal(np.array(tallies), expected)
+
+
+# --- per-worker chunk buffers ------------------------------------------------
+
+
+def _owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
+    """Source, block factor, sums and tile maxima of chunks 2 and 3 reuse chunk 1's memory."""
+    results = {}
+
+    def recording(layer, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out.shape[0] > 2:  # not one of the two layout passes
+                results.setdefault(layer, []).append(out)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(
+        MarginalDistribution, "sample", recording("source", MarginalDistribution.sample)
+    )
+    for name in ("apply_block_factor_batch", "window_sums_batch", "tile_maxima"):
+        monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+    estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)  # chunks of 8192, 8192, 3616
+    assert [len(arrays) for arrays in results.values()] == [3, 3, 3, 3]
+    first = [arrays[0] for arrays in results.values()]
+    for arrays in results.values():
+        assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])
+    # one block holds them all, and no two of them overlap
+    assert len({id(_owner(a)) for arrays in results.values() for a in arrays}) == 1
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(first) for b in first[i + 1 :])
+
+
+class _FreshJunk(pipeline.Buffers):
+    """Hands out a fresh array of junk bytes on every take."""
+
+    def take(self, name, size, dtype):
+        dtype = np.dtype(dtype)
+        return np.full(size * dtype.itemsize, 0xA5, dtype=np.uint8).view(dtype)
+
+
+@pytest.mark.parametrize(
+    "spec", [_minesweeper_spec(iterations=20_000), _ma_spec()], ids=["minesweeper", "ma"]
+)
+def test_chunk_tallies_equal_those_of_fresh_buffers(spec, monkeypatch):
+    """Reused buffers change no tally, and no layer reads a temporary it has not written."""
+    kept = estimate_quv(spec, threads=1)
+    kept_sim = simulate_distribution(spec, replicas=3000, threads=1)
+    monkeypatch.setattr(pipeline, "Buffers", _FreshJunk)
+    assert estimate_quv(spec, threads=1) == kept
+    assert simulate_distribution(spec, replicas=3000, threads=1) == kept_sim
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_workers_never_share_buffers(threads, monkeypatch):
+    """About 50 small chunks on a thread pool tally like one thread; a shared buffer would race."""
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda cells: 41)
+    spec = _minesweeper_spec(iterations=2050)
+    serial = estimate_quv(spec, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = [estimate_quv(spec, threads=threads) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(records == serial for records in pooled)

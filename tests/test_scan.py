@@ -19,7 +19,7 @@ from blockscan import (
     scan_statistic,
     sub_rectangle_scan_max,
 )
-from blockscan.blockfactor import apply_block_factor_batch
+from blockscan.blockfactor import Buffers, apply_block_factor_batch
 from blockscan.errors import GeometryError, IndexRangeError
 from blockscan.scan import tile_maxima, window_sums_batch
 
@@ -281,3 +281,37 @@ def test_tile_maxima_match_per_tile_maxima():
         assert np.array_equal(tile_maxima(stack[2], tile_rows, tile_cols), tiles[2])
     with pytest.raises(GeometryError):
         tile_maxima(stack, 10, 1)
+
+
+def test_kernels_reusing_buffers_equal_fresh_arrays():
+    """One ``Buffers`` through many calls: no call reads what an earlier one left behind.
+
+    Window sides 1 to 20 take every path of the doubling: one set bit
+    (powers of two, copied out at the end), adjacent set bits, and set bits
+    far enough apart (18, 20) that the first piece must leave its block
+    before that block is overwritten.
+    """
+    rng = np.random.default_rng(31)
+    buffers = Buffers()
+    # dyadic float weights keep the float sums exact
+    kernels = [
+        np.ones((3, 3), dtype=np.int64),
+        np.array([[0, 2, -1], [3, 0, 1], [1, 1, -4]]),
+        np.array([[0.5, -1.5, 0.25]] * 3),
+    ]
+    for m in range(1, 21):
+        stack = rng.integers(-4, 5, size=(2, 23, 24))
+        source = (stack > 1) if m % 3 == 0 else stack.astype(np.int8 if m % 3 == 1 else np.float64)
+        weights = kernels[m % 3]
+        transform = BlockFactorTransform(name="drawn", c1=3, c2=3, weights=weights)
+        geom = LatticeGeometry(24, 23, 1, 1, 1, 1)
+        derived = apply_block_factor_batch(source, transform, geom, buffers=buffers)
+        fresh = apply_block_factor_batch(source, transform, geom)
+        assert derived.dtype == fresh.dtype and np.array_equal(derived, fresh)
+        m1, m2 = m, 21 - m
+        sums = window_sums_batch(derived, m1, m2, buffers=buffers)
+        assert sums.dtype == window_sums_batch(fresh, m1, m2).dtype
+        for index in np.ndindex(2):
+            assert np.array_equal(sums[index], brute_moving_sums(fresh[index], m1, m2))
+        tiles = tile_maxima(sums, 1, 2, buffers=buffers)
+        assert np.array_equal(tiles, tile_maxima(sums.copy(), 1, 2))
