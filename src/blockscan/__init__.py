@@ -10,14 +10,13 @@ __version__ = "0.1.0"
 from .blockfactor import (
     BlockFactorTransform,
     LatticeGeometry,
-    apply_block_factor,
     catalog_transform,
     configuration_matrix,
     identity_transform,
     ma_transform,
     minesweeper_transform,
 )
-from .fields import MarginalDistribution, RandomField, SeedSpec, generate_field
+from .fields import MarginalDistribution, SeedSpec
 from .haiman import (
     Theorem1Constants,
     approximant_H,
@@ -36,23 +35,13 @@ from .pipeline import (
     SimRow,
     approximate,
     estimate_quv,
-    interpolated_approximation,
     ma_theory,
     one_step_approximation,
     quv_field_dims,
     simulate_distribution,
     two_step_approximation,
 )
-from .scan import (
-    MovingSums,
-    ScanGeometry,
-    brute_moving_sums,
-    brute_scan_statistic,
-    moving_sums,
-    row_scan_max,
-    scan_statistic,
-    sub_rectangle_scan_max,
-)
+from .scan import ScanGeometry, brute_moving_sums, brute_scan_statistic
 
 __all__ = [
     "ApproxRow",
@@ -62,15 +51,12 @@ __all__ = [
     "LatticeGeometry",
     "MATheory",
     "MarginalDistribution",
-    "MovingSums",
-    "RandomField",
     "ScanGeometry",
     "SeedSpec",
     "SimRow",
     "Theorem1Constants",
     "approximant_H",
     "approximant_H_with_flag",
-    "apply_block_factor",
     "approximate",
     "brute_moving_sums",
     "brute_scan_statistic",
@@ -78,21 +64,15 @@ __all__ = [
     "configuration_matrix",
     "error_factor_F",
     "estimate_quv",
-    "generate_field",
     "identity_transform",
-    "interpolated_approximation",
     "lipschitz_gap",
     "ma_theory",
     "ma_transform",
     "minesweeper_transform",
-    "moving_sums",
     "one_step_approximation",
     "quv_field_dims",
-    "row_scan_max",
-    "scan_statistic",
     "simulate_distribution",
     "solve_t2",
-    "sub_rectangle_scan_max",
     "theorem1_bound",
     "theorem1_constants",
     "two_step_approximation",

@@ -1,21 +1,19 @@
 """Block-factor transforms: derive a dependent field from an i.i.d. source.
 
 Each derived value is a fixed function of the configuration matrix, the
-``c2 x c1`` window of source values around a site.  The built-in transforms
+``c2 x c1`` window of source values around a site.  The catalog transforms
 (minesweeper neighbour count, moving-average dot product, identity) are all
-linear, which lets the batched code path run as a handful of shifted adds
-on one flat 1-D layout of the whole stack.
+linear, given by a weight matrix, so the batched code path runs as a
+handful of shifted adds on one flat 1-D layout of the whole stack.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import GeometryError, IndexRangeError, ParameterError
-from .fields import RandomField
 
 
 @dataclass(frozen=True)
@@ -67,26 +65,18 @@ class LatticeGeometry:
 
 @dataclass(frozen=True, eq=False)
 class BlockFactorTransform:
-    """A deterministic map from ``c2 x c1`` real matrices to reals.
-
-    ``weights`` marks a linear transform ``T(C) = sum(weights * C)``; the
-    batched field path requires it.  ``func`` is the scalar fallback for
-    non-linear transforms.
-    """
+    """The linear map ``T(C) = sum(weights * C)`` of ``c2 x c1`` configuration matrices."""
 
     name: str
-    c1: int
-    c2: int
-    weights: np.ndarray | None = None
-    func: Callable[[np.ndarray], float] | None = None
+    weights: np.ndarray
 
-    def __post_init__(self):
-        if self.weights is None and self.func is None:
-            raise ParameterError("transform needs weights or a scalar function")
-        if self.weights is not None and self.weights.shape != (self.c2, self.c1):
-            raise ParameterError(
-                f"weights shape {self.weights.shape} != ({self.c2}, {self.c1})"
-            )
+    @property
+    def c1(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def c2(self) -> int:
+        return self.weights.shape[0]
 
     def __call__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
@@ -94,24 +84,24 @@ class BlockFactorTransform:
             raise GeometryError(
                 f"configuration matrix shape {matrix.shape} != ({self.c2}, {self.c1})"
             )
-        if self.weights is not None:
-            return (self.weights * matrix).sum()
-        return self.func(matrix)
+        return (self.weights * matrix).sum()
 
 
 def configuration_matrix(
-    field: RandomField, i: int, j: int, geom: LatticeGeometry
+    values: np.ndarray, i: int, j: int, geom: LatticeGeometry
 ) -> np.ndarray:
-    """The ``c2 x c1`` window of source values indexed around site ``(i, j)``.
+    """The ``c2 x c1`` window of source ``values`` indexed around site ``(i, j)``.
 
-    Row ``k`` of the matrix holds source row ``j + y2 + 1 - k``, so matrix rows
-    run top-down in lattice coordinates.
+    ``i`` is the 1-based column and ``j`` the 1-based row, so source value
+    ``(i, j)`` is ``values[j - 1, i - 1]``.  Row ``k`` of the matrix holds
+    source row ``j + y2 + 1 - k``, so matrix rows run top-down in lattice
+    coordinates.
     """
     if not (geom.x1 + 1 <= i <= geom.source_cols - geom.x2):
         raise IndexRangeError(f"column {i} outside [{geom.x1 + 1}, {geom.source_cols - geom.x2}]")
     if not (geom.y1 + 1 <= j <= geom.source_rows - geom.y2):
         raise IndexRangeError(f"row {j} outside [{geom.y1 + 1}, {geom.source_rows - geom.y2}]")
-    block = field.values[j - geom.y1 - 1 : j + geom.y2, i - geom.x1 - 1 : i + geom.x2]
+    block = values[j - geom.y1 - 1 : j + geom.y2, i - geom.x1 - 1 : i + geom.x2]
     return block[::-1, :].copy()
 
 
@@ -243,8 +233,7 @@ def apply_block_factor_batch(
     accumulate in ``narrow_int(source.dtype, sum|w|)``, e.g. int8 for
     minesweeper over a bool Bernoulli source; everything else is float64.
     The values are exact, but the narrow dtype can overflow in later
-    arithmetic (``out * out`` on int8), so widen first.  A non-linear
-    ``func`` is evaluated per window and returns a fresh float64 array.
+    arithmetic (``out * out`` on int8), so widen first.
     """
     if source.shape[-2:] != (geom.source_rows, geom.source_cols):
         raise GeometryError(
@@ -255,12 +244,6 @@ def apply_block_factor_batch(
             f"transform window ({transform.c1}, {transform.c2}) != geometry "
             f"({geom.c1}, {geom.c2})"
         )
-    if transform.weights is None:
-        # windows[..., jj, ii, :, :] is source[..., jj : jj + c2, ii : ii + c1]
-        windows = sliding_window_view(source, (geom.c2, geom.c1), axis=(-2, -1))
-        sites = np.ndindex(windows.shape[:-2])
-        values = [transform.func(windows[site][::-1, :]) for site in sites]
-        return np.array(values, dtype=np.float64).reshape(windows.shape[:-2])
     # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
     kernel = transform.weights[::-1, :]
     if np.issubdtype(kernel.dtype, np.integer):
@@ -298,19 +281,11 @@ def apply_block_factor_batch(
     )
 
 
-def apply_block_factor(
-    field: RandomField, transform: BlockFactorTransform, geom: LatticeGeometry
-) -> RandomField:
-    """Derive the dependent field; output dims are the geometry's derived dims."""
-    values = apply_block_factor_batch(field.values[None, ...], transform, geom)[0]
-    return RandomField(values=values, provenance=f"{transform.name}({field.provenance})")
-
-
 def minesweeper_transform() -> BlockFactorTransform:
     """Count of the 8 neighbours of the centre cell in a 3x3 window."""
     weights = np.ones((3, 3), dtype=np.int64)
     weights[1, 1] = 0
-    return BlockFactorTransform(name="minesweeper", c1=3, c2=3, weights=weights)
+    return BlockFactorTransform(name="minesweeper", weights=weights)
 
 
 def ma_transform(coeffs) -> BlockFactorTransform:
@@ -320,12 +295,12 @@ def ma_transform(coeffs) -> BlockFactorTransform:
         raise ParameterError("moving-average coefficients must be a non-empty vector")
     if not np.any(a != 0.0):
         raise ParameterError("moving-average coefficients must not all be zero")
-    return BlockFactorTransform(name="ma", c1=a.size, c2=1, weights=a[None, :])
+    return BlockFactorTransform(name="ma", weights=a[None, :])
 
 
 def identity_transform() -> BlockFactorTransform:
     """The 1x1 window transform that reproduces the source field."""
-    return BlockFactorTransform(name="identity", c1=1, c2=1, weights=np.ones((1, 1), dtype=np.int64))
+    return BlockFactorTransform(name="identity", weights=np.ones((1, 1), dtype=np.int64))
 
 
 def _build_minesweeper(**params) -> tuple[BlockFactorTransform, tuple[int, int, int, int]]:

@@ -148,9 +148,7 @@ class RunConfig:
                 )
             except ParameterError as exc:
                 raise ConfigError("distribution", str(exc)) from exc
-            weights = transform.weights
-            integer_weights = weights is not None and np.issubdtype(weights.dtype, np.integer)
-            if dist.integer_valued and integer_weights:
+            if dist.integer_valued and np.issubdtype(transform.weights.dtype, np.integer):
                 for n in self.thresholds:
                     if float(n) != int(n):
                         raise ConfigError(
@@ -259,10 +257,13 @@ def write_sim_table(
 
 
 def read_table(path: str) -> tuple[list[str], list[str], list[dict]]:
-    """Parse a written table back into (metadata, columns, row dicts)."""
+    """Parse a written table back into (metadata, columns, row dicts).
+
+    Every cell must be empty (``None``) or a number.
+    """
     metadata, columns, rows = [], [], []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -272,19 +273,30 @@ def read_table(path: str) -> tuple[list[str], list[str], list[dict]]:
                     columns = line[len("# columns: ") :].split("\t")
                 continue
             cells = line.split("\t")
-            row = {}
-            for name, cell in zip(columns, cells):
-                row[name] = None if cell == "" else float(cell)
-            rows.append(row)
+            try:
+                rows.append({n: None if c == "" else float(c) for n, c in zip(columns, cells)})
+            except ValueError:
+                raise AlignmentError(f"{path} line {number}: a cell is not a number") from None
     return metadata, columns, rows
+
+
+def _read_series(path: str, needed: tuple) -> list[dict]:
+    """The rows of a table that has a number in each ``needed`` column of every row."""
+    _, columns, rows = read_table(path)
+    for name in needed:
+        if name not in columns:
+            raise AlignmentError(f"{path}: no {name!r} column among {columns}")
+        if any(row.get(name) is None for row in rows):
+            raise AlignmentError(f"{path}: empty {name!r} cell")
+    return rows
 
 
 def emit_plotdata(approx_path: str, out_path: str, sim_path: str | None = None) -> None:
     """Pair approximation and simulation series, with the error band."""
-    _, _, approx_rows = read_table(approx_path)
+    approx_rows = _read_series(approx_path, ("n", "approx", "e_total"))
     sim_by_n = {}
     if sim_path is not None:
-        _, _, sim_rows = read_table(sim_path)
+        sim_rows = _read_series(sim_path, ("n", "sim"))
         sim_by_n = {row["n"]: row["sim"] for row in sim_rows}
         approx_ns = [row["n"] for row in approx_rows]
         if sorted(sim_by_n) != sorted(approx_ns):
@@ -295,7 +307,7 @@ def emit_plotdata(approx_path: str, out_path: str, sim_path: str | None = None) 
     for row in approx_rows:
         approx = row["approx"]
         e_total = row["e_total"]
-        if e_total is None or math.isnan(e_total):
+        if math.isnan(e_total):
             lower = upper = float("nan")
         else:
             lower = max(0.0, approx - e_total)

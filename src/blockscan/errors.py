@@ -45,7 +45,7 @@ class ValidityError(BlockScanError, ArithmeticError):
 
 
 class AlignmentError(BlockScanError, ValueError):
-    """Two tables that must share thresholds do not."""
+    """A table lacks a column or number it is read for, or paired tables differ in thresholds."""
 
 
 class ConfigError(BlockScanError, ValueError):

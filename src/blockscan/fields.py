@@ -7,7 +7,7 @@ are stored row-major as ``values[j - 1, i - 1]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,9 @@ _LOW_MASK = np.uint64((1 << _LOW_BITS) - 1)
 # cells whose byte words are drawn at once (a multiple of 8): 256 KiB of words,
 # so a chunk's raw draws never sit in memory in full next to its buffers
 _DRAW_CELLS = 1 << 18
+# the largest binomial trials and Poisson mean NumPy draws from
+_INT64_MAX = (1 << 63) - 1
+_POISSON_MEAN_MAX = float(_INT64_MAX - math.sqrt(_INT64_MAX) * 10)
 
 
 @dataclass(frozen=True)
@@ -86,13 +89,17 @@ class MarginalDistribution:
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ParameterError(f"bernoulli p must be in [0, 1], got {self.p}")
         elif self.kind == "binomial":
-            if self.trials is None or self.trials < 1:
-                raise ParameterError(f"binomial trials must be >= 1, got {self.trials}")
+            if self.trials is None or not 1 <= self.trials <= _INT64_MAX:
+                raise ParameterError(
+                    f"binomial trials must be in [1, 2**63 - 1], got {self.trials}"
+                )
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ParameterError(f"binomial p must be in [0, 1], got {self.p}")
         elif self.kind == "poisson":
-            if self.mean is None or not self.mean > 0.0:
-                raise ParameterError(f"poisson mean must be > 0, got {self.mean}")
+            if self.mean is None or not 0.0 < self.mean <= _POISSON_MEAN_MAX:
+                raise ParameterError(
+                    f"poisson mean must be in (0, {_POISSON_MEAN_MAX:.6g}], got {self.mean}"
+                )
         elif self.kind == "gaussian":
             if self.mean is None:
                 raise ParameterError("gaussian mean is required")
@@ -120,6 +127,24 @@ class MarginalDistribution:
     @property
     def integer_valued(self) -> bool:
         return self.kind in ("bernoulli", "binomial", "poisson")
+
+    @property
+    def cell_bound(self) -> int | None:
+        """A bound on ``|value|`` of an integer-valued cell; ``None`` for Gaussian.
+
+        Bernoulli gives 1 and binomial ``trials``.  Poisson gives
+        ``ceil(mean + 15 + sqrt(225 + 90 * mean))``, which a cell exceeds with
+        probability below ``2**-64``: Bernstein's inequality for the Poisson
+        law bounds ``P(X >= mean + t)`` by ``exp(-t**2 / (2 * (mean + t / 3)))``,
+        and ``t = 15 + sqrt(225 + 90 * mean)`` makes that ``exp(-45) < 2**-64``.
+        """
+        if self.kind == "bernoulli":
+            return 1
+        if self.kind == "binomial":
+            return int(self.trials)
+        if self.kind == "poisson":
+            return math.ceil(self.mean + 15.0 + math.sqrt(225.0 + 90.0 * self.mean))
+        return None
 
     @property
     def dtype(self) -> np.dtype:
@@ -178,54 +203,3 @@ class MarginalDistribution:
             np.multiply(out, math.sqrt(self.variance), out=out)
             np.add(out, self.mean, out=out)
         return out
-
-    def describe(self) -> str:
-        if self.kind == "bernoulli":
-            return f"bernoulli(p={self.p})"
-        if self.kind == "binomial":
-            return f"binomial(trials={self.trials}, p={self.p})"
-        if self.kind == "poisson":
-            return f"poisson(mean={self.mean})"
-        return f"gaussian(mean={self.mean}, variance={self.variance})"
-
-
-@dataclass(frozen=True, eq=False)
-class RandomField:
-    """A dense real-valued lattice, stored as ``values[row, col]``.
-
-    Public accessors use the 1-based ``(i, j)`` = (column, row) convention.
-    """
-
-    values: np.ndarray
-    provenance: str = ""
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ParameterError("field values must be a 2-D array")
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    def at(self, i: int, j: int):
-        """Value at column ``i``, row ``j`` (both 1-based)."""
-        if not (1 <= i <= self.cols and 1 <= j <= self.rows):
-            raise IndexError(f"position ({i}, {j}) outside {self.cols}x{self.rows} field")
-        return self.values[j - 1, i - 1]
-
-
-def generate_field(
-    dist: MarginalDistribution, cols: int, rows: int, seed: SeedSpec
-) -> RandomField:
-    """Generate an i.i.d. field; a pure function of (dist, dims, seed)."""
-    if cols < 1 or rows < 1:
-        raise ParameterError(f"field dimensions must be >= 1, got {cols}x{rows}")
-    values = dist.sample(seed.generator(), (rows, cols))
-    if not np.all(np.isfinite(values)):
-        raise ParameterError("generated field contains non-finite values")
-    prov = f"{dist.describe()} seed=({seed.master_seed},{seed.stream_id})"
-    return RandomField(values=values, provenance=prov)

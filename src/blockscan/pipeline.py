@@ -56,11 +56,27 @@ class ExperimentSpec:
         g, s = self.geometry, self.scan
         if (self.transform.c1, self.transform.c2) != (g.c1, g.c2):
             raise GeometryError("transform window does not match geometry", field="transform")
+        if self.one_dimensional and g.source_rows != 1:
+            # the row-scan path samples one row, so it would answer for one row only
+            raise GeometryError(
+                f"a row scan (m2 = 1 over a one-row window) needs source_rows = 1, "
+                f"got {g.source_rows}",
+                field="source_rows",
+            )
         for side, size in (("m1", g.derived_cols), ("m2", g.derived_rows)):
             if not 1 <= getattr(s, side) <= size:
                 raise GeometryError("scan window does not fit in the derived field", field=side)
             if not self.one_dimensional and getattr(s, side) < 2:
                 raise GeometryError("two-dimensional scans require m1 >= 2 and m2 >= 2", field=side)
+        bound = self.distribution.cell_bound
+        if bound is not None and np.issubdtype(self.transform.weights.dtype, np.integer):
+            # integer weights keep the sums exact in int64; past it they would wrap
+            top = bound * int(np.abs(self.transform.weights).sum()) * s.m1 * s.m2
+            if top > np.iinfo(np.int64).max:
+                raise ParameterError(
+                    f"window sums of {self.distribution.kind} cells can reach {top}, past int64",
+                    field="trials" if self.distribution.kind == "binomial" else "mean",
+                )
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1", field="iterations")
         if not 0.0 < self.confidence_z < math.inf:
@@ -404,12 +420,6 @@ def one_step_approximation(
     )
 
 
-def _assemble(spec: ExperimentSpec, rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
-    if spec.one_dimensional:
-        return one_step_approximation(rec, L1, l_mode=spec.l_mode)
-    return two_step_approximation(rec, L1, L2, l_mode=spec.l_mode)
-
-
 def _dimension_levels(n_tilde: int, block: int) -> list[tuple[int, float]]:
     """Block-count levels and interpolation weights; one level when size is exact."""
     ratio = n_tilde // block
@@ -419,7 +429,7 @@ def _dimension_levels(n_tilde: int, block: int) -> list[tuple[int, float]]:
     return [(ratio - 1, 1.0 - weight), (ratio, weight)]
 
 
-def interpolated_approximation(spec: ExperimentSpec, threads: int | None = None) -> list[ApproxRow]:
+def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[ApproxRow]:
     """Approximation at any lattice size, exact block multiple or not.
 
     An exact size gives the single row assembled at its block counts.  Each
@@ -431,15 +441,17 @@ def interpolated_approximation(spec: ExperimentSpec, threads: int | None = None)
     is invalid, with a ``nan`` ledger.
     """
     levels1 = _dimension_levels(spec.geometry.source_cols, spec.block1)
-    if spec.one_dimensional:
-        levels2 = [(1, 1.0)]
-    else:
-        levels2 = _dimension_levels(spec.geometry.source_rows, spec.block2)
     rows = []
     for rec in estimate_quv(spec, threads=threads):
-        combos = [
-            (w1 * w2, _assemble(spec, rec, L1, L2)) for L1, w1 in levels1 for L2, w2 in levels2
-        ]
+        if spec.one_dimensional:
+            combos = [(w1, one_step_approximation(rec, L1, l_mode=spec.l_mode)) for L1, w1 in levels1]
+        else:
+            levels2 = _dimension_levels(spec.geometry.source_rows, spec.block2)
+            combos = [
+                (w1 * w2, two_step_approximation(rec, L1, L2, l_mode=spec.l_mode))
+                for L1, w1 in levels1
+                for L2, w2 in levels2
+            ]
         if len(combos) == 1:
             rows.append(combos[0][1])
             continue
@@ -463,11 +475,6 @@ def interpolated_approximation(spec: ExperimentSpec, threads: int | None = None)
             )
         )
     return rows
-
-
-def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[ApproxRow]:
-    """Full pipeline: estimate Q_uv once, assemble one row per threshold."""
-    return interpolated_approximation(spec, threads=threads)
 
 
 def simulate_distribution(

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockfactor import Buffers, _flat_kernel, narrow_int
-from .errors import GeometryError, IndexRangeError
-from .fields import RandomField
+from .errors import GeometryError
 
 
 @dataclass(frozen=True)
@@ -35,23 +34,6 @@ class ScanGeometry:
         for side in ("m1", "m2"):
             if getattr(self, side) < 1:
                 raise GeometryError("window sides must be >= 1", field=side)
-
-
-@dataclass(frozen=True, eq=False)
-class MovingSums:
-    """Dense array of window sums, ``values[i2 - 1, i1 - 1]`` anchored at (i1, i2)."""
-
-    values: np.ndarray
-    m1: int
-    m2: int
-
-    @property
-    def anchors_cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def anchors_rows(self) -> int:
-        return self.values.shape[0]
 
 
 def _running_sums(x: np.ndarray, m: int, step: int, out: np.ndarray, buffers: Buffers) -> None:
@@ -163,37 +145,6 @@ def tile_maxima(
         if i or j:
             np.maximum(out, grid[i::tile_rows, j::tile_cols], out=out)
     return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def moving_sums(field: RandomField, m1: int, m2: int) -> MovingSums:
-    """All m1 x m2 window sums of the field."""
-    return MovingSums(values=window_sums_batch(field.values, m1, m2), m1=m1, m2=m2)
-
-
-def scan_statistic(field: RandomField, m1: int, m2: int):
-    """Largest m1 x m2 window sum over the whole field."""
-    return moving_sums(field, m1, m2).values.max().item()
-
-
-def sub_rectangle_scan_max(
-    field: RandomField, m1: int, m2: int, i1_max: int, i2_max: int
-):
-    """Largest window sum over anchors with i1 <= i1_max and i2 <= i2_max."""
-    sums = moving_sums(field, m1, m2)
-    if not (1 <= i1_max <= sums.anchors_cols and 1 <= i2_max <= sums.anchors_rows):
-        raise GeometryError(
-            f"anchor range ({i1_max}, {i2_max}) exceeds available "
-            f"({sums.anchors_cols}, {sums.anchors_rows})"
-        )
-    return sums.values[:i2_max, :i1_max].max().item()
-
-
-def row_scan_max(field: RandomField, m1: int, k: int):
-    """Largest 1-D moving sum of width m1 along row ``k`` (1-based)."""
-    if not (1 <= k <= field.rows):
-        raise IndexRangeError(f"row {k} outside [1, {field.rows}]")
-    row = field.values[k - 1][None, :]
-    return window_sums_batch(row, m1, 1).max().item()
 
 
 def brute_moving_sums(values: np.ndarray, m1: int, m2: int) -> np.ndarray:

@@ -6,12 +6,9 @@ from blockscan import (
     BlockFactorTransform,
     LatticeGeometry,
     MarginalDistribution,
-    RandomField,
     SeedSpec,
-    apply_block_factor,
     catalog_transform,
     configuration_matrix,
-    generate_field,
     identity_transform,
     ma_transform,
     minesweeper_transform,
@@ -20,11 +17,11 @@ from blockscan.blockfactor import Buffers, apply_block_factor_batch, narrow_int
 from blockscan.errors import GeometryError, IndexRangeError, ParameterError
 
 
-def _coded_field(cols: int, rows: int) -> RandomField:
+def _coded_field(cols: int, rows: int) -> np.ndarray:
     """Field with value 10*i + j at column i, row j, so entries name their site."""
     i = np.arange(1, cols + 1)[None, :]
     j = np.arange(1, rows + 1)[:, None]
-    return RandomField(values=(10 * i + j).astype(np.int64))
+    return (10 * i + j).astype(np.int64)
 
 
 def test_configuration_matrix_corner_entries():
@@ -43,7 +40,8 @@ def test_configuration_matrix_full_indexing():
     mat = configuration_matrix(field, i, j, geom)
     for k in range(1, geom.c2 + 1):
         for l in range(1, geom.c1 + 1):
-            assert mat[k - 1, l - 1] == field.at(i - geom.x1 - 1 + l, j + geom.y2 + 1 - k)
+            col, row = i - geom.x1 - 1 + l, j + geom.y2 + 1 - k
+            assert mat[k - 1, l - 1] == field[row - 1, col - 1]
 
 
 def test_configuration_matrix_range_checks():
@@ -66,36 +64,34 @@ def test_geometry_validation():
 
 
 def test_identity_transform_reproduces_source():
-    field = generate_field(MarginalDistribution.poisson(2.0), 7, 5, SeedSpec(3))
+    field = MarginalDistribution.poisson(2.0).sample(SeedSpec(3).generator(), (5, 7))
     geom = LatticeGeometry(7, 5)
-    out = apply_block_factor(field, identity_transform(), geom)
-    assert np.array_equal(out.values, field.values)
+    out = apply_block_factor_batch(field, identity_transform(), geom)
+    assert np.array_equal(out, field)
 
 
 def test_minesweeper_all_ones_gives_eight():
-    field = RandomField(values=np.ones((6, 6), dtype=np.int64))
+    field = np.ones((6, 6), dtype=np.int64)
     geom = LatticeGeometry(6, 6, 1, 1, 1, 1)
-    out = apply_block_factor(field, minesweeper_transform(), geom)
-    assert out.values.shape == (4, 4)
-    assert np.all(out.values == 8)
+    out = apply_block_factor_batch(field, minesweeper_transform(), geom)
+    assert out.shape == (4, 4)
+    assert np.all(out == 8)
 
 
 def test_minesweeper_zeros_and_diagonal():
     geom = LatticeGeometry(5, 5, 1, 1, 1, 1)
-    zeros = apply_block_factor(RandomField(values=np.zeros((5, 5), dtype=np.int64)),
-                               minesweeper_transform(), geom)
-    assert np.all(zeros.values == 0)
-    diag = apply_block_factor(RandomField(values=np.eye(5, dtype=np.int64)),
-                              minesweeper_transform(), geom)
+    zeros = apply_block_factor_batch(np.zeros((5, 5), dtype=np.int64), minesweeper_transform(), geom)
+    assert np.all(zeros == 0)
+    diag = apply_block_factor_batch(np.eye(5, dtype=np.int64), minesweeper_transform(), geom)
     # interior diagonal cells see exactly the two diagonal neighbours
-    assert diag.values[1, 1] == 2
+    assert diag[1, 1] == 2
 
 
 def test_minesweeper_single_mine_neighbourhood():
     src = np.zeros((6, 6), dtype=np.int64)
     src[2, 3] = 1
     geom = LatticeGeometry(6, 6, 1, 1, 1, 1)
-    out = apply_block_factor(RandomField(values=src), minesweeper_transform(), geom).values
+    out = apply_block_factor_batch(src, minesweeper_transform(), geom)
     expected = np.zeros((4, 4), dtype=np.int64)
     for jj in range(4):
         for ii in range(4):
@@ -107,15 +103,15 @@ def test_minesweeper_single_mine_neighbourhood():
 def test_ma_transform_is_forward_convolution():
     t = ma_transform((0.3, 0.1, 0.5))
     geom = LatticeGeometry(4, 1, 0, 2, 0, 0)
-    src = RandomField(values=np.array([[1.0, 2.0, 3.0, 4.0]]))
-    out = apply_block_factor(src, t, geom).values[0]
+    src = np.array([[1.0, 2.0, 3.0, 4.0]])
+    out = apply_block_factor_batch(src, t, geom)[0]
     assert out == pytest.approx([0.3 * 1 + 0.1 * 2 + 0.5 * 3, 0.3 * 2 + 0.1 * 3 + 0.5 * 4])
 
 
 def test_ma_transform_constant_input():
     t = ma_transform((0.3, 0.1, 0.5))
     geom = LatticeGeometry(10, 1, 0, 2, 0, 0)
-    out = apply_block_factor(RandomField(values=np.ones((1, 10))), t, geom).values
+    out = apply_block_factor_batch(np.ones((1, 10)), t, geom)
     assert np.allclose(out, 0.9)
 
 
@@ -123,9 +119,9 @@ def test_ma_output_variance_matches_coefficients():
     # Var(X_t) = sum(a^2) * sigma^2 for white-noise input
     coeffs = (0.3, 0.1, 0.5)
     n = 100_000
-    src = generate_field(MarginalDistribution.gaussian(0.0, 1.0), n + 2, 1, SeedSpec(21))
+    src = MarginalDistribution.gaussian(0.0, 1.0).sample(SeedSpec(21).generator(), (1, n + 2))
     geom = LatticeGeometry(n + 2, 1, 0, 2, 0, 0)
-    out = apply_block_factor(src, ma_transform(coeffs), geom).values
+    out = apply_block_factor_batch(src, ma_transform(coeffs), geom)
     target = sum(a * a for a in coeffs)
     assert abs(out.var() - target) < 0.01
 
@@ -140,29 +136,18 @@ def test_ma_coefficients_validated():
 def test_batch_matches_per_site_evaluation():
     """The vectorised path agrees with site-by-site configuration evaluation."""
     rng = np.random.default_rng(77)
-    src = RandomField(values=rng.integers(0, 5, size=(7, 8)).astype(np.int64))
+    src = rng.integers(0, 5, size=(7, 8)).astype(np.int64)
     for transform, extents in (
         (minesweeper_transform(), (1, 1, 1, 1)),
         (ma_transform((0.5, -1.0, 2.0)), (0, 2, 0, 0)),
     ):
         geom = LatticeGeometry(8, 7, *extents)
-        batch = apply_block_factor(src, transform, geom).values
+        batch = apply_block_factor_batch(src, transform, geom)
         for jj in range(geom.derived_rows):
             for ii in range(geom.derived_cols):
                 i, j = ii + geom.x1 + 1, jj + geom.y1 + 1
                 expected = transform(configuration_matrix(src, i, j, geom))
                 assert batch[jj, ii] == pytest.approx(expected)
-
-
-def test_nonlinear_scalar_fallback():
-    t = BlockFactorTransform(name="winmax", c1=2, c2=2, func=lambda m: float(m.max()))
-    rng = np.random.default_rng(5)
-    src = RandomField(values=rng.integers(0, 9, size=(5, 6)).astype(np.int64))
-    geom = LatticeGeometry(6, 5, 0, 1, 0, 1)
-    out = apply_block_factor(src, t, geom).values
-    for jj in range(geom.derived_rows):
-        for ii in range(geom.derived_cols):
-            assert out[jj, ii] == src.values[jj : jj + 2, ii : ii + 2].max()
 
 
 def test_derived_values_depend_only_on_their_window():
@@ -171,13 +156,13 @@ def test_derived_values_depend_only_on_their_window():
     geom = LatticeGeometry(8, 8, 1, 1, 1, 1)
     t = minesweeper_transform()
     base = rng.integers(0, 2, size=(8, 8)).astype(np.int64)
-    out = apply_block_factor(RandomField(values=base), t, geom).values
+    out = apply_block_factor_batch(base, t, geom)
     jj, ii = 2, 3
     perturbed = base.copy()
     mask = np.ones((8, 8), dtype=bool)
     mask[jj : jj + 3, ii : ii + 3] = False
     perturbed[mask] = 1 - perturbed[mask]
-    out2 = apply_block_factor(RandomField(values=perturbed), t, geom).values
+    out2 = apply_block_factor_batch(perturbed, t, geom)
     assert out[jj, ii] == out2[jj, ii]
 
 
@@ -218,28 +203,6 @@ def test_catalog_lookup():
         catalog_transform("minesweeper", radius=2)
 
 
-@pytest.mark.parametrize(
-    "func",
-    [np.max, lambda m: float(3 * m[0, 0] - m[-1, -1] + m.min())],
-    ids=["max", "corner-weighted"],
-)
-def test_nonlinear_fallback_matches_configuration_matrix(func):
-    """Every site of the fallback equals the transform of its configuration matrix."""
-    rng = np.random.default_rng(19)
-    stack = rng.integers(-6, 10, size=(3, 6, 7)).astype(np.int64)
-    geom = LatticeGeometry(7, 6, 1, 0, 2, 0)  # 3 rows by 2 columns, off-centre
-    t = BlockFactorTransform(name="nonlinear", c1=geom.c1, c2=geom.c2, func=func)
-    batch = apply_block_factor_batch(stack, t, geom)
-    assert batch.dtype == np.float64
-    assert batch.shape == (3, geom.derived_rows, geom.derived_cols)
-    for b in range(stack.shape[0]):
-        field = RandomField(values=stack[b])
-        for jj in range(geom.derived_rows):
-            for ii in range(geom.derived_cols):
-                i, j = ii + geom.x1 + 1, jj + geom.y1 + 1
-                assert batch[b, jj, ii] == t(configuration_matrix(field, i, j, geom))
-
-
 def test_narrow_int_bounds_the_dtype_not_the_data():
     assert narrow_int(np.int8, 8) == np.int16  # minesweeper over Bernoulli
     assert narrow_int(np.int8, 255) == np.int16  # 128 * 255 = 32640
@@ -256,7 +219,7 @@ def test_linear_batch_dtype_holds_int8_extremes():
     geom = LatticeGeometry(4, 4, 1, 0, 1, 0)
     for total, dtype in ((255, np.int16), (256, np.int32)):
         weights = np.array([[64, 64], [64, total - 192]], dtype=np.int64)
-        t = BlockFactorTransform(name="wide", c1=2, c2=2, weights=weights)
+        t = BlockFactorTransform(name="wide", weights=weights)
         for fill in (-128, 127):
             out = apply_block_factor_batch(np.full((2, 4, 4), fill, dtype=np.int8), t, geom)
             assert out.dtype == dtype

@@ -240,6 +240,43 @@ def test_spec_rejections_name_their_config_key(tmp_path, capsys, updates, key):
     assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
 
 
+_UNRUNNABLE = {
+    # a row scan samples one row, so 20 rows would be answered for one
+    "row-scan-over-rows": (
+        {"p": 0.2, "source_cols": 30, "source_rows": 20, "m2": 1, "thresholds": [2],
+         "include_sim": True},
+        "source_rows",
+    ),
+    "poisson-mean-past-numpy": (
+        {"distribution": "poisson", "p": None, "mean": 1e20}, "distribution"
+    ),
+    "binomial-trials-past-int64": (
+        {"distribution": "binomial", "trials": 10**30}, "distribution"
+    ),
+    # draws fine, but 2x2 sums of minesweeper counts would wrap int64
+    "poisson-sums-past-int64": (
+        {"transform": "minesweeper", "distribution": "poisson", "p": None, "mean": 1e18,
+         "m1": 2, "m2": 2, "thresholds": [5]},
+        "mean",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNRUNNABLE))
+def test_unrunnable_configs_exit_2_with_one_error_line(tmp_path, capsys, name):
+    updates, key = _UNRUNNABLE[name]
+    path = _write_config(tmp_path, **updates)
+    out = str(tmp_path / "out.tsv")
+    for argv in (
+        ["validate-config", "-c", path],
+        ["approximate", "-c", path, "-o", out],
+        ["simulate", "-c", path, "-o", out],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}': ") and err.count("\n") == 1
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -381,3 +418,29 @@ def test_plotdata_threshold_mismatch_fails(tmp_path, capsys):
                  "-o", str(tmp_path / "plot.tsv")])
     assert code == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--approx", "--sim"])
+@pytest.mark.parametrize("table", ["no-columns", "wrong-columns", "non-numeric"])
+def test_plotdata_rejects_a_table_it_cannot_read(tmp_path, capsys, flag, table):
+    config_path = _write_config(tmp_path)
+    approx_out, sim_out = tmp_path / "approx.tsv", tmp_path / "sim.tsv"
+    main(["approximate", "-c", config_path, "-o", str(approx_out)])
+    main(["simulate", "-c", config_path, "-o", str(sim_out)])
+    good = approx_out if flag == "--approx" else sim_out
+    bad = tmp_path / "bad.tsv"
+    if table == "no-columns":
+        bad.write_text("6\t0.5\n7\t0.6\n")
+    elif table == "wrong-columns":
+        # a simulate table has no approx column; this approximate table has no sim numbers
+        bad.write_bytes((sim_out if flag == "--approx" else approx_out).read_bytes())
+    else:
+        lines = good.read_text().splitlines()
+        cells = lines[-1].split("\t")
+        cells[2 if flag == "--approx" else 1] = "abc"
+        bad.write_text("\n".join(lines[:-1] + ["\t".join(cells)]) + "\n")
+    tables = {"--approx": str(approx_out), "--sim": str(sim_out), flag: str(bad)}
+    argv = ["plotdata", "--approx", tables["--approx"], "--sim", tables["--sim"]]
+    assert main(argv + ["-o", str(tmp_path / "plot.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.tsv" in err and err.count("\n") == 1

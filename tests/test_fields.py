@@ -4,50 +4,53 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blockscan import MarginalDistribution, SeedSpec, generate_field
+from blockscan import MarginalDistribution, SeedSpec
 from blockscan.errors import ParameterError
+
+# NumPy's Generator.poisson rejects a mean above int64 max - 10 * sqrt(int64 max)
+_NUMPY_POISSON_MAX = 9.223372006484771e18
 
 
 def test_bernoulli_p0_all_zero():
-    field = generate_field(MarginalDistribution.bernoulli(0.0), 4, 4, SeedSpec(1))
-    assert np.all(field.values == 0)
+    field = MarginalDistribution.bernoulli(0.0).sample(SeedSpec(1).generator(), (4, 4))
+    assert np.all(field == 0)
 
 
 def test_bernoulli_p1_all_one():
-    field = generate_field(MarginalDistribution.bernoulli(1.0), 4, 4, SeedSpec(1))
-    assert np.all(field.values == 1)
+    field = MarginalDistribution.bernoulli(1.0).sample(SeedSpec(1).generator(), (4, 4))
+    assert np.all(field == 1)
 
 
 def test_bernoulli_law_of_large_numbers():
-    field = generate_field(MarginalDistribution.bernoulli(0.5), 1000, 100, SeedSpec(7))
-    assert abs(field.values.mean() - 0.5) <= 3 * np.sqrt(0.25 / 1e5)
+    field = MarginalDistribution.bernoulli(0.5).sample(SeedSpec(7).generator(), (100, 1000))
+    assert abs(field.mean() - 0.5) <= 3 * np.sqrt(0.25 / 1e5)
 
 
 def test_generation_is_deterministic():
     dist = MarginalDistribution.poisson(2.5)
-    a = generate_field(dist, 30, 20, SeedSpec(123, 4))
-    b = generate_field(dist, 30, 20, SeedSpec(123, 4))
-    assert np.array_equal(a.values, b.values)
+    a = dist.sample(SeedSpec(123, 4).generator(), (20, 30))
+    b = dist.sample(SeedSpec(123, 4).generator(), (20, 30))
+    assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
     dist = MarginalDistribution.gaussian(0.0, 1.0)
-    a = generate_field(dist, 10, 10, SeedSpec(5, 0))
-    b = generate_field(dist, 10, 10, SeedSpec(5, 1))
-    assert not np.array_equal(a.values, b.values)
+    a = dist.sample(SeedSpec(5, 0).generator(), (10, 10))
+    b = dist.sample(SeedSpec(5, 1).generator(), (10, 10))
+    assert not np.array_equal(a, b)
 
 
 def test_stream_independence_proxy():
     dist = MarginalDistribution.gaussian(0.0, 1.0)
-    a = generate_field(dist, 100, 100, SeedSpec(99, 0)).values.ravel()
-    b = generate_field(dist, 100, 100, SeedSpec(99, 1)).values.ravel()
+    a = dist.sample(SeedSpec(99, 0).generator(), (100, 100)).ravel()
+    b = dist.sample(SeedSpec(99, 1).generator(), (100, 100)).ravel()
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 4 / np.sqrt(a.size)
 
 
 def test_bernoulli_chisquare_goodness_of_fit():
     p = 0.3
-    values = generate_field(MarginalDistribution.bernoulli(p), 1000, 100, SeedSpec(17)).values
+    values = MarginalDistribution.bernoulli(p).sample(SeedSpec(17).generator(), (100, 1000))
     ones = int(values.sum())
     n = values.size
     result = stats.chisquare([n - ones, ones], [n * (1 - p), n * p])
@@ -56,7 +59,7 @@ def test_bernoulli_chisquare_goodness_of_fit():
 
 def test_poisson_chisquare_goodness_of_fit():
     mean = 3.0
-    values = generate_field(MarginalDistribution.poisson(mean), 1000, 100, SeedSpec(18)).values
+    values = MarginalDistribution.poisson(mean).sample(SeedSpec(18).generator(), (100, 1000))
     n = values.size
     # bin the tail so every expected count stays comfortably large
     upper = 10
@@ -78,6 +81,11 @@ def test_poisson_chisquare_goodness_of_fit():
         lambda: MarginalDistribution.poisson(-1.0),
         lambda: MarginalDistribution.gaussian(0.0, 0.0),
         lambda: MarginalDistribution("triangular", p=0.5),
+        # past what NumPy draws: its Poisson mean limit and int64 trials
+        lambda: MarginalDistribution.poisson(1e20),
+        lambda: MarginalDistribution.poisson(float(np.nextafter(_NUMPY_POISSON_MAX, math.inf))),
+        lambda: MarginalDistribution.binomial(10**30, 0.5),
+        lambda: MarginalDistribution.binomial(2**63, 0.5),
     ],
 )
 def test_invalid_parameters_rejected(build):
@@ -85,17 +93,23 @@ def test_invalid_parameters_rejected(build):
         build()
 
 
-def test_invalid_dimensions_rejected():
-    with pytest.raises(ParameterError):
-        generate_field(MarginalDistribution.bernoulli(0.5), 0, 4, SeedSpec(1))
+def test_largest_accepted_parameters_draw():
+    """The largest Poisson mean and binomial trials accepted are ones NumPy draws."""
+    rng = SeedSpec(4).generator()
+    for dist in (
+        MarginalDistribution.poisson(_NUMPY_POISSON_MAX),
+        MarginalDistribution.binomial(2**63 - 1, 0.5),
+    ):
+        assert dist.sample(rng, 3).dtype == np.int64
+    with pytest.raises(ValueError):
+        rng.poisson(float(np.nextafter(_NUMPY_POISSON_MAX, math.inf)))
 
 
-def test_at_uses_column_row_convention():
-    field = generate_field(MarginalDistribution.poisson(4.0), 5, 3, SeedSpec(2))
-    assert field.cols == 5 and field.rows == 3
-    assert field.at(2, 3) == field.values[2, 1]
-    with pytest.raises(IndexError):
-        field.at(6, 1)
+@pytest.mark.parametrize("mean", [1e-3, 0.2, 3.0, 1e3, 1e9, 1e15])
+def test_poisson_cell_bound_is_a_2_to_minus_64_tail(mean):
+    bound = MarginalDistribution.poisson(mean).cell_bound
+    assert stats.poisson.sf(bound, mean) < 2.0**-64
+    assert bound < mean + 20.0 * math.sqrt(mean) + 40.0
 
 
 _RAW_DRAW_PS = [

@@ -16,7 +16,6 @@ from blockscan import (
     catalog_transform,
     estimate_quv,
     identity_transform,
-    interpolated_approximation,
     ma_theory,
     ma_transform,
     minesweeper_transform,
@@ -87,6 +86,59 @@ def test_spec_validation():
         _bernoulli_spec(cols=2, rows=12)
     with pytest.raises(ParameterError):
         _bernoulli_spec(iterations=0)
+
+
+def test_row_scan_needs_one_source_row():
+    """A row scan samples one row, so a taller source would be answered for one row."""
+    spec = dict(
+        scan=ScanGeometry(3, 1),
+        distribution=MarginalDistribution.bernoulli(0.2),
+        transform=identity_transform(),
+        thresholds=(2.0,),
+    )
+    assert ExperimentSpec(geometry=LatticeGeometry(30, 1), **spec).one_dimensional
+    with pytest.raises(GeometryError) as err:
+        ExperimentSpec(geometry=LatticeGeometry(30, 20), **spec)
+    assert err.value.field == "source_rows"
+
+
+@pytest.mark.parametrize(
+    "distribution, transform, m, field",
+    [
+        # largest cell bound 1e18 + 9.5e9 times 8 * 2 * 2: past int64
+        (MarginalDistribution.poisson(1e18), "minesweeper", 2, "mean"),
+        (MarginalDistribution.binomial(2**62, 0.5), "identity", 2, "trials"),
+        (MarginalDistribution.binomial(2**61, 0.5), "identity", 3, "trials"),
+    ],
+    ids=["poisson-minesweeper-2x2", "binomial-identity-2x2", "binomial-identity-3x3"],
+)
+def test_integer_window_sums_must_fit_int64(distribution, transform, m, field):
+    t, extents = catalog_transform(transform)
+    with pytest.raises(ParameterError) as err:
+        ExperimentSpec(
+            geometry=LatticeGeometry(12, 12, *extents),
+            scan=ScanGeometry(m, m),
+            distribution=distribution,
+            transform=t,
+            thresholds=(5.0,),
+        )
+    assert err.value.field == field
+
+
+def test_integer_window_sums_at_the_int64_edge_are_exact():
+    """The largest accepted trials give window sums that reach int64 max without wrapping."""
+    trials = (2**63 - 1) // 4
+    spec = ExperimentSpec(
+        geometry=LatticeGeometry(12, 12),
+        scan=ScanGeometry(2, 2),
+        distribution=MarginalDistribution.binomial(trials, 1.0),
+        transform=identity_transform(),
+        thresholds=(2.0 * trials, 4.0 * trials),
+    )
+    with pytest.raises(ParameterError):
+        dataclasses.replace(spec, distribution=MarginalDistribution.binomial(trials + 1, 1.0))
+    # every window sums to 4 * trials; a wrapped sum would be negative
+    assert [row.prob for row in simulate_distribution(spec, replicas=50)] == [0.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -239,7 +291,7 @@ def test_exact_multiple_uses_direct_assembly():
 
 def test_interpolated_rows_are_convex_combinations():
     spec = _bernoulli_spec(cols=13, thresholds=(7, 8), iterations=6000)
-    rows = interpolated_approximation(spec)
+    rows = approximate(spec)
     for row in rows:
         assert row.bracket_low is not None
         assert row.bracket_low - 1e-12 <= row.approx <= row.bracket_high + 1e-12
@@ -256,7 +308,7 @@ def test_bracket_straddling_validity_has_a_nan_ledger(monkeypatch):
     low, high = two_step_approximation(rec, 5, 5), two_step_approximation(rec, 6, 5)
     assert low.valid and not high.valid
     monkeypatch.setattr(pipeline, "estimate_quv", lambda spec, threads=None: [rec])
-    [row] = interpolated_approximation(_bernoulli_spec(cols=13, thresholds=(7,)))
+    [row] = approximate(_bernoulli_spec(cols=13, thresholds=(7,)))
     assert not row.valid
     assert all(math.isnan(e) for e in (row.e_app, row.e_sf, row.e_sapp, row.e_total))
     assert row.bracket_low == min(low.approx, high.approx)

@@ -7,20 +7,14 @@ from blockscan import (
     BlockFactorTransform,
     LatticeGeometry,
     MarginalDistribution,
-    RandomField,
     ScanGeometry,
     SeedSpec,
     brute_moving_sums,
     brute_scan_statistic,
     configuration_matrix,
-    generate_field,
-    moving_sums,
-    row_scan_max,
-    scan_statistic,
-    sub_rectangle_scan_max,
 )
 from blockscan.blockfactor import Buffers, apply_block_factor_batch
-from blockscan.errors import GeometryError, IndexRangeError
+from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
 
 
@@ -31,11 +25,11 @@ def test_scan_geometry_validation():
 
 
 def test_constant_field_sums():
-    field = RandomField(values=np.full((6, 9), 4, dtype=np.int64))
-    sums = moving_sums(field, 3, 2)
-    assert sums.anchors_cols == 7 and sums.anchors_rows == 5
-    assert np.all(sums.values == 3 * 2 * 4)
-    assert scan_statistic(field, 3, 2) == 24
+    field = np.full((6, 9), 4, dtype=np.int64)
+    sums = window_sums_batch(field, 3, 2)
+    assert sums.shape == (5, 7)
+    assert np.all(sums == 3 * 2 * 4)
+    assert sums.max() == 24
 
 
 def test_prefix_sums_match_brute_force_on_random_integer_fields():
@@ -60,8 +54,8 @@ def test_prefix_sums_match_brute_force_on_float_fields():
 
 
 def test_scan_statistic_matches_brute_force():
-    field = generate_field(MarginalDistribution.poisson(2.0), 12, 9, SeedSpec(8))
-    assert scan_statistic(field, 3, 2) == brute_scan_statistic(field.values, 3, 2)
+    field = MarginalDistribution.poisson(2.0).sample(SeedSpec(8).generator(), (9, 12))
+    assert window_sums_batch(field, 3, 2).max() == brute_scan_statistic(field, 3, 2)
 
 
 def test_translation_shifts_sums_by_window_area():
@@ -79,26 +73,6 @@ def test_scan_statistic_monotone_in_field_values():
     bumped = values.copy()
     bumped[4, 6] += 3
     assert window_sums_batch(bumped, 3, 3).max() >= s0
-
-
-def test_sub_rectangle_scan_max():
-    field = generate_field(MarginalDistribution.poisson(3.0), 10, 10, SeedSpec(12))
-    sums = moving_sums(field, 3, 3)
-    full = sub_rectangle_scan_max(field, 3, 3, sums.anchors_cols, sums.anchors_rows)
-    assert full == scan_statistic(field, 3, 3)
-    assert sub_rectangle_scan_max(field, 3, 3, 1, 1) == sums.values[0, 0]
-    partial = sub_rectangle_scan_max(field, 3, 3, 4, 5)
-    assert partial == sums.values[:5, :4].max()
-    with pytest.raises(GeometryError):
-        sub_rectangle_scan_max(field, 3, 3, sums.anchors_cols + 1, 1)
-
-
-def test_row_scan_max():
-    field = RandomField(values=np.array([[1, 2, 3, 4], [9, 0, 0, 9]], dtype=np.int64))
-    assert row_scan_max(field, 2, 1) == 7
-    assert row_scan_max(field, 2, 2) == 9
-    with pytest.raises(IndexRangeError):
-        row_scan_max(field, 2, 3)
 
 
 def test_window_must_fit():
@@ -152,7 +126,7 @@ def _linear_kernel_cases(draw):
         source = rng.integers(-128, 128, size=shape, dtype=np.int8)
     else:
         source = np.full(shape, -128 if fill == "min" else 127, dtype=np.int8)
-    transform = BlockFactorTransform(name="drawn", c1=c1, c2=c2, weights=weights)
+    transform = BlockFactorTransform(name="drawn", weights=weights)
     return source, transform, geom, m1, m2
 
 
@@ -166,16 +140,7 @@ def test_linear_kernel_matches_per_site_oracle(case):
     exact = integer_source and np.issubdtype(transform.weights.dtype, np.integer)
     assert np.issubdtype(fast.dtype, np.integer) if exact else fast.dtype == np.float64
     for b in range(source.shape[0]):
-        field = RandomField(values=source[b])
-        derived = np.array(
-            [
-                [
-                    transform(configuration_matrix(field, ii + geom.x1 + 1, jj + geom.y1 + 1, geom))
-                    for ii in range(geom.derived_cols)
-                ]
-                for jj in range(geom.derived_rows)
-            ]
-        )
+        derived = _per_site_transform(source[b], transform, geom)
         slow = brute_moving_sums(derived, m1, m2)
         if exact:
             assert np.array_equal(fast[b], slow)
@@ -211,11 +176,10 @@ def test_integer_sums_use_the_narrow_dtype_bound():
 
 def _per_site_transform(values: np.ndarray, transform, geom) -> np.ndarray:
     """The block factor of one 2-D field, one configuration matrix per site."""
-    field = RandomField(values=values)
     return np.array(
         [
             [
-                transform(configuration_matrix(field, ii + geom.x1 + 1, jj + geom.y1 + 1, geom))
+                transform(configuration_matrix(values, ii + geom.x1 + 1, jj + geom.y1 + 1, geom))
                 for ii in range(geom.derived_cols)
             ]
             for jj in range(geom.derived_rows)
@@ -248,7 +212,7 @@ def test_flat_kernel_handles_any_input_layout(layout, dtype):
     stack = (stack > 0) if dtype == np.bool_ else stack.astype(dtype)
     source = _LAYOUTS[layout](stack)
     weights = np.array([[1, -2, 0], [3, 1, 1]], dtype=np.int64)
-    transform = BlockFactorTransform(name="drawn", c1=3, c2=2, weights=weights)
+    transform = BlockFactorTransform(name="drawn", weights=weights)
     geom = LatticeGeometry(8, 7, 1, 1, 0, 1)
     derived = apply_block_factor_batch(source, transform, geom)
     sums = window_sums_batch(derived, 3, 2)
@@ -303,7 +267,7 @@ def test_kernels_reusing_buffers_equal_fresh_arrays():
         stack = rng.integers(-4, 5, size=(2, 23, 24))
         source = (stack > 1) if m % 3 == 0 else stack.astype(np.int8 if m % 3 == 1 else np.float64)
         weights = kernels[m % 3]
-        transform = BlockFactorTransform(name="drawn", c1=3, c2=3, weights=weights)
+        transform = BlockFactorTransform(name="drawn", weights=weights)
         geom = LatticeGeometry(24, 23, 1, 1, 1, 1)
         derived = apply_block_factor_batch(source, transform, geom, buffers=buffers)
         fresh = apply_block_factor_batch(source, transform, geom)
