@@ -105,15 +105,18 @@ def configuration_matrix(
     return block[::-1, :].copy()
 
 
-def narrow_int(src_dtype, gain: int) -> np.dtype:
-    """Narrowest of int8, int16, int32 and int64 that holds ``max|src_dtype| * gain``.
+def narrow_int(src_dtype, gain: int, bound: int | None = None) -> np.dtype:
+    """Narrowest of int8, int16, int32 and int64 that holds ``max|value| * gain``.
 
-    The bound reads only the dtype, never the data: any sum of ``gain``
+    ``max|value|`` is the bound of ``src_dtype``, or ``bound`` where that is
+    smaller: an exact bound on ``|value|`` the caller knows for the data,
+    e.g. ``trials`` for binomial cells held in int64.  Without ``bound``
+    the result reads only the dtype, never the data.  Any sum of ``gain``
     unit-weight terms (or terms whose absolute weights add up to ``gain``)
-    of values of ``src_dtype`` fits.  A bool counts as 1, so of nonzero
-    gains only bool sources reach int8: every other integer dtype already
-    bounds a value by 128 or more.  Past int64 the result stays int64.  A
-    dtype that is neither integer nor bool accumulates in float64.
+    then fits.  A bool counts as 1, so without ``bound`` only bool sources
+    reach int8 at nonzero gains: every other integer dtype already bounds a
+    value by 128 or more.  Past int64 the result stays int64.  A dtype that
+    is neither integer nor bool accumulates in float64, whatever ``bound``.
     """
     src_dtype = np.dtype(src_dtype)
     if src_dtype == np.bool_:
@@ -123,9 +126,11 @@ def narrow_int(src_dtype, gain: int) -> np.dtype:
     else:
         info = np.iinfo(src_dtype)
         top = max(-int(info.min), int(info.max))
-    bound = top * int(gain)
+    if bound is not None:
+        top = min(top, int(bound))
+    total = top * int(gain)
     for candidate in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(candidate).max:
+        if total <= np.iinfo(candidate).max:
             return np.dtype(candidate)
     return np.dtype(np.int64)
 
@@ -137,14 +142,17 @@ class Buffers:
     the bytes kept under ``name``, so a worker that passes the same
     ``Buffers`` to every chunk writes each temporary into the memory the
     last chunk used, instead of asking the allocator, and the kernel for
-    fresh pages, again.  ``layout`` (bytes per name, see ``layout_for``)
-    places names in one block up front; any other name, or a take larger
-    than its bytes, gets new bytes of its own.  ``taken`` records the most
-    bytes taken per name.  Contents are not kept: the next take of a name
-    may overwrite what the last one handed out.  ``scratch0`` and
-    ``scratch1`` hold temporaries of one layer call only.  Not thread-safe:
-    give each worker its own.  A fresh ``Buffers()`` hands out fresh
-    arrays.
+    fresh pages, again.  ``layout`` (bytes per name, see ``growth``)
+    places names in one block up front, every name at an address that is a
+    multiple of 64, the size of a cache line; any other name, or a take
+    larger than its bytes, gets new bytes of its own.  ``taken`` records
+    the most bytes taken per name.  Contents are not kept: the next take of
+    a name may overwrite what the last one handed out.  ``scratch0`` and
+    ``scratch1`` hold temporaries of one layer call only.  The pipeline
+    lays out the kernels' temporaries for one sub-batch of replicas and the
+    ``source`` for a whole chunk; which replicas share a sub-batch changes
+    no draw and no value.  Not thread-safe: give each worker its own.  A
+    fresh ``Buffers()`` hands out fresh arrays.
     """
 
     def __init__(self, layout: dict[str, int] | None = None):
@@ -153,7 +161,9 @@ class Buffers:
         for name, nbytes in layout.items():
             starts[name] = end
             end += -(-nbytes // 64) * 64  # every slot keeps the alignment of the block
-        block = np.empty(end, dtype=np.uint8)
+        # malloc aligns to 16 bytes only; start the block at a cache line
+        block = np.empty(end + 63, dtype=np.uint8)
+        block = block[-block.ctypes.data % 64 :][:end]
         self._bytes = {name: block[starts[name] : starts[name] + n] for name, n in layout.items()}
         self.taken: dict[str, int] = {}
 
@@ -167,17 +177,18 @@ class Buffers:
         return raw[:nbytes].view(dtype)
 
     @staticmethod
-    def layout_for(run, count: int) -> dict[str, int]:
-        """Bytes per name that ``run(count, buffers)`` takes.
+    def growth(run) -> tuple[dict[str, int], dict[str, int]]:
+        """Bytes per name that ``run(count, buffers)`` takes at one replica, and per more.
 
         The size of every temporary of a chunk is affine in its replica
         count (a flat run over the replicas, short by a fixed tail), so two
-        small runs, of one and two replicas, fix it for ``count``.
+        small runs, of one and two replicas, fix it: ``run(count, buffers)``
+        takes ``one[name] + (count - 1) * step[name]`` bytes of each name.
         """
         one, two = Buffers(), Buffers()
         run(1, one)
         run(2, two)
-        return {name: n + (count - 1) * (two.taken[name] - n) for name, n in one.taken.items()}
+        return one.taken, {name: two.taken[name] - n for name, n in one.taken.items()}
 
 
 def _flat_kernel(arr: np.ndarray, out_rows: int, out_cols: int, kernel, take) -> np.ndarray:
@@ -219,6 +230,7 @@ def apply_block_factor_batch(
     transform: BlockFactorTransform,
     geom: LatticeGeometry,
     *,
+    bound: int | None = None,
     buffers: Buffers | None = None,
 ) -> np.ndarray:
     """Vectorised transform of a ``(..., rows, cols)`` stack of source lattices.
@@ -229,11 +241,17 @@ def apply_block_factor_batch(
     ``buffers`` (weighted terms go through ``scratch0``), and
     the result is a strided view of it.  Without ``buffers`` those arrays
     are fresh; with them the result is overwritten by the next call on the
-    same ``buffers``.  Integer and bool sources with integer weights
-    accumulate in ``narrow_int(source.dtype, sum|w|)``, e.g. int8 for
-    minesweeper over a bool Bernoulli source; everything else is float64.
-    The values are exact, but the narrow dtype can overflow in later
-    arithmetic (``out * out`` on int8), so widen first.
+    same ``buffers``.  Each replica's values depend on its own source only,
+    so a stack split into sub-batches gives the same values.  Integer and
+    bool sources with integer weights accumulate in
+    ``narrow_int(source.dtype, sum|w|, bound)``; ``bound`` is an exact bound
+    on ``|source|`` that the caller knows (the pipeline passes the
+    distribution's ``cell_bound`` for Bernoulli and binomial, and none for
+    Poisson, whose ``cell_bound`` is only a tail bound), so minesweeper
+    over Bernoulli cells is int8.  A ``bound`` that some value passes makes
+    the sums wrap.  Everything else is float64.  The values are exact, but
+    the narrow dtype can overflow in later arithmetic (``out * out`` on
+    int8), so widen first.
     """
     if source.shape[-2:] != (geom.source_rows, geom.source_cols):
         raise GeometryError(
@@ -247,9 +265,12 @@ def apply_block_factor_batch(
     # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
     kernel = transform.weights[::-1, :]
     if np.issubdtype(kernel.dtype, np.integer):
-        dtype = narrow_int(source.dtype, np.abs(kernel).sum())
+        dtype = narrow_int(source.dtype, np.abs(kernel).sum(), bound)
     else:
         dtype = np.dtype(np.float64)
+    if source.dtype == np.bool_ and dtype == np.int8:
+        # the same bytes, 0 or 1: int8 adds then need no cast of their input
+        source = source.view(np.int8)
     buffers = Buffers() if buffers is None else buffers
 
     def shifted_sum(flat: np.ndarray, row_step: int, out: np.ndarray) -> None:

@@ -141,13 +141,10 @@ class RunConfig:
         try:
             geometry = LatticeGeometry(self.source_cols, self.source_rows, x1, x2, y1, y2)
             scan = ScanGeometry(self.m1, self.m2)
-            try:
-                dist = MarginalDistribution(
-                    self.distribution, p=self.p, trials=self.trials,
-                    mean=self.mean, variance=self.variance,
-                )
-            except ParameterError as exc:
-                raise ConfigError("distribution", str(exc)) from exc
+            dist = MarginalDistribution(
+                self.distribution, p=self.p, trials=self.trials,
+                mean=self.mean, variance=self.variance,
+            )
             if dist.integer_valued and np.issubdtype(transform.weights.dtype, np.integer):
                 for n in self.thresholds:
                     if float(n) != int(n):

@@ -85,28 +85,33 @@ class MarginalDistribution:
     variance: float | None = None
 
     def __post_init__(self):
+        # each rejection names the parameter at fault, or the kind
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ParameterError(f"bernoulli p must be in [0, 1], got {self.p}")
+                raise ParameterError(f"bernoulli p must be in [0, 1], got {self.p}", field="p")
         elif self.kind == "binomial":
             if self.trials is None or not 1 <= self.trials <= _INT64_MAX:
                 raise ParameterError(
-                    f"binomial trials must be in [1, 2**63 - 1], got {self.trials}"
+                    f"binomial trials must be in [1, 2**63 - 1], got {self.trials}",
+                    field="trials",
                 )
             if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ParameterError(f"binomial p must be in [0, 1], got {self.p}")
+                raise ParameterError(f"binomial p must be in [0, 1], got {self.p}", field="p")
         elif self.kind == "poisson":
             if self.mean is None or not 0.0 < self.mean <= _POISSON_MEAN_MAX:
                 raise ParameterError(
-                    f"poisson mean must be in (0, {_POISSON_MEAN_MAX:.6g}], got {self.mean}"
+                    f"poisson mean must be in (0, {_POISSON_MEAN_MAX:.6g}], got {self.mean}",
+                    field="mean",
                 )
         elif self.kind == "gaussian":
             if self.mean is None:
-                raise ParameterError("gaussian mean is required")
+                raise ParameterError("gaussian mean is required", field="mean")
             if self.variance is None or not self.variance > 0.0:
-                raise ParameterError(f"gaussian variance must be > 0, got {self.variance}")
+                raise ParameterError(
+                    f"gaussian variance must be > 0, got {self.variance}", field="variance"
+                )
         else:
-            raise ParameterError(f"unknown distribution kind {self.kind!r}")
+            raise ParameterError(f"unknown distribution kind {self.kind!r}", field="distribution")
 
     @classmethod
     def bernoulli(cls, p: float) -> "MarginalDistribution":

@@ -35,6 +35,10 @@ from .scan import ScanGeometry, tile_maxima, window_sums_batch
 _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 # how Theorem 1's l is chosen; see ``haiman.theorem1_constants``
 L_MODES = ("boundary", "optimize")
+# bytes of the widest temporary of one kernel pass over a sub-batch of
+# replicas: small enough that a pass reads and writes in L2, large enough
+# that the per-call overhead of the ufuncs stays small
+_SUB_BATCH_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -68,15 +72,13 @@ class ExperimentSpec:
                 raise GeometryError("scan window does not fit in the derived field", field=side)
             if not self.one_dimensional and getattr(s, side) < 2:
                 raise GeometryError("two-dimensional scans require m1 >= 2 and m2 >= 2", field=side)
-        bound = self.distribution.cell_bound
-        if bound is not None and np.issubdtype(self.transform.weights.dtype, np.integer):
-            # integer weights keep the sums exact in int64; past it they would wrap
-            top = bound * int(np.abs(self.transform.weights).sum()) * s.m1 * s.m2
-            if top > np.iinfo(np.int64).max:
-                raise ParameterError(
-                    f"window sums of {self.distribution.kind} cells can reach {top}, past int64",
-                    field="trials" if self.distribution.kind == "binomial" else "mean",
-                )
+        # integer weights keep the sums exact in int64; past it they would wrap
+        top = self.value_bounds(self.distribution.cell_bound)[1]
+        if top is not None and top > np.iinfo(np.int64).max:
+            raise ParameterError(
+                f"window sums of {self.distribution.kind} cells can reach {top}, past int64",
+                field="trials" if self.distribution.kind == "binomial" else "mean",
+            )
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1", field="iterations")
         if not 0.0 < self.confidence_z < math.inf:
@@ -98,6 +100,18 @@ class ExperimentSpec:
             raise GeometryError(
                 "source height must cover at least three block units", field="source_rows"
             )
+
+    def value_bounds(self, cell: int | None) -> tuple[int | None, int | None]:
+        """Bounds on ``|value|`` of a block-factor value and a window sum, given ``|cell| <= cell``.
+
+        ``cell * sum|w|`` and that times ``m1 * m2``; ``(None, None)`` without
+        a cell bound or under weights that are not integers, whose sums are
+        float64.
+        """
+        if cell is None or not np.issubdtype(self.transform.weights.dtype, np.integer):
+            return None, None
+        derived = cell * int(np.abs(self.transform.weights).sum())
+        return derived, derived * self.scan.m1 * self.scan.m2
 
     @property
     def one_dimensional(self) -> bool:
@@ -190,6 +204,11 @@ def _chunk_size(cells: int) -> int:
     return max(1, min(8192, 4_000_000 // max(cells, 1)))
 
 
+def _sub_batch_size(replica_bytes: int) -> int:
+    """Replicas per kernel pass: the widest temporary, ``replica_bytes`` each, within budget."""
+    return max(1, _SUB_BATCH_BYTES // max(replica_bytes, 1))
+
+
 def _worker_count(threads: int | None, n_chunks: int) -> int:
     """Threads worth starting: the requested count, at most one per chunk."""
     return max(1, min(threads or 1, n_chunks))
@@ -228,6 +247,18 @@ def _tally(
     over both tile axes.  Returns
     the thresholds and, per extent and threshold, the estimate and its Wald
     half-width.
+
+    A chunk draws all its source fields first, in one ``sample`` call, and
+    the kernels then run over consecutive sub-batches of them, sized by
+    ``_sub_batch_size`` so that each pass stays in L2; the counts of the
+    sub-batches add up.  The draws, and so every tally, are those of the
+    whole chunk at once, whatever the sub-batch size; drawing per sub-batch
+    would not be, as a chunk's Bernoulli tie words follow all its byte
+    words.  Integer sums are as
+    narrow as an exact bound on the data allows (``ExperimentSpec.value_bounds``
+    of the Bernoulli or binomial ``cell_bound``); a Poisson source keeps its
+    dtype's bound, because its ``cell_bound`` is a ``2**-64`` tail bound
+    that a cell may pass.
     """
     thr = np.asarray(spec.thresholds if thresholds is None else thresholds, dtype=np.float64)
     if thr.size == 0:
@@ -238,39 +269,51 @@ def _tally(
     m1, m2 = spec.scan.m1, spec.scan.m2
     dist = spec.distribution
     chunk = _chunk_size(rows * cols)
+    cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
+    derived_bound = spec.value_bounds(cell_bound)[0]
 
-    def layers(rng: np.random.Generator, count: int, buffers: Buffers) -> np.ndarray:
-        """Tile maxima of ``count`` replicas, every temporary taken from ``buffers``."""
-        shape = (count, rows, cols)
-        out = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
-        source = dist.sample(rng, shape, out=out)
-        derived = apply_block_factor_batch(source, spec.transform, geometry, buffers=buffers)
-        sums = window_sums_batch(derived, m1, m2, buffers=buffers)
+    def layers(source: np.ndarray, buffers: Buffers) -> np.ndarray:
+        """Tile maxima of a stack of source fields, every temporary taken from ``buffers``."""
+        derived = apply_block_factor_batch(
+            source, spec.transform, geometry, bound=cell_bound, buffers=buffers
+        )
+        sums = window_sums_batch(derived, m1, m2, bound=derived_bound, buffers=buffers)
         return tile_maxima(sums, *tile, buffers=buffers)
 
-    # Each worker keeps its chunk temporaries in one block, laid out by two
-    # tiny passes on a throwaway stream.  One block, not one allocation per
-    # temporary: glibc trims its heap once the free memory at the top
-    # exceeds twice the largest block it has mapped and freed, so separate
-    # temporaries, all freed as this call ends, would be faulted in again
-    # by the next call, while one freed block stays under that bound.
-    layout = Buffers.layout_for(
-        lambda count, buffers: layers(SeedSpec(0).generator(), count, buffers), chunk
-    )
+    # Each worker keeps its temporaries in one block: the kernels' for one
+    # sub-batch, laid out by two tiny passes, and the source for a chunk.
+    # One block, not one allocation per temporary: glibc trims its heap once
+    # the free memory at the top exceeds twice the largest block it has
+    # mapped and freed, so separate temporaries, all freed as this call
+    # ends, would be faulted in again by the next call, while one freed
+    # block stays under that bound.
+    def passes(count: int, buffers: Buffers) -> np.ndarray:
+        return layers(np.zeros((count, rows, cols), dtype=dist.dtype), buffers)
+
+    one, step = Buffers.growth(passes)
+    sub = min(chunk, _sub_batch_size(max(step.values())))
+    layout = {name: n + (sub - 1) * step[name] for name, n in one.items()}
+    layout["source"] = chunk * rows * cols * dist.dtype.itemsize
     workers = threading.local()
 
     def chunk_eval(rng: np.random.Generator, count: int) -> np.ndarray:
         buffers = getattr(workers, "buffers", None)
         if buffers is None:
             buffers = workers.buffers = Buffers(layout)
-        # tile axes first, so every step below runs over the replicas
-        lead = np.moveaxis(layers(rng, count, buffers), 0, -1)
-        for i in range(1, lead.shape[0]):
-            np.maximum(lead[i], lead[i - 1], out=lead[i])
-        for j in range(1, lead.shape[1]):
-            np.maximum(lead[:, j], lead[:, j - 1], out=lead[:, j])
-        maxima = np.stack([lead[v - 1, u - 1] for v, u in extents])
-        return (maxima[:, None, :] <= thr[:, None]).sum(axis=2, dtype=np.int64)
+        shape = (count, rows, cols)
+        out = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
+        source = dist.sample(rng, shape, out=out)
+        counts = np.zeros((len(extents), thr.size), dtype=np.int64)
+        for start in range(0, count, sub):
+            # tile axes first, so every step below runs over the replicas
+            lead = np.moveaxis(layers(source[start : start + sub], buffers), 0, -1)
+            for i in range(1, lead.shape[0]):
+                np.maximum(lead[i], lead[i - 1], out=lead[i])
+            for j in range(1, lead.shape[1]):
+                np.maximum(lead[:, j], lead[:, j - 1], out=lead[:, j])
+            maxima = np.stack([lead[v - 1, u - 1] for v, u in extents])
+            counts += (maxima[:, None, :] <= thr[:, None]).sum(axis=2, dtype=np.int64)
+        return counts
 
     counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
     probs = counts / total

@@ -7,7 +7,8 @@ and combining the blocks named by the set bits of ``m``, so a window of
 side ``m`` costs O(log m) array passes and no prefix sums.  The passes run
 on the flat 1-D layout the block-factor kernel uses, so each is one
 contiguous array operation over a whole stack of fields.  Integer fields
-sum exactly in the narrowest integer dtype their dtype bounds allow;
+sum exactly in the narrowest integer dtype their dtype, or a tighter bound
+the caller knows, allows;
 floating-point fields sum in float64, each result a short tree of at most
 ``m1 * m2`` terms.  ``brute_*`` functions are the O(N^2 m^2) oracles used by
 the test suite.
@@ -76,7 +77,12 @@ def _running_sums(x: np.ndarray, m: int, step: int, out: np.ndarray, buffers: Bu
 
 
 def window_sums_batch(
-    arr: np.ndarray, m1: int, m2: int, *, buffers: Buffers | None = None
+    arr: np.ndarray,
+    m1: int,
+    m2: int,
+    *,
+    bound: int | None = None,
+    buffers: Buffers | None = None,
 ) -> np.ndarray:
     """Window sums over the trailing two axes of ``arr`` for an m1 x m2 window.
 
@@ -87,18 +93,24 @@ def window_sums_batch(
     column pass into ``scan.sums``, of which the result is a strided view;
     without ``buffers`` these arrays are fresh, with them the result is
     overwritten by the next call on the same ``buffers``, and ``arr`` must
-    not be a view of them.  Integer and boolean inputs give
-    ``narrow_int(arr.dtype, m1 * m2)``, e.g. int16 for 3x3 sums of an int8
-    minesweeper field; the values are exact, but the dtype can overflow in
-    later arithmetic, so widen before it.  Floating-point inputs give
-    float64.
+    not be a view of them.  Each field's sums depend on that field only, so
+    a stack split into sub-batches gives the same sums.  Integer and
+    boolean inputs give ``narrow_int(arr.dtype, m1 * m2, bound)``, where
+    ``bound`` is an exact bound on ``|arr|`` that the caller knows (the
+    pipeline passes ``cell_bound * sum|w|`` of the block factor for
+    Bernoulli and binomial sources, see ``ExperimentSpec.value_bounds``);
+    without it the dtype's bound, e.g. 3x3 sums of an int8 field are
+    int16, and with the minesweeper bound 8 int8.  A ``bound`` that some
+    value passes makes the sums wrap.  The values are exact, but the dtype
+    can overflow in later arithmetic, so widen before it.  Floating-point
+    inputs give float64.
     """
     rows, cols = arr.shape[-2:]
     if not (1 <= m1 <= cols and 1 <= m2 <= rows):
         raise GeometryError(
             f"window {m1}x{m2} does not fit in {cols}x{rows} field"
         )
-    dtype = narrow_int(arr.dtype, m1 * m2)
+    dtype = narrow_int(arr.dtype, m1 * m2, bound)
     buffers = Buffers() if buffers is None else buffers
 
     def sums(flat: np.ndarray, row_step: int, out: np.ndarray) -> None:

@@ -214,6 +214,17 @@ def test_narrow_int_bounds_the_dtype_not_the_data():
     assert narrow_int(np.uint8, 128) == np.int16  # 255 * 128 = 32640
 
 
+def test_narrow_int_takes_a_tighter_exact_bound():
+    assert narrow_int(np.int8, 9, 8) == np.int8  # 3x3 sums of minesweeper counts: 72
+    assert narrow_int(np.int64, 8, 15) == np.int8  # 120
+    assert narrow_int(np.int64, 8, 16) == np.int16  # 128
+    assert narrow_int(np.int64, 9, 2**31) == np.int64
+    # the dtype's bound still holds where it is the tighter one
+    assert narrow_int(np.bool_, 127, 5) == np.int8  # 1 * 127
+    assert narrow_int(np.int8, 200, 1000) == np.int16  # 128 * 200
+    assert narrow_int(np.float64, 9, 1) == np.float64
+
+
 def test_linear_batch_dtype_holds_int8_extremes():
     """Weights summing to 255 (int16) and 256 (int32) over all -128 / all 127 sources."""
     geom = LatticeGeometry(4, 4, 1, 0, 1, 0)
@@ -253,7 +264,17 @@ def test_buffers_keep_named_bytes_and_lay_them_out_in_one_block():
     assert not np.shares_memory(Buffers().take("a", 50, np.int16), a)
 
 
-def test_layout_for_fixes_the_bytes_of_a_larger_count():
+@pytest.mark.parametrize("sizes", [(1,), (100, 24), (7, 64, 65, 1, 300)])
+def test_every_slot_of_the_block_starts_at_a_cache_line(sizes):
+    """The block starts at a multiple of 64 bytes wherever malloc put it, and so does every slot."""
+    for _ in range(20):  # fresh blocks at different heap addresses
+        buffers = Buffers({f"slot{k}": n for k, n in enumerate(sizes)})
+        for k, n in enumerate(sizes):
+            slot = buffers.take(f"slot{k}", n, np.uint8)
+            assert slot.ctypes.data % 64 == 0
+
+
+def test_growth_fixes_the_bytes_of_a_larger_count():
     """Sizes affine in the count are exact from runs of one and two."""
 
     def run(count, buffers):
@@ -261,7 +282,9 @@ def test_layout_for_fixes_the_bytes_of_a_larger_count():
         buffers.take("tiles", 4 * count, np.int8)
         buffers.take("source", 144 * count, np.bool_)
 
+    one, step = Buffers.growth(run)
+    assert step == {"flat": 288, "tiles": 4, "source": 144}
     for count in (1, 2, 7, 8192):
         measured = Buffers()
         run(count, measured)
-        assert Buffers.layout_for(run, count) == measured.taken
+        assert {name: n + (count - 1) * step[name] for name, n in one.items()} == measured.taken

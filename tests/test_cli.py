@@ -140,7 +140,7 @@ def test_bad_threads_exit_with_code_2(tmp_path, monkeypatch, capsys):
 def test_distribution_parameters_are_checked(tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
         RunConfig.from_mapping({k: v for k, v in BASE_CONFIG.items() if k != "p"})
-    assert err.value.key == "distribution" and "bernoulli p" in str(err.value)
+    assert err.value.key == "p" and "bernoulli p" in str(err.value)
     path = _write_config(tmp_path, p=None)
     assert main(["validate-config", "-c", path]) == 2
     assert "bernoulli p" in capsys.readouterr().err
@@ -228,6 +228,10 @@ def test_validate_config_rejects_what_the_run_would(tmp_path, capsys, updates):
         ({"iterations": 0}, "iterations"),
         ({"transform": "nope"}, "transform"),
         ({"transform": "ma", "ma_coeffs": [0.0, 0.0]}, "ma_coeffs"),
+        ({"p": 1.5}, "p"),
+        ({"distribution": "binomial", "trials": 0}, "trials"),
+        ({"distribution": "poisson", "mean": -1.0}, "mean"),
+        ({"distribution": "gaussian", "mean": 0.0, "variance": 0.0}, "variance"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -248,10 +252,10 @@ _UNRUNNABLE = {
         "source_rows",
     ),
     "poisson-mean-past-numpy": (
-        {"distribution": "poisson", "p": None, "mean": 1e20}, "distribution"
+        {"distribution": "poisson", "p": None, "mean": 1e20}, "mean"
     ),
     "binomial-trials-past-int64": (
-        {"distribution": "binomial", "trials": 10**30}, "distribution"
+        {"distribution": "binomial", "trials": 10**30}, "trials"
     ),
     # draws fine, but 2x2 sums of minesweeper counts would wrap int64
     "poisson-sums-past-int64": (

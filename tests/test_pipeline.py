@@ -451,9 +451,11 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     recorded, window_sums = [], pipeline.window_sums_batch
 
     def recording(arr, m1, m2, **kwargs):
-        # the sums live in the worker's buffers, which the next chunk overwrites
+        # the sums live in the worker's buffers, which the next sub-batch
+        # overwrites; the layout passes run on buffers that hold no source
         sums = window_sums(arr, m1, m2, **kwargs)
-        recorded.append(sums.copy())
+        if "source" in kwargs["buffers"].taken:
+            recorded.append(sums.copy())
         return sums
 
     monkeypatch.setattr(pipeline, "window_sums_batch", recording)
@@ -477,15 +479,112 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
     thr = np.array(spec.thresholds)
     expected = np.zeros((len(extents), thr.size), dtype=np.int64)
-    recorded = recorded[2:]  # the first two calls lay out the chunk buffers
     for sums in recorded:
         for idx, (v_ext, u_ext) in enumerate(extents):
             maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
             expected[idx] += (maxima[:, None] <= thr[None, :]).sum(axis=0)
-    assert len(recorded) == 2  # two chunks, the second one partial
+    # two chunks, of 8192 and 808 replicas, each in sub-batches of fewer than 8192
+    sizes = [len(sums) for sums in recorded]
+    assert sum(sizes) == 9000 and len(sizes) > 2 and max(sizes) < 8192
     # at least three thresholds per extent split the replicas
     assert np.all(((expected > 0) & (expected < 9000)).sum(axis=1) >= 3)
     assert np.array_equal(np.array(tallies), expected)
+
+
+def test_sub_batch_size_keeps_the_widest_temporary_within_the_budget():
+    """512 KiB of the widest temporary per kernel pass, at least one replica."""
+    assert pipeline._sub_batch_size(144) == 3640  # 12 x 12 int8 fields
+    assert pipeline._sub_batch_size(1936) == 270  # 44 x 44 int8 fields
+    assert pipeline._sub_batch_size(512 * 1024) == 1
+    assert pipeline._sub_batch_size(10**9) == 1
+    assert pipeline._sub_batch_size(0) == 512 * 1024
+
+
+def _sub_batch_spec(path):
+    if path == "quv-1d":
+        return dataclasses.replace(_ma_spec(), iterations=1500)
+    return _minesweeper_spec(cols=14, rows=13, thresholds=range(24, 56, 4), iterations=1500)
+
+
+def _tallies(path, spec):
+    if path == "simulate":
+        return simulate_distribution(spec, replicas=1500, threads=1)
+    return estimate_quv(spec, threads=1)
+
+
+@pytest.mark.parametrize("path", ["quv-2d", "quv-1d", "simulate"])
+def test_sub_batches_tally_like_whole_chunks(path, monkeypatch):
+    """Sub-batches of one replica, ragged ones and the default budget tally like whole chunks."""
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda cells: 700)  # chunks 700, 700, 100
+    spec = _sub_batch_spec(path)
+    passes, window_sums = [], pipeline.window_sums_batch
+
+    def recording(arr, m1, m2, **kwargs):
+        if "source" in kwargs["buffers"].taken:  # not a layout pass
+            passes.append(len(arr))
+        return window_sums(arr, m1, m2, **kwargs)
+
+    monkeypatch.setattr(pipeline, "window_sums_batch", recording)
+    default = _tallies(path, spec)
+    assert passes == [700, 700, 100]  # the default budget holds a whole chunk of these
+    for size in (10**9, 1, 64, 3):
+        monkeypatch.setattr(pipeline, "_sub_batch_size", lambda nbytes, size=size: size)
+        passes.clear()
+        assert _tallies(path, spec) == default
+        sub = min(size, 700)
+        chunks = (700, 700, 100)
+        assert passes == [min(sub, n - start) for n in chunks for start in range(0, n, sub)]
+
+
+def _sum_dtypes(monkeypatch):
+    """Record the dtype of every block factor and window sum the pipeline computes."""
+    seen = {"blockfactor": set(), "sums": set()}
+    for name, key in (("apply_block_factor_batch", "blockfactor"), ("window_sums_batch", "sums")):
+
+        def recording(*args, fn=getattr(pipeline, name), key=key, **kwargs):
+            out = fn(*args, **kwargs)
+            seen[key].add(out.dtype)
+            return out
+
+        monkeypatch.setattr(pipeline, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "distribution, top, derived, sums",
+    [
+        # 8 neighbours of 1, 3 x 3 windows: 72 fits int8 where the dtype bound gave int16
+        (MarginalDistribution.bernoulli(1.0), 72, np.int8, np.int8),
+        # 15 trials: values up to 120 and sums up to 1080; 16 trials: 128 and 1152
+        (MarginalDistribution.binomial(15, 1.0), 1080, np.int8, np.int16),
+        (MarginalDistribution.binomial(16, 1.0), 1152, np.int16, np.int16),
+    ],
+    ids=["bernoulli", "binomial-15", "binomial-16"],
+)
+def test_window_sums_are_sized_by_the_exact_cell_bound(
+    distribution, top, derived, sums, monkeypatch
+):
+    """A source at its bound everywhere sums to the bound in the narrowest dtype, unwrapped."""
+    seen = _sum_dtypes(monkeypatch)
+    spec = dataclasses.replace(
+        _minesweeper_spec(cols=14, rows=14), distribution=distribution,
+        thresholds=(top - 1.0, float(top)),
+    )
+    assert spec.value_bounds(distribution.cell_bound) == (top // 9, top)
+    assert [row.prob for row in simulate_distribution(spec, replicas=300)] == [0.0, 1.0]
+    assert [(rec.q22, rec.q33) for rec in estimate_quv(spec)] == [(0.0, 0.0), (1.0, 1.0)]
+    assert seen == {"blockfactor": {np.dtype(derived)}, "sums": {np.dtype(sums)}}
+
+
+def test_poisson_sums_keep_the_dtype_bound(monkeypatch):
+    """Poisson's cell bound is a tail bound a cell may pass, so its sums stay int64."""
+    seen = _sum_dtypes(monkeypatch)
+    spec = dataclasses.replace(
+        _minesweeper_spec(cols=14, rows=14), distribution=MarginalDistribution.poisson(0.01)
+    )
+    simulate_distribution(spec, replicas=300)
+    estimate_quv(spec)
+    assert seen == {"blockfactor": {np.dtype(np.int64)}, "sums": {np.dtype(np.int64)}}
 
 
 # --- per-worker chunk buffers ------------------------------------------------
@@ -498,13 +597,15 @@ def _owner(array):
 
 
 def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
-    """Source, block factor, sums and tile maxima of chunks 2 and 3 reuse chunk 1's memory."""
+    """Every sub-batch of every chunk writes each layer into the memory of the first one."""
     results = {}
 
     def recording(layer, fn):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            if out.shape[0] > 2:  # not one of the two layout passes
+            buffers = kwargs.get("buffers")
+            # sample takes no buffers; the layout passes run on buffers that hold no source
+            if buffers is None or "source" in buffers.taken:
                 results.setdefault(layer, []).append(out)
             return out
 
@@ -516,7 +617,10 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     for name in ("apply_block_factor_batch", "window_sums_batch", "tile_maxima"):
         monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
     estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)  # chunks of 8192, 8192, 3616
-    assert [len(arrays) for arrays in results.values()] == [3, 3, 3, 3]
+    # one draw per chunk, then the same number of sub-batches through every kernel
+    passes = [len(arrays) for arrays in results.values()]
+    assert passes[0] == 3 and passes[1] > 3 and passes[1:] == [passes[1]] * 3
+    assert sum(len(out) for out in results["tile_maxima"]) == 20_000
     first = [arrays[0] for arrays in results.values()]
     for arrays in results.values():
         assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])

@@ -13,7 +13,12 @@ from blockscan import (
     brute_scan_statistic,
     configuration_matrix,
 )
-from blockscan.blockfactor import Buffers, apply_block_factor_batch
+from blockscan.blockfactor import (
+    Buffers,
+    apply_block_factor_batch,
+    minesweeper_transform,
+    narrow_int,
+)
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
 
@@ -172,6 +177,44 @@ def test_integer_sums_use_the_narrow_dtype_bound():
     ones = window_sums_batch(single, 1, 1)
     assert ones.dtype == np.int16 and np.array_equal(ones, single)
     assert not np.shares_memory(ones, single)
+
+
+def test_minesweeper_sums_of_bernoulli_cells_are_int8_up_to_72():
+    """With the exact bounds, 1 per cell and 8 per count, all-ones 3x3 sums are 72 in int8."""
+    geom = LatticeGeometry(9, 8, 1, 1, 1, 1)
+    ones = np.ones((3, 8, 9), dtype=np.bool_)
+    derived = apply_block_factor_batch(ones, minesweeper_transform(), geom, bound=1)
+    assert derived.dtype == np.int8 and np.all(derived == 8)
+    sums = window_sums_batch(derived, 3, 3, bound=8)
+    assert sums.dtype == np.int8 and sums.shape == (3, 4, 5) and np.all(sums == 72)
+    # without the bound the int8 counts could be 127 each, so their sums are int16
+    assert window_sums_batch(derived, 3, 3).dtype == np.int16
+    # a binomial count held in int64 narrows by its trials
+    held = np.full((2, 8, 9), 16, dtype=np.int64)
+    derived = apply_block_factor_batch(held, minesweeper_transform(), geom, bound=16)
+    assert derived.dtype == np.int16 and np.all(derived == 128)
+
+
+@given(
+    bound=st.sampled_from([1, 14, 15, 3640, 3641, 2**28]),
+    m1=st.integers(1, 6),
+    m2=st.integers(1, 6),
+    fill=st.sampled_from(["random", "min", "max"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100)
+def test_sums_under_an_exact_bound_match_brute_force(bound, m1, m2, fill, seed):
+    """int64 values within ``|x| <= bound`` sum exactly in ``narrow_int(int64, m1 * m2, bound)``."""
+    rng = np.random.default_rng(seed)
+    shape = (2, m2 + 3, m1 + 4)
+    if fill == "random":
+        values = rng.integers(-bound, bound + 1, size=shape, dtype=np.int64)
+    else:
+        values = np.full(shape, -bound if fill == "min" else bound, dtype=np.int64)
+    sums = window_sums_batch(values, m1, m2, bound=bound)
+    assert sums.dtype == narrow_int(np.int64, m1 * m2, bound)
+    for b in range(shape[0]):
+        assert np.array_equal(sums[b], brute_moving_sums(values[b], m1, m2))
 
 
 def _per_site_transform(values: np.ndarray, transform, geom) -> np.ndarray:
