@@ -149,10 +149,9 @@ class Buffers:
     the most bytes taken per name.  Contents are not kept: the next take of
     a name may overwrite what the last one handed out.  ``scratch0`` and
     ``scratch1`` hold temporaries of one layer call only.  The pipeline
-    lays out the kernels' temporaries for one sub-batch of replicas and the
-    ``source`` for a whole chunk; which replicas share a sub-batch changes
-    no draw and no value.  Not thread-safe: give each worker its own.  A
-    fresh ``Buffers()`` hands out fresh arrays.
+    lays out one chunk of every name: the ``source`` fields and the
+    kernels' temporaries over them.  Not thread-safe: give each worker its
+    own.  A fresh ``Buffers()`` hands out fresh arrays.
     """
 
     def __init__(self, layout: dict[str, int] | None = None):
@@ -241,9 +240,8 @@ def apply_block_factor_batch(
     ``buffers`` (weighted terms go through ``scratch0``), and
     the result is a strided view of it.  Without ``buffers`` those arrays
     are fresh; with them the result is overwritten by the next call on the
-    same ``buffers``.  Each replica's values depend on its own source only,
-    so a stack split into sub-batches gives the same values.  Integer and
-    bool sources with integer weights accumulate in
+    same ``buffers``.  Each replica's values depend on its own source only.
+    Integer and bool sources with integer weights accumulate in
     ``narrow_int(source.dtype, sum|w|, bound)``; ``bound`` is an exact bound
     on ``|source|`` that the caller knows (the pipeline passes the
     distribution's ``cell_bound`` for Bernoulli and binomial, and none for

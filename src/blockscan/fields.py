@@ -17,9 +17,6 @@ _MASK64 = (1 << 64) - 1
 # a Bernoulli cell compares a random byte, then the low 45 bits of one more word
 _LOW_BITS = 45
 _LOW_MASK = np.uint64((1 << _LOW_BITS) - 1)
-# cells whose byte words are drawn at once (a multiple of 8): 256 KiB of words,
-# so a chunk's raw draws never sit in memory in full next to its buffers
-_DRAW_CELLS = 1 << 18
 # the largest binomial trials and Poisson mean NumPy draws from
 _INT64_MAX = (1 << 63) - 1
 _POISSON_MEAN_MAX = float(_INT64_MAX - math.sqrt(_INT64_MAX) * 10)
@@ -50,25 +47,19 @@ class SeedSpec:
 def _bernoulli_from_bytes(bit_generator, p: float, flat: np.ndarray) -> None:
     """Fill the bool array ``flat`` with Bernoulli(``ceil(p * 2**53) / 2**53``) cells.
 
-    See ``MarginalDistribution.sample`` for the draws.  The byte words come
-    ``_DRAW_CELLS`` cells at a time, which leaves the stream as one draw
-    would, and each part of ``flat`` first holds which of its bytes tie
-    with ``top`` and then the result.
+    See ``MarginalDistribution.sample`` for the draws.  ``flat`` first holds
+    which bytes tie with ``top`` and then the result.
     """
     cut = math.ceil(p * 2.0**53)
     top, rest = cut >> _LOW_BITS, cut & int(_LOW_MASK)
-    ties = [np.zeros(0, dtype=np.intp)]
-    for start in range(0, flat.size, _DRAW_CELLS):
-        part = flat[start : start + _DRAW_CELLS]
-        words = bit_generator.random_raw(-(-part.size // 8))
-        # '<u8' fixes the byte order; on a little-endian machine it copies nothing
-        cells = words.astype("<u8", copy=False).view(np.uint8)[: part.size]
-        if top == 256:  # p == 1; the words still advance the stream
-            part.fill(True)
-            continue
-        ties.append(start + np.flatnonzero(np.equal(cells, np.uint8(top), out=part)))
-        np.less(cells, np.uint8(top), out=part)
-    ties = np.concatenate(ties)
+    words = bit_generator.random_raw(-(-flat.size // 8))
+    if top == 256:  # p == 1; the words still advance the stream
+        flat.fill(True)
+        return
+    # '<u8' fixes the byte order; on a little-endian machine it copies nothing
+    cells = words.astype("<u8", copy=False).view(np.uint8)[: flat.size]
+    ties = np.flatnonzero(np.equal(cells, np.uint8(top), out=flat))
+    np.less(cells, np.uint8(top), out=flat)
     if ties.size:
         low = bit_generator.random_raw(ties.size) & _LOW_MASK
         flat[ties] = low < np.uint64(rest)

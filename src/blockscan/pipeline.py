@@ -35,10 +35,10 @@ from .scan import ScanGeometry, tile_maxima, window_sums_batch
 _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 # how Theorem 1's l is chosen; see ``haiman.theorem1_constants``
 L_MODES = ("boundary", "optimize")
-# bytes of the widest temporary of one kernel pass over a sub-batch of
-# replicas: small enough that a pass reads and writes in L2, large enough
-# that the per-call overhead of the ufuncs stays small
-_SUB_BATCH_BYTES = 512 * 1024
+# bytes of source fields per chunk: small enough that a chunk's kernel
+# passes read and write in L2, large enough that the per-call overhead of
+# the ufuncs and the per-chunk stream set-up stay small
+_CHUNK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,6 @@ class ApproxRow:
     l2: float | None = None
     t2_1: float | None = None
     t2_2: float | None = None
-    alpha1_conservative: bool = False
     bracket_low: float | None = None
     bracket_high: float | None = None
 
@@ -199,14 +198,9 @@ def _stream_id(task: str, index: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _chunk_size(cells: int) -> int:
-    """Replicas per chunk: about 4e6 source cells, at most 8192 and at least one replica."""
-    return max(1, min(8192, 4_000_000 // max(cells, 1)))
-
-
-def _sub_batch_size(replica_bytes: int) -> int:
-    """Replicas per kernel pass: the widest temporary, ``replica_bytes`` each, within budget."""
-    return max(1, _SUB_BATCH_BYTES // max(replica_bytes, 1))
+def _chunk_size(replica_bytes: int) -> int:
+    """Replicas per chunk: 512 KiB of source fields of ``replica_bytes``, 1 to 8192 of them."""
+    return max(1, min(8192, _CHUNK_BYTES // max(replica_bytes, 1)))
 
 
 def _worker_count(threads: int | None, n_chunks: int) -> int:
@@ -248,13 +242,11 @@ def _tally(
     the thresholds and, per extent and threshold, the estimate and its Wald
     half-width.
 
-    A chunk draws all its source fields first, in one ``sample`` call, and
-    the kernels then run over consecutive sub-batches of them, sized by
-    ``_sub_batch_size`` so that each pass stays in L2; the counts of the
-    sub-batches add up.  The draws, and so every tally, are those of the
-    whole chunk at once, whatever the sub-batch size; drawing per sub-batch
-    would not be, as a chunk's Bernoulli tie words follow all its byte
-    words.  Integer sums are as
+    A chunk is about 512 KiB of source fields (``_chunk_size``), a budget in
+    bytes of the marginal's dtype, so the chunk partition, and with it the
+    stream, depends on the model only.  Each chunk is drawn in one
+    ``sample`` call and then goes through the kernels in one pass, which
+    stays in L2 unless one field alone passes the budget.  Integer sums are as
     narrow as an exact bound on the data allows (``ExperimentSpec.value_bounds``
     of the Bernoulli or binomial ``cell_bound``); a Poisson source keeps its
     dtype's bound, because its ``cell_bound`` is a ``2**-64`` tail bound
@@ -268,7 +260,8 @@ def _tally(
     cols, rows = geometry.source_cols, geometry.source_rows
     m1, m2 = spec.scan.m1, spec.scan.m2
     dist = spec.distribution
-    chunk = _chunk_size(rows * cols)
+    replica_bytes = rows * cols * dist.dtype.itemsize
+    chunk = _chunk_size(replica_bytes)
     cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
     derived_bound = spec.value_bounds(cell_bound)[0]
 
@@ -280,8 +273,8 @@ def _tally(
         sums = window_sums_batch(derived, m1, m2, bound=derived_bound, buffers=buffers)
         return tile_maxima(sums, *tile, buffers=buffers)
 
-    # Each worker keeps its temporaries in one block: the kernels' for one
-    # sub-batch, laid out by two tiny passes, and the source for a chunk.
+    # Each worker keeps one chunk's source and temporaries in one block,
+    # the temporaries laid out by two tiny passes.
     # One block, not one allocation per temporary: glibc trims its heap once
     # the free memory at the top exceeds twice the largest block it has
     # mapped and freed, so separate temporaries, all freed as this call
@@ -291,9 +284,8 @@ def _tally(
         return layers(np.zeros((count, rows, cols), dtype=dist.dtype), buffers)
 
     one, step = Buffers.growth(passes)
-    sub = min(chunk, _sub_batch_size(max(step.values())))
-    layout = {name: n + (sub - 1) * step[name] for name, n in one.items()}
-    layout["source"] = chunk * rows * cols * dist.dtype.itemsize
+    layout = {name: n + (chunk - 1) * step[name] for name, n in one.items()}
+    layout["source"] = chunk * replica_bytes
     workers = threading.local()
 
     def chunk_eval(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -302,27 +294,21 @@ def _tally(
             buffers = workers.buffers = Buffers(layout)
         shape = (count, rows, cols)
         out = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
-        source = dist.sample(rng, shape, out=out)
-        counts = np.zeros((len(extents), thr.size), dtype=np.int64)
-        for start in range(0, count, sub):
-            # tile axes first, so every step below runs over the replicas
-            lead = np.moveaxis(layers(source[start : start + sub], buffers), 0, -1)
-            for i in range(1, lead.shape[0]):
-                np.maximum(lead[i], lead[i - 1], out=lead[i])
-            for j in range(1, lead.shape[1]):
-                np.maximum(lead[:, j], lead[:, j - 1], out=lead[:, j])
-            maxima = np.stack([lead[v - 1, u - 1] for v, u in extents])
-            counts += (maxima[:, None, :] <= thr[:, None]).sum(axis=2, dtype=np.int64)
-        return counts
+        # tile axes first, so every step below runs over the replicas
+        lead = np.moveaxis(layers(dist.sample(rng, shape, out=out), buffers), 0, -1)
+        for i in range(1, lead.shape[0]):
+            np.maximum(lead[i], lead[i - 1], out=lead[i])
+        for j in range(1, lead.shape[1]):
+            np.maximum(lead[:, j], lead[:, j - 1], out=lead[:, j])
+        maxima = np.stack([lead[v - 1, u - 1] for v, u in extents])
+        return (maxima[:, None, :] <= thr[:, None]).sum(axis=2, dtype=np.int64)
 
     counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
     probs = counts / total
     return thr, probs, spec.confidence_z * np.sqrt(probs * (1.0 - probs) / total)
 
 
-def estimate_quv(
-    spec: ExperimentSpec, thresholds=None, threads: int | None = None
-) -> list[EstimateRecord]:
+def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[EstimateRecord]:
     """Monte Carlo estimates of all four Q_uv for every threshold in one pass.
 
     One source field of the largest (3, 3) size serves all four nested maxima
@@ -337,9 +323,7 @@ def estimate_quv(
     else:
         tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
     sub_geom = spec.geometry.with_source(cols, rows)
-    thr, q_hat, beta = _tally(
-        spec, thresholds, threads, "quv", spec.iterations, sub_geom, tile, extents
-    )
+    thr, q_hat, beta = _tally(spec, None, threads, "quv", spec.iterations, sub_geom, tile, extents)
     records = []
     for t_idx, n in enumerate(thr):
         records.append(
@@ -425,7 +409,6 @@ def two_step_approximation(
         alpha2=alpha2,
         q2=r2,
         q3=r3,
-        alpha1_conservative=r3 < q33,
         **ledger,
     )
 

@@ -93,9 +93,9 @@ def window_sums_batch(
     column pass into ``scan.sums``, of which the result is a strided view;
     without ``buffers`` these arrays are fresh, with them the result is
     overwritten by the next call on the same ``buffers``, and ``arr`` must
-    not be a view of them.  Each field's sums depend on that field only, so
-    a stack split into sub-batches gives the same sums.  Integer and
-    boolean inputs give ``narrow_int(arr.dtype, m1 * m2, bound)``, where
+    not be a view of them.  Each field's sums depend on that field only.
+    Integer and boolean inputs give
+    ``narrow_int(arr.dtype, m1 * m2, bound)``, where
     ``bound`` is an exact bound on ``|arr|`` that the caller knows (the
     pipeline passes ``cell_bound * sum|w|`` of the block factor for
     Bernoulli and binomial sources, see ``ExperimentSpec.value_bounds``);

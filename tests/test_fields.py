@@ -150,19 +150,6 @@ def test_bernoulli_from_raw_draws_equals_uniform_compare(p, size):
     assert fast_rng.random() == slow_rng.random()
 
 
-@pytest.mark.parametrize("draw_cells", [8, 64, 2**18])
-def test_bernoulli_bytes_drawn_in_parts_keep_the_stream(draw_cells, monkeypatch):
-    """Byte words drawn a part at a time give the values and stream position of one draw."""
-    from blockscan import fields
-
-    monkeypatch.setattr(fields, "_DRAW_CELLS", draw_cells)
-    for p in (0.1, 0.5, 1.0):
-        fast_rng, slow_rng = SeedSpec(7, 3).generator(), SeedSpec(7, 3).generator()
-        fast = MarginalDistribution.bernoulli(p).sample(fast_rng, (20, 9, 11))
-        assert np.array_equal(fast, _uniform_compare(slow_rng, p, (20, 9, 11)))
-        assert fast_rng.random() == slow_rng.random()
-
-
 class _RawWords:
     """Stands in for a Generator whose bit generator hands out the given raw words in turn."""
 

@@ -206,16 +206,16 @@ def test_tallies_pin_the_stream_partition():
         distribution=MarginalDistribution.bernoulli(0.3),
         transform=t,
         thresholds=(22.0, 26.0, 30.0),
-        iterations=20_000,  # three chunks, the last one partial
+        iterations=20_000,  # six chunks of a 12 x 12 bool field, the last one partial
         seed=SeedSpec(2014),
     )
     counts = [
         [round(getattr(rec, q) * rec.iterations) for q in ("q22", "q23", "q32", "q33")]
         for rec in estimate_quv(spec)
     ]
-    assert counts == [[2044, 432, 412, 20], [5473, 2192, 2089, 430], [10308, 6343, 6185, 2652]]
+    assert counts == [[2106, 451, 436, 20], [5534, 2193, 2090, 428], [10338, 6386, 6143, 2641]]
     sims = simulate_distribution(spec, replicas=10_000)
-    assert [round(row.prob * row.replicas) for row in sims] == [11, 228, 1254]
+    assert [round(row.prob * row.replicas) for row in sims] == [10, 211, 1308]
 
 
 # --- assembly and the error ledger -----------------------------------------
@@ -420,15 +420,54 @@ def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
     assert total == 10 and requested == [3]
 
 
-def test_chunk_size_keeps_the_cell_budget_for_large_lattices():
-    """About 4e6 source cells per chunk, at most 8192 replicas and at least one."""
-    from blockscan import pipeline
+def test_chunk_size_keeps_512_kib_of_source():
+    """512 KiB of source fields per chunk, at most 8192 replicas and at least one."""
+    assert pipeline._chunk_size(12 * 12) == 3640  # a 12 x 12 bool Q_uv field
+    assert pipeline._chunk_size(63 * 8) == 1040  # a 63-cell float64 MA Q_uv field
+    assert pipeline._chunk_size(44 * 44) == 270  # a 44 x 44 bool lattice
+    assert pipeline._chunk_size(64) == pipeline._chunk_size(1) == pipeline._chunk_size(0) == 8192
+    assert pipeline._chunk_size(512 * 1024) == pipeline._chunk_size(200_000 * 8) == 1
 
-    assert pipeline._chunk_size(12 * 12) == 8192
-    assert pipeline._chunk_size(44 * 44) == 2066
-    assert pipeline._chunk_size(125 * 125) == 256
-    assert pipeline._chunk_size(1000 * 1000) == 4
-    assert pipeline._chunk_size(2000 * 2000) == 1
+
+def _chunks_and_dtypes(spec, monkeypatch):
+    """The chunk of every tally, and the block-factor dtypes, of ``estimate_quv`` and a simulation."""
+    chunks, accumulate = [], pipeline._accumulate
+
+    def recording(total, chunk, *args):
+        chunks.append(chunk)
+        return accumulate(total, chunk, *args)
+
+    seen = _sum_dtypes(monkeypatch)
+    monkeypatch.setattr(pipeline, "_accumulate", recording)
+    estimate_quv(spec, threads=1)
+    simulate_distribution(spec, replicas=300, threads=1)
+    monkeypatch.undo()
+    return chunks, seen["blockfactor"]
+
+
+@pytest.mark.parametrize(
+    "distribution, chunks",
+    [
+        # 12 x 12 Q_uv fields and 20 x 20 lattices of bool, then of int64
+        (MarginalDistribution.bernoulli(0.5), [3640, 1310]),
+        (MarginalDistribution.binomial(16, 0.5), [455, 163]),
+    ],
+    ids=["bernoulli", "binomial"],
+)
+def test_a_kernel_dtype_never_moves_the_chunk_partition(distribution, chunks, monkeypatch):
+    """Identity and minesweeper over fields of one size and marginal get the same chunks."""
+    minesweeper = dataclasses.replace(_minesweeper_spec(), distribution=distribution)
+    # 5 x 5 windows make the identity's Q_uv field 12 x 12 too
+    identity = dataclasses.replace(
+        minesweeper, geometry=LatticeGeometry(20, 20), scan=ScanGeometry(5, 5),
+        transform=identity_transform(),
+    )
+    assert quv_field_dims(3, 3, identity.geometry, identity.scan) == (12, 12)
+    ident_chunks, ident_dtypes = _chunks_and_dtypes(identity, monkeypatch)
+    mine_chunks, mine_dtypes = _chunks_and_dtypes(minesweeper, monkeypatch)
+    assert ident_chunks == mine_chunks == chunks
+    if distribution.kind == "binomial":  # block factors of at most 16 and 128
+        assert (ident_dtypes, mine_dtypes) == ({np.dtype(np.int8)}, {np.dtype(np.int16)})
 
 
 def _ma_spec():
@@ -451,7 +490,7 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     recorded, window_sums = [], pipeline.window_sums_batch
 
     def recording(arr, m1, m2, **kwargs):
-        # the sums live in the worker's buffers, which the next sub-batch
+        # the sums live in the worker's buffers, which the next chunk
         # overwrites; the layout passes run on buffers that hold no source
         sums = window_sums(arr, m1, m2, **kwargs)
         if "source" in kwargs["buffers"].taken:
@@ -483,57 +522,13 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         for idx, (v_ext, u_ext) in enumerate(extents):
             maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
             expected[idx] += (maxima[:, None] <= thr[None, :]).sum(axis=0)
-    # two chunks, of 8192 and 808 replicas, each in sub-batches of fewer than 8192
+    # one pass per chunk: full chunks, then the rest
+    chunk = {"quv-2d": 3640, "quv-1d": 1040, "simulate": 2880}[shape]
     sizes = [len(sums) for sums in recorded]
-    assert sum(sizes) == 9000 and len(sizes) > 2 and max(sizes) < 8192
+    assert sizes == [chunk] * (9000 // chunk) + [9000 % chunk]
     # at least three thresholds per extent split the replicas
     assert np.all(((expected > 0) & (expected < 9000)).sum(axis=1) >= 3)
     assert np.array_equal(np.array(tallies), expected)
-
-
-def test_sub_batch_size_keeps_the_widest_temporary_within_the_budget():
-    """512 KiB of the widest temporary per kernel pass, at least one replica."""
-    assert pipeline._sub_batch_size(144) == 3640  # 12 x 12 int8 fields
-    assert pipeline._sub_batch_size(1936) == 270  # 44 x 44 int8 fields
-    assert pipeline._sub_batch_size(512 * 1024) == 1
-    assert pipeline._sub_batch_size(10**9) == 1
-    assert pipeline._sub_batch_size(0) == 512 * 1024
-
-
-def _sub_batch_spec(path):
-    if path == "quv-1d":
-        return dataclasses.replace(_ma_spec(), iterations=1500)
-    return _minesweeper_spec(cols=14, rows=13, thresholds=range(24, 56, 4), iterations=1500)
-
-
-def _tallies(path, spec):
-    if path == "simulate":
-        return simulate_distribution(spec, replicas=1500, threads=1)
-    return estimate_quv(spec, threads=1)
-
-
-@pytest.mark.parametrize("path", ["quv-2d", "quv-1d", "simulate"])
-def test_sub_batches_tally_like_whole_chunks(path, monkeypatch):
-    """Sub-batches of one replica, ragged ones and the default budget tally like whole chunks."""
-    monkeypatch.setattr(pipeline, "_chunk_size", lambda cells: 700)  # chunks 700, 700, 100
-    spec = _sub_batch_spec(path)
-    passes, window_sums = [], pipeline.window_sums_batch
-
-    def recording(arr, m1, m2, **kwargs):
-        if "source" in kwargs["buffers"].taken:  # not a layout pass
-            passes.append(len(arr))
-        return window_sums(arr, m1, m2, **kwargs)
-
-    monkeypatch.setattr(pipeline, "window_sums_batch", recording)
-    default = _tallies(path, spec)
-    assert passes == [700, 700, 100]  # the default budget holds a whole chunk of these
-    for size in (10**9, 1, 64, 3):
-        monkeypatch.setattr(pipeline, "_sub_batch_size", lambda nbytes, size=size: size)
-        passes.clear()
-        assert _tallies(path, spec) == default
-        sub = min(size, 700)
-        chunks = (700, 700, 100)
-        assert passes == [min(sub, n - start) for n in chunks for start in range(0, n, sub)]
 
 
 def _sum_dtypes(monkeypatch):
@@ -597,7 +592,7 @@ def _owner(array):
 
 
 def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
-    """Every sub-batch of every chunk writes each layer into the memory of the first one."""
+    """Every chunk writes each layer into the memory of the first one."""
     results = {}
 
     def recording(layer, fn):
@@ -616,11 +611,10 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     )
     for name in ("apply_block_factor_batch", "window_sums_batch", "tile_maxima"):
         monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
-    estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)  # chunks of 8192, 8192, 3616
-    # one draw per chunk, then the same number of sub-batches through every kernel
-    passes = [len(arrays) for arrays in results.values()]
-    assert passes[0] == 3 and passes[1] > 3 and passes[1:] == [passes[1]] * 3
-    assert sum(len(out) for out in results["tile_maxima"]) == 20_000
+    estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)
+    # one draw per chunk, then one pass through every kernel
+    for arrays in results.values():
+        assert [len(out) for out in arrays] == [3640] * 5 + [1800]
     first = [arrays[0] for arrays in results.values()]
     for arrays in results.values():
         assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])
@@ -647,6 +641,45 @@ def test_chunk_tallies_equal_those_of_fresh_buffers(spec, monkeypatch):
     monkeypatch.setattr(pipeline, "Buffers", _FreshJunk)
     assert estimate_quv(spec, threads=1) == kept
     assert simulate_distribution(spec, replicas=3000, threads=1) == kept_sim
+
+
+class _Recorded(pipeline.Buffers):
+    """Records the bytes of every laid-out block."""
+
+    blocks = []
+
+    def __init__(self, layout=None):
+        super().__init__(layout)
+        if layout:
+            self.blocks.append(sum(layout.values()))
+
+
+def _ma_columns(cols):
+    return dataclasses.replace(
+        _ma_spec(), geometry=LatticeGeometry(cols, 1, 0, 2, 0, 0), thresholds=(13.0,)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, simulate, mib",
+    [
+        (_minesweeper_spec(cols=44, rows=44, thresholds=(31,)), False, 2.6),
+        (_ma_columns(1002), False, 2.6),
+        (_minesweeper_spec(cols=44, rows=44, thresholds=(31,)), True, 2.6),
+        # one replica of 1.6 MB of source per chunk
+        (_ma_columns(200_000), True, 8.0),
+    ],
+    ids=["quv-sparse", "quv-ma", "sim-sparse", "sim-ma-200000"],
+)
+def test_a_worker_block_stays_small(spec, simulate, mib, monkeypatch):
+    """One chunk of source and temporaries per worker: a few MiB, also for a long float field."""
+    monkeypatch.setattr(_Recorded, "blocks", [])
+    monkeypatch.setattr(pipeline, "Buffers", _Recorded)
+    if simulate:
+        simulate_distribution(spec, replicas=2, threads=1)
+    else:
+        estimate_quv(dataclasses.replace(spec, iterations=2), threads=1)
+    assert len(_Recorded.blocks) == 1 and _Recorded.blocks[0] <= mib * 2**20
 
 
 @pytest.mark.parametrize("threads", [2, 4])
