@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .blockfactor import LatticeGeometry, catalog_transform
 from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError
-from .fields import MarginalDistribution, SeedSpec
+from .fields import STREAM_MAP, MarginalDistribution, SeedSpec
 from .pipeline import L_MODES, ApproxRow, ExperimentSpec, SimRow, approximate, simulate_distribution
 from .scan import ScanGeometry
 
@@ -195,15 +195,18 @@ def _write_table(
 ) -> None:
     """Write a ``#`` header and one line per ``(threshold, *values)`` row.
 
-    The header holds the version line, the config keys that are set (lists
-    as JSON), the ``notes`` lines, the wall time and the column names, in
-    that order.
+    The header holds the version line, with a ``config`` the stream map,
+    NumPy version and config keys that are set (lists as JSON), then the
+    ``notes`` lines, the wall time and the column names, in that order.
     """
     lines = [f"# blockscan {command} v{__version__}"]
-    for f in dataclass_fields(config) if config is not None else ():
-        value = getattr(config, f.name)
-        if value is not None:
-            lines.append(f"# {f.name} = {json.dumps(value) if isinstance(value, tuple) else value}")
+    if config is not None:
+        lines += [f"# rng = {STREAM_MAP}", f"# numpy = {np.__version__}"]
+        for f in dataclass_fields(config):
+            value = getattr(config, f.name)
+            if value is not None:
+                shown = json.dumps(value) if isinstance(value, tuple) else value
+                lines.append(f"# {f.name} = {shown}")
     lines.extend(notes)
     if wall_time is not None:
         lines.append(f"# wall_time_s = {wall_time:.3f}")
@@ -233,6 +236,8 @@ def write_approx_table(
             details.append(f"bracket=[{row.bracket_low:.6g},{row.bracket_high:.6g}]")
         if row.clamped:
             details.append("clamped")
+        if row.beta0:
+            details.append("beta0")
         notes.append(f"# row n={_fmt_threshold(row.n)}: " + " ".join(details))
     columns = ("n", "sim", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid")
     cells = [

@@ -1,4 +1,4 @@
-"""Generation of i.i.d. source lattices with reproducible counter-based streams.
+"""Generation of i.i.d. source lattices with reproducible per-stream generators.
 
 The convention throughout the package: a lattice position is addressed as
 ``(i, j)`` with ``i`` the column (first coordinate) and ``j`` the row.  Arrays
@@ -20,22 +20,35 @@ _LOW_MASK = np.uint64((1 << _LOW_BITS) - 1)
 # the largest binomial trials and Poisson mean NumPy draws from
 _INT64_MAX = (1 << 63) - 1
 _POISSON_MEAN_MAX = float(_INT64_MAX - math.sqrt(_INT64_MAX) * 10)
+# how ``SeedSpec.bit_generator`` turns a seed and a stream id into draws, as
+# output tables name it: a seed draws other tables under another map
+STREAM_MAP = "SFC64 (SeedSequence(seed, spawn_key=(stream,)))"
 
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """A (master seed, stream id) pair mapping to one Philox stream.
+    """A (master seed, stream id) pair mapping to one SFC64 stream.
 
-    The map is pure: identical pairs give identical generators, distinct
-    stream ids give statistically independent streams.
+    The map is pure: identical pairs give identical generators.
+    ``SeedSequence(master_seed, spawn_key=(stream_id,))``, both taken modulo
+    ``2**64``, hashes each pair into SFC64's 256-bit state (three 64-bit
+    words; the fourth is a counter that starts at 1), so distinct stream ids
+    start at unrelated points.  SFC64 steps that counter once per word, which
+    gives every stream a period of at least ``2**64`` words.  A chunk of
+    512 KiB of Bernoulli or Gaussian cells draws fewer than ``2**17`` words,
+    so two streams overlap with negligible probability.  SFC64 is used for
+    its speed: a raw word costs about half of what Philox's does.
     """
 
     master_seed: int
     stream_id: int = 0
 
-    def bit_generator(self) -> np.random.Philox:
-        key = ((self.stream_id & _MASK64) << 64) | (self.master_seed & _MASK64)
-        return np.random.Philox(key=key)
+    def bit_generator(self) -> np.random.SFC64:
+        # SeedSequence rejects negative entropy, so the mask also admits a negative seed
+        entropy = np.random.SeedSequence(
+            self.master_seed & _MASK64, spawn_key=(self.stream_id & _MASK64,)
+        )
+        return np.random.SFC64(entropy)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(self.bit_generator())

@@ -145,12 +145,17 @@ class EstimateRecord:
 
 @dataclass(frozen=True)
 class ApproxRow:
-    """One output row: threshold, approximation, and the error ledger (``nan`` if invalid)."""
+    """One output row: threshold, approximation, and the error ledger (``nan`` if invalid).
+
+    ``beta0`` marks a valid row whose ``e_sf`` uses a Wald half-width of 0,
+    from an estimate of exactly 0 or 1, so ``e_sf`` understates its error.
+    """
 
     n: float
     approx: float
     valid: bool
     clamped: bool
+    beta0: bool
     alpha1: float
     alpha2: float
     q2: float
@@ -405,6 +410,7 @@ def two_step_approximation(
         approx=approx,
         valid=valid,
         clamped=cl or cl2 or cl3 or (r3_ordered != r3) or (q32 != rec.q32) or (q33 != rec.q33),
+        beta0=valid and 0.0 in (rec.b22, rec.b23, rec.b32, rec.b33),
         alpha1=alpha1,
         alpha2=alpha2,
         q2=r2,
@@ -438,6 +444,7 @@ def one_step_approximation(
         approx=approx,
         valid=valid,
         clamped=cl or (q3 != rec.q32),
+        beta0=valid and 0.0 in (rec.b22, rec.b32),
         alpha1=alpha,
         alpha2=alpha,
         q2=q2,
@@ -495,6 +502,7 @@ def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[Approx
                 approx=sum(w * row.approx for w, row in combos),
                 valid=valid,
                 clamped=any(row.clamped for _, row in combos),
+                beta0=valid and any(row.beta0 for _, row in combos),
                 bracket_low=lo,
                 bracket_high=hi,
                 **ledger,

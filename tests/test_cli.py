@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from blockscan.cli import RunConfig, main, read_table, write_approx_table
 from blockscan.errors import ConfigError
-from blockscan.pipeline import approximate
+from blockscan.pipeline import EstimateRecord, approximate, two_step_approximation
 
 BASE_CONFIG = {
     "transform": "identity",
@@ -329,6 +331,33 @@ def test_approximate_round_trip(tmp_path):
                 row["e_app"] + row["e_sf"] + row["e_sapp"], abs=1e-6
             )
     assert any(line.startswith("# seed = 11") for line in metadata)
+
+
+@pytest.mark.parametrize("command", ["approximate", "simulate"])
+def test_header_names_the_stream_map_and_numpy(tmp_path, command):
+    out = tmp_path / "table.tsv"
+    assert main([command, "-c", _write_config(tmp_path), "-o", str(out)]) == 0
+    metadata, _, _ = read_table(str(out))
+    assert metadata[1:3] == [
+        "# rng = SFC64 (SeedSequence(seed, spawn_key=(stream,)))",
+        f"# numpy = {np.__version__}",
+    ]
+
+
+def test_a_zero_half_width_is_noted_and_changes_no_value(tmp_path):
+    config = RunConfig.from_file(_write_config(tmp_path))
+    rec = EstimateRecord(
+        n=5.0, q22=0.99, q23=0.985, q32=0.989, q33=0.984,
+        b22=1e-4, b23=1e-4, b32=1e-4, b33=0.0, iterations=100_000,
+    )
+    row = two_step_approximation(rec, 10, 10)
+    paths = [str(tmp_path / name) for name in ("flagged.tsv", "plain.tsv")]
+    write_approx_table(paths[0], [row], config)
+    write_approx_table(paths[1], [dataclasses.replace(row, beta0=False)], config)
+    (flagged, _, values), (plain, _, plain_values) = (read_table(path) for path in paths)
+    [note] = [line for line in flagged if line.startswith("# row n=5:")]
+    assert note.endswith(" beta0") and "beta0" not in "".join(plain)
+    assert values == plain_values
 
 
 def test_simulate_subcommand(tmp_path):

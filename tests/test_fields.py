@@ -6,6 +6,9 @@ from scipy import stats
 
 from blockscan import MarginalDistribution, SeedSpec
 from blockscan.errors import ParameterError
+from blockscan.pipeline import _stream_id
+
+_MASK64 = 2**64 - 1
 
 # NumPy's Generator.poisson rejects a mean above int64 max - 10 * sqrt(int64 max)
 _NUMPY_POISSON_MAX = 9.223372006484771e18
@@ -44,6 +47,52 @@ def test_stream_independence_proxy():
     dist = MarginalDistribution.gaussian(0.0, 1.0)
     a = dist.sample(SeedSpec(99, 0).generator(), (100, 100)).ravel()
     b = dist.sample(SeedSpec(99, 1).generator(), (100, 100)).ravel()
+    corr = np.corrcoef(a, b)[0, 1]
+    assert abs(corr) < 4 / np.sqrt(a.size)
+
+
+@pytest.mark.parametrize(
+    "master, stream", [(0, 0), (42, 7), (2014, 2**64 - 1), (-1, 3), (2**64 + 5, -2)]
+)
+def test_a_stream_is_sfc64_seeded_by_a_seed_sequence(master, stream):
+    words = SeedSpec(master, stream).bit_generator().random_raw(8)
+    entropy = np.random.SeedSequence(master & _MASK64, spawn_key=(stream & _MASK64,))
+    assert np.array_equal(words, np.random.SFC64(entropy).random_raw(8))
+
+
+def test_stream_words_are_pinned():
+    """Fixed literals, so every NumPy version seeds each stream, and draws every table, alike."""
+    assert SeedSpec(42, 7).bit_generator().random_raw(4).tolist() == [
+        0xD6AA0DC21EC20A58, 0xA1FA4451CAAB2E69, 0xE2EB353ADBBCFBE2, 0x02351CB97EC24287,
+    ]
+
+
+@pytest.mark.parametrize("master", [-1, 2**64 + 5])
+def test_seeds_outside_64_bits_draw_as_their_low_64_bits(master):
+    drawn = MarginalDistribution.bernoulli(0.5).sample(SeedSpec(master).generator(), 64)
+    again = MarginalDistribution.bernoulli(0.5).sample(SeedSpec(master & _MASK64).generator(), 64)
+    assert np.array_equal(drawn, again)
+
+
+def _chunk_stream(k):
+    """The generator ``pipeline._accumulate`` gives chunk ``k`` of a ``quv`` tally at seed 42."""
+    return SeedSpec(42).with_stream(_stream_id("quv", k)).generator()
+
+
+@pytest.mark.parametrize("k", [0, 96])
+def test_adjacent_chunk_streams_give_uniform_bytes(k):
+    # a quv-sparse chunk: 3640 replicas of 12 x 12 cells, one byte each
+    cells = 3640 * 144
+    for rng in (_chunk_stream(k), _chunk_stream(k + 1)):
+        words = rng.bit_generator.random_raw(-(-cells // 8))
+        cell_bytes = words.astype("<u8", copy=False).view(np.uint8)[:cells]
+        assert stats.chisquare(np.bincount(cell_bytes, minlength=256)).pvalue > 0.001
+
+
+@pytest.mark.parametrize("k", [0, 96])
+def test_adjacent_chunk_streams_are_uncorrelated(k):
+    dist = MarginalDistribution.bernoulli(0.5)
+    a, b = (dist.sample(_chunk_stream(j), (3640, 12, 12)).ravel() for j in (k, k + 1))
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 4 / np.sqrt(a.size)
 

@@ -195,10 +195,10 @@ def test_estimation_deterministic_across_thread_counts():
 
 def test_tallies_pin_the_stream_partition():
     # Exact replica counts at a fixed seed, so platform independent: they move
-    # only if the chunk partition, the per-chunk streams, the way a chunk's
-    # Bernoulli cells are drawn from its stream (one byte per cell) or the
-    # per-replica sample -> block factor -> window sums -> maxima pipeline
-    # changes.
+    # only if the chunk partition, the per-chunk streams (SFC64 seeded by
+    # SeedSequence(seed, spawn_key=(stream,))), the way a chunk's Bernoulli
+    # cells are drawn from its stream (one byte per cell) or the per-replica
+    # sample -> block factor -> window sums -> maxima pipeline changes.
     t, extents = catalog_transform("minesweeper")
     spec = ExperimentSpec(
         geometry=LatticeGeometry(12, 12, *extents),
@@ -213,9 +213,9 @@ def test_tallies_pin_the_stream_partition():
         [round(getattr(rec, q) * rec.iterations) for q in ("q22", "q23", "q32", "q33")]
         for rec in estimate_quv(spec)
     ]
-    assert counts == [[2106, 451, 436, 20], [5534, 2193, 2090, 428], [10338, 6386, 6143, 2641]]
+    assert counts == [[2080, 424, 435, 22], [5527, 2184, 2208, 430], [10240, 6170, 6279, 2600]]
     sims = simulate_distribution(spec, replicas=10_000)
-    assert [round(row.prob * row.replicas) for row in sims] == [10, 211, 1308]
+    assert [round(row.prob * row.replicas) for row in sims] == [12, 221, 1291]
 
 
 # --- assembly and the error ledger -----------------------------------------
@@ -275,6 +275,25 @@ def test_monte_carlo_noise_clamps_to_consistency():
     # q32 a hair above q22 is within slack: clamped, not an error
     row = one_step_approximation(_record(q22=0.99, q32=0.9901), 10)
     assert row.clamped and row.q3 == 0.99
+
+
+def test_a_zero_half_width_flags_the_row():
+    # b33 = 0 is a q33 estimate of exactly 0 or 1: e_sf takes no error for it
+    assert not two_step_approximation(_record(), 10, 10).beta0
+    row = two_step_approximation(_record(b33=0.0), 10, 10)
+    assert row.valid and row.beta0
+    assert one_step_approximation(_record(b32=0.0), 10).beta0
+    # the one-step e_sf reads b22 and b32 only; an invalid row has no e_sf to flag
+    assert not one_step_approximation(_record(b33=0.0), 10).beta0
+    invalid = two_step_approximation(_record(q22=0.9, q23=0.8, q32=0.85, q33=0.75, b33=0.0), 10, 10)
+    assert not invalid.valid and not invalid.beta0
+
+
+def test_a_bracket_flags_a_zero_half_width_of_any_level(monkeypatch):
+    rec = _record(n=7.0, b33=0.0)
+    monkeypatch.setattr(pipeline, "estimate_quv", lambda spec, threads=None: [rec])
+    [row] = approximate(_bernoulli_spec(cols=13, thresholds=(7,)))
+    assert row.bracket_low is not None and row.valid and row.beta0
 
 
 # --- full pipeline ----------------------------------------------------------
