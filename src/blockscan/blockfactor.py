@@ -136,7 +136,7 @@ def narrow_int(src_dtype, gain: int, bound: int | None = None) -> np.dtype:
 
 
 class Buffers:
-    """Named 1-D work arrays that one worker reuses from chunk to chunk.
+    """Named 1-D work arrays and recorded kernel passes that one worker reuses from chunk to chunk.
 
     ``take(name, size, dtype)`` returns ``size`` elements of ``dtype`` over
     the bytes kept under ``name``, so a worker that passes the same
@@ -150,8 +150,19 @@ class Buffers:
     a name may overwrite what the last one handed out.  ``scratch0`` and
     ``scratch1`` hold temporaries of one layer call only.  The pipeline
     lays out one chunk of every name: the ``source`` fields and the
-    kernels' temporaries over them.  Not thread-safe: give each worker its
-    own.  A fresh ``Buffers()`` hands out fresh arrays.
+    kernels' temporaries over them.
+
+    ``replay(key, build)`` keeps one plan per kernel, the first item of
+    ``key``: on a call whose ``key`` differs from the kept one, ``build(ops)``
+    validates the input, takes its arrays, appends each pass as a
+    ``(function, args, kwargs)`` triple to ``ops`` without running it and
+    returns the result view.  Every call, the first one too, runs the kept
+    passes in order and returns that same view object.  A kernel's key
+    holds the input's ``_layout`` and every parameter the passes depend
+    on, and its passes hold views of the input, so a key that equals the
+    kept one names the same memory: a replay reads whatever that memory
+    holds now.  Not thread-safe: give each worker its own.  A fresh
+    ``Buffers()`` hands out fresh arrays and builds every plan it runs.
     """
 
     def __init__(self, layout: dict[str, int] | None = None):
@@ -165,6 +176,7 @@ class Buffers:
         block = block[-block.ctypes.data % 64 :][:end]
         self._bytes = {name: block[starts[name] : starts[name] + n] for name, n in layout.items()}
         self.taken: dict[str, int] = {}
+        self._plans: dict[str, tuple] = {}
 
     def take(self, name: str, size: int, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -174,6 +186,17 @@ class Buffers:
             raw = self._bytes[name] = np.empty(nbytes, dtype=np.uint8)
         self.taken[name] = max(self.taken.get(name, 0), nbytes)
         return raw[:nbytes].view(dtype)
+
+    def replay(self, key: tuple, build):
+        """Run the passes kept for ``key[0]``, recorded by ``build`` when ``key`` changed."""
+        plan = self._plans.get(key[0])
+        if plan is None or plan[0] != key:
+            ops = []
+            # kept only once ``build`` returns, so a bad input raises on every call
+            plan = self._plans[key[0]] = (key, ops, build(ops))
+        for fn, args, kwargs in plan[1]:
+            fn(*args, **kwargs)
+        return plan[2]
 
     @staticmethod
     def growth(run) -> tuple[dict[str, int], dict[str, int]]:
@@ -190,36 +213,49 @@ class Buffers:
         return one.taken, {name: two.taken[name] - n for name, n in one.taken.items()}
 
 
-def _flat_kernel(arr: np.ndarray, out_rows: int, out_cols: int, kernel, take) -> np.ndarray:
-    """Run a shift kernel on the flat layout of ``arr`` and view its result.
+def _layout(arr: np.ndarray) -> tuple:
+    """The memory an array reads: data address, shape, strides and dtype, a replay key's part."""
+    return arr.ctypes.data, arr.shape, arr.strides, arr.dtype
+
+
+def _flat_kernel(
+    arr: np.ndarray, out_rows: int, out_cols: int, kernel, buffers: Buffers, name: str,
+    dtype, ops: list,
+) -> np.ndarray:
+    """Record a shift kernel on the flat layout of ``arr`` and view its result.
 
     ``arr`` is read as one 1-D run ``flat`` over its memory with row step
     ``R``: element ``(..., r, c)`` is ``flat[lead + r * R + c]``, so a shift
-    by ``(s, t)`` is the offset ``s * R + t``.  ``take(length)`` gives the
-    1-D array ``lanes`` and ``kernel(flat, R, lanes)`` writes into each
-    ``lanes[k]`` the result anchored at ``flat[k]``; lanes that wrap across
-    a row or a leading index are computed but never read.  The valid
+    by ``(s, t)`` is the offset ``s * R + t``.  The 1-D ``dtype`` array
+    ``lanes`` is taken under ``name`` and ``kernel(flat, R, lanes, ops)``
+    appends to ``ops`` the passes that write into each ``lanes[k]`` the
+    result anchored at ``flat[k]``; lanes that wrap across a row or a
+    leading index are computed but never read.  The valid
     ``(..., out_rows, out_cols)`` lanes come back as a strided view of
     ``lanes`` that ends at its last element.  Inputs the flat run cannot
     describe (an axis with a stride that is not a positive multiple of the
-    item size, or a last stride other than the item size) are copied with
-    ``np.ascontiguousarray`` first.  ``lanes`` must not overlap ``arr``.
+    item size, or a last stride other than the item size) are copied first
+    into the array taken under ``name + ".input"``, by a recorded
+    ``np.copyto``, so every replay copies the input as it is then.
+    ``lanes`` must not overlap ``arr``.
     """
     out_shape = arr.shape[:-2] + (out_rows, out_cols)
     if arr.size == 0:
-        return take(0).reshape(out_shape)
+        return buffers.take(name, 0, dtype).reshape(out_shape)
     size = arr.itemsize
     odd = any(n > 1 and (st <= 0 or st % size) for n, st in zip(arr.shape, arr.strides))
     if odd or (arr.shape[-1] > 1 and arr.strides[-1] != size):
-        arr = np.ascontiguousarray(arr)
+        copy = buffers.take(name + ".input", arr.size, arr.dtype).reshape(arr.shape)
+        ops.append((np.copyto, (copy, arr), {}))
+        arr = copy
     steps = [st // size if n > 1 else 0 for n, st in zip(arr.shape, arr.strides)]
     span = 1 + sum((n - 1) * step for n, step in zip(arr.shape, steps))
     rows, cols = arr.shape[-2:]
     row_step = steps[-2]
     length = span - (rows - out_rows) * row_step - (cols - out_cols)
     flat = as_strided(arr, shape=(span,), strides=(size,), writeable=False)
-    lanes = take(length)
-    kernel(flat, row_step, lanes)
+    lanes = buffers.take(name, length, dtype)
+    kernel(flat, row_step, lanes, ops)
     strides = [step * lanes.itemsize for step in steps]
     return np.ndarray(out_shape, dtype=lanes.dtype, buffer=lanes, strides=strides)
 
@@ -239,8 +275,11 @@ def apply_block_factor_batch(
     whole stack, written in place into the ``blockfactor`` array of
     ``buffers`` (weighted terms go through ``scratch0``), and
     the result is a strided view of it.  Without ``buffers`` those arrays
-    are fresh; with them the result is overwritten by the next call on the
-    same ``buffers``.  Each replica's values depend on its own source only.
+    are fresh; with them the passes are recorded once per input layout and
+    parameters and replayed on later calls (``Buffers.replay``), and the
+    result, the same array object on every replay, is overwritten by the
+    next call on the same ``buffers``.  Each replica's values depend on its
+    own source only.
     Integer and bool sources with integer weights accumulate in
     ``narrow_int(source.dtype, sum|w|, bound)``; ``bound`` is an exact bound
     on ``|source|`` that the caller knows (the pipeline passes the
@@ -251,53 +290,59 @@ def apply_block_factor_batch(
     the narrow dtype can overflow in later arithmetic (``out * out`` on
     int8), so widen first.
     """
-    if source.shape[-2:] != (geom.source_rows, geom.source_cols):
-        raise GeometryError(
-            f"source shape {source.shape[-2:]} != ({geom.source_rows}, {geom.source_cols})"
-        )
-    if (transform.c1, transform.c2) != (geom.c1, geom.c2):
-        raise GeometryError(
-            f"transform window ({transform.c1}, {transform.c2}) != geometry "
-            f"({geom.c1}, {geom.c2})"
-        )
-    # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
-    kernel = transform.weights[::-1, :]
-    if np.issubdtype(kernel.dtype, np.integer):
-        dtype = narrow_int(source.dtype, np.abs(kernel).sum(), bound)
-    else:
-        dtype = np.dtype(np.float64)
-    if source.dtype == np.bool_ and dtype == np.int8:
-        # the same bytes, 0 or 1: int8 adds then need no cast of their input
-        source = source.view(np.int8)
     buffers = Buffers() if buffers is None else buffers
 
-    def shifted_sum(flat: np.ndarray, row_step: int, out: np.ndarray) -> None:
-        first = True
-        for s in range(geom.c2):
-            for t in range(geom.c1):
-                w = kernel[s, t]
-                if w == 0:
-                    continue
-                start = s * row_step + t
-                view = flat[start : start + out.size]
-                if first:
-                    if w == 1:
-                        np.copyto(out, view, casting="unsafe")
-                    else:
-                        np.multiply(view, w, out=out, dtype=dtype)
-                    first = False
-                elif w == 1:
-                    np.add(out, view, out=out)
-                else:
-                    scratch = buffers.take("scratch0", out.size, dtype)
-                    np.add(out, np.multiply(view, w, out=scratch, dtype=dtype), out=out)
-        if first:
-            out.fill(0)
+    def build(ops: list) -> np.ndarray:
+        if source.shape[-2:] != (geom.source_rows, geom.source_cols):
+            raise GeometryError(
+                f"source shape {source.shape[-2:]} != ({geom.source_rows}, {geom.source_cols})"
+            )
+        if (transform.c1, transform.c2) != (geom.c1, geom.c2):
+            raise GeometryError(
+                f"transform window ({transform.c1}, {transform.c2}) != geometry "
+                f"({geom.c1}, {geom.c2})"
+            )
+        # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
+        kernel = transform.weights[::-1, :]
+        if np.issubdtype(kernel.dtype, np.integer):
+            dtype = narrow_int(source.dtype, np.abs(kernel).sum(), bound)
+        else:
+            dtype = np.dtype(np.float64)
+        arr = source
+        if source.dtype == np.bool_ and dtype == np.int8:
+            # the same bytes, 0 or 1: int8 adds then need no cast of their input
+            arr = source.view(np.int8)
 
-    return _flat_kernel(
-        source, geom.derived_rows, geom.derived_cols, shifted_sum,
-        lambda length: buffers.take("blockfactor", length, dtype),
-    )
+        def shifted_sum(flat: np.ndarray, row_step: int, out: np.ndarray, ops: list) -> None:
+            first = True
+            for s in range(geom.c2):
+                for t in range(geom.c1):
+                    w = kernel[s, t]
+                    if w == 0:
+                        continue
+                    start = s * row_step + t
+                    view = flat[start : start + out.size]
+                    if first:
+                        if w == 1:
+                            ops.append((np.copyto, (out, view), {"casting": "unsafe"}))
+                        else:
+                            ops.append((np.multiply, (view, w), {"out": out, "dtype": dtype}))
+                        first = False
+                    elif w == 1:
+                        ops.append((np.add, (out, view), {"out": out}))
+                    else:
+                        scratch = buffers.take("scratch0", out.size, dtype)
+                        ops.append((np.multiply, (view, w), {"out": scratch, "dtype": dtype}))
+                        ops.append((np.add, (out, scratch), {"out": out}))
+            if first:
+                ops.append((out.fill, (0,), {}))
+
+        return _flat_kernel(
+            arr, geom.derived_rows, geom.derived_cols, shifted_sum, buffers, "blockfactor",
+            dtype, ops,
+        )
+
+    return buffers.replay(("blockfactor", *_layout(source), transform, geom, bound), build)
 
 
 def minesweeper_transform() -> BlockFactorTransform:

@@ -22,7 +22,15 @@ from . import __version__
 from .blockfactor import LatticeGeometry, catalog_transform
 from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError
 from .fields import STREAM_MAP, MarginalDistribution, SeedSpec
-from .pipeline import L_MODES, ApproxRow, ExperimentSpec, SimRow, approximate, simulate_distribution
+from .pipeline import (
+    L_MODES,
+    ApproxRow,
+    ExperimentSpec,
+    SimRow,
+    approximate,
+    chunk_layout,
+    simulate_distribution,
+)
 from .scan import ScanGeometry
 
 _THREADS_ENV = "BLOCKSCAN_THREADS"
@@ -192,16 +200,25 @@ def _write_table(
     config: RunConfig | None = None,
     notes=(),
     wall_time: float | None = None,
+    calls=(),
 ) -> None:
     """Write a ``#`` header and one line per ``(threshold, *values)`` row.
 
     The header holds the version line, with a ``config`` the stream map,
-    NumPy version and config keys that are set (lists as JSON), then the
-    ``notes`` lines, the wall time and the column names, in that order.
+    NumPy version, chunk layout of each Monte Carlo call in ``calls`` (a
+    ``(task, replicas)`` pair, see ``pipeline.chunk_layout``) and config
+    keys that are set (lists as JSON), then the ``notes`` lines, the wall
+    time and the column names, in that order.
     """
     lines = [f"# blockscan {command} v{__version__}"]
     if config is not None:
         lines += [f"# rng = {STREAM_MAP}", f"# numpy = {np.__version__}"]
+        spec = config.build_spec()
+        layouts = []
+        for task, total in calls:
+            size, count, last = chunk_layout(spec, task, total)
+            layouts.append(f"{task}: size={size} count={count} last={last}")
+        lines.append("# chunks = " + "; ".join(layouts))
         for f in dataclass_fields(config):
             value = getattr(config, f.name)
             if value is not None:
@@ -244,7 +261,10 @@ def write_approx_table(
         [row.n, sim_by_n.get(row.n)] + [getattr(row, name) for name in columns[2:]]
         for row in rows
     ]
-    _write_table(path, "approximate", columns, cells, raw, config, notes, wall_time)
+    calls = [("quv", config.iterations)]
+    if sim_rows is not None:
+        calls.append(("sim", config.replicas))
+    _write_table(path, "approximate", columns, cells, raw, config, notes, wall_time, calls)
 
 
 def write_sim_table(
@@ -255,7 +275,10 @@ def write_sim_table(
     wall_time: float | None = None,
 ) -> None:
     cells = [(row.n, row.prob, row.half_width) for row in rows]
-    _write_table(path, "simulate", ("n", "sim", "half_width"), cells, raw, config, (), wall_time)
+    _write_table(
+        path, "simulate", ("n", "sim", "half_width"), cells, raw, config, (), wall_time,
+        [("sim", config.replicas)],
+    )
 
 
 def read_table(path: str) -> tuple[list[str], list[str], list[dict]]:

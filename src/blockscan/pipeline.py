@@ -20,6 +20,7 @@ from .blockfactor import (
     BlockFactorTransform,
     Buffers,
     LatticeGeometry,
+    _layout,
     apply_block_factor_batch,
 )
 from .errors import GeometryError, HypothesisError, OrderingError, ParameterError
@@ -208,6 +209,21 @@ def _chunk_size(replica_bytes: int) -> int:
     return max(1, min(8192, _CHUNK_BYTES // max(replica_bytes, 1)))
 
 
+def _field_geometry(spec: ExperimentSpec, task: str) -> LatticeGeometry:
+    """The source lattice one replica of a ``quv`` or ``sim`` call samples."""
+    if task == "sim":
+        return spec.geometry
+    return spec.geometry.with_source(*quv_field_dims(3, 3, spec.geometry, spec.scan))
+
+
+def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int, int]:
+    """Replicas per chunk, chunk count and last chunk's replicas of a ``quv`` or ``sim`` call."""
+    g = _field_geometry(spec, task)
+    chunk = _chunk_size(g.source_rows * g.source_cols * spec.distribution.dtype.itemsize)
+    count = -(-total // chunk)
+    return chunk, count, total - (count - 1) * chunk
+
+
 def _worker_count(threads: int | None, n_chunks: int) -> int:
     """Threads worth starting: the requested count, at most one per chunk."""
     return max(1, min(threads or 1, n_chunks))
@@ -233,25 +249,27 @@ def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, t
     return sum(map(one, range(n_chunks)))
 
 
-def _tally(
-    spec: ExperimentSpec, thresholds, threads, task: str, total: int, geometry, tile, extents
-):
+def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, tile, extents):
     """Monte Carlo estimates of P(max window sum <= n) over nested anchor extents.
 
-    Each replica samples one source field of ``geometry``, applies the block
-    factor and takes every window sum once.  The sums are cut into
-    ``tile = (rows, cols)`` tiles of anchors and each tile's maximum is taken
-    once; an extent ``(v, u)`` is the leading ``v x u`` tiles, so its maximum
-    is entry ``[v - 1, u - 1]`` of the running maxima of the tile maxima
-    over both tile axes.  Returns
+    Each replica samples one source field of ``_field_geometry(spec, task)``,
+    applies the block factor and takes every window sum once.  The sums are
+    cut into ``tile = (rows, cols)`` tiles of anchors and each tile's
+    maximum is taken once; an extent ``(v, u)`` is the leading ``v x u``
+    tiles, so its maximum is entry ``[v - 1, u - 1]`` of the running maxima
+    of the tile maxima over both tile axes.  Returns
     the thresholds and, per extent and threshold, the estimate and its Wald
     half-width.
 
-    A chunk is about 512 KiB of source fields (``_chunk_size``), a budget in
+    A chunk is about 512 KiB of source fields (``chunk_layout``), a budget in
     bytes of the marginal's dtype, so the chunk partition, and with it the
     stream, depends on the model only.  Each chunk is drawn in one
     ``sample`` call and then goes through the kernels in one pass, which
-    stays in L2 unless one field alone passes the budget.  Integer sums are as
+    stays in L2 unless one field alone passes the budget.  Every pass after
+    the draw is recorded once per worker and chunk shape and replayed on
+    each chunk (``Buffers.replay``), so a chunk pays no interpreter work
+    that is the same every time; only the counts are a fresh array, since
+    the pool holds several chunks' counts at once.  Integer sums are as
     narrow as an exact bound on the data allows (``ExperimentSpec.value_bounds``
     of the Bernoulli or binomial ``cell_bound``); a Poisson source keeps its
     dtype's bound, because its ``cell_bound`` is a ``2**-64`` tail bound
@@ -262,21 +280,45 @@ def _tally(
         empty = np.empty((len(extents), 0))
         return thr, empty, empty
     threads = spec.threads if threads is None else threads
+    geometry = _field_geometry(spec, task)
     cols, rows = geometry.source_cols, geometry.source_rows
     m1, m2 = spec.scan.m1, spec.scan.m2
     dist = spec.distribution
     replica_bytes = rows * cols * dist.dtype.itemsize
-    chunk = _chunk_size(replica_bytes)
+    chunk = chunk_layout(spec, task, total)[0]
     cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
     derived_bound = spec.value_bounds(cell_bound)[0]
 
-    def layers(source: np.ndarray, buffers: Buffers) -> np.ndarray:
-        """Tile maxima of a stack of source fields, every temporary taken from ``buffers``."""
+    # the thresholds and extents shape the passes of ``below``
+    params = (tuple(thr.tolist()), tuple(extents))
+    limits = thr[:, None]
+
+    def below(source: np.ndarray, buffers: Buffers) -> np.ndarray:
+        """Whether each replica's maximum is ``<=`` each threshold, per extent.
+
+        An ``(extents, thresholds, replicas)`` bool view; every temporary is
+        taken from ``buffers``.
+        """
         derived = apply_block_factor_batch(
             source, spec.transform, geometry, bound=cell_bound, buffers=buffers
         )
         sums = window_sums_batch(derived, m1, m2, bound=derived_bound, buffers=buffers)
-        return tile_maxima(sums, *tile, buffers=buffers)
+        tiles = tile_maxima(sums, *tile, buffers=buffers)
+
+        def build(ops: list) -> np.ndarray:
+            # tile axes first, so every pass below runs over the replicas
+            lead = np.moveaxis(tiles, 0, -1)
+            for i in range(1, lead.shape[0]):
+                ops.append((np.maximum, (lead[i], lead[i - 1]), {"out": lead[i]}))
+            for j in range(1, lead.shape[1]):
+                ops.append((np.maximum, (lead[:, j], lead[:, j - 1]), {"out": lead[:, j]}))
+            out = buffers.take("below", len(extents) * thr.size * len(source), np.bool_)
+            out = out.reshape(len(extents), thr.size, len(source))
+            for e, (v, u) in enumerate(extents):
+                ops.append((np.less_equal, (lead[v - 1, u - 1], limits), {"out": out[e]}))
+            return out
+
+        return buffers.replay(("pipeline.below", *_layout(tiles), params), build)
 
     # Each worker keeps one chunk's source and temporaries in one block,
     # the temporaries laid out by two tiny passes.
@@ -286,7 +328,7 @@ def _tally(
     # ends, would be faulted in again by the next call, while one freed
     # block stays under that bound.
     def passes(count: int, buffers: Buffers) -> np.ndarray:
-        return layers(np.zeros((count, rows, cols), dtype=dist.dtype), buffers)
+        return below(np.zeros((count, rows, cols), dtype=dist.dtype), buffers)
 
     one, step = Buffers.growth(passes)
     layout = {name: n + (chunk - 1) * step[name] for name, n in one.items()}
@@ -299,14 +341,7 @@ def _tally(
             buffers = workers.buffers = Buffers(layout)
         shape = (count, rows, cols)
         out = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
-        # tile axes first, so every step below runs over the replicas
-        lead = np.moveaxis(layers(dist.sample(rng, shape, out=out), buffers), 0, -1)
-        for i in range(1, lead.shape[0]):
-            np.maximum(lead[i], lead[i - 1], out=lead[i])
-        for j in range(1, lead.shape[1]):
-            np.maximum(lead[:, j], lead[:, j - 1], out=lead[:, j])
-        maxima = np.stack([lead[v - 1, u - 1] for v, u in extents])
-        return (maxima[:, None, :] <= thr[:, None]).sum(axis=2, dtype=np.int64)
+        return below(dist.sample(rng, shape, out=out), buffers).sum(axis=2, dtype=np.int64)
 
     counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
     probs = counts / total
@@ -319,7 +354,6 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
     One source field of the largest (3, 3) size serves all four nested maxima
     per replica; all thresholds share the same replicas.
     """
-    cols, rows = quv_field_dims(3, 3, spec.geometry, spec.scan)
     # the window sums of the (3, 3) field are 2 x 2 tiles of block2 x block1
     # anchors (1 x 2 tiles of one row in 1-D); Q_uv reads the leading
     # (v - 1) x (u - 1) of them
@@ -327,8 +361,7 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
         tile, extents = (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
     else:
         tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
-    sub_geom = spec.geometry.with_source(cols, rows)
-    thr, q_hat, beta = _tally(spec, None, threads, "quv", spec.iterations, sub_geom, tile, extents)
+    thr, q_hat, beta = _tally(spec, None, threads, "quv", spec.iterations, tile, extents)
     records = []
     for t_idx, n in enumerate(thr):
         records.append(
@@ -522,7 +555,7 @@ def simulate_distribution(
         raise ParameterError("replicas must be >= 1")
     g, s = spec.geometry, spec.scan
     full = (g.derived_rows - s.m2 + 1, g.derived_cols - s.m1 + 1)
-    thr, probs, half = _tally(spec, thresholds, threads, "sim", replicas, g, full, [(1, 1)])
+    thr, probs, half = _tally(spec, thresholds, threads, "sim", replicas, full, [(1, 1)])
     return [
         SimRow(n=float(n), prob=float(p), half_width=float(h), replicas=replicas)
         for n, p, h in zip(thr, probs[0], half[0])

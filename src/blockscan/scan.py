@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockfactor import Buffers, _flat_kernel, narrow_int
+from .blockfactor import Buffers, _flat_kernel, _layout, narrow_int
 from .errors import GeometryError
 
 
@@ -37,8 +37,10 @@ class ScanGeometry:
                 raise GeometryError("window sides must be >= 1", field=side)
 
 
-def _running_sums(x: np.ndarray, m: int, step: int, out: np.ndarray, buffers: Buffers) -> None:
-    """Write lanes ``k < out.size`` of ``sum(x[k + i * step] for i < m)`` into ``out``.
+def _running_sums(
+    x: np.ndarray, m: int, step: int, out: np.ndarray, buffers: Buffers, ops: list
+) -> None:
+    """Record into ``ops`` the passes writing ``sum(x[k + i * step] for i < m)`` to ``out[k]``.
 
     ``block`` holds the width-``w`` running sums for ``w`` = 1, 2, 4, ...,
     built by doubling in ``out.dtype`` in ``scratch0`` and ``scratch1`` of
@@ -58,22 +60,24 @@ def _running_sums(x: np.ndarray, m: int, step: int, out: np.ndarray, buffers: Bu
             if total is None:
                 total, held = piece, here
             else:
-                total, held = np.add(total, piece, out=out, dtype=dtype), None
+                ops.append((np.add, (total, piece), {"out": out, "dtype": dtype}))
+                total, held = out, None
             offset += width
         if 2 * width > m:
             break
         there = 1 if here == 0 else 0
         if held == there:
-            np.copyto(out, total)
+            ops.append((np.copyto, (out, total), {}))
             total, held = out, None
         length = block.size - width * step
-        block = np.add(
-            block[:length], block[width * step : width * step + length],
-            out=buffers.take(f"scratch{there}", length, dtype), dtype=dtype,
-        )
-        here, width = there, 2 * width
+        doubled = buffers.take(f"scratch{there}", length, dtype)
+        ops.append((
+            np.add, (block[:length], block[width * step : width * step + length]),
+            {"out": doubled, "dtype": dtype},
+        ))
+        block, here, width = doubled, there, 2 * width
     if total is not out:
-        np.copyto(out, total)
+        ops.append((np.copyto, (out, total), {}))
 
 
 def window_sums_batch(
@@ -91,10 +95,12 @@ def window_sums_batch(
     doubling step one contiguous 1-D ufunc over the whole stack.  The row
     pass writes into the ``scan.across`` array of ``buffers`` and the
     column pass into ``scan.sums``, of which the result is a strided view;
-    without ``buffers`` these arrays are fresh, with them the result is
-    overwritten by the next call on the same ``buffers``, and ``arr`` must
-    not be a view of them.  Each field's sums depend on that field only.
-    Integer and boolean inputs give
+    without ``buffers`` these arrays are fresh, with them the passes are
+    recorded once per input layout and parameters and replayed on later
+    calls (``Buffers.replay``), the result, the same array object on every
+    replay, is overwritten by the next call on the same ``buffers``, and
+    ``arr`` must not be a view of them.  Each field's sums depend on that
+    field only.  Integer and boolean inputs give
     ``narrow_int(arr.dtype, m1 * m2, bound)``, where
     ``bound`` is an exact bound on ``|arr|`` that the caller knows (the
     pipeline passes ``cell_bound * sum|w|`` of the block factor for
@@ -105,26 +111,29 @@ def window_sums_batch(
     can overflow in later arithmetic, so widen before it.  Floating-point
     inputs give float64.
     """
-    rows, cols = arr.shape[-2:]
-    if not (1 <= m1 <= cols and 1 <= m2 <= rows):
-        raise GeometryError(
-            f"window {m1}x{m2} does not fit in {cols}x{rows} field"
-        )
-    dtype = narrow_int(arr.dtype, m1 * m2, bound)
     buffers = Buffers() if buffers is None else buffers
 
-    def sums(flat: np.ndarray, row_step: int, out: np.ndarray) -> None:
-        if m2 == 1:
-            _running_sums(flat, m1, 1, out, buffers)
-        else:
-            across = buffers.take("scan.across", out.size + (m2 - 1) * row_step, dtype)
-            _running_sums(flat, m1, 1, across, buffers)
-            _running_sums(across, m2, row_step, out, buffers)
+    def build(ops: list) -> np.ndarray:
+        rows, cols = arr.shape[-2:]
+        if not (1 <= m1 <= cols and 1 <= m2 <= rows):
+            raise GeometryError(
+                f"window {m1}x{m2} does not fit in {cols}x{rows} field"
+            )
+        dtype = narrow_int(arr.dtype, m1 * m2, bound)
 
-    return _flat_kernel(
-        arr, rows - m2 + 1, cols - m1 + 1, sums,
-        lambda length: buffers.take("scan.sums", length, dtype),
-    )
+        def sums(flat: np.ndarray, row_step: int, out: np.ndarray, ops: list) -> None:
+            if m2 == 1:
+                _running_sums(flat, m1, 1, out, buffers, ops)
+            else:
+                across = buffers.take("scan.across", out.size + (m2 - 1) * row_step, dtype)
+                _running_sums(flat, m1, 1, across, buffers, ops)
+                _running_sums(across, m2, row_step, out, buffers, ops)
+
+        return _flat_kernel(
+            arr, rows - m2 + 1, cols - m1 + 1, sums, buffers, "scan.sums", dtype, ops
+        )
+
+    return buffers.replay(("scan.sums", *_layout(arr), m1, m2, bound), build)
 
 
 def tile_maxima(
@@ -134,29 +143,36 @@ def tile_maxima(
 
     The tiles cover ``arr`` from its first row and column; a ragged edge is
     left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``, a
-    view of the ``scan.tiles`` array of ``buffers`` (fresh without them).
+    view of the ``scan.tiles`` array of ``buffers`` (fresh without them;
+    with them the passes are replayed like ``window_sums_batch``'s).
     One tile is one direct maximum.  Several tiles fold in each of the
     ``tile_rows * tile_cols`` offsets inside a tile at once, an elementwise
     maximum over every tile of the stack with the stack axes innermost.
     """
-    rows, cols = arr.shape[-2:]
-    if not (1 <= tile_cols <= cols and 1 <= tile_rows <= rows):
-        raise GeometryError(f"tile {tile_cols}x{tile_rows} does not fit in {cols}x{rows} array")
-    grid_rows, grid_cols = rows // tile_rows, cols // tile_cols
-    covered = arr[..., : grid_rows * tile_rows, : grid_cols * tile_cols]
     buffers = Buffers() if buffers is None else buffers
-    shape = (grid_rows, grid_cols) + arr.shape[:-2]
-    out = buffers.take("scan.tiles", math.prod(shape), arr.dtype).reshape(shape)
-    if grid_rows == grid_cols == 1:
-        maxima = out[0, 0, ...]
-        covered.max(axis=(-2, -1), out=maxima)
-        return maxima[..., None, None]
-    grid = np.moveaxis(covered, (-2, -1), (0, 1))
-    np.copyto(out, grid[::tile_rows, ::tile_cols])
-    for i, j in np.ndindex(tile_rows, tile_cols):
-        if i or j:
-            np.maximum(out, grid[i::tile_rows, j::tile_cols], out=out)
-    return np.moveaxis(out, (0, 1), (-2, -1))
+
+    def build(ops: list) -> np.ndarray:
+        rows, cols = arr.shape[-2:]
+        if not (1 <= tile_cols <= cols and 1 <= tile_rows <= rows):
+            raise GeometryError(
+                f"tile {tile_cols}x{tile_rows} does not fit in {cols}x{rows} array"
+            )
+        grid_rows, grid_cols = rows // tile_rows, cols // tile_cols
+        covered = arr[..., : grid_rows * tile_rows, : grid_cols * tile_cols]
+        shape = (grid_rows, grid_cols) + arr.shape[:-2]
+        out = buffers.take("scan.tiles", math.prod(shape), arr.dtype).reshape(shape)
+        if grid_rows == grid_cols == 1:
+            maxima = out[0, 0, ...]
+            ops.append((np.maximum.reduce, (covered,), {"axis": (-2, -1), "out": maxima}))
+            return maxima[..., None, None]
+        grid = np.moveaxis(covered, (-2, -1), (0, 1))
+        ops.append((np.copyto, (out, grid[::tile_rows, ::tile_cols]), {}))
+        for i, j in np.ndindex(tile_rows, tile_cols):
+            if i or j:
+                ops.append((np.maximum, (out, grid[i::tile_rows, j::tile_cols]), {"out": out}))
+        return np.moveaxis(out, (0, 1), (-2, -1))
+
+    return buffers.replay(("scan.tiles", *_layout(arr), tile_rows, tile_cols), build)
 
 
 def brute_moving_sums(values: np.ndarray, m1: int, m2: int) -> np.ndarray:

@@ -477,3 +477,46 @@ def test_plotdata_rejects_a_table_it_cannot_read(tmp_path, capsys, flag, table):
     assert main(argv + ["-o", str(tmp_path / "plot.tsv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.tsv" in err and err.count("\n") == 1
+
+
+def _chunk_header(metadata):
+    """``{task: (size, count, last)}`` read back from the ``# chunks = ...`` line."""
+    [line] = [line for line in metadata if line.startswith("# chunks = ")]
+    layouts = {}
+    for part in line[len("# chunks = ") :].split("; "):
+        task, fields = part.split(": ")
+        values = dict(field.split("=") for field in fields.split())
+        layouts[task] = tuple(int(values[key]) for key in ("size", "count", "last"))
+    return layouts
+
+
+@pytest.mark.parametrize("command", ["approximate", "simulate"])
+def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monkeypatch):
+    from blockscan import pipeline
+
+    # several chunks per call, the last one short
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda nbytes: max(1, 5000 // nbytes))
+    ran, accumulate = [], pipeline._accumulate
+
+    def recording(total, chunk, seed, task, chunk_eval, threads):
+        ran.append((task, total, chunk))
+        return accumulate(total, chunk, seed, task, chunk_eval, threads)
+
+    monkeypatch.setattr(pipeline, "_accumulate", recording)
+    config = _write_config(tmp_path, include_sim=True)
+    headers = []
+    for threads in (1, 2):
+        ran.clear()
+        out = tmp_path / f"table-t{threads}.tsv"
+        assert main([command, "-c", config, "-o", str(out), "--threads", str(threads)]) == 0
+        metadata, _, _ = read_table(str(out))
+        assert metadata[3].startswith("# chunks = ")
+        headers.append(metadata[3])
+        layouts = _chunk_header(metadata)
+        assert list(layouts) == [task for task, _, _ in ran]
+        for task, total, chunk in ran:
+            count = -(-total // chunk)
+            assert count > 2 and total % chunk
+            assert layouts[task] == (chunk, count, total - (count - 1) * chunk)
+    assert list(layouts) == (["quv", "sim"] if command == "approximate" else ["sim"])
+    assert headers[0] == headers[1]

@@ -1,0 +1,197 @@
+"""Recorded kernel passes (``Buffers.replay``): replays read the input as it is now.
+
+A kernel given ``buffers`` records its passes on the first call with an
+input layout and parameters and replays them on later calls, so these tests
+overwrite an input in place between calls, change one key part at a time,
+and check every result against a fresh ``Buffers()``.
+"""
+import gc
+import weakref
+from functools import partial
+
+import numpy as np
+import pytest
+
+from blockscan import (
+    BlockFactorTransform,
+    ExperimentSpec,
+    LatticeGeometry,
+    MarginalDistribution,
+    ScanGeometry,
+    SeedSpec,
+    estimate_quv,
+    minesweeper_transform,
+    simulate_distribution,
+)
+from blockscan import pipeline
+from blockscan.blockfactor import Buffers, apply_block_factor_batch
+from blockscan.errors import GeometryError
+from blockscan.scan import tile_maxima, window_sums_batch
+
+GEOM = LatticeGeometry(9, 9, 1, 1, 1, 1)
+# weights other than 0 and 1 take the scratch pass of the block factor
+WEIGHTED = BlockFactorTransform(
+    name="weighted", weights=np.array([[0, 2, -1], [3, 0, 1], [1, 1, -4]])
+)
+
+# views of a (3, 9, 9) holder: the flat layout reads the first as it is and
+# copies the other two, whose strides it cannot describe, into a slot
+LAYOUTS = {
+    "contiguous": lambda holder: holder,
+    "transposed": lambda holder: holder.transpose(0, 2, 1),
+    "reversed": lambda holder: holder[:, ::-1, :],
+}
+
+KERNELS = {
+    "blockfactor": partial(apply_block_factor_batch, transform=minesweeper_transform(), geom=GEOM),
+    "blockfactor-weighted": partial(apply_block_factor_batch, transform=WEIGHTED, geom=GEOM),
+    "window-sums": partial(window_sums_batch, m1=3, m2=2),
+    "row-sums": partial(window_sums_batch, m1=5, m2=1),
+    "tile-maxima": partial(tile_maxima, tile_rows=2, tile_cols=3),
+    "one-tile": partial(tile_maxima, tile_rows=9, tile_cols=9),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_replay_reads_an_input_overwritten_in_place(kernel, layout):
+    rng = np.random.default_rng(7)
+    holder = np.empty((3, 9, 9), dtype=np.int8)
+    view = LAYOUTS[layout](holder)
+    buffers = Buffers()
+    first = None
+    for _ in range(3):
+        holder[...] = rng.integers(-4, 5, size=holder.shape)
+        out = KERNELS[kernel](view, buffers=buffers)
+        fresh = KERNELS[kernel](view.copy(), buffers=Buffers())
+        assert out.dtype == fresh.dtype and np.array_equal(out, fresh)
+        # a replay hands back the same array object, rewritten
+        first = out if first is None else first
+        assert out is first
+
+
+def _key_pairs():
+    rng = np.random.default_rng(11)
+    ints = rng.integers(0, 2, size=(2, 9, 9)).astype(np.int8)
+    bools = rng.random((2, 9, 9)) < 0.5
+    # two views from the same address, one of them every other column
+    wide = rng.integers(0, 9, size=(2, 9, 18)).astype(np.int8)
+    return {
+        "memory-blockfactor": (
+            partial(apply_block_factor_batch, ints, minesweeper_transform(), GEOM),
+            partial(apply_block_factor_batch, 1 - ints, minesweeper_transform(), GEOM),
+        ),
+        "memory-window-sums": (
+            partial(window_sums_batch, ints, 3, 3), partial(window_sums_batch, 1 - ints, 3, 3)
+        ),
+        "memory-tile-maxima": (partial(tile_maxima, ints, 2, 3), partial(tile_maxima, -ints, 2, 3)),
+        "strides": (
+            partial(window_sums_batch, wide[..., :9], 3, 3),
+            partial(window_sums_batch, wide[..., ::2], 3, 3),
+        ),
+        "m1": (partial(window_sums_batch, ints, 3, 2), partial(window_sums_batch, ints, 2, 2)),
+        # bound 1 narrows the 3x3 sums of int8 from int16 to int8
+        "bound": (
+            partial(window_sums_batch, ints, 3, 3), partial(window_sums_batch, ints, 3, 3, bound=1)
+        ),
+        "tile": (partial(tile_maxima, ints, 2, 3), partial(tile_maxima, ints, 3, 2)),
+        "transform": (
+            partial(apply_block_factor_batch, ints, minesweeper_transform(), GEOM),
+            partial(apply_block_factor_batch, ints, WEIGHTED, GEOM),
+        ),
+        # the same memory as bool and as int8: int8 sums versus int16 sums
+        "dtype-blockfactor": (
+            partial(apply_block_factor_batch, bools, minesweeper_transform(), GEOM),
+            partial(apply_block_factor_batch, bools.view(np.int8), minesweeper_transform(), GEOM),
+        ),
+        "dtype-window-sums": (
+            partial(window_sums_batch, bools, 3, 3),
+            partial(window_sums_batch, bools.view(np.int8), 3, 3),
+        ),
+    }
+
+
+@pytest.mark.parametrize("part", sorted(_key_pairs()))
+def test_changing_a_key_part_rebuilds_the_plan(part):
+    first, second = _key_pairs()[part]
+    buffers = Buffers()
+    seen = []
+    for call in (first, second, first, second):
+        out = call(buffers=buffers)
+        fresh = call()
+        assert out.dtype == fresh.dtype and np.array_equal(out, fresh)
+        seen.append((out.dtype, out.shape, out.tobytes()))
+    # each pair gives different results, so a replay of the other plan would show
+    assert seen[0] != seen[1]
+
+
+BAD_CALLS = {
+    "blockfactor": (
+        partial(apply_block_factor_batch, transform=minesweeper_transform(), geom=GEOM),
+        partial(
+            apply_block_factor_batch,
+            transform=minesweeper_transform(),
+            geom=GEOM.with_source(10, 9),
+        ),
+    ),
+    "window-sums": (
+        partial(window_sums_batch, m1=3, m2=3), partial(window_sums_batch, m1=10, m2=3)
+    ),
+    "tile-maxima": (
+        partial(tile_maxima, tile_rows=2, tile_cols=2),
+        partial(tile_maxima, tile_rows=2, tile_cols=10),
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BAD_CALLS))
+def test_a_bad_input_after_a_good_one_still_raises(kernel):
+    good, bad = BAD_CALLS[kernel]
+    source = np.random.default_rng(3).integers(0, 2, size=(2, 9, 9)).astype(np.int8)
+    buffers = Buffers()
+    good(source, buffers=buffers)
+    for _ in range(2):
+        with pytest.raises(GeometryError):
+            bad(source, buffers=buffers)
+    assert np.array_equal(good(source, buffers=buffers), good(source))
+
+
+class _Tracked(pipeline.Buffers):
+    """Keeps a weak reference to every worker block."""
+
+    refs = []
+
+    def __init__(self, layout=None):
+        super().__init__(layout)
+        self.refs.append(weakref.ref(self))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worker_buffers_die_with_the_call_without_the_cycle_collector(threads, monkeypatch):
+    """A reference cycle would keep each worker block alive until ``gc`` runs, raising peak RSS."""
+    monkeypatch.setattr(_Tracked, "refs", [])
+    monkeypatch.setattr(pipeline, "Buffers", _Tracked)
+    # 20 chunks of 100 replicas, so both threads take chunks
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 100)
+    t, extents = minesweeper_transform(), (1, 1, 1, 1)
+    spec = ExperimentSpec(
+        geometry=LatticeGeometry(20, 20, *extents),
+        scan=ScanGeometry(3, 3),
+        distribution=MarginalDistribution.bernoulli(0.5),
+        transform=t,
+        thresholds=(30.0, 32.0),
+        iterations=2000,
+        seed=SeedSpec(5),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for run in (
+            lambda: estimate_quv(spec, threads=threads),
+            lambda: simulate_distribution(spec, replicas=2000, threads=threads),
+        ):
+            _Tracked.refs.clear()
+            run()
+            assert _Tracked.refs and all(ref() is None for ref in _Tracked.refs)
+    finally:
+        gc.enable()
