@@ -203,8 +203,8 @@ class Buffers:
         """Bytes per name that ``run(count, buffers)`` takes at one replica, and per more.
 
         The size of every temporary of a chunk is affine in its replica
-        count (a flat run over the replicas, short by a fixed tail), so two
-        small runs, of one and two replicas, fix it: ``run(count, buffers)``
+        count (a flat run of so many cells per replica, plus a fixed tail), so
+        two small runs, of one and two replicas, fix it: ``run(count, buffers)``
         takes ``one[name] + (count - 1) * step[name]`` bytes of each name.
         """
         one, two = Buffers(), Buffers()
@@ -225,37 +225,36 @@ def _flat_kernel(
     """Record a shift kernel on the flat layout of ``arr`` and view its result.
 
     ``arr`` is read as one 1-D run ``flat`` over its memory with row step
-    ``R``: element ``(..., r, c)`` is ``flat[lead + r * R + c]``, so a shift
-    by ``(s, t)`` is the offset ``s * R + t``.  The 1-D ``dtype`` array
-    ``lanes`` is taken under ``name`` and ``kernel(flat, R, lanes, ops)``
+    ``R`` and column step ``C``, its strides in items: element
+    ``(..., r, c)`` is ``flat[lead + r * R + c * C]``, so a shift by
+    ``(s, t)`` is the offset ``s * R + t * C``.  The 1-D ``dtype`` array
+    ``lanes`` is taken under ``name`` and ``kernel(flat, R, C, lanes, ops)``
     appends to ``ops`` the passes that write into each ``lanes[k]`` the
-    result anchored at ``flat[k]``; lanes that wrap across a row or a
-    leading index are computed but never read.  The valid
-    ``(..., out_rows, out_cols)`` lanes come back as a strided view of
-    ``lanes`` that ends at its last element.  Inputs the flat run cannot
-    describe (an axis with a stride that is not a positive multiple of the
-    item size, or a last stride other than the item size) are copied first
-    into the array taken under ``name + ".input"``, by a recorded
-    ``np.copyto``, so every replay copies the input as it is then.
+    result anchored at ``flat[k]``; lanes that wrap across a row (or, in a
+    replicas-first stack, a replica) are computed but never read.  The
+    valid ``(..., out_rows, out_cols)`` lanes come back as a view of
+    ``lanes`` with the input's steps that ends at its last element.  An
+    input with a stride that is not a positive multiple of the item size
+    is copied first into the array taken under ``name + ".input"``, by a
+    recorded ``np.copyto``, so every replay copies the input as it is then.
     ``lanes`` must not overlap ``arr``.
     """
     out_shape = arr.shape[:-2] + (out_rows, out_cols)
     if arr.size == 0:
         return buffers.take(name, 0, dtype).reshape(out_shape)
     size = arr.itemsize
-    odd = any(n > 1 and (st <= 0 or st % size) for n, st in zip(arr.shape, arr.strides))
-    if odd or (arr.shape[-1] > 1 and arr.strides[-1] != size):
+    if any(n > 1 and (st <= 0 or st % size) for n, st in zip(arr.shape, arr.strides)):
         copy = buffers.take(name + ".input", arr.size, arr.dtype).reshape(arr.shape)
         ops.append((np.copyto, (copy, arr), {}))
         arr = copy
     steps = [st // size if n > 1 else 0 for n, st in zip(arr.shape, arr.strides)]
     span = 1 + sum((n - 1) * step for n, step in zip(arr.shape, steps))
     rows, cols = arr.shape[-2:]
-    row_step = steps[-2]
-    length = span - (rows - out_rows) * row_step - (cols - out_cols)
+    row_step, col_step = steps[-2:]
+    length = span - (rows - out_rows) * row_step - (cols - out_cols) * col_step
     flat = as_strided(arr, shape=(span,), strides=(size,), writeable=False)
     lanes = buffers.take(name, length, dtype)
-    kernel(flat, row_step, lanes, ops)
+    kernel(flat, row_step, col_step, lanes, ops)
     strides = [step * lanes.itemsize for step in steps]
     return np.ndarray(out_shape, dtype=lanes.dtype, buffer=lanes, strides=strides)
 
@@ -313,14 +312,14 @@ def apply_block_factor_batch(
             # the same bytes, 0 or 1: int8 adds then need no cast of their input
             arr = source.view(np.int8)
 
-        def shifted_sum(flat: np.ndarray, row_step: int, out: np.ndarray, ops: list) -> None:
+        def shifted_sum(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
             first = True
             for s in range(geom.c2):
                 for t in range(geom.c1):
                     w = kernel[s, t]
                     if w == 0:
                         continue
-                    start = s * row_step + t
+                    start = s * row_step + t * col_step
                     view = flat[start : start + out.size]
                     if first:
                         if w == 1:

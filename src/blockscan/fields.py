@@ -20,9 +20,9 @@ _LOW_MASK = np.uint64((1 << _LOW_BITS) - 1)
 # the largest binomial trials and Poisson mean NumPy draws from
 _INT64_MAX = (1 << 63) - 1
 _POISSON_MEAN_MAX = float(_INT64_MAX - math.sqrt(_INT64_MAX) * 10)
-# how ``SeedSpec.bit_generator`` turns a seed and a stream id into draws, as
+# how a seed and a stream id become draws, and a chunk's draws its cells, as
 # output tables name it: a seed draws other tables under another map
-STREAM_MAP = "SFC64 (SeedSequence(seed, spawn_key=(stream,)))"
+STREAM_MAP = "SFC64 (SeedSequence(seed, spawn_key=(stream,))); chunk cells in (row, col, replica) order"
 
 
 @dataclass(frozen=True)

@@ -264,16 +264,19 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     A chunk is about 512 KiB of source fields (``chunk_layout``), a budget in
     bytes of the marginal's dtype, so the chunk partition, and with it the
     stream, depends on the model only.  Each chunk is drawn in one
-    ``sample`` call and then goes through the kernels in one pass, which
-    stays in L2 unless one field alone passes the budget.  Every pass after
-    the draw is recorded once per worker and chunk shape and replayed on
-    each chunk (``Buffers.replay``), so a chunk pays no interpreter work
-    that is the same every time; only the counts are a fresh array, since
-    the pool holds several chunks' counts at once.  Integer sums are as
-    narrow as an exact bound on the data allows (``ExperimentSpec.value_bounds``
-    of the Bernoulli or binomial ``cell_bound``); a Poisson source keeps its
-    dtype's bound, because its ``cell_bound`` is a ``2**-64`` tail bound
-    that a cell may pass.
+    ``sample`` call into a ``(rows, cols, replicas)`` block and then goes
+    through the kernels in one pass, which stays in L2 unless one field
+    alone passes the budget.  The kernels take its replica-minor view
+    ``(replicas, rows, cols)``: no flat lane wraps across a replica, and
+    the maxima, compares and counts run over contiguous replica vectors.
+    Every pass after the draw is recorded once per worker and chunk shape
+    and replayed on each chunk (``Buffers.replay``), so a chunk pays no
+    interpreter work that is the same every time; only the counts are a
+    fresh array, since the pool holds several chunks' counts at once.
+    Integer sums are as narrow as an exact bound on the data allows
+    (``ExperimentSpec.value_bounds`` of the Bernoulli or binomial
+    ``cell_bound``); a Poisson source keeps its dtype's bound, because its
+    ``cell_bound`` is a ``2**-64`` tail bound that a cell may pass.
     """
     thr = np.asarray(spec.thresholds if thresholds is None else thresholds, dtype=np.float64)
     if thr.size == 0:
@@ -328,7 +331,7 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     # ends, would be faulted in again by the next call, while one freed
     # block stays under that bound.
     def passes(count: int, buffers: Buffers) -> np.ndarray:
-        return below(np.zeros((count, rows, cols), dtype=dist.dtype), buffers)
+        return below(np.moveaxis(np.zeros((rows, cols, count), dtype=dist.dtype), -1, 0), buffers)
 
     one, step = Buffers.growth(passes)
     layout = {name: n + (chunk - 1) * step[name] for name, n in one.items()}
@@ -339,9 +342,10 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
         buffers = getattr(workers, "buffers", None)
         if buffers is None:
             buffers = workers.buffers = Buffers(layout)
-        shape = (count, rows, cols)
+        shape = (rows, cols, count)
         out = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
-        return below(dist.sample(rng, shape, out=out), buffers).sum(axis=2, dtype=np.int64)
+        source = np.moveaxis(dist.sample(rng, shape, out=out), -1, 0)
+        return below(source, buffers).sum(axis=2, dtype=np.int64)
 
     counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
     probs = counts / total

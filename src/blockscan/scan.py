@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .blockfactor import Buffers, _flat_kernel, _layout, narrow_int
 from .errors import GeometryError
@@ -121,12 +122,12 @@ def window_sums_batch(
             )
         dtype = narrow_int(arr.dtype, m1 * m2, bound)
 
-        def sums(flat: np.ndarray, row_step: int, out: np.ndarray, ops: list) -> None:
+        def sums(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
             if m2 == 1:
-                _running_sums(flat, m1, 1, out, buffers, ops)
+                _running_sums(flat, m1, col_step, out, buffers, ops)
             else:
                 across = buffers.take("scan.across", out.size + (m2 - 1) * row_step, dtype)
-                _running_sums(flat, m1, 1, across, buffers, ops)
+                _running_sums(flat, m1, col_step, across, buffers, ops)
                 _running_sums(across, m2, row_step, out, buffers, ops)
 
         return _flat_kernel(
@@ -144,10 +145,12 @@ def tile_maxima(
     The tiles cover ``arr`` from its first row and column; a ragged edge is
     left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``, a
     view of the ``scan.tiles`` array of ``buffers`` (fresh without them;
-    with them the passes are replayed like ``window_sums_batch``'s).
-    One tile is one direct maximum.  Several tiles fold in each of the
-    ``tile_rows * tile_cols`` offsets inside a tile at once, an elementwise
-    maximum over every tile of the stack with the stack axes innermost.
+    with them the pass is replayed like ``window_sums_batch``'s).  The pass
+    is one ``np.maximum.reduce`` over axes 1 and 3 of the view
+    ``(grid_rows, tile_rows, grid_cols, tile_cols, ...)`` of ``arr``, built
+    from its strides so that it never copies, into ``scan.tiles`` laid out
+    ``(grid_rows, grid_cols, ...)``: the stack axes stay innermost, where a
+    replica-minor stack keeps its replicas contiguous.
     """
     buffers = Buffers() if buffers is None else buffers
 
@@ -157,19 +160,13 @@ def tile_maxima(
             raise GeometryError(
                 f"tile {tile_cols}x{tile_rows} does not fit in {cols}x{rows} array"
             )
-        grid_rows, grid_cols = rows // tile_rows, cols // tile_cols
-        covered = arr[..., : grid_rows * tile_rows, : grid_cols * tile_cols]
-        shape = (grid_rows, grid_cols) + arr.shape[:-2]
-        out = buffers.take("scan.tiles", math.prod(shape), arr.dtype).reshape(shape)
-        if grid_rows == grid_cols == 1:
-            maxima = out[0, 0, ...]
-            ops.append((np.maximum.reduce, (covered,), {"axis": (-2, -1), "out": maxima}))
-            return maxima[..., None, None]
-        grid = np.moveaxis(covered, (-2, -1), (0, 1))
-        ops.append((np.copyto, (out, grid[::tile_rows, ::tile_cols]), {}))
-        for i, j in np.ndindex(tile_rows, tile_cols):
-            if i or j:
-                ops.append((np.maximum, (out, grid[i::tile_rows, j::tile_cols]), {"out": out}))
+        grid, lead = (rows // tile_rows, cols // tile_cols), arr.shape[:-2]
+        row, col = arr.strides[-2:]
+        shape = (grid[0], tile_rows, grid[1], tile_cols) + lead
+        strides = (row * tile_rows, row, col * tile_cols, col) + arr.strides[:-2]
+        split = as_strided(arr, shape, strides, writeable=False)
+        out = buffers.take("scan.tiles", math.prod(grid + lead), arr.dtype).reshape(grid + lead)
+        ops.append((np.maximum.reduce, (split,), {"axis": (1, 3), "out": out}))
         return np.moveaxis(out, (0, 1), (-2, -1))
 
     return buffers.replay(("scan.tiles", *_layout(arr), tile_rows, tile_cols), build)

@@ -339,7 +339,8 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
     assert main([command, "-c", _write_config(tmp_path), "-o", str(out)]) == 0
     metadata, _, _ = read_table(str(out))
     assert metadata[1:3] == [
-        "# rng = SFC64 (SeedSequence(seed, spawn_key=(stream,)))",
+        "# rng = SFC64 (SeedSequence(seed, spawn_key=(stream,))); "
+        "chunk cells in (row, col, replica) order",
         f"# numpy = {np.__version__}",
     ]
 

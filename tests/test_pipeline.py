@@ -24,7 +24,7 @@ from blockscan import (
     simulate_distribution,
     two_step_approximation,
 )
-from blockscan import pipeline
+from blockscan import blockfactor, pipeline
 from blockscan.errors import GeometryError, HypothesisError, OrderingError, ParameterError
 
 
@@ -197,8 +197,10 @@ def test_tallies_pin_the_stream_partition():
     # Exact replica counts at a fixed seed, so platform independent: they move
     # only if the chunk partition, the per-chunk streams (SFC64 seeded by
     # SeedSequence(seed, spawn_key=(stream,))), the way a chunk's Bernoulli
-    # cells are drawn from its stream (one byte per cell) or the per-replica
-    # sample -> block factor -> window sums -> maxima pipeline changes.
+    # cells are drawn from its stream (one byte per cell), which replica each
+    # drawn cell belongs to (cells in (row, col, replica) order) or the
+    # per-replica sample -> block factor -> window sums -> maxima pipeline
+    # changes.
     t, extents = catalog_transform("minesweeper")
     spec = ExperimentSpec(
         geometry=LatticeGeometry(12, 12, *extents),
@@ -213,9 +215,9 @@ def test_tallies_pin_the_stream_partition():
         [round(getattr(rec, q) * rec.iterations) for q in ("q22", "q23", "q32", "q33")]
         for rec in estimate_quv(spec)
     ]
-    assert counts == [[2080, 424, 435, 22], [5527, 2184, 2208, 430], [10240, 6170, 6279, 2600]]
+    assert counts == [[2145, 424, 433, 26], [5574, 2201, 2180, 443], [10267, 6110, 6278, 2563]]
     sims = simulate_distribution(spec, replicas=10_000)
-    assert [round(row.prob * row.replicas) for row in sims] == [12, 221, 1291]
+    assert [round(row.prob * row.replicas) for row in sims] == [19, 234, 1342]
 
 
 # --- assembly and the error ledger -----------------------------------------
@@ -631,15 +633,51 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     for name in ("apply_block_factor_batch", "window_sums_batch", "tile_maxima"):
         monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
     estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)
-    # one draw per chunk, then one pass through every kernel
-    for arrays in results.values():
-        assert [len(out) for out in arrays] == [3640] * 5 + [1800]
+    # one draw per chunk, then one pass through every kernel; the drawn
+    # block is (rows, cols, replicas) and each kernel's result replicas-first
+    for layer, arrays in results.items():
+        axis = -1 if layer == "source" else 0
+        assert [out.shape[axis] for out in arrays] == [3640] * 5 + [1800]
     first = [arrays[0] for arrays in results.values()]
     for arrays in results.values():
         assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])
     # one block holds them all, and no two of them overlap
     assert len({id(_owner(a)) for arrays in results.values() for a in arrays}) == 1
     assert not any(np.shares_memory(a, b) for i, a in enumerate(first) for b in first[i + 1 :])
+
+
+class _Kept(pipeline.Buffers):
+    """Keeps every block of buffers made, the layout passes' too."""
+
+    made = []
+
+    def __init__(self, layout=None):
+        super().__init__(layout)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize(
+    "spec", [_minesweeper_spec(iterations=20_000), _ma_spec()], ids=["minesweeper", "ma"]
+)
+def test_the_kernels_read_each_drawn_chunk_in_place(spec, monkeypatch):
+    """The replica-minor source: one item between replicas, and no kernel copies its input."""
+    monkeypatch.setattr(_Kept, "made", [])
+    monkeypatch.setattr(pipeline, "Buffers", _Kept)
+    monkeypatch.setattr(blockfactor, "Buffers", _Kept)
+    steps = []
+    apply = pipeline.apply_block_factor_batch
+
+    def recording(source, *args, **kwargs):
+        steps.append(source.strides[0] / source.itemsize)
+        return apply(source, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "apply_block_factor_batch", recording)
+    estimate_quv(spec, threads=2)
+    simulate_distribution(spec, replicas=3000, threads=2)
+    assert set(steps) == {1}
+    assert _Kept.made and all(
+        not name.endswith(".input") for buffers in _Kept.made for name in buffers.taken
+    )
 
 
 class _FreshJunk(pipeline.Buffers):

@@ -19,6 +19,8 @@ from blockscan import (
     MarginalDistribution,
     ScanGeometry,
     SeedSpec,
+    brute_moving_sums,
+    configuration_matrix,
     estimate_quv,
     minesweeper_transform,
     simulate_distribution,
@@ -34,11 +36,13 @@ WEIGHTED = BlockFactorTransform(
     name="weighted", weights=np.array([[0, 2, -1], [3, 0, 1], [1, 1, -4]])
 )
 
-# views of a (3, 9, 9) holder: the flat layout reads the first as it is and
-# copies the other two, whose strides it cannot describe, into a slot
+# views of a (3, 9, 9) holder: the flat layout reads the contiguous, the
+# transposed and the replica-minor ones in place, and copies the reversed
+# one, whose negative stride it cannot describe, into a slot
 LAYOUTS = {
     "contiguous": lambda holder: holder,
     "transposed": lambda holder: holder.transpose(0, 2, 1),
+    "replica-minor": lambda holder: np.moveaxis(holder.reshape(9, 9, 3), -1, 0),
     "reversed": lambda holder: holder[:, ::-1, :],
 }
 
@@ -68,6 +72,70 @@ def test_a_replay_reads_an_input_overwritten_in_place(kernel, layout):
         # a replay hands back the same array object, rewritten
         first = out if first is None else first
         assert out is first
+
+
+def _per_tile_maxima(field, tile_rows, tile_cols):
+    rows, cols = field.shape[0] // tile_rows, field.shape[1] // tile_cols
+    return np.array([
+        [field[r * tile_rows : (r + 1) * tile_rows, c * tile_cols : (c + 1) * tile_cols].max()
+         for c in range(cols)]
+        for r in range(rows)
+    ])
+
+
+def _per_site_block_factor(transform):
+    def oracle(field):
+        return np.array([
+            [transform(configuration_matrix(field, i + 2, j + 2, GEOM))
+             for i in range(GEOM.derived_cols)]
+            for j in range(GEOM.derived_rows)
+        ])
+
+    return oracle
+
+
+# the per-field oracle of each kernel in KERNELS
+ORACLES = {
+    "blockfactor": _per_site_block_factor(minesweeper_transform()),
+    "blockfactor-weighted": _per_site_block_factor(WEIGHTED),
+    "window-sums": partial(brute_moving_sums, m1=3, m2=2),
+    "row-sums": partial(brute_moving_sums, m1=5, m2=1),
+    "tile-maxima": partial(_per_tile_maxima, tile_rows=2, tile_cols=3),
+    "one-tile": partial(_per_tile_maxima, tile_rows=9, tile_cols=9),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_replica_minor_stack_is_read_in_place(kernel):
+    """A (rows, cols, replicas) block seen replicas-first: no input copy, replicas stay innermost."""
+    block = np.random.default_rng(13).integers(-4, 5, size=(9, 9, 5)).astype(np.int8)
+    stack = np.moveaxis(block, -1, 0)
+    buffers = Buffers()
+    for _ in range(2):
+        out = KERNELS[kernel](stack, buffers=buffers)
+        assert not [name for name in buffers.taken if name.endswith(".input")]
+        assert out.strides[0] == out.itemsize
+        for index in range(len(stack)):
+            assert np.array_equal(out[index], ORACLES[kernel](stack[index]))
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "replica-minor"])
+def test_tile_maxima_leave_out_ragged_edges(layout):
+    """Tiles that do not divide the field: the edge rows and columns are read by no tile."""
+    rng = np.random.default_rng(17)
+    holder = np.empty((3, 9, 9), dtype=np.int16)
+    holder[...] = rng.integers(-50, 50, size=holder.shape)
+    stack = LAYOUTS[layout](holder)
+    for tile_rows, tile_cols in ((2, 4), (4, 2), (5, 5), (9, 4), (2, 9)):
+        tiles = tile_maxima(stack, tile_rows, tile_cols)
+        assert tiles.shape == (3, 9 // tile_rows, 9 // tile_cols)
+        # a maximum in the ragged edge changes no tile
+        raised = LAYOUTS[layout](holder.copy())
+        raised[:, 9 // tile_rows * tile_rows :, :] = 99
+        raised[:, :, 9 // tile_cols * tile_cols :] = 99
+        assert np.array_equal(tile_maxima(raised, tile_rows, tile_cols), tiles)
+        for index in range(3):
+            assert np.array_equal(tiles[index], _per_tile_maxima(stack[index], tile_rows, tile_cols))
 
 
 def _key_pairs():
