@@ -156,12 +156,15 @@ class Buffers:
     ``key``: on a call whose ``key`` differs from the kept one, ``build(ops)``
     validates the input, takes its arrays, appends each pass as a
     ``(function, args, kwargs)`` triple to ``ops`` without running it and
-    returns the result view.  Every call, the first one too, runs the kept
-    passes in order and returns that same view object.  A kernel's key
-    holds the input's ``_layout`` and every parameter the passes depend
-    on, and its passes hold views of the input, so a key that equals the
-    kept one names the same memory: a replay reads whatever that memory
-    holds now.  Not thread-safe: give each worker its own.  A fresh
+    returns the result view.  A top-level call, the first one too, then runs
+    the kept passes in order and returns that same view object.  A call
+    made while an enclosing ``build`` records runs nothing: it appends its
+    kept passes to the enclosing ``ops`` and returns its view, so a plan
+    that calls kernels holds all their passes and runs them as one.  A
+    kernel's key holds the input's ``_layout`` and every parameter the
+    passes depend on, and its passes hold views of the input, so a key that
+    equals the kept one names the same memory: a replay reads whatever that
+    memory holds now.  Not thread-safe: give each worker its own.  A fresh
     ``Buffers()`` hands out fresh arrays and builds every plan it runs.
     """
 
@@ -177,6 +180,7 @@ class Buffers:
         self._bytes = {name: block[starts[name] : starts[name] + n] for name, n in layout.items()}
         self.taken: dict[str, int] = {}
         self._plans: dict[str, tuple] = {}
+        self._recording: list | None = None  # the ``ops`` of the ``build`` running now
 
     def take(self, name: str, size: int, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -188,14 +192,20 @@ class Buffers:
         return raw[:nbytes].view(dtype)
 
     def replay(self, key: tuple, build):
-        """Run the passes kept for ``key[0]``, recorded by ``build`` when ``key`` changed."""
+        """Run the passes kept for ``key[0]``, or record them into an enclosing ``build``."""
         plan = self._plans.get(key[0])
         if plan is None or plan[0] != key:
-            ops = []
-            # kept only once ``build`` returns, so a bad input raises on every call
-            plan = self._plans[key[0]] = (key, ops, build(ops))
-        for fn, args, kwargs in plan[1]:
-            fn(*args, **kwargs)
+            outer, self._recording = self._recording, []
+            try:
+                # kept only once ``build`` returns, so a bad input raises on every call
+                plan = self._plans[key[0]] = (key, self._recording, build(self._recording))
+            finally:
+                self._recording = outer
+        if self._recording is None:
+            for fn, args, kwargs in plan[1]:
+                fn(*args, **kwargs)
+        else:
+            self._recording.extend(plan[1])
         return plan[2]
 
     @staticmethod

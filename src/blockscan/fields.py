@@ -207,8 +207,11 @@ class MarginalDistribution:
         if self.kind == "bernoulli":
             _bernoulli_from_bytes(rng.bit_generator, self.p, out.reshape(-1))
         else:
-            # normal() computes mean + sd * z per draw: the same two roundings
+            # normal() computes mean + sd * z per draw: the same two roundings;
+            # z * 1.0 is z, and z + 0.0 differs from z only in the sign of a zero
             rng.standard_normal(out=out)
-            np.multiply(out, math.sqrt(self.variance), out=out)
-            np.add(out, self.mean, out=out)
+            if self.variance != 1.0:
+                np.multiply(out, math.sqrt(self.variance), out=out)
+            if self.mean != 0.0:
+                np.add(out, self.mean, out=out)
         return out

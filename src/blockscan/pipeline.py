@@ -269,10 +269,12 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     alone passes the budget.  The kernels take its replica-minor view
     ``(replicas, rows, cols)``: no flat lane wraps across a replica, and
     the maxima, compares and counts run over contiguous replica vectors.
-    Every pass after the draw is recorded once per worker and chunk shape
-    and replayed on each chunk (``Buffers.replay``), so a chunk pays no
-    interpreter work that is the same every time; only the counts are a
-    fresh array, since the pool holds several chunks' counts at once.
+    Every pass after the draw, from the block factor to the compares, is
+    recorded as one plan once per worker and chunk shape and replayed on
+    each chunk (``Buffers.replay``, which nests the kernels' plans in it), so
+    a chunk pays no interpreter work that is the same every time; only the
+    counts are a fresh array, since the pool holds several chunks' counts
+    at once.
     Integer sums are as narrow as an exact bound on the data allows
     (``ExperimentSpec.value_bounds`` of the Bernoulli or binomial
     ``cell_bound``); a Poisson source keeps its dtype's bound, because its
@@ -330,10 +332,16 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     # mapped and freed, so separate temporaries, all freed as this call
     # ends, would be faulted in again by the next call, while one freed
     # block stays under that bound.
-    def passes(count: int, buffers: Buffers) -> np.ndarray:
-        return below(np.moveaxis(np.zeros((rows, cols, count), dtype=dist.dtype), -1, 0), buffers)
+    def plan(block: np.ndarray, buffers: Buffers) -> np.ndarray:
+        """``below`` of a ``(rows, cols, replicas)`` block, every kernel's passes in one plan."""
+        def build(ops: list) -> np.ndarray:
+            return below(np.moveaxis(block, -1, 0), buffers)
 
-    one, step = Buffers.growth(passes)
+        return buffers.replay(("pipeline.chunk", *_layout(block)), build)
+
+    one, step = Buffers.growth(
+        lambda count, buffers: plan(np.zeros((rows, cols, count), dtype=dist.dtype), buffers)
+    )
     layout = {name: n + (chunk - 1) * step[name] for name, n in one.items()}
     layout["source"] = chunk * replica_bytes
     workers = threading.local()
@@ -343,9 +351,9 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
         if buffers is None:
             buffers = workers.buffers = Buffers(layout)
         shape = (rows, cols, count)
-        out = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
-        source = np.moveaxis(dist.sample(rng, shape, out=out), -1, 0)
-        return below(source, buffers).sum(axis=2, dtype=np.int64)
+        block = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
+        dist.sample(rng, shape, out=block)
+        return plan(block, buffers).sum(axis=2, dtype=np.int64)
 
     counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
     probs = counts / total

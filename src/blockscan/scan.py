@@ -145,12 +145,14 @@ def tile_maxima(
     The tiles cover ``arr`` from its first row and column; a ragged edge is
     left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``, a
     view of the ``scan.tiles`` array of ``buffers`` (fresh without them;
-    with them the pass is replayed like ``window_sums_batch``'s).  The pass
-    is one ``np.maximum.reduce`` over axes 1 and 3 of the view
-    ``(grid_rows, tile_rows, grid_cols, tile_cols, ...)`` of ``arr``, built
-    from its strides so that it never copies, into ``scan.tiles`` laid out
-    ``(grid_rows, grid_cols, ...)``: the stack axes stay innermost, where a
-    replica-minor stack keeps its replicas contiguous.
+    with them the passes are replayed like ``window_sums_batch``'s).  The
+    view ``(grid_rows, tile_rows, grid_cols, tile_cols, ...)`` of ``arr``,
+    built from its strides so that it never copies, is reduced over the
+    tile rows into a band in ``scratch0``, whose inner runs are whole rows
+    (a one-row tile is its own band), and the band over the tile columns
+    into ``scan.tiles`` laid out ``(grid_rows, grid_cols, ...)``: the stack
+    axes stay innermost, where a replica-minor stack keeps its replicas
+    contiguous.
     """
     buffers = Buffers() if buffers is None else buffers
 
@@ -165,8 +167,12 @@ def tile_maxima(
         shape = (grid[0], tile_rows, grid[1], tile_cols) + lead
         strides = (row * tile_rows, row, col * tile_cols, col) + arr.strides[:-2]
         split = as_strided(arr, shape, strides, writeable=False)
+        if tile_rows > 1:
+            band = buffers.take("scratch0", split[:, 0].size, arr.dtype).reshape(split[:, 0].shape)
+            ops.append((np.maximum.reduce, (split,), {"axis": 1, "out": band}))
+            split = band[:, None]
         out = buffers.take("scan.tiles", math.prod(grid + lead), arr.dtype).reshape(grid + lead)
-        ops.append((np.maximum.reduce, (split,), {"axis": (1, 3), "out": out}))
+        ops.append((np.maximum.reduce, (split[:, 0],), {"axis": 2, "out": out}))
         return np.moveaxis(out, (0, 1), (-2, -1))
 
     return buffers.replay(("scan.tiles", *_layout(arr), tile_rows, tile_cols), build)

@@ -280,6 +280,23 @@ def test_gaussian_sample_is_numpys_normal():
         assert np.array_equal(drawn.view(np.uint64), normal.view(np.uint64))
 
 
+class _Zeros:
+    """Stands in for a Generator whose standard normals are all ``-0.0``."""
+
+    def standard_normal(self, out):
+        out.fill(-0.0)
+
+
+def test_a_standard_gaussian_sample_is_standard_normal():
+    """``gaussian(0, 1)`` runs no affine pass: its draws are ``standard_normal``'s, bit for bit."""
+    dist = MarginalDistribution.gaussian(0.0, 1.0)
+    drawn = dist.sample(SeedSpec(3).generator(), (40, 50))
+    standard = SeedSpec(3).generator().standard_normal((40, 50))
+    assert np.array_equal(drawn.view(np.uint64), standard.view(np.uint64))
+    # adding 0.0 would turn -0.0 into +0.0
+    assert np.all(np.signbit(dist.sample(_Zeros(), 6)))
+
+
 @pytest.mark.parametrize(
     "out",
     [

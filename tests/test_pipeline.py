@@ -505,25 +505,24 @@ def _ma_spec():
 
 @pytest.mark.parametrize("shape", ["quv-2d", "quv-1d", "simulate"])
 def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
-    """Tallies from shared tile maxima equal ``sums[:, :v, :u].max(axis=(1, 2))`` per extent."""
-    from blockscan import pipeline
+    """Tallies from shared tile maxima equal ``sums[:, :v, :u].max(axis=(1, 2))`` per extent.
 
-    recorded, window_sums = [], pipeline.window_sums_batch
+    The oracle draws every chunk again from its stream and takes its window
+    sums with fresh buffers.
+    """
+    drawn, sample = [], MarginalDistribution.sample
 
-    def recording(arr, m1, m2, **kwargs):
-        # the sums live in the worker's buffers, which the next chunk
-        # overwrites; the layout passes run on buffers that hold no source
-        sums = window_sums(arr, m1, m2, **kwargs)
-        if "source" in kwargs["buffers"].taken:
-            recorded.append(sums.copy())
-        return sums
+    def recording(self, rng, size, **kwargs):
+        out = sample(self, rng, size, **kwargs)
+        drawn.append(out.shape)
+        return out
 
-    monkeypatch.setattr(pipeline, "window_sums_batch", recording)
+    monkeypatch.setattr(MarginalDistribution, "sample", recording)
     if shape == "simulate":
         spec = _minesweeper_spec(cols=14, rows=13, thresholds=range(40, 64, 3))
         rows = simulate_distribution(spec, replicas=9000, threads=1)
         tallies = [[round(row.prob * row.replicas) for row in rows]]
-        g, scan = spec.geometry, spec.scan
+        g, scan, task = spec.geometry, spec.scan, "sim"
         extents = [(g.derived_rows - scan.m2 + 1, g.derived_cols - scan.m1 + 1)]
     else:
         if shape == "quv-2d":
@@ -537,16 +536,26 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         ]
         rows_per_block = 1 if spec.one_dimensional else spec.block2
         extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
+        task = "quv"
+    monkeypatch.undo()
+    geometry = pipeline._field_geometry(spec, task)
     thr = np.array(spec.thresholds)
     expected = np.zeros((len(extents), thr.size), dtype=np.int64)
-    for sums in recorded:
+    for k, size in enumerate(drawn):
+        rng = spec.seed.with_stream(pipeline._stream_id(task, k)).generator()
+        block = spec.distribution.sample(rng, size)
+        derived = blockfactor.apply_block_factor_batch(
+            np.moveaxis(block, -1, 0), spec.transform, geometry
+        )
+        sums = pipeline.window_sums_batch(derived, spec.scan.m1, spec.scan.m2)
         for idx, (v_ext, u_ext) in enumerate(extents):
             maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
             expected[idx] += (maxima[:, None] <= thr[None, :]).sum(axis=0)
-    # one pass per chunk: full chunks, then the rest
+    # one draw per chunk: full chunks, then the rest
     chunk = {"quv-2d": 3640, "quv-1d": 1040, "simulate": 2880}[shape]
-    sizes = [len(sums) for sums in recorded]
-    assert sizes == [chunk] * (9000 // chunk) + [9000 % chunk]
+    assert drawn == [(geometry.source_rows, geometry.source_cols, n) for n in (
+        [chunk] * (9000 // chunk) + [9000 % chunk]
+    )]
     # at least three thresholds per extent split the replicas
     assert np.all(((expected > 0) & (expected < 9000)).sum(axis=1) >= 3)
     assert np.array_equal(np.array(tallies), expected)
@@ -613,37 +622,66 @@ def _owner(array):
 
 
 def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
-    """Every chunk writes each layer into the memory of the first one."""
-    results = {}
+    """Every chunk is drawn into, and replays its plan over, the memory of the first one."""
+    results, sample, replay = {}, MarginalDistribution.sample, pipeline.Buffers.replay
 
-    def recording(layer, fn):
-        def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            buffers = kwargs.get("buffers")
-            # sample takes no buffers; the layout passes run on buffers that hold no source
-            if buffers is None or "source" in buffers.taken:
-                results.setdefault(layer, []).append(out)
-            return out
+    def drawing(self, rng, size, **kwargs):
+        out = sample(self, rng, size, **kwargs)
+        results.setdefault("source", []).append(out)
+        return out
 
-        return wrapped
+    def replaying(self, key, build):
+        out = replay(self, key, build)
+        # the layout passes run on buffers that hold no source
+        if "source" in self.taken:
+            results.setdefault(key[0], []).append(out)
+        return out
 
-    monkeypatch.setattr(
-        MarginalDistribution, "sample", recording("source", MarginalDistribution.sample)
-    )
-    for name in ("apply_block_factor_batch", "window_sums_batch", "tile_maxima"):
-        monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+    monkeypatch.setattr(MarginalDistribution, "sample", drawing)
+    monkeypatch.setattr(pipeline.Buffers, "replay", replaying)
     estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)
-    # one draw per chunk, then one pass through every kernel; the drawn
-    # block is (rows, cols, replicas) and each kernel's result replicas-first
-    for layer, arrays in results.items():
-        axis = -1 if layer == "source" else 0
-        assert [out.shape[axis] for out in arrays] == [3640] * 5 + [1800]
+    monkeypatch.undo()
+    # one draw and one chunk plan per chunk, the drawn block (rows, cols,
+    # replicas); the kernels are called only while the chunk plan records,
+    # for the full chunks and for the last, each result replicas-first
+    sizes = [3640] * 5 + [1800]
+    assert [out.shape[-1] for out in results["source"]] == sizes
+    assert [out.shape[-1] for out in results["pipeline.chunk"]] == sizes
+    for layer in ("blockfactor", "scan.sums", "scan.tiles"):
+        assert [out.shape[0] for out in results[layer]] == [3640, 1800]
+    # a chunk plan returns the compares of the plan it recorded
+    chunks, below = results["pipeline.chunk"], results.pop("pipeline.below")
+    assert all(out is chunks[0] for out in chunks[:5])
+    assert chunks[0] is below[0] and chunks[5] is below[1]
     first = [arrays[0] for arrays in results.values()]
     for arrays in results.values():
         assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])
     # one block holds them all, and no two of them overlap
     assert len({id(_owner(a)) for arrays in results.values() for a in arrays}) == 1
     assert not any(np.shares_memory(a, b) for i, a in enumerate(first) for b in first[i + 1 :])
+
+
+class _Builds(pipeline.Buffers):
+    """Names the plan of every ``build`` a worker's buffers call, in order."""
+
+    built = []
+
+    def replay(self, key, build):
+        def recording(ops):
+            if "source" in self.taken:
+                self.built.append(key[0])
+            return build(ops)
+
+        return super().replay(key, recording)
+
+
+def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
+    """Five full chunks and a partial one on one worker record two chunk plans, each with every kernel."""
+    monkeypatch.setattr(_Builds, "built", [])
+    monkeypatch.setattr(pipeline, "Buffers", _Builds)
+    estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)
+    plan = ["pipeline.chunk", "blockfactor", "scan.sums", "scan.tiles", "pipeline.below"]
+    assert _Builds.built == plan * 2
 
 
 class _Kept(pipeline.Buffers):

@@ -26,7 +26,7 @@ from blockscan import (
     simulate_distribution,
 )
 from blockscan import pipeline
-from blockscan.blockfactor import Buffers, apply_block_factor_batch
+from blockscan.blockfactor import Buffers, _layout, apply_block_factor_batch
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
 
@@ -52,6 +52,7 @@ KERNELS = {
     "window-sums": partial(window_sums_batch, m1=3, m2=2),
     "row-sums": partial(window_sums_batch, m1=5, m2=1),
     "tile-maxima": partial(tile_maxima, tile_rows=2, tile_cols=3),
+    "row-tiles": partial(tile_maxima, tile_rows=1, tile_cols=3),
     "one-tile": partial(tile_maxima, tile_rows=9, tile_cols=9),
 }
 
@@ -101,6 +102,7 @@ ORACLES = {
     "window-sums": partial(brute_moving_sums, m1=3, m2=2),
     "row-sums": partial(brute_moving_sums, m1=5, m2=1),
     "tile-maxima": partial(_per_tile_maxima, tile_rows=2, tile_cols=3),
+    "row-tiles": partial(_per_tile_maxima, tile_rows=1, tile_cols=3),
     "one-tile": partial(_per_tile_maxima, tile_rows=9, tile_cols=9),
 }
 
@@ -126,7 +128,7 @@ def test_tile_maxima_leave_out_ragged_edges(layout):
     holder = np.empty((3, 9, 9), dtype=np.int16)
     holder[...] = rng.integers(-50, 50, size=holder.shape)
     stack = LAYOUTS[layout](holder)
-    for tile_rows, tile_cols in ((2, 4), (4, 2), (5, 5), (9, 4), (2, 9)):
+    for tile_rows, tile_cols in ((2, 4), (4, 2), (5, 5), (9, 4), (2, 9), (1, 4)):
         tiles = tile_maxima(stack, tile_rows, tile_cols)
         assert tiles.shape == (3, 9 // tile_rows, 9 // tile_cols)
         # a maximum in the ragged edge changes no tile
@@ -222,6 +224,110 @@ def test_a_bad_input_after_a_good_one_still_raises(kernel):
         with pytest.raises(GeometryError):
             bad(source, buffers=buffers)
     assert np.array_equal(good(source, buffers=buffers), good(source))
+
+
+class _Junk(Buffers):
+    """Fills every array it hands out with junk bytes, so a pass that ran would show."""
+
+    def take(self, name, size, dtype):
+        out = super().take(name, size, dtype)
+        out.view(np.uint8).fill(0xA5)
+        return out
+
+
+class _Builds(_Junk):
+    """Names the plan of every ``build`` it calls, in order."""
+
+    def __init__(self, layout=None):
+        super().__init__(layout)
+        self.built = []
+
+    def replay(self, key, build):
+        def recording(ops):
+            self.built.append(key[0])
+            return build(ops)
+
+        return super().replay(key, recording)
+
+
+# one object, since a transform is a key part that compares by identity
+MINESWEEPER = minesweeper_transform()
+
+
+def _outer(buffers, source, m1, spy=None):
+    """A plan that calls two kernels: the m1 x 3 window sums of the block factor of ``source``."""
+
+    def build(ops):
+        derived = apply_block_factor_batch(source, MINESWEEPER, GEOM, buffers=buffers)
+        sums = window_sums_batch(derived, m1, 3, buffers=buffers)
+        if spy is not None:
+            spy(ops, derived, sums)
+        return sums
+
+    return buffers.replay(("outer", *_layout(source), m1), build)
+
+
+def _fresh(source, m1):
+    return window_sums_batch(apply_block_factor_batch(source, MINESWEEPER, GEOM), m1, 3)
+
+
+def test_an_enclosing_build_records_the_kernels_and_each_replay_runs_every_pass_once():
+    source = np.empty((3, 9, 9), dtype=np.int8)
+    buffers = _Junk()
+    runs, seen = [], {}
+
+    def counted(index, fn):
+        def run(*args, **kwargs):
+            runs[index] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    def spy(ops, derived, sums):
+        # the kernels recorded their passes and ran none: both still hold junk
+        for out in (derived, sums):
+            assert out.tobytes() == b"\xa5" * out.nbytes
+        runs.extend([0] * len(ops))
+        ops[:] = [(counted(index, fn), args, kwargs) for index, (fn, args, kwargs) in enumerate(ops)]
+        seen.update(derived=derived, sums=sums)
+
+    rng = np.random.default_rng(5)
+    for call in (1, 2, 3):
+        source[...] = rng.integers(0, 2, size=source.shape)
+        out = _outer(buffers, source, 3, spy)
+        assert out is seen["sums"] and np.array_equal(out, _fresh(source, 3))
+        assert len(runs) > 2 and runs == [call] * len(runs)
+    # the kernels keep their own plans: called alone, each runs its plan again
+    source[...] = 1 - source
+    derived = apply_block_factor_batch(source, MINESWEEPER, GEOM, buffers=buffers)
+    assert derived is seen["derived"]
+    assert np.array_equal(window_sums_batch(derived, 3, 3, buffers=buffers), _fresh(source, 3))
+    assert runs == [3] * len(runs)
+
+
+def test_a_changed_inner_key_rebuilds_that_kernels_plan():
+    source = np.random.default_rng(9).integers(0, 2, size=(3, 9, 9)).astype(np.int8)
+    buffers = _Builds()
+    built = [["outer", "blockfactor", "scan.sums"], [], ["outer", "scan.sums"], ["outer", "scan.sums"]]
+    for m1, names in zip((3, 3, 2, 3), built):
+        buffers.built.clear()
+        out = _outer(buffers, source, m1)
+        assert np.array_equal(out, _fresh(source, m1))
+        assert buffers.built == names
+
+
+def test_a_bad_inner_input_raises_on_every_call_and_keeps_no_outer_plan():
+    source = np.random.default_rng(3).integers(0, 2, size=(2, 9, 9)).astype(np.int8)
+    buffers = _Builds()
+    _outer(buffers, source, 3)
+    for _ in range(2):
+        with pytest.raises(GeometryError):
+            _outer(buffers, source, 8)  # wider than the 7 derived columns
+    assert buffers.built.count("outer") == 3
+    # no recording is left open: the good plan is kept and runs on the data as it is now
+    source[...] = 1 - source
+    assert np.array_equal(_outer(buffers, source, 3), _fresh(source, 3))
+    assert buffers.built.count("outer") == 3
 
 
 class _Tracked(pipeline.Buffers):
