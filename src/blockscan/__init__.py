@@ -22,9 +22,7 @@ from .haiman import (
     approximant_H,
     approximant_H_with_flag,
     error_factor_F,
-    lipschitz_gap,
     solve_t2,
-    theorem1_bound,
     theorem1_constants,
 )
 from .pipeline import (
@@ -65,7 +63,6 @@ __all__ = [
     "error_factor_F",
     "estimate_quv",
     "identity_transform",
-    "lipschitz_gap",
     "ma_theory",
     "ma_transform",
     "minesweeper_transform",
@@ -73,7 +70,6 @@ __all__ = [
     "quv_field_dims",
     "simulate_distribution",
     "solve_t2",
-    "theorem1_bound",
     "theorem1_constants",
     "two_step_approximation",
 ]

@@ -136,36 +136,21 @@ def narrow_int(src_dtype, gain: int, bound: int | None = None) -> np.dtype:
 
 
 class Buffers:
-    """Named 1-D work arrays and recorded kernel passes that one worker reuses from chunk to chunk.
+    """Named 1-D work arrays that one worker reuses from chunk to chunk.
 
     ``take(name, size, dtype)`` returns ``size`` elements of ``dtype`` over
     the bytes kept under ``name``, so a worker that passes the same
     ``Buffers`` to every chunk writes each temporary into the memory the
     last chunk used, instead of asking the allocator, and the kernel for
-    fresh pages, again.  ``layout`` (bytes per name, see ``growth``)
-    places names in one block up front, every name at an address that is a
-    multiple of 64, the size of a cache line; any other name, or a take
-    larger than its bytes, gets new bytes of its own.  ``taken`` records
-    the most bytes taken per name.  Contents are not kept: the next take of
-    a name may overwrite what the last one handed out.  ``scratch0`` and
-    ``scratch1`` hold temporaries of one layer call only.  The pipeline
-    lays out one chunk of every name: the ``source`` fields and the
-    kernels' temporaries over them.
-
-    ``replay(key, build)`` keeps one plan per kernel, the first item of
-    ``key``: on a call whose ``key`` differs from the kept one, ``build(ops)``
-    validates the input, takes its arrays, appends each pass as a
-    ``(function, args, kwargs)`` triple to ``ops`` without running it and
-    returns the result view.  A top-level call, the first one too, then runs
-    the kept passes in order and returns that same view object.  A call
-    made while an enclosing ``build`` records runs nothing: it appends its
-    kept passes to the enclosing ``ops`` and returns its view, so a plan
-    that calls kernels holds all their passes and runs them as one.  A
-    kernel's key holds the input's ``_layout`` and every parameter the
-    passes depend on, and its passes hold views of the input, so a key that
-    equals the kept one names the same memory: a replay reads whatever that
-    memory holds now.  Not thread-safe: give each worker its own.  A fresh
-    ``Buffers()`` hands out fresh arrays and builds every plan it runs.
+    fresh pages, again.  ``layout`` (bytes per name, e.g. the ``taken`` of
+    a chunk recorded on a fresh ``Buffers()``) places names in one block up
+    front, every name at an address that is a multiple of 64, the size of a
+    cache line; any other name, or a take larger than its bytes, gets new
+    bytes of its own.  ``taken`` records the most bytes taken per name.
+    Contents are not kept: the next take of a name may overwrite what the
+    last one handed out.  ``scratch0`` and ``scratch1`` hold temporaries of
+    one layer call only.  Not thread-safe: give each worker its own.  A
+    fresh ``Buffers()`` hands out fresh arrays.
     """
 
     def __init__(self, layout: dict[str, int] | None = None):
@@ -179,8 +164,6 @@ class Buffers:
         block = block[-block.ctypes.data % 64 :][:end]
         self._bytes = {name: block[starts[name] : starts[name] + n] for name, n in layout.items()}
         self.taken: dict[str, int] = {}
-        self._plans: dict[str, tuple] = {}
-        self._recording: list | None = None  # the ``ops`` of the ``build`` running now
 
     def take(self, name: str, size: int, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -191,41 +174,11 @@ class Buffers:
         self.taken[name] = max(self.taken.get(name, 0), nbytes)
         return raw[:nbytes].view(dtype)
 
-    def replay(self, key: tuple, build):
-        """Run the passes kept for ``key[0]``, or record them into an enclosing ``build``."""
-        plan = self._plans.get(key[0])
-        if plan is None or plan[0] != key:
-            outer, self._recording = self._recording, []
-            try:
-                # kept only once ``build`` returns, so a bad input raises on every call
-                plan = self._plans[key[0]] = (key, self._recording, build(self._recording))
-            finally:
-                self._recording = outer
-        if self._recording is None:
-            for fn, args, kwargs in plan[1]:
-                fn(*args, **kwargs)
-        else:
-            self._recording.extend(plan[1])
-        return plan[2]
 
-    @staticmethod
-    def growth(run) -> tuple[dict[str, int], dict[str, int]]:
-        """Bytes per name that ``run(count, buffers)`` takes at one replica, and per more.
-
-        The size of every temporary of a chunk is affine in its replica
-        count (a flat run of so many cells per replica, plus a fixed tail), so
-        two small runs, of one and two replicas, fix it: ``run(count, buffers)``
-        takes ``one[name] + (count - 1) * step[name]`` bytes of each name.
-        """
-        one, two = Buffers(), Buffers()
-        run(1, one)
-        run(2, two)
-        return one.taken, {name: two.taken[name] - n for name, n in one.taken.items()}
-
-
-def _layout(arr: np.ndarray) -> tuple:
-    """The memory an array reads: data address, shape, strides and dtype, a replay key's part."""
-    return arr.ctypes.data, arr.shape, arr.strides, arr.dtype
+def run_passes(ops: list) -> None:
+    """Run recorded ``(function, args, kwargs)`` passes in order."""
+    for fn, args, kwargs in ops:
+        fn(*args, **kwargs)
 
 
 def _flat_kernel(
@@ -246,7 +199,7 @@ def _flat_kernel(
     ``lanes`` with the input's steps that ends at its last element.  An
     input with a stride that is not a positive multiple of the item size
     is copied first into the array taken under ``name + ".input"``, by a
-    recorded ``np.copyto``, so every replay copies the input as it is then.
+    recorded ``np.copyto``, so every run copies the input as it is then.
     ``lanes`` must not overlap ``arr``.
     """
     out_shape = arr.shape[:-2] + (out_rows, out_cols)
@@ -276,19 +229,21 @@ def apply_block_factor_batch(
     *,
     bound: int | None = None,
     buffers: Buffers | None = None,
+    ops: list | None = None,
 ) -> np.ndarray:
     """Vectorised transform of a ``(..., rows, cols)`` stack of source lattices.
 
     A linear transform is a sum of shifted sources: on the flat layout of
     ``_flat_kernel`` each shifted add is one contiguous 1-D ufunc over the
     whole stack, written in place into the ``blockfactor`` array of
-    ``buffers`` (weighted terms go through ``scratch0``), and
-    the result is a strided view of it.  Without ``buffers`` those arrays
-    are fresh; with them the passes are recorded once per input layout and
-    parameters and replayed on later calls (``Buffers.replay``), and the
-    result, the same array object on every replay, is overwritten by the
-    next call on the same ``buffers``.  Each replica's values depend on its
-    own source only.
+    ``buffers`` (weighted terms go through ``scratch0``), and the result is
+    a strided view of it.  Without ``buffers`` those arrays are fresh; with
+    them the result is overwritten by the next call on the same
+    ``buffers``.  Without ``ops`` the passes run before the call returns;
+    with it they are appended to it as ``(function, args, kwargs)`` triples
+    and none runs (``run_passes`` runs them), so the result holds values
+    only once they have run, and every run reads ``source`` as it is then.
+    Each replica's values depend on its own source only.
     Integer and bool sources with integer weights accumulate in
     ``narrow_int(source.dtype, sum|w|, bound)``; ``bound`` is an exact bound
     on ``|source|`` that the caller knows (the pipeline passes the
@@ -299,59 +254,59 @@ def apply_block_factor_batch(
     the narrow dtype can overflow in later arithmetic (``out * out`` on
     int8), so widen first.
     """
-    buffers = Buffers() if buffers is None else buffers
-
-    def build(ops: list) -> np.ndarray:
-        if source.shape[-2:] != (geom.source_rows, geom.source_cols):
-            raise GeometryError(
-                f"source shape {source.shape[-2:]} != ({geom.source_rows}, {geom.source_cols})"
-            )
-        if (transform.c1, transform.c2) != (geom.c1, geom.c2):
-            raise GeometryError(
-                f"transform window ({transform.c1}, {transform.c2}) != geometry "
-                f"({geom.c1}, {geom.c2})"
-            )
-        # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
-        kernel = transform.weights[::-1, :]
-        if np.issubdtype(kernel.dtype, np.integer):
-            dtype = narrow_int(source.dtype, np.abs(kernel).sum(), bound)
-        else:
-            dtype = np.dtype(np.float64)
-        arr = source
-        if source.dtype == np.bool_ and dtype == np.int8:
-            # the same bytes, 0 or 1: int8 adds then need no cast of their input
-            arr = source.view(np.int8)
-
-        def shifted_sum(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
-            first = True
-            for s in range(geom.c2):
-                for t in range(geom.c1):
-                    w = kernel[s, t]
-                    if w == 0:
-                        continue
-                    start = s * row_step + t * col_step
-                    view = flat[start : start + out.size]
-                    if first:
-                        if w == 1:
-                            ops.append((np.copyto, (out, view), {"casting": "unsafe"}))
-                        else:
-                            ops.append((np.multiply, (view, w), {"out": out, "dtype": dtype}))
-                        first = False
-                    elif w == 1:
-                        ops.append((np.add, (out, view), {"out": out}))
-                    else:
-                        scratch = buffers.take("scratch0", out.size, dtype)
-                        ops.append((np.multiply, (view, w), {"out": scratch, "dtype": dtype}))
-                        ops.append((np.add, (out, scratch), {"out": out}))
-            if first:
-                ops.append((out.fill, (0,), {}))
-
-        return _flat_kernel(
-            arr, geom.derived_rows, geom.derived_cols, shifted_sum, buffers, "blockfactor",
-            dtype, ops,
+    if source.shape[-2:] != (geom.source_rows, geom.source_cols):
+        raise GeometryError(
+            f"source shape {source.shape[-2:]} != ({geom.source_rows}, {geom.source_cols})"
         )
+    if (transform.c1, transform.c2) != (geom.c1, geom.c2):
+        raise GeometryError(
+            f"transform window ({transform.c1}, {transform.c2}) != geometry "
+            f"({geom.c1}, {geom.c2})"
+        )
+    buffers = Buffers() if buffers is None else buffers
+    passes = [] if ops is None else ops
+    # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
+    kernel = transform.weights[::-1, :]
+    if np.issubdtype(kernel.dtype, np.integer):
+        dtype = narrow_int(source.dtype, np.abs(kernel).sum(), bound)
+    else:
+        dtype = np.dtype(np.float64)
+    arr = source
+    if source.dtype == np.bool_ and dtype == np.int8:
+        # the same bytes, 0 or 1: int8 adds then need no cast of their input
+        arr = source.view(np.int8)
 
-    return buffers.replay(("blockfactor", *_layout(source), transform, geom, bound), build)
+    def shifted_sum(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
+        first = True
+        for s in range(geom.c2):
+            for t in range(geom.c1):
+                w = kernel[s, t]
+                if w == 0:
+                    continue
+                start = s * row_step + t * col_step
+                view = flat[start : start + out.size]
+                if first:
+                    if w == 1:
+                        ops.append((np.copyto, (out, view), {"casting": "unsafe"}))
+                    else:
+                        ops.append((np.multiply, (view, w), {"out": out, "dtype": dtype}))
+                    first = False
+                elif w == 1:
+                    ops.append((np.add, (out, view), {"out": out}))
+                else:
+                    scratch = buffers.take("scratch0", out.size, dtype)
+                    ops.append((np.multiply, (view, w), {"out": scratch, "dtype": dtype}))
+                    ops.append((np.add, (out, scratch), {"out": out}))
+        if first:
+            ops.append((out.fill, (0,), {}))
+
+    out = _flat_kernel(
+        arr, geom.derived_rows, geom.derived_cols, shifted_sum, buffers, "blockfactor", dtype,
+        passes,
+    )
+    if ops is None:
+        run_passes(passes)
+    return out
 
 
 def minesweeper_transform() -> BlockFactorTransform:

@@ -112,10 +112,6 @@ def error_factor_F(constants: Theorem1Constants, m: int, q1: float) -> float:
     return 1.0 + 3.0 / m + (constants.Gamma / m + constants.K) * (1.0 - q1)
 
 
-def theorem1_bound(constants: Theorem1Constants, m: int, q1: float) -> float:
-    return m * error_factor_F(constants, m, q1) * (1.0 - q1) ** 2
-
-
 def _minimize_l(alpha: float, t2: float, m: int) -> float:
     """Golden-section search of l minimizing F over (t2^3, 4*t2^3]."""
     lo = t2**3 * (1.0 + 1e-9)
@@ -194,8 +190,3 @@ def approximant_H_with_flag(q1: float, q2: float, m: int) -> tuple[float, bool]:
 
 def approximant_H(q1: float, q2: float, m: int) -> float:
     return approximant_H_with_flag(q1, q2, m)[0]
-
-
-def lipschitz_gap(x1: float, y1: float, x2: float, y2: float, m: int) -> float:
-    """Right-hand side of the H difference bound: ``m * (|x1-x2| + |y1-y2|)``."""
-    return m * (abs(x1 - x2) + abs(y1 - y2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -20,8 +20,8 @@ from .blockfactor import (
     BlockFactorTransform,
     Buffers,
     LatticeGeometry,
-    _layout,
     apply_block_factor_batch,
+    run_passes,
 )
 from .errors import GeometryError, HypothesisError, OrderingError, ParameterError
 from .fields import MarginalDistribution, SeedSpec
@@ -225,28 +225,38 @@ def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int,
 
 
 def _worker_count(threads: int | None, n_chunks: int) -> int:
-    """Threads worth starting: the requested count, at most one per chunk."""
-    return max(1, min(threads or 1, n_chunks))
+    """Threads worth starting: the requested count, at most one per chunk and per usable CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads or 1, n_chunks, cpus))
 
 
 def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, threads):
     """Sum integer tallies over fixed-size replica chunks, one stream per chunk.
 
-    The chunk partition depends only on (total, chunk), so results are
-    bit-identical for any worker count.
+    Worker ``w`` of ``W`` (``_worker_count``) runs chunks
+    ``[w * n // W, (w + 1) * n // W)`` of the ``n`` in order, in one thread,
+    calling ``chunk_eval(state, rng, count)`` on each with a dict ``state``
+    of its own: empty at its first chunk and kept to its last, so what a
+    worker keeps there is never shared.  The chunk partition depends only
+    on (total, chunk), so results are bit-identical for any worker count.
     """
     n_chunks = -(-total // chunk)
     workers = _worker_count(threads, n_chunks)
 
-    def one(k: int):
-        count = chunk if (k + 1) * chunk <= total else total - k * chunk
-        rng = seed.with_stream(_stream_id(task, k)).generator()
-        return chunk_eval(rng, count)
+    def run(w: int):
+        state, tally = {}, 0
+        for k in range(w * n_chunks // workers, (w + 1) * n_chunks // workers):
+            rng = seed.with_stream(_stream_id(task, k)).generator()
+            tally += chunk_eval(state, rng, min(chunk, total - k * chunk))
+        return tally
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(one, range(n_chunks)))
-    return sum(map(one, range(n_chunks)))
+            return sum(pool.map(run, range(workers)))
+    return run(0)
 
 
 def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, tile, extents):
@@ -270,11 +280,17 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     ``(replicas, rows, cols)``: no flat lane wraps across a replica, and
     the maxima, compares and counts run over contiguous replica vectors.
     Every pass after the draw, from the block factor to the compares, is
-    recorded as one plan once per worker and chunk shape and replayed on
-    each chunk (``Buffers.replay``, which nests the kernels' plans in it), so
-    a chunk pays no interpreter work that is the same every time; only the
-    counts are a fresh array, since the pool holds several chunks' counts
-    at once.
+    recorded into one list of passes (the kernels' ``ops``) once per worker
+    and chunk shape, and run again on each chunk, so a chunk pays no
+    interpreter work that is the same every time; only the counts are a
+    fresh array.
+    Each worker keeps its chunk's source and temporaries in one block of
+    ``Buffers``, laid out by one recording at a full chunk, which runs no
+    pass.  One block, not one allocation per temporary: glibc trims its
+    heap once the free memory at the top exceeds twice the largest block it
+    has mapped and freed, so separate temporaries, all freed as this call
+    ends, would be faulted in again by the next call, while one freed block
+    stays under that bound.
     Integer sums are as narrow as an exact bound on the data allows
     (``ExperimentSpec.value_bounds`` of the Bernoulli or binomial
     ``cell_bound``); a Poisson source keeps its dtype's bound, because its
@@ -289,71 +305,52 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     cols, rows = geometry.source_cols, geometry.source_rows
     m1, m2 = spec.scan.m1, spec.scan.m2
     dist = spec.distribution
-    replica_bytes = rows * cols * dist.dtype.itemsize
     chunk = chunk_layout(spec, task, total)[0]
     cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
     derived_bound = spec.value_bounds(cell_bound)[0]
-
-    # the thresholds and extents shape the passes of ``below``
-    params = (tuple(thr.tolist()), tuple(extents))
     limits = thr[:, None]
 
-    def below(source: np.ndarray, buffers: Buffers) -> np.ndarray:
-        """Whether each replica's maximum is ``<=`` each threshold, per extent.
+    def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
+        """Take a ``(rows, cols, count)`` source block; append every pass after its draw to ``ops``.
 
-        An ``(extents, thresholds, replicas)`` bool view; every temporary is
-        taken from ``buffers``.
+        Returns the block and the ``(extents, thresholds, replicas)`` bool
+        view the passes write: whether each replica's maximum is ``<=`` each
+        threshold, per extent.  Every array is taken from ``buffers``.
         """
+        block = buffers.take("source", count * rows * cols, dist.dtype).reshape(rows, cols, count)
         derived = apply_block_factor_batch(
-            source, spec.transform, geometry, bound=cell_bound, buffers=buffers
+            np.moveaxis(block, -1, 0), spec.transform, geometry, bound=cell_bound,
+            buffers=buffers, ops=ops,
         )
-        sums = window_sums_batch(derived, m1, m2, bound=derived_bound, buffers=buffers)
-        tiles = tile_maxima(sums, *tile, buffers=buffers)
+        sums = window_sums_batch(derived, m1, m2, bound=derived_bound, buffers=buffers, ops=ops)
+        # tile axes first, so every pass below runs over the replicas
+        lead = np.moveaxis(tile_maxima(sums, *tile, buffers=buffers, ops=ops), 0, -1)
+        for i in range(1, lead.shape[0]):
+            ops.append((np.maximum, (lead[i], lead[i - 1]), {"out": lead[i]}))
+        for j in range(1, lead.shape[1]):
+            ops.append((np.maximum, (lead[:, j], lead[:, j - 1]), {"out": lead[:, j]}))
+        below = buffers.take("below", len(extents) * thr.size * count, np.bool_)
+        below = below.reshape(len(extents), thr.size, count)
+        for e, (v, u) in enumerate(extents):
+            ops.append((np.less_equal, (lead[v - 1, u - 1], limits), {"out": below[e]}))
+        return block, below
 
-        def build(ops: list) -> np.ndarray:
-            # tile axes first, so every pass below runs over the replicas
-            lead = np.moveaxis(tiles, 0, -1)
-            for i in range(1, lead.shape[0]):
-                ops.append((np.maximum, (lead[i], lead[i - 1]), {"out": lead[i]}))
-            for j in range(1, lead.shape[1]):
-                ops.append((np.maximum, (lead[:, j], lead[:, j - 1]), {"out": lead[:, j]}))
-            out = buffers.take("below", len(extents) * thr.size * len(source), np.bool_)
-            out = out.reshape(len(extents), thr.size, len(source))
-            for e, (v, u) in enumerate(extents):
-                ops.append((np.less_equal, (lead[v - 1, u - 1], limits), {"out": out[e]}))
-            return out
+    # the bytes a full chunk takes, on fresh arrays that no pass touches
+    probe = Buffers()
+    record(chunk, probe, [])
+    layout = probe.taken
 
-        return buffers.replay(("pipeline.below", *_layout(tiles), params), build)
-
-    # Each worker keeps one chunk's source and temporaries in one block,
-    # the temporaries laid out by two tiny passes.
-    # One block, not one allocation per temporary: glibc trims its heap once
-    # the free memory at the top exceeds twice the largest block it has
-    # mapped and freed, so separate temporaries, all freed as this call
-    # ends, would be faulted in again by the next call, while one freed
-    # block stays under that bound.
-    def plan(block: np.ndarray, buffers: Buffers) -> np.ndarray:
-        """``below`` of a ``(rows, cols, replicas)`` block, every kernel's passes in one plan."""
-        def build(ops: list) -> np.ndarray:
-            return below(np.moveaxis(block, -1, 0), buffers)
-
-        return buffers.replay(("pipeline.chunk", *_layout(block)), build)
-
-    one, step = Buffers.growth(
-        lambda count, buffers: plan(np.zeros((rows, cols, count), dtype=dist.dtype), buffers)
-    )
-    layout = {name: n + (chunk - 1) * step[name] for name, n in one.items()}
-    layout["source"] = chunk * replica_bytes
-    workers = threading.local()
-
-    def chunk_eval(rng: np.random.Generator, count: int) -> np.ndarray:
-        buffers = getattr(workers, "buffers", None)
-        if buffers is None:
-            buffers = workers.buffers = Buffers(layout)
-        shape = (rows, cols, count)
-        block = buffers.take("source", count * rows * cols, dist.dtype).reshape(shape)
-        dist.sample(rng, shape, out=block)
-        return plan(block, buffers).sum(axis=2, dtype=np.int64)
+    def chunk_eval(worker: dict, rng: np.random.Generator, count: int) -> np.ndarray:
+        # ``worker`` keeps the worker's block and one recorded plan per replica count
+        if not worker:
+            worker["buffers"] = Buffers(layout)
+        if count not in worker:
+            ops = []
+            worker[count] = (*record(count, worker["buffers"], ops), ops)
+        block, below, ops = worker[count]
+        dist.sample(rng, block.shape, out=block)
+        run_passes(ops)
+        return below.sum(axis=2, dtype=np.int64)
 
     counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
     probs = counts / total

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .blockfactor import Buffers, _flat_kernel, _layout, narrow_int
+from .blockfactor import Buffers, _flat_kernel, narrow_int, run_passes
 from .errors import GeometryError
 
 
@@ -88,6 +88,7 @@ def window_sums_batch(
     *,
     bound: int | None = None,
     buffers: Buffers | None = None,
+    ops: list | None = None,
 ) -> np.ndarray:
     """Window sums over the trailing two axes of ``arr`` for an m1 x m2 window.
 
@@ -96,12 +97,11 @@ def window_sums_batch(
     doubling step one contiguous 1-D ufunc over the whole stack.  The row
     pass writes into the ``scan.across`` array of ``buffers`` and the
     column pass into ``scan.sums``, of which the result is a strided view;
-    without ``buffers`` these arrays are fresh, with them the passes are
-    recorded once per input layout and parameters and replayed on later
-    calls (``Buffers.replay``), the result, the same array object on every
-    replay, is overwritten by the next call on the same ``buffers``, and
-    ``arr`` must not be a view of them.  Each field's sums depend on that
-    field only.  Integer and boolean inputs give
+    without ``buffers`` these arrays are fresh, with them the result is
+    overwritten by the next call on the same ``buffers``, and ``arr`` must
+    not be a view of them.  ``ops`` records the passes instead of running
+    them, as in ``apply_block_factor_batch``.  Each field's sums depend on
+    that field only.  Integer and boolean inputs give
     ``narrow_int(arr.dtype, m1 * m2, bound)``, where
     ``bound`` is an exact bound on ``|arr|`` that the caller knows (the
     pipeline passes ``cell_bound * sum|w|`` of the block factor for
@@ -112,40 +112,44 @@ def window_sums_batch(
     can overflow in later arithmetic, so widen before it.  Floating-point
     inputs give float64.
     """
-    buffers = Buffers() if buffers is None else buffers
-
-    def build(ops: list) -> np.ndarray:
-        rows, cols = arr.shape[-2:]
-        if not (1 <= m1 <= cols and 1 <= m2 <= rows):
-            raise GeometryError(
-                f"window {m1}x{m2} does not fit in {cols}x{rows} field"
-            )
-        dtype = narrow_int(arr.dtype, m1 * m2, bound)
-
-        def sums(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
-            if m2 == 1:
-                _running_sums(flat, m1, col_step, out, buffers, ops)
-            else:
-                across = buffers.take("scan.across", out.size + (m2 - 1) * row_step, dtype)
-                _running_sums(flat, m1, col_step, across, buffers, ops)
-                _running_sums(across, m2, row_step, out, buffers, ops)
-
-        return _flat_kernel(
-            arr, rows - m2 + 1, cols - m1 + 1, sums, buffers, "scan.sums", dtype, ops
+    rows, cols = arr.shape[-2:]
+    if not (1 <= m1 <= cols and 1 <= m2 <= rows):
+        raise GeometryError(
+            f"window {m1}x{m2} does not fit in {cols}x{rows} field"
         )
+    buffers = Buffers() if buffers is None else buffers
+    passes = [] if ops is None else ops
+    dtype = narrow_int(arr.dtype, m1 * m2, bound)
 
-    return buffers.replay(("scan.sums", *_layout(arr), m1, m2, bound), build)
+    def sums(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
+        if m2 == 1:
+            _running_sums(flat, m1, col_step, out, buffers, ops)
+        else:
+            across = buffers.take("scan.across", out.size + (m2 - 1) * row_step, dtype)
+            _running_sums(flat, m1, col_step, across, buffers, ops)
+            _running_sums(across, m2, row_step, out, buffers, ops)
+
+    out = _flat_kernel(arr, rows - m2 + 1, cols - m1 + 1, sums, buffers, "scan.sums", dtype, passes)
+    if ops is None:
+        run_passes(passes)
+    return out
 
 
 def tile_maxima(
-    arr: np.ndarray, tile_rows: int, tile_cols: int, *, buffers: Buffers | None = None
+    arr: np.ndarray,
+    tile_rows: int,
+    tile_cols: int,
+    *,
+    buffers: Buffers | None = None,
+    ops: list | None = None,
 ) -> np.ndarray:
     """Maximum of each disjoint ``tile_rows x tile_cols`` tile of the trailing two axes.
 
     The tiles cover ``arr`` from its first row and column; a ragged edge is
     left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``, a
-    view of the ``scan.tiles`` array of ``buffers`` (fresh without them;
-    with them the passes are replayed like ``window_sums_batch``'s).  The
+    view of the ``scan.tiles`` array of ``buffers`` (fresh without them);
+    ``ops`` records the passes instead of running them, as in
+    ``apply_block_factor_batch``.  The
     view ``(grid_rows, tile_rows, grid_cols, tile_cols, ...)`` of ``arr``,
     built from its strides so that it never copies, is reduced over the
     tile rows into a band in ``scratch0``, whose inner runs are whole rows
@@ -154,28 +158,27 @@ def tile_maxima(
     axes stay innermost, where a replica-minor stack keeps its replicas
     contiguous.
     """
+    rows, cols = arr.shape[-2:]
+    if not (1 <= tile_cols <= cols and 1 <= tile_rows <= rows):
+        raise GeometryError(
+            f"tile {tile_cols}x{tile_rows} does not fit in {cols}x{rows} array"
+        )
     buffers = Buffers() if buffers is None else buffers
-
-    def build(ops: list) -> np.ndarray:
-        rows, cols = arr.shape[-2:]
-        if not (1 <= tile_cols <= cols and 1 <= tile_rows <= rows):
-            raise GeometryError(
-                f"tile {tile_cols}x{tile_rows} does not fit in {cols}x{rows} array"
-            )
-        grid, lead = (rows // tile_rows, cols // tile_cols), arr.shape[:-2]
-        row, col = arr.strides[-2:]
-        shape = (grid[0], tile_rows, grid[1], tile_cols) + lead
-        strides = (row * tile_rows, row, col * tile_cols, col) + arr.strides[:-2]
-        split = as_strided(arr, shape, strides, writeable=False)
-        if tile_rows > 1:
-            band = buffers.take("scratch0", split[:, 0].size, arr.dtype).reshape(split[:, 0].shape)
-            ops.append((np.maximum.reduce, (split,), {"axis": 1, "out": band}))
-            split = band[:, None]
-        out = buffers.take("scan.tiles", math.prod(grid + lead), arr.dtype).reshape(grid + lead)
-        ops.append((np.maximum.reduce, (split[:, 0],), {"axis": 2, "out": out}))
-        return np.moveaxis(out, (0, 1), (-2, -1))
-
-    return buffers.replay(("scan.tiles", *_layout(arr), tile_rows, tile_cols), build)
+    passes = [] if ops is None else ops
+    grid, lead = (rows // tile_rows, cols // tile_cols), arr.shape[:-2]
+    row, col = arr.strides[-2:]
+    shape = (grid[0], tile_rows, grid[1], tile_cols) + lead
+    strides = (row * tile_rows, row, col * tile_cols, col) + arr.strides[:-2]
+    split = as_strided(arr, shape, strides, writeable=False)
+    if tile_rows > 1:
+        band = buffers.take("scratch0", split[:, 0].size, arr.dtype).reshape(split[:, 0].shape)
+        passes.append((np.maximum.reduce, (split,), {"axis": 1, "out": band}))
+        split = band[:, None]
+    out = buffers.take("scan.tiles", math.prod(grid + lead), arr.dtype).reshape(grid + lead)
+    passes.append((np.maximum.reduce, (split[:, 0],), {"axis": 2, "out": out}))
+    if ops is None:
+        run_passes(passes)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def brute_moving_sums(values: np.ndarray, m1: int, m2: int) -> np.ndarray:

@@ -272,19 +272,3 @@ def test_every_slot_of_the_block_starts_at_a_cache_line(sizes):
         for k, n in enumerate(sizes):
             slot = buffers.take(f"slot{k}", n, np.uint8)
             assert slot.ctypes.data % 64 == 0
-
-
-def test_growth_fixes_the_bytes_of_a_larger_count():
-    """Sizes affine in the count are exact from runs of one and two."""
-
-    def run(count, buffers):
-        buffers.take("flat", 144 * count - 26, np.int16)
-        buffers.take("tiles", 4 * count, np.int8)
-        buffers.take("source", 144 * count, np.bool_)
-
-    one, step = Buffers.growth(run)
-    assert step == {"flat": 288, "tiles": 4, "source": 144}
-    for count in (1, 2, 7, 8192):
-        measured = Buffers()
-        run(count, measured)
-        assert {name: n + (count - 1) * step[name] for name, n in one.items()} == measured.taken

@@ -7,17 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockscan import (
+    Theorem1Constants,
     approximant_H,
     approximant_H_with_flag,
     error_factor_F,
-    lipschitz_gap,
     solve_t2,
-    theorem1_bound,
     theorem1_constants,
 )
 from blockscan.errors import HypothesisError, OrderingError, ParameterError
 
 mp.mp.dps = 60
+
+
+def theorem1_bound(constants: Theorem1Constants, m: int, q1: float) -> float:
+    """Theorem 1's bound on ``|q_m - H|``: ``m * F * (1 - q1)^2``."""
+    return m * error_factor_F(constants, m, q1) * (1.0 - q1) ** 2
+
+
+def lipschitz_gap(x1: float, y1: float, x2: float, y2: float, m: int) -> float:
+    """Right-hand side of the H difference bound: ``m * (|x1-x2| + |y1-y2|)``."""
+    return m * (abs(x1 - x2) + abs(y1 - y2))
+
 
 ALPHA_GRID = (0.001, 0.01, 0.05, 0.1)
 

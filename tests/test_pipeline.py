@@ -413,32 +413,116 @@ def test_ma_theory_window_hypothesis():
         ma_theory((), 5)
 
 
+def _usable_cpus(monkeypatch, n):
+    """Let ``_worker_count`` see ``n`` CPUs, whatever this process may really run on."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class SerialPool:
+    """A ``ThreadPoolExecutor`` stand-in that starts no thread and runs the tasks in order."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
     """A huge thread request starts one worker per chunk; the pool is never started."""
-    from blockscan import pipeline
-
+    _usable_cpus(monkeypatch, 64)
     assert pipeline._worker_count(10**9, 13) == 13
     assert pipeline._worker_count(2, 13) == 2
     assert pipeline._worker_count(None, 13) == 1
     assert pipeline._worker_count(8, 1) == 1
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
+    monkeypatch.setattr(SerialPool, "requested", [])
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
-    total = pipeline._accumulate(10, 4, SeedSpec(1), "cap", lambda rng, count: count, 10**9)
-    assert total == 10 and requested == [3]
+    total = pipeline._accumulate(10, 4, SeedSpec(1), "cap", lambda state, rng, count: count, 10**9)
+    assert total == 10 and SerialPool.requested == [3]
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_worker_count_is_capped_at_the_usable_cpus(affinity, monkeypatch):
+    """``threads`` is at most that many workers: one per CPU the process may run on, no more.
+
+    ``--threads 100000`` on the 1.1e8-iteration ``quv-sparse`` run, about
+    30k chunks, would otherwise start 30k threads of one block each.
+    """
+    if affinity:
+        _usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+    assert pipeline._worker_count(100_000, 30_000) == 3
+    assert pipeline._worker_count(2, 30_000) == 2
+    assert pipeline._worker_count(100_000, 2) == 2
+    assert pipeline._worker_count(None, 30_000) == 1
+    if not affinity:
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)  # unknown: one worker
+        assert pipeline._worker_count(100_000, 30_000) == 1
+
+
+@pytest.mark.parametrize(
+    "total, chunk, threads",
+    [(10, 1, 3), (23, 4, 2), (23, 4, 3), (23, 4, 6), (5, 7, 3), (9, 2, 5)],
+)
+def test_each_worker_runs_one_contiguous_range_of_chunks(total, chunk, threads, monkeypatch):
+    """Every chunk runs once, in order; ranges differ by at most one chunk; the short chunk is last."""
+    _usable_cpus(monkeypatch, 8)
+    monkeypatch.setattr(SerialPool, "requested", [])
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+    seed, task, n = SeedSpec(1), "ranges", -(-total // chunk)
+    # chunk k is known by the first draw of its stream
+    index = {
+        int(seed.with_stream(pipeline._stream_id(task, k)).generator().integers(1 << 62)): k
+        for k in range(n)
+    }
+    ranges = []
+
+    def chunk_eval(state, rng, count):
+        if not state:
+            ranges.append(state.setdefault("chunks", []))
+        state["chunks"].append((index[int(rng.integers(1 << 62))], count))
+        return count
+
+    assert pipeline._accumulate(total, chunk, seed, task, chunk_eval, threads) == total
+    assert len(ranges) == min(threads, n) and SerialPool.requested in ([], [len(ranges)])
+    assert [k for chunks in ranges for k, _ in chunks] == list(range(n))
+    assert max(map(len, ranges)) - min(map(len, ranges)) <= 1
+    counts = [count for chunks in ranges for _, count in chunks]
+    assert counts == [chunk] * (n - 1) + [total - (n - 1) * chunk]
+    assert ranges[-1][-1] == (n - 1, total - (n - 1) * chunk)
+
+
+def test_tallies_are_identical_at_one_two_and_three_workers(monkeypatch):
+    """7 quv chunks and 5 simulation chunks, no multiple of 2 or 3, each with a short last chunk."""
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 290)
+    started, count = [], pipeline._worker_count
+
+    def counting(threads, n_chunks):
+        started.append(count(threads, n_chunks))
+        return started[-1]
+
+    monkeypatch.setattr(pipeline, "_worker_count", counting)
+    spec = _minesweeper_spec(iterations=2000)
+    tallies = {}
+    for threads in (1, 2, 3):
+        tallies[threads] = (
+            estimate_quv(spec, threads=threads),
+            simulate_distribution(spec, replicas=1250, threads=threads),
+        )
+    assert started == [1, 1, 2, 2, 3, 3]
+    assert tallies[2] == tallies[1] and tallies[3] == tallies[1]
 
 
 def test_chunk_size_keeps_512_kib_of_source():
@@ -621,38 +705,51 @@ def _owner(array):
     return array
 
 
+_KERNELS = {
+    "apply_block_factor_batch": "blockfactor",
+    "window_sums_batch": "scan.sums",
+    "tile_maxima": "scan.tiles",
+}
+
+
 def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
-    """Every chunk is drawn into, and replays its plan over, the memory of the first one."""
-    results, sample, replay = {}, MarginalDistribution.sample, pipeline.Buffers.replay
+    """Every chunk is drawn into, and its recorded passes write over, the memory of the first one."""
+    results, sample, take = {}, MarginalDistribution.sample, pipeline.Buffers.take
 
     def drawing(self, rng, size, **kwargs):
         out = sample(self, rng, size, **kwargs)
         results.setdefault("source", []).append(out)
         return out
 
-    def replaying(self, key, build):
-        out = replay(self, key, build)
-        # the layout passes run on buffers that hold no source
-        if "source" in self.taken:
-            results.setdefault(key[0], []).append(out)
+    def taking(self, name, size, dtype):
+        out = take(self, name, size, dtype)
+        if name == "below":
+            results.setdefault(name, []).append(out)
         return out
 
     monkeypatch.setattr(MarginalDistribution, "sample", drawing)
-    monkeypatch.setattr(pipeline.Buffers, "replay", replaying)
+    monkeypatch.setattr(pipeline.Buffers, "take", taking)
+    for name, layer in _KERNELS.items():
+
+        def recording(*args, fn=getattr(pipeline, name), layer=layer, **kwargs):
+            out = fn(*args, **kwargs)
+            results.setdefault(layer, []).append(out)
+            return out
+
+        monkeypatch.setattr(pipeline, name, recording)
     estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)
     monkeypatch.undo()
-    # one draw and one chunk plan per chunk, the drawn block (rows, cols,
-    # replicas); the kernels are called only while the chunk plan records,
-    # for the full chunks and for the last, each result replicas-first
+    # one draw per chunk, the drawn block (rows, cols, replicas)
     sizes = [3640] * 5 + [1800]
     assert [out.shape[-1] for out in results["source"]] == sizes
-    assert [out.shape[-1] for out in results["pipeline.chunk"]] == sizes
-    for layer in ("blockfactor", "scan.sums", "scan.tiles"):
-        assert [out.shape[0] for out in results[layer]] == [3640, 1800]
-    # a chunk plan returns the compares of the plan it recorded
-    chunks, below = results["pipeline.chunk"], results.pop("pipeline.below")
-    assert all(out is chunks[0] for out in chunks[:5])
-    assert chunks[0] is below[0] and chunks[5] is below[1]
+    # the kernels run only while a plan records, each result replicas-first:
+    # once at a full chunk on fresh arrays to lay out the block, then on the
+    # worker's block for the full chunks and for the last
+    for layer in ("blockfactor", "scan.sums", "scan.tiles", "below"):
+        # the compares take one flat bool per extent (4), threshold (2) and replica
+        replicas = [out.size // 8 if layer == "below" else len(out) for out in results[layer]]
+        assert replicas == [3640, 3640, 1800]
+        del results[layer][0]
     first = [arrays[0] for arrays in results.values()]
     for arrays in results.values():
         assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])
@@ -661,27 +758,31 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     assert not any(np.shares_memory(a, b) for i, a in enumerate(first) for b in first[i + 1 :])
 
 
-class _Builds(pipeline.Buffers):
-    """Names the plan of every ``build`` a worker's buffers call, in order."""
-
-    built = []
-
-    def replay(self, key, build):
-        def recording(ops):
-            if "source" in self.taken:
-                self.built.append(key[0])
-            return build(ops)
-
-        return super().replay(key, recording)
-
-
 def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
     """Five full chunks and a partial one on one worker record two chunk plans, each with every kernel."""
-    monkeypatch.setattr(_Builds, "built", [])
-    monkeypatch.setattr(pipeline, "Buffers", _Builds)
+    recorded, runs, run_passes = [], [], pipeline.run_passes
+    for name in _KERNELS:
+
+        def recording(source, *args, fn=getattr(pipeline, name), name=name, **kwargs):
+            ops = kwargs["ops"]
+            before = len(ops)
+            out = fn(source, *args, **kwargs)
+            recorded.append((name, len(source), ops))
+            assert len(ops) > before
+            return out
+
+        monkeypatch.setattr(pipeline, name, recording)
+    monkeypatch.setattr(pipeline, "run_passes", lambda ops: runs.append(ops) or run_passes(ops))
     estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)
-    plan = ["pipeline.chunk", "blockfactor", "scan.sums", "scan.tiles", "pipeline.below"]
-    assert _Builds.built == plan * 2
+    # one recording lays out the block, then one per chunk shape, each with every kernel
+    assert [(name, count) for name, count, _ in recorded] == [
+        (name, count) for count in (3640, 3640, 1800) for name in _KERNELS
+    ]
+    for plan in range(3):
+        assert all(ops is recorded[3 * plan][2] for _, _, ops in recorded[3 * plan : 3 * plan + 3])
+    # each chunk runs its shape's recorded plan, and nothing else
+    assert [ops is recorded[3][2] for ops in runs] == [True] * 5 + [False]
+    assert runs[5] is recorded[6][2]
 
 
 class _Kept(pipeline.Buffers):
@@ -780,6 +881,7 @@ def test_a_worker_block_stays_small(spec, simulate, mib, monkeypatch):
 @pytest.mark.parametrize("threads", [2, 4])
 def test_workers_never_share_buffers(threads, monkeypatch):
     """About 50 small chunks on a thread pool tally like one thread; a shared buffer would race."""
+    _usable_cpus(monkeypatch, threads)
     monkeypatch.setattr(pipeline, "_chunk_size", lambda cells: 41)
     spec = _minesweeper_spec(iterations=2050)
     serial = estimate_quv(spec, threads=1)

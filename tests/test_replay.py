@@ -1,9 +1,8 @@
-"""Recorded kernel passes (``Buffers.replay``): replays read the input as it is now.
+"""Recorded kernel passes: a kernel given ``ops`` appends its passes and runs none.
 
-A kernel given ``buffers`` records its passes on the first call with an
-input layout and parameters and replays them on later calls, so these tests
-overwrite an input in place between calls, change one key part at a time,
-and check every result against a fresh ``Buffers()``.
+The pipeline records a chunk's passes once per worker and chunk shape and
+runs them on every chunk, so these tests record once, overwrite the input in
+place between runs, and check every result against fresh kernels.
 """
 import gc
 import weakref
@@ -26,7 +25,7 @@ from blockscan import (
     simulate_distribution,
 )
 from blockscan import pipeline
-from blockscan.blockfactor import Buffers, _layout, apply_block_factor_batch
+from blockscan.blockfactor import Buffers, apply_block_factor_batch, run_passes
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
 
@@ -60,19 +59,17 @@ KERNELS = {
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_a_replay_reads_an_input_overwritten_in_place(kernel, layout):
+    """Passes recorded once and run after each overwrite read the input as it is then."""
     rng = np.random.default_rng(7)
     holder = np.empty((3, 9, 9), dtype=np.int8)
     view = LAYOUTS[layout](holder)
-    buffers = Buffers()
-    first = None
+    ops = []
+    out = KERNELS[kernel](view, buffers=Buffers(), ops=ops)
     for _ in range(3):
         holder[...] = rng.integers(-4, 5, size=holder.shape)
-        out = KERNELS[kernel](view, buffers=buffers)
-        fresh = KERNELS[kernel](view.copy(), buffers=Buffers())
+        run_passes(ops)
+        fresh = KERNELS[kernel](view.copy())
         assert out.dtype == fresh.dtype and np.array_equal(out, fresh)
-        # a replay hands back the same array object, rewritten
-        first = out if first is None else first
-        assert out is first
 
 
 def _per_tile_maxima(field, tile_rows, tile_cols):
@@ -140,61 +137,6 @@ def test_tile_maxima_leave_out_ragged_edges(layout):
             assert np.array_equal(tiles[index], _per_tile_maxima(stack[index], tile_rows, tile_cols))
 
 
-def _key_pairs():
-    rng = np.random.default_rng(11)
-    ints = rng.integers(0, 2, size=(2, 9, 9)).astype(np.int8)
-    bools = rng.random((2, 9, 9)) < 0.5
-    # two views from the same address, one of them every other column
-    wide = rng.integers(0, 9, size=(2, 9, 18)).astype(np.int8)
-    return {
-        "memory-blockfactor": (
-            partial(apply_block_factor_batch, ints, minesweeper_transform(), GEOM),
-            partial(apply_block_factor_batch, 1 - ints, minesweeper_transform(), GEOM),
-        ),
-        "memory-window-sums": (
-            partial(window_sums_batch, ints, 3, 3), partial(window_sums_batch, 1 - ints, 3, 3)
-        ),
-        "memory-tile-maxima": (partial(tile_maxima, ints, 2, 3), partial(tile_maxima, -ints, 2, 3)),
-        "strides": (
-            partial(window_sums_batch, wide[..., :9], 3, 3),
-            partial(window_sums_batch, wide[..., ::2], 3, 3),
-        ),
-        "m1": (partial(window_sums_batch, ints, 3, 2), partial(window_sums_batch, ints, 2, 2)),
-        # bound 1 narrows the 3x3 sums of int8 from int16 to int8
-        "bound": (
-            partial(window_sums_batch, ints, 3, 3), partial(window_sums_batch, ints, 3, 3, bound=1)
-        ),
-        "tile": (partial(tile_maxima, ints, 2, 3), partial(tile_maxima, ints, 3, 2)),
-        "transform": (
-            partial(apply_block_factor_batch, ints, minesweeper_transform(), GEOM),
-            partial(apply_block_factor_batch, ints, WEIGHTED, GEOM),
-        ),
-        # the same memory as bool and as int8: int8 sums versus int16 sums
-        "dtype-blockfactor": (
-            partial(apply_block_factor_batch, bools, minesweeper_transform(), GEOM),
-            partial(apply_block_factor_batch, bools.view(np.int8), minesweeper_transform(), GEOM),
-        ),
-        "dtype-window-sums": (
-            partial(window_sums_batch, bools, 3, 3),
-            partial(window_sums_batch, bools.view(np.int8), 3, 3),
-        ),
-    }
-
-
-@pytest.mark.parametrize("part", sorted(_key_pairs()))
-def test_changing_a_key_part_rebuilds_the_plan(part):
-    first, second = _key_pairs()[part]
-    buffers = Buffers()
-    seen = []
-    for call in (first, second, first, second):
-        out = call(buffers=buffers)
-        fresh = call()
-        assert out.dtype == fresh.dtype and np.array_equal(out, fresh)
-        seen.append((out.dtype, out.shape, out.tobytes()))
-    # each pair gives different results, so a replay of the other plan would show
-    assert seen[0] != seen[1]
-
-
 BAD_CALLS = {
     "blockfactor": (
         partial(apply_block_factor_batch, transform=minesweeper_transform(), geom=GEOM),
@@ -216,14 +158,20 @@ BAD_CALLS = {
 
 @pytest.mark.parametrize("kernel", sorted(BAD_CALLS))
 def test_a_bad_input_after_a_good_one_still_raises(kernel):
+    """A bad input raises on every call, run or recorded, and records no pass."""
     good, bad = BAD_CALLS[kernel]
     source = np.random.default_rng(3).integers(0, 2, size=(2, 9, 9)).astype(np.int8)
-    buffers = Buffers()
-    good(source, buffers=buffers)
+    buffers, ops = Buffers(), []
+    out = good(source, buffers=buffers, ops=ops)
+    recorded = len(ops)
     for _ in range(2):
         with pytest.raises(GeometryError):
             bad(source, buffers=buffers)
-    assert np.array_equal(good(source, buffers=buffers), good(source))
+        with pytest.raises(GeometryError):
+            bad(source, buffers=buffers, ops=ops)
+    assert len(ops) == recorded
+    run_passes(ops)
+    assert np.array_equal(out, good(source))
 
 
 class _Junk(Buffers):
@@ -235,99 +183,38 @@ class _Junk(Buffers):
         return out
 
 
-class _Builds(_Junk):
-    """Names the plan of every ``build`` it calls, in order."""
-
-    def __init__(self, layout=None):
-        super().__init__(layout)
-        self.built = []
-
-    def replay(self, key, build):
-        def recording(ops):
-            self.built.append(key[0])
-            return build(ops)
-
-        return super().replay(key, recording)
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_recording_runs_no_pass(kernel):
+    source = np.random.default_rng(5).integers(-4, 5, size=(3, 9, 9)).astype(np.int8)
+    ops = []
+    out = KERNELS[kernel](source, buffers=_Junk(), ops=ops)
+    # the result still holds the junk its array was taken with
+    assert ops and out.tobytes() == b"\xa5" * out.nbytes
+    run_passes(ops)
+    assert np.array_equal(out, KERNELS[kernel](source))
 
 
-# one object, since a transform is a key part that compares by identity
-MINESWEEPER = minesweeper_transform()
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_a_recorded_chunk_plan_reruns_on_an_overwritten_block(layout):
+    """Three kernels recorded into one plan: each run equals fresh kernels on the block as it is then."""
+    holder = np.empty((3, 9, 9), dtype=np.int8)
+    view = LAYOUTS[layout](holder)
+    transform = minesweeper_transform()
 
+    def kernels(source, **kwargs):
+        derived = apply_block_factor_batch(source, transform, GEOM, **kwargs)
+        sums = window_sums_batch(derived, 3, 2, **kwargs)
+        return derived, sums, tile_maxima(sums, 2, 3, **kwargs)
 
-def _outer(buffers, source, m1, spy=None):
-    """A plan that calls two kernels: the m1 x 3 window sums of the block factor of ``source``."""
-
-    def build(ops):
-        derived = apply_block_factor_batch(source, MINESWEEPER, GEOM, buffers=buffers)
-        sums = window_sums_batch(derived, m1, 3, buffers=buffers)
-        if spy is not None:
-            spy(ops, derived, sums)
-        return sums
-
-    return buffers.replay(("outer", *_layout(source), m1), build)
-
-
-def _fresh(source, m1):
-    return window_sums_batch(apply_block_factor_batch(source, MINESWEEPER, GEOM), m1, 3)
-
-
-def test_an_enclosing_build_records_the_kernels_and_each_replay_runs_every_pass_once():
-    source = np.empty((3, 9, 9), dtype=np.int8)
-    buffers = _Junk()
-    runs, seen = [], {}
-
-    def counted(index, fn):
-        def run(*args, **kwargs):
-            runs[index] += 1
-            return fn(*args, **kwargs)
-
-        return run
-
-    def spy(ops, derived, sums):
-        # the kernels recorded their passes and ran none: both still hold junk
-        for out in (derived, sums):
-            assert out.tobytes() == b"\xa5" * out.nbytes
-        runs.extend([0] * len(ops))
-        ops[:] = [(counted(index, fn), args, kwargs) for index, (fn, args, kwargs) in enumerate(ops)]
-        seen.update(derived=derived, sums=sums)
-
+    ops = []
+    plan = kernels(view, buffers=_Junk(), ops=ops)
+    assert all(out.tobytes() == b"\xa5" * out.nbytes for out in plan)
     rng = np.random.default_rng(5)
-    for call in (1, 2, 3):
-        source[...] = rng.integers(0, 2, size=source.shape)
-        out = _outer(buffers, source, 3, spy)
-        assert out is seen["sums"] and np.array_equal(out, _fresh(source, 3))
-        assert len(runs) > 2 and runs == [call] * len(runs)
-    # the kernels keep their own plans: called alone, each runs its plan again
-    source[...] = 1 - source
-    derived = apply_block_factor_batch(source, MINESWEEPER, GEOM, buffers=buffers)
-    assert derived is seen["derived"]
-    assert np.array_equal(window_sums_batch(derived, 3, 3, buffers=buffers), _fresh(source, 3))
-    assert runs == [3] * len(runs)
-
-
-def test_a_changed_inner_key_rebuilds_that_kernels_plan():
-    source = np.random.default_rng(9).integers(0, 2, size=(3, 9, 9)).astype(np.int8)
-    buffers = _Builds()
-    built = [["outer", "blockfactor", "scan.sums"], [], ["outer", "scan.sums"], ["outer", "scan.sums"]]
-    for m1, names in zip((3, 3, 2, 3), built):
-        buffers.built.clear()
-        out = _outer(buffers, source, m1)
-        assert np.array_equal(out, _fresh(source, m1))
-        assert buffers.built == names
-
-
-def test_a_bad_inner_input_raises_on_every_call_and_keeps_no_outer_plan():
-    source = np.random.default_rng(3).integers(0, 2, size=(2, 9, 9)).astype(np.int8)
-    buffers = _Builds()
-    _outer(buffers, source, 3)
-    for _ in range(2):
-        with pytest.raises(GeometryError):
-            _outer(buffers, source, 8)  # wider than the 7 derived columns
-    assert buffers.built.count("outer") == 3
-    # no recording is left open: the good plan is kept and runs on the data as it is now
-    source[...] = 1 - source
-    assert np.array_equal(_outer(buffers, source, 3), _fresh(source, 3))
-    assert buffers.built.count("outer") == 3
+    for _ in range(3):
+        holder[...] = rng.integers(0, 2, size=holder.shape)
+        run_passes(ops)
+        for out, fresh in zip(plan, kernels(view.copy())):
+            assert out.dtype == fresh.dtype and np.array_equal(out, fresh)
 
 
 class _Tracked(pipeline.Buffers):
@@ -347,6 +234,7 @@ def test_worker_buffers_die_with_the_call_without_the_cycle_collector(threads, m
     monkeypatch.setattr(pipeline, "Buffers", _Tracked)
     # 20 chunks of 100 replicas, so both threads take chunks
     monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 100)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     t, extents = minesweeper_transform(), (1, 1, 1, 1)
     spec = ExperimentSpec(
         geometry=LatticeGeometry(20, 20, *extents),
