@@ -146,11 +146,14 @@ class Buffers:
     a chunk recorded on a fresh ``Buffers()``) places names in one block up
     front, every name at an address that is a multiple of 64, the size of a
     cache line; any other name, or a take larger than its bytes, gets new
-    bytes of its own.  ``taken`` records the most bytes taken per name.
-    Contents are not kept: the next take of a name may overwrite what the
-    last one handed out.  ``scratch0`` and ``scratch1`` hold temporaries of
-    one layer call only.  Not thread-safe: give each worker its own.  A
-    fresh ``Buffers()`` hands out fresh arrays.
+    bytes of its own.  ``shared`` maps a name to the name whose bytes it
+    takes: a caller that knows what one slot holds is dead by the time
+    another name is taken lets the two share memory, and ``taken`` records
+    the most bytes taken per name after that mapping.  Contents are not
+    kept: the next take of a name may overwrite what the last one handed
+    out.  ``scratch0`` and ``scratch1`` hold temporaries of one layer call
+    only.  Not thread-safe: give each worker its own.  A fresh
+    ``Buffers()`` hands out fresh arrays.
     """
 
     def __init__(self, layout: dict[str, int] | None = None):
@@ -164,8 +167,10 @@ class Buffers:
         block = block[-block.ctypes.data % 64 :][:end]
         self._bytes = {name: block[starts[name] : starts[name] + n] for name, n in layout.items()}
         self.taken: dict[str, int] = {}
+        self.shared: dict[str, str] = {}
 
     def take(self, name: str, size: int, dtype) -> np.ndarray:
+        name = self.shared.get(name, name)
         dtype = np.dtype(dtype)
         nbytes = size * dtype.itemsize
         raw = self._bytes.get(name)
@@ -200,7 +205,8 @@ def _flat_kernel(
     input with a stride that is not a positive multiple of the item size
     is copied first into the array taken under ``name + ".input"``, by a
     recorded ``np.copyto``, so every run copies the input as it is then.
-    ``lanes`` must not overlap ``arr``.
+    ``lanes`` must not overlap ``arr``, unless every pass that reads ``arr``
+    comes before the first that writes ``lanes``.
     """
     out_shape = arr.shape[:-2] + (out_rows, out_cols)
     if arr.size == 0:

@@ -34,6 +34,8 @@ from .pipeline import (
 from .scan import ScanGeometry
 
 _THREADS_ENV = "BLOCKSCAN_THREADS"
+# the estimates and half-widths each ``# row`` note of an approximation carries
+_ESTIMATES = ("q22", "q23", "q32", "q33", "b22", "b23", "b32", "b33")
 
 
 def _check_number(key: str, value) -> None:
@@ -246,6 +248,9 @@ def write_approx_table(
     notes = []
     for row in rows:
         details = [f"alpha1={row.alpha1:.6g}", f"alpha2={row.alpha2:.6g}"]
+        if row.estimate is not None:
+            # the budget's inputs, exact, so a reader can re-derive e_sf
+            details += [f"{name}={getattr(row.estimate, name)!r}" for name in _ESTIMATES]
         for label, value in (("l1", row.l1), ("l2", row.l2), ("t2_1", row.t2_1), ("t2_2", row.t2_2)):
             if value is not None:
                 details.append(f"{label}={value:.6g}")

@@ -150,6 +150,8 @@ class ApproxRow:
 
     ``beta0`` marks a valid row whose ``e_sf`` uses a Wald half-width of 0,
     from an estimate of exactly 0 or 1, so ``e_sf`` understates its error.
+    ``estimate`` is the record the row was assembled from: the ``Q_uv`` and
+    half-widths that the ledger's ``e_sf`` is a sum of.
     """
 
     n: float
@@ -170,6 +172,7 @@ class ApproxRow:
     t2_2: float | None = None
     bracket_low: float | None = None
     bracket_high: float | None = None
+    estimate: EstimateRecord | None = None
 
     @property
     def e_total(self) -> float:
@@ -238,18 +241,21 @@ def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, t
 
     Worker ``w`` of ``W`` (``_worker_count``) runs chunks
     ``[w * n // W, (w + 1) * n // W)`` of the ``n`` in order, in one thread,
-    calling ``chunk_eval(state, rng, count)`` on each with a dict ``state``
-    of its own: empty at its first chunk and kept to its last, so what a
-    worker keeps there is never shared.  The chunk partition depends only
-    on (total, chunk), so results are bit-identical for any worker count.
+    with one ``Generator`` of its own: before chunk ``k`` it reseeds that
+    generator's SFC64 to the stream ``(seed, _stream_id(task, k))``
+    (``SeedSpec.reseed``), then calls ``chunk_eval(state, rng, count)``
+    with a dict ``state`` of its own: empty at its first chunk and kept to
+    its last, so what a worker keeps there is never shared.  The chunk
+    partition depends only on (total, chunk) and a chunk's stream only on
+    its index, so results are bit-identical for any worker count.
     """
     n_chunks = -(-total // chunk)
     workers = _worker_count(threads, n_chunks)
 
     def run(w: int):
-        state, tally = {}, 0
+        state, tally, rng = {}, 0, seed.generator()
         for k in range(w * n_chunks // workers, (w + 1) * n_chunks // workers):
-            rng = seed.with_stream(_stream_id(task, k)).generator()
+            seed.with_stream(_stream_id(task, k)).reseed(rng.bit_generator)
             tally += chunk_eval(state, rng, min(chunk, total - k * chunk))
         return tally
 
@@ -265,32 +271,38 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     Each replica samples one source field of ``_field_geometry(spec, task)``,
     applies the block factor and takes every window sum once.  The sums are
     cut into ``tile = (rows, cols)`` tiles of anchors and each tile's
-    maximum is taken once; an extent ``(v, u)`` is the leading ``v x u``
-    tiles, so its maximum is entry ``[v - 1, u - 1]`` of the running maxima
-    of the tile maxima over both tile axes.  Returns
-    the thresholds and, per extent and threshold, the estimate and its Wald
+    maximum is taken once; the running maxima of the tile maxima over both
+    tile axes give, at tile ``(v - 1, u - 1)``, the maximum over the leading
+    ``v x u`` tiles, and one compare with every threshold counts them all.
+    An extent ``(v, u)`` reads its counts at that tile.  Returns the
+    thresholds and, per extent and threshold, the estimate and its Wald
     half-width.
 
     A chunk is about 512 KiB of source fields (``chunk_layout``), a budget in
     bytes of the marginal's dtype, so the chunk partition, and with it the
     stream, depends on the model only.  Each chunk is drawn in one
     ``sample`` call into a ``(rows, cols, replicas)`` block and then goes
-    through the kernels in one pass, which stays in L2 unless one field
-    alone passes the budget.  The kernels take its replica-minor view
-    ``(replicas, rows, cols)``: no flat lane wraps across a replica, and
-    the maxima, compares and counts run over contiguous replica vectors.
-    Every pass after the draw, from the block factor to the compares, is
-    recorded into one list of passes (the kernels' ``ops``) once per worker
-    and chunk shape, and run again on each chunk, so a chunk pays no
-    interpreter work that is the same every time; only the counts are a
-    fresh array.
+    through the kernels in one pass.  The kernels take its replica-minor
+    view ``(replicas, rows, cols)``: no flat lane wraps across a replica,
+    and the maxima, compares and counts run over contiguous replica
+    vectors.  Every pass after the draw, from the block factor to the
+    compares, is recorded into one list of passes (the kernels' ``ops``)
+    once per worker and chunk shape, and run again on each chunk, so a
+    chunk pays no interpreter work that is the same every time; only the
+    counts are a fresh array.
     Each worker keeps its chunk's source and temporaries in one block of
-    ``Buffers``, laid out by one recording at a full chunk, which runs no
-    pass.  One block, not one allocation per temporary: glibc trims its
-    heap once the free memory at the top exceeds twice the largest block it
-    has mapped and freed, so separate temporaries, all freed as this call
-    ends, would be faulted in again by the next call, while one freed block
-    stays under that bound.
+    ``Buffers``, laid out by one recording at a full chunk on fresh arrays,
+    which runs no pass; those arrays are freed before any worker places its
+    block.  The window sums write into slots that are dead by then
+    (``Buffers.shared``): the row pass over the source, which the block
+    factor has read, and the column pass over the block factor, which the
+    row pass has read; a one-row window has no column pass, and its sums go
+    over the source.  So a chunk's passes stay in L2 on the benchmark
+    configs, unless one field alone passes the budget.  One block, not one
+    allocation per temporary: glibc trims its heap once the free memory at
+    the top exceeds twice the largest block it has mapped and freed, so
+    separate temporaries, all freed as this call ends, would be faulted in
+    again by the next call, while one freed block stays under that bound.
     Integer sums are as narrow as an exact bound on the data allows
     (``ExperimentSpec.value_bounds`` of the Bernoulli or binomial
     ``cell_bound``); a Poisson source keeps its dtype's bound, because its
@@ -309,13 +321,23 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
     derived_bound = spec.value_bounds(cell_bound)[0]
     limits = thr[:, None]
+    if m2 == 1:
+        shared = {"scan.sums": "source"}
+    else:
+        shared = {"scan.across": "source", "scan.sums": "blockfactor"}
+
+    def slots(layout=None) -> Buffers:
+        buffers = Buffers(layout)
+        buffers.shared = shared
+        return buffers
 
     def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
         """Take a ``(rows, cols, count)`` source block; append every pass after its draw to ``ops``.
 
-        Returns the block and the ``(extents, thresholds, replicas)`` bool
-        view the passes write: whether each replica's maximum is ``<=`` each
-        threshold, per extent.  Every array is taken from ``buffers``.
+        Returns the block and the ``(grid_rows, grid_cols, thresholds,
+        replicas)`` bool view the passes write: whether each replica's
+        running maximum at each tile is ``<=`` each threshold.  Every array
+        is taken from ``buffers``.
         """
         block = buffers.take("source", count * rows * cols, dist.dtype).reshape(rows, cols, count)
         derived = apply_block_factor_batch(
@@ -329,31 +351,33 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
             ops.append((np.maximum, (lead[i], lead[i - 1]), {"out": lead[i]}))
         for j in range(1, lead.shape[1]):
             ops.append((np.maximum, (lead[:, j], lead[:, j - 1]), {"out": lead[:, j]}))
-        below = buffers.take("below", len(extents) * thr.size * count, np.bool_)
-        below = below.reshape(len(extents), thr.size, count)
-        for e, (v, u) in enumerate(extents):
-            ops.append((np.less_equal, (lead[v - 1, u - 1], limits), {"out": below[e]}))
+        below = buffers.take("below", lead.size * thr.size, np.bool_)
+        below = below.reshape(*lead.shape[:2], thr.size, count)
+        ops.append((np.less_equal, (lead[:, :, None, :], limits), {"out": below}))
         return block, below
 
-    # the bytes a full chunk takes, on fresh arrays that no pass touches
-    probe = Buffers()
+    # the bytes a full chunk takes, on fresh arrays that no pass touches; they
+    # are freed at once, or the heap top they leave would pass glibc's trim
+    # bound and every call would fault its worker blocks in again
+    probe = slots()
     record(chunk, probe, [])
     layout = probe.taken
+    del probe
 
     def chunk_eval(worker: dict, rng: np.random.Generator, count: int) -> np.ndarray:
         # ``worker`` keeps the worker's block and one recorded plan per replica count
         if not worker:
-            worker["buffers"] = Buffers(layout)
+            worker["buffers"] = slots(layout)
         if count not in worker:
             ops = []
             worker[count] = (*record(count, worker["buffers"], ops), ops)
         block, below, ops = worker[count]
         dist.sample(rng, block.shape, out=block)
         run_passes(ops)
-        return below.sum(axis=2, dtype=np.int64)
+        return below.sum(axis=3, dtype=np.int64)
 
     counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
-    probs = counts / total
+    probs = np.array([counts[v - 1, u - 1] for v, u in extents]) / total
     return thr, probs, spec.confidence_z * np.sqrt(probs * (1.0 - probs) / total)
 
 
@@ -457,6 +481,7 @@ def two_step_approximation(
         alpha2=alpha2,
         q2=r2,
         q3=r3,
+        estimate=rec,
         **ledger,
     )
 
@@ -491,6 +516,7 @@ def one_step_approximation(
         alpha2=alpha,
         q2=q2,
         q3=q3,
+        estimate=rec,
         **ledger,
     )
 

@@ -97,12 +97,16 @@ def window_sums_batch(
     doubling step one contiguous 1-D ufunc over the whole stack.  The row
     pass writes into the ``scan.across`` array of ``buffers`` and the
     column pass into ``scan.sums``, of which the result is a strided view;
-    without ``buffers`` these arrays are fresh, with them the result is
-    overwritten by the next call on the same ``buffers``, and ``arr`` must
-    not be a view of them.  ``ops`` records the passes instead of running
-    them, as in ``apply_block_factor_batch``.  Each field's sums depend on
-    that field only.  Integer and boolean inputs give
-    ``narrow_int(arr.dtype, m1 * m2, bound)``, where
+    a one-row window (``m2 == 1``) has only the row pass, into ``scan.sums``.
+    Without ``buffers`` these arrays are fresh, with them the result is
+    overwritten by the next call on the same ``buffers``.  ``arr`` must not
+    be a view of ``scan.across``, nor of ``scan.sums`` when ``m2 == 1``; it
+    may be a view of ``scan.sums`` otherwise, because the column pass reads
+    only the row pass's sums (the pipeline lays ``scan.sums`` over the
+    block factor this way, see ``Buffers.shared``).  ``ops`` records the
+    passes instead of running them, as in ``apply_block_factor_batch``.
+    Each field's sums depend on that field only.  Integer and boolean
+    inputs give ``narrow_int(arr.dtype, m1 * m2, bound)``, where
     ``bound`` is an exact bound on ``|arr|`` that the caller knows (the
     pipeline passes ``cell_bound * sum|w|`` of the block factor for
     Bernoulli and binomial sources, see ``ExperimentSpec.value_bounds``);

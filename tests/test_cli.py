@@ -7,7 +7,12 @@ import pytest
 
 from blockscan.cli import RunConfig, main, read_table, write_approx_table
 from blockscan.errors import ConfigError
-from blockscan.pipeline import EstimateRecord, approximate, two_step_approximation
+from blockscan.pipeline import (
+    EstimateRecord,
+    approximate,
+    estimate_quv,
+    two_step_approximation,
+)
 
 BASE_CONFIG = {
     "transform": "identity",
@@ -339,10 +344,27 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
     assert main([command, "-c", _write_config(tmp_path), "-o", str(out)]) == 0
     metadata, _, _ = read_table(str(out))
     assert metadata[1:3] == [
-        "# rng = SFC64 (SeedSequence(seed, spawn_key=(stream,))); "
+        "# rng = SFC64 (a, b, c = BLAKE2b-192(seed, stream), counter 1, 12 words skipped); "
         "chunk cells in (row, col, replica) order",
         f"# numpy = {np.__version__}",
     ]
+
+
+def test_row_notes_carry_the_budgets_inputs(tmp_path):
+    """Each ``# row`` note gives q22..q33 and b22..b33 exactly, enough to re-derive ``e_sf``."""
+    config_path, out = _write_config(tmp_path), tmp_path / "approx.tsv"
+    assert main(["approximate", "-c", config_path, "-o", str(out), "--raw"]) == 0
+    metadata, _, rows = read_table(str(out))
+    records = estimate_quv(RunConfig.from_file(config_path).build_spec())
+    notes = [line for line in metadata if line.startswith("# row n=")]
+    assert len(notes) == len(records) == len(rows)
+    names = ("q22", "q23", "q32", "q33", "b22", "b23", "b32", "b33")
+    for note, rec, row in zip(notes, records, rows):
+        values = dict(item.split("=", 1) for item in note.split(": ", 1)[1].split() if "=" in item)
+        assert [float(values[name]) for name in names] == [getattr(rec, name) for name in names]
+        # 12 x 12 cells in blocks of 2: L1 = L2 = 12 / 2 - 1
+        assert row["e_sf"] == 5 * 5 * (rec.b22 + rec.b23 + rec.b32 + rec.b33) or not row["valid"]
+    assert any(row["valid"] for row in rows)
 
 
 def test_a_zero_half_width_is_noted_and_changes_no_value(tmp_path):

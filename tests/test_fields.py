@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 from scipy import stats
 
 from blockscan import MarginalDistribution, SeedSpec
@@ -51,20 +53,44 @@ def test_stream_independence_proxy():
     assert abs(corr) < 4 / np.sqrt(a.size)
 
 
+class _Digest(ISeedSequence):
+    """Hands NumPy's own SFC64 seeding the BLAKE2b words of a (seed, stream) pair."""
+
+    def __init__(self, master, stream):
+        key = (master & _MASK64).to_bytes(8, "little") + (stream & _MASK64).to_bytes(8, "little")
+        self.words = np.frombuffer(hashlib.blake2b(key, digest_size=24).digest(), dtype="<u8")
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (3, np.dtype(np.uint64))
+        return self.words.astype(np.uint64)
+
+
 @pytest.mark.parametrize(
     "master, stream", [(0, 0), (42, 7), (2014, 2**64 - 1), (-1, 3), (2**64 + 5, -2)]
 )
 def test_a_stream_is_sfc64_seeded_by_a_seed_sequence(master, stream):
+    """SFC64 seeded as NumPy seeds it (counter 1, 12 words skipped) from the pair's digest."""
     words = SeedSpec(master, stream).bit_generator().random_raw(8)
-    entropy = np.random.SeedSequence(master & _MASK64, spawn_key=(stream & _MASK64,))
-    assert np.array_equal(words, np.random.SFC64(entropy).random_raw(8))
+    assert np.array_equal(words, np.random.SFC64(_Digest(master, stream)).random_raw(8))
 
 
 def test_stream_words_are_pinned():
     """Fixed literals, so every NumPy version seeds each stream, and draws every table, alike."""
     assert SeedSpec(42, 7).bit_generator().random_raw(4).tolist() == [
-        0xD6AA0DC21EC20A58, 0xA1FA4451CAAB2E69, 0xE2EB353ADBBCFBE2, 0x02351CB97EC24287,
+        0x4E5A8E6CB15E794F, 0x135A6636DA1038FA, 0x36162F4DC62941CD, 0xD8BA653D6BD7284F,
     ]
+
+
+def test_a_reseeded_generator_draws_like_a_fresh_one():
+    """Reseeding drops whatever the last stream left, a half-used 32-bit word too."""
+    rng = SeedSpec(5, 1).generator()
+    rng.integers(1 << 32, dtype=np.uint32)  # keeps the other half of a word
+    SeedSpec(42, 7).reseed(rng.bit_generator)
+    fresh = SeedSpec(42, 7).generator()
+    assert rng.integers(1 << 32, size=5, dtype=np.uint32).tolist() == fresh.integers(
+        1 << 32, size=5, dtype=np.uint32
+    ).tolist()
+    assert rng.standard_normal(3).tolist() == fresh.standard_normal(3).tolist()
 
 
 @pytest.mark.parametrize("master", [-1, 2**64 + 5])
