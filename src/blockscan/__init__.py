@@ -29,11 +29,9 @@ from .pipeline import (
     ApproxRow,
     EstimateRecord,
     ExperimentSpec,
-    MATheory,
     SimRow,
     approximate,
     estimate_quv,
-    ma_theory,
     one_step_approximation,
     quv_field_dims,
     simulate_distribution,
@@ -47,7 +45,6 @@ __all__ = [
     "EstimateRecord",
     "ExperimentSpec",
     "LatticeGeometry",
-    "MATheory",
     "MarginalDistribution",
     "ScanGeometry",
     "SeedSpec",
@@ -63,7 +60,6 @@ __all__ = [
     "error_factor_F",
     "estimate_quv",
     "identity_transform",
-    "ma_theory",
     "ma_transform",
     "minesweeper_transform",
     "one_step_approximation",

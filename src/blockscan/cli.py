@@ -23,7 +23,6 @@ from .blockfactor import LatticeGeometry, catalog_transform
 from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError
 from .fields import STREAM_MAP, MarginalDistribution, SeedSpec
 from .pipeline import (
-    L_MODES,
     ApproxRow,
     ExperimentSpec,
     SimRow,
@@ -69,7 +68,6 @@ class RunConfig:
     replicas: int = 100_000
     seed: int = 0
     confidence_z: float = 1.96
-    l_mode: str = "boundary"
     threads: int | None = None
     include_sim: bool = False
 
@@ -170,7 +168,6 @@ class RunConfig:
                 iterations=self.iterations,
                 confidence_z=self.confidence_z,
                 seed=SeedSpec(self.seed),
-                l_mode=self.l_mode,
                 threads=self.resolved_threads(),
             )
         except ConfigError:
@@ -380,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--raw", action="store_true", help="full-precision output")
         if with_iter:
             p.add_argument("--iterations", type=int, default=None)
-            p.add_argument("--l-mode", dest="l_mode", choices=L_MODES, default=None)
         p.add_argument("--replicas", type=int, default=None)
 
     add_common(sub.add_parser("approximate"), with_iter=True)

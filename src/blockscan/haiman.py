@@ -1,8 +1,9 @@
 """Extreme-value approximant for maxima of 1-dependent stationary sequences.
 
 Implements the rational approximant H, the error factor F and its constants
-K, L, E, Gamma.  All constants are driven by one free parameter ``l`` tied to
-a root of the cubic ``alpha*t^3 - t + 1 = 0``; the root used is the one that
+K, L, E, Gamma.  All constants are driven by one parameter ``l > t2^3``, taken
+just above ``t2^3``, where ``t2`` is a root of the cubic
+``alpha*t^3 - t + 1 = 0``; the root used is the one that
 tends to 1 as ``alpha`` tends to 0, the only choice keeping every denominator
 positive on the admissible range ``alpha <= 0.1``.
 """
@@ -112,66 +113,19 @@ def error_factor_F(constants: Theorem1Constants, m: int, q1: float) -> float:
     return 1.0 + 3.0 / m + (constants.Gamma / m + constants.K) * (1.0 - q1)
 
 
-def _minimize_l(alpha: float, t2: float, m: int) -> float:
-    """Golden-section search of l minimizing F over (t2^3, 4*t2^3]."""
-    lo = t2**3 * (1.0 + 1e-9)
-    hi = 4.0 * t2**3
+def theorem1_constants(alpha: float) -> Theorem1Constants:
+    """Constants for one bound invocation, at ``l`` just above the cubic-root cube.
 
-    def f(l: float) -> float:
-        try:
-            return error_factor_F(_constants_at(alpha, t2, l), m, 1.0 - alpha)
-        except ValidityError:
-            return math.inf
-
-    grid = [lo + (hi - lo) * k / 64.0 for k in range(65)]
-    values = [f(l) for l in grid]
-    best = min(range(len(grid)), key=lambda k: values[k])
-    if not math.isfinite(values[best]):
-        raise ValidityError("F(l)", f"no admissible l in ({lo}, {hi}] at alpha={alpha}")
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def theorem1_constants(
-    alpha: float,
-    l: float | None = None,
-    l_mode: str = "boundary",
-    m: int | None = None,
-) -> Theorem1Constants:
-    """Constants for one bound invocation.
-
-    ``l_mode='boundary'`` takes l just above the cubic-root cube (the
-    default); ``l_mode='optimize'`` searches l for minimal F at the given m.
+    Theorem 1 holds for any ``l > t2^3``, and F rises with ``l`` over
+    ``(t2^3, 4 t2^3]`` (checked on a grid of ``alpha`` and ``m`` in the
+    tests), so the lowest ``l`` the strict inequality leaves room for gives
+    the smallest F.
     ``alpha=0`` is the exact degenerate limit (all window exceedances vanish).
     """
     if not 0.0 <= alpha <= ALPHA_MAX:
         raise ParameterError(f"alpha must be in [0, {ALPHA_MAX}], got {alpha}")
     t2 = 1.0 if alpha == 0.0 else solve_t2(alpha)
-    if l is None:
-        if l_mode == "boundary":
-            l = t2**3 * (1.0 + _BOUNDARY_MARGIN)
-        elif l_mode == "optimize":
-            if m is None:
-                raise ParameterError("l_mode='optimize' requires m")
-            l = _minimize_l(alpha, t2, m)
-        else:
-            raise ParameterError(f"unknown l_mode {l_mode!r}")
-    if l <= t2**3:
-        raise ParameterError(f"l must exceed t2^3 = {t2 ** 3}, got {l}")
-    return _constants_at(alpha, t2, l)
+    return _constants_at(alpha, t2, t2**3 * (1.0 + _BOUNDARY_MARGIN))
 
 
 def approximant_H_with_flag(q1: float, q2: float, m: int) -> tuple[float, bool]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -23,7 +24,7 @@ from .blockfactor import (
     apply_block_factor_batch,
     run_passes,
 )
-from .errors import GeometryError, HypothesisError, OrderingError, ParameterError
+from .errors import GeometryError, OrderingError, ParameterError
 from .fields import MarginalDistribution, SeedSpec
 from .haiman import (
     ALPHA_MAX,
@@ -34,8 +35,6 @@ from .haiman import (
 from .scan import ScanGeometry, tile_maxima, window_sums_batch
 
 _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
-# how Theorem 1's l is chosen; see ``haiman.theorem1_constants``
-L_MODES = ("boundary", "optimize")
 # bytes of source fields per chunk: small enough that a chunk's kernel
 # passes read and write in L2, large enough that the per-call overhead of
 # the ufuncs and the per-chunk stream set-up stay small
@@ -54,7 +53,6 @@ class ExperimentSpec:
     iterations: int = 100_000
     confidence_z: float = 1.96
     seed: SeedSpec = SeedSpec(0)
-    l_mode: str = "boundary"
     threads: int = 1
 
     def __post_init__(self):
@@ -87,9 +85,12 @@ class ExperimentSpec:
                 f"confidence_z must be finite and > 0, got {self.confidence_z}",
                 field="confidence_z",
             )
-        if self.l_mode not in L_MODES:
+        if self.threads < 1:
+            raise ParameterError(f"threads must be >= 1, got {self.threads}", field="threads")
+        # nan and infinities, and ints past the float range, would reach the table writer
+        if not all(abs(n) <= sys.float_info.max for n in self.thresholds):
             raise ParameterError(
-                f"l_mode must be one of {L_MODES}, got {self.l_mode!r}", field="l_mode"
+                f"thresholds must be finite numbers, got {self.thresholds}", field="thresholds"
             )
         if self.block1 < 1:
             raise GeometryError("m1 + c1 - 2 must be >= 1", field="m1")
@@ -265,7 +266,7 @@ def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, t
     return run(0)
 
 
-def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, tile, extents):
+def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     """Monte Carlo estimates of P(max window sum <= n) over nested anchor extents.
 
     Each replica samples one source field of ``_field_geometry(spec, task)``,
@@ -308,11 +309,13 @@ def _tally(spec: ExperimentSpec, thresholds, threads, task: str, total: int, til
     ``cell_bound``); a Poisson source keeps its dtype's bound, because its
     ``cell_bound`` is a ``2**-64`` tail bound that a cell may pass.
     """
-    thr = np.asarray(spec.thresholds if thresholds is None else thresholds, dtype=np.float64)
+    threads = spec.threads if threads is None else threads
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}", field="threads")
+    thr = np.asarray(spec.thresholds, dtype=np.float64)
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
         return thr, empty, empty
-    threads = spec.threads if threads is None else threads
     geometry = _field_geometry(spec, task)
     cols, rows = geometry.source_cols, geometry.source_rows
     m1, m2 = spec.scan.m1, spec.scan.m2
@@ -394,7 +397,7 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
         tile, extents = (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
     else:
         tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
-    thr, q_hat, beta = _tally(spec, None, threads, "quv", spec.iterations, tile, extents)
+    thr, q_hat, beta = _tally(spec, threads, "quv", spec.iterations, tile, extents)
     records = []
     for t_idx, n in enumerate(thr):
         records.append(
@@ -424,17 +427,15 @@ def _check_slack(n: float, pairs) -> None:
             )
 
 
-def _error_factor(alpha: float, m: int, l_mode: str):
+def _error_factor(alpha: float, m: int):
     """F at the hypothesis boundary q1 = 1 - alpha with its l and t2; None at the exact limit."""
     if alpha <= 0.0:
         return 1.0 + 3.0 / m, None, None
-    constants = theorem1_constants(alpha, l_mode=l_mode, m=m)
+    constants = theorem1_constants(alpha)
     return error_factor_F(constants, m, 1.0 - alpha), constants.l, constants.t2
 
 
-def two_step_approximation(
-    rec: EstimateRecord, L1: int, L2: int, l_mode: str = "boundary"
-) -> ApproxRow:
+def two_step_approximation(rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
     """Assemble one threshold row from the four Q_uv estimates (2-D path)."""
     _check_slack(
         rec.n,
@@ -456,8 +457,8 @@ def two_step_approximation(
     valid = alpha1 <= ALPHA_MAX and alpha2 <= ALPHA_MAX
     ledger = {}
     if valid:
-        f1, l1, t2_1 = _error_factor(alpha2, L1, l_mode)
-        f2, l2, t2_2 = _error_factor(alpha1, L2, l_mode)
+        f1, l1, t2_1 = _error_factor(alpha2, L1)
+        f2, l2, t2_2 = _error_factor(alpha1, L2)
         b2_term = 1.0 - r2 + L1 * f1 * (1.0 - q22) ** 2
         c22 = 1.0 - q22 + rec.b22
         c23 = 1.0 - q23 + rec.b23
@@ -486,9 +487,7 @@ def two_step_approximation(
     )
 
 
-def one_step_approximation(
-    rec: EstimateRecord, L1: int, l_mode: str = "boundary"
-) -> ApproxRow:
+def one_step_approximation(rec: EstimateRecord, L1: int) -> ApproxRow:
     """Row-scan path: a single bound application over the block columns."""
     _check_slack(rec.n, [(rec.q32, rec.q22, rec.b32, rec.b22, "q32 <= q22")])
     q2 = rec.q22
@@ -498,7 +497,7 @@ def one_step_approximation(
     valid = alpha <= ALPHA_MAX
     ledger = {}
     if valid:
-        f1, l1, t2_1 = _error_factor(alpha, L1, l_mode)
+        f1, l1, t2_1 = _error_factor(alpha, L1)
         ledger = dict(
             e_app=L1 * f1 * (1.0 - q2) ** 2,
             e_sf=L1 * (rec.b22 + rec.b32),
@@ -545,11 +544,11 @@ def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[Approx
     rows = []
     for rec in estimate_quv(spec, threads=threads):
         if spec.one_dimensional:
-            combos = [(w1, one_step_approximation(rec, L1, l_mode=spec.l_mode)) for L1, w1 in levels1]
+            combos = [(w1, one_step_approximation(rec, L1)) for L1, w1 in levels1]
         else:
             levels2 = _dimension_levels(spec.geometry.source_rows, spec.block2)
             combos = [
-                (w1 * w2, two_step_approximation(rec, L1, L2, l_mode=spec.l_mode))
+                (w1 * w2, two_step_approximation(rec, L1, L2))
                 for L1, w1 in levels1
                 for L2, w2 in levels2
             ]
@@ -580,66 +579,15 @@ def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[Approx
 
 
 def simulate_distribution(
-    spec: ExperimentSpec,
-    thresholds=None,
-    replicas: int = 100_000,
-    threads: int | None = None,
+    spec: ExperimentSpec, replicas: int = 100_000, threads: int | None = None
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
     if replicas < 1:
         raise ParameterError("replicas must be >= 1")
     g, s = spec.geometry, spec.scan
     full = (g.derived_rows - s.m2 + 1, g.derived_cols - s.m1 + 1)
-    thr, probs, half = _tally(spec, thresholds, threads, "sim", replicas, full, [(1, 1)])
+    thr, probs, half = _tally(spec, threads, "sim", replicas, full, [(1, 1)])
     return [
         SimRow(n=float(n), prob=float(p), half_width=float(h), replicas=replicas)
         for n, p, h in zip(thr, probs[0], half[0])
     ]
-
-
-@dataclass(frozen=True, eq=False)
-class MATheory:
-    """Closed-form moments of the moving sums of a moving-average sequence."""
-
-    coeffs: np.ndarray
-    window: int
-    mean_source: float
-    variance_source: float
-    b: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(self.b.sum() * self.mean_source)
-
-    @property
-    def variance(self) -> float:
-        return float((self.b**2).sum() * self.variance_source)
-
-    @property
-    def max_lag(self) -> int:
-        # covariance support: lags 0 .. window + order - 1
-        return self.b.size - 1
-
-    def covariance(self, lag: int) -> float:
-        lag = abs(int(lag))
-        if lag > self.max_lag:
-            return 0.0
-        return float((self.b[: self.b.size - lag] * self.b[lag:]).sum() * self.variance_source)
-
-
-def ma_theory(coeffs, m1: int, mean: float = 0.0, variance: float = 1.0) -> MATheory:
-    """Moments of width-m1 moving sums over the order-q moving average.
-
-    The aggregated coefficients come from the general convolution
-    ``b_k = sum(a_j, j in [max(1, k-m1+1), min(k, q+1)])`` for k = 1..m1+q.
-    """
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.ndim != 1 or a.size < 1:
-        raise ParameterError("coefficients must be a non-empty vector")
-    q = a.size - 1
-    if m1 < q:
-        raise HypothesisError(f"window m1={m1} must be >= moving-average order q={q}")
-    b = np.array(
-        [a[max(0, k - m1) : min(k, q + 1)].sum() for k in range(1, m1 + q + 1)]
-    )
-    return MATheory(coeffs=a, window=m1, mean_source=mean, variance_source=variance, b=b)

@@ -5,6 +5,7 @@ nine verdict lines.  Published-table comparisons use the combined-tolerance
 rule: |desk approximation - published value| must stay within the published
 error budget plus the desk run's own reported error budget.
 """
+import dataclasses
 import math
 import time
 from functools import lru_cache
@@ -22,7 +23,6 @@ from blockscan import (
     approximant_H,
     approximate,
     catalog_transform,
-    ma_theory,
     ma_transform,
     minesweeper_transform,
     simulate_distribution,
@@ -35,6 +35,7 @@ from blockscan.cli import RunConfig, write_approx_table
 from blockscan.scan import brute_moving_sums, window_sums_batch
 
 from test_haiman import _reference_constants, _rel
+from test_pipeline import ma_theory
 
 # published reference rows: threshold -> (probability, error budget)
 TABLE_SPARSE_P01 = {31.0: (0.922997, 0.007286), 32.0: (0.953079, 0.003918), 33.0: (0.971980, 0.002443)}
@@ -126,7 +127,8 @@ def test_criterion_3_moving_average_table(capsys):
     )
     rows = approximate(spec)
     checked, worst = _check_published(rows, TABLE_MA)
-    sim = simulate_distribution(spec, thresholds=(MA_SIM_REFERENCE[0],), replicas=100_000)[0]
+    sim_spec = dataclasses.replace(spec, thresholds=(MA_SIM_REFERENCE[0],))
+    sim = simulate_distribution(sim_spec, replicas=100_000)[0]
     published = MA_SIM_REFERENCE[1]
     sim_tol = 4.0 * math.sqrt(published * (1.0 - published) / sim.replicas)
     sim_gap = abs(sim.prob - published)

@@ -56,6 +56,17 @@ def test_unknown_key_is_named():
     assert err.value.key == "window"
 
 
+def test_a_retired_l_mode_exits_with_code_2(tmp_path, capsys):
+    # Theorem 1's l is fixed; an old config or flag that chooses it fails loudly
+    out = str(tmp_path / "approx.tsv")
+    assert main(["approximate", "-c", _write_config(tmp_path, l_mode="boundary"), "-o", out]) == 2
+    assert "'l_mode': unknown key" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["approximate", "-c", _write_config(tmp_path, name="ok.json"), "-o", out,
+              "--l-mode", "optimize"])
+    assert exit_.value.code == 2
+
+
 def test_missing_required_key_is_named():
     data = dict(BASE_CONFIG)
     del data["m1"]
@@ -209,7 +220,7 @@ def test_non_finite_numbers_name_their_key(key, bad):
 @pytest.mark.parametrize(
     "updates",
     [
-        {"l_mode": "bogus"},
+        {"l_mode": "boundary"},
         {"confidence_z": 0},
         {"confidence_z": -1.96},
         {"replicas": 0, "include_sim": True},
@@ -226,7 +237,7 @@ def test_validate_config_rejects_what_the_run_would(tmp_path, capsys, updates):
 @pytest.mark.parametrize(
     "updates, key",
     [
-        ({"l_mode": "bogus"}, "l_mode"),
+        ({"l_mode": "boundary"}, "l_mode"),
         ({"confidence_z": 0}, "confidence_z"),
         ({"m1": 60}, "m1"),
         ({"transform": "minesweeper", "source_cols": 8}, "source_cols"),

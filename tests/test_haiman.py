@@ -14,7 +14,8 @@ from blockscan import (
     solve_t2,
     theorem1_constants,
 )
-from blockscan.errors import HypothesisError, OrderingError, ParameterError
+from blockscan import haiman
+from blockscan.errors import HypothesisError, OrderingError, ParameterError, ValidityError
 
 mp.mp.dps = 60
 
@@ -127,21 +128,27 @@ def test_degenerate_limit():
     assert (exact.K, exact.L, exact.E) == pytest.approx((15.0, 100.1, 24.0), rel=1e-5)
 
 
-def test_l_parameter_validation():
-    t2 = solve_t2(0.05)
-    with pytest.raises(ParameterError):
-        theorem1_constants(0.05, l=t2**3)  # must strictly exceed the cube
-    with pytest.raises(ParameterError):
-        theorem1_constants(0.05, l_mode="annealed")
-    with pytest.raises(ParameterError):
-        theorem1_constants(0.05, l_mode="optimize")  # needs m
+@pytest.mark.parametrize("alpha", (1e-6,) + ALPHA_GRID)
+def test_error_factor_rises_with_l(alpha):
+    """F rises with l over (t2^3, 4 t2^3], so the bound takes l just above t2^3.
 
-
-@pytest.mark.parametrize("alpha,m", [(0.01, 50), (0.1, 100), (0.05, 10)])
-def test_optimized_l_never_worse_than_boundary(alpha, m):
-    fb = error_factor_F(theorem1_constants(alpha), m, 1.0 - alpha)
-    fo = error_factor_F(theorem1_constants(alpha, l_mode="optimize", m=m), m, 1.0 - alpha)
-    assert fo <= fb + 1e-12
+    An l where a constant is not valid counts as F = +inf.  Below alpha of
+    about 1e-6 the rise is lost in float rounding.
+    """
+    t2 = solve_t2(alpha)
+    grid = t2**3 * (1.0 + np.geomspace(1e-9, 3.0, 200))
+    for m in (1, 2, 14, 47, 10**4):
+        values = []
+        for l in grid:
+            try:
+                constants = haiman._constants_at(alpha, t2, float(l))
+            except ValidityError:
+                values.append(math.inf)
+            else:
+                values.append(error_factor_F(constants, m, 1.0 - alpha))
+        assert math.isfinite(values[0])
+        assert all(a < b or a == b == math.inf for a, b in zip(values, values[1:])), m
+    assert theorem1_constants(alpha).l == t2**3 * (1.0 + 1e-6)
 
 
 def test_error_factor_hypothesis_check():

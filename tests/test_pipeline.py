@@ -16,7 +16,6 @@ from blockscan import (
     catalog_transform,
     estimate_quv,
     identity_transform,
-    ma_theory,
     ma_transform,
     minesweeper_transform,
     one_step_approximation,
@@ -143,12 +142,32 @@ def test_integer_window_sums_at_the_int64_edge_are_exact():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("l_mode", "bogus"), ("confidence_z", 0.0), ("confidence_z", -1.0),
+    [("confidence_z", 0.0), ("confidence_z", -1.0),
      ("confidence_z", math.nan), ("confidence_z", math.inf)],
 )
 def test_spec_rejects_bad_l_mode_and_confidence_z(field, value):
     with pytest.raises(ParameterError, match=field):
         dataclasses.replace(_bernoulli_spec(), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("threads", 0), ("threads", -3), ("thresholds", (6.0, math.nan)),
+     ("thresholds", (math.inf,)), ("thresholds", (-math.inf,)), ("thresholds", (10**400,))],
+)
+def test_spec_rejects_bad_threads_and_thresholds(field, value):
+    with pytest.raises(ParameterError, match=field) as err:
+        dataclasses.replace(_bernoulli_spec(), **{field: value})
+    assert err.value.field == field
+
+
+def test_a_threads_argument_below_one_is_rejected():
+    spec = _bernoulli_spec(iterations=50)
+    for threads in (0, -1):
+        with pytest.raises(ParameterError, match="threads"):
+            approximate(spec, threads=threads)
+        with pytest.raises(ParameterError, match="threads"):
+            simulate_distribution(spec, replicas=50, threads=threads)
 
 
 # --- Monte Carlo estimates --------------------------------------------------
@@ -386,6 +405,54 @@ def test_one_dimensional_path():
 
 
 # --- moving-average closed-form moments -------------------------------------
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class MATheory:
+    """Closed-form moments of the moving sums of a moving-average sequence."""
+
+    coeffs: np.ndarray
+    window: int
+    mean_source: float
+    variance_source: float
+    b: np.ndarray
+
+    @property
+    def mean(self) -> float:
+        return float(self.b.sum() * self.mean_source)
+
+    @property
+    def variance(self) -> float:
+        return float((self.b**2).sum() * self.variance_source)
+
+    @property
+    def max_lag(self) -> int:
+        # covariance support: lags 0 .. window + order - 1
+        return self.b.size - 1
+
+    def covariance(self, lag: int) -> float:
+        lag = abs(int(lag))
+        if lag > self.max_lag:
+            return 0.0
+        return float((self.b[: self.b.size - lag] * self.b[lag:]).sum() * self.variance_source)
+
+
+def ma_theory(coeffs, m1: int, mean: float = 0.0, variance: float = 1.0) -> MATheory:
+    """Moments of width-m1 moving sums over the order-q moving average.
+
+    The aggregated coefficients come from the general convolution
+    ``b_k = sum(a_j, j in [max(1, k-m1+1), min(k, q+1)])`` for k = 1..m1+q.
+    """
+    a = np.asarray(coeffs, dtype=np.float64)
+    if a.ndim != 1 or a.size < 1:
+        raise ParameterError("coefficients must be a non-empty vector")
+    q = a.size - 1
+    if m1 < q:
+        raise HypothesisError(f"window m1={m1} must be >= moving-average order q={q}")
+    b = np.array(
+        [a[max(0, k - m1) : min(k, q + 1)].sum() for k in range(1, m1 + q + 1)]
+    )
+    return MATheory(coeffs=a, window=m1, mean_source=mean, variance_source=variance, b=b)
 
 
 def test_ma_theory_aggregated_coefficients():
