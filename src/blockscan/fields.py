@@ -20,9 +20,6 @@ _MASK64 = (1 << 64) - 1
 _PAIR = struct.Struct("<QQ")
 # SFC64's three hashed state words, read from a 24-byte digest
 _WORDS = struct.Struct("<3Q")
-# a Bernoulli cell compares a random byte, then the low 45 bits of one more word
-_LOW_BITS = 45
-_LOW_MASK = np.uint64((1 << _LOW_BITS) - 1)
 # the largest binomial trials and Poisson mean NumPy draws from
 _INT64_MAX = (1 << 63) - 1
 _POISSON_MEAN_MAX = float(_INT64_MAX - math.sqrt(_INT64_MAX) * 10)
@@ -30,7 +27,8 @@ _POISSON_MEAN_MAX = float(_INT64_MAX - math.sqrt(_INT64_MAX) * 10)
 # output tables name it: a seed draws other tables under another map
 STREAM_MAP = (
     "SFC64 (a, b, c = BLAKE2b-192(seed, stream), counter 1, 12 words skipped); "
-    "chunk cells in (row, col, replica) order"
+    "chunk cells in (row, col, replica) order; "
+    "Bernoulli cells byte < top, then extra successes at geometric gaps"
 )
 
 
@@ -88,25 +86,31 @@ class SeedSpec:
         return SeedSpec(self.master_seed, stream_id)
 
 
-def _bernoulli_from_bytes(bit_generator, p: float, flat: np.ndarray) -> None:
+def _bernoulli_from_bytes(rng: np.random.Generator, p: float, flat: np.ndarray) -> None:
     """Fill the bool array ``flat`` with Bernoulli(``ceil(p * 2**53) / 2**53``) cells.
 
-    See ``MarginalDistribution.sample`` for the draws.  ``flat`` first holds
-    which bytes tie with ``top`` and then the result.
+    See ``MarginalDistribution.sample`` for the draws.
     """
     cut = math.ceil(p * 2.0**53)
-    top, rest = cut >> _LOW_BITS, cut & int(_LOW_MASK)
-    words = bit_generator.random_raw(-(-flat.size // 8))
-    if top == 256:  # p == 1; the words still advance the stream
-        flat.fill(True)
-        return
+    flip = cut > 1 << 52  # draw the failures, so that q < 1/128
+    if flip:
+        cut = (1 << 53) - cut
+    top, rest = divmod(cut, 1 << 45)
+    words = rng.bit_generator.random_raw(-(-flat.size // 8))
     # '<u8' fixes the byte order; on a little-endian machine it copies nothing
     cells = words.astype("<u8", copy=False).view(np.uint8)[: flat.size]
-    ties = np.flatnonzero(np.equal(cells, np.uint8(top), out=flat))
     np.less(cells, np.uint8(top), out=flat)
-    if ties.size:
-        low = bit_generator.random_raw(ties.size) & _LOW_MASK
-        flat[ties] = low < np.uint64(rest)
+    if rest:
+        n, q = flat.size, rest / ((256 - top) * 2.0**45)
+        batch = math.ceil(n * q + 4.0 * math.sqrt(n * q)) + 1
+        last = -1  # the cell of the last extra success drawn
+        while last < n:
+            # a gap past n + 1 lands past the cells all the same, and int64 holds the sums
+            hits = last + np.cumsum(np.minimum(rng.geometric(q, batch), n + 1))
+            flat[hits[hits < n]] = True
+            last = hits[-1]
+    if flip:
+        np.logical_not(flat, out=flat)
 
 
 @dataclass(frozen=True)
@@ -202,17 +206,20 @@ class MarginalDistribution:
         ``self.dtype``; it is filled and returned.  Binomial and Poisson draws,
         for which NumPy takes no ``out``, are copied into it.
 
-        Bernoulli gives ``bool`` with success probability exactly
-        ``cut / 2**53``, ``cut = ceil(p * 2**53)``, from one random byte per
-        cell: ``ceil(cells / 8)`` raw 64-bit words are read as bytes in
-        little-endian order, the same on every platform.  With
-        ``top = cut >> 45``, a byte below ``top`` is a success and one above
-        it a failure; only a byte equal to ``top`` (1 in 256) settles its
-        cell with one more word, drawn after the byte words in ascending
-        cell order, a success when its low 45 bits are below
-        ``cut & (2**45 - 1)``.  The byte and those 45 bits are the top and
-        bottom of a uniform 53-bit draw compared with ``cut`` (lazy
-        comparison with the binary expansion of ``p``, Knuth and Yao 1976).
+        Bernoulli gives ``bool`` with success probability ``cut / 2**53``,
+        ``cut = ceil(p * 2**53)``, but for the rounding of ``q`` below to a
+        double.  ``ceil(cells / 8)`` raw 64-bit words are read as one byte
+        per cell in little-endian order, the same on every platform; with
+        ``top = cut >> 45`` and ``rest = cut % 2**45``, a byte below ``top``
+        is a success.  Every cell is then OR-ed with an independent
+        Bernoulli(``q``) cell, ``q = rest / ((256 - top) * 2**45)``, so
+        ``top / 256 + (1 - top / 256) * q = cut / 2**53``.  Those sparse
+        extra successes are drawn after the byte words as gaps from
+        ``rng.geometric(q)`` (Devroye, "Non-Uniform Random Variate
+        Generation", 1986, ch. X) in batches whose size depends only on the
+        cell count and ``q``; ``rest == 0`` draws none.  For ``cut >
+        2**52`` the same draw gives the failures at ``2**53 - cut``, which
+        keeps ``q < 1/128``.
         Binomial and Poisson give int64, Gaussian float64 equal to
         ``rng.normal(mean, sqrt(variance), size)``.
         """
@@ -236,7 +243,7 @@ class MarginalDistribution:
             return out
         out = np.empty(shape, dtype=self.dtype) if out is None else out
         if self.kind == "bernoulli":
-            _bernoulli_from_bytes(rng.bit_generator, self.p, out.reshape(-1))
+            _bernoulli_from_bytes(rng, self.p, out.reshape(-1))
         else:
             # normal() computes mean + sd * z per draw: the same two roundings;
             # z * 1.0 is z, and z + 0.0 differs from z only in the sign of a zero

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -87,10 +88,14 @@ class ExperimentSpec:
             )
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}", field="threads")
-        # nan and infinities, and ints past the float range, would reach the table writer
-        if not all(abs(n) <= sys.float_info.max for n in self.thresholds):
+        # non-numbers, bools, nan and infinities, and ints past the float range,
+        # would reach the table writer
+        if not all(
+            isinstance(n, numbers.Real) and not isinstance(n, bool) and abs(n) <= sys.float_info.max
+            for n in self.thresholds
+        ):
             raise ParameterError(
-                f"thresholds must be finite numbers, got {self.thresholds}", field="thresholds"
+                f"thresholds must be finite numbers, got {self.thresholds!r}", field="thresholds"
             )
         if self.block1 < 1:
             raise GeometryError("m1 + c1 - 2 must be >= 1", field="m1")
@@ -323,7 +328,6 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     chunk = chunk_layout(spec, task, total)[0]
     cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
     derived_bound = spec.value_bounds(cell_bound)[0]
-    limits = thr[:, None]
     if m2 == 1:
         shared = {"scan.sums": "source"}
     else:
@@ -354,6 +358,12 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
             ops.append((np.maximum, (lead[i], lead[i - 1]), {"out": lead[i]}))
         for j in range(1, lead.shape[1]):
             ops.append((np.maximum, (lead[:, j], lead[:, j - 1]), {"out": lead[:, j]}))
+        limits = thr[:, None]
+        if np.issubdtype(lead.dtype, np.integer):
+            # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
+            info = np.iinfo(lead.dtype)
+            floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
+            limits = np.array(floors, dtype=lead.dtype)[:, None]
         below = buffers.take("below", lead.size * thr.size, np.bool_)
         below = below.reshape(*lead.shape[:2], thr.size, count)
         ops.append((np.less_equal, (lead[:, :, None, :], limits), {"out": below}))

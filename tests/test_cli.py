@@ -335,17 +335,25 @@ def test_missing_input_file_exits_with_code_2(tmp_path, capsys, flag):
 
 def test_approximate_round_trip(tmp_path):
     config_path = _write_config(tmp_path)
-    out = tmp_path / "approx.tsv"
+    out, raw_out = tmp_path / "approx.tsv", tmp_path / "raw.tsv"
     assert main(["approximate", "-c", config_path, "-o", str(out)]) == 0
+    assert main(["approximate", "-c", config_path, "-o", str(raw_out), "--raw"]) == 0
     metadata, columns, rows = read_table(str(out))
-    assert columns == ["n", "sim", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid"]
+    _, raw_columns, raw_rows = read_table(str(raw_out))
+    assert columns == raw_columns == [
+        "n", "sim", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid"
+    ]
     assert [row["n"] for row in rows] == [6.0, 7.0, 8.0]
-    for row in rows:
-        assert 0.0 <= row["approx"] <= 1.0
-        if row["valid"]:
-            assert row["e_total"] == pytest.approx(
-                row["e_app"] + row["e_sf"] + row["e_sapp"], abs=1e-6
+    for row, raw in zip(rows, raw_rows, strict=True):
+        assert 0.0 <= raw["approx"] <= 1.0
+        if raw["valid"]:
+            assert raw["e_total"] == pytest.approx(
+                raw["e_app"] + raw["e_sf"] + raw["e_sapp"], rel=1e-12, abs=0.0
             )
+        # the 6-decimal table prints each full-precision value rounded; repr matches nan too
+        rounded = {k: None if v is None else float(f"{v:.6f}") for k, v in raw.items()}
+        assert [repr(row[k]) for k in columns] == [repr(rounded[k]) for k in columns]
+    assert any(row["valid"] for row in raw_rows)
     assert any(line.startswith("# seed = 11") for line in metadata)
 
 
@@ -356,7 +364,8 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
     metadata, _, _ = read_table(str(out))
     assert metadata[1:3] == [
         "# rng = SFC64 (a, b, c = BLAKE2b-192(seed, stream), counter 1, 12 words skipped); "
-        "chunk cells in (row, col, replica) order",
+        "chunk cells in (row, col, replica) order; "
+        "Bernoulli cells byte < top, then extra successes at geometric gaps",
         f"# numpy = {np.__version__}",
     ]
 

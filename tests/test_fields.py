@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,54 +191,74 @@ def test_poisson_cell_bound_is_a_2_to_minus_64_tail(mean):
 _RAW_DRAW_PS = [
     0.0, 1.0, 2.0**-53, 3 * 2.0**-53, 1.0 - 2.0**-53, 0.1, 0.5,
     float(np.nextafter(0.1, 0.0)), float(np.nextafter(0.1, 1.0)),
+    2.0**-9, 0.75, 0.95, 0.999, float(np.nextafter(0.5, 1.0)),
 ]
-_LOW = 2**45 - 1
 
 
-def _uniform_compare(rng, p, size):
-    """Reference Bernoulli cells, one at a time, from the raw draws of ``rng``.
+def _reference_bernoulli(rng, p, size):
+    """Reference Bernoulli cells, one at a time, from the draws of ``rng``.
 
-    Cell ``i`` reads byte ``i`` of the raw words, little-endian; a byte equal
-    to ``top`` takes the low 45 bits of the next word drawn after them.  The
-    cell is ``U < p`` for the uniform ``U = (byte * 2**45 + low) / 2**53``
-    (low 0 for the other cells, whose byte alone decides the comparison).
+    Above ``cut = 2**52`` the cells drawn are the failures, at ``2**53 - cut``.
+    Cell ``i`` is drawn when byte ``i`` of the raw words, read little-endian,
+    is below ``top`` (a compare of the top 8 bits of a uniform draw), or when
+    an extra success lands on it: those sit at the running sums of
+    ``geometric(q)`` gaps, counted from cell -1, drawn after the byte words in
+    batches of ``ceil(n q + 4 sqrt(n q)) + 1`` until a sum passes the last
+    cell.  Python ints, so no sum can wrap.
     """
-    cells = math.prod(size)
-    words = [int(w) for w in rng.bit_generator.random_raw(-(-cells // 8))]
-    cell_bytes = [(w >> (8 * k)) & 0xFF for w in words for k in range(8)][:cells]
-    top = math.ceil(p * 2.0**53) >> 45
-    ties = [i for i, b in enumerate(cell_bytes) if b == top]
-    low = dict(zip(ties, (int(w) & _LOW for w in rng.bit_generator.random_raw(len(ties)))))
-    uniform = [(b * 2**45 + low.get(i, 0)) * 2.0**-53 for i, b in enumerate(cell_bytes)]
-    return np.array([u < p for u in uniform], dtype=bool).reshape(size)
+    n = math.prod(size)
+    cut = math.ceil(p * 2.0**53)
+    failures = cut > 2**52
+    top, rest = divmod(2**53 - cut if failures else cut, 2**45)
+    words = [int(w) for w in rng.bit_generator.random_raw(-(-n // 8))]
+    drawn = [(w >> (8 * k)) & 0xFF < top for w in words for k in range(8)][:n]
+    if rest:
+        q = rest / ((256 - top) * 2.0**45)
+        cell = -1
+        while cell < n:
+            for gap in rng.geometric(q, math.ceil(n * q + 4.0 * math.sqrt(n * q)) + 1).tolist():
+                cell += gap
+                if cell < n:
+                    drawn[cell] = True
+    return np.array([d != failures for d in drawn], dtype=bool).reshape(size)
 
 
 @pytest.mark.parametrize("p", _RAW_DRAW_PS)
 @pytest.mark.parametrize("size", [(300, 7, 9), (0, 4)])
 def test_bernoulli_from_raw_draws_equals_uniform_compare(p, size):
-    """Byte Bernoulli equals a per-cell uniform compare: same values, bool, same stream position."""
+    """Byte compare, then geometric gaps: the reference's cells, bool, same stream position."""
     dist = MarginalDistribution.bernoulli(p)
     fast_rng, slow_rng = SeedSpec(2014, 9).generator(), SeedSpec(2014, 9).generator()
     fast = dist.sample(fast_rng, size)
-    slow = _uniform_compare(slow_rng, p, size)
+    slow = _reference_bernoulli(slow_rng, p, size)
     assert fast.dtype == np.bool_ and fast.shape == size
     assert np.array_equal(fast, slow)
     assert fast_rng.random() == slow_rng.random()
 
 
-class _RawWords:
-    """Stands in for a Generator whose bit generator hands out the given raw words in turn."""
+class _StandIn:
+    """Stands in for a Generator: raw words from ``words``, or else from a real
+    generator, and each ``geometric`` call recorded, its gaps taken in turn from
+    ``gaps`` when given."""
 
-    def __init__(self, words):
-        self.bit_generator = self
-        self.words = np.array(words, dtype=np.uint64)
-        self.used = 0
+    def __init__(self, words=None, gaps=None):
+        self.rng = SeedSpec(1).generator()
+        self.bit_generator, self.gaps, self.calls, self.used = self, gaps, [], 0
+        self.words = None if words is None else np.array(words, dtype=np.uint64)
 
     def random_raw(self, size):
+        if self.words is None:
+            return self.rng.bit_generator.random_raw(size)
         if self.used + size > self.words.size:
             raise AssertionError("sampler asked for more raw words than it should")
         self.used += size
         return self.words[self.used - size : self.used]
+
+    def geometric(self, q, size):
+        self.calls.append((q, size))
+        if self.gaps is None:
+            return self.rng.geometric(q, size)
+        return np.resize(np.array(self.gaps, dtype=np.int64), size)
 
 
 def _pack(cell_bytes):
@@ -250,32 +271,85 @@ def _pack(cell_bytes):
 
 
 def test_bernoulli_cut_is_exact_at_the_draw_boundary():
-    """Bytes at top - 1, top, top + 1 and tie words at rest - 1, rest, rest + 1 give
-    exactly ``(byte << 45 | low45) < cut``, drawing ceil(cells / 8) words plus one per tie."""
-    # 2**-9 and 3 * 2**-10 have top == 0 < rest; 0.999 and 1 - 2**-53 have top == 255
-    for p in [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 0.1, 0.5, 2.0**-9, 3 * 2.0**-10, 0.999]:
+    """Bytes at top - 1, top and top + 1 give exactly ``byte < top`` (inverted above
+    p = 1/2) from ceil(cells / 8) words; an extra success turns any cell into a success
+    (a failure above 1/2); ``rest == 0`` draws no gap."""
+    for p in [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 0.1, 0.5, 0.75, 2.0**-9, 3 * 2.0**-10, 0.999]:
         cut = math.ceil(p * 2.0**53)
-        top, rest = cut >> 45, cut & _LOW
-        lows = [r for r in (rest - 1, rest, rest + 1, 0, _LOW) if 0 <= r <= _LOW]
-        others = [b for b in (top - 1, top + 1, 0, 255) if 0 <= b <= 255 and b != top]
-        cell_bytes = others + [top] * len(lows) if top <= 255 else others
-        # high bits above the 45 low ones must not matter
-        tie_words = [low | (0x5A5A5 << 45) for low in lows[: cell_bytes.count(top)]]
-        stand_in = _RawWords(_pack(cell_bytes) + tie_words)
-        drawn = MarginalDistribution.bernoulli(p).sample(stand_in, (len(cell_bytes),))
-        low_of = iter(lows)
-        expected = [(b << 45 | (next(low_of) if b == top else 0)) < cut for b in cell_bytes]
-        assert drawn.tolist() == expected, p
-        assert stand_in.used == -(-len(cell_bytes) // 8) + len(tie_words), p
+        failures = cut > 2**52
+        top, rest = divmod(2**53 - cut if failures else cut, 2**45)
+        cell_bytes = [b for b in (top - 1, top, top + 1, 0, 255) if 0 <= b <= 255]
+        byte_cells = [(b < top) != failures for b in cell_bytes]
+        # a first gap past the last cell draws no extra success, gaps of 1 one on every cell
+        for gaps, extra in (([len(cell_bytes) + 1], False), ([1], True)):
+            stand_in = _StandIn(_pack(cell_bytes), gaps)
+            drawn = MarginalDistribution.bernoulli(p).sample(stand_in, len(cell_bytes))
+            expected = [not failures] * len(cell_bytes) if extra and rest else byte_cells
+            assert drawn.tolist() == expected, p
+            assert stand_in.used == -(-len(cell_bytes) // 8), p
+            assert bool(stand_in.calls) == bool(rest), p
 
 
 def test_bernoulli_reads_bytes_little_endian():
     """Word 0x0807060504030201 gives cells from bytes 1, 2, ..., 8 in that order."""
-    p = 4.5 / 256  # top 4, rest 2**44: bytes 1-3 succeed, 4 ties, 5-8 fail
-    stand_in = _RawWords([0x0807060504030201, 0])  # the tie word's low bits 0 < rest
+    p = 4.5 / 256  # top 4: bytes 1-3 succeed, 4-8 fail; a first gap of 4 hits byte 4's cell
+    stand_in = _StandIn([0x0807060504030201], gaps=[4, 100])
     drawn = MarginalDistribution.bernoulli(p).sample(stand_in, 8)
     assert drawn.tolist() == [True] * 4 + [False] * 4
-    assert stand_in.used == 2
+    assert stand_in.used == 1 and stand_in.calls == [(1 / 504, 2)]
+
+
+def test_bernoulli_law_is_exact_in_fractions():
+    """``top/256 + (1 - top/256) q == cut/2**53`` exactly, with ``q < 1/128``; the q drawn
+    from is the one double nearest the exact q, and none is drawn when ``rest == 0``."""
+    for p in _RAW_DRAW_PS + np.random.default_rng(5).random(200).tolist():
+        cut = math.ceil(p * 2.0**53)
+        drawn = 2**53 - cut if cut > 2**52 else cut
+        top, rest = divmod(drawn, 2**45)
+        q = Fraction(rest, (256 - top) * 2**45)
+        assert Fraction(top, 256) + (1 - Fraction(top, 256)) * q == Fraction(drawn, 2**53), p
+        assert q < Fraction(1, 128), p
+        stand_in = _StandIn()
+        MarginalDistribution.bernoulli(p).sample(stand_in, 1000)
+        assert [c[0] for c in stand_in.calls] == ([float(q)] if rest else []), p
+
+
+@pytest.mark.parametrize(
+    "p", [2.0**-53, 3 * 2.0**-53, 2.0**-9, 0.1, 0.5, 0.75, 0.999, 1.0 - 2.0**-53]
+)
+def test_bernoulli_success_rate_z(p):
+    """4M cells: the success count is within 5 standard errors of ``cut / 2**53``."""
+    exact = math.ceil(p * 2.0**53) / 2.0**53
+    cells = MarginalDistribution.bernoulli(p).sample(SeedSpec(31, 7).generator(), (1024, 4096))
+    n, k = cells.size, int(np.count_nonzero(cells))
+    z = (k - n * exact) / math.sqrt(n * exact * (1.0 - exact))
+    assert abs(z) < 5.0, (p, k, z)
+
+
+def test_bernoulli_gaps_cannot_wrap_int64():
+    """Gaps of int64 max, which NumPy's geometric returns for its largest draws at tiny q,
+    are clipped before they are summed: no sum wraps to a negative cell."""
+    stand_in = _StandIn(gaps=[2**63 - 1])
+    assert not MarginalDistribution.bernoulli(2.0**-53).sample(stand_in, 5000).any()
+    assert stand_in.calls == [(2.0**-53, 2)]
+
+
+def test_bernoulli_draws_batches_until_a_gap_passes_the_last_cell():
+    """Gaps of 1 put an extra success on every cell, over as many fixed batches as it takes."""
+    stand_in = _StandIn(gaps=[1])
+    assert MarginalDistribution.bernoulli(0.1).sample(stand_in, 20_000).all()
+    batch = stand_in.calls[0][1]
+    assert stand_in.calls == [stand_in.calls[0]] * -(-20_001 // batch)
+
+
+@pytest.mark.parametrize("p", [0.95, 0.999, 1.0 - 2.0**-53])
+def test_bernoulli_above_one_half_draws_the_failures(p):
+    """Above 1/2 the geometric draw is at the failures' q, below 1/128."""
+    top, rest = divmod(2**53 - math.ceil(p * 2.0**53), 2**45)
+    stand_in = _StandIn()
+    MarginalDistribution.bernoulli(p).sample(stand_in, 5000)
+    assert [c[0] for c in stand_in.calls] == [rest / ((256 - top) * 2.0**45)]
+    assert stand_in.calls[0][0] < 1 / 128
 
 
 @pytest.mark.parametrize(

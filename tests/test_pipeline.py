@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +162,24 @@ def test_spec_rejects_bad_threads_and_thresholds(field, value):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize(
+    "value", [("7",), (None,), (True,), (6.0, False), (np.True_,), (b"7",), ([7],)],
+    ids=["str", "none", "true", "false", "numpy-bool", "bytes", "list"],
+)
+def test_spec_rejects_thresholds_that_are_not_numbers(value):
+    with pytest.raises(ParameterError, match="thresholds") as err:
+        dataclasses.replace(_bernoulli_spec(), thresholds=value)
+    assert err.value.field == "thresholds"
+
+
+def test_spec_takes_numpy_and_fraction_thresholds():
+    spec = dataclasses.replace(
+        _bernoulli_spec(), thresholds=(np.float64(6.5), np.int64(7), np.int8(8), Fraction(17, 2))
+    )
+    rows = simulate_distribution(spec, replicas=50)
+    assert [row.n for row in rows] == [6.5, 7.0, 8.0, 8.5]
+
+
 def test_a_threads_argument_below_one_is_rejected():
     spec = _bernoulli_spec(iterations=50)
     for threads in (0, -1):
@@ -213,13 +232,13 @@ def test_estimation_deterministic_across_thread_counts():
 
 
 def test_tallies_pin_the_stream_partition():
-    # Exact replica counts at a fixed seed, so platform independent: they move
-    # only if the chunk partition, the per-chunk streams (SFC64 whose words
-    # are the BLAKE2b digest of (seed, stream)), the way a chunk's Bernoulli
-    # cells are drawn from its stream (one byte per cell), which replica each
-    # drawn cell belongs to (cells in (row, col, replica) order) or the
-    # per-replica sample -> block factor -> window sums -> maxima pipeline
-    # changes.
+    # Exact replica counts at a fixed seed: they move only if the chunk
+    # partition, the per-chunk streams (SFC64 whose words are the BLAKE2b
+    # digest of (seed, stream)), the way a chunk's Bernoulli cells are drawn
+    # from its stream (one byte per cell, then extra successes at gaps from
+    # NumPy's geometric draw), which replica each drawn cell belongs to
+    # (cells in (row, col, replica) order) or the per-replica sample -> block
+    # factor -> window sums -> maxima pipeline changes.
     t, extents = catalog_transform("minesweeper")
     spec = ExperimentSpec(
         geometry=LatticeGeometry(12, 12, *extents),
@@ -234,9 +253,9 @@ def test_tallies_pin_the_stream_partition():
         [round(getattr(rec, q) * rec.iterations) for q in ("q22", "q23", "q32", "q33")]
         for rec in estimate_quv(spec)
     ]
-    assert counts == [[2091, 437, 445, 32], [5459, 2084, 2106, 415], [10268, 6209, 6219, 2670]]
+    assert counts == [[2098, 422, 441, 38], [5461, 2112, 2112, 434], [10276, 6181, 6214, 2655]]
     sims = simulate_distribution(spec, replicas=10_000)
-    assert [round(row.prob * row.replicas) for row in sims] == [20, 233, 1317]
+    assert [round(row.prob * row.replicas) for row in sims] == [14, 230, 1314]
 
 
 # --- assembly and the error ledger -----------------------------------------
@@ -710,6 +729,30 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     # at least three thresholds per extent split the replicas
     assert np.all(((expected > 0) & (expected < 9000)).sum(axis=1) >= 3)
     assert np.array_equal(np.array(tallies), expected)
+
+
+def test_integer_maxima_meet_any_threshold_like_a_float_compare():
+    """int8 maxima compare with ``floor(n)`` clipped to int8, and count as a float compare
+    would: at fractional thresholds and past both ends of int8."""
+    thresholds = (-1e300, -129.0, -128.0, -0.5, 0.0, 45.5, 50.0, 50.99, 72.0, 127.5, 128.0, 1e300)
+    spec = dataclasses.replace(_minesweeper_spec(iterations=2000), thresholds=thresholds)
+    tallies = [round(rec.q33 * rec.iterations) for rec in estimate_quv(spec)]
+    # 2000 replicas are one chunk, drawn from stream 0
+    geometry = pipeline._field_geometry(spec, "quv")
+    rng = spec.seed.with_stream(pipeline._stream_id("quv", 0)).generator()
+    block = spec.distribution.sample(rng, (geometry.source_rows, geometry.source_cols, 2000))
+    # the pipeline's bounds: int8 sums, whose ends the outer thresholds pass
+    derived = blockfactor.apply_block_factor_batch(
+        np.moveaxis(block, -1, 0), spec.transform, geometry, bound=1
+    )
+    bound = spec.value_bounds(1)[0]
+    sums = pipeline.window_sums_batch(derived, spec.scan.m1, spec.scan.m2, bound=bound)
+    maxima = sums[:, : 2 * spec.block2, : 2 * spec.block1].max(axis=(1, 2))
+    assert maxima.dtype == np.int8
+    expected = [int(np.sum(maxima.astype(np.float64) <= n)) for n in thresholds]
+    assert tallies == expected
+    assert expected[:5] == [0] * 5 and expected[-4:] == [2000] * 4
+    assert 0 < expected[5] < expected[6] == expected[7] < 2000
 
 
 def _sum_dtypes(monkeypatch):
