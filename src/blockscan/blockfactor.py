@@ -1,13 +1,16 @@
 """Block-factor transforms: derive a dependent field from an i.i.d. source.
 
 Each derived value is a fixed function of the configuration matrix, the
-``c2 x c1`` window of source values around a site.  The catalog transforms
+``c2 x c1`` window of source values whose first column and lowest row
+index the site; the transform's weight matrix is the only holder of that
+window.  The catalog transforms
 (minesweeper neighbour count, moving-average dot product, identity) are all
 linear, given by a weight matrix, so the batched code path runs as a
 handful of shifted adds on one flat 1-D layout of the whole stack.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,49 +21,19 @@ from .errors import GeometryError, IndexRangeError, ParameterError
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Source lattice dimensions plus the window half-extents of the transform.
+    """The i.i.d. source lattice: ``source_cols`` columns by ``source_rows`` rows.
 
-    ``source_cols``/``source_rows`` are the i.i.d. lattice sizes; the window
-    reaches ``x1`` columns left, ``x2`` right, ``y1`` rows down, ``y2`` up.
+    The window a derived value reads is the transform's, never the lattice's.
     """
 
     source_cols: int
     source_rows: int
-    x1: int = 0
-    x2: int = 0
-    y1: int = 0
-    y2: int = 0
 
     def __post_init__(self):
         if self.source_cols < 1:
             raise GeometryError("source dimensions must be >= 1", field="source_cols")
         if self.source_rows < 1:
             raise GeometryError("source dimensions must be >= 1", field="source_rows")
-        if min(self.x1, self.x2, self.y1, self.y2) < 0:
-            raise GeometryError("window extents must be non-negative", field="transform")
-        if self.x1 + self.x2 > self.source_cols - 1:
-            raise GeometryError("x1 + x2 must be <= source_cols - 1", field="source_cols")
-        if self.y1 + self.y2 > self.source_rows - 1:
-            raise GeometryError("y1 + y2 must be <= source_rows - 1", field="source_rows")
-
-    @property
-    def c1(self) -> int:
-        return self.x1 + self.x2 + 1
-
-    @property
-    def c2(self) -> int:
-        return self.y1 + self.y2 + 1
-
-    @property
-    def derived_cols(self) -> int:
-        return self.source_cols - self.c1 + 1
-
-    @property
-    def derived_rows(self) -> int:
-        return self.source_rows - self.c2 + 1
-
-    def with_source(self, cols: int, rows: int) -> "LatticeGeometry":
-        return LatticeGeometry(cols, rows, self.x1, self.x2, self.y1, self.y2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,22 +59,42 @@ class BlockFactorTransform:
             )
         return (self.weights * matrix).sum()
 
+    def derived_shape(self, rows: int, cols: int) -> tuple[int, int]:
+        """The ``(rows, cols)`` of derived values over a ``rows x cols`` source.
+
+        A window wider or taller than the source raises ``GeometryError``
+        naming ``source_cols`` or ``source_rows``.
+        """
+        if self.c1 > cols:
+            raise GeometryError(
+                f"the {self.name} window is {self.c1} columns wide, the source {cols}",
+                field="source_cols",
+            )
+        if self.c2 > rows:
+            raise GeometryError(
+                f"the {self.name} window is {self.c2} rows tall, the source {rows}",
+                field="source_rows",
+            )
+        return rows - self.c2 + 1, cols - self.c1 + 1
+
 
 def configuration_matrix(
-    values: np.ndarray, i: int, j: int, geom: LatticeGeometry
+    values: np.ndarray, i: int, j: int, transform: BlockFactorTransform
 ) -> np.ndarray:
-    """The ``c2 x c1`` window of source ``values`` indexed around site ``(i, j)``.
+    """The ``c2 x c1`` window of source ``values`` whose first column is ``i`` and lowest row ``j``.
 
     ``i`` is the 1-based column and ``j`` the 1-based row, so source value
-    ``(i, j)`` is ``values[j - 1, i - 1]``.  Row ``k`` of the matrix holds
-    source row ``j + y2 + 1 - k``, so matrix rows run top-down in lattice
-    coordinates.
+    ``(i, j)`` is ``values[j - 1, i - 1]``, and the window's derived value
+    is ``derived[j - 1, i - 1]`` of ``apply_block_factor_batch``.  Row ``k``
+    of the matrix holds source row ``j + c2 - 1 - k``, so matrix rows run
+    top-down in lattice coordinates.
     """
-    if not (geom.x1 + 1 <= i <= geom.source_cols - geom.x2):
-        raise IndexRangeError(f"column {i} outside [{geom.x1 + 1}, {geom.source_cols - geom.x2}]")
-    if not (geom.y1 + 1 <= j <= geom.source_rows - geom.y2):
-        raise IndexRangeError(f"row {j} outside [{geom.y1 + 1}, {geom.source_rows - geom.y2}]")
-    block = values[j - geom.y1 - 1 : j + geom.y2, i - geom.x1 - 1 : i + geom.x2]
+    rows, cols = transform.derived_shape(*values.shape)
+    if not 1 <= i <= cols:
+        raise IndexRangeError(f"column {i} outside [1, {cols}]")
+    if not 1 <= j <= rows:
+        raise IndexRangeError(f"row {j} outside [1, {rows}]")
+    block = values[j - 1 : j - 1 + transform.c2, i - 1 : i - 1 + transform.c1]
     return block[::-1, :].copy()
 
 
@@ -231,7 +224,6 @@ def _flat_kernel(
 def apply_block_factor_batch(
     source: np.ndarray,
     transform: BlockFactorTransform,
-    geom: LatticeGeometry,
     *,
     bound: int | None = None,
     buffers: Buffers | None = None,
@@ -239,7 +231,9 @@ def apply_block_factor_batch(
 ) -> np.ndarray:
     """Vectorised transform of a ``(..., rows, cols)`` stack of source lattices.
 
-    A linear transform is a sum of shifted sources: on the flat layout of
+    The result is ``(..., rows - c2 + 1, cols - c1 + 1)``, the lattice size
+    read off ``source.shape`` (``BlockFactorTransform.derived_shape``).  A
+    linear transform is a sum of shifted sources: on the flat layout of
     ``_flat_kernel`` each shifted add is one contiguous 1-D ufunc over the
     whole stack, written in place into the ``blockfactor`` array of
     ``buffers`` (weighted terms go through ``scratch0``), and the result is
@@ -260,15 +254,9 @@ def apply_block_factor_batch(
     the narrow dtype can overflow in later arithmetic (``out * out`` on
     int8), so widen first.
     """
-    if source.shape[-2:] != (geom.source_rows, geom.source_cols):
-        raise GeometryError(
-            f"source shape {source.shape[-2:]} != ({geom.source_rows}, {geom.source_cols})"
-        )
-    if (transform.c1, transform.c2) != (geom.c1, geom.c2):
-        raise GeometryError(
-            f"transform window ({transform.c1}, {transform.c2}) != geometry "
-            f"({geom.c1}, {geom.c2})"
-        )
+    if source.ndim < 2:
+        raise GeometryError(f"source shape {source.shape} has no (rows, cols) axes")
+    out_rows, out_cols = transform.derived_shape(*source.shape[-2:])
     buffers = Buffers() if buffers is None else buffers
     passes = [] if ops is None else ops
     # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
@@ -284,8 +272,8 @@ def apply_block_factor_batch(
 
     def shifted_sum(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
         first = True
-        for s in range(geom.c2):
-            for t in range(geom.c1):
+        for s in range(transform.c2):
+            for t in range(transform.c1):
                 w = kernel[s, t]
                 if w == 0:
                     continue
@@ -307,8 +295,7 @@ def apply_block_factor_batch(
             ops.append((out.fill, (0,), {}))
 
     out = _flat_kernel(
-        arr, geom.derived_rows, geom.derived_cols, shifted_sum, buffers, "blockfactor", dtype,
-        passes,
+        arr, out_rows, out_cols, shifted_sum, buffers, "blockfactor", dtype, passes
     )
     if ops is None:
         run_passes(passes)
@@ -337,42 +324,24 @@ def identity_transform() -> BlockFactorTransform:
     return BlockFactorTransform(name="identity", weights=np.ones((1, 1), dtype=np.int64))
 
 
-def _build_minesweeper(**params) -> tuple[BlockFactorTransform, tuple[int, int, int, int]]:
-    if params:
-        raise ParameterError(f"minesweeper takes no parameters, got {sorted(params)}")
-    return minesweeper_transform(), (1, 1, 1, 1)
-
-
-def _build_ma(**params) -> tuple[BlockFactorTransform, tuple[int, int, int, int]]:
-    coeffs = params.pop("coeffs", None)
-    if params:
-        raise ParameterError(f"unknown ma parameters {sorted(params)}")
-    if coeffs is None:
-        raise ParameterError("ma requires 'coeffs'")
-    t = ma_transform(coeffs)
-    return t, (0, t.c1 - 1, 0, 0)
-
-
-def _build_identity(**params) -> tuple[BlockFactorTransform, tuple[int, int, int, int]]:
-    if params:
-        raise ParameterError(f"identity takes no parameters, got {sorted(params)}")
-    return identity_transform(), (0, 0, 0, 0)
-
-
-# Closed catalog: config files reference transforms by name only.
+# Closed catalog: config files reference transforms by name only, and a
+# builder's parameters are the ones its name takes.
 TRANSFORM_CATALOG = {
-    "minesweeper": _build_minesweeper,
-    "ma": _build_ma,
-    "identity": _build_identity,
+    "minesweeper": minesweeper_transform,
+    "ma": ma_transform,
+    "identity": identity_transform,
 }
 
 
-def catalog_transform(name: str, **params) -> tuple[BlockFactorTransform, tuple[int, int, int, int]]:
-    """Build a named transform plus its (x1, x2, y1, y2) window extents."""
+def catalog_transform(name: str, **params) -> BlockFactorTransform:
+    """Build a named transform; ``ma`` takes ``coeffs``, the others nothing."""
     try:
         builder = TRANSFORM_CATALOG[name]
     except KeyError:
         raise ParameterError(
             f"unknown transform {name!r}; catalog: {sorted(TRANSFORM_CATALOG)}"
         ) from None
+    expected = sorted(inspect.signature(builder).parameters)
+    if sorted(params) != expected:
+        raise ParameterError(f"{name} takes parameters {expected}, got {sorted(params)}")
     return builder(**params)

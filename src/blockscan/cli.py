@@ -142,12 +142,12 @@ class RunConfig:
                 raise ConfigError("ma_coeffs", "required for the ma transform")
             params["coeffs"] = list(self.ma_coeffs)
         try:
-            transform, (x1, x2, y1, y2) = catalog_transform(self.transform, **params)
+            transform = catalog_transform(self.transform, **params)
         except ParameterError as exc:
             # only the ma transform takes parameters; any other name is unknown
             raise ConfigError("ma_coeffs" if params else "transform", str(exc)) from exc
         try:
-            geometry = LatticeGeometry(self.source_cols, self.source_rows, x1, x2, y1, y2)
+            geometry = LatticeGeometry(self.source_cols, self.source_rows)
             scan = ScanGeometry(self.m1, self.m2)
             dist = MarginalDistribution(
                 self.distribution, p=self.p, trials=self.trials,
@@ -248,7 +248,7 @@ def write_approx_table(
         if row.estimate is not None:
             # the budget's inputs, exact, so a reader can re-derive e_sf
             details += [f"{name}={getattr(row.estimate, name)!r}" for name in _ESTIMATES]
-        for label, value in (("l1", row.l1), ("l2", row.l2), ("t2_1", row.t2_1), ("t2_2", row.t2_2)):
+        for label, value in (("t2_1", row.t2_1), ("t2_2", row.t2_2)):
             if value is not None:
                 details.append(f"{label}={value:.6g}")
         if row.bracket_low is not None:
@@ -286,7 +286,8 @@ def write_sim_table(
 def read_table(path: str) -> tuple[list[str], list[str], list[dict]]:
     """Parse a written table back into (metadata, columns, row dicts).
 
-    Every cell must be empty (``None``) or a number.
+    Every data line must hold one cell per column of the ``# columns:``
+    line above it (so none before it), each empty (``None``) or a number.
     """
     metadata, columns, rows = [], [], []
     with open(path) as handle:
@@ -300,6 +301,10 @@ def read_table(path: str) -> tuple[list[str], list[str], list[dict]]:
                     columns = line[len("# columns: ") :].split("\t")
                 continue
             cells = line.split("\t")
+            if len(cells) != len(columns):
+                raise AlignmentError(
+                    f"{path} line {number}: {len(cells)} cells under {len(columns)} columns"
+                )
             try:
                 rows.append({n: None if c == "" else float(c) for n, c in zip(columns, cells)})
             except ValueError:

@@ -58,8 +58,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         g, s = self.geometry, self.scan
-        if (self.transform.c1, self.transform.c2) != (g.c1, g.c2):
-            raise GeometryError("transform window does not match geometry", field="transform")
+        derived_rows, derived_cols = self.transform.derived_shape(g.source_rows, g.source_cols)
         if self.one_dimensional and g.source_rows != 1:
             # the row-scan path samples one row, so it would answer for one row only
             raise GeometryError(
@@ -67,7 +66,7 @@ class ExperimentSpec:
                 f"got {g.source_rows}",
                 field="source_rows",
             )
-        for side, size in (("m1", g.derived_cols), ("m2", g.derived_rows)):
+        for side, size in (("m1", derived_cols), ("m2", derived_rows)):
             if not 1 <= getattr(s, side) <= size:
                 raise GeometryError("scan window does not fit in the derived field", field=side)
             if not self.one_dimensional and getattr(s, side) < 2:
@@ -123,15 +122,15 @@ class ExperimentSpec:
     @property
     def one_dimensional(self) -> bool:
         # degenerate row scan: single-row windows over a row-independent field
-        return self.scan.m2 == 1 and self.geometry.c2 == 1
+        return self.scan.m2 == 1 and self.transform.c2 == 1
 
     @property
     def block1(self) -> int:
-        return self.scan.m1 + self.geometry.c1 - 2
+        return self.scan.m1 + self.transform.c1 - 2
 
     @property
     def block2(self) -> int:
-        return self.scan.m2 + self.geometry.c2 - 2
+        return self.scan.m2 + self.transform.c2 - 2
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,6 @@ class ApproxRow:
     e_app: float = math.nan
     e_sf: float = math.nan
     e_sapp: float = math.nan
-    l1: float | None = None
-    l2: float | None = None
     t2_1: float | None = None
     t2_2: float | None = None
     bracket_low: float | None = None
@@ -196,13 +193,13 @@ class SimRow:
 
 
 def quv_field_dims(
-    u: int, v: int, geometry: LatticeGeometry, scan: ScanGeometry
+    u: int, v: int, transform: BlockFactorTransform, scan: ScanGeometry
 ) -> tuple[int, int]:
     """Minimal source (cols, rows) feeding the Q_uv sub-rectangle event."""
     if u not in (2, 3) or v not in (2, 3):
         raise ParameterError("u and v must be in {2, 3}")
-    b1 = scan.m1 + geometry.c1 - 2
-    b2 = scan.m2 + geometry.c2 - 2
+    b1 = scan.m1 + transform.c1 - 2
+    b2 = scan.m2 + transform.c2 - 2
     cols = u * b1
     rows = v * b2 if b2 >= 1 else 1
     return cols, rows
@@ -218,17 +215,17 @@ def _chunk_size(replica_bytes: int) -> int:
     return max(1, min(8192, _CHUNK_BYTES // max(replica_bytes, 1)))
 
 
-def _field_geometry(spec: ExperimentSpec, task: str) -> LatticeGeometry:
-    """The source lattice one replica of a ``quv`` or ``sim`` call samples."""
+def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
+    """Source (cols, rows) that one replica of a ``quv`` or ``sim`` call samples."""
     if task == "sim":
-        return spec.geometry
-    return spec.geometry.with_source(*quv_field_dims(3, 3, spec.geometry, spec.scan))
+        return spec.geometry.source_cols, spec.geometry.source_rows
+    return quv_field_dims(3, 3, spec.transform, spec.scan)
 
 
 def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int, int]:
     """Replicas per chunk, chunk count and last chunk's replicas of a ``quv`` or ``sim`` call."""
-    g = _field_geometry(spec, task)
-    chunk = _chunk_size(g.source_rows * g.source_cols * spec.distribution.dtype.itemsize)
+    cols, rows = _field_dims(spec, task)
+    chunk = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
     count = -(-total // chunk)
     return chunk, count, total - (count - 1) * chunk
 
@@ -274,7 +271,7 @@ def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, t
 def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     """Monte Carlo estimates of P(max window sum <= n) over nested anchor extents.
 
-    Each replica samples one source field of ``_field_geometry(spec, task)``,
+    Each replica samples one source field of ``_field_dims(spec, task)``,
     applies the block factor and takes every window sum once.  The sums are
     cut into ``tile = (rows, cols)`` tiles of anchors and each tile's
     maximum is taken once; the running maxima of the tile maxima over both
@@ -321,8 +318,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
         return thr, empty, empty
-    geometry = _field_geometry(spec, task)
-    cols, rows = geometry.source_cols, geometry.source_rows
+    cols, rows = _field_dims(spec, task)
     m1, m2 = spec.scan.m1, spec.scan.m2
     dist = spec.distribution
     chunk = chunk_layout(spec, task, total)[0]
@@ -348,8 +344,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         """
         block = buffers.take("source", count * rows * cols, dist.dtype).reshape(rows, cols, count)
         derived = apply_block_factor_batch(
-            np.moveaxis(block, -1, 0), spec.transform, geometry, bound=cell_bound,
-            buffers=buffers, ops=ops,
+            np.moveaxis(block, -1, 0), spec.transform, bound=cell_bound, buffers=buffers, ops=ops
         )
         sums = window_sums_batch(derived, m1, m2, bound=derived_bound, buffers=buffers, ops=ops)
         # tile axes first, so every pass below runs over the replicas
@@ -438,11 +433,11 @@ def _check_slack(n: float, pairs) -> None:
 
 
 def _error_factor(alpha: float, m: int):
-    """F at the hypothesis boundary q1 = 1 - alpha with its l and t2; None at the exact limit."""
+    """F at the hypothesis boundary q1 = 1 - alpha with its t2; None at the exact limit."""
     if alpha <= 0.0:
-        return 1.0 + 3.0 / m, None, None
+        return 1.0 + 3.0 / m, None
     constants = theorem1_constants(alpha)
-    return error_factor_F(constants, m, 1.0 - alpha), constants.l, constants.t2
+    return error_factor_F(constants, m, 1.0 - alpha), constants.t2
 
 
 def two_step_approximation(rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
@@ -467,8 +462,8 @@ def two_step_approximation(rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
     valid = alpha1 <= ALPHA_MAX and alpha2 <= ALPHA_MAX
     ledger = {}
     if valid:
-        f1, l1, t2_1 = _error_factor(alpha2, L1)
-        f2, l2, t2_2 = _error_factor(alpha1, L2)
+        f1, t2_1 = _error_factor(alpha2, L1)
+        f2, t2_2 = _error_factor(alpha1, L2)
         b2_term = 1.0 - r2 + L1 * f1 * (1.0 - q22) ** 2
         c22 = 1.0 - q22 + rec.b22
         c23 = 1.0 - q23 + rec.b23
@@ -477,8 +472,6 @@ def two_step_approximation(rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
             e_app=L2 * f2 * b2_term**2 + L1 * L2 * f1 * ((1.0 - q22) ** 2 + (1.0 - q23) ** 2),
             e_sf=L1 * L2 * (rec.b22 + rec.b23 + rec.b32 + rec.b33),
             e_sapp=L2 * f2 * c2_term**2 + L1 * L2 * f1 * (c22**2 + c23**2),
-            l1=l1,
-            l2=l2,
             t2_1=t2_1,
             t2_2=t2_2,
         )
@@ -507,12 +500,11 @@ def one_step_approximation(rec: EstimateRecord, L1: int) -> ApproxRow:
     valid = alpha <= ALPHA_MAX
     ledger = {}
     if valid:
-        f1, l1, t2_1 = _error_factor(alpha, L1)
+        f1, t2_1 = _error_factor(alpha, L1)
         ledger = dict(
             e_app=L1 * f1 * (1.0 - q2) ** 2,
             e_sf=L1 * (rec.b22 + rec.b32),
             e_sapp=L1 * f1 * (1.0 - q2 + rec.b22) ** 2,
-            l1=l1,
             t2_1=t2_1,
         )
     return ApproxRow(
@@ -595,7 +587,8 @@ def simulate_distribution(
     if replicas < 1:
         raise ParameterError("replicas must be >= 1")
     g, s = spec.geometry, spec.scan
-    full = (g.derived_rows - s.m2 + 1, g.derived_cols - s.m1 + 1)
+    rows, cols = spec.transform.derived_shape(g.source_rows, g.source_cols)
+    full = (rows - s.m2 + 1, cols - s.m1 + 1)
     thr, probs, half = _tally(spec, threads, "sim", replicas, full, [(1, 1)])
     return [
         SimRow(n=float(n), prob=float(p), half_width=float(h), replicas=replicas)

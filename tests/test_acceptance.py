@@ -51,9 +51,9 @@ def _verdict(capsys, number, ok, detail):
 
 
 def _minesweeper_spec(p, thresholds, seed, threads=1):
-    transform, extents = catalog_transform("minesweeper")
+    transform = catalog_transform("minesweeper")
     return ExperimentSpec(
-        geometry=LatticeGeometry(44, 44, *extents),
+        geometry=LatticeGeometry(44, 44),
         scan=ScanGeometry(3, 3),
         distribution=MarginalDistribution.bernoulli(p),
         transform=transform,
@@ -114,9 +114,9 @@ def test_criterion_2_dense_table(capsys):
 
 def test_criterion_3_moving_average_table(capsys):
     start = time.perf_counter()
-    transform, extents = catalog_transform("ma", coeffs=[0.3, 0.1, 0.5])
+    transform = catalog_transform("ma", coeffs=[0.3, 0.1, 0.5])
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(1002, 1, *extents),
+        geometry=LatticeGeometry(1002, 1),
         scan=ScanGeometry(20, 1),
         distribution=MarginalDistribution.gaussian(0.0, 1.0),
         transform=transform,
@@ -195,7 +195,7 @@ def test_criterion_6_small_instance(capsys):
         geometry=LatticeGeometry(12, 12),
         scan=ScanGeometry(3, 3),
         distribution=MarginalDistribution.bernoulli(0.3),
-        transform=catalog_transform("identity")[0],
+        transform=catalog_transform("identity"),
         thresholds=(5.0, 6.0, 7.0, 8.0, 9.0),
         iterations=100_000,
         seed=SeedSpec(11),
@@ -229,25 +229,21 @@ def test_criterion_6_small_instance(capsys):
 def test_criterion_7_dependence_locality(capsys):
     count = 1000
     transform = minesweeper_transform()
-    geom = LatticeGeometry(20, 20, 1, 1, 1, 1)
     rng = SeedSpec(77).generator()
     source = (rng.random((count, 20, 20)) < 0.4).astype(np.int8)
-    derived = apply_block_factor_batch(source, transform, geom)
+    derived = apply_block_factor_batch(source, transform)
     sums = window_sums_batch(derived, 3, 3)
     block = 4  # m2 + c2 - 2
     span = 4 * block  # anchors within the exact-multiple range
     for k in range(1, 5):
         full = sums[:, (k - 1) * block : k * block, :span].max(axis=(1, 2))
         slab_src = source[:, (k - 1) * block : (k + 1) * block, :]
-        slab_geom = geom.with_source(20, 2 * block)
-        slab_sums = window_sums_batch(
-            apply_block_factor_batch(slab_src, transform, slab_geom), 3, 3
-        )
+        slab_sums = window_sums_batch(apply_block_factor_batch(slab_src, transform), 3, 3)
         slab = slab_sums[:, :, :span].max(axis=(1, 2))
         assert np.array_equal(full, slab), f"slab mismatch at k={k}"
     # each derived value is a function of its own c2 x c1 source sub-block only
-    sites_j = rng.integers(0, geom.derived_rows, size=count)
-    sites_i = rng.integers(0, geom.derived_cols, size=count)
+    sites_j = rng.integers(0, derived.shape[1], size=count)
+    sites_i = rng.integers(0, derived.shape[2], size=count)
     for b in range(count):
         jj, ii = int(sites_j[b]), int(sites_i[b])
         sub = source[b, jj : jj + 3, ii : ii + 3]
@@ -292,8 +288,7 @@ def test_criterion_9_moving_average_moments(capsys):
     length = 60
     rng = SeedSpec(55).generator()
     source = rng.normal(0.0, 1.0, (replicas, 1, length))
-    geom = LatticeGeometry(length, 1, 0, 2, 0, 0)
-    derived = apply_block_factor_batch(source, ma_transform((0.3, 0.1, 0.5)), geom)
+    derived = apply_block_factor_batch(source, ma_transform((0.3, 0.1, 0.5)))
     Y = window_sums_batch(derived, 20, 1)[:, 0, :]
     c0 = theory.variance
     col = Y[:, 0]

@@ -13,7 +13,7 @@ from blockscan import (
     ma_transform,
     minesweeper_transform,
 )
-from blockscan.blockfactor import Buffers, apply_block_factor_batch, narrow_int
+from blockscan.blockfactor import TRANSFORM_CATALOG, Buffers, apply_block_factor_batch, narrow_int
 from blockscan.errors import GeometryError, IndexRangeError, ParameterError
 
 
@@ -26,8 +26,7 @@ def _coded_field(cols: int, rows: int) -> np.ndarray:
 
 def test_configuration_matrix_corner_entries():
     field = _coded_field(4, 4)
-    geom = LatticeGeometry(4, 4, 1, 1, 1, 1)
-    mat = configuration_matrix(field, 2, 2, geom)
+    mat = configuration_matrix(field, 1, 1, minesweeper_transform())
     assert mat.shape == (3, 3)
     assert mat[0, 0] == 13  # column 1, row 3: matrix rows run top-down
     assert mat[2, 2] == 31  # column 3, row 1
@@ -35,54 +34,51 @@ def test_configuration_matrix_corner_entries():
 
 def test_configuration_matrix_full_indexing():
     field = _coded_field(6, 5)
-    geom = LatticeGeometry(6, 5, 1, 2, 1, 1)
-    i, j = 3, 2
-    mat = configuration_matrix(field, i, j, geom)
-    for k in range(1, geom.c2 + 1):
-        for l in range(1, geom.c1 + 1):
-            col, row = i - geom.x1 - 1 + l, j + geom.y2 + 1 - k
+    transform = BlockFactorTransform(name="wide", weights=np.ones((3, 4), dtype=np.int64))
+    i, j = 2, 1
+    mat = configuration_matrix(field, i, j, transform)
+    for k in range(1, transform.c2 + 1):
+        for l in range(1, transform.c1 + 1):
+            col, row = i - 1 + l, j + transform.c2 - k
             assert mat[k - 1, l - 1] == field[row - 1, col - 1]
 
 
 def test_configuration_matrix_range_checks():
     field = _coded_field(4, 4)
-    geom = LatticeGeometry(4, 4, 1, 1, 1, 1)
-    with pytest.raises(IndexRangeError):
-        configuration_matrix(field, 1, 2, geom)
-    with pytest.raises(IndexRangeError):
-        configuration_matrix(field, 2, 4, geom)
+    transform = minesweeper_transform()
+    assert configuration_matrix(field, 2, 2, transform)[0, 0] == 24
+    for i, j in ((0, 1), (1, 0), (3, 1), (1, 3)):
+        with pytest.raises(IndexRangeError):
+            configuration_matrix(field, i, j, transform)
 
 
 def test_geometry_validation():
-    with pytest.raises(GeometryError):
-        LatticeGeometry(3, 3, 2, 1, 0, 0)  # c1 = 4 > source_cols
-    with pytest.raises(GeometryError):
-        LatticeGeometry(3, 3, -1, 0, 0, 0)
-    geom = LatticeGeometry(10, 8, 1, 1, 1, 1)
-    assert (geom.c1, geom.c2) == (3, 3)
-    assert (geom.derived_cols, geom.derived_rows) == (8, 6)
+    for cols, rows, field in ((0, 3, "source_cols"), (3, 0, "source_rows")):
+        with pytest.raises(GeometryError) as err:
+            LatticeGeometry(cols, rows)
+        assert err.value.field == field
+    geom = LatticeGeometry(10, 8)
+    assert (geom.source_cols, geom.source_rows) == (10, 8)
+    assert minesweeper_transform().derived_shape(8, 10) == (6, 8)
 
 
 def test_identity_transform_reproduces_source():
     field = MarginalDistribution.poisson(2.0).sample(SeedSpec(3).generator(), (5, 7))
-    geom = LatticeGeometry(7, 5)
-    out = apply_block_factor_batch(field, identity_transform(), geom)
+    out = apply_block_factor_batch(field, identity_transform())
     assert np.array_equal(out, field)
 
 
 def test_minesweeper_all_ones_gives_eight():
     field = np.ones((6, 6), dtype=np.int64)
-    geom = LatticeGeometry(6, 6, 1, 1, 1, 1)
-    out = apply_block_factor_batch(field, minesweeper_transform(), geom)
+    out = apply_block_factor_batch(field, minesweeper_transform())
     assert out.shape == (4, 4)
     assert np.all(out == 8)
 
 
 def test_minesweeper_zeros_and_diagonal():
-    geom = LatticeGeometry(5, 5, 1, 1, 1, 1)
-    zeros = apply_block_factor_batch(np.zeros((5, 5), dtype=np.int64), minesweeper_transform(), geom)
+    zeros = apply_block_factor_batch(np.zeros((5, 5), dtype=np.int64), minesweeper_transform())
     assert np.all(zeros == 0)
-    diag = apply_block_factor_batch(np.eye(5, dtype=np.int64), minesweeper_transform(), geom)
+    diag = apply_block_factor_batch(np.eye(5, dtype=np.int64), minesweeper_transform())
     # interior diagonal cells see exactly the two diagonal neighbours
     assert diag[1, 1] == 2
 
@@ -90,8 +86,7 @@ def test_minesweeper_zeros_and_diagonal():
 def test_minesweeper_single_mine_neighbourhood():
     src = np.zeros((6, 6), dtype=np.int64)
     src[2, 3] = 1
-    geom = LatticeGeometry(6, 6, 1, 1, 1, 1)
-    out = apply_block_factor_batch(src, minesweeper_transform(), geom)
+    out = apply_block_factor_batch(src, minesweeper_transform())
     expected = np.zeros((4, 4), dtype=np.int64)
     for jj in range(4):
         for ii in range(4):
@@ -102,16 +97,14 @@ def test_minesweeper_single_mine_neighbourhood():
 
 def test_ma_transform_is_forward_convolution():
     t = ma_transform((0.3, 0.1, 0.5))
-    geom = LatticeGeometry(4, 1, 0, 2, 0, 0)
     src = np.array([[1.0, 2.0, 3.0, 4.0]])
-    out = apply_block_factor_batch(src, t, geom)[0]
+    out = apply_block_factor_batch(src, t)[0]
     assert out == pytest.approx([0.3 * 1 + 0.1 * 2 + 0.5 * 3, 0.3 * 2 + 0.1 * 3 + 0.5 * 4])
 
 
 def test_ma_transform_constant_input():
     t = ma_transform((0.3, 0.1, 0.5))
-    geom = LatticeGeometry(10, 1, 0, 2, 0, 0)
-    out = apply_block_factor_batch(np.ones((1, 10)), t, geom)
+    out = apply_block_factor_batch(np.ones((1, 10)), t)
     assert np.allclose(out, 0.9)
 
 
@@ -120,8 +113,7 @@ def test_ma_output_variance_matches_coefficients():
     coeffs = (0.3, 0.1, 0.5)
     n = 100_000
     src = MarginalDistribution.gaussian(0.0, 1.0).sample(SeedSpec(21).generator(), (1, n + 2))
-    geom = LatticeGeometry(n + 2, 1, 0, 2, 0, 0)
-    out = apply_block_factor_batch(src, ma_transform(coeffs), geom)
+    out = apply_block_factor_batch(src, ma_transform(coeffs))
     target = sum(a * a for a in coeffs)
     assert abs(out.var() - target) < 0.01
 
@@ -137,32 +129,41 @@ def test_batch_matches_per_site_evaluation():
     """The vectorised path agrees with site-by-site configuration evaluation."""
     rng = np.random.default_rng(77)
     src = rng.integers(0, 5, size=(7, 8)).astype(np.int64)
-    for transform, extents in (
-        (minesweeper_transform(), (1, 1, 1, 1)),
-        (ma_transform((0.5, -1.0, 2.0)), (0, 2, 0, 0)),
-    ):
-        geom = LatticeGeometry(8, 7, *extents)
-        batch = apply_block_factor_batch(src, transform, geom)
-        for jj in range(geom.derived_rows):
-            for ii in range(geom.derived_cols):
-                i, j = ii + geom.x1 + 1, jj + geom.y1 + 1
-                expected = transform(configuration_matrix(src, i, j, geom))
+    for transform in (minesweeper_transform(), ma_transform((0.5, -1.0, 2.0))):
+        batch = apply_block_factor_batch(src, transform)
+        for jj in range(batch.shape[0]):
+            for ii in range(batch.shape[1]):
+                expected = transform(configuration_matrix(src, ii + 1, jj + 1, transform))
                 assert batch[jj, ii] == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CATALOG))
+def test_configuration_matrix_oracle_matches_the_kernel_for_every_catalog_transform(name):
+    """Kernel site ``(i, j)`` is the transform of the window at first column ``i``, lowest row ``j``."""
+    transform = catalog_transform(name, **({"coeffs": [0.3, -0.1, 0.5]} if name == "ma" else {}))
+    rng = np.random.default_rng(5)
+    src = rng.integers(-3, 4, size=(2, 6, 9)).astype(np.int64)
+    batch = apply_block_factor_batch(src, transform)
+    assert batch.shape == (2, 7 - transform.c2, 10 - transform.c1)
+    for b in range(2):
+        for jj in range(batch.shape[1]):
+            for ii in range(batch.shape[2]):
+                matrix = configuration_matrix(src[b], ii + 1, jj + 1, transform)
+                assert batch[b, jj, ii] == pytest.approx(transform(matrix), rel=1e-12)
 
 
 def test_derived_values_depend_only_on_their_window():
     """Changing source cells outside the c2 x c1 window never moves X_{i,j}."""
     rng = np.random.default_rng(123)
-    geom = LatticeGeometry(8, 8, 1, 1, 1, 1)
     t = minesweeper_transform()
     base = rng.integers(0, 2, size=(8, 8)).astype(np.int64)
-    out = apply_block_factor_batch(base, t, geom)
+    out = apply_block_factor_batch(base, t)
     jj, ii = 2, 3
     perturbed = base.copy()
     mask = np.ones((8, 8), dtype=bool)
     mask[jj : jj + 3, ii : ii + 3] = False
     perturbed[mask] = 1 - perturbed[mask]
-    out2 = apply_block_factor_batch(perturbed, t, geom)
+    out2 = apply_block_factor_batch(perturbed, t)
     assert out[jj, ii] == out2[jj, ii]
 
 
@@ -171,8 +172,7 @@ def test_minesweeper_marginal_is_binomial():
     reps = 20_000
     rng = SeedSpec(31).generator()
     src = MarginalDistribution.bernoulli(p).sample(rng, (reps, 6, 6))
-    geom = LatticeGeometry(6, 6, 1, 1, 1, 1)
-    derived = apply_block_factor_batch(src, minesweeper_transform(), geom)
+    derived = apply_block_factor_batch(src, minesweeper_transform())
     for site in ((0, 0), (3, 3)):
         observed = np.bincount(derived[:, site[0], site[1]], minlength=9)
         expected = stats.binom.pmf(np.arange(9), 8, p) * reps
@@ -180,21 +180,28 @@ def test_minesweeper_marginal_is_binomial():
 
 
 def test_batch_shape_and_window_mismatch_raise():
-    t = minesweeper_transform()
-    geom = LatticeGeometry(6, 6, 1, 1, 1, 1)
     with pytest.raises(GeometryError):
-        apply_block_factor_batch(np.zeros((2, 5, 5)), t, geom)
-    with pytest.raises(GeometryError):
-        apply_block_factor_batch(np.zeros((6, 6)), ma_transform((1.0, 2.0)), geom)
+        apply_block_factor_batch(np.zeros(6), identity_transform())
+    cases = (
+        (np.zeros((2, 5, 2)), minesweeper_transform(), "source_cols"),
+        (np.zeros((2, 2, 5)), minesweeper_transform(), "source_rows"),
+        (np.zeros((1, 2)), ma_transform((1.0, 2.0, 3.0)), "source_cols"),
+    )
+    for source, transform, field in cases:
+        with pytest.raises(GeometryError) as err:
+            apply_block_factor_batch(source, transform)
+        assert err.value.field == field
+    # a window as large as the source leaves one derived value
+    assert apply_block_factor_batch(np.ones((3, 3)), minesweeper_transform()).shape == (1, 1)
 
 
 def test_catalog_lookup():
-    t, extents = catalog_transform("minesweeper")
-    assert t.name == "minesweeper" and extents == (1, 1, 1, 1)
-    t, extents = catalog_transform("ma", coeffs=[0.3, 0.1, 0.5])
-    assert (t.c1, t.c2) == (3, 1) and extents == (0, 2, 0, 0)
-    t, extents = catalog_transform("identity")
-    assert extents == (0, 0, 0, 0)
+    t = catalog_transform("minesweeper")
+    assert t.name == "minesweeper" and (t.c1, t.c2) == (3, 3)
+    t = catalog_transform("ma", coeffs=[0.3, 0.1, 0.5])
+    assert (t.c1, t.c2) == (3, 1)
+    t = catalog_transform("identity")
+    assert (t.c1, t.c2) == (1, 1)
     with pytest.raises(ParameterError):
         catalog_transform("sobel")
     with pytest.raises(ParameterError):
@@ -227,16 +234,15 @@ def test_narrow_int_takes_a_tighter_exact_bound():
 
 def test_linear_batch_dtype_holds_int8_extremes():
     """Weights summing to 255 (int16) and 256 (int32) over all -128 / all 127 sources."""
-    geom = LatticeGeometry(4, 4, 1, 0, 1, 0)
     for total, dtype in ((255, np.int16), (256, np.int32)):
         weights = np.array([[64, 64], [64, total - 192]], dtype=np.int64)
         t = BlockFactorTransform(name="wide", weights=weights)
         for fill in (-128, 127):
-            out = apply_block_factor_batch(np.full((2, 4, 4), fill, dtype=np.int8), t, geom)
+            out = apply_block_factor_batch(np.full((2, 4, 4), fill, dtype=np.int8), t)
             assert out.dtype == dtype
             assert np.all(out == fill * total)
     minesweeper = apply_block_factor_batch(
-        np.ones((2, 5, 5), dtype=np.int8), minesweeper_transform(), LatticeGeometry(5, 5, 1, 1, 1, 1)
+        np.ones((2, 5, 5), dtype=np.int8), minesweeper_transform()
     )
     assert minesweeper.dtype == np.int16 and np.all(minesweeper == 8)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockscan.cli import RunConfig, main, read_table, write_approx_table
-from blockscan.errors import ConfigError
+from blockscan.errors import AlignmentError, ConfigError
 from blockscan.pipeline import (
     EstimateRecord,
     approximate,
@@ -250,6 +250,11 @@ def test_validate_config_rejects_what_the_run_would(tmp_path, capsys, updates):
         ({"distribution": "binomial", "trials": 0}, "trials"),
         ({"distribution": "poisson", "mean": -1.0}, "mean"),
         ({"distribution": "gaussian", "mean": 0.0, "variance": 0.0}, "variance"),
+        # a transform window wider or taller than the source, named before m1 and m2 fit
+        ({"transform": "minesweeper", "source_cols": 2}, "source_cols"),
+        ({"transform": "minesweeper", "source_rows": 2}, "source_rows"),
+        ({"transform": "ma", "ma_coeffs": [0.3, 0.1, 0.5], "source_cols": 2, "source_rows": 1,
+          "m2": 1}, "source_cols"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -520,6 +525,28 @@ def test_plotdata_rejects_a_table_it_cannot_read(tmp_path, capsys, flag, table):
     assert main(argv + ["-o", str(tmp_path / "plot.tsv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.tsv" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["extra-cells", "short-row", "before-columns"])
+def test_plotdata_names_the_line_of_a_ragged_or_headless_row(tmp_path, capsys, case):
+    """A row with more or fewer cells than columns, or a row before them, is an error at its line."""
+    approx_out, bad = tmp_path / "approx.tsv", tmp_path / "bad.tsv"
+    main(["approximate", "-c", _write_config(tmp_path), "-o", str(approx_out)])
+    lines = approx_out.read_text().splitlines()
+    first = next(k for k, text in enumerate(lines) if not text.startswith("#"))
+    if case == "extra-cells":
+        lines[first] += "\t0.5\t0.5"
+    elif case == "short-row":
+        lines[first] = "\t".join(lines[first].split("\t")[:3])
+    else:
+        lines.insert(0, lines[first])
+        first = 0
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(AlignmentError, match=f"bad.tsv line {first + 1}: "):
+        read_table(str(bad))
+    assert main(["plotdata", "--approx", str(bad), "-o", str(tmp_path / "plot.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} line {first + 1}: ") and err.count("\n") == 1
 
 
 def _chunk_header(metadata):

@@ -41,12 +41,11 @@ def _bernoulli_spec(cols=12, rows=12, thresholds=(6, 7, 8), iterations=4000, see
 
 
 def _minesweeper_spec(cols=20, rows=20, thresholds=(30, 32), iterations=4000, seed=5):
-    t, extents = catalog_transform("minesweeper")
     return ExperimentSpec(
-        geometry=LatticeGeometry(cols, rows, *extents),
+        geometry=LatticeGeometry(cols, rows),
         scan=ScanGeometry(3, 3),
         distribution=MarginalDistribution.bernoulli(0.5),
-        transform=t,
+        transform=catalog_transform("minesweeper"),
         thresholds=tuple(float(n) for n in thresholds),
         iterations=iterations,
         seed=SeedSpec(seed),
@@ -57,35 +56,48 @@ def _minesweeper_spec(cols=20, rows=20, thresholds=(30, 32), iterations=4000, se
 
 
 def test_quv_field_dims():
-    ms_geom = LatticeGeometry(20, 20, 1, 1, 1, 1)
+    minesweeper = minesweeper_transform()
     scan = ScanGeometry(3, 3)
-    assert quv_field_dims(2, 2, ms_geom, scan) == (8, 8)
-    assert quv_field_dims(3, 2, ms_geom, scan) == (12, 8)
-    assert quv_field_dims(3, 3, ms_geom, scan) == (12, 12)
-    iid_geom = LatticeGeometry(12, 12)
-    assert quv_field_dims(2, 2, iid_geom, scan) == (4, 4)
-    ma_geom = LatticeGeometry(1002, 1, 0, 2, 0, 0)
-    assert quv_field_dims(3, 3, ma_geom, ScanGeometry(20, 1)) == (63, 1)
+    assert quv_field_dims(2, 2, minesweeper, scan) == (8, 8)
+    assert quv_field_dims(3, 2, minesweeper, scan) == (12, 8)
+    assert quv_field_dims(3, 3, minesweeper, scan) == (12, 12)
+    identity = identity_transform()
+    assert quv_field_dims(2, 2, identity, scan) == (4, 4)
+    ma = ma_transform((0.3, 0.1, 0.5))
+    assert quv_field_dims(3, 3, ma, ScanGeometry(20, 1)) == (63, 1)
     with pytest.raises(ParameterError):
-        quv_field_dims(1, 2, iid_geom, scan)
+        quv_field_dims(1, 2, identity, scan)
 
 
 def test_spec_validation():
-    with pytest.raises(GeometryError):
-        # transform window disagrees with geometry extents
-        ExperimentSpec(
-            geometry=LatticeGeometry(12, 12),
-            scan=ScanGeometry(3, 3),
-            distribution=MarginalDistribution.bernoulli(0.3),
-            transform=minesweeper_transform(),
-            thresholds=(5.0,),
-        )
     with pytest.raises(GeometryError):
         _minesweeper_spec(cols=8, rows=20)  # fewer than three block units wide
     with pytest.raises(GeometryError):
         _bernoulli_spec(cols=2, rows=12)
     with pytest.raises(ParameterError):
         _bernoulli_spec(iterations=0)
+
+
+@pytest.mark.parametrize(
+    "cols, rows, transform, m2, field",
+    [
+        (2, 12, minesweeper_transform(), 3, "source_cols"),
+        (12, 2, minesweeper_transform(), 3, "source_rows"),
+        (2, 1, ma_transform((0.3, 0.1, 0.5)), 1, "source_cols"),
+    ],
+    ids=["minesweeper-wider", "minesweeper-taller", "ma-wider"],
+)
+def test_spec_rejects_a_window_larger_than_the_source(cols, rows, transform, m2, field):
+    """The source side the transform's window passes is named before m1 and m2 are fitted."""
+    with pytest.raises(GeometryError) as err:
+        ExperimentSpec(
+            geometry=LatticeGeometry(cols, rows),
+            scan=ScanGeometry(3, m2),
+            distribution=MarginalDistribution.gaussian(0.0, 1.0),
+            transform=transform,
+            thresholds=(5.0,),
+        )
+    assert err.value.field == field
 
 
 def test_row_scan_needs_one_source_row():
@@ -113,13 +125,12 @@ def test_row_scan_needs_one_source_row():
     ids=["poisson-minesweeper-2x2", "binomial-identity-2x2", "binomial-identity-3x3"],
 )
 def test_integer_window_sums_must_fit_int64(distribution, transform, m, field):
-    t, extents = catalog_transform(transform)
     with pytest.raises(ParameterError) as err:
         ExperimentSpec(
-            geometry=LatticeGeometry(12, 12, *extents),
+            geometry=LatticeGeometry(12, 12),
             scan=ScanGeometry(m, m),
             distribution=distribution,
-            transform=t,
+            transform=catalog_transform(transform),
             thresholds=(5.0,),
         )
     assert err.value.field == field
@@ -239,12 +250,11 @@ def test_tallies_pin_the_stream_partition():
     # NumPy's geometric draw), which replica each drawn cell belongs to
     # (cells in (row, col, replica) order) or the per-replica sample -> block
     # factor -> window sums -> maxima pipeline changes.
-    t, extents = catalog_transform("minesweeper")
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(12, 12, *extents),
+        geometry=LatticeGeometry(12, 12),
         scan=ScanGeometry(3, 3),
         distribution=MarginalDistribution.bernoulli(0.3),
-        transform=t,
+        transform=catalog_transform("minesweeper"),
         thresholds=(22.0, 26.0, 30.0),
         iterations=20_000,  # six chunks of a 12 x 12 bool field, the last one partial
         seed=SeedSpec(2014),
@@ -276,7 +286,7 @@ def test_two_step_ledger_identity():
     assert row.e_total == row.e_app + row.e_sf + row.e_sapp
     assert row.e_sapp >= row.e_app  # simulation-through-bound dominates the plain bound
     assert row.alpha1 == 1.0 - row.q3 and row.alpha2 == pytest.approx(1.0 - 0.985)
-    assert row.l1 is not None and row.t2_1 is not None
+    assert row.t2_1 is not None and row.t2_2 is not None
 
 
 def test_two_step_invalid_when_alpha_large():
@@ -403,7 +413,7 @@ def test_simulation_degenerate_distribution():
 
 def test_one_dimensional_path():
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(66, 1, 0, 2, 0, 0),
+        geometry=LatticeGeometry(66, 1),
         scan=ScanGeometry(20, 1),
         distribution=MarginalDistribution.gaussian(0.0, 1.0),
         transform=ma_transform((0.3, 0.1, 0.5)),
@@ -653,7 +663,7 @@ def test_a_kernel_dtype_never_moves_the_chunk_partition(distribution, chunks, mo
         minesweeper, geometry=LatticeGeometry(20, 20), scan=ScanGeometry(5, 5),
         transform=identity_transform(),
     )
-    assert quv_field_dims(3, 3, identity.geometry, identity.scan) == (12, 12)
+    assert quv_field_dims(3, 3, identity.transform, identity.scan) == (12, 12)
     ident_chunks, ident_dtypes = _chunks_and_dtypes(identity, monkeypatch)
     mine_chunks, mine_dtypes = _chunks_and_dtypes(minesweeper, monkeypatch)
     assert ident_chunks == mine_chunks == chunks
@@ -663,7 +673,7 @@ def test_a_kernel_dtype_never_moves_the_chunk_partition(distribution, chunks, mo
 
 def _ma_spec():
     return ExperimentSpec(
-        geometry=LatticeGeometry(66, 1, 0, 2, 0, 0),
+        geometry=LatticeGeometry(66, 1),
         scan=ScanGeometry(20, 1),
         distribution=MarginalDistribution.gaussian(0.0, 1.0),
         transform=ma_transform((0.3, 0.1, 0.5)),
@@ -693,7 +703,8 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         rows = simulate_distribution(spec, replicas=9000, threads=1)
         tallies = [[round(row.prob * row.replicas) for row in rows]]
         g, scan, task = spec.geometry, spec.scan, "sim"
-        extents = [(g.derived_rows - scan.m2 + 1, g.derived_cols - scan.m1 + 1)]
+        derived_rows, derived_cols = spec.transform.derived_shape(g.source_rows, g.source_cols)
+        extents = [(derived_rows - scan.m2 + 1, derived_cols - scan.m1 + 1)]
     else:
         if shape == "quv-2d":
             spec = _minesweeper_spec(thresholds=range(34, 58, 3), iterations=9000)
@@ -708,14 +719,14 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
         task = "quv"
     monkeypatch.undo()
-    geometry = pipeline._field_geometry(spec, task)
+    cols, rows = pipeline._field_dims(spec, task)
     thr = np.array(spec.thresholds)
     expected = np.zeros((len(extents), thr.size), dtype=np.int64)
     for k, size in enumerate(drawn):
         rng = spec.seed.with_stream(pipeline._stream_id(task, k)).generator()
         block = spec.distribution.sample(rng, size)
         derived = blockfactor.apply_block_factor_batch(
-            np.moveaxis(block, -1, 0), spec.transform, geometry
+            np.moveaxis(block, -1, 0), spec.transform
         )
         sums = pipeline.window_sums_batch(derived, spec.scan.m1, spec.scan.m2)
         for idx, (v_ext, u_ext) in enumerate(extents):
@@ -723,7 +734,7 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
             expected[idx] += (maxima[:, None] <= thr[None, :]).sum(axis=0)
     # one draw per chunk: full chunks, then the rest
     chunk = {"quv-2d": 3640, "quv-1d": 1040, "simulate": 2880}[shape]
-    assert drawn == [(geometry.source_rows, geometry.source_cols, n) for n in (
+    assert drawn == [(rows, cols, n) for n in (
         [chunk] * (9000 // chunk) + [9000 % chunk]
     )]
     # at least three thresholds per extent split the replicas
@@ -738,12 +749,12 @@ def test_integer_maxima_meet_any_threshold_like_a_float_compare():
     spec = dataclasses.replace(_minesweeper_spec(iterations=2000), thresholds=thresholds)
     tallies = [round(rec.q33 * rec.iterations) for rec in estimate_quv(spec)]
     # 2000 replicas are one chunk, drawn from stream 0
-    geometry = pipeline._field_geometry(spec, "quv")
+    cols, rows = pipeline._field_dims(spec, "quv")
     rng = spec.seed.with_stream(pipeline._stream_id("quv", 0)).generator()
-    block = spec.distribution.sample(rng, (geometry.source_rows, geometry.source_cols, 2000))
+    block = spec.distribution.sample(rng, (rows, cols, 2000))
     # the pipeline's bounds: int8 sums, whose ends the outer thresholds pass
     derived = blockfactor.apply_block_factor_batch(
-        np.moveaxis(block, -1, 0), spec.transform, geometry, bound=1
+        np.moveaxis(block, -1, 0), spec.transform, bound=1
     )
     bound = spec.value_bounds(1)[0]
     sums = pipeline.window_sums_batch(derived, spec.scan.m1, spec.scan.m2, bound=bound)
@@ -967,7 +978,7 @@ class _Recorded(pipeline.Buffers):
 
 def _ma_columns(cols):
     return dataclasses.replace(
-        _ma_spec(), geometry=LatticeGeometry(cols, 1, 0, 2, 0, 0), thresholds=(13.0,)
+        _ma_spec(), geometry=LatticeGeometry(cols, 1), thresholds=(13.0,)
     )
 
 

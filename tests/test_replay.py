@@ -29,7 +29,6 @@ from blockscan.blockfactor import Buffers, apply_block_factor_batch, run_passes
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
 
-GEOM = LatticeGeometry(9, 9, 1, 1, 1, 1)
 # weights other than 0 and 1 take the scratch pass of the block factor
 WEIGHTED = BlockFactorTransform(
     name="weighted", weights=np.array([[0, 2, -1], [3, 0, 1], [1, 1, -4]])
@@ -46,8 +45,8 @@ LAYOUTS = {
 }
 
 KERNELS = {
-    "blockfactor": partial(apply_block_factor_batch, transform=minesweeper_transform(), geom=GEOM),
-    "blockfactor-weighted": partial(apply_block_factor_batch, transform=WEIGHTED, geom=GEOM),
+    "blockfactor": partial(apply_block_factor_batch, transform=minesweeper_transform()),
+    "blockfactor-weighted": partial(apply_block_factor_batch, transform=WEIGHTED),
     "window-sums": partial(window_sums_batch, m1=3, m2=2),
     "row-sums": partial(window_sums_batch, m1=5, m2=1),
     "tile-maxima": partial(tile_maxima, tile_rows=2, tile_cols=3),
@@ -84,9 +83,9 @@ def _per_tile_maxima(field, tile_rows, tile_cols):
 def _per_site_block_factor(transform):
     def oracle(field):
         return np.array([
-            [transform(configuration_matrix(field, i + 2, j + 2, GEOM))
-             for i in range(GEOM.derived_cols)]
-            for j in range(GEOM.derived_rows)
+            [transform(configuration_matrix(field, i + 1, j + 1, transform))
+             for i in range(field.shape[1] - transform.c1 + 1)]
+            for j in range(field.shape[0] - transform.c2 + 1)
         ])
 
     return oracle
@@ -139,11 +138,11 @@ def test_tile_maxima_leave_out_ragged_edges(layout):
 
 BAD_CALLS = {
     "blockfactor": (
-        partial(apply_block_factor_batch, transform=minesweeper_transform(), geom=GEOM),
+        partial(apply_block_factor_batch, transform=minesweeper_transform()),
+        # a window one column wider than the source
         partial(
             apply_block_factor_batch,
-            transform=minesweeper_transform(),
-            geom=GEOM.with_source(10, 9),
+            transform=BlockFactorTransform(name="wide", weights=np.ones((3, 10), dtype=np.int64)),
         ),
     ),
     "window-sums": (
@@ -202,7 +201,7 @@ def test_a_recorded_chunk_plan_reruns_on_an_overwritten_block(layout):
     transform = minesweeper_transform()
 
     def kernels(source, **kwargs):
-        derived = apply_block_factor_batch(source, transform, GEOM, **kwargs)
+        derived = apply_block_factor_batch(source, transform, **kwargs)
         sums = window_sums_batch(derived, 3, 2, **kwargs)
         return derived, sums, tile_maxima(sums, 2, 3, **kwargs)
 
@@ -235,12 +234,11 @@ def test_worker_buffers_die_with_the_call_without_the_cycle_collector(threads, m
     # 20 chunks of 100 replicas, so both threads take chunks
     monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 100)
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    t, extents = minesweeper_transform(), (1, 1, 1, 1)
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(20, 20, *extents),
+        geometry=LatticeGeometry(20, 20),
         scan=ScanGeometry(3, 3),
         distribution=MarginalDistribution.bernoulli(0.5),
-        transform=t,
+        transform=minesweeper_transform(),
         thresholds=(30.0, 32.0),
         iterations=2000,
         seed=SeedSpec(5),

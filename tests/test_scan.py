@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from blockscan import (
     BlockFactorTransform,
-    LatticeGeometry,
     MarginalDistribution,
     ScanGeometry,
     SeedSpec,
@@ -98,14 +97,12 @@ def test_batched_axis_matches_per_field():
 
 @st.composite
 def _linear_kernel_cases(draw):
-    """A source stack, a linear transform, its geometry and a window that fits."""
+    """A source stack, a linear transform and a window that fits its block factor."""
     kind = draw(st.sampled_from(["bool", "int8", "int64", "float64"]))
     c1, c2 = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    x1, y1 = draw(st.integers(0, c1 - 1)), draw(st.integers(0, c2 - 1))
     cols, rows = draw(st.integers(c1, c1 + 8)), draw(st.integers(c2, c2 + 8))
-    geom = LatticeGeometry(cols, rows, x1, c1 - 1 - x1, y1, c2 - 1 - y1)
-    m1 = draw(st.integers(1, geom.derived_cols))
-    m2 = draw(st.integers(1, geom.derived_rows))
+    m1 = draw(st.integers(1, cols - c1 + 1))
+    m2 = draw(st.integers(1, rows - c2 + 1))
     fill = draw(st.sampled_from(["random", "min", "max"])) if kind == "int8" else "random"
     if fill != "random":
         # the largest |weights| on an all-extreme source: |sum| reaches 128 * sum|w|,
@@ -132,20 +129,20 @@ def _linear_kernel_cases(draw):
     else:
         source = np.full(shape, -128 if fill == "min" else 127, dtype=np.int8)
     transform = BlockFactorTransform(name="drawn", weights=weights)
-    return source, transform, geom, m1, m2
+    return source, transform, m1, m2
 
 
 @given(case=_linear_kernel_cases())
 @settings(max_examples=150)
 def test_linear_kernel_matches_per_site_oracle(case):
     """Window sums of the batched block factor equal brute force over per-site transforms."""
-    source, transform, geom, m1, m2 = case
-    fast = window_sums_batch(apply_block_factor_batch(source, transform, geom), m1, m2)
+    source, transform, m1, m2 = case
+    fast = window_sums_batch(apply_block_factor_batch(source, transform), m1, m2)
     integer_source = np.issubdtype(source.dtype, np.integer) or source.dtype == np.bool_
     exact = integer_source and np.issubdtype(transform.weights.dtype, np.integer)
     assert np.issubdtype(fast.dtype, np.integer) if exact else fast.dtype == np.float64
     for b in range(source.shape[0]):
-        derived = _per_site_transform(source[b], transform, geom)
+        derived = _per_site_transform(source[b], transform)
         slow = brute_moving_sums(derived, m1, m2)
         if exact:
             assert np.array_equal(fast[b], slow)
@@ -181,9 +178,8 @@ def test_integer_sums_use_the_narrow_dtype_bound():
 
 def test_minesweeper_sums_of_bernoulli_cells_are_int8_up_to_72():
     """With the exact bounds, 1 per cell and 8 per count, all-ones 3x3 sums are 72 in int8."""
-    geom = LatticeGeometry(9, 8, 1, 1, 1, 1)
     ones = np.ones((3, 8, 9), dtype=np.bool_)
-    derived = apply_block_factor_batch(ones, minesweeper_transform(), geom, bound=1)
+    derived = apply_block_factor_batch(ones, minesweeper_transform(), bound=1)
     assert derived.dtype == np.int8 and np.all(derived == 8)
     sums = window_sums_batch(derived, 3, 3, bound=8)
     assert sums.dtype == np.int8 and sums.shape == (3, 4, 5) and np.all(sums == 72)
@@ -191,7 +187,7 @@ def test_minesweeper_sums_of_bernoulli_cells_are_int8_up_to_72():
     assert window_sums_batch(derived, 3, 3).dtype == np.int16
     # a binomial count held in int64 narrows by its trials
     held = np.full((2, 8, 9), 16, dtype=np.int64)
-    derived = apply_block_factor_batch(held, minesweeper_transform(), geom, bound=16)
+    derived = apply_block_factor_batch(held, minesweeper_transform(), bound=16)
     assert derived.dtype == np.int16 and np.all(derived == 128)
 
 
@@ -217,15 +213,15 @@ def test_sums_under_an_exact_bound_match_brute_force(bound, m1, m2, fill, seed):
         assert np.array_equal(sums[b], brute_moving_sums(values[b], m1, m2))
 
 
-def _per_site_transform(values: np.ndarray, transform, geom) -> np.ndarray:
+def _per_site_transform(values: np.ndarray, transform) -> np.ndarray:
     """The block factor of one 2-D field, one configuration matrix per site."""
     return np.array(
         [
             [
-                transform(configuration_matrix(values, ii + geom.x1 + 1, jj + geom.y1 + 1, geom))
-                for ii in range(geom.derived_cols)
+                transform(configuration_matrix(values, ii + 1, jj + 1, transform))
+                for ii in range(values.shape[1] - transform.c1 + 1)
             ]
-            for jj in range(geom.derived_rows)
+            for jj in range(values.shape[0] - transform.c2 + 1)
         ]
     )
 
@@ -256,8 +252,7 @@ def test_flat_kernel_handles_any_input_layout(layout, dtype):
     source = _LAYOUTS[layout](stack)
     weights = np.array([[1, -2, 0], [3, 1, 1]], dtype=np.int64)
     transform = BlockFactorTransform(name="drawn", weights=weights)
-    geom = LatticeGeometry(8, 7, 1, 1, 0, 1)
-    derived = apply_block_factor_batch(source, transform, geom)
+    derived = apply_block_factor_batch(source, transform)
     sums = window_sums_batch(derived, 3, 2)
     raw_sums = window_sums_batch(source, 4, 3)
     assert derived.shape == source.shape[:-2] + (6, 6)
@@ -268,7 +263,7 @@ def test_flat_kernel_handles_any_input_layout(layout, dtype):
         # no two elements of a result share memory either
         assert all(st > 0 for n, st in zip(out.shape, out.strides) if n > 1)
     for index in np.ndindex(source.shape[:-2]):
-        expected = _per_site_transform(source[index], transform, geom)
+        expected = _per_site_transform(source[index], transform)
         assert np.array_equal(derived[index], expected)
         assert np.array_equal(sums[index], brute_moving_sums(expected, 3, 2))
         assert np.array_equal(raw_sums[index], brute_moving_sums(source[index], 4, 3))
@@ -311,9 +306,8 @@ def test_kernels_reusing_buffers_equal_fresh_arrays():
         source = (stack > 1) if m % 3 == 0 else stack.astype(np.int8 if m % 3 == 1 else np.float64)
         weights = kernels[m % 3]
         transform = BlockFactorTransform(name="drawn", weights=weights)
-        geom = LatticeGeometry(24, 23, 1, 1, 1, 1)
-        derived = apply_block_factor_batch(source, transform, geom, buffers=buffers)
-        fresh = apply_block_factor_batch(source, transform, geom)
+        derived = apply_block_factor_batch(source, transform, buffers=buffers)
+        fresh = apply_block_factor_batch(source, transform)
         assert derived.dtype == fresh.dtype and np.array_equal(derived, fresh)
         m1, m2 = m, 21 - m
         sums = window_sums_batch(derived, m1, m2, buffers=buffers)
