@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .blockfactor import (
     BlockFactorTransform,
-    LatticeGeometry,
     catalog_transform,
     configuration_matrix,
     identity_transform,
@@ -37,16 +36,14 @@ from .pipeline import (
     simulate_distribution,
     two_step_approximation,
 )
-from .scan import ScanGeometry, brute_moving_sums, brute_scan_statistic
+from .scan import brute_moving_sums, brute_scan_statistic
 
 __all__ = [
     "ApproxRow",
     "BlockFactorTransform",
     "EstimateRecord",
     "ExperimentSpec",
-    "LatticeGeometry",
     "MarginalDistribution",
-    "ScanGeometry",
     "SeedSpec",
     "SimRow",
     "Theorem1Constants",

@@ -19,23 +19,6 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import GeometryError, IndexRangeError, ParameterError
 
 
-@dataclass(frozen=True)
-class LatticeGeometry:
-    """The i.i.d. source lattice: ``source_cols`` columns by ``source_rows`` rows.
-
-    The window a derived value reads is the transform's, never the lattice's.
-    """
-
-    source_cols: int
-    source_rows: int
-
-    def __post_init__(self):
-        if self.source_cols < 1:
-            raise GeometryError("source dimensions must be >= 1", field="source_cols")
-        if self.source_rows < 1:
-            raise GeometryError("source dimensions must be >= 1", field="source_rows")
-
-
 @dataclass(frozen=True, eq=False)
 class BlockFactorTransform:
     """The linear map ``T(C) = sum(weights * C)`` of ``c2 x c1`` configuration matrices."""

@@ -19,9 +19,9 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .blockfactor import LatticeGeometry, catalog_transform
+from .blockfactor import catalog_transform
 from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError
-from .fields import STREAM_MAP, MarginalDistribution, SeedSpec
+from .fields import STREAM_MAP, MarginalDistribution
 from .pipeline import (
     ApproxRow,
     ExperimentSpec,
@@ -30,7 +30,6 @@ from .pipeline import (
     chunk_layout,
     simulate_distribution,
 )
-from .scan import ScanGeometry
 
 _THREADS_ENV = "BLOCKSCAN_THREADS"
 # the estimates and half-widths each ``# row`` note of an approximation carries
@@ -107,7 +106,9 @@ class RunConfig:
                 raise ConfigError(key, f"expected a {typ.__name__}, got {value!r}")
             coerced[key] = value
         config = cls(**coerced)
-        config.build_spec()  # validate eagerly so failures name their key
+        # validate eagerly so failures name their key
+        config.build_spec()
+        config.resolved_threads()
         return config
 
     @classmethod
@@ -134,6 +135,13 @@ class RunConfig:
         return threads
 
     def build_spec(self) -> ExperimentSpec:
+        """The run's spec, built and checked on the first call; later calls return that object."""
+        if "_spec" not in self.__dict__:
+            # a frozen dataclass: the cache bypasses its __setattr__
+            object.__setattr__(self, "_spec", self._make_spec())
+        return self.__dict__["_spec"]
+
+    def _make_spec(self) -> ExperimentSpec:
         if self.replicas < 1:
             raise ConfigError("replicas", f"must be >= 1, got {self.replicas}")
         params = {}
@@ -147,8 +155,6 @@ class RunConfig:
             # only the ma transform takes parameters; any other name is unknown
             raise ConfigError("ma_coeffs" if params else "transform", str(exc)) from exc
         try:
-            geometry = LatticeGeometry(self.source_cols, self.source_rows)
-            scan = ScanGeometry(self.m1, self.m2)
             dist = MarginalDistribution(
                 self.distribution, p=self.p, trials=self.trials,
                 mean=self.mean, variance=self.variance,
@@ -160,15 +166,16 @@ class RunConfig:
                             "thresholds", f"integer-valued model needs integer thresholds, got {n}"
                         )
             return ExperimentSpec(
-                geometry=geometry,
-                scan=scan,
-                distribution=dist,
                 transform=transform,
+                distribution=dist,
+                source_cols=self.source_cols,
+                source_rows=self.source_rows,
+                m1=self.m1,
+                m2=self.m2,
                 thresholds=tuple(float(n) for n in self.thresholds),
                 iterations=self.iterations,
                 confidence_z=self.confidence_z,
-                seed=SeedSpec(self.seed),
-                threads=self.resolved_threads(),
+                seed=self.seed,
             )
         except ConfigError:
             raise
@@ -349,12 +356,12 @@ def emit_plotdata(approx_path: str, out_path: str, sim_path: str | None = None) 
 
 
 def run_approx(config: RunConfig, out_path: str, raw: bool = False) -> list[ApproxRow]:
-    spec = config.build_spec()
+    spec, threads = config.build_spec(), config.resolved_threads()
     start = time.perf_counter()
-    rows = approximate(spec)
+    rows = approximate(spec, threads=threads)
     sim_rows = None
     if config.include_sim:
-        sim_rows = simulate_distribution(spec, replicas=config.replicas)
+        sim_rows = simulate_distribution(spec, replicas=config.replicas, threads=threads)
     write_approx_table(
         out_path, rows, config, sim_rows=sim_rows, raw=raw,
         wall_time=time.perf_counter() - start,
@@ -363,9 +370,9 @@ def run_approx(config: RunConfig, out_path: str, raw: bool = False) -> list[Appr
 
 
 def run_sim(config: RunConfig, out_path: str, raw: bool = False) -> list[SimRow]:
-    spec = config.build_spec()
+    spec, threads = config.build_spec(), config.resolved_threads()
     start = time.perf_counter()
-    rows = simulate_distribution(spec, replicas=config.replicas)
+    rows = simulate_distribution(spec, replicas=config.replicas, threads=threads)
     write_sim_table(out_path, rows, config, raw=raw, wall_time=time.perf_counter() - start)
     return rows
 

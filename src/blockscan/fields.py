@@ -82,9 +82,6 @@ class SeedSpec:
     def generator(self) -> np.random.Generator:
         return np.random.Generator(self.bit_generator())
 
-    def with_stream(self, stream_id: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_id)
-
 
 def _bernoulli_from_bytes(rng: np.random.Generator, p: float, flat: np.ndarray) -> None:
     """Fill the bool array ``flat`` with Bernoulli(``ceil(p * 2**53) / 2**53``) cells.

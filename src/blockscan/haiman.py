@@ -137,7 +137,10 @@ def approximant_H_with_flag(q1: float, q2: float, m: int) -> tuple[float, bool]:
     if q2 > q1:
         raise OrderingError(f"q2={q2} exceeds q1={q1}; inconsistent inputs")
     diff = q1 - q2
-    raw = (2.0 * q1 - q2) / (1.0 + diff + 2.0 * diff**2) ** m
+    try:
+        raw = (2.0 * q1 - q2) / (1.0 + diff + 2.0 * diff**2) ** m
+    except OverflowError:
+        raw = 0.0  # a finite numerator over a denominator past the float range
     clamped = min(1.0, max(0.0, raw))
     return clamped, clamped != raw
 

@@ -21,7 +21,6 @@ import numpy as np
 from .blockfactor import (
     BlockFactorTransform,
     Buffers,
-    LatticeGeometry,
     apply_block_factor_batch,
     run_passes,
 )
@@ -33,7 +32,7 @@ from .haiman import (
     error_factor_F,
     theorem1_constants,
 )
-from .scan import ScanGeometry, tile_maxima, window_sums_batch
+from .scan import tile_maxima, window_sums_batch
 
 _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 # bytes of source fields per chunk: small enough that a chunk's kernel
@@ -42,34 +41,48 @@ _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 _CHUNK_BYTES = 512 * 1024
 
 
+def _check_integer(field: str, value) -> None:
+    """Raise unless ``value`` is an integer and not a bool: a size or seed that NumPy can take."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{field} must be an integer, got {value!r}", field=field)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything defining one approximation run; a pure function input."""
+    """The values that decide a table, each named as its config key; a pure function input.
 
-    geometry: LatticeGeometry
-    scan: ScanGeometry
-    distribution: MarginalDistribution
+    ``seed`` is the master seed: every chunk draws from its own stream of
+    it (``_accumulate``).
+    """
+
     transform: BlockFactorTransform
+    distribution: MarginalDistribution
+    source_cols: int
+    source_rows: int
+    m1: int
+    m2: int
     thresholds: tuple
     iterations: int = 100_000
     confidence_z: float = 1.96
-    seed: SeedSpec = SeedSpec(0)
-    threads: int = 1
+    seed: int = 0
 
     def __post_init__(self):
-        g, s = self.geometry, self.scan
-        derived_rows, derived_cols = self.transform.derived_shape(g.source_rows, g.source_cols)
-        if self.one_dimensional and g.source_rows != 1:
+        for field in ("source_cols", "source_rows", "m1", "m2", "iterations", "seed"):
+            _check_integer(field, getattr(self, field))
+            # a NumPy integer would wrap or overflow in the size and seed arithmetic
+            object.__setattr__(self, field, int(getattr(self, field)))
+        derived_rows, derived_cols = self.transform.derived_shape(self.source_rows, self.source_cols)
+        if self.one_dimensional and self.source_rows != 1:
             # the row-scan path samples one row, so it would answer for one row only
             raise GeometryError(
                 f"a row scan (m2 = 1 over a one-row window) needs source_rows = 1, "
-                f"got {g.source_rows}",
+                f"got {self.source_rows}",
                 field="source_rows",
             )
         for side, size in (("m1", derived_cols), ("m2", derived_rows)):
-            if not 1 <= getattr(s, side) <= size:
+            if not 1 <= getattr(self, side) <= size:
                 raise GeometryError("scan window does not fit in the derived field", field=side)
-            if not self.one_dimensional and getattr(s, side) < 2:
+            if not self.one_dimensional and getattr(self, side) < 2:
                 raise GeometryError("two-dimensional scans require m1 >= 2 and m2 >= 2", field=side)
         # integer weights keep the sums exact in int64; past it they would wrap
         top = self.value_bounds(self.distribution.cell_bound)[1]
@@ -85,8 +98,6 @@ class ExperimentSpec:
                 f"confidence_z must be finite and > 0, got {self.confidence_z}",
                 field="confidence_z",
             )
-        if self.threads < 1:
-            raise ParameterError(f"threads must be >= 1, got {self.threads}", field="threads")
         # non-numbers, bools, nan and infinities, and ints past the float range,
         # would reach the table writer
         if not all(
@@ -96,13 +107,18 @@ class ExperimentSpec:
             raise ParameterError(
                 f"thresholds must be finite numbers, got {self.thresholds!r}", field="thresholds"
             )
+        # tables pair their rows by threshold
+        if len({float(n) for n in self.thresholds}) != len(self.thresholds):
+            raise ParameterError(
+                f"thresholds must not repeat, got {self.thresholds!r}", field="thresholds"
+            )
         if self.block1 < 1:
             raise GeometryError("m1 + c1 - 2 must be >= 1", field="m1")
-        if self.geometry.source_cols // self.block1 < 3:
+        if self.source_cols // self.block1 < 3:
             raise GeometryError(
                 "source width must cover at least three block units", field="source_cols"
             )
-        if not self.one_dimensional and self.geometry.source_rows // self.block2 < 3:
+        if not self.one_dimensional and self.source_rows // self.block2 < 3:
             raise GeometryError(
                 "source height must cover at least three block units", field="source_rows"
             )
@@ -117,20 +133,20 @@ class ExperimentSpec:
         if cell is None or not np.issubdtype(self.transform.weights.dtype, np.integer):
             return None, None
         derived = cell * int(np.abs(self.transform.weights).sum())
-        return derived, derived * self.scan.m1 * self.scan.m2
+        return derived, derived * self.m1 * self.m2
 
     @property
     def one_dimensional(self) -> bool:
         # degenerate row scan: single-row windows over a row-independent field
-        return self.scan.m2 == 1 and self.transform.c2 == 1
+        return self.m2 == 1 and self.transform.c2 == 1
 
     @property
     def block1(self) -> int:
-        return self.scan.m1 + self.transform.c1 - 2
+        return self.m1 + self.transform.c1 - 2
 
     @property
     def block2(self) -> int:
-        return self.scan.m2 + self.transform.c2 - 2
+        return self.m2 + self.transform.c2 - 2
 
 
 @dataclass(frozen=True)
@@ -192,17 +208,12 @@ class SimRow:
     replicas: int
 
 
-def quv_field_dims(
-    u: int, v: int, transform: BlockFactorTransform, scan: ScanGeometry
-) -> tuple[int, int]:
+def quv_field_dims(u: int, v: int, spec: ExperimentSpec) -> tuple[int, int]:
     """Minimal source (cols, rows) feeding the Q_uv sub-rectangle event."""
     if u not in (2, 3) or v not in (2, 3):
         raise ParameterError("u and v must be in {2, 3}")
-    b1 = scan.m1 + transform.c1 - 2
-    b2 = scan.m2 + transform.c2 - 2
-    cols = u * b1
-    rows = v * b2 if b2 >= 1 else 1
-    return cols, rows
+    # a row scan's block2 is 0: its field is one row
+    return u * spec.block1, max(1, v * spec.block2)
 
 
 def _stream_id(task: str, index: int) -> int:
@@ -218,8 +229,8 @@ def _chunk_size(replica_bytes: int) -> int:
 def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
     """Source (cols, rows) that one replica of a ``quv`` or ``sim`` call samples."""
     if task == "sim":
-        return spec.geometry.source_cols, spec.geometry.source_rows
-    return quv_field_dims(3, 3, spec.transform, spec.scan)
+        return spec.source_cols, spec.source_rows
+    return quv_field_dims(3, 3, spec)
 
 
 def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int, int]:
@@ -239,13 +250,13 @@ def _worker_count(threads: int | None, n_chunks: int) -> int:
     return max(1, min(threads or 1, n_chunks, cpus))
 
 
-def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, threads):
+def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, threads):
     """Sum integer tallies over fixed-size replica chunks, one stream per chunk.
 
     Worker ``w`` of ``W`` (``_worker_count``) runs chunks
     ``[w * n // W, (w + 1) * n // W)`` of the ``n`` in order, in one thread,
     with one ``Generator`` of its own: before chunk ``k`` it reseeds that
-    generator's SFC64 to the stream ``(seed, _stream_id(task, k))``
+    generator's SFC64 to the stream ``SeedSpec(seed, _stream_id(task, k))``
     (``SeedSpec.reseed``), then calls ``chunk_eval(state, rng, count)``
     with a dict ``state`` of its own: empty at its first chunk and kept to
     its last, so what a worker keeps there is never shared.  The chunk
@@ -256,9 +267,9 @@ def _accumulate(total: int, chunk: int, seed: SeedSpec, task: str, chunk_eval, t
     workers = _worker_count(threads, n_chunks)
 
     def run(w: int):
-        state, tally, rng = {}, 0, seed.generator()
+        state, tally, rng = {}, 0, SeedSpec(seed).generator()
         for k in range(w * n_chunks // workers, (w + 1) * n_chunks // workers):
-            seed.with_stream(_stream_id(task, k)).reseed(rng.bit_generator)
+            SeedSpec(seed, _stream_id(task, k)).reseed(rng.bit_generator)
             tally += chunk_eval(state, rng, min(chunk, total - k * chunk))
         return tally
 
@@ -279,7 +290,8 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     ``v x u`` tiles, and one compare with every threshold counts them all.
     An extent ``(v, u)`` reads its counts at that tile.  Returns the
     thresholds and, per extent and threshold, the estimate and its Wald
-    half-width.
+    half-width.  The chunks run on at most ``threads`` worker threads, 1 if
+    ``None`` (``_worker_count``).
 
     A chunk is about 512 KiB of source fields (``chunk_layout``), a budget in
     bytes of the marginal's dtype, so the chunk partition, and with it the
@@ -311,7 +323,8 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     ``cell_bound``); a Poisson source keeps its dtype's bound, because its
     ``cell_bound`` is a ``2**-64`` tail bound that a cell may pass.
     """
-    threads = spec.threads if threads is None else threads
+    threads = 1 if threads is None else threads
+    _check_integer("threads", threads)
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}", field="threads")
     thr = np.asarray(spec.thresholds, dtype=np.float64)
@@ -319,7 +332,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         empty = np.empty((len(extents), 0))
         return thr, empty, empty
     cols, rows = _field_dims(spec, task)
-    m1, m2 = spec.scan.m1, spec.scan.m2
+    m1, m2 = spec.m1, spec.m2
     dist = spec.distribution
     chunk = chunk_layout(spec, task, total)[0]
     cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
@@ -542,13 +555,13 @@ def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[Approx
     choice is covered by the reported error; a bracket with an invalid level
     is invalid, with a ``nan`` ledger.
     """
-    levels1 = _dimension_levels(spec.geometry.source_cols, spec.block1)
+    levels1 = _dimension_levels(spec.source_cols, spec.block1)
     rows = []
     for rec in estimate_quv(spec, threads=threads):
         if spec.one_dimensional:
             combos = [(w1, one_step_approximation(rec, L1)) for L1, w1 in levels1]
         else:
-            levels2 = _dimension_levels(spec.geometry.source_rows, spec.block2)
+            levels2 = _dimension_levels(spec.source_rows, spec.block2)
             combos = [
                 (w1 * w2, two_step_approximation(rec, L1, L2))
                 for L1, w1 in levels1
@@ -584,11 +597,11 @@ def simulate_distribution(
     spec: ExperimentSpec, replicas: int = 100_000, threads: int | None = None
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
+    _check_integer("replicas", replicas)
     if replicas < 1:
-        raise ParameterError("replicas must be >= 1")
-    g, s = spec.geometry, spec.scan
-    rows, cols = spec.transform.derived_shape(g.source_rows, g.source_cols)
-    full = (rows - s.m2 + 1, cols - s.m1 + 1)
+        raise ParameterError("replicas must be >= 1", field="replicas")
+    rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
+    full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
     thr, probs, half = _tally(spec, threads, "sim", replicas, full, [(1, 1)])
     return [
         SimRow(n=float(n), prob=float(p), half_width=float(h), replicas=replicas)

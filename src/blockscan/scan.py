@@ -16,26 +16,12 @@ the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .blockfactor import Buffers, _flat_kernel, narrow_int, run_passes
 from .errors import GeometryError
-
-
-@dataclass(frozen=True)
-class ScanGeometry:
-    """Scanning window sides (m1 columns wide, m2 rows tall)."""
-
-    m1: int
-    m2: int
-
-    def __post_init__(self):
-        for side in ("m1", "m2"):
-            if getattr(self, side) < 1:
-                raise GeometryError("window sides must be >= 1", field=side)
 
 
 def _running_sums(

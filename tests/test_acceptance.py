@@ -16,9 +16,7 @@ import pytest
 
 from blockscan import (
     ExperimentSpec,
-    LatticeGeometry,
     MarginalDistribution,
-    ScanGeometry,
     SeedSpec,
     approximant_H,
     approximate,
@@ -50,25 +48,26 @@ def _verdict(capsys, number, ok, detail):
     assert ok, detail
 
 
-def _minesweeper_spec(p, thresholds, seed, threads=1):
+def _minesweeper_spec(p, thresholds, seed):
     transform = catalog_transform("minesweeper")
     return ExperimentSpec(
-        geometry=LatticeGeometry(44, 44),
-        scan=ScanGeometry(3, 3),
+        source_cols=44,
+        source_rows=44,
+        m1=3,
+        m2=3,
         distribution=MarginalDistribution.bernoulli(p),
         transform=transform,
         thresholds=thresholds,
         iterations=100_000,
-        seed=SeedSpec(seed),
-        threads=threads,
+        seed=seed,
     )
 
 
 @lru_cache(maxsize=None)
 def _sparse_rows(threads: int):
-    spec = _minesweeper_spec(0.1, tuple(TABLE_SPARSE_P01), 42, threads=threads)
+    spec = _minesweeper_spec(0.1, tuple(TABLE_SPARSE_P01), 42)
     start = time.perf_counter()
-    rows = approximate(spec)
+    rows = approximate(spec, threads=threads)
     return rows, time.perf_counter() - start
 
 
@@ -116,19 +115,20 @@ def test_criterion_3_moving_average_table(capsys):
     start = time.perf_counter()
     transform = catalog_transform("ma", coeffs=[0.3, 0.1, 0.5])
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(1002, 1),
-        scan=ScanGeometry(20, 1),
+        source_cols=1002,
+        source_rows=1,
+        m1=20,
+        m2=1,
         distribution=MarginalDistribution.gaussian(0.0, 1.0),
         transform=transform,
         thresholds=tuple(TABLE_MA),
         iterations=1_000_000,
-        seed=SeedSpec(3),
-        threads=4,
+        seed=3,
     )
-    rows = approximate(spec)
+    rows = approximate(spec, threads=4)
     checked, worst = _check_published(rows, TABLE_MA)
     sim_spec = dataclasses.replace(spec, thresholds=(MA_SIM_REFERENCE[0],))
-    sim = simulate_distribution(sim_spec, replicas=100_000)[0]
+    sim = simulate_distribution(sim_spec, replicas=100_000, threads=4)[0]
     published = MA_SIM_REFERENCE[1]
     sim_tol = 4.0 * math.sqrt(published * (1.0 - published) / sim.replicas)
     sim_gap = abs(sim.prob - published)
@@ -192,17 +192,18 @@ def test_criterion_5_approximant_identities(capsys):
 def test_criterion_6_small_instance(capsys):
     start = time.perf_counter()
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(12, 12),
-        scan=ScanGeometry(3, 3),
+        source_cols=12,
+        source_rows=12,
+        m1=3,
+        m2=3,
         distribution=MarginalDistribution.bernoulli(0.3),
         transform=catalog_transform("identity"),
         thresholds=(5.0, 6.0, 7.0, 8.0, 9.0),
         iterations=100_000,
-        seed=SeedSpec(11),
-        threads=4,
+        seed=11,
     )
-    rows = approximate(spec)
-    sims = {s.n: s for s in simulate_distribution(spec, replicas=1_000_000)}
+    rows = approximate(spec, threads=4)
+    sims = {s.n: s for s in simulate_distribution(spec, replicas=1_000_000, threads=4)}
     checked = 0
     worst = 0.0
     for row in rows:

@@ -4,7 +4,6 @@ from scipy import stats
 
 from blockscan import (
     BlockFactorTransform,
-    LatticeGeometry,
     MarginalDistribution,
     SeedSpec,
     catalog_transform,
@@ -53,12 +52,11 @@ def test_configuration_matrix_range_checks():
 
 
 def test_geometry_validation():
-    for cols, rows, field in ((0, 3, "source_cols"), (3, 0, "source_rows")):
+    # a source without columns or rows is narrower than any window
+    for rows, cols, field in ((3, 0, "source_cols"), (0, 3, "source_rows")):
         with pytest.raises(GeometryError) as err:
-            LatticeGeometry(cols, rows)
+            identity_transform().derived_shape(rows, cols)
         assert err.value.field == field
-    geom = LatticeGeometry(10, 8)
-    assert (geom.source_cols, geom.source_rows) == (10, 8)
     assert minesweeper_transform().derived_shape(8, 10) == (6, 8)
 
 

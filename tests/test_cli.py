@@ -47,7 +47,8 @@ def _write_config(tmp_path, name="config.json", **updates):
 def test_valid_config_parses():
     config = RunConfig.from_mapping(BASE_CONFIG)
     spec = config.build_spec()
-    assert spec.scan.m1 == 3 and spec.thresholds == (6.0, 7.0, 8.0)
+    assert spec.m1 == 3 and spec.thresholds == (6.0, 7.0, 8.0)
+    assert config.build_spec() is spec
 
 
 def test_unknown_key_is_named():
@@ -255,6 +256,8 @@ def test_validate_config_rejects_what_the_run_would(tmp_path, capsys, updates):
         ({"transform": "minesweeper", "source_rows": 2}, "source_rows"),
         ({"transform": "ma", "ma_coeffs": [0.3, 0.1, 0.5], "source_cols": 2, "source_rows": 1,
           "m2": 1}, "source_cols"),
+        # plotdata pairs the rows of two tables by threshold
+        ({"thresholds": [6, 6, 8]}, "thresholds"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -454,9 +457,9 @@ def test_written_tables_identical_across_thread_counts(tmp_path):
     config = RunConfig.from_mapping(BASE_CONFIG)
     rows_by_threads = {}
     for threads in (1, 4):
-        spec = RunConfig.from_mapping({**BASE_CONFIG, "threads": threads}).build_spec()
+        spec = config.build_spec()
         path = tmp_path / f"t{threads}.tsv"
-        write_approx_table(str(path), approximate(spec), config)
+        write_approx_table(str(path), approximate(spec, threads=threads), config)
         rows_by_threads[threads] = path.read_bytes()
     assert rows_by_threads[1] == rows_by_threads[4]
 
@@ -590,3 +593,30 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
             assert layouts[task] == (chunk, count, total - (count - 1) * chunk)
     assert list(layouts) == (["quv", "sim"] if command == "approximate" else ["sim"])
     assert headers[0] == headers[1]
+
+
+def test_one_spec_is_built_per_command(tmp_path, monkeypatch):
+    """Validation, the run and the header's chunk layout share one spec."""
+    from blockscan import cli
+
+    built, spec_type = [], cli.ExperimentSpec
+
+    def counting(**kwargs):
+        built.append(spec_type(**kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "ExperimentSpec", counting)
+    config = _write_config(tmp_path, include_sim=True)
+    assert main(["approximate", "-c", config, "-o", str(tmp_path / "approx.tsv")]) == 0
+    assert len(built) == 1
+
+
+def test_a_lattice_past_the_float_range_of_the_approximant_runs(tmp_path):
+    """At L1 of about 4.76M the approximant's denominator passes the float range: H is 0."""
+    config = _write_config(tmp_path, **{**MA_CONFIG, "source_cols": 100_000_000})
+    out = tmp_path / "approx.tsv"
+    assert main(["approximate", "-c", config, "-o", str(out), "--iterations", "20000"]) == 0
+    rows = read_table(str(out))[2]
+    assert [row["n"] for row in rows] == [13.0, 15.0]
+    assert all(row["approx"] == 0.0 for row in rows)
+    assert "\t0.000000\t" in out.read_text()

@@ -103,7 +103,7 @@ def test_seeds_outside_64_bits_draw_as_their_low_64_bits(master):
 
 def _chunk_stream(k):
     """The generator ``pipeline._accumulate`` gives chunk ``k`` of a ``quv`` tally at seed 42."""
-    return SeedSpec(42).with_stream(_stream_id("quv", k)).generator()
+    return SeedSpec(42, _stream_id("quv", k)).generator()
 
 
 @pytest.mark.parametrize("k", [0, 96])

@@ -202,6 +202,15 @@ def test_H_stays_in_unit_interval():
     assert approximant_H(0.9, 0.0, 1) == pytest.approx(1.8 / (1 + 0.9 + 2 * 0.81))
 
 
+def test_H_is_zero_once_its_denominator_passes_the_float_range():
+    # (1 + d + 2 d**2) ** m is about 1e6023 here, past the float range
+    assert approximant_H_with_flag(0.9974, 0.9945, 4_761_904) == (0.0, False)
+    # at about 1e126 the rational form is untouched
+    q1, q2, m = 0.9974, 0.9945, 100_000
+    diff = q1 - q2
+    assert approximant_H(q1, q2, m) == (2.0 * q1 - q2) / (1.0 + diff + 2.0 * diff**2) ** m > 0.0
+
+
 def test_H_lipschitz_gap_bound():
     rng = np.random.default_rng(314)
     for _ in range(500):

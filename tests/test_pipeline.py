@@ -9,9 +9,7 @@ import pytest
 from blockscan import (
     EstimateRecord,
     ExperimentSpec,
-    LatticeGeometry,
     MarginalDistribution,
-    ScanGeometry,
     SeedSpec,
     approximate,
     catalog_transform,
@@ -30,25 +28,29 @@ from blockscan.errors import GeometryError, HypothesisError, OrderingError, Para
 
 def _bernoulli_spec(cols=12, rows=12, thresholds=(6, 7, 8), iterations=4000, seed=11, p=0.3):
     return ExperimentSpec(
-        geometry=LatticeGeometry(cols, rows),
-        scan=ScanGeometry(3, 3),
+        source_cols=cols,
+        source_rows=rows,
+        m1=3,
+        m2=3,
         distribution=MarginalDistribution.bernoulli(p),
         transform=identity_transform(),
         thresholds=tuple(float(n) for n in thresholds),
         iterations=iterations,
-        seed=SeedSpec(seed),
+        seed=seed,
     )
 
 
 def _minesweeper_spec(cols=20, rows=20, thresholds=(30, 32), iterations=4000, seed=5):
     return ExperimentSpec(
-        geometry=LatticeGeometry(cols, rows),
-        scan=ScanGeometry(3, 3),
+        source_cols=cols,
+        source_rows=rows,
+        m1=3,
+        m2=3,
         distribution=MarginalDistribution.bernoulli(0.5),
         transform=catalog_transform("minesweeper"),
         thresholds=tuple(float(n) for n in thresholds),
         iterations=iterations,
-        seed=SeedSpec(seed),
+        seed=seed,
     )
 
 
@@ -56,17 +58,15 @@ def _minesweeper_spec(cols=20, rows=20, thresholds=(30, 32), iterations=4000, se
 
 
 def test_quv_field_dims():
-    minesweeper = minesweeper_transform()
-    scan = ScanGeometry(3, 3)
-    assert quv_field_dims(2, 2, minesweeper, scan) == (8, 8)
-    assert quv_field_dims(3, 2, minesweeper, scan) == (12, 8)
-    assert quv_field_dims(3, 3, minesweeper, scan) == (12, 12)
-    identity = identity_transform()
-    assert quv_field_dims(2, 2, identity, scan) == (4, 4)
-    ma = ma_transform((0.3, 0.1, 0.5))
-    assert quv_field_dims(3, 3, ma, ScanGeometry(20, 1)) == (63, 1)
+    minesweeper = _minesweeper_spec()
+    assert quv_field_dims(2, 2, minesweeper) == (8, 8)
+    assert quv_field_dims(3, 2, minesweeper) == (12, 8)
+    assert quv_field_dims(3, 3, minesweeper) == (12, 12)
+    identity = _bernoulli_spec()
+    assert quv_field_dims(2, 2, identity) == (4, 4)
+    assert quv_field_dims(3, 3, _ma_spec()) == (63, 1)
     with pytest.raises(ParameterError):
-        quv_field_dims(1, 2, identity, scan)
+        quv_field_dims(1, 2, identity)
 
 
 def test_spec_validation():
@@ -91,8 +91,10 @@ def test_spec_rejects_a_window_larger_than_the_source(cols, rows, transform, m2,
     """The source side the transform's window passes is named before m1 and m2 are fitted."""
     with pytest.raises(GeometryError) as err:
         ExperimentSpec(
-            geometry=LatticeGeometry(cols, rows),
-            scan=ScanGeometry(3, m2),
+            source_cols=cols,
+            source_rows=rows,
+            m1=3,
+            m2=m2,
             distribution=MarginalDistribution.gaussian(0.0, 1.0),
             transform=transform,
             thresholds=(5.0,),
@@ -103,14 +105,15 @@ def test_spec_rejects_a_window_larger_than_the_source(cols, rows, transform, m2,
 def test_row_scan_needs_one_source_row():
     """A row scan samples one row, so a taller source would be answered for one row."""
     spec = dict(
-        scan=ScanGeometry(3, 1),
+        m1=3,
+        m2=1,
         distribution=MarginalDistribution.bernoulli(0.2),
         transform=identity_transform(),
         thresholds=(2.0,),
     )
-    assert ExperimentSpec(geometry=LatticeGeometry(30, 1), **spec).one_dimensional
+    assert ExperimentSpec(source_cols=30, source_rows=1, **spec).one_dimensional
     with pytest.raises(GeometryError) as err:
-        ExperimentSpec(geometry=LatticeGeometry(30, 20), **spec)
+        ExperimentSpec(source_cols=30, source_rows=20, **spec)
     assert err.value.field == "source_rows"
 
 
@@ -127,8 +130,10 @@ def test_row_scan_needs_one_source_row():
 def test_integer_window_sums_must_fit_int64(distribution, transform, m, field):
     with pytest.raises(ParameterError) as err:
         ExperimentSpec(
-            geometry=LatticeGeometry(12, 12),
-            scan=ScanGeometry(m, m),
+            source_cols=12,
+            source_rows=12,
+            m1=m,
+            m2=m,
             distribution=distribution,
             transform=catalog_transform(transform),
             thresholds=(5.0,),
@@ -140,8 +145,10 @@ def test_integer_window_sums_at_the_int64_edge_are_exact():
     """The largest accepted trials give window sums that reach int64 max without wrapping."""
     trials = (2**63 - 1) // 4
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(12, 12),
-        scan=ScanGeometry(2, 2),
+        source_cols=12,
+        source_rows=12,
+        m1=2,
+        m2=2,
         distribution=MarginalDistribution.binomial(trials, 1.0),
         transform=identity_transform(),
         thresholds=(2.0 * trials, 4.0 * trials),
@@ -164,7 +171,8 @@ def test_spec_rejects_bad_l_mode_and_confidence_z(field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("threads", 0), ("threads", -3), ("thresholds", (6.0, math.nan)),
+    # a repeated threshold would pair the rows of two tables ambiguously
+    [("thresholds", (6.0, 7.0, 6.0)), ("thresholds", (7, 7.0)), ("thresholds", (6.0, math.nan)),
      ("thresholds", (math.inf,)), ("thresholds", (-math.inf,)), ("thresholds", (10**400,))],
 )
 def test_spec_rejects_bad_threads_and_thresholds(field, value):
@@ -189,6 +197,39 @@ def test_spec_takes_numpy_and_fraction_thresholds():
     )
     rows = simulate_distribution(spec, replicas=50)
     assert [row.n for row in rows] == [6.5, 7.0, 8.0, 8.5]
+
+
+@pytest.mark.parametrize("field", ["source_cols", "source_rows", "m1", "m2", "iterations", "seed"])
+@pytest.mark.parametrize(
+    "value", [12.0, 2000.5, True, "12"], ids=["float", "fraction", "bool", "str"]
+)
+def test_spec_rejects_sizes_and_seeds_that_are_not_integers(field, value):
+    """Checked before any size arithmetic, so NumPy never sees a float or bool size."""
+    with pytest.raises(ParameterError, match=field) as err:
+        dataclasses.replace(_bernoulli_spec(), **{field: value})
+    assert err.value.field == field
+
+
+def test_spec_takes_numpy_integer_sizes_as_ints():
+    spec = _bernoulli_spec(cols=np.int64(12), iterations=np.int32(50), seed=np.int64(-1))
+    assert type(spec.source_cols) is type(spec.iterations) is type(spec.seed) is int
+    assert estimate_quv(spec) == estimate_quv(_bernoulli_spec(iterations=50, seed=-1))
+
+
+@pytest.mark.parametrize("field", ["replicas", "threads"])
+@pytest.mark.parametrize("value", [2.0, 2.5, True], ids=["float", "fraction", "bool"])
+def test_simulate_rejects_counts_that_are_not_integers(field, value):
+    with pytest.raises(ParameterError, match=field) as err:
+        simulate_distribution(_bernoulli_spec(), **{"replicas": 50, field: value})
+    assert err.value.field == field
+
+
+def test_spec_rejects_a_window_side_below_one():
+    for side in ("m1", "m2"):
+        for value in (0, -3):
+            with pytest.raises(GeometryError) as err:
+                dataclasses.replace(_bernoulli_spec(), **{side: value})
+            assert err.value.field == side
 
 
 def test_a_threads_argument_below_one_is_rejected():
@@ -251,13 +292,15 @@ def test_tallies_pin_the_stream_partition():
     # (cells in (row, col, replica) order) or the per-replica sample -> block
     # factor -> window sums -> maxima pipeline changes.
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(12, 12),
-        scan=ScanGeometry(3, 3),
+        source_cols=12,
+        source_rows=12,
+        m1=3,
+        m2=3,
         distribution=MarginalDistribution.bernoulli(0.3),
         transform=catalog_transform("minesweeper"),
         thresholds=(22.0, 26.0, 30.0),
         iterations=20_000,  # six chunks of a 12 x 12 bool field, the last one partial
-        seed=SeedSpec(2014),
+        seed=2014,
     )
     counts = [
         [round(getattr(rec, q) * rec.iterations) for q in ("q22", "q23", "q32", "q33")]
@@ -413,13 +456,15 @@ def test_simulation_degenerate_distribution():
 
 def test_one_dimensional_path():
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(66, 1),
-        scan=ScanGeometry(20, 1),
+        source_cols=66,
+        source_rows=1,
+        m1=20,
+        m2=1,
         distribution=MarginalDistribution.gaussian(0.0, 1.0),
         transform=ma_transform((0.3, 0.1, 0.5)),
         thresholds=(10.0, 14.0),
         iterations=3000,
-        seed=SeedSpec(13),
+        seed=13,
     )
     assert spec.one_dimensional and spec.block1 == 21
     records = estimate_quv(spec)
@@ -541,7 +586,7 @@ def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
     assert pipeline._worker_count(8, 1) == 1
     monkeypatch.setattr(SerialPool, "requested", [])
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
-    total = pipeline._accumulate(10, 4, SeedSpec(1), "cap", lambda state, rng, count: count, 10**9)
+    total = pipeline._accumulate(10, 4, 1, "cap", lambda state, rng, count: count, 10**9)
     assert total == 10 and SerialPool.requested == [3]
 
 
@@ -576,10 +621,10 @@ def test_each_worker_runs_one_contiguous_range_of_chunks(total, chunk, threads, 
     _usable_cpus(monkeypatch, 8)
     monkeypatch.setattr(SerialPool, "requested", [])
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
-    seed, task, n = SeedSpec(1), "ranges", -(-total // chunk)
+    seed, task, n = 1, "ranges", -(-total // chunk)
     # chunk k is known by the first draw of its stream
     index = {
-        int(seed.with_stream(pipeline._stream_id(task, k)).generator().integers(1 << 62)): k
+        int(SeedSpec(seed, pipeline._stream_id(task, k)).generator().integers(1 << 62)): k
         for k in range(n)
     }
     ranges = []
@@ -660,10 +705,10 @@ def test_a_kernel_dtype_never_moves_the_chunk_partition(distribution, chunks, mo
     minesweeper = dataclasses.replace(_minesweeper_spec(), distribution=distribution)
     # 5 x 5 windows make the identity's Q_uv field 12 x 12 too
     identity = dataclasses.replace(
-        minesweeper, geometry=LatticeGeometry(20, 20), scan=ScanGeometry(5, 5),
+        minesweeper, source_cols=20, source_rows=20, m1=5, m2=5,
         transform=identity_transform(),
     )
-    assert quv_field_dims(3, 3, identity.transform, identity.scan) == (12, 12)
+    assert quv_field_dims(3, 3, identity) == (12, 12)
     ident_chunks, ident_dtypes = _chunks_and_dtypes(identity, monkeypatch)
     mine_chunks, mine_dtypes = _chunks_and_dtypes(minesweeper, monkeypatch)
     assert ident_chunks == mine_chunks == chunks
@@ -673,13 +718,15 @@ def test_a_kernel_dtype_never_moves_the_chunk_partition(distribution, chunks, mo
 
 def _ma_spec():
     return ExperimentSpec(
-        geometry=LatticeGeometry(66, 1),
-        scan=ScanGeometry(20, 1),
+        source_cols=66,
+        source_rows=1,
+        m1=20,
+        m2=1,
         distribution=MarginalDistribution.gaussian(0.0, 1.0),
         transform=ma_transform((0.3, 0.1, 0.5)),
         thresholds=(9.0, 11.0, 13.0, 15.0),
         iterations=9000,
-        seed=SeedSpec(13),
+        seed=13,
     )
 
 
@@ -702,9 +749,9 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         spec = _minesweeper_spec(cols=14, rows=13, thresholds=range(40, 64, 3))
         rows = simulate_distribution(spec, replicas=9000, threads=1)
         tallies = [[round(row.prob * row.replicas) for row in rows]]
-        g, scan, task = spec.geometry, spec.scan, "sim"
-        derived_rows, derived_cols = spec.transform.derived_shape(g.source_rows, g.source_cols)
-        extents = [(derived_rows - scan.m2 + 1, derived_cols - scan.m1 + 1)]
+        task = "sim"
+        derived_rows, derived_cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
+        extents = [(derived_rows - spec.m2 + 1, derived_cols - spec.m1 + 1)]
     else:
         if shape == "quv-2d":
             spec = _minesweeper_spec(thresholds=range(34, 58, 3), iterations=9000)
@@ -723,12 +770,12 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     thr = np.array(spec.thresholds)
     expected = np.zeros((len(extents), thr.size), dtype=np.int64)
     for k, size in enumerate(drawn):
-        rng = spec.seed.with_stream(pipeline._stream_id(task, k)).generator()
+        rng = SeedSpec(spec.seed, pipeline._stream_id(task, k)).generator()
         block = spec.distribution.sample(rng, size)
         derived = blockfactor.apply_block_factor_batch(
             np.moveaxis(block, -1, 0), spec.transform
         )
-        sums = pipeline.window_sums_batch(derived, spec.scan.m1, spec.scan.m2)
+        sums = pipeline.window_sums_batch(derived, spec.m1, spec.m2)
         for idx, (v_ext, u_ext) in enumerate(extents):
             maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
             expected[idx] += (maxima[:, None] <= thr[None, :]).sum(axis=0)
@@ -750,14 +797,14 @@ def test_integer_maxima_meet_any_threshold_like_a_float_compare():
     tallies = [round(rec.q33 * rec.iterations) for rec in estimate_quv(spec)]
     # 2000 replicas are one chunk, drawn from stream 0
     cols, rows = pipeline._field_dims(spec, "quv")
-    rng = spec.seed.with_stream(pipeline._stream_id("quv", 0)).generator()
+    rng = SeedSpec(spec.seed, pipeline._stream_id("quv", 0)).generator()
     block = spec.distribution.sample(rng, (rows, cols, 2000))
     # the pipeline's bounds: int8 sums, whose ends the outer thresholds pass
     derived = blockfactor.apply_block_factor_batch(
         np.moveaxis(block, -1, 0), spec.transform, bound=1
     )
     bound = spec.value_bounds(1)[0]
-    sums = pipeline.window_sums_batch(derived, spec.scan.m1, spec.scan.m2, bound=bound)
+    sums = pipeline.window_sums_batch(derived, spec.m1, spec.m2, bound=bound)
     maxima = sums[:, : 2 * spec.block2, : 2 * spec.block1].max(axis=(1, 2))
     assert maxima.dtype == np.int8
     expected = [int(np.sum(maxima.astype(np.float64) <= n)) for n in thresholds]
@@ -978,7 +1025,7 @@ class _Recorded(pipeline.Buffers):
 
 def _ma_columns(cols):
     return dataclasses.replace(
-        _ma_spec(), geometry=LatticeGeometry(cols, 1), thresholds=(13.0,)
+        _ma_spec(), source_cols=cols, thresholds=(13.0,)
     )
 
 

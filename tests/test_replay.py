@@ -14,9 +14,7 @@ import pytest
 from blockscan import (
     BlockFactorTransform,
     ExperimentSpec,
-    LatticeGeometry,
     MarginalDistribution,
-    ScanGeometry,
     SeedSpec,
     brute_moving_sums,
     configuration_matrix,
@@ -235,13 +233,15 @@ def test_worker_buffers_die_with_the_call_without_the_cycle_collector(threads, m
     monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 100)
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     spec = ExperimentSpec(
-        geometry=LatticeGeometry(20, 20),
-        scan=ScanGeometry(3, 3),
+        source_cols=20,
+        source_rows=20,
+        m1=3,
+        m2=3,
         distribution=MarginalDistribution.bernoulli(0.5),
         transform=minesweeper_transform(),
         thresholds=(30.0, 32.0),
         iterations=2000,
-        seed=SeedSpec(5),
+        seed=5,
     )
     gc.collect()
     gc.disable()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from blockscan import (
     BlockFactorTransform,
     MarginalDistribution,
-    ScanGeometry,
     SeedSpec,
     brute_moving_sums,
     brute_scan_statistic,
@@ -20,12 +19,6 @@ from blockscan.blockfactor import (
 )
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
-
-
-def test_scan_geometry_validation():
-    ScanGeometry(1, 1)
-    with pytest.raises(GeometryError):
-        ScanGeometry(0, 3)
 
 
 def test_constant_field_sums():
