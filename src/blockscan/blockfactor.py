@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import GeometryError, IndexRangeError, ParameterError
+from .errors import GeometryError, IndexRangeError, ParameterError, check_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,13 +293,20 @@ def minesweeper_transform() -> BlockFactorTransform:
 
 
 def ma_transform(coeffs) -> BlockFactorTransform:
-    """Dot product of a 1 x (q+1) configuration row with fixed coefficients."""
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.ndim != 1 or a.size < 1:
-        raise ParameterError("moving-average coefficients must be a non-empty vector")
-    if not np.any(a != 0.0):
-        raise ParameterError("moving-average coefficients must not all be zero")
-    return BlockFactorTransform(name="ma", weights=a[None, :])
+    """Dot product of a 1 x (q+1) configuration row with fixed coefficients.
+
+    ``coeffs`` is a non-empty list or tuple of finite numbers, not all zero.
+    """
+    if not isinstance(coeffs, (list, tuple)) or not coeffs:
+        raise ParameterError(
+            f"moving-average coefficients must be a non-empty list, got {coeffs!r}",
+            field="ma_coeffs",
+        )
+    for a in coeffs:
+        check_real("ma_coeffs", a)
+    if not any(coeffs):
+        raise ParameterError("moving-average coefficients must not all be zero", field="ma_coeffs")
+    return BlockFactorTransform(name="ma", weights=np.array(coeffs, dtype=np.float64)[None, :])
 
 
 def identity_transform() -> BlockFactorTransform:
@@ -318,12 +325,11 @@ TRANSFORM_CATALOG = {
 
 def catalog_transform(name: str, **params) -> BlockFactorTransform:
     """Build a named transform; ``ma`` takes ``coeffs``, the others nothing."""
-    try:
-        builder = TRANSFORM_CATALOG[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in TRANSFORM_CATALOG:
         raise ParameterError(
-            f"unknown transform {name!r}; catalog: {sorted(TRANSFORM_CATALOG)}"
-        ) from None
+            f"unknown transform {name!r}; catalog: {sorted(TRANSFORM_CATALOG)}", field="transform"
+        )
+    builder = TRANSFORM_CATALOG[name]
     expected = sorted(inspect.signature(builder).parameters)
     if sorted(params) != expected:
         raise ParameterError(f"{name} takes parameters {expected}, got {sorted(params)}")

@@ -10,17 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
-from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .blockfactor import catalog_transform
-from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError
+from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError, check_integer
 from .fields import STREAM_MAP, MarginalDistribution
 from .pipeline import (
     ApproxRow,
@@ -31,17 +29,8 @@ from .pipeline import (
     simulate_distribution,
 )
 
-_THREADS_ENV = "BLOCKSCAN_THREADS"
 # the estimates and half-widths each ``# row`` note of an approximation carries
 _ESTIMATES = ("q22", "q23", "q32", "q33", "b22", "b23", "b32", "b33")
-
-
-def _check_number(key: str, value) -> None:
-    """Raise unless ``value`` is an int or float (not a bool) with a finite float value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, f"expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # nan, infinities and ints past the float range
-        raise ConfigError(key, f"expected a finite number, got {value!r}")
 
 
 def _reject_constant(name: str):
@@ -51,13 +40,15 @@ def _reject_constant(name: str):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The config keys, as given; each value is checked by the type that uses it (``build_spec``)."""
+
     transform: str
     distribution: str
     source_cols: int
     source_rows: int
     m1: int
-    thresholds: tuple
-    ma_coeffs: tuple | None = None
+    thresholds: list
+    ma_coeffs: list | None = None
     p: float | None = None
     trials: int | None = None
     mean: float | None = None
@@ -68,7 +59,6 @@ class RunConfig:
     seed: int = 0
     confidence_z: float = 1.96
     threads: int | None = None
-    include_sim: bool = False
 
     @classmethod
     def from_mapping(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
@@ -80,35 +70,12 @@ class RunConfig:
         unknown = set(data) - {f.name for f in schema}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown key")
-        hints = get_type_hints(cls)
-        coerced = {}
         for f in schema:
-            key = f.name
-            if key not in data:
-                if f.default is MISSING:
-                    raise ConfigError(key, "required key is missing")
-                continue
-            value = data[key]
-            # an ``X | None`` field checks against X; a tuple field takes a JSON list
-            typ = next((a for a in get_args(hints[key]) if a is not type(None)), hints[key])
-            if typ in (int, float):
-                _check_number(key, value)
-                if typ is int and int(value) != value:
-                    raise ConfigError(key, f"expected an integer, got {value!r}")
-                value = typ(value)
-            elif typ is tuple:
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(key, f"expected a list, got {value!r}")
-                for item in value:
-                    _check_number(key, item)
-                value = tuple(value)
-            elif not isinstance(value, typ):
-                raise ConfigError(key, f"expected a {typ.__name__}, got {value!r}")
-            coerced[key] = value
-        config = cls(**coerced)
+            if f.name not in data and f.default is MISSING:
+                raise ConfigError(f.name, "required key is missing")
+        config = cls(**data)
         # validate eagerly so failures name their key
         config.build_spec()
-        config.resolved_threads()
         return config
 
     @classmethod
@@ -123,16 +90,8 @@ class RunConfig:
         return cls.from_mapping(raw, overrides)
 
     def resolved_threads(self) -> int:
-        threads = self.threads
-        if threads is None:
-            env = os.environ.get(_THREADS_ENV)
-            try:
-                threads = int(env) if env else 1
-            except ValueError:
-                raise ConfigError("threads", f"{_THREADS_ENV}={env!r} is not an integer") from None
-        if threads < 1:
-            raise ConfigError("threads", f"must be >= 1, got {threads}")
-        return threads
+        """``threads``, or 1 if it is not set; ``build_spec`` checks it."""
+        return 1 if self.threads is None else self.threads
 
     def build_spec(self) -> ExperimentSpec:
         """The run's spec, built and checked on the first call; later calls return that object."""
@@ -142,43 +101,37 @@ class RunConfig:
         return self.__dict__["_spec"]
 
     def _make_spec(self) -> ExperimentSpec:
-        if self.replicas < 1:
-            raise ConfigError("replicas", f"must be >= 1, got {self.replicas}")
-        params = {}
-        if self.transform == "ma":
-            if self.ma_coeffs is None:
-                raise ConfigError("ma_coeffs", "required for the ma transform")
-            params["coeffs"] = list(self.ma_coeffs)
+        if (self.transform == "ma") != (self.ma_coeffs is not None):
+            raise ConfigError("ma_coeffs", "required for the ma transform, and only for it")
         try:
-            transform = catalog_transform(self.transform, **params)
-        except ParameterError as exc:
-            # only the ma transform takes parameters; any other name is unknown
-            raise ConfigError("ma_coeffs" if params else "transform", str(exc)) from exc
-        try:
-            dist = MarginalDistribution(
-                self.distribution, p=self.p, trials=self.trials,
-                mean=self.mean, variance=self.variance,
-            )
-            if dist.integer_valued and np.issubdtype(transform.weights.dtype, np.integer):
-                for n in self.thresholds:
-                    if float(n) != int(n):
-                        raise ConfigError(
-                            "thresholds", f"integer-valued model needs integer thresholds, got {n}"
-                        )
-            return ExperimentSpec(
-                transform=transform,
-                distribution=dist,
+            check_integer("replicas", self.replicas, minimum=1)
+            check_integer("threads", self.resolved_threads(), minimum=1)
+            params = {} if self.ma_coeffs is None else {"coeffs": self.ma_coeffs}
+            spec = ExperimentSpec(
+                transform=catalog_transform(self.transform, **params),
+                distribution=MarginalDistribution(
+                    self.distribution, p=self.p, trials=self.trials,
+                    mean=self.mean, variance=self.variance,
+                ),
                 source_cols=self.source_cols,
                 source_rows=self.source_rows,
                 m1=self.m1,
                 m2=self.m2,
-                thresholds=tuple(float(n) for n in self.thresholds),
+                thresholds=self.thresholds,
                 iterations=self.iterations,
                 confidence_z=self.confidence_z,
                 seed=self.seed,
             )
-        except ConfigError:
-            raise
+            if spec.distribution.integer_valued and np.issubdtype(
+                spec.transform.weights.dtype, np.integer
+            ):
+                for n in spec.thresholds:
+                    if int(n) != n:
+                        raise ParameterError(
+                            f"integer-valued model needs integer thresholds, got {n}",
+                            field="thresholds",
+                        )
+            return spec
         except BlockScanError as exc:
             raise ConfigError(exc.field or "<spec>", str(exc)) from exc
 
@@ -228,7 +181,7 @@ def _write_table(
         for f in dataclass_fields(config):
             value = getattr(config, f.name)
             if value is not None:
-                shown = json.dumps(value) if isinstance(value, tuple) else value
+                shown = json.dumps(value) if isinstance(value, (list, tuple)) else value
                 lines.append(f"# {f.name} = {shown}")
     lines.extend(notes)
     if wall_time is not None:
@@ -244,11 +197,9 @@ def write_approx_table(
     path: str,
     rows: list[ApproxRow],
     config: RunConfig,
-    sim_rows: list[SimRow] | None = None,
     raw: bool = False,
     wall_time: float | None = None,
 ) -> None:
-    sim_by_n = {row.n: row.prob for row in (sim_rows or [])}
     notes = []
     for row in rows:
         details = [f"alpha1={row.alpha1:.6g}", f"alpha2={row.alpha2:.6g}"]
@@ -265,15 +216,12 @@ def write_approx_table(
         if row.beta0:
             details.append("beta0")
         notes.append(f"# row n={_fmt_threshold(row.n)}: " + " ".join(details))
-    columns = ("n", "sim", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid")
-    cells = [
-        [row.n, sim_by_n.get(row.n)] + [getattr(row, name) for name in columns[2:]]
-        for row in rows
-    ]
-    calls = [("quv", config.iterations)]
-    if sim_rows is not None:
-        calls.append(("sim", config.replicas))
-    _write_table(path, "approximate", columns, cells, raw, config, notes, wall_time, calls)
+    columns = ("n", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid")
+    cells = [[getattr(row, name) for name in columns] for row in rows]
+    _write_table(
+        path, "approximate", columns, cells, raw, config, notes, wall_time,
+        [("quv", config.iterations)],
+    )
 
 
 def write_sim_table(
@@ -351,7 +299,7 @@ def emit_plotdata(approx_path: str, out_path: str, sim_path: str | None = None) 
         else:
             lower = max(0.0, approx - e_total)
             upper = min(1.0, approx + e_total)
-        cells.append((row["n"], sim_by_n.get(row["n"], row.get("sim")), approx, lower, upper))
+        cells.append((row["n"], sim_by_n.get(row["n"]), approx, lower, upper))
     _write_table(out_path, "plotdata", ("n", "sim", "approx", "lower", "upper"), cells)
 
 
@@ -359,13 +307,7 @@ def run_approx(config: RunConfig, out_path: str, raw: bool = False) -> list[Appr
     spec, threads = config.build_spec(), config.resolved_threads()
     start = time.perf_counter()
     rows = approximate(spec, threads=threads)
-    sim_rows = None
-    if config.include_sim:
-        sim_rows = simulate_distribution(spec, replicas=config.replicas, threads=threads)
-    write_approx_table(
-        out_path, rows, config, sim_rows=sim_rows, raw=raw,
-        wall_time=time.perf_counter() - start,
-    )
+    write_approx_table(out_path, rows, config, raw=raw, wall_time=time.perf_counter() - start)
     return rows
 
 
@@ -381,18 +323,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blockscan")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_iter=False):
+    def add_common(p, count):
         p.add_argument("-c", "--config", required=True, help="path to JSON config")
         p.add_argument("-o", "--output", default=None, help="output table path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--raw", action="store_true", help="full-precision output")
-        if with_iter:
-            p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--replicas", type=int, default=None)
+        p.add_argument(f"--{count}", type=int, default=None)
 
-    add_common(sub.add_parser("approximate"), with_iter=True)
-    add_common(sub.add_parser("simulate"))
+    add_common(sub.add_parser("approximate"), "iterations")
+    add_common(sub.add_parser("simulate"), "replicas")
 
     plot = sub.add_parser("plotdata")
     plot.add_argument("--approx", required=True, help="approximation table path")

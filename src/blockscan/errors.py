@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two type checks every layer uses."""
+from __future__ import annotations
+
+import numbers
+import sys
 
 
 class BlockScanError(Exception):
@@ -14,7 +18,31 @@ class BlockScanError(Exception):
 
 
 class ParameterError(BlockScanError, ValueError):
-    """A distribution or transform parameter is outside its domain."""
+    """A parameter is not of its type or is outside its domain."""
+
+
+def check_integer(field: str, value, minimum: int | None = None) -> None:
+    """Raise unless ``value`` is an integer, not a bool, and at least ``minimum`` if given.
+
+    So a size, count or seed is one that NumPy can take.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{field} must be an integer, got {value!r}", field=field)
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{field} must be >= {minimum}, got {value}", field=field)
+
+
+def check_real(field: str, value) -> None:
+    """Raise unless ``value`` is a real number, not a bool, with a finite float value.
+
+    nan, the infinities and ints past the float range fail.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ParameterError(f"{field} must be a finite number, got {value!r}", field=field)
 
 
 class GeometryError(BlockScanError, ValueError):

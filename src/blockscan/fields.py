@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer, check_real
 
 _MASK64 = (1 << 64) - 1
 # a stream's key: the seed and the stream id, each as 8 little-endian bytes
@@ -121,7 +121,16 @@ class MarginalDistribution:
     variance: float | None = None
 
     def __post_init__(self):
-        # each rejection names the parameter at fault, or the kind
+        # each rejection names the parameter at fault, or the kind; a parameter
+        # that is set is checked and normalised whether or not the kind takes it
+        for name in ("p", "mean", "variance"):
+            value = getattr(self, name)
+            if value is not None:
+                check_real(name, value)
+                object.__setattr__(self, name, float(value))
+        if self.trials is not None:
+            check_integer("trials", self.trials)
+            object.__setattr__(self, "trials", int(self.trials))
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ParameterError(f"bernoulli p must be in [0, 1], got {self.p}", field="p")

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -24,7 +22,7 @@ from .blockfactor import (
     apply_block_factor_batch,
     run_passes,
 )
-from .errors import GeometryError, OrderingError, ParameterError
+from .errors import GeometryError, OrderingError, ParameterError, check_integer, check_real
 from .fields import MarginalDistribution, SeedSpec
 from .haiman import (
     ALPHA_MAX,
@@ -39,12 +37,6 @@ _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 # passes read and write in L2, large enough that the per-call overhead of
 # the ufuncs and the per-chunk stream set-up stay small
 _CHUNK_BYTES = 512 * 1024
-
-
-def _check_integer(field: str, value) -> None:
-    """Raise unless ``value`` is an integer and not a bool: a size or seed that NumPy can take."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{field} must be an integer, got {value!r}", field=field)
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for field in ("source_cols", "source_rows", "m1", "m2", "iterations", "seed"):
-            _check_integer(field, getattr(self, field))
+            check_integer(field, getattr(self, field))
             # a NumPy integer would wrap or overflow in the size and seed arithmetic
             object.__setattr__(self, field, int(getattr(self, field)))
         derived_rows, derived_cols = self.transform.derived_shape(self.source_rows, self.source_cols)
@@ -93,20 +85,18 @@ class ExperimentSpec:
             )
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1", field="iterations")
-        if not 0.0 < self.confidence_z < math.inf:
+        check_real("confidence_z", self.confidence_z)
+        if not self.confidence_z > 0.0:
             raise ParameterError(
-                f"confidence_z must be finite and > 0, got {self.confidence_z}",
-                field="confidence_z",
+                f"confidence_z must be > 0, got {self.confidence_z}", field="confidence_z"
             )
-        # non-numbers, bools, nan and infinities, and ints past the float range,
-        # would reach the table writer
-        if not all(
-            isinstance(n, numbers.Real) and not isinstance(n, bool) and abs(n) <= sys.float_info.max
-            for n in self.thresholds
-        ):
+        if not isinstance(self.thresholds, (list, tuple)):
             raise ParameterError(
-                f"thresholds must be finite numbers, got {self.thresholds!r}", field="thresholds"
+                f"thresholds must be a list, got {self.thresholds!r}", field="thresholds"
             )
+        object.__setattr__(self, "thresholds", tuple(self.thresholds))
+        for n in self.thresholds:
+            check_real("thresholds", n)
         # tables pair their rows by threshold
         if len({float(n) for n in self.thresholds}) != len(self.thresholds):
             raise ParameterError(
@@ -324,9 +314,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     ``cell_bound`` is a ``2**-64`` tail bound that a cell may pass.
     """
     threads = 1 if threads is None else threads
-    _check_integer("threads", threads)
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}", field="threads")
+    check_integer("threads", threads, minimum=1)
     thr = np.asarray(spec.thresholds, dtype=np.float64)
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
@@ -597,9 +585,7 @@ def simulate_distribution(
     spec: ExperimentSpec, replicas: int = 100_000, threads: int | None = None
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
-    _check_integer("replicas", replicas)
-    if replicas < 1:
-        raise ParameterError("replicas must be >= 1", field="replicas")
+    check_integer("replicas", replicas, minimum=1)
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
     thr, probs, half = _tally(spec, threads, "sim", replicas, full, [(1, 1)])

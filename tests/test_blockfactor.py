@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -117,10 +119,10 @@ def test_ma_output_variance_matches_coefficients():
 
 
 def test_ma_coefficients_validated():
-    with pytest.raises(ParameterError):
-        ma_transform(())
-    with pytest.raises(ParameterError):
-        ma_transform((0.0, 0.0))
+    for coeffs in ((), (0.0, 0.0), [0.3, math.nan], [0.3, math.inf], ["x", 1], 0.3, "0.3"):
+        with pytest.raises(ParameterError) as err:
+            ma_transform(coeffs)
+        assert err.value.field == "ma_coeffs"
 
 
 def test_batch_matches_per_site_evaluation():
@@ -200,8 +202,10 @@ def test_catalog_lookup():
     assert (t.c1, t.c2) == (3, 1)
     t = catalog_transform("identity")
     assert (t.c1, t.c2) == (1, 1)
-    with pytest.raises(ParameterError):
-        catalog_transform("sobel")
+    for name in ("sobel", ["ma"], None):
+        with pytest.raises(ParameterError) as err:
+            catalog_transform(name)
+        assert err.value.field == "transform"
     with pytest.raises(ParameterError):
         catalog_transform("ma")
     with pytest.raises(ParameterError):

@@ -49,6 +49,10 @@ def test_valid_config_parses():
     spec = config.build_spec()
     assert spec.m1 == 3 and spec.thresholds == (6.0, 7.0, 8.0)
     assert config.build_spec() is spec
+    # threads, or 1 if it is not set; null sets nothing
+    assert config.resolved_threads() == 1
+    assert RunConfig.from_mapping({**BASE_CONFIG, "threads": None}).resolved_threads() == 1
+    assert RunConfig.from_mapping({**BASE_CONFIG, "threads": 2}).resolved_threads() == 2
 
 
 def test_unknown_key_is_named():
@@ -77,12 +81,10 @@ def test_missing_required_key_is_named():
 
 
 def test_wrong_type_is_named():
-    with pytest.raises(ConfigError) as err:
-        RunConfig.from_mapping({**BASE_CONFIG, "iterations": "many"})
-    assert err.value.key == "iterations"
-    with pytest.raises(ConfigError) as err:
-        RunConfig.from_mapping({**BASE_CONFIG, "m1": 3.5})
-    assert err.value.key == "m1"
+    for key, value in (("iterations", "many"), ("m1", 3.5), ("iterations", 1e5)):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_mapping({**BASE_CONFIG, key: value})
+        assert err.value.key == key
 
 
 def test_integer_model_requires_integer_thresholds():
@@ -119,40 +121,19 @@ def test_overrides_take_precedence():
     assert config.seed == 99 and config.iterations == 2000
 
 
-def test_threads_env_fallback(monkeypatch):
-    config = RunConfig.from_mapping(BASE_CONFIG)
-    monkeypatch.delenv("BLOCKSCAN_THREADS", raising=False)
-    assert config.resolved_threads() == 1
-    monkeypatch.setenv("BLOCKSCAN_THREADS", "6")
-    assert config.resolved_threads() == 6
-    explicit = RunConfig.from_mapping({**BASE_CONFIG, "threads": 2})
-    assert explicit.resolved_threads() == 2
-
-
-def test_bad_threads_are_config_errors(monkeypatch):
-    monkeypatch.delenv("BLOCKSCAN_THREADS", raising=False)
+def test_bad_threads_are_config_errors():
     for bad in ({"threads": 0}, {"threads": -3}):
         with pytest.raises(ConfigError) as err:
             RunConfig.from_mapping(BASE_CONFIG, overrides=bad)
         assert err.value.key == "threads"
-    config = RunConfig.from_mapping(BASE_CONFIG)
-    for env in ("abc", "1.5", "0", "-2"):
-        monkeypatch.setenv("BLOCKSCAN_THREADS", env)
-        with pytest.raises(ConfigError) as err:
-            config.resolved_threads()
-        assert err.value.key == "threads"
-        with pytest.raises(ConfigError):
-            RunConfig.from_mapping(BASE_CONFIG)
 
 
-def test_bad_threads_exit_with_code_2(tmp_path, monkeypatch, capsys):
+def test_bad_threads_exit_with_code_2(tmp_path, capsys):
     path = _write_config(tmp_path)
     out = tmp_path / "approx.tsv"
-    monkeypatch.delenv("BLOCKSCAN_THREADS", raising=False)
     assert main(["approximate", "-c", path, "-o", str(out), "--threads", "-3"]) == 2
     assert not out.exists()
-    monkeypatch.setenv("BLOCKSCAN_THREADS", "abc")
-    assert main(["validate-config", "-c", path]) == 2
+    assert main(["validate-config", "-c", _write_config(tmp_path, "zero.json", threads=0)]) == 2
     assert capsys.readouterr().err.count("'threads'") == 2
 
 
@@ -180,41 +161,67 @@ MA_CONFIG = {
     "thresholds": [13, 15],
 }
 MINESWEEPER_CONFIG = {**BASE_CONFIG, "transform": "minesweeper", "thresholds": [31]}
+BINOMIAL_CONFIG = {**BASE_CONFIG, "distribution": "binomial", "trials": 3}
+
+
+def _base_using(key):
+    """A config whose model uses ``key``."""
+    if key in ("ma_coeffs", "mean", "variance"):
+        return MA_CONFIG
+    return BINOMIAL_CONFIG if key == "trials" else BASE_CONFIG
+
+
+def _wrong_types():
+    """Each config key given a string, a bool, null and a list or object."""
+    cases = []
+    for key in (f.name for f in dataclasses.fields(RunConfig)):
+        container = {"a": 1} if key in ("thresholds", "ma_coeffs") else [1]
+        for kind, value in (("str", "x"), ("bool", True), ("null", None), ("container", container)):
+            if (key, kind) != ("threads", "null"):  # null is the unset threads: 1
+                cases.append(pytest.param(_base_using(key), {key: value}, key, id=f"{key}-{kind}"))
+    return cases
 
 
 @pytest.mark.parametrize(
     "base, updates, key",
     [
-        (BASE_CONFIG, {"thresholds": ["a"]}, "thresholds"),
-        (BASE_CONFIG, {"thresholds": [True]}, "thresholds"),
-        (BASE_CONFIG, {"thresholds": [10**400]}, "thresholds"),
-        (MA_CONFIG, {"ma_coeffs": ["x", 1]}, "ma_coeffs"),
-        (MINESWEEPER_CONFIG, {"thresholds": [math.inf]}, "<file>"),
-        (MA_CONFIG, {"thresholds": [math.nan, 13]}, "<file>"),
-        (MA_CONFIG, {"mean": math.nan}, "<file>"),
+        pytest.param(BASE_CONFIG, {"thresholds": ["a"]}, "thresholds", id="str-threshold"),
+        pytest.param(BASE_CONFIG, {"thresholds": [True]}, "thresholds", id="bool-threshold"),
+        pytest.param(BASE_CONFIG, {"thresholds": [10**400]}, "thresholds", id="huge-threshold"),
+        pytest.param(MA_CONFIG, {"ma_coeffs": ["x", 1]}, "ma_coeffs", id="str-coeff"),
+        pytest.param(MINESWEEPER_CONFIG, {"thresholds": [math.inf]}, "<file>", id="infinity"),
+        pytest.param(MA_CONFIG, {"thresholds": [math.nan, 13]}, "<file>", id="nan-threshold"),
+        pytest.param(MA_CONFIG, {"mean": math.nan}, "<file>", id="nan-mean"),
+        # an integer key takes a JSON integer only
+        pytest.param(BASE_CONFIG, {"iterations": 1e5}, "iterations", id="float-iterations"),
+        pytest.param(BINOMIAL_CONFIG, {"trials": 2.5}, "trials", id="fraction-trials"),
+        # a distribution parameter the kind does not take is checked all the same,
+        # and only the ma transform takes ma_coeffs
+        pytest.param(BASE_CONFIG, {"mean": "0"}, "mean", id="unused-mean"),
+        pytest.param(BASE_CONFIG, {"ma_coeffs": [0.3]}, "ma_coeffs", id="unused-coeffs"),
+        *_wrong_types(),
     ],
-    ids=["str-threshold", "bool-threshold", "huge-threshold", "str-coeff", "infinity",
-         "nan-threshold", "nan-mean"],
 )
 @pytest.mark.parametrize("command", ["validate-config", "approximate"])
 def test_bad_numbers_exit_with_code_2(tmp_path, capsys, command, base, updates, key):
     path = tmp_path / "config.json"
-    data = {k: v for k, v in {**base, **updates}.items() if v is not None}
+    data = {**{k: v for k, v in base.items() if v is not None}, **updates}
     path.write_text(json.dumps(data))  # writes NaN and Infinity literals
     out = tmp_path / "out.tsv"
     argv = [command, "-c", str(path)] + (["-o", str(out)] if command == "approximate" else [])
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(key) in err
+    assert err.startswith(f"error: config key '{key}': ") and err.count("\n") == 1
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["p", "confidence_z", "thresholds"])
+@pytest.mark.parametrize("key", ["p", "confidence_z", "thresholds", "mean", "variance", "ma_coeffs"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_numbers_name_their_key(key, bad):
-    value = [bad] if key == "thresholds" else bad
+    value = [0.3, bad] if key in ("thresholds", "ma_coeffs") else bad
+    data = {k: v for k, v in {**_base_using(key), key: value}.items() if v is not None}
     with pytest.raises(ConfigError) as err:
-        RunConfig.from_mapping({**BASE_CONFIG, key: value})
+        RunConfig.from_mapping(data)
     assert err.value.key == key
 
 
@@ -224,7 +231,7 @@ def test_non_finite_numbers_name_their_key(key, bad):
         {"l_mode": "boundary"},
         {"confidence_z": 0},
         {"confidence_z": -1.96},
-        {"replicas": 0, "include_sim": True},
+        {"replicas": 0},
     ],
     ids=["l_mode", "zero-z", "negative-z", "zero-replicas"],
 )
@@ -273,8 +280,7 @@ def test_spec_rejections_name_their_config_key(tmp_path, capsys, updates, key):
 _UNRUNNABLE = {
     # a row scan samples one row, so 20 rows would be answered for one
     "row-scan-over-rows": (
-        {"p": 0.2, "source_cols": 30, "source_rows": 20, "m2": 1, "thresholds": [2],
-         "include_sim": True},
+        {"p": 0.2, "source_cols": 30, "source_rows": 20, "m2": 1, "thresholds": [2]},
         "source_rows",
     ),
     "poisson-mean-past-numpy": (
@@ -349,7 +355,7 @@ def test_approximate_round_trip(tmp_path):
     metadata, columns, rows = read_table(str(out))
     _, raw_columns, raw_rows = read_table(str(raw_out))
     assert columns == raw_columns == [
-        "n", "sim", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid"
+        "n", "approx", "e_app", "e_sf", "e_sapp", "e_total", "valid"
     ]
     assert [row["n"] for row in rows] == [6.0, 7.0, 8.0]
     for row, raw in zip(rows, raw_rows, strict=True):
@@ -516,7 +522,7 @@ def test_plotdata_rejects_a_table_it_cannot_read(tmp_path, capsys, flag, table):
     if table == "no-columns":
         bad.write_text("6\t0.5\n7\t0.6\n")
     elif table == "wrong-columns":
-        # a simulate table has no approx column; this approximate table has no sim numbers
+        # a simulate table has no approx column, an approximate table no sim column
         bad.write_bytes((sim_out if flag == "--approx" else approx_out).read_bytes())
     else:
         lines = good.read_text().splitlines()
@@ -576,7 +582,7 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
         return accumulate(total, chunk, seed, task, chunk_eval, threads)
 
     monkeypatch.setattr(pipeline, "_accumulate", recording)
-    config = _write_config(tmp_path, include_sim=True)
+    config = _write_config(tmp_path)
     headers = []
     for threads in (1, 2):
         ran.clear()
@@ -591,7 +597,7 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
             count = -(-total // chunk)
             assert count > 2 and total % chunk
             assert layouts[task] == (chunk, count, total - (count - 1) * chunk)
-    assert list(layouts) == (["quv", "sim"] if command == "approximate" else ["sim"])
+    assert list(layouts) == (["quv"] if command == "approximate" else ["sim"])
     assert headers[0] == headers[1]
 
 
@@ -606,7 +612,7 @@ def test_one_spec_is_built_per_command(tmp_path, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "ExperimentSpec", counting)
-    config = _write_config(tmp_path, include_sim=True)
+    config = _write_config(tmp_path)
     assert main(["approximate", "-c", config, "-o", str(tmp_path / "approx.tsv")]) == 0
     assert len(built) == 1
 

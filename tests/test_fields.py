@@ -146,27 +146,38 @@ def test_poisson_chisquare_goodness_of_fit():
     assert result.pvalue > 0.001
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: MarginalDistribution.bernoulli(-0.1),
-        lambda: MarginalDistribution.bernoulli(1.5),
-        lambda: MarginalDistribution.binomial(0, 0.5),
-        lambda: MarginalDistribution.binomial(3, 2.0),
-        lambda: MarginalDistribution.poisson(0.0),
-        lambda: MarginalDistribution.poisson(-1.0),
-        lambda: MarginalDistribution.gaussian(0.0, 0.0),
-        lambda: MarginalDistribution("triangular", p=0.5),
-        # past what NumPy draws: its Poisson mean limit and int64 trials
-        lambda: MarginalDistribution.poisson(1e20),
-        lambda: MarginalDistribution.poisson(float(np.nextafter(_NUMPY_POISSON_MAX, math.inf))),
-        lambda: MarginalDistribution.binomial(10**30, 0.5),
-        lambda: MarginalDistribution.binomial(2**63, 0.5),
-    ],
-)
+# each build and the field its rejection names
+_INVALID = [
+    (lambda: MarginalDistribution.bernoulli(-0.1), "p"),
+    (lambda: MarginalDistribution.bernoulli(1.5), "p"),
+    (lambda: MarginalDistribution.binomial(0, 0.5), "trials"),
+    (lambda: MarginalDistribution.binomial(3, 2.0), "p"),
+    (lambda: MarginalDistribution.poisson(0.0), "mean"),
+    (lambda: MarginalDistribution.poisson(-1.0), "mean"),
+    (lambda: MarginalDistribution.gaussian(0.0, 0.0), "variance"),
+    (lambda: MarginalDistribution("triangular", p=0.5), "distribution"),
+    # past what NumPy draws: its Poisson mean limit and int64 trials
+    (lambda: MarginalDistribution.poisson(1e20), "mean"),
+    (lambda: MarginalDistribution.poisson(float(np.nextafter(_NUMPY_POISSON_MAX, math.inf))),
+     "mean"),
+    (lambda: MarginalDistribution.binomial(10**30, 0.5), "trials"),
+    (lambda: MarginalDistribution.binomial(2**63, 0.5), "trials"),
+    # not a finite real number, or not an integer
+    (lambda: MarginalDistribution.bernoulli("0.1"), "p"),
+    (lambda: MarginalDistribution.bernoulli(True), "p"),
+    (lambda: MarginalDistribution.binomial(2.5, 0.1), "trials"),
+    (lambda: MarginalDistribution.gaussian(math.nan, 1.0), "mean"),
+    (lambda: MarginalDistribution.gaussian(math.inf, 1.0), "mean"),
+    (lambda: MarginalDistribution.gaussian("0", 1.0), "mean"),
+    (lambda: MarginalDistribution.gaussian(0.0, math.inf), "variance"),
+]
+
+
+@pytest.mark.parametrize("build", [build for build, _ in _INVALID])
 def test_invalid_parameters_rejected(build):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as err:
         build()
+    assert err.value.field == dict(_INVALID)[build]
 
 
 def test_largest_accepted_parameters_draw():

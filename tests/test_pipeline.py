@@ -162,18 +162,20 @@ def test_integer_window_sums_at_the_int64_edge_are_exact():
 @pytest.mark.parametrize(
     "field, value",
     [("confidence_z", 0.0), ("confidence_z", -1.0),
-     ("confidence_z", math.nan), ("confidence_z", math.inf)],
+     ("confidence_z", math.nan), ("confidence_z", math.inf), ("confidence_z", "2")],
 )
 def test_spec_rejects_bad_l_mode_and_confidence_z(field, value):
-    with pytest.raises(ParameterError, match=field):
+    with pytest.raises(ParameterError, match=field) as err:
         dataclasses.replace(_bernoulli_spec(), **{field: value})
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize(
     "field, value",
     # a repeated threshold would pair the rows of two tables ambiguously
     [("thresholds", (6.0, 7.0, 6.0)), ("thresholds", (7, 7.0)), ("thresholds", (6.0, math.nan)),
-     ("thresholds", (math.inf,)), ("thresholds", (-math.inf,)), ("thresholds", (10**400,))],
+     ("thresholds", (math.inf,)), ("thresholds", (-math.inf,)), ("thresholds", (10**400,)),
+     ("thresholds", 5)],
 )
 def test_spec_rejects_bad_threads_and_thresholds(field, value):
     with pytest.raises(ParameterError, match=field) as err:
