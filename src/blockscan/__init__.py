@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .blockfactor import (
     BlockFactorTransform,
     catalog_transform,
-    configuration_matrix,
     identity_transform,
     ma_transform,
     minesweeper_transform,
@@ -18,7 +17,6 @@ from .blockfactor import (
 from .fields import MarginalDistribution, SeedSpec
 from .haiman import (
     Theorem1Constants,
-    approximant_H,
     approximant_H_with_flag,
     error_factor_F,
     solve_t2,
@@ -36,7 +34,6 @@ from .pipeline import (
     simulate_distribution,
     two_step_approximation,
 )
-from .scan import brute_moving_sums, brute_scan_statistic
 
 __all__ = [
     "ApproxRow",
@@ -47,13 +44,9 @@ __all__ = [
     "SeedSpec",
     "SimRow",
     "Theorem1Constants",
-    "approximant_H",
     "approximant_H_with_flag",
     "approximate",
-    "brute_moving_sums",
-    "brute_scan_statistic",
     "catalog_transform",
-    "configuration_matrix",
     "error_factor_F",
     "estimate_quv",
     "identity_transform",

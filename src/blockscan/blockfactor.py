@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import GeometryError, IndexRangeError, ParameterError, check_real
+from .errors import GeometryError, ParameterError, check_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,14 +33,6 @@ class BlockFactorTransform:
     @property
     def c2(self) -> int:
         return self.weights.shape[0]
-
-    def __call__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
-        if matrix.shape != (self.c2, self.c1):
-            raise GeometryError(
-                f"configuration matrix shape {matrix.shape} != ({self.c2}, {self.c1})"
-            )
-        return (self.weights * matrix).sum()
 
     def derived_shape(self, rows: int, cols: int) -> tuple[int, int]:
         """The ``(rows, cols)`` of derived values over a ``rows x cols`` source.
@@ -59,26 +51,6 @@ class BlockFactorTransform:
                 field="source_rows",
             )
         return rows - self.c2 + 1, cols - self.c1 + 1
-
-
-def configuration_matrix(
-    values: np.ndarray, i: int, j: int, transform: BlockFactorTransform
-) -> np.ndarray:
-    """The ``c2 x c1`` window of source ``values`` whose first column is ``i`` and lowest row ``j``.
-
-    ``i`` is the 1-based column and ``j`` the 1-based row, so source value
-    ``(i, j)`` is ``values[j - 1, i - 1]``, and the window's derived value
-    is ``derived[j - 1, i - 1]`` of ``apply_block_factor_batch``.  Row ``k``
-    of the matrix holds source row ``j + c2 - 1 - k``, so matrix rows run
-    top-down in lattice coordinates.
-    """
-    rows, cols = transform.derived_shape(*values.shape)
-    if not 1 <= i <= cols:
-        raise IndexRangeError(f"column {i} outside [1, {cols}]")
-    if not 1 <= j <= rows:
-        raise IndexRangeError(f"row {j} outside [1, {rows}]")
-    block = values[j - 1 : j - 1 + transform.c2, i - 1 : i - 1 + transform.c1]
-    return block[::-1, :].copy()
 
 
 def narrow_int(src_dtype, gain: int, bound: int | None = None) -> np.dtype:

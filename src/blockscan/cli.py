@@ -25,6 +25,7 @@ from .pipeline import (
     ExperimentSpec,
     SimRow,
     approximate,
+    check_drawn_cells,
     chunk_layout,
     simulate_distribution,
 )
@@ -131,6 +132,7 @@ class RunConfig:
                             f"integer-valued model needs integer thresholds, got {n}",
                             field="thresholds",
                         )
+            check_drawn_cells(spec, "sim", self.replicas)
             return spec
         except BlockScanError as exc:
             raise ConfigError(exc.field or "<spec>", str(exc)) from exc

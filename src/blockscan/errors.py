@@ -49,10 +49,6 @@ class GeometryError(BlockScanError, ValueError):
     """Lattice, window or anchor-range dimensions are inconsistent."""
 
 
-class IndexRangeError(BlockScanError, IndexError):
-    """A lattice position lies outside its admissible range."""
-
-
 class HypothesisError(BlockScanError, ValueError):
     """An input violates a hypothesis of the extreme-value bound."""
 

@@ -143,7 +143,3 @@ def approximant_H_with_flag(q1: float, q2: float, m: int) -> tuple[float, bool]:
         raw = 0.0  # a finite numerator over a denominator past the float range
     clamped = min(1.0, max(0.0, raw))
     return clamped, clamped != raw
-
-
-def approximant_H(q1: float, q2: float, m: int) -> float:
-    return approximant_H_with_flag(q1, q2, m)[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +36,12 @@ _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 # passes read and write in L2, large enough that the per-call overhead of
 # the ufuncs and the per-chunk stream set-up stay small
 _CHUNK_BYTES = 512 * 1024
+# the most source cells one Monte Carlo call may draw (``check_drawn_cells``):
+# about a day of work at the fastest rate measured, 8.1e8 cells/s on 1 thread
+# and 1.0e9 on 2 (``simulate`` of identity over Bernoulli(0.1) cells on a
+# 2-core Xeon, NumPy 2.4.6), so a count that no run could finish is rejected
+# before any work starts
+MAX_DRAWN_CELLS = 10**14
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,7 @@ class ExperimentSpec:
             raise GeometryError(
                 "source height must cover at least three block units", field="source_rows"
             )
+        check_drawn_cells(self, "quv", self.iterations)
 
     def value_bounds(self, cell: int | None) -> tuple[int | None, int | None]:
         """Bounds on ``|value|`` of a block-factor value and a window sum, given ``|cell| <= cell``.
@@ -223,6 +229,21 @@ def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
     return quv_field_dims(3, 3, spec)
 
 
+def check_drawn_cells(spec: ExperimentSpec, task: str, count: int) -> None:
+    """Raise if ``count`` replicas of a ``quv`` or ``sim`` call draw over ``MAX_DRAWN_CELLS`` cells.
+
+    The error names ``iterations`` for ``quv`` and ``replicas`` for ``sim``.
+    """
+    cols, rows = _field_dims(spec, task)
+    if count * cols * rows > MAX_DRAWN_CELLS:
+        field = "iterations" if task == "quv" else "replicas"
+        raise ParameterError(
+            f"{field} = {count} fields of {cols}x{rows} cells pass the {MAX_DRAWN_CELLS:.0e} "
+            "cells (about a day of work) one call may draw",
+            field=field,
+        )
+
+
 def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int, int]:
     """Replicas per chunk, chunk count and last chunk's replicas of a ``quv`` or ``sim`` call."""
     cols, rows = _field_dims(spec, task)
@@ -264,6 +285,9 @@ def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, thread
         return tally
 
     if workers > 1:
+        # imported here: a 1-thread run never loads the pool's modules
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(run, range(workers)))
     return run(0)
@@ -586,6 +610,7 @@ def simulate_distribution(
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
     check_integer("replicas", replicas, minimum=1)
+    check_drawn_cells(spec, "sim", replicas)
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
     thr, probs, half = _tally(spec, threads, "sim", replicas, full, [(1, 1)])

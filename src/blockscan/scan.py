@@ -10,8 +10,7 @@ contiguous array operation over a whole stack of fields.  Integer fields
 sum exactly in the narrowest integer dtype their dtype, or a tighter bound
 the caller knows, allows;
 floating-point fields sum in float64, each result a short tree of at most
-``m1 * m2`` terms.  ``brute_*`` functions are the O(N^2 m^2) oracles used by
-the test suite.
+``m1 * m2`` terms.
 """
 from __future__ import annotations
 
@@ -169,21 +168,3 @@ def tile_maxima(
     if ops is None:
         run_passes(passes)
     return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def brute_moving_sums(values: np.ndarray, m1: int, m2: int) -> np.ndarray:
-    """Direct per-window summation; the oracle for ``window_sums_batch``."""
-    rows, cols = values.shape
-    if not (1 <= m1 <= cols and 1 <= m2 <= rows):
-        raise GeometryError(f"window {m1}x{m2} does not fit in {cols}x{rows} field")
-    out = np.empty((rows - m2 + 1, cols - m1 + 1), dtype=np.float64)
-    for j in range(rows - m2 + 1):
-        for i in range(cols - m1 + 1):
-            out[j, i] = values[j : j + m2, i : i + m1].sum(dtype=np.float64)
-    if np.issubdtype(values.dtype, np.integer):
-        return out.astype(np.int64)
-    return out
-
-
-def brute_scan_statistic(values: np.ndarray, m1: int, m2: int):
-    return brute_moving_sums(values, m1, m2).max().item()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from blockscan import (
     Theorem1Constants,
-    approximant_H,
     approximant_H_with_flag,
     error_factor_F,
     solve_t2,
@@ -170,7 +169,7 @@ def test_bound_shape():
 
 def test_H_fixed_point_identity():
     for q in np.linspace(0.0, 1.0, 100):
-        assert abs(approximant_H(float(q), float(q), 17) - q) <= 1e-15
+        assert abs(approximant_H_with_flag(float(q), float(q), 17)[0] - q) <= 1e-15
 
 
 def test_H_matches_high_precision_evaluation():
@@ -178,16 +177,16 @@ def test_H_matches_high_precision_evaluation():
     for q1, q2, m in cases:
         a, b = mp.mpf(q1), mp.mpf(q2)
         ref = (2 * a - b) / (1 + a - b + 2 * (a - b) ** 2) ** m
-        assert _rel(approximant_H(q1, q2, m), ref) < 1e-13
+        assert _rel(approximant_H_with_flag(q1, q2, m)[0], ref) < 1e-13
 
 
 def test_H_input_checks():
     with pytest.raises(OrderingError):
-        approximant_H(0.5, 0.6, 3)
+        approximant_H_with_flag(0.5, 0.6, 3)
     with pytest.raises(OrderingError):
-        approximant_H(1.2, 0.5, 3)
+        approximant_H_with_flag(1.2, 0.5, 3)
     with pytest.raises(ParameterError):
-        approximant_H(0.9, 0.8, 0)
+        approximant_H_with_flag(0.9, 0.8, 0)
 
 
 def test_H_stays_in_unit_interval():
@@ -199,7 +198,7 @@ def test_H_stays_in_unit_interval():
         value, clamped = approximant_H_with_flag(q1, q2, m)
         assert 0.0 <= value <= 1.0
         assert not clamped  # the rational form is already a probability here
-    assert approximant_H(0.9, 0.0, 1) == pytest.approx(1.8 / (1 + 0.9 + 2 * 0.81))
+    assert approximant_H_with_flag(0.9, 0.0, 1)[0] == pytest.approx(1.8 / (1 + 0.9 + 2 * 0.81))
 
 
 def test_H_is_zero_once_its_denominator_passes_the_float_range():
@@ -208,7 +207,8 @@ def test_H_is_zero_once_its_denominator_passes_the_float_range():
     # at about 1e126 the rational form is untouched
     q1, q2, m = 0.9974, 0.9945, 100_000
     diff = q1 - q2
-    assert approximant_H(q1, q2, m) == (2.0 * q1 - q2) / (1.0 + diff + 2.0 * diff**2) ** m > 0.0
+    raw = (2.0 * q1 - q2) / (1.0 + diff + 2.0 * diff**2) ** m
+    assert approximant_H_with_flag(q1, q2, m) == (raw, False) and raw > 0.0
 
 
 def test_H_lipschitz_gap_bound():
@@ -219,7 +219,8 @@ def test_H_lipschitz_gap_bound():
         x2 = float(rng.uniform(0.9, 1.0))
         y1 = float(rng.uniform(max(0.0, x1 - 0.05), x1))
         y2 = float(rng.uniform(max(0.0, x2 - 0.05), x2))
-        gap = abs(approximant_H(x1, y1, m) - approximant_H(x2, y2, m))
+        (h1, _), (h2, _) = approximant_H_with_flag(x1, y1, m), approximant_H_with_flag(x2, y2, m)
+        gap = abs(h1 - h2)
         assert gap <= lipschitz_gap(x1, y1, x2, y2, m) + 1e-12
 
 
@@ -231,7 +232,7 @@ def test_H_lipschitz_gap_bound():
 @settings(max_examples=200, deadline=None)
 def test_H_property_probability_and_fixed_point(q1, frac, m):
     q2 = q1 * frac
-    value = approximant_H(q1, q2, m)
+    value = approximant_H_with_flag(q1, q2, m)[0]
     assert 0.0 <= value <= 1.0
     if frac == 1.0:
         assert abs(value - q1) <= 1e-15

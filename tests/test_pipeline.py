@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import sys
@@ -562,7 +563,11 @@ def _usable_cpus(monkeypatch, n):
 
 
 class SerialPool:
-    """A ``ThreadPoolExecutor`` stand-in that starts no thread and runs the tasks in order."""
+    """A ``ThreadPoolExecutor`` stand-in that starts no thread and runs the tasks in order.
+
+    Patched into ``concurrent.futures``, where ``_accumulate`` imports the pool
+    from when it starts one.
+    """
 
     requested = []
 
@@ -587,7 +592,7 @@ def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
     assert pipeline._worker_count(None, 13) == 1
     assert pipeline._worker_count(8, 1) == 1
     monkeypatch.setattr(SerialPool, "requested", [])
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     total = pipeline._accumulate(10, 4, 1, "cap", lambda state, rng, count: count, 10**9)
     assert total == 10 and SerialPool.requested == [3]
 
@@ -622,7 +627,7 @@ def test_each_worker_runs_one_contiguous_range_of_chunks(total, chunk, threads, 
     """Every chunk runs once, in order; ranges differ by at most one chunk; the short chunk is last."""
     _usable_cpus(monkeypatch, 8)
     monkeypatch.setattr(SerialPool, "requested", [])
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     seed, task, n = 1, "ranges", -(-total // chunk)
     # chunk k is known by the first draw of its stream
     index = {

@@ -16,8 +16,6 @@ from blockscan import (
     ExperimentSpec,
     MarginalDistribution,
     SeedSpec,
-    brute_moving_sums,
-    configuration_matrix,
     estimate_quv,
     minesweeper_transform,
     simulate_distribution,
@@ -26,6 +24,8 @@ from blockscan import pipeline
 from blockscan.blockfactor import Buffers, apply_block_factor_batch, run_passes
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
+
+from oracles import brute_moving_sums, per_site_block_factor, per_tile_maxima
 
 # weights other than 0 and 1 take the scratch pass of the block factor
 WEIGHTED = BlockFactorTransform(
@@ -69,35 +69,15 @@ def test_a_replay_reads_an_input_overwritten_in_place(kernel, layout):
         assert out.dtype == fresh.dtype and np.array_equal(out, fresh)
 
 
-def _per_tile_maxima(field, tile_rows, tile_cols):
-    rows, cols = field.shape[0] // tile_rows, field.shape[1] // tile_cols
-    return np.array([
-        [field[r * tile_rows : (r + 1) * tile_rows, c * tile_cols : (c + 1) * tile_cols].max()
-         for c in range(cols)]
-        for r in range(rows)
-    ])
-
-
-def _per_site_block_factor(transform):
-    def oracle(field):
-        return np.array([
-            [transform(configuration_matrix(field, i + 1, j + 1, transform))
-             for i in range(field.shape[1] - transform.c1 + 1)]
-            for j in range(field.shape[0] - transform.c2 + 1)
-        ])
-
-    return oracle
-
-
 # the per-field oracle of each kernel in KERNELS
 ORACLES = {
-    "blockfactor": _per_site_block_factor(minesweeper_transform()),
-    "blockfactor-weighted": _per_site_block_factor(WEIGHTED),
+    "blockfactor": partial(per_site_block_factor, transform=minesweeper_transform()),
+    "blockfactor-weighted": partial(per_site_block_factor, transform=WEIGHTED),
     "window-sums": partial(brute_moving_sums, m1=3, m2=2),
     "row-sums": partial(brute_moving_sums, m1=5, m2=1),
-    "tile-maxima": partial(_per_tile_maxima, tile_rows=2, tile_cols=3),
-    "row-tiles": partial(_per_tile_maxima, tile_rows=1, tile_cols=3),
-    "one-tile": partial(_per_tile_maxima, tile_rows=9, tile_cols=9),
+    "tile-maxima": partial(per_tile_maxima, tile_rows=2, tile_cols=3),
+    "row-tiles": partial(per_tile_maxima, tile_rows=1, tile_cols=3),
+    "one-tile": partial(per_tile_maxima, tile_rows=9, tile_cols=9),
 }
 
 
@@ -131,7 +111,7 @@ def test_tile_maxima_leave_out_ragged_edges(layout):
         raised[:, :, 9 // tile_cols * tile_cols :] = 99
         assert np.array_equal(tile_maxima(raised, tile_rows, tile_cols), tiles)
         for index in range(3):
-            assert np.array_equal(tiles[index], _per_tile_maxima(stack[index], tile_rows, tile_cols))
+            assert np.array_equal(tiles[index], per_tile_maxima(stack[index], tile_rows, tile_cols))
 
 
 BAD_CALLS = {

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockscan import (
-    BlockFactorTransform,
-    MarginalDistribution,
-    SeedSpec,
-    brute_moving_sums,
-    brute_scan_statistic,
-    configuration_matrix,
-)
+from blockscan import BlockFactorTransform, MarginalDistribution, SeedSpec
 from blockscan.blockfactor import (
     Buffers,
     apply_block_factor_batch,
@@ -19,6 +12,8 @@ from blockscan.blockfactor import (
 )
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
+
+from oracles import brute_moving_sums, brute_scan_statistic, per_site_block_factor
 
 
 def test_constant_field_sums():
@@ -135,7 +130,7 @@ def test_linear_kernel_matches_per_site_oracle(case):
     exact = integer_source and np.issubdtype(transform.weights.dtype, np.integer)
     assert np.issubdtype(fast.dtype, np.integer) if exact else fast.dtype == np.float64
     for b in range(source.shape[0]):
-        derived = _per_site_transform(source[b], transform)
+        derived = per_site_block_factor(source[b], transform)
         slow = brute_moving_sums(derived, m1, m2)
         if exact:
             assert np.array_equal(fast[b], slow)
@@ -206,19 +201,6 @@ def test_sums_under_an_exact_bound_match_brute_force(bound, m1, m2, fill, seed):
         assert np.array_equal(sums[b], brute_moving_sums(values[b], m1, m2))
 
 
-def _per_site_transform(values: np.ndarray, transform) -> np.ndarray:
-    """The block factor of one 2-D field, one configuration matrix per site."""
-    return np.array(
-        [
-            [
-                transform(configuration_matrix(values, ii + 1, jj + 1, transform))
-                for ii in range(values.shape[1] - transform.c1 + 1)
-            ]
-            for jj in range(values.shape[0] - transform.c2 + 1)
-        ]
-    )
-
-
 # the same (batch, rows, cols) values in memory layouts the flat kernel must handle
 _LAYOUTS = {
     "contiguous": lambda x: x,
@@ -256,7 +238,7 @@ def test_flat_kernel_handles_any_input_layout(layout, dtype):
         # no two elements of a result share memory either
         assert all(st > 0 for n, st in zip(out.shape, out.strides) if n > 1)
     for index in np.ndindex(source.shape[:-2]):
-        expected = _per_site_transform(source[index], transform)
+        expected = per_site_block_factor(source[index], transform)
         assert np.array_equal(derived[index], expected)
         assert np.array_equal(sums[index], brute_moving_sums(expected, 3, 2))
         assert np.array_equal(raw_sums[index], brute_moving_sums(source[index], 4, 3))
