@@ -132,10 +132,14 @@ class RunConfig:
                             f"integer-valued model needs integer thresholds, got {n}",
                             field="thresholds",
                         )
-            check_drawn_cells(spec, "sim", self.replicas)
             return spec
         except BlockScanError as exc:
-            raise ConfigError(exc.field or "<spec>", str(exc)) from exc
+            raise _key_error(exc) from exc
+
+
+def _key_error(exc: BlockScanError) -> ConfigError:
+    """A library error as a ``ConfigError`` naming the config key of its field."""
+    return ConfigError(exc.field or "<spec>", str(exc))
 
 
 def _fmt(value, raw: bool) -> str:
@@ -316,7 +320,11 @@ def run_approx(config: RunConfig, out_path: str, raw: bool = False) -> list[Appr
 def run_sim(config: RunConfig, out_path: str, raw: bool = False) -> list[SimRow]:
     spec, threads = config.build_spec(), config.resolved_threads()
     start = time.perf_counter()
-    rows = simulate_distribution(spec, replicas=config.replicas, threads=threads)
+    try:
+        rows = simulate_distribution(spec, replicas=config.replicas, threads=threads)
+    except ParameterError as exc:
+        # the spec is checked; what is left to fail is the replicas check, before any work
+        raise _key_error(exc) from exc
     write_sim_table(out_path, rows, config, raw=raw, wall_time=time.perf_counter() - start)
     return rows
 
@@ -350,7 +358,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate-config":
-            RunConfig.from_file(args.config)
+            config = RunConfig.from_file(args.config)
+            # the config must suit simulate too, whose replicas draw the whole source
+            try:
+                dims = (config.source_cols, config.source_rows)
+                check_drawn_cells("replicas", config.replicas, dims)
+            except ParameterError as exc:
+                raise _key_error(exc) from exc
             print("ok")
             return 0
         if args.command == "plotdata":

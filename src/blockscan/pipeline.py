@@ -117,7 +117,7 @@ class ExperimentSpec:
             raise GeometryError(
                 "source height must cover at least three block units", field="source_rows"
             )
-        check_drawn_cells(self, "quv", self.iterations)
+        check_drawn_cells("iterations", self.iterations, _field_dims(self, "quv"))
 
     def value_bounds(self, cell: int | None) -> tuple[int | None, int | None]:
         """Bounds on ``|value|`` of a block-factor value and a window sum, given ``|cell| <= cell``.
@@ -229,14 +229,10 @@ def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
     return quv_field_dims(3, 3, spec)
 
 
-def check_drawn_cells(spec: ExperimentSpec, task: str, count: int) -> None:
-    """Raise if ``count`` replicas of a ``quv`` or ``sim`` call draw over ``MAX_DRAWN_CELLS`` cells.
-
-    The error names ``iterations`` for ``quv`` and ``replicas`` for ``sim``.
-    """
-    cols, rows = _field_dims(spec, task)
+def check_drawn_cells(field: str, count: int, dims: tuple[int, int]) -> None:
+    """Raise, naming ``field``, if ``count`` fields of (cols, rows) ``dims`` pass the cell limit."""
+    cols, rows = dims
     if count * cols * rows > MAX_DRAWN_CELLS:
-        field = "iterations" if task == "quv" else "replicas"
         raise ParameterError(
             f"{field} = {count} fields of {cols}x{rows} cells pass the {MAX_DRAWN_CELLS:.0e} "
             "cells (about a day of work) one call may draw",
@@ -610,7 +606,7 @@ def simulate_distribution(
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
     check_integer("replicas", replicas, minimum=1)
-    check_drawn_cells(spec, "sim", replicas)
+    check_drawn_cells("replicas", replicas, _field_dims(spec, "sim"))
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
     thr, probs, half = _tally(spec, threads, "sim", replicas, full, [(1, 1)])

@@ -317,9 +317,12 @@ def test_unrunnable_configs_exit_2_with_one_error_line(tmp_path, capsys, name):
 
 
 def test_validate_config_subcommand(tmp_path, capsys):
-    path = _write_config(tmp_path)
-    assert main(["validate-config", "-c", path]) == 0
-    assert capsys.readouterr().out.strip() == "ok"
+    # and a moving-average row scan over 1e8 columns at the default counts: 1e13 drawn cells
+    long_ma = {**MA_CONFIG, "source_cols": 100_000_000, "iterations": None, "replicas": None}
+    for updates in ({}, long_ma):
+        path = _write_config(tmp_path, **updates)
+        assert main(["validate-config", "-c", path]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
 
 
 def test_validate_config_reports_errors(tmp_path, capsys):

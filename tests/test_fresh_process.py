@@ -77,9 +77,30 @@ def test_the_library_rejects_a_count_past_the_cell_limit(tmp_path, call):
 def test_the_cli_rejects_a_count_past_the_cell_limit(tmp_path, command, key):
     (tmp_path / "run.json").write_text(json.dumps({**CONFIG, key: 2**64}))
     result = _run(["-m", "blockscan.cli", command, "-c", "run.json"], tmp_path)
+    if (command, key) == ("approximate", "replicas"):
+        # approximate draws no replicas: the count does not bound its run
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "blockscan-approximate.tsv").exists()
+        return
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: config key '{key}': ")
     assert not list(tmp_path.glob("*.tsv"))
+
+
+def test_approximate_runs_a_source_whose_simulation_would_pass_the_cell_limit(tmp_path):
+    """2e9 columns at the default 1e5 replicas are 2e14 cells; approximate draws 2e3 (3,3) fields."""
+    config = {
+        **CONFIG, "source_cols": 2_000_000_000, "source_rows": 1, "m1": 20, "m2": 1,
+        "thresholds": [4, 5],
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    approx = ["-m", "blockscan.cli", "approximate", "-c", "run.json", "--iterations", "2000"]
+    result = _run(approx, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "blockscan-approximate.tsv").exists()
+    result = _run(["-m", "blockscan.cli", "simulate", "-c", "run.json"], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: config key 'replicas': ")
 
 
 def test_a_count_at_the_cell_limit_validates(tmp_path):
@@ -88,26 +109,18 @@ def test_a_count_at_the_cell_limit_validates(tmp_path):
     iterations = MAX_DRAWN_CELLS // (cols * rows)
     replicas = MAX_DRAWN_CELLS // (spec.source_cols * spec.source_rows)
     assert _spec(iterations=iterations, replicas=replicas).iterations == iterations
+    with pytest.raises(ConfigError) as err:
+        _spec(iterations=iterations + 1)
+    assert err.value.key == "iterations"
     for key, value in (("iterations", iterations), ("replicas", replicas)):
         (tmp_path / "run.json").write_text(json.dumps({**CONFIG, key: value}))
         assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == 0
-        with pytest.raises(ConfigError) as err:
-            _spec(**{key: value + 1})
-        assert err.value.key == key
+        (tmp_path / "run.json").write_text(json.dumps({**CONFIG, key: value + 1}))
+        assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == 2
     # not through simulate_distribution, which would start the run if its check let this by
     with pytest.raises(ParameterError) as err:
-        check_drawn_cells(spec, "sim", replicas + 1)
+        check_drawn_cells("replicas", replicas + 1, (spec.source_cols, spec.source_rows))
     assert err.value.field == "replicas"
-
-
-def test_a_long_ma_field_validates_at_the_default_counts():
-    """1e8 source columns at the default 1e5 replicas: 1e13 cells, under the limit."""
-    config = RunConfig.from_mapping({
-        "transform": "ma", "ma_coeffs": [0.3, 0.1, 0.5], "distribution": "gaussian",
-        "mean": 0.0, "variance": 1.0, "source_cols": 100_000_000, "source_rows": 1,
-        "m1": 20, "m2": 1, "thresholds": [13, 15], "seed": 3,
-    })
-    assert config.replicas * config.source_cols <= MAX_DRAWN_CELLS
 
 
 @pytest.mark.parametrize("threads", [1, 2])
