@@ -5,8 +5,12 @@ Each derived value is a fixed function of the configuration matrix, the
 index the site; the transform's weight matrix is the only holder of that
 window.  The catalog transforms
 (minesweeper neighbour count, moving-average dot product, identity) are all
-linear, given by a weight matrix, so the batched code path runs as a
-handful of shifted adds on one flat 1-D layout of the whole stack.
+linear, given by a weight matrix.  This module holds the transforms and the
+kernel's tools: the dtype bound ``narrow_int``, the reused work arrays
+``Buffers`` and ``run_passes``; the kernel itself, from source cells
+through the transform's shifted adds to window sums, is
+``scan.window_sums_batch`` (``window_sums_batch(source, t, 1, 1)`` is the
+block factor alone).
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import inspect
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import GeometryError, ParameterError, check_real
 
@@ -99,7 +102,7 @@ class Buffers:
     another name is taken lets the two share memory, and ``taken`` records
     the most bytes taken per name after that mapping.  Contents are not
     kept: the next take of a name may overwrite what the last one handed
-    out.  ``scratch0`` and ``scratch1`` hold temporaries of one layer call
+    out.  ``scratch0`` and ``scratch1`` hold temporaries of one kernel call
     only.  Not thread-safe: give each worker its own.  A fresh
     ``Buffers()`` hands out fresh arrays.
     """
@@ -132,129 +135,6 @@ def run_passes(ops: list) -> None:
     """Run recorded ``(function, args, kwargs)`` passes in order."""
     for fn, args, kwargs in ops:
         fn(*args, **kwargs)
-
-
-def _flat_kernel(
-    arr: np.ndarray, out_rows: int, out_cols: int, kernel, buffers: Buffers, name: str,
-    dtype, ops: list,
-) -> np.ndarray:
-    """Record a shift kernel on the flat layout of ``arr`` and view its result.
-
-    ``arr`` is read as one 1-D run ``flat`` over its memory with row step
-    ``R`` and column step ``C``, its strides in items: element
-    ``(..., r, c)`` is ``flat[lead + r * R + c * C]``, so a shift by
-    ``(s, t)`` is the offset ``s * R + t * C``.  The 1-D ``dtype`` array
-    ``lanes`` is taken under ``name`` and ``kernel(flat, R, C, lanes, ops)``
-    appends to ``ops`` the passes that write into each ``lanes[k]`` the
-    result anchored at ``flat[k]``; lanes that wrap across a row (or, in a
-    replicas-first stack, a replica) are computed but never read.  The
-    valid ``(..., out_rows, out_cols)`` lanes come back as a view of
-    ``lanes`` with the input's steps that ends at its last element.  An
-    input with a stride that is not a positive multiple of the item size
-    is copied first into the array taken under ``name + ".input"``, by a
-    recorded ``np.copyto``, so every run copies the input as it is then.
-    ``lanes`` must not overlap ``arr``, unless every pass that reads ``arr``
-    comes before the first that writes ``lanes``.
-    """
-    out_shape = arr.shape[:-2] + (out_rows, out_cols)
-    if arr.size == 0:
-        return buffers.take(name, 0, dtype).reshape(out_shape)
-    size = arr.itemsize
-    if any(n > 1 and (st <= 0 or st % size) for n, st in zip(arr.shape, arr.strides)):
-        copy = buffers.take(name + ".input", arr.size, arr.dtype).reshape(arr.shape)
-        ops.append((np.copyto, (copy, arr), {}))
-        arr = copy
-    steps = [st // size if n > 1 else 0 for n, st in zip(arr.shape, arr.strides)]
-    span = 1 + sum((n - 1) * step for n, step in zip(arr.shape, steps))
-    rows, cols = arr.shape[-2:]
-    row_step, col_step = steps[-2:]
-    length = span - (rows - out_rows) * row_step - (cols - out_cols) * col_step
-    flat = as_strided(arr, shape=(span,), strides=(size,), writeable=False)
-    lanes = buffers.take(name, length, dtype)
-    kernel(flat, row_step, col_step, lanes, ops)
-    strides = [step * lanes.itemsize for step in steps]
-    return np.ndarray(out_shape, dtype=lanes.dtype, buffer=lanes, strides=strides)
-
-
-def apply_block_factor_batch(
-    source: np.ndarray,
-    transform: BlockFactorTransform,
-    *,
-    bound: int | None = None,
-    buffers: Buffers | None = None,
-    ops: list | None = None,
-) -> np.ndarray:
-    """Vectorised transform of a ``(..., rows, cols)`` stack of source lattices.
-
-    The result is ``(..., rows - c2 + 1, cols - c1 + 1)``, the lattice size
-    read off ``source.shape`` (``BlockFactorTransform.derived_shape``).  A
-    linear transform is a sum of shifted sources: on the flat layout of
-    ``_flat_kernel`` each shifted add is one contiguous 1-D ufunc over the
-    whole stack, written in place into the ``blockfactor`` array of
-    ``buffers`` (weighted terms go through ``scratch0``), and the result is
-    a strided view of it.  Without ``buffers`` those arrays are fresh; with
-    them the result is overwritten by the next call on the same
-    ``buffers``.  Without ``ops`` the passes run before the call returns;
-    with it they are appended to it as ``(function, args, kwargs)`` triples
-    and none runs (``run_passes`` runs them), so the result holds values
-    only once they have run, and every run reads ``source`` as it is then.
-    Each replica's values depend on its own source only.
-    Integer and bool sources with integer weights accumulate in
-    ``narrow_int(source.dtype, sum|w|, bound)``; ``bound`` is an exact bound
-    on ``|source|`` that the caller knows (the pipeline passes the
-    distribution's ``cell_bound`` for Bernoulli and binomial, and none for
-    Poisson, whose ``cell_bound`` is only a tail bound), so minesweeper
-    over Bernoulli cells is int8.  A ``bound`` that some value passes makes
-    the sums wrap.  Everything else is float64.  The values are exact, but
-    the narrow dtype can overflow in later arithmetic (``out * out`` on
-    int8), so widen first.
-    """
-    if source.ndim < 2:
-        raise GeometryError(f"source shape {source.shape} has no (rows, cols) axes")
-    out_rows, out_cols = transform.derived_shape(*source.shape[-2:])
-    buffers = Buffers() if buffers is None else buffers
-    passes = [] if ops is None else ops
-    # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
-    kernel = transform.weights[::-1, :]
-    if np.issubdtype(kernel.dtype, np.integer):
-        dtype = narrow_int(source.dtype, np.abs(kernel).sum(), bound)
-    else:
-        dtype = np.dtype(np.float64)
-    arr = source
-    if source.dtype == np.bool_ and dtype == np.int8:
-        # the same bytes, 0 or 1: int8 adds then need no cast of their input
-        arr = source.view(np.int8)
-
-    def shifted_sum(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
-        first = True
-        for s in range(transform.c2):
-            for t in range(transform.c1):
-                w = kernel[s, t]
-                if w == 0:
-                    continue
-                start = s * row_step + t * col_step
-                view = flat[start : start + out.size]
-                if first:
-                    if w == 1:
-                        ops.append((np.copyto, (out, view), {"casting": "unsafe"}))
-                    else:
-                        ops.append((np.multiply, (view, w), {"out": out, "dtype": dtype}))
-                    first = False
-                elif w == 1:
-                    ops.append((np.add, (out, view), {"out": out}))
-                else:
-                    scratch = buffers.take("scratch0", out.size, dtype)
-                    ops.append((np.multiply, (view, w), {"out": scratch, "dtype": dtype}))
-                    ops.append((np.add, (out, scratch), {"out": out}))
-        if first:
-            ops.append((out.fill, (0,), {}))
-
-    out = _flat_kernel(
-        arr, out_rows, out_cols, shifted_sum, buffers, "blockfactor", dtype, passes
-    )
-    if ops is None:
-        run_passes(passes)
-    return out
 
 
 def minesweeper_transform() -> BlockFactorTransform:

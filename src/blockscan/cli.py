@@ -81,11 +81,15 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "RunConfig":
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             try:
                 raw = json.load(handle, parse_constant=_reject_constant)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
+            except ConfigError:
+                raise
+            except (ValueError, RecursionError) as exc:
+                # not UTF-8, not JSON, an integer past Python's digit limit, or nested past
+                # the stack
+                raise ConfigError("<file>", f"{path} is not a readable JSON config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("<file>", "config must be a JSON object")
         return cls.from_mapping(raw, overrides)
@@ -195,7 +199,7 @@ def _write_table(
     lines.append("# columns: " + "\t".join(columns))
     for n, *values in rows:
         lines.append("\t".join([_fmt_threshold(n)] + [_fmt(value, raw) for value in values]))
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -251,25 +255,28 @@ def read_table(path: str) -> tuple[list[str], list[str], list[dict]]:
     line above it (so none before it), each empty (``None``) or a number.
     """
     metadata, columns, rows = [], [], []
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                metadata.append(line)
-                if line.startswith("# columns: "):
-                    columns = line[len("# columns: ") :].split("\t")
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(columns):
-                raise AlignmentError(
-                    f"{path} line {number}: {len(cells)} cells under {len(columns)} columns"
-                )
-            try:
-                rows.append({n: None if c == "" else float(c) for n, c in zip(columns, cells)})
-            except ValueError:
-                raise AlignmentError(f"{path} line {number}: a cell is not a number") from None
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise AlignmentError(f"{path}: not UTF-8 text: {exc}") from None
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            metadata.append(line)
+            if line.startswith("# columns: "):
+                columns = line[len("# columns: ") :].split("\t")
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(columns):
+            raise AlignmentError(
+                f"{path} line {number}: {len(cells)} cells under {len(columns)} columns"
+            )
+        try:
+            rows.append({n: None if c == "" else float(c) for n, c in zip(columns, cells)})
+        except ValueError:
+            raise AlignmentError(f"{path} line {number}: a cell is not a number") from None
     return metadata, columns, rows
 
 

@@ -69,7 +69,10 @@ class ValidityError(BlockScanError, ArithmeticError):
 
 
 class AlignmentError(BlockScanError, ValueError):
-    """A table lacks a column or number it is read for, or paired tables differ in thresholds."""
+    """A table is not UTF-8 text or lacks a column or number it is read for.
+
+    Or paired tables differ in thresholds.
+    """
 
 
 class ConfigError(BlockScanError, ValueError):

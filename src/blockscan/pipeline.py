@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockfactor import (
-    BlockFactorTransform,
-    Buffers,
-    apply_block_factor_batch,
-    run_passes,
-)
+from .blockfactor import BlockFactorTransform, Buffers, run_passes
 from .errors import GeometryError, OrderingError, ParameterError, check_integer, check_real
 from .fields import MarginalDistribution, SeedSpec
 from .haiman import (
@@ -82,12 +77,14 @@ class ExperimentSpec:
             if not self.one_dimensional and getattr(self, side) < 2:
                 raise GeometryError("two-dimensional scans require m1 >= 2 and m2 >= 2", field=side)
         # integer weights keep the sums exact in int64; past it they would wrap
-        top = self.value_bounds(self.distribution.cell_bound)[1]
-        if top is not None and top > np.iinfo(np.int64).max:
-            raise ParameterError(
-                f"window sums of {self.distribution.kind} cells can reach {top}, past int64",
-                field="trials" if self.distribution.kind == "binomial" else "mean",
-            )
+        cell, weights = self.distribution.cell_bound, self.transform.weights
+        if cell is not None and np.issubdtype(weights.dtype, np.integer):
+            top = cell * int(np.abs(weights).sum()) * self.m1 * self.m2
+            if top > np.iinfo(np.int64).max:
+                raise ParameterError(
+                    f"window sums of {self.distribution.kind} cells can reach {top}, past int64",
+                    field="trials" if self.distribution.kind == "binomial" else "mean",
+                )
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1", field="iterations")
         check_real("confidence_z", self.confidence_z)
@@ -118,18 +115,6 @@ class ExperimentSpec:
                 "source height must cover at least three block units", field="source_rows"
             )
         check_drawn_cells("iterations", self.iterations, _field_dims(self, "quv"))
-
-    def value_bounds(self, cell: int | None) -> tuple[int | None, int | None]:
-        """Bounds on ``|value|`` of a block-factor value and a window sum, given ``|cell| <= cell``.
-
-        ``cell * sum|w|`` and that times ``m1 * m2``; ``(None, None)`` without
-        a cell bound or under weights that are not integers, whose sums are
-        float64.
-        """
-        if cell is None or not np.issubdtype(self.transform.weights.dtype, np.integer):
-            return None, None
-        derived = cell * int(np.abs(self.transform.weights).sum())
-        return derived, derived * self.m1 * self.m2
 
     @property
     def one_dimensional(self) -> bool:
@@ -307,7 +292,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     bytes of the marginal's dtype, so the chunk partition, and with it the
     stream, depends on the model only.  Each chunk is drawn in one
     ``sample`` call into a ``(rows, cols, replicas)`` block and then goes
-    through the kernels in one pass.  The kernels take its replica-minor
+    through the kernels in one pass.  They take its replica-minor
     view ``(replicas, rows, cols)``: no flat lane wraps across a replica,
     and the maxima, compares and counts run over contiguous replica
     vectors.  Every pass after the draw, from the block factor to the
@@ -318,20 +303,21 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     Each worker keeps its chunk's source and temporaries in one block of
     ``Buffers``, laid out by one recording at a full chunk on fresh arrays,
     which runs no pass; those arrays are freed before any worker places its
-    block.  The window sums write into slots that are dead by then
-    (``Buffers.shared``): the row pass over the source, which the block
-    factor has read, and the column pass over the block factor, which the
-    row pass has read; a one-row window has no column pass, and its sums go
-    over the source.  So a chunk's passes stay in L2 on the benchmark
-    configs, unless one field alone passes the budget.  One block, not one
+    block.  The window sums write into slots that are dead by then: the
+    row pass over the source, which the block factor has read
+    (``Buffers.shared``), and the column pass over the block factor, which
+    the row pass has read (``window_sums_batch``); a one-row window has no
+    column pass, and its sums go over the source.  So a chunk's passes stay
+    in L2 on the benchmark configs, unless one field alone passes the
+    budget.  One block, not one
     allocation per temporary: glibc trims its heap once the free memory at
     the top exceeds twice the largest block it has mapped and freed, so
     separate temporaries, all freed as this call ends, would be faulted in
     again by the next call, while one freed block stays under that bound.
-    Integer sums are as narrow as an exact bound on the data allows
-    (``ExperimentSpec.value_bounds`` of the Bernoulli or binomial
-    ``cell_bound``); a Poisson source keeps its dtype's bound, because its
-    ``cell_bound`` is a ``2**-64`` tail bound that a cell may pass.
+    Integer sums are as narrow as an exact bound on the data allows (the
+    Bernoulli or binomial ``cell_bound``, passed to ``window_sums_batch``);
+    a Poisson source keeps its dtype's bound, because its ``cell_bound`` is
+    a ``2**-64`` tail bound that a cell may pass.
     """
     threads = 1 if threads is None else threads
     check_integer("threads", threads, minimum=1)
@@ -340,19 +326,14 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         empty = np.empty((len(extents), 0))
         return thr, empty, empty
     cols, rows = _field_dims(spec, task)
-    m1, m2 = spec.m1, spec.m2
     dist = spec.distribution
     chunk = chunk_layout(spec, task, total)[0]
     cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
-    derived_bound = spec.value_bounds(cell_bound)[0]
-    if m2 == 1:
-        shared = {"scan.sums": "source"}
-    else:
-        shared = {"scan.across": "source", "scan.sums": "blockfactor"}
 
     def slots(layout=None) -> Buffers:
         buffers = Buffers(layout)
-        buffers.shared = shared
+        # the row pass reads the block factor only, so the source is dead by then
+        buffers.shared = {"scan.rows": "source"}
         return buffers
 
     def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
@@ -364,10 +345,10 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         is taken from ``buffers``.
         """
         block = buffers.take("source", count * rows * cols, dist.dtype).reshape(rows, cols, count)
-        derived = apply_block_factor_batch(
-            np.moveaxis(block, -1, 0), spec.transform, bound=cell_bound, buffers=buffers, ops=ops
+        sums = window_sums_batch(
+            np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2,
+            bound=cell_bound, buffers=buffers, ops=ops,
         )
-        sums = window_sums_batch(derived, m1, m2, bound=derived_bound, buffers=buffers, ops=ops)
         # tile axes first, so every pass below runs over the replicas
         lead = np.moveaxis(tile_maxima(sums, *tile, buffers=buffers, ops=ops), 0, -1)
         for i in range(1, lead.shape[0]):

@@ -1,16 +1,17 @@
-"""Moving-window sums and scan maxima by doubling running sums.
+"""The one kernel from source cells to window sums, and the tile maxima of those sums.
 
-A window sum is separable: width-``m1`` running sums along each row, then
+A linear block factor and a window sum compose into one linear filter of
+the i.i.d. source, recorded by ``window_sums_batch`` on one flat 1-D layout
+of the whole stack: the transform's shifted adds, then the window sum,
+which is separable: width-``m1`` running sums along each row, then
 height-``m2`` running sums of those along each column.  Each running sum is
 built by doubling, adding shifted copies of blocks of width 1, 2, 4, ...
 and combining the blocks named by the set bits of ``m``, so a window of
-side ``m`` costs O(log m) array passes and no prefix sums.  The passes run
-on the flat 1-D layout the block-factor kernel uses, so each is one
-contiguous array operation over a whole stack of fields.  Integer fields
-sum exactly in the narrowest integer dtype their dtype, or a tighter bound
-the caller knows, allows;
-floating-point fields sum in float64, each result a short tree of at most
-``m1 * m2`` terms.
+side ``m`` costs O(log m) array passes and no prefix sums.  Every pass is
+one contiguous array operation over the whole stack.  Integer sources under
+integer weights sum exactly in the narrowest integer dtype that their dtype,
+or a tighter bound the caller knows, allows; everything else sums in
+float64, each result a short tree of terms.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .blockfactor import Buffers, _flat_kernel, narrow_int, run_passes
+from .blockfactor import BlockFactorTransform, Buffers, narrow_int, run_passes
 from .errors import GeometryError
 
 
@@ -67,7 +68,8 @@ def _running_sums(
 
 
 def window_sums_batch(
-    arr: np.ndarray,
+    source: np.ndarray,
+    transform: BlockFactorTransform,
     m1: int,
     m2: int,
     *,
@@ -75,53 +77,121 @@ def window_sums_batch(
     buffers: Buffers | None = None,
     ops: list | None = None,
 ) -> np.ndarray:
-    """Window sums over the trailing two axes of ``arr`` for an m1 x m2 window.
+    """Every ``m1 x m2`` window sum of the block factor of a ``(..., rows, cols)`` source stack.
 
-    Running sums along rows (offset 1) and then along columns (offset the
-    row step) run on the flat layout of ``blockfactor._flat_kernel``, each
-    doubling step one contiguous 1-D ufunc over the whole stack.  The row
-    pass writes into the ``scan.across`` array of ``buffers`` and the
-    column pass into ``scan.sums``, of which the result is a strided view;
-    a one-row window (``m2 == 1``) has only the row pass, into ``scan.sums``.
-    Without ``buffers`` these arrays are fresh, with them the result is
-    overwritten by the next call on the same ``buffers``.  ``arr`` must not
-    be a view of ``scan.across``, nor of ``scan.sums`` when ``m2 == 1``; it
-    may be a view of ``scan.sums`` otherwise, because the column pass reads
-    only the row pass's sums (the pipeline lays ``scan.sums`` over the
-    block factor this way, see ``Buffers.shared``).  ``ops`` records the
-    passes instead of running them, as in ``apply_block_factor_batch``.
-    Each field's sums depend on that field only.  Integer and boolean
-    inputs give ``narrow_int(arr.dtype, m1 * m2, bound)``, where
-    ``bound`` is an exact bound on ``|arr|`` that the caller knows (the
-    pipeline passes ``cell_bound * sum|w|`` of the block factor for
-    Bernoulli and binomial sources, see ``ExperimentSpec.value_bounds``);
-    without it the dtype's bound, e.g. 3x3 sums of an int8 field are
-    int16, and with the minesweeper bound 8 int8.  A ``bound`` that some
-    value passes makes the sums wrap.  The values are exact, but the dtype
-    can overflow in later arithmetic, so widen before it.  Floating-point
-    inputs give float64.
+    The block factor and the window sums are one linear filter of the
+    source.  The result is ``(..., rows - c2 - m2 + 2, cols - c1 - m1 + 2)``,
+    the derived lattice read off ``source.shape``
+    (``BlockFactorTransform.derived_shape``) less each window side but one;
+    ``window_sums_batch(source, t, 1, 1)`` is the block factor alone, and
+    ``identity_transform()`` sums the source itself.
+
+    ``source`` is read as one 1-D run ``flat`` over its memory with row step
+    ``R`` and column step ``C``, its strides in items: element ``(..., r,
+    c)`` is ``flat[lead + r * R + c * C]``, so a shift by ``(s, t)`` is the
+    offset ``s * R + t * C`` and every pass is one contiguous 1-D ufunc over
+    the whole stack.  Lane ``k`` of each pass holds the result anchored at
+    ``flat[k]``; lanes that wrap across a row (or, in a replicas-first
+    stack, a replica) are computed but never read.  A source with a stride
+    that is not a positive multiple of its item size is first copied into
+    the ``input`` array of ``buffers`` by a recorded ``np.copyto``.
+
+    The passes, on the same ``R`` and ``C``: the transform's shifted adds
+    into ``blockfactor`` (weighted terms through ``scratch0``), width-``m1``
+    running sums along the rows into ``scan.rows``, and height-``m2``
+    running sums of those along the columns back into ``blockfactor``,
+    which the row pass has read.  A side of 1 has no pass: each pass writes
+    the one of the two slots that it does not read, and the result is a
+    strided view of the last one written.  The slots are arrays of
+    ``buffers`` (fresh without it), so the next call on the same
+    ``buffers`` overwrites the result; ``scan.rows`` may share the source's
+    memory, which only the shifted adds read (the pipeline's
+    ``Buffers.shared``).  Given ``ops``, the passes are appended to it as
+    ``(function, args, kwargs)`` triples and none runs: ``run_passes`` runs
+    them, and every run reads ``source`` as it is then.  Without it they
+    run before the call returns.  Each replica's sums depend on its own
+    source only.
+
+    Integer and bool sources under integer weights give exact sums: the
+    block factor in ``narrow_int(source.dtype, sum|w|, bound)`` and the
+    window sums in ``narrow_int(source.dtype, sum|w| * m1 * m2, bound)``,
+    where ``bound`` is an exact bound on ``|source|`` that the caller knows
+    (the pipeline passes the distribution's ``cell_bound`` for Bernoulli
+    and binomial, and none for Poisson, whose ``cell_bound`` is only a tail
+    bound); so minesweeper sums of Bernoulli cells over 3x3 windows are
+    int8.  A ``bound`` that some value passes makes the sums wrap.  The
+    values are exact, but the narrow dtype can overflow in later arithmetic
+    (``out * out`` on int8), so widen first.  Everything else sums in
+    float64, each result a short tree of shifted terms.
     """
-    rows, cols = arr.shape[-2:]
+    if source.ndim < 2:
+        raise GeometryError(f"source shape {source.shape} has no (rows, cols) axes")
+    rows, cols = transform.derived_shape(*source.shape[-2:])
     if not (1 <= m1 <= cols and 1 <= m2 <= rows):
-        raise GeometryError(
-            f"window {m1}x{m2} does not fit in {cols}x{rows} field"
-        )
+        raise GeometryError(f"window {m1}x{m2} does not fit in {cols}x{rows} field")
     buffers = Buffers() if buffers is None else buffers
     passes = [] if ops is None else ops
-    dtype = narrow_int(arr.dtype, m1 * m2, bound)
+    # derived[j, i] = sum_{s, t} weights[c2-1-s, t] * source[j+s, i+t]
+    kernel = transform.weights[::-1, :]
+    if np.issubdtype(kernel.dtype, np.integer):
+        gain = int(np.abs(kernel).sum())
+        derived_dtype = narrow_int(source.dtype, gain, bound)
+        dtype = narrow_int(source.dtype, gain * m1 * m2, bound)
+    else:
+        derived_dtype = dtype = np.dtype(np.float64)
+    out_shape = source.shape[:-2] + (rows - m2 + 1, cols - m1 + 1)
+    if source.size == 0:
+        return buffers.take("blockfactor", 0, dtype).reshape(out_shape)
+    arr = source
+    if arr.dtype == np.bool_ and derived_dtype == np.int8:
+        # the same bytes, 0 or 1: int8 adds then need no cast of their input
+        arr = arr.view(np.int8)
+    size = arr.itemsize
+    if any(n > 1 and (st <= 0 or st % size) for n, st in zip(arr.shape, arr.strides)):
+        copy = buffers.take("input", arr.size, arr.dtype).reshape(arr.shape)
+        passes.append((np.copyto, (copy, arr), {}))
+        arr = copy
+    steps = [st // size if n > 1 else 0 for n, st in zip(arr.shape, arr.strides)]
+    span = 1 + sum((n - 1) * step for n, step in zip(arr.shape, steps))
+    row_step, col_step = steps[-2:]
+    flat = as_strided(arr, shape=(span,), strides=(size,), writeable=False)
 
-    def sums(flat: np.ndarray, row_step: int, col_step: int, out: np.ndarray, ops: list):
-        if m2 == 1:
-            _running_sums(flat, m1, col_step, out, buffers, ops)
-        else:
-            across = buffers.take("scan.across", out.size + (m2 - 1) * row_step, dtype)
-            _running_sums(flat, m1, col_step, across, buffers, ops)
-            _running_sums(across, m2, row_step, out, buffers, ops)
+    length = span - (transform.c2 - 1) * row_step - (transform.c1 - 1) * col_step
+    values = buffers.take("blockfactor", length, derived_dtype)
+    first = True
+    for s in range(transform.c2):
+        for t in range(transform.c1):
+            w = kernel[s, t]
+            if w == 0:
+                continue
+            start = s * row_step + t * col_step
+            view = flat[start : start + length]
+            if first:
+                if w == 1:
+                    passes.append((np.copyto, (values, view), {"casting": "unsafe"}))
+                else:
+                    passes.append((np.multiply, (view, w), {"out": values, "dtype": derived_dtype}))
+                first = False
+            elif w == 1:
+                passes.append((np.add, (values, view), {"out": values}))
+            else:
+                scratch = buffers.take("scratch0", length, derived_dtype)
+                passes.append((np.multiply, (view, w), {"out": scratch, "dtype": derived_dtype}))
+                passes.append((np.add, (values, scratch), {"out": values}))
+    if first:
+        passes.append((values.fill, (0,), {}))
 
-    out = _flat_kernel(arr, rows - m2 + 1, cols - m1 + 1, sums, buffers, "scan.sums", dtype, passes)
+    slot = "blockfactor"
+    for m, step in ((m1, col_step), (m2, row_step)):
+        if m > 1:
+            slot = "scan.rows" if slot == "blockfactor" else "blockfactor"
+            sums = buffers.take(slot, values.size - (m - 1) * step, dtype)
+            _running_sums(values, m, step, sums, buffers, passes)
+            values = sums
     if ops is None:
         run_passes(passes)
-    return out
+    strides = [step * values.itemsize for step in steps]
+    return np.ndarray(out_shape, dtype=values.dtype, buffer=values, strides=strides)
 
 
 def tile_maxima(
@@ -138,7 +208,7 @@ def tile_maxima(
     left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``, a
     view of the ``scan.tiles`` array of ``buffers`` (fresh without them);
     ``ops`` records the passes instead of running them, as in
-    ``apply_block_factor_batch``.  The
+    ``window_sums_batch``.  The
     view ``(grid_rows, tile_rows, grid_cols, tile_cols, ...)`` of ``arr``,
     built from its strides so that it never copies, is reduced over the
     tile rows into a band in ``scratch0``, whose inner runs are whole rows

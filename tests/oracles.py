@@ -16,7 +16,7 @@ def configuration_matrix(values: np.ndarray, i: int, j: int, transform) -> np.nd
     """The ``c2 x c1`` window of source ``values`` whose first column is ``i`` and lowest row ``j``.
 
     The window's derived value is ``derived[j - 1, i - 1]`` of
-    ``apply_block_factor_batch``.  Row ``k`` of the matrix holds source row
+    ``window_sums_batch(values, transform, 1, 1)``.  Row ``k`` of the matrix holds source row
     ``j + c2 - 1 - k``, so matrix rows run top-down in lattice coordinates.
     A site outside the derived field raises ``IndexError``.
     """

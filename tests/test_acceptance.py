@@ -21,6 +21,7 @@ from blockscan import (
     approximant_H_with_flag,
     approximate,
     catalog_transform,
+    identity_transform,
     ma_transform,
     minesweeper_transform,
     simulate_distribution,
@@ -28,7 +29,6 @@ from blockscan import (
     theorem1_constants,
     error_factor_F,
 )
-from blockscan.blockfactor import apply_block_factor_batch
 from blockscan.cli import RunConfig, write_approx_table
 from blockscan.scan import window_sums_batch
 
@@ -155,7 +155,7 @@ def test_criterion_4_oracle_equivalence(capsys):
         fields += 1
         for m1 in range(1, cols + 1):
             for m2 in range(1, rows + 1):
-                fast = window_sums_batch(values, m1, m2)
+                fast = window_sums_batch(values, identity_transform(), m1, m2)
                 assert np.array_equal(fast, brute_moving_sums(values, m1, m2)), (
                     f"mismatch at {cols}x{rows}, window {m1}x{m2}"
                 )
@@ -234,14 +234,14 @@ def test_criterion_7_dependence_locality(capsys):
     transform = minesweeper_transform()
     rng = SeedSpec(77).generator()
     source = (rng.random((count, 20, 20)) < 0.4).astype(np.int8)
-    derived = apply_block_factor_batch(source, transform)
-    sums = window_sums_batch(derived, 3, 3)
+    derived = window_sums_batch(source, transform, 1, 1)
+    sums = window_sums_batch(source, transform, 3, 3)
     block = 4  # m2 + c2 - 2
     span = 4 * block  # anchors within the exact-multiple range
     for k in range(1, 5):
         full = sums[:, (k - 1) * block : k * block, :span].max(axis=(1, 2))
         slab_src = source[:, (k - 1) * block : (k + 1) * block, :]
-        slab_sums = window_sums_batch(apply_block_factor_batch(slab_src, transform), 3, 3)
+        slab_sums = window_sums_batch(slab_src, transform, 3, 3)
         slab = slab_sums[:, :, :span].max(axis=(1, 2))
         assert np.array_equal(full, slab), f"slab mismatch at k={k}"
     # each derived value is a function of its own c2 x c1 source sub-block only
@@ -291,8 +291,7 @@ def test_criterion_9_moving_average_moments(capsys):
     length = 60
     rng = SeedSpec(55).generator()
     source = rng.normal(0.0, 1.0, (replicas, 1, length))
-    derived = apply_block_factor_batch(source, ma_transform((0.3, 0.1, 0.5)))
-    Y = window_sums_batch(derived, 20, 1)[:, 0, :]
+    Y = window_sums_batch(source, ma_transform((0.3, 0.1, 0.5)), 20, 1)[:, 0, :]
     c0 = theory.variance
     col = Y[:, 0]
     assert abs(col.mean() - theory.mean) <= 5.0 * math.sqrt(c0 / replicas)

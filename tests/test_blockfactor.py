@@ -13,8 +13,9 @@ from blockscan import (
     ma_transform,
     minesweeper_transform,
 )
-from blockscan.blockfactor import TRANSFORM_CATALOG, Buffers, apply_block_factor_batch, narrow_int
+from blockscan.blockfactor import TRANSFORM_CATALOG, Buffers, narrow_int
 from blockscan.errors import GeometryError, ParameterError
+from blockscan.scan import window_sums_batch
 
 from oracles import block_factor_value, configuration_matrix
 
@@ -65,21 +66,21 @@ def test_geometry_validation():
 
 def test_identity_transform_reproduces_source():
     field = MarginalDistribution.poisson(2.0).sample(SeedSpec(3).generator(), (5, 7))
-    out = apply_block_factor_batch(field, identity_transform())
+    out = window_sums_batch(field, identity_transform(), 1, 1)
     assert np.array_equal(out, field)
 
 
 def test_minesweeper_all_ones_gives_eight():
     field = np.ones((6, 6), dtype=np.int64)
-    out = apply_block_factor_batch(field, minesweeper_transform())
+    out = window_sums_batch(field, minesweeper_transform(), 1, 1)
     assert out.shape == (4, 4)
     assert np.all(out == 8)
 
 
 def test_minesweeper_zeros_and_diagonal():
-    zeros = apply_block_factor_batch(np.zeros((5, 5), dtype=np.int64), minesweeper_transform())
+    zeros = window_sums_batch(np.zeros((5, 5), dtype=np.int64), minesweeper_transform(), 1, 1)
     assert np.all(zeros == 0)
-    diag = apply_block_factor_batch(np.eye(5, dtype=np.int64), minesweeper_transform())
+    diag = window_sums_batch(np.eye(5, dtype=np.int64), minesweeper_transform(), 1, 1)
     # interior diagonal cells see exactly the two diagonal neighbours
     assert diag[1, 1] == 2
 
@@ -87,7 +88,7 @@ def test_minesweeper_zeros_and_diagonal():
 def test_minesweeper_single_mine_neighbourhood():
     src = np.zeros((6, 6), dtype=np.int64)
     src[2, 3] = 1
-    out = apply_block_factor_batch(src, minesweeper_transform())
+    out = window_sums_batch(src, minesweeper_transform(), 1, 1)
     expected = np.zeros((4, 4), dtype=np.int64)
     for jj in range(4):
         for ii in range(4):
@@ -99,13 +100,13 @@ def test_minesweeper_single_mine_neighbourhood():
 def test_ma_transform_is_forward_convolution():
     t = ma_transform((0.3, 0.1, 0.5))
     src = np.array([[1.0, 2.0, 3.0, 4.0]])
-    out = apply_block_factor_batch(src, t)[0]
+    out = window_sums_batch(src, t, 1, 1)[0]
     assert out == pytest.approx([0.3 * 1 + 0.1 * 2 + 0.5 * 3, 0.3 * 2 + 0.1 * 3 + 0.5 * 4])
 
 
 def test_ma_transform_constant_input():
     t = ma_transform((0.3, 0.1, 0.5))
-    out = apply_block_factor_batch(np.ones((1, 10)), t)
+    out = window_sums_batch(np.ones((1, 10)), t, 1, 1)
     assert np.allclose(out, 0.9)
 
 
@@ -114,7 +115,7 @@ def test_ma_output_variance_matches_coefficients():
     coeffs = (0.3, 0.1, 0.5)
     n = 100_000
     src = MarginalDistribution.gaussian(0.0, 1.0).sample(SeedSpec(21).generator(), (1, n + 2))
-    out = apply_block_factor_batch(src, ma_transform(coeffs))
+    out = window_sums_batch(src, ma_transform(coeffs), 1, 1)
     target = sum(a * a for a in coeffs)
     assert abs(out.var() - target) < 0.01
 
@@ -131,7 +132,7 @@ def test_batch_matches_per_site_evaluation():
     rng = np.random.default_rng(77)
     src = rng.integers(0, 5, size=(7, 8)).astype(np.int64)
     for transform in (minesweeper_transform(), ma_transform((0.5, -1.0, 2.0))):
-        batch = apply_block_factor_batch(src, transform)
+        batch = window_sums_batch(src, transform, 1, 1)
         for jj in range(batch.shape[0]):
             for ii in range(batch.shape[1]):
                 matrix = configuration_matrix(src, ii + 1, jj + 1, transform)
@@ -145,7 +146,7 @@ def test_configuration_matrix_oracle_matches_the_kernel_for_every_catalog_transf
     transform = catalog_transform(name, **({"coeffs": [0.3, -0.1, 0.5]} if name == "ma" else {}))
     rng = np.random.default_rng(5)
     src = rng.integers(-3, 4, size=(2, 6, 9)).astype(np.int64)
-    batch = apply_block_factor_batch(src, transform)
+    batch = window_sums_batch(src, transform, 1, 1)
     assert batch.shape == (2, 7 - transform.c2, 10 - transform.c1)
     for b in range(2):
         for jj in range(batch.shape[1]):
@@ -160,13 +161,13 @@ def test_derived_values_depend_only_on_their_window():
     rng = np.random.default_rng(123)
     t = minesweeper_transform()
     base = rng.integers(0, 2, size=(8, 8)).astype(np.int64)
-    out = apply_block_factor_batch(base, t)
+    out = window_sums_batch(base, t, 1, 1)
     jj, ii = 2, 3
     perturbed = base.copy()
     mask = np.ones((8, 8), dtype=bool)
     mask[jj : jj + 3, ii : ii + 3] = False
     perturbed[mask] = 1 - perturbed[mask]
-    out2 = apply_block_factor_batch(perturbed, t)
+    out2 = window_sums_batch(perturbed, t, 1, 1)
     assert out[jj, ii] == out2[jj, ii]
 
 
@@ -175,7 +176,7 @@ def test_minesweeper_marginal_is_binomial():
     reps = 20_000
     rng = SeedSpec(31).generator()
     src = MarginalDistribution.bernoulli(p).sample(rng, (reps, 6, 6))
-    derived = apply_block_factor_batch(src, minesweeper_transform())
+    derived = window_sums_batch(src, minesweeper_transform(), 1, 1)
     for site in ((0, 0), (3, 3)):
         observed = np.bincount(derived[:, site[0], site[1]], minlength=9)
         expected = stats.binom.pmf(np.arange(9), 8, p) * reps
@@ -184,7 +185,7 @@ def test_minesweeper_marginal_is_binomial():
 
 def test_batch_shape_and_window_mismatch_raise():
     with pytest.raises(GeometryError):
-        apply_block_factor_batch(np.zeros(6), identity_transform())
+        window_sums_batch(np.zeros(6), identity_transform(), 1, 1)
     cases = (
         (np.zeros((2, 5, 2)), minesweeper_transform(), "source_cols"),
         (np.zeros((2, 2, 5)), minesweeper_transform(), "source_rows"),
@@ -192,10 +193,10 @@ def test_batch_shape_and_window_mismatch_raise():
     )
     for source, transform, field in cases:
         with pytest.raises(GeometryError) as err:
-            apply_block_factor_batch(source, transform)
+            window_sums_batch(source, transform, 1, 1)
         assert err.value.field == field
     # a window as large as the source leaves one derived value
-    assert apply_block_factor_batch(np.ones((3, 3)), minesweeper_transform()).shape == (1, 1)
+    assert window_sums_batch(np.ones((3, 3)), minesweeper_transform(), 1, 1).shape == (1, 1)
 
 
 def test_catalog_lookup():
@@ -243,11 +244,11 @@ def test_linear_batch_dtype_holds_int8_extremes():
         weights = np.array([[64, 64], [64, total - 192]], dtype=np.int64)
         t = BlockFactorTransform(name="wide", weights=weights)
         for fill in (-128, 127):
-            out = apply_block_factor_batch(np.full((2, 4, 4), fill, dtype=np.int8), t)
+            out = window_sums_batch(np.full((2, 4, 4), fill, dtype=np.int8), t, 1, 1)
             assert out.dtype == dtype
             assert np.all(out == fill * total)
-    minesweeper = apply_block_factor_batch(
-        np.ones((2, 5, 5), dtype=np.int8), minesweeper_transform()
+    minesweeper = window_sums_batch(
+        np.ones((2, 5, 5), dtype=np.int8), minesweeper_transform(), 1, 1
     )
     assert minesweeper.dtype == np.int16 and np.all(minesweeper == 8)
 

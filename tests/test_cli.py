@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -334,6 +335,38 @@ def test_validate_config_reports_errors(tmp_path, capsys):
     assert main(["validate-config", "-c", str(bad_json)]) == 2
 
 
+_UNREADABLE_CONFIGS = {
+    # a UTF-16 byte-order mark
+    "utf-16": b"\xff\xfe{}",
+    # a Latin-1 byte inside a string
+    "latin-1": json.dumps(BASE_CONFIG).replace("bernoulli", "bernoull\xed").encode("latin-1"),
+    "deep-arrays": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": pytest.param(
+        b'{"seed": ' + b"7" * 5000 + b"}",
+        marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "content", list(_UNREADABLE_CONFIGS.values()), ids=list(_UNREADABLE_CONFIGS)
+)
+@pytest.mark.parametrize("command", ["validate-config", "approximate", "simulate"])
+def test_an_unreadable_config_exits_with_code_2_naming_the_file(tmp_path, capsys, command, content):
+    """Not UTF-8, nested past the stack, or an integer past Python's digit limit: no traceback."""
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    argv = [command, "-c", str(path)]
+    if command != "validate-config":
+        argv += ["-o", str(tmp_path / "out.tsv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key '<file>': ") and str(path) in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["-c", "--approx", "--sim"])
 def test_missing_input_file_exits_with_code_2(tmp_path, capsys, flag):
     missing = str(tmp_path / "missing.json")
@@ -514,7 +547,7 @@ def test_plotdata_threshold_mismatch_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--approx", "--sim"])
-@pytest.mark.parametrize("table", ["no-columns", "wrong-columns", "non-numeric"])
+@pytest.mark.parametrize("table", ["no-columns", "wrong-columns", "non-numeric", "not-utf8"])
 def test_plotdata_rejects_a_table_it_cannot_read(tmp_path, capsys, flag, table):
     config_path = _write_config(tmp_path)
     approx_out, sim_out = tmp_path / "approx.tsv", tmp_path / "sim.tsv"
@@ -527,6 +560,9 @@ def test_plotdata_rejects_a_table_it_cannot_read(tmp_path, capsys, flag, table):
     elif table == "wrong-columns":
         # a simulate table has no approx column, an approximate table no sim column
         bad.write_bytes((sim_out if flag == "--approx" else approx_out).read_bytes())
+    elif table == "not-utf8":
+        # a Latin-1 byte in the header
+        bad.write_bytes(good.read_bytes().replace(b"# blockscan", b"# \xe9 blockscan", 1))
     else:
         lines = good.read_text().splitlines()
         cells = lines[-1].split("\t")

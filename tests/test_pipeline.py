@@ -779,10 +779,9 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     for k, size in enumerate(drawn):
         rng = SeedSpec(spec.seed, pipeline._stream_id(task, k)).generator()
         block = spec.distribution.sample(rng, size)
-        derived = blockfactor.apply_block_factor_batch(
-            np.moveaxis(block, -1, 0), spec.transform
+        sums = pipeline.window_sums_batch(
+            np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2
         )
-        sums = pipeline.window_sums_batch(derived, spec.m1, spec.m2)
         for idx, (v_ext, u_ext) in enumerate(extents):
             maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
             expected[idx] += (maxima[:, None] <= thr[None, :]).sum(axis=0)
@@ -807,11 +806,9 @@ def test_integer_maxima_meet_any_threshold_like_a_float_compare():
     rng = SeedSpec(spec.seed, pipeline._stream_id("quv", 0)).generator()
     block = spec.distribution.sample(rng, (rows, cols, 2000))
     # the pipeline's bounds: int8 sums, whose ends the outer thresholds pass
-    derived = blockfactor.apply_block_factor_batch(
-        np.moveaxis(block, -1, 0), spec.transform, bound=1
+    sums = pipeline.window_sums_batch(
+        np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2, bound=1
     )
-    bound = spec.value_bounds(1)[0]
-    sums = pipeline.window_sums_batch(derived, spec.m1, spec.m2, bound=bound)
     maxima = sums[:, : 2 * spec.block2, : 2 * spec.block1].max(axis=(1, 2))
     assert maxima.dtype == np.int8
     expected = [int(np.sum(maxima.astype(np.float64) <= n)) for n in thresholds]
@@ -821,16 +818,20 @@ def test_integer_maxima_meet_any_threshold_like_a_float_compare():
 
 
 def _sum_dtypes(monkeypatch):
-    """Record the dtype of every block factor and window sum the pipeline computes."""
+    """Record the dtype of every block factor and window sum the pipeline computes.
+
+    The block factor's is that of the same kernel call with a 1x1 window.
+    """
     seen = {"blockfactor": set(), "sums": set()}
-    for name, key in (("apply_block_factor_batch", "blockfactor"), ("window_sums_batch", "sums")):
+    fn = pipeline.window_sums_batch
 
-        def recording(*args, fn=getattr(pipeline, name), key=key, **kwargs):
-            out = fn(*args, **kwargs)
-            seen[key].add(out.dtype)
-            return out
+    def recording(source, transform, m1, m2, **kwargs):
+        seen["blockfactor"].add(fn(source, transform, 1, 1, bound=kwargs["bound"]).dtype)
+        out = fn(source, transform, m1, m2, **kwargs)
+        seen["sums"].add(out.dtype)
+        return out
 
-        monkeypatch.setattr(pipeline, name, recording)
+    monkeypatch.setattr(pipeline, "window_sums_batch", recording)
     return seen
 
 
@@ -854,7 +855,8 @@ def test_window_sums_are_sized_by_the_exact_cell_bound(
         _minesweeper_spec(cols=14, rows=14), distribution=distribution,
         thresholds=(top - 1.0, float(top)),
     )
-    assert spec.value_bounds(distribution.cell_bound) == (top // 9, top)
+    # 8 neighbours per value, 9 values per window
+    assert distribution.cell_bound * 8 * spec.m1 * spec.m2 == top
     assert [row.prob for row in simulate_distribution(spec, replicas=300)] == [0.0, 1.0]
     assert [(rec.q22, rec.q33) for rec in estimate_quv(spec)] == [(0.0, 0.0), (1.0, 1.0)]
     assert seen == {"blockfactor": {np.dtype(derived)}, "sums": {np.dtype(sums)}}
@@ -880,11 +882,9 @@ def _owner(array):
     return array
 
 
-_KERNELS = {
-    "apply_block_factor_batch": "blockfactor",
-    "window_sums_batch": "scan.sums",
-    "tile_maxima": "scan.tiles",
-}
+_KERNELS = {"window_sums_batch": "sums", "tile_maxima": "scan.tiles"}
+# the slots the passes write, as the kernels and the compares name them
+_SLOTS = ("blockfactor", "scan.rows", "below")
 
 
 def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
@@ -898,7 +898,7 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
 
     def taking(self, name, size, dtype):
         out = take(self, name, size, dtype)
-        if name == "below":
+        if name in _SLOTS:
             results.setdefault(name, []).append(out)
         return out
 
@@ -920,22 +920,28 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     # the kernels run only while a plan records, each result replicas-first:
     # once at a full chunk on fresh arrays to lay out the block, then on the
     # worker's block for the full chunks and for the last
-    for layer in ("blockfactor", "scan.sums", "scan.tiles", "below"):
+    for layer in ("sums", "scan.tiles", "below"):
         # the compares take one flat bool per extent (4), threshold (2) and replica
         replicas = [out.size // 8 if layer == "below" else len(out) for out in results[layer]]
         assert replicas == [3640, 3640, 1800]
-        del results[layer][0]
+    # the block factor's slot is taken twice per recording: by its shifted
+    # adds and by the column pass
+    assert [len(results[name]) for name in _SLOTS] == [6, 3, 3]
+    for layer, arrays in results.items():
+        if layer != "source":
+            del arrays[: len(arrays) // 3]
     first = {layer: arrays[0] for layer, arrays in results.items()}
     for arrays in results.values():
         assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])
-    # one block holds them all; the window sums lie over the block factor,
-    # which the row pass has read by then, and no other two overlap
+    # one block holds them all; the row pass lies over the source and the
+    # window sums over the block factor, each read by then, and no other
+    # two overlap
     assert len({id(_owner(a)) for arrays in results.values() for a in arrays}) == 1
     overlapping = {
         frozenset((a, b)) for a in first for b in first
         if a != b and np.shares_memory(first[a], first[b])
     }
-    assert overlapping == {frozenset(("blockfactor", "scan.sums"))}
+    assert overlapping == {frozenset(("blockfactor", "sums")), frozenset(("scan.rows", "source"))}
 
 
 def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
@@ -958,11 +964,68 @@ def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
     assert [(name, count) for name, count, _ in recorded] == [
         (name, count) for count in (3640, 3640, 1800) for name in _KERNELS
     ]
+    k = len(_KERNELS)
     for plan in range(3):
-        assert all(ops is recorded[3 * plan][2] for _, _, ops in recorded[3 * plan : 3 * plan + 3])
+        assert all(ops is recorded[k * plan][2] for _, _, ops in recorded[k * plan : k * plan + k])
     # each chunk runs its shape's recorded plan, and nothing else
-    assert [ops is recorded[3][2] for ops in runs] == [True] * 5 + [False]
-    assert runs[5] is recorded[6][2]
+    assert [ops is recorded[k][2] for ops in runs] == [True] * 5 + [False]
+    assert runs[5] is recorded[2 * k][2]
+
+
+def _pass_name(fn) -> str:
+    """``add``, ``maximum.reduce``, ``copyto``: a recorded pass's function by name."""
+    owner = getattr(fn, "__self__", None)
+    return f"{owner.__name__}.{fn.__name__}" if isinstance(owner, np.ufunc) else fn.__name__
+
+
+# the benchmark configs: 44x44 minesweeper over Bernoulli(0.1), and MA(2)
+# over 1002 Gaussian cells; the counts give each call a short last chunk
+_SPARSE = dataclasses.replace(
+    _minesweeper_spec(cols=44, rows=44, thresholds=(31, 32, 33)),
+    distribution=MarginalDistribution.bernoulli(0.1),
+)
+_BENCHMARK_CALLS = {
+    "quv-sparse": lambda: estimate_quv(dataclasses.replace(_SPARSE, iterations=4000)),
+    "quv-ma": lambda: estimate_quv(
+        dataclasses.replace(_ma_spec(), source_cols=1002, thresholds=(13.0, 15.0, 17.0),
+                            iterations=1100)
+    ),
+    "sim-sparse": lambda: simulate_distribution(_SPARSE, replicas=300),
+}
+# 3x3 minesweeper: the first of its 8 unit weights copied, 7 added; 3x3
+# windows: a width-2 doubling and one add per side
+_MINESWEEPER_SUMS = ["copyto"] + ["add"] * 7 + ["add", "add"] * 2
+_BENCHMARK_PLANS = {
+    # 2 x 2 tiles: maxima over tile rows, then tile columns; running maxima
+    # down and across; one compare
+    "quv-sparse": _MINESWEEPER_SUMS + ["maximum.reduce"] * 2 + ["maximum"] * 2 + ["less_equal"],
+    # 3 weighted terms, each but the first through a scratch multiply; a
+    # width-20 row pass: doublings to 4 and 8, the 4-block copied out before
+    # the doubling to 16 overwrites it, then 16 added; one row of 1 x 2 tiles
+    "quv-ma": ["multiply", "multiply", "add", "multiply", "add"]
+    + ["add", "add", "add", "copyto", "add", "add"]
+    + ["maximum.reduce", "maximum", "less_equal"],
+    # one tile, the whole field: no running maxima
+    "sim-sparse": _MINESWEEPER_SUMS + ["maximum.reduce"] * 2 + ["less_equal"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_BENCHMARK_CALLS))
+def test_each_benchmark_chunk_plan_runs_its_pinned_passes(workload, monkeypatch):
+    """No pass is added to, or dropped from, a chunk on the benchmark configs.
+
+    Both plans of a call, for its full chunks and its last, run the same
+    passes in the same order.
+    """
+    plans, run_passes = [], pipeline.run_passes
+
+    def recording(ops):
+        plans.append([_pass_name(fn) for fn, _, _ in ops])
+        run_passes(ops)
+
+    monkeypatch.setattr(pipeline, "run_passes", recording)
+    _BENCHMARK_CALLS[workload]()
+    assert plans == [_BENCHMARK_PLANS[workload]] * 2
 
 
 class _Kept(pipeline.Buffers):
@@ -984,19 +1047,17 @@ def test_the_kernels_read_each_drawn_chunk_in_place(spec, monkeypatch):
     monkeypatch.setattr(pipeline, "Buffers", _Kept)
     monkeypatch.setattr(blockfactor, "Buffers", _Kept)
     steps = []
-    apply = pipeline.apply_block_factor_batch
+    kernel = pipeline.window_sums_batch
 
     def recording(source, *args, **kwargs):
         steps.append(source.strides[0] / source.itemsize)
-        return apply(source, *args, **kwargs)
+        return kernel(source, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "apply_block_factor_batch", recording)
+    monkeypatch.setattr(pipeline, "window_sums_batch", recording)
     estimate_quv(spec, threads=2)
     simulate_distribution(spec, replicas=3000, threads=2)
     assert set(steps) == {1}
-    assert _Kept.made and all(
-        not name.endswith(".input") for buffers in _Kept.made for name in buffers.taken
-    )
+    assert _Kept.made and all("input" not in buffers.taken for buffers in _Kept.made)
 
 
 class _FreshJunk(pipeline.Buffers):

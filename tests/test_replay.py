@@ -17,11 +17,12 @@ from blockscan import (
     MarginalDistribution,
     SeedSpec,
     estimate_quv,
+    identity_transform,
     minesweeper_transform,
     simulate_distribution,
 )
 from blockscan import pipeline
-from blockscan.blockfactor import Buffers, apply_block_factor_batch, run_passes
+from blockscan.blockfactor import Buffers, run_passes
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
 
@@ -43,10 +44,12 @@ LAYOUTS = {
 }
 
 KERNELS = {
-    "blockfactor": partial(apply_block_factor_batch, transform=minesweeper_transform()),
-    "blockfactor-weighted": partial(apply_block_factor_batch, transform=WEIGHTED),
-    "window-sums": partial(window_sums_batch, m1=3, m2=2),
-    "row-sums": partial(window_sums_batch, m1=5, m2=1),
+    "blockfactor": partial(window_sums_batch, transform=minesweeper_transform(), m1=1, m2=1),
+    "blockfactor-weighted": partial(window_sums_batch, transform=WEIGHTED, m1=1, m2=1),
+    "filter": partial(window_sums_batch, transform=WEIGHTED, m1=3, m2=2),
+    "window-sums": partial(window_sums_batch, transform=identity_transform(), m1=3, m2=2),
+    "row-sums": partial(window_sums_batch, transform=identity_transform(), m1=5, m2=1),
+    "column-sums": partial(window_sums_batch, transform=identity_transform(), m1=1, m2=4),
     "tile-maxima": partial(tile_maxima, tile_rows=2, tile_cols=3),
     "row-tiles": partial(tile_maxima, tile_rows=1, tile_cols=3),
     "one-tile": partial(tile_maxima, tile_rows=9, tile_cols=9),
@@ -73,8 +76,10 @@ def test_a_replay_reads_an_input_overwritten_in_place(kernel, layout):
 ORACLES = {
     "blockfactor": partial(per_site_block_factor, transform=minesweeper_transform()),
     "blockfactor-weighted": partial(per_site_block_factor, transform=WEIGHTED),
+    "filter": lambda field: brute_moving_sums(per_site_block_factor(field, WEIGHTED), 3, 2),
     "window-sums": partial(brute_moving_sums, m1=3, m2=2),
     "row-sums": partial(brute_moving_sums, m1=5, m2=1),
+    "column-sums": partial(brute_moving_sums, m1=1, m2=4),
     "tile-maxima": partial(per_tile_maxima, tile_rows=2, tile_cols=3),
     "row-tiles": partial(per_tile_maxima, tile_rows=1, tile_cols=3),
     "one-tile": partial(per_tile_maxima, tile_rows=9, tile_cols=9),
@@ -89,7 +94,7 @@ def test_a_replica_minor_stack_is_read_in_place(kernel):
     buffers = Buffers()
     for _ in range(2):
         out = KERNELS[kernel](stack, buffers=buffers)
-        assert not [name for name in buffers.taken if name.endswith(".input")]
+        assert "input" not in buffers.taken
         assert out.strides[0] == out.itemsize
         for index in range(len(stack)):
             assert np.array_equal(out[index], ORACLES[kernel](stack[index]))
@@ -116,15 +121,17 @@ def test_tile_maxima_leave_out_ragged_edges(layout):
 
 BAD_CALLS = {
     "blockfactor": (
-        partial(apply_block_factor_batch, transform=minesweeper_transform()),
-        # a window one column wider than the source
+        KERNELS["blockfactor"],
+        # a transform one column wider than the source
         partial(
-            apply_block_factor_batch,
+            window_sums_batch, m1=1, m2=1,
             transform=BlockFactorTransform(name="wide", weights=np.ones((3, 10), dtype=np.int64)),
         ),
     ),
     "window-sums": (
-        partial(window_sums_batch, m1=3, m2=3), partial(window_sums_batch, m1=10, m2=3)
+        # a window one column wider than the block factor
+        partial(window_sums_batch, transform=minesweeper_transform(), m1=3, m2=3),
+        partial(window_sums_batch, transform=minesweeper_transform(), m1=8, m2=3),
     ),
     "tile-maxima": (
         partial(tile_maxima, tile_rows=2, tile_cols=2),
@@ -173,15 +180,14 @@ def test_recording_runs_no_pass(kernel):
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_a_recorded_chunk_plan_reruns_on_an_overwritten_block(layout):
-    """Three kernels recorded into one plan: each run equals fresh kernels on the block as it is then."""
+    """Both kernels recorded into one plan: each run equals fresh kernels on the block as it is."""
     holder = np.empty((3, 9, 9), dtype=np.int8)
     view = LAYOUTS[layout](holder)
     transform = minesweeper_transform()
 
     def kernels(source, **kwargs):
-        derived = apply_block_factor_batch(source, transform, **kwargs)
-        sums = window_sums_batch(derived, 3, 2, **kwargs)
-        return derived, sums, tile_maxima(sums, 2, 3, **kwargs)
+        sums = window_sums_batch(source, transform, 3, 2, **kwargs)
+        return sums, tile_maxima(sums, 2, 3, **kwargs)
 
     ops = []
     plan = kernels(view, buffers=_Junk(), ops=ops)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from blockscan import BlockFactorTransform, MarginalDistribution, SeedSpec
 from blockscan.blockfactor import (
     Buffers,
-    apply_block_factor_batch,
+    identity_transform,
+    ma_transform,
     minesweeper_transform,
     narrow_int,
 )
@@ -15,10 +16,13 @@ from blockscan.scan import tile_maxima, window_sums_batch
 
 from oracles import brute_moving_sums, brute_scan_statistic, per_site_block_factor
 
+# sums of a plain field: its identity block factor is the field itself
+IDENTITY = identity_transform()
+
 
 def test_constant_field_sums():
     field = np.full((6, 9), 4, dtype=np.int64)
-    sums = window_sums_batch(field, 3, 2)
+    sums = window_sums_batch(field, IDENTITY, 3, 2)
     assert sums.shape == (5, 7)
     assert np.all(sums == 3 * 2 * 4)
     assert sums.max() == 24
@@ -32,7 +36,7 @@ def test_prefix_sums_match_brute_force_on_random_integer_fields():
         values = rng.integers(-5, 11, size=(rows, cols)).astype(np.int64)
         m1 = int(rng.integers(1, cols + 1))
         m2 = int(rng.integers(1, rows + 1))
-        fast = window_sums_batch(values, m1, m2)
+        fast = window_sums_batch(values, IDENTITY, m1, m2)
         assert fast.dtype == np.int64
         assert np.array_equal(fast, brute_moving_sums(values, m1, m2))
 
@@ -40,21 +44,21 @@ def test_prefix_sums_match_brute_force_on_random_integer_fields():
 def test_prefix_sums_match_brute_force_on_float_fields():
     rng = np.random.default_rng(202)
     values = rng.normal(0.0, 10.0, size=(40, 50))
-    fast = window_sums_batch(values, 7, 5)
+    fast = window_sums_batch(values, IDENTITY, 7, 5)
     slow = brute_moving_sums(values, 7, 5)
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-9)
 
 
 def test_scan_statistic_matches_brute_force():
     field = MarginalDistribution.poisson(2.0).sample(SeedSpec(8).generator(), (9, 12))
-    assert window_sums_batch(field, 3, 2).max() == brute_scan_statistic(field, 3, 2)
+    assert window_sums_batch(field, IDENTITY, 3, 2).max() == brute_scan_statistic(field, 3, 2)
 
 
 def test_translation_shifts_sums_by_window_area():
     rng = np.random.default_rng(9)
     values = rng.integers(0, 5, size=(8, 8)).astype(np.int64)
-    base = window_sums_batch(values, 3, 3)
-    shifted = window_sums_batch(values + 7, 3, 3)
+    base = window_sums_batch(values, IDENTITY, 3, 3)
+    shifted = window_sums_batch(values + 7, IDENTITY, 3, 3)
     assert np.array_equal(shifted, base + 9 * 7)
 
 
@@ -64,23 +68,23 @@ def test_scan_statistic_monotone_in_field_values():
     s0 = brute_scan_statistic(values, 3, 3)
     bumped = values.copy()
     bumped[4, 6] += 3
-    assert window_sums_batch(bumped, 3, 3).max() >= s0
+    assert window_sums_batch(bumped, IDENTITY, 3, 3).max() >= s0
 
 
 def test_window_must_fit():
     values = np.zeros((4, 4), dtype=np.int64)
     with pytest.raises(GeometryError):
-        window_sums_batch(values, 5, 1)
+        window_sums_batch(values, IDENTITY, 5, 1)
     with pytest.raises(GeometryError):
-        window_sums_batch(values, 1, 0)
+        window_sums_batch(values, IDENTITY, 1, 0)
 
 
 def test_batched_axis_matches_per_field():
     rng = np.random.default_rng(42)
     stack = rng.integers(0, 4, size=(5, 6, 7)).astype(np.int64)
-    batched = window_sums_batch(stack, 3, 2)
+    batched = window_sums_batch(stack, IDENTITY, 3, 2)
     for b in range(5):
-        assert np.array_equal(batched[b], window_sums_batch(stack[b], 3, 2))
+        assert np.array_equal(batched[b], window_sums_batch(stack[b], IDENTITY, 3, 2))
 
 
 @st.composite
@@ -125,7 +129,7 @@ def _linear_kernel_cases(draw):
 def test_linear_kernel_matches_per_site_oracle(case):
     """Window sums of the batched block factor equal brute force over per-site transforms."""
     source, transform, m1, m2 = case
-    fast = window_sums_batch(apply_block_factor_batch(source, transform), m1, m2)
+    fast = window_sums_batch(source, transform, m1, m2)
     integer_source = np.issubdtype(source.dtype, np.integer) or source.dtype == np.bool_
     exact = integer_source and np.issubdtype(transform.weights.dtype, np.integer)
     assert np.issubdtype(fast.dtype, np.integer) if exact else fast.dtype == np.float64
@@ -144,38 +148,42 @@ def test_float_sums_do_not_need_extended_precision():
     rng = np.random.default_rng(303)
     values = rng.normal(1e6, 1.0, size=(40, 50))
     for m1, m2 in ((7, 5), (20, 1), (1, 16), (50, 40)):
-        fast = window_sums_batch(values, m1, m2)
+        fast = window_sums_batch(values, IDENTITY, m1, m2)
         slow = brute_moving_sums(values, m1, m2)
         assert fast.dtype == np.float64
         assert np.max(np.abs(fast - slow) / np.abs(slow)) <= 1e-12
-    assert window_sums_batch(values.astype(np.float32), 3, 3).dtype == np.float64
+    assert window_sums_batch(values.astype(np.float32), IDENTITY, 3, 3).dtype == np.float64
 
 
 def test_integer_sums_use_the_narrow_dtype_bound():
     # 3x3 sums of an int16 field fit int32, of an int8 field int16, of a bool field int8
-    assert window_sums_batch(np.full((2, 6, 6), 8, dtype=np.int16), 3, 3).dtype == np.int32
-    assert window_sums_batch(np.ones((6, 6), dtype=np.bool_), 3, 3).dtype == np.int8
+    int16 = np.full((2, 6, 6), 8, dtype=np.int16)
+    assert window_sums_batch(int16, IDENTITY, 3, 3).dtype == np.int32
+    assert window_sums_batch(np.ones((6, 6), dtype=np.bool_), IDENTITY, 3, 3).dtype == np.int8
     extreme = np.full((9, 9), -(2**15), dtype=np.int16)
-    sums = window_sums_batch(extreme, 9, 9)
+    sums = window_sums_batch(extreme, IDENTITY, 9, 9)
     assert sums.dtype == np.int32 and sums.item() == -(2**15) * 81
     single = np.arange(12, dtype=np.int8).reshape(3, 4)
-    ones = window_sums_batch(single, 1, 1)
+    ones = window_sums_batch(single, IDENTITY, 1, 1)
     assert ones.dtype == np.int16 and np.array_equal(ones, single)
     assert not np.shares_memory(ones, single)
 
 
 def test_minesweeper_sums_of_bernoulli_cells_are_int8_up_to_72():
-    """With the exact bounds, 1 per cell and 8 per count, all-ones 3x3 sums are 72 in int8."""
+    """All-ones cells under the exact bound of 1: minesweeper counts 8 and 3x3 sums 72, in int8."""
     ones = np.ones((3, 8, 9), dtype=np.bool_)
-    derived = apply_block_factor_batch(ones, minesweeper_transform(), bound=1)
+    derived = window_sums_batch(ones, minesweeper_transform(), 1, 1, bound=1)
     assert derived.dtype == np.int8 and np.all(derived == 8)
-    sums = window_sums_batch(derived, 3, 3, bound=8)
+    sums = window_sums_batch(ones, minesweeper_transform(), 3, 3, bound=1)
     assert sums.dtype == np.int8 and sums.shape == (3, 4, 5) and np.all(sums == 72)
-    # without the bound the int8 counts could be 127 each, so their sums are int16
-    assert window_sums_batch(derived, 3, 3).dtype == np.int16
+    # a bool source bounds its cells by 1 without being told
+    assert window_sums_batch(ones, minesweeper_transform(), 3, 3).dtype == np.int8
+    # an int8 field of counts could hold 127 each, so its 3x3 sums are int16
+    counts = window_sums_batch(derived, IDENTITY, 3, 3)
+    assert counts.dtype == np.int16 and np.array_equal(counts, sums)
     # a binomial count held in int64 narrows by its trials
     held = np.full((2, 8, 9), 16, dtype=np.int64)
-    derived = apply_block_factor_batch(held, minesweeper_transform(), bound=16)
+    derived = window_sums_batch(held, minesweeper_transform(), 1, 1, bound=16)
     assert derived.dtype == np.int16 and np.all(derived == 128)
 
 
@@ -195,7 +203,7 @@ def test_sums_under_an_exact_bound_match_brute_force(bound, m1, m2, fill, seed):
         values = rng.integers(-bound, bound + 1, size=shape, dtype=np.int64)
     else:
         values = np.full(shape, -bound if fill == "min" else bound, dtype=np.int64)
-    sums = window_sums_batch(values, m1, m2, bound=bound)
+    sums = window_sums_batch(values, IDENTITY, m1, m2, bound=bound)
     assert sums.dtype == narrow_int(np.int64, m1 * m2, bound)
     for b in range(shape[0]):
         assert np.array_equal(sums[b], brute_moving_sums(values[b], m1, m2))
@@ -217,31 +225,39 @@ _LAYOUTS = {
 }
 
 
+# dyadic float weights keep the float sums exact
+_TRANSFORMS = {
+    "drawn": BlockFactorTransform(name="drawn", weights=np.array([[1, -2, 0], [3, 1, 1]])),
+    "minesweeper": minesweeper_transform(),
+    "ma": ma_transform((0.5, -1.0, 2.0)),
+    "identity": IDENTITY,
+}
+
+
 @pytest.mark.parametrize("layout", list(_LAYOUTS))
 @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.float64])
 def test_flat_kernel_handles_any_input_layout(layout, dtype):
-    """Block factor and window sums equal the per-site and brute oracles in every layout."""
+    """Every catalog transform and a weighted one, alone and under windows, in every layout.
+
+    Each result equals the brute window sums of the per-site block factor;
+    under the identity those are the window sums of the raw field.
+    """
     rng = np.random.default_rng(77)
     stack = rng.integers(-3, 4, size=(3, 7, 8))
     stack = (stack > 0) if dtype == np.bool_ else stack.astype(dtype)
     source = _LAYOUTS[layout](stack)
-    weights = np.array([[1, -2, 0], [3, 1, 1]], dtype=np.int64)
-    transform = BlockFactorTransform(name="drawn", weights=weights)
-    derived = apply_block_factor_batch(source, transform)
-    sums = window_sums_batch(derived, 3, 2)
-    raw_sums = window_sums_batch(source, 4, 3)
-    assert derived.shape == source.shape[:-2] + (6, 6)
-    assert sums.shape == source.shape[:-2] + (5, 4)
-    assert raw_sums.shape == source.shape[:-2] + (5, 5)
-    for out in (derived, sums, raw_sums):
-        assert not np.shares_memory(out, source)
-        # no two elements of a result share memory either
-        assert all(st > 0 for n, st in zip(out.shape, out.strides) if n > 1)
-    for index in np.ndindex(source.shape[:-2]):
-        expected = per_site_block_factor(source[index], transform)
-        assert np.array_equal(derived[index], expected)
-        assert np.array_equal(sums[index], brute_moving_sums(expected, 3, 2))
-        assert np.array_equal(raw_sums[index], brute_moving_sums(source[index], 4, 3))
+    for transform in _TRANSFORMS.values():
+        rows, cols = transform.derived_shape(7, 8)
+        for m1, m2 in ((1, 1), (3, 2), (4, 3), (1, rows), (cols, 1)):
+            out = window_sums_batch(source, transform, m1, m2)
+            assert out.shape == source.shape[:-2] + (rows - m2 + 1, cols - m1 + 1)
+            assert not np.shares_memory(out, source)
+            # no two elements of a result share memory either
+            assert all(st > 0 for n, st in zip(out.shape, out.strides) if n > 1)
+            for index in np.ndindex(source.shape[:-2]):
+                derived = per_site_block_factor(source[index], transform)
+                expected = brute_moving_sums(derived, m1, m2)
+                assert np.array_equal(out[index], expected), (transform.name, m1, m2)
 
 
 def test_tile_maxima_match_per_tile_maxima():
@@ -281,12 +297,13 @@ def test_kernels_reusing_buffers_equal_fresh_arrays():
         source = (stack > 1) if m % 3 == 0 else stack.astype(np.int8 if m % 3 == 1 else np.float64)
         weights = kernels[m % 3]
         transform = BlockFactorTransform(name="drawn", weights=weights)
-        derived = apply_block_factor_batch(source, transform, buffers=buffers)
-        fresh = apply_block_factor_batch(source, transform)
+        derived = window_sums_batch(source, transform, 1, 1, buffers=buffers)
+        fresh = window_sums_batch(source, transform, 1, 1)
         assert derived.dtype == fresh.dtype and np.array_equal(derived, fresh)
         m1, m2 = m, 21 - m
-        sums = window_sums_batch(derived, m1, m2, buffers=buffers)
-        assert sums.dtype == window_sums_batch(fresh, m1, m2).dtype
+        sums = window_sums_batch(source, transform, m1, m2, buffers=buffers)
+        fresh_sums = window_sums_batch(source, transform, m1, m2)
+        assert sums.dtype == fresh_sums.dtype and np.array_equal(sums, fresh_sums)
         for index in np.ndindex(2):
             assert np.array_equal(sums[index], brute_moving_sums(fresh[index], m1, m2))
         tiles = tile_maxima(sums, 1, 2, buffers=buffers)
