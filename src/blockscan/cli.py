@@ -21,6 +21,7 @@ from .blockfactor import catalog_transform
 from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError, check_integer
 from .fields import STREAM_MAP, MarginalDistribution
 from .pipeline import (
+    DEFAULT_REPLICAS,
     ApproxRow,
     ExperimentSpec,
     SimRow,
@@ -55,10 +56,10 @@ class RunConfig:
     mean: float | None = None
     variance: float | None = None
     m2: int = 1
-    iterations: int = 100_000
-    replicas: int = 100_000
-    seed: int = 0
-    confidence_z: float = 1.96
+    iterations: int = ExperimentSpec.iterations
+    replicas: int = DEFAULT_REPLICAS
+    seed: int = ExperimentSpec.seed
+    confidence_z: float = ExperimentSpec.confidence_z
     threads: int | None = None
 
     @classmethod

@@ -23,12 +23,16 @@ _WORDS = struct.Struct("<3Q")
 # the largest binomial trials and Poisson mean NumPy draws from
 _INT64_MAX = (1 << 63) - 1
 _POISSON_MEAN_MAX = float(_INT64_MAX - math.sqrt(_INT64_MAX) * 10)
-# how a seed and a stream id become draws, and a chunk's draws its cells, as
-# output tables name it: a seed draws other tables under another map
+# how a call's chunk becomes draws, and its draws cells, as output tables
+# name it: a seed draws other tables under another map
 STREAM_MAP = (
-    "SFC64 (a, b, c = BLAKE2b-192(seed, stream), counter 1, 12 words skipped); "
-    "chunk cells in (row, col, replica) order; "
-    "Bernoulli cells byte < top, then extra successes at geometric gaps"
+    "chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the UTF-8 text "
+    "'<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and "
+    "stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian words, "
+    "counter 1, 12 words skipped; chunk cells in (row, col, replica) order; "
+    "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
+    "little-endian bytes, then extra successes at geometric gaps; for p > 1/2 the same draw "
+    "at 2**53 - cut gives the failures"
 )
 
 
@@ -36,9 +40,12 @@ STREAM_MAP = (
 class SeedSpec:
     """A (master seed, stream id) pair mapping to one SFC64 stream.
 
-    The map is pure: identical pairs give identical streams.  Both numbers
-    are taken modulo ``2**64`` and written as 8 little-endian bytes each;
-    the 24-byte BLAKE2b digest of those 16 bytes, read as three
+    The map is pure: identical pairs give identical streams.  ``for_chunk``
+    gives chunk ``k`` of a ``task`` call its stream id: the 8-byte BLAKE2b
+    digest (``digest_size=8``, not the head of a longer digest) of the
+    UTF-8 text ``"<task>:<k>"``, read little-endian.  The seed and the
+    stream id are each taken modulo ``2**64`` and written as 8 little-endian
+    bytes; the 24-byte BLAKE2b digest of those 16 bytes, read as three
     little-endian 64-bit words, is SFC64's ``(a, b, c)``, its fourth word
     is a counter that starts at 1, and the first 12 outputs are skipped, as
     NumPy's own SFC64 seeding does with the words of a ``SeedSequence``.
@@ -59,6 +66,12 @@ class SeedSpec:
 
     master_seed: int
     stream_id: int = 0
+
+    @classmethod
+    def for_chunk(cls, seed: int, task: str, k: int) -> "SeedSpec":
+        """The pair that chunk ``k`` of a ``task`` call (``quv`` or ``sim``) draws from."""
+        digest = hashlib.blake2b(f"{task}:{k}".encode(), digest_size=8).digest()
+        return cls(seed, int.from_bytes(digest, "little"))
 
     def reseed(self, bit_generator: np.random.SFC64) -> None:
         digest = hashlib.blake2b(

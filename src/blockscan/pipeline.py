@@ -8,7 +8,6 @@ scan and the non-multiple-size interpolation live here as well.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, replace
@@ -37,6 +36,8 @@ _CHUNK_BYTES = 512 * 1024
 # 2-core Xeon, NumPy 2.4.6), so a count that no run could finish is rejected
 # before any work starts
 MAX_DRAWN_CELLS = 10**14
+# the replicas a simulation draws unless told otherwise
+DEFAULT_REPLICAS = 100_000
 
 
 @dataclass(frozen=True)
@@ -197,11 +198,6 @@ def quv_field_dims(u: int, v: int, spec: ExperimentSpec) -> tuple[int, int]:
     return u * spec.block1, max(1, v * spec.block2)
 
 
-def _stream_id(task: str, index: int) -> int:
-    digest = hashlib.blake2b(f"{task}:{index}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 def _chunk_size(replica_bytes: int) -> int:
     """Replicas per chunk: 512 KiB of source fields of ``replica_bytes``, 1 to 8192 of them."""
     return max(1, min(8192, _CHUNK_BYTES // max(replica_bytes, 1)))
@@ -248,7 +244,7 @@ def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, thread
     Worker ``w`` of ``W`` (``_worker_count``) runs chunks
     ``[w * n // W, (w + 1) * n // W)`` of the ``n`` in order, in one thread,
     with one ``Generator`` of its own: before chunk ``k`` it reseeds that
-    generator's SFC64 to the stream ``SeedSpec(seed, _stream_id(task, k))``
+    generator's SFC64 to the stream ``SeedSpec.for_chunk(seed, task, k)``
     (``SeedSpec.reseed``), then calls ``chunk_eval(state, rng, count)``
     with a dict ``state`` of its own: empty at its first chunk and kept to
     its last, so what a worker keeps there is never shared.  The chunk
@@ -261,7 +257,7 @@ def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, thread
     def run(w: int):
         state, tally, rng = {}, 0, SeedSpec(seed).generator()
         for k in range(w * n_chunks // workers, (w + 1) * n_chunks // workers):
-            SeedSpec(seed, _stream_id(task, k)).reseed(rng.bit_generator)
+            SeedSpec.for_chunk(seed, task, k).reseed(rng.bit_generator)
             tally += chunk_eval(state, rng, min(chunk, total - k * chunk))
         return tally
 
@@ -583,7 +579,7 @@ def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[Approx
 
 
 def simulate_distribution(
-    spec: ExperimentSpec, replicas: int = 100_000, threads: int | None = None
+    spec: ExperimentSpec, replicas: int = DEFAULT_REPLICAS, threads: int | None = None
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
     check_integer("replicas", replicas, minimum=1)

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import inspect
 import json
 import math
+import struct
 import sys
 
 import numpy as np
@@ -10,10 +13,14 @@ from blockscan.cli import RunConfig, main, read_table, write_approx_table
 from blockscan.errors import AlignmentError, ConfigError
 from blockscan.pipeline import (
     EstimateRecord,
+    ExperimentSpec,
     approximate,
     estimate_quv,
+    simulate_distribution,
     two_step_approximation,
 )
+
+from oracles import brute_scan_statistic
 
 BASE_CONFIG = {
     "transform": "identity",
@@ -54,6 +61,24 @@ def test_valid_config_parses():
     assert config.resolved_threads() == 1
     assert RunConfig.from_mapping({**BASE_CONFIG, "threads": None}).resolved_threads() == 1
     assert RunConfig.from_mapping({**BASE_CONFIG, "threads": 2}).resolved_threads() == 2
+
+
+def test_unset_keys_take_the_librarys_defaults():
+    """A config of the keys its model needs builds the library's default spec and replicas."""
+    config = RunConfig.from_mapping({
+        "transform": "identity", "distribution": "bernoulli", "p": 0.3,
+        "source_cols": 12, "source_rows": 1, "m1": 3, "thresholds": [1, 2],
+    })
+    spec = config.build_spec()
+    defaults = {
+        f.name: f.default
+        for f in dataclasses.fields(ExperimentSpec)
+        if f.default is not dataclasses.MISSING
+    }
+    assert set(defaults) == {"iterations", "confidence_z", "seed"}
+    assert {name: getattr(spec, name) for name in defaults} == defaults
+    replicas = inspect.signature(simulate_distribution).parameters["replicas"].default
+    assert config.replicas == replicas
 
 
 def test_unknown_key_is_named():
@@ -413,11 +438,72 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
     assert main([command, "-c", _write_config(tmp_path), "-o", str(out)]) == 0
     metadata, _, _ = read_table(str(out))
     assert metadata[1:3] == [
-        "# rng = SFC64 (a, b, c = BLAKE2b-192(seed, stream), counter 1, 12 words skipped); "
-        "chunk cells in (row, col, replica) order; "
-        "Bernoulli cells byte < top, then extra successes at geometric gaps",
+        "# rng = chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the "
+        "UTF-8 text '<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) "
+        "of seed and stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian "
+        "words, counter 1, 12 words skipped; chunk cells in (row, col, replica) order; "
+        "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
+        "little-endian bytes, then extra successes at geometric gaps; for p > 1/2 the same draw "
+        "at 2**53 - cut gives the failures",
         f"# numpy = {np.__version__}",
     ]
+
+
+def test_the_header_alone_redraws_the_row_notes(tmp_path):
+    """The ``# rng``, ``# seed`` and ``# chunks`` lines give every ``q_uv`` of the ``# row`` notes.
+
+    Identity over Bernoulli(0.5) in one chunk: ``cut = 2**52``, so a cell is
+    one byte ``< 128`` and no extra successes are drawn.  The stream is
+    rebuilt with ``hashlib`` and NumPy's SFC64 only, and the window maxima
+    come from the per-site oracle.
+    """
+    config = _write_config(tmp_path, p=0.5, seed=-7, thresholds=[5, 6, 7], iterations=500)
+    out = tmp_path / "approx.tsv"
+    assert main(["approximate", "-c", config, "-o", str(out)]) == 0
+    metadata = read_table(str(out))[0]
+    header = dict(line[2:].split(" = ", 1) for line in metadata if " = " in line)
+    rng_map = header["rng"]
+    for step in (
+        "stream = BLAKE2b (digest_size=8) of the UTF-8 text '<task>:<k>', read little-endian",
+        "SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and stream, each mod 2**64 as "
+        "8 little-endian bytes, read as 3 little-endian words, counter 1, 12 words skipped",
+        "chunk cells in (row, col, replica) order",
+        "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
+        "little-endian bytes",
+    ):
+        assert step in rng_map
+    task, layout = header["chunks"].split(": ")
+    assert task == "quv" and " count=1 " in layout
+    replicas = int(layout.rsplit("last=", 1)[1])
+    seed, p, m1, m2 = int(header["seed"]), float(header["p"]), int(header["m1"]), int(header["m2"])
+    top = math.ceil(p * 2**53) >> 45
+    assert top == 128
+
+    stream = int.from_bytes(hashlib.blake2b(f"{task}:0".encode(), digest_size=8).digest(), "little")
+    key = struct.pack("<QQ", seed % 2**64, stream)
+    words = struct.unpack("<3Q", hashlib.blake2b(key, digest_size=24).digest())
+    sfc = np.random.SFC64(0)
+    sfc.state = {
+        "bit_generator": "SFC64", "state": {"state": [*words, 1]}, "has_uint32": 0, "uinteger": 0,
+    }
+    sfc.random_raw(12)
+    # a block is m + c - 2 cells each way, c = 1 for identity; the Q_33 field is 3 x 3 blocks
+    rows, cols = 3 * (m2 - 1), 3 * (m1 - 1)
+    cells = rows * cols * replicas
+    raw = np.array(sfc.random_raw(-(-cells // 8)), dtype="<u8").view(np.uint8)[:cells]
+    fields = (raw < top).astype(np.int64).reshape(rows, cols, replicas)
+
+    notes = [line for line in metadata if line.startswith("# row n=")]
+    assert len(notes) == 3
+    for note in notes:
+        n = float(note.split(":", 1)[0].split("=", 1)[1])
+        values = dict(item.split("=", 1) for item in note.split(": ", 1)[1].split() if "=" in item)
+        for u, v in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            below = sum(
+                brute_scan_statistic(fields[: v * (m2 - 1), : u * (m1 - 1), r], m1, m2) <= n
+                for r in range(replicas)
+            )
+            assert values[f"q{u}{v}"] == repr(below / replicas)
 
 
 def test_row_notes_carry_the_budgets_inputs(tmp_path):

@@ -9,7 +9,6 @@ from scipy import stats
 
 from blockscan import MarginalDistribution, SeedSpec
 from blockscan.errors import ParameterError
-from blockscan.pipeline import _stream_id
 
 _MASK64 = 2**64 - 1
 
@@ -103,7 +102,7 @@ def test_seeds_outside_64_bits_draw_as_their_low_64_bits(master):
 
 def _chunk_stream(k):
     """The generator ``pipeline._accumulate`` gives chunk ``k`` of a ``quv`` tally at seed 42."""
-    return SeedSpec(42, _stream_id("quv", k)).generator()
+    return SeedSpec.for_chunk(42, "quv", k).generator()
 
 
 @pytest.mark.parametrize("k", [0, 96])

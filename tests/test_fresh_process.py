@@ -137,3 +137,27 @@ def test_only_a_run_on_more_threads_imports_the_thread_pool(tmp_path, threads):
     # 2 requested threads start a pool only where 2 CPUs are usable
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert result.stdout.strip() == str(threads > 1 and cpus > 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["main(['validate-config', '-c', 'run.json'])", "RunConfig.from_file('run.json')"],
+    ids=["validate-config", "set-up"],
+)
+def test_reading_a_config_imports_neither_the_sampler_nor_the_thread_pool(tmp_path, call):
+    """``validate-config`` and a run's set-up load neither ``numpy.random`` nor the pool.
+
+    Importing ``numpy.random`` takes about 10 ms and loads OpenSSL (through
+    ``secrets``, ``hmac`` and ``_hashlib``), so a module-level import of it
+    would slow every command that only reads its config.
+    """
+    (tmp_path / "run.json").write_text(json.dumps(CONFIG))
+    code = (
+        "import sys\n"
+        "from blockscan.cli import RunConfig, main\n"
+        f"{call}\n"
+        "print([name for name in ('numpy.random', 'concurrent.futures') if name in sys.modules])\n"
+    )
+    result = _run(["-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

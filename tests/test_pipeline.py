@@ -631,7 +631,7 @@ def test_each_worker_runs_one_contiguous_range_of_chunks(total, chunk, threads, 
     seed, task, n = 1, "ranges", -(-total // chunk)
     # chunk k is known by the first draw of its stream
     index = {
-        int(SeedSpec(seed, pipeline._stream_id(task, k)).generator().integers(1 << 62)): k
+        int(SeedSpec.for_chunk(seed, task, k).generator().integers(1 << 62)): k
         for k in range(n)
     }
     ranges = []
@@ -777,7 +777,7 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     thr = np.array(spec.thresholds)
     expected = np.zeros((len(extents), thr.size), dtype=np.int64)
     for k, size in enumerate(drawn):
-        rng = SeedSpec(spec.seed, pipeline._stream_id(task, k)).generator()
+        rng = SeedSpec.for_chunk(spec.seed, task, k).generator()
         block = spec.distribution.sample(rng, size)
         sums = pipeline.window_sums_batch(
             np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2
@@ -803,7 +803,7 @@ def test_integer_maxima_meet_any_threshold_like_a_float_compare():
     tallies = [round(rec.q33 * rec.iterations) for rec in estimate_quv(spec)]
     # 2000 replicas are one chunk, drawn from stream 0
     cols, rows = pipeline._field_dims(spec, "quv")
-    rng = SeedSpec(spec.seed, pipeline._stream_id("quv", 0)).generator()
+    rng = SeedSpec.for_chunk(spec.seed, "quv", 0).generator()
     block = spec.distribution.sample(rng, (rows, cols, 2000))
     # the pipeline's bounds: int8 sums, whose ends the outer thresholds pass
     sums = pipeline.window_sums_batch(
