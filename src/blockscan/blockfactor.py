@@ -56,18 +56,16 @@ class BlockFactorTransform:
         return rows - self.c2 + 1, cols - self.c1 + 1
 
 
-def narrow_int(src_dtype, gain: int, bound: int | None = None) -> np.dtype:
+def narrow_int(src_dtype, gain: int) -> np.dtype:
     """Narrowest of int8, int16, int32 and int64 that holds ``max|value| * gain``.
 
-    ``max|value|`` is the bound of ``src_dtype``, or ``bound`` where that is
-    smaller: an exact bound on ``|value|`` the caller knows for the data,
-    e.g. ``trials`` for binomial cells held in int64.  Without ``bound``
-    the result reads only the dtype, never the data.  Any sum of ``gain``
-    unit-weight terms (or terms whose absolute weights add up to ``gain``)
-    then fits.  A bool counts as 1, so without ``bound`` only bool sources
-    reach int8 at nonzero gains: every other integer dtype already bounds a
-    value by 128 or more.  Past int64 the result stays int64.  A dtype that
-    is neither integer nor bool accumulates in float64, whatever ``bound``.
+    ``max|value|`` is the bound of ``src_dtype``: the result reads only the
+    dtype, never the data.  Any sum of ``gain`` unit-weight terms (or terms
+    whose absolute weights add up to ``gain``) then fits.  A bool counts as
+    1, so only bool sources reach int8 at nonzero gains: every other integer
+    dtype already bounds a value by 128 or more.  Past int64 the result
+    stays int64.  A dtype that is neither integer nor bool accumulates in
+    float64.
     """
     src_dtype = np.dtype(src_dtype)
     if src_dtype == np.bool_:
@@ -77,8 +75,6 @@ def narrow_int(src_dtype, gain: int, bound: int | None = None) -> np.dtype:
     else:
         info = np.iinfo(src_dtype)
         top = max(-int(info.min), int(info.max))
-    if bound is not None:
-        top = min(top, int(bound))
     total = top * int(gain)
     for candidate in (np.int8, np.int16, np.int32):
         if total <= np.iinfo(candidate).max:
@@ -97,14 +93,11 @@ class Buffers:
     a chunk recorded on a fresh ``Buffers()``) places names in one block up
     front, every name at an address that is a multiple of 64, the size of a
     cache line; any other name, or a take larger than its bytes, gets new
-    bytes of its own.  ``shared`` maps a name to the name whose bytes it
-    takes: a caller that knows what one slot holds is dead by the time
-    another name is taken lets the two share memory, and ``taken`` records
-    the most bytes taken per name after that mapping.  Contents are not
-    kept: the next take of a name may overwrite what the last one handed
-    out.  ``scratch0`` and ``scratch1`` hold temporaries of one kernel call
-    only.  Not thread-safe: give each worker its own.  A fresh
-    ``Buffers()`` hands out fresh arrays.
+    bytes of its own.  ``taken`` records the most bytes taken per name.
+    Contents are not kept: the next take of a name may overwrite what the
+    last one handed out.  ``scratch0`` and ``scratch1`` hold temporaries of
+    one kernel call only.  Not thread-safe: give each worker its own.  A
+    fresh ``Buffers()`` hands out fresh arrays.
     """
 
     def __init__(self, layout: dict[str, int] | None = None):
@@ -118,10 +111,8 @@ class Buffers:
         block = block[-block.ctypes.data % 64 :][:end]
         self._bytes = {name: block[starts[name] : starts[name] + n] for name, n in layout.items()}
         self.taken: dict[str, int] = {}
-        self.shared: dict[str, str] = {}
 
     def take(self, name: str, size: int, dtype) -> np.ndarray:
-        name = self.shared.get(name, name)
         dtype = np.dtype(dtype)
         nbytes = size * dtype.itemsize
         raw = self._bytes.get(name)

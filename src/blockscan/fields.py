@@ -200,6 +200,9 @@ class MarginalDistribution:
         probability below ``2**-64``: Bernstein's inequality for the Poisson
         law bounds ``P(X >= mean + t)`` by ``exp(-t**2 / (2 * (mean + t / 3)))``,
         and ``t = 15 + sqrt(225 + 90 * mean)`` makes that ``exp(-45) < 2**-64``.
+        Its one reader is ``ExperimentSpec``, which rejects a model whose
+        integer window sums could pass int64; the kernel sizes its sums by
+        the dtype alone.
         """
         if self.kind == "bernoulli":
             return 1

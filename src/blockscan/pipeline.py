@@ -164,8 +164,6 @@ class ApproxRow:
     beta0: bool
     alpha1: float
     alpha2: float
-    q2: float
-    q3: float
     e_app: float = math.nan
     e_sf: float = math.nan
     e_sapp: float = math.nan
@@ -299,21 +297,16 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     Each worker keeps its chunk's source and temporaries in one block of
     ``Buffers``, laid out by one recording at a full chunk on fresh arrays,
     which runs no pass; those arrays are freed before any worker places its
-    block.  The window sums write into slots that are dead by then: the
-    row pass over the source, which the block factor has read
-    (``Buffers.shared``), and the column pass over the block factor, which
-    the row pass has read (``window_sums_batch``); a one-row window has no
-    column pass, and its sums go over the source.  So a chunk's passes stay
-    in L2 on the benchmark configs, unless one field alone passes the
-    budget.  One block, not one
+    block.  The window sums write into slots that are dead by then
+    (``window_sums_batch``): the row pass over the source, which the block
+    factor has read, and the column pass over the block factor, which the
+    row pass has read; a one-row window has no column pass, and its sums go
+    over the source.  So a chunk's passes stay in L2 on the benchmark
+    configs, unless one field alone passes the budget.  One block, not one
     allocation per temporary: glibc trims its heap once the free memory at
     the top exceeds twice the largest block it has mapped and freed, so
     separate temporaries, all freed as this call ends, would be faulted in
     again by the next call, while one freed block stays under that bound.
-    Integer sums are as narrow as an exact bound on the data allows (the
-    Bernoulli or binomial ``cell_bound``, passed to ``window_sums_batch``);
-    a Poisson source keeps its dtype's bound, because its ``cell_bound`` is
-    a ``2**-64`` tail bound that a cell may pass.
     """
     threads = 1 if threads is None else threads
     check_integer("threads", threads, minimum=1)
@@ -324,13 +317,6 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     cols, rows = _field_dims(spec, task)
     dist = spec.distribution
     chunk = chunk_layout(spec, task, total)[0]
-    cell_bound = dist.cell_bound if dist.kind in ("bernoulli", "binomial") else None
-
-    def slots(layout=None) -> Buffers:
-        buffers = Buffers(layout)
-        # the row pass reads the block factor only, so the source is dead by then
-        buffers.shared = {"scan.rows": "source"}
-        return buffers
 
     def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
         """Take a ``(rows, cols, count)`` source block; append every pass after its draw to ``ops``.
@@ -342,8 +328,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         """
         block = buffers.take("source", count * rows * cols, dist.dtype).reshape(rows, cols, count)
         sums = window_sums_batch(
-            np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2,
-            bound=cell_bound, buffers=buffers, ops=ops,
+            np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2, buffers=buffers, ops=ops
         )
         # tile axes first, so every pass below runs over the replicas
         lead = np.moveaxis(tile_maxima(sums, *tile, buffers=buffers, ops=ops), 0, -1)
@@ -365,7 +350,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     # the bytes a full chunk takes, on fresh arrays that no pass touches; they
     # are freed at once, or the heap top they leave would pass glibc's trim
     # bound and every call would fault its worker blocks in again
-    probe = slots()
+    probe = Buffers()
     record(chunk, probe, [])
     layout = probe.taken
     del probe
@@ -373,7 +358,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     def chunk_eval(worker: dict, rng: np.random.Generator, count: int) -> np.ndarray:
         # ``worker`` keeps the worker's block and one recorded plan per replica count
         if not worker:
-            worker["buffers"] = slots(layout)
+            worker["buffers"] = Buffers(layout)
         if count not in worker:
             ops = []
             worker[count] = (*record(count, worker["buffers"], ops), ops)
@@ -481,8 +466,6 @@ def two_step_approximation(rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
         beta0=valid and 0.0 in (rec.b22, rec.b23, rec.b32, rec.b33),
         alpha1=alpha1,
         alpha2=alpha2,
-        q2=r2,
-        q3=r3,
         estimate=rec,
         **ledger,
     )
@@ -513,8 +496,6 @@ def one_step_approximation(rec: EstimateRecord, L1: int) -> ApproxRow:
         beta0=valid and 0.0 in (rec.b22, rec.b32),
         alpha1=alpha,
         alpha2=alpha,
-        q2=q2,
-        q3=q3,
         estimate=rec,
         **ledger,
     )

@@ -9,9 +9,8 @@ built by doubling, adding shifted copies of blocks of width 1, 2, 4, ...
 and combining the blocks named by the set bits of ``m``, so a window of
 side ``m`` costs O(log m) array passes and no prefix sums.  Every pass is
 one contiguous array operation over the whole stack.  Integer sources under
-integer weights sum exactly in the narrowest integer dtype that their dtype,
-or a tighter bound the caller knows, allows; everything else sums in
-float64, each result a short tree of terms.
+integer weights sum exactly in the narrowest integer dtype that their dtype
+allows; everything else sums in float64, each result a short tree of terms.
 """
 from __future__ import annotations
 
@@ -73,7 +72,6 @@ def window_sums_batch(
     m1: int,
     m2: int,
     *,
-    bound: int | None = None,
     buffers: Buffers | None = None,
     ops: list | None = None,
 ) -> np.ndarray:
@@ -98,31 +96,28 @@ def window_sums_batch(
 
     The passes, on the same ``R`` and ``C``: the transform's shifted adds
     into ``blockfactor`` (weighted terms through ``scratch0``), width-``m1``
-    running sums along the rows into ``scan.rows``, and height-``m2``
-    running sums of those along the columns back into ``blockfactor``,
-    which the row pass has read.  A side of 1 has no pass: each pass writes
-    the one of the two slots that it does not read, and the result is a
-    strided view of the last one written.  The slots are arrays of
-    ``buffers`` (fresh without it), so the next call on the same
-    ``buffers`` overwrites the result; ``scan.rows`` may share the source's
-    memory, which only the shifted adds read (the pipeline's
-    ``Buffers.shared``).  Given ``ops``, the passes are appended to it as
-    ``(function, args, kwargs)`` triples and none runs: ``run_passes`` runs
-    them, and every run reads ``source`` as it is then.  Without it they
-    run before the call returns.  Each replica's sums depend on its own
-    source only.
+    running sums along the rows into ``source``, and height-``m2`` running
+    sums of those along the columns back into ``blockfactor``, which the
+    row pass has read.  A side of 1 has no pass: each pass writes the one
+    of the two slots that it does not read, and the result is a strided
+    view of the last one written.  The slots are arrays of ``buffers``
+    (fresh without it), so the next call on the same ``buffers`` overwrites
+    the result.  A caller may hold its source in the ``source`` array of
+    ``buffers``: only the shifted adds read it, and they run before the
+    first window pass writes that slot.  Given ``ops``, the passes are
+    appended to it as ``(function, args, kwargs)`` triples and none runs:
+    ``run_passes`` runs them, and every run reads ``source`` as it is then.
+    Without it they run before the call returns.  Each replica's sums
+    depend on its own source only.
 
     Integer and bool sources under integer weights give exact sums: the
-    block factor in ``narrow_int(source.dtype, sum|w|, bound)`` and the
-    window sums in ``narrow_int(source.dtype, sum|w| * m1 * m2, bound)``,
-    where ``bound`` is an exact bound on ``|source|`` that the caller knows
-    (the pipeline passes the distribution's ``cell_bound`` for Bernoulli
-    and binomial, and none for Poisson, whose ``cell_bound`` is only a tail
-    bound); so minesweeper sums of Bernoulli cells over 3x3 windows are
-    int8.  A ``bound`` that some value passes makes the sums wrap.  The
-    values are exact, but the narrow dtype can overflow in later arithmetic
-    (``out * out`` on int8), so widen first.  Everything else sums in
-    float64, each result a short tree of shifted terms.
+    block factor in ``narrow_int(source.dtype, sum|w|)`` and the window
+    sums in ``narrow_int(source.dtype, sum|w| * m1 * m2)``, sized by the
+    dtype alone: minesweeper sums of bool cells over 3x3 windows are int8,
+    and those of int64 cells int64.  The values are exact, but the narrow
+    dtype can overflow in later arithmetic (``out * out`` on int8), so
+    widen first.  Everything else sums in float64, each result a short tree
+    of shifted terms.
     """
     if source.ndim < 2:
         raise GeometryError(f"source shape {source.shape} has no (rows, cols) axes")
@@ -135,8 +130,8 @@ def window_sums_batch(
     kernel = transform.weights[::-1, :]
     if np.issubdtype(kernel.dtype, np.integer):
         gain = int(np.abs(kernel).sum())
-        derived_dtype = narrow_int(source.dtype, gain, bound)
-        dtype = narrow_int(source.dtype, gain * m1 * m2, bound)
+        derived_dtype = narrow_int(source.dtype, gain)
+        dtype = narrow_int(source.dtype, gain * m1 * m2)
     else:
         derived_dtype = dtype = np.dtype(np.float64)
     out_shape = source.shape[:-2] + (rows - m2 + 1, cols - m1 + 1)
@@ -184,7 +179,7 @@ def window_sums_batch(
     slot = "blockfactor"
     for m, step in ((m1, col_step), (m2, row_step)):
         if m > 1:
-            slot = "scan.rows" if slot == "blockfactor" else "blockfactor"
+            slot = "source" if slot == "blockfactor" else "blockfactor"
             sums = buffers.take(slot, values.size - (m - 1) * step, dtype)
             _running_sums(values, m, step, sums, buffers, passes)
             values = sums

@@ -12,6 +12,7 @@ from blockscan import (
     ExperimentSpec,
     MarginalDistribution,
     SeedSpec,
+    approximant_H_with_flag,
     approximate,
     catalog_transform,
     estimate_quv,
@@ -331,7 +332,9 @@ def test_two_step_ledger_identity():
     assert row.valid and not row.clamped
     assert row.e_total == row.e_app + row.e_sf + row.e_sapp
     assert row.e_sapp >= row.e_app  # simulation-through-bound dominates the plain bound
-    assert row.alpha1 == 1.0 - row.q3 and row.alpha2 == pytest.approx(1.0 - 0.985)
+    # alpha1 = 1 - H(q23, q33, L1)
+    assert row.alpha1 == 1.0 - approximant_H_with_flag(0.985, 0.984, 10)[0]
+    assert row.alpha2 == pytest.approx(1.0 - 0.985)
     assert row.t2_1 is not None and row.t2_2 is not None
 
 
@@ -370,7 +373,7 @@ def test_slack_errors_name_the_nested_pair():
 def test_monte_carlo_noise_clamps_to_consistency():
     # q32 a hair above q22 is within slack: clamped, not an error
     row = one_step_approximation(_record(q22=0.99, q32=0.9901), 10)
-    assert row.clamped and row.q3 == 0.99
+    assert row.clamped and row.alpha1 == 1.0 - 0.99
 
 
 def test_a_zero_half_width_flags_the_row():
@@ -719,8 +722,8 @@ def test_a_kernel_dtype_never_moves_the_chunk_partition(distribution, chunks, mo
     ident_chunks, ident_dtypes = _chunks_and_dtypes(identity, monkeypatch)
     mine_chunks, mine_dtypes = _chunks_and_dtypes(minesweeper, monkeypatch)
     assert ident_chunks == mine_chunks == chunks
-    if distribution.kind == "binomial":  # block factors of at most 16 and 128
-        assert (ident_dtypes, mine_dtypes) == ({np.dtype(np.int8)}, {np.dtype(np.int16)})
+    if distribution.kind == "binomial":  # int64 cells, so int64 block factors
+        assert ident_dtypes == mine_dtypes == {np.dtype(np.int64)}
 
 
 def _ma_spec():
@@ -805,10 +808,8 @@ def test_integer_maxima_meet_any_threshold_like_a_float_compare():
     cols, rows = pipeline._field_dims(spec, "quv")
     rng = SeedSpec.for_chunk(spec.seed, "quv", 0).generator()
     block = spec.distribution.sample(rng, (rows, cols, 2000))
-    # the pipeline's bounds: int8 sums, whose ends the outer thresholds pass
-    sums = pipeline.window_sums_batch(
-        np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2, bound=1
-    )
+    # the pipeline's sums of bool cells: int8, whose ends the outer thresholds pass
+    sums = pipeline.window_sums_batch(np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2)
     maxima = sums[:, : 2 * spec.block2, : 2 * spec.block1].max(axis=(1, 2))
     assert maxima.dtype == np.int8
     expected = [int(np.sum(maxima.astype(np.float64) <= n)) for n in thresholds]
@@ -826,7 +827,7 @@ def _sum_dtypes(monkeypatch):
     fn = pipeline.window_sums_batch
 
     def recording(source, transform, m1, m2, **kwargs):
-        seen["blockfactor"].add(fn(source, transform, 1, 1, bound=kwargs["bound"]).dtype)
+        seen["blockfactor"].add(fn(source, transform, 1, 1).dtype)
         out = fn(source, transform, m1, m2, **kwargs)
         seen["sums"].add(out.dtype)
         return out
@@ -838,18 +839,19 @@ def _sum_dtypes(monkeypatch):
 @pytest.mark.parametrize(
     "distribution, top, derived, sums",
     [
-        # 8 neighbours of 1, 3 x 3 windows: 72 fits int8 where the dtype bound gave int16
+        # 8 neighbours of 1, 3 x 3 windows: 72 fits int8, as a bool bounds a cell by 1
         (MarginalDistribution.bernoulli(1.0), 72, np.int8, np.int8),
-        # 15 trials: values up to 120 and sums up to 1080; 16 trials: 128 and 1152
-        (MarginalDistribution.binomial(15, 1.0), 1080, np.int8, np.int16),
-        (MarginalDistribution.binomial(16, 1.0), 1152, np.int16, np.int16),
+        # 15 trials: values up to 120 and sums up to 1080; 16 trials: 128 and
+        # 1152; cells held in int64 sum in int64
+        (MarginalDistribution.binomial(15, 1.0), 1080, np.int64, np.int64),
+        (MarginalDistribution.binomial(16, 1.0), 1152, np.int64, np.int64),
     ],
     ids=["bernoulli", "binomial-15", "binomial-16"],
 )
 def test_window_sums_are_sized_by_the_exact_cell_bound(
     distribution, top, derived, sums, monkeypatch
 ):
-    """A source at its bound everywhere sums to the bound in the narrowest dtype, unwrapped."""
+    """A source at its cell bound everywhere sums to the bound exactly, in its dtype's sums."""
     seen = _sum_dtypes(monkeypatch)
     spec = dataclasses.replace(
         _minesweeper_spec(cols=14, rows=14), distribution=distribution,
@@ -863,7 +865,7 @@ def test_window_sums_are_sized_by_the_exact_cell_bound(
 
 
 def test_poisson_sums_keep_the_dtype_bound(monkeypatch):
-    """Poisson's cell bound is a tail bound a cell may pass, so its sums stay int64."""
+    """Poisson cells are held in int64, so their block factors and sums are int64."""
     seen = _sum_dtypes(monkeypatch)
     spec = dataclasses.replace(
         _minesweeper_spec(cols=14, rows=14), distribution=MarginalDistribution.poisson(0.01)
@@ -884,7 +886,7 @@ def _owner(array):
 
 _KERNELS = {"window_sums_batch": "sums", "tile_maxima": "scan.tiles"}
 # the slots the passes write, as the kernels and the compares name them
-_SLOTS = ("blockfactor", "scan.rows", "below")
+_SLOTS = ("blockfactor", "source", "below")
 
 
 def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
@@ -893,7 +895,7 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
 
     def drawing(self, rng, size, **kwargs):
         out = sample(self, rng, size, **kwargs)
-        results.setdefault("source", []).append(out)
+        results.setdefault("drawn", []).append(out)
         return out
 
     def taking(self, name, size, dtype):
@@ -916,7 +918,7 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     monkeypatch.undo()
     # one draw per chunk, the drawn block (rows, cols, replicas)
     sizes = [3640] * 5 + [1800]
-    assert [out.shape[-1] for out in results["source"]] == sizes
+    assert [out.shape[-1] for out in results["drawn"]] == sizes
     # the kernels run only while a plan records, each result replicas-first:
     # once at a full chunk on fresh arrays to lay out the block, then on the
     # worker's block for the full chunks and for the last
@@ -924,24 +926,26 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
         # the compares take one flat bool per extent (4), threshold (2) and replica
         replicas = [out.size // 8 if layer == "below" else len(out) for out in results[layer]]
         assert replicas == [3640, 3640, 1800]
-    # the block factor's slot is taken twice per recording: by its shifted
-    # adds and by the column pass
-    assert [len(results[name]) for name in _SLOTS] == [6, 3, 3]
+    # the block factor's slot is taken twice per recording, by its shifted
+    # adds and by the column pass, and the source's twice, by the drawn
+    # block and by the row pass
+    assert [len(results[name]) for name in _SLOTS] == [6, 6, 3]
+    results["rows"] = results.pop("source")[1::2]
     for layer, arrays in results.items():
-        if layer != "source":
+        if layer != "drawn":
             del arrays[: len(arrays) // 3]
     first = {layer: arrays[0] for layer, arrays in results.items()}
     for arrays in results.values():
         assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])
-    # one block holds them all; the row pass lies over the source and the
-    # window sums over the block factor, each read by then, and no other
+    # one block holds them all; the row pass lies over the drawn source and
+    # the window sums over the block factor, each read by then, and no other
     # two overlap
     assert len({id(_owner(a)) for arrays in results.values() for a in arrays}) == 1
     overlapping = {
         frozenset((a, b)) for a in first for b in first
         if a != b and np.shares_memory(first[a], first[b])
     }
-    assert overlapping == {frozenset(("blockfactor", "sums")), frozenset(("scan.rows", "source"))}
+    assert overlapping == {frozenset(("blockfactor", "sums")), frozenset(("rows", "drawn"))}
 
 
 def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
@@ -1081,14 +1085,14 @@ def test_chunk_tallies_equal_those_of_fresh_buffers(spec, monkeypatch):
 
 
 class _Recorded(pipeline.Buffers):
-    """Records the bytes of every laid-out block."""
+    """Records the layout of every laid-out block."""
 
-    blocks = []
+    layouts = []
 
     def __init__(self, layout=None):
         super().__init__(layout)
         if layout:
-            self.blocks.append(sum(layout.values()))
+            self.layouts.append(dict(layout))
 
 
 def _ma_columns(cols):
@@ -1110,13 +1114,42 @@ def _ma_columns(cols):
 )
 def test_a_worker_block_stays_small(spec, simulate, mib, monkeypatch):
     """One chunk of source and temporaries per worker: a few MiB, also for a long float field."""
-    monkeypatch.setattr(_Recorded, "blocks", [])
+    monkeypatch.setattr(_Recorded, "layouts", [])
     monkeypatch.setattr(pipeline, "Buffers", _Recorded)
     if simulate:
         simulate_distribution(spec, replicas=2, threads=1)
     else:
         estimate_quv(dataclasses.replace(spec, iterations=2), threads=1)
-    assert len(_Recorded.blocks) == 1 and _Recorded.blocks[0] <= mib * 2**20
+    assert len(_Recorded.layouts) == 1 and sum(_Recorded.layouts[0].values()) <= mib * 2**20
+
+
+# bytes per slot of a worker's block: a full chunk's source, its block
+# factor and window sums, the doubling scratch, the tile maxima and the
+# compares; the row pass writes over the source and the column pass over
+# the block factor, so neither has bytes of its own
+_BENCHMARK_LAYOUTS = {
+    "quv-sparse": {
+        "source": 524160, "blockfactor": 429520, "scratch0": 425880,
+        "scan.tiles": 14560, "below": 43680,
+    },
+    "quv-ma": {
+        "source": 524160, "blockfactor": 507520, "scratch0": 507520, "scratch1": 482560,
+        "scan.tiles": 16640, "below": 6240,
+    },
+    "sim-sparse": {
+        "source": 522720, "blockfactor": 498420, "scratch0": 498150,
+        "scan.tiles": 270, "below": 810,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_BENCHMARK_CALLS))
+def test_each_benchmark_worker_block_keeps_its_pinned_slots(workload, monkeypatch):
+    """No slot of a worker's block is added, dropped or resized on the benchmark configs."""
+    monkeypatch.setattr(_Recorded, "layouts", [])
+    monkeypatch.setattr(pipeline, "Buffers", _Recorded)
+    _BENCHMARK_CALLS[workload]()
+    assert _Recorded.layouts == [_BENCHMARK_LAYOUTS[workload]]
 
 
 def _written_and_read(fn, args, kwargs):

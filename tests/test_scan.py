@@ -9,7 +9,6 @@ from blockscan.blockfactor import (
     identity_transform,
     ma_transform,
     minesweeper_transform,
-    narrow_int,
 )
 from blockscan.errors import GeometryError
 from blockscan.scan import tile_maxima, window_sums_batch
@@ -170,21 +169,19 @@ def test_integer_sums_use_the_narrow_dtype_bound():
 
 
 def test_minesweeper_sums_of_bernoulli_cells_are_int8_up_to_72():
-    """All-ones cells under the exact bound of 1: minesweeper counts 8 and 3x3 sums 72, in int8."""
+    """All-ones bool cells: minesweeper counts 8 and 3x3 sums 72, in int8."""
     ones = np.ones((3, 8, 9), dtype=np.bool_)
-    derived = window_sums_batch(ones, minesweeper_transform(), 1, 1, bound=1)
+    derived = window_sums_batch(ones, minesweeper_transform(), 1, 1)
     assert derived.dtype == np.int8 and np.all(derived == 8)
-    sums = window_sums_batch(ones, minesweeper_transform(), 3, 3, bound=1)
+    sums = window_sums_batch(ones, minesweeper_transform(), 3, 3)
     assert sums.dtype == np.int8 and sums.shape == (3, 4, 5) and np.all(sums == 72)
-    # a bool source bounds its cells by 1 without being told
-    assert window_sums_batch(ones, minesweeper_transform(), 3, 3).dtype == np.int8
     # an int8 field of counts could hold 127 each, so its 3x3 sums are int16
     counts = window_sums_batch(derived, IDENTITY, 3, 3)
     assert counts.dtype == np.int16 and np.array_equal(counts, sums)
-    # a binomial count held in int64 narrows by its trials
+    # a binomial count held in int64 sums in int64
     held = np.full((2, 8, 9), 16, dtype=np.int64)
-    derived = window_sums_batch(held, minesweeper_transform(), 1, 1, bound=16)
-    assert derived.dtype == np.int16 and np.all(derived == 128)
+    derived = window_sums_batch(held, minesweeper_transform(), 1, 1)
+    assert derived.dtype == np.int64 and np.all(derived == 128)
 
 
 @given(
@@ -196,15 +193,15 @@ def test_minesweeper_sums_of_bernoulli_cells_are_int8_up_to_72():
 )
 @settings(max_examples=100)
 def test_sums_under_an_exact_bound_match_brute_force(bound, m1, m2, fill, seed):
-    """int64 values within ``|x| <= bound`` sum exactly in ``narrow_int(int64, m1 * m2, bound)``."""
+    """int64 values within ``|x| <= bound``, at and between both ends, sum exactly in int64."""
     rng = np.random.default_rng(seed)
     shape = (2, m2 + 3, m1 + 4)
     if fill == "random":
         values = rng.integers(-bound, bound + 1, size=shape, dtype=np.int64)
     else:
         values = np.full(shape, -bound if fill == "min" else bound, dtype=np.int64)
-    sums = window_sums_batch(values, IDENTITY, m1, m2, bound=bound)
-    assert sums.dtype == narrow_int(np.int64, m1 * m2, bound)
+    sums = window_sums_batch(values, IDENTITY, m1, m2)
+    assert sums.dtype == np.int64
     for b in range(shape[0]):
         assert np.array_equal(sums[b], brute_moving_sums(values[b], m1, m2))
 
