@@ -186,8 +186,9 @@ def _write_table(
         spec = config.build_spec()
         layouts = []
         for task, total in calls:
-            size, count, last = chunk_layout(spec, task, total)
-            layouts.append(f"{task}: size={size} count={count} last={last}")
+            fields, count, last = chunk_layout(spec, task, total)
+            mirrored = "yes" if spec.mirrored else "no"
+            layouts.append(f"{task}: fields={fields} count={count} last={last} mirrored={mirrored}")
         lines.append("# chunks = " + "; ".join(layouts))
         for f in dataclass_fields(config):
             value = getattr(config, f.name)
@@ -370,7 +371,7 @@ def main(argv=None) -> int:
             # the config must suit simulate too, whose replicas draw the whole source
             try:
                 dims = (config.source_cols, config.source_rows)
-                check_drawn_cells("replicas", config.replicas, dims)
+                check_drawn_cells("replicas", config.replicas, dims, config.build_spec().mirrored)
             except ParameterError as exc:
                 raise _key_error(exc) from exc
             print("ok")

@@ -29,7 +29,10 @@ STREAM_MAP = (
     "chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the UTF-8 text "
     "'<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and "
     "stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian words, "
-    "counter 1, 12 words skipped; chunk cells in (row, col, replica) order; "
+    "counter 1, 12 words skipped; a chunk of r replicas draws r fields, or ceil(r / 2) "
+    "for Gaussian cells of mean c, whose replica 2i is field i and replica 2i + 1 its "
+    "mirror 2c - x, so an odd r leaves the last field without its mirror; chunk cells in "
+    "(row, col, field) order; "
     "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
     "little-endian bytes, then extra successes at geometric gaps; for p > 1/2 the same draw "
     "at 2**53 - cut gives the failures"
@@ -211,6 +214,17 @@ class MarginalDistribution:
         if self.kind == "poisson":
             return math.ceil(self.mean + 15.0 + math.sqrt(225.0 + 90.0 * self.mean))
         return None
+
+    @property
+    def centre(self) -> float | None:
+        """The ``c`` about which the marginal is symmetric, or ``None`` if it is not.
+
+        ``X`` and ``2c - X`` then have the same law, so a linear block
+        factor of such cells and its reflection do too, and the pipeline
+        scores every drawn field also as its mirror (``pipeline._tally``).
+        Gaussian gives its mean; every other marginal gives ``None``.
+        """
+        return self.mean if self.kind == "gaussian" else None
 
     @property
     def dtype(self) -> np.dtype:

@@ -115,7 +115,12 @@ class ExperimentSpec:
             raise GeometryError(
                 "source height must cover at least three block units", field="source_rows"
             )
-        check_drawn_cells("iterations", self.iterations, _field_dims(self, "quv"))
+        check_drawn_cells("iterations", self.iterations, _field_dims(self, "quv"), self.mirrored)
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether each drawn field also counts as its mirror (``MarginalDistribution.centre``)."""
+        return self.distribution.centre is not None
 
     @property
     def one_dimensional(self) -> bool:
@@ -151,7 +156,7 @@ class EstimateRecord:
 class ApproxRow:
     """One output row: threshold, approximation, and the error ledger (``nan`` if invalid).
 
-    ``beta0`` marks a valid row whose ``e_sf`` uses a Wald half-width of 0,
+    ``beta0`` marks a valid row whose ``e_sf`` uses a half-width of 0,
     from an estimate of exactly 0 or 1, so ``e_sf`` understates its error.
     ``estimate`` is the record the row was assembled from: the ``Q_uv`` and
     half-widths that the ledger's ``e_sf`` is a sum of.
@@ -180,7 +185,7 @@ class ApproxRow:
 
 @dataclass(frozen=True)
 class SimRow:
-    """Empirical CDF point from direct simulation, with binomial half-width."""
+    """Empirical CDF point from direct simulation, with its half-width (``_tally``)."""
 
     n: float
     prob: float
@@ -208,23 +213,39 @@ def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
     return quv_field_dims(3, 3, spec)
 
 
-def check_drawn_cells(field: str, count: int, dims: tuple[int, int]) -> None:
-    """Raise, naming ``field``, if ``count`` fields of (cols, rows) ``dims`` pass the cell limit."""
+def _drawn_fields(replicas: int, mirrored: bool) -> int:
+    """The fields that ``replicas`` replicas draw: half, rounded up, if each is also its mirror."""
+    return -(-replicas // 2) if mirrored else replicas
+
+
+def check_drawn_cells(field: str, count: int, dims: tuple[int, int], mirrored: bool) -> None:
+    """Raise, naming ``field``, if the fields ``count`` replicas draw pass the cell limit.
+
+    ``count`` replicas of (cols, rows) ``dims`` draw ``count`` fields, or
+    ``ceil(count / 2)`` where each field also counts as its mirror.
+    """
     cols, rows = dims
-    if count * cols * rows > MAX_DRAWN_CELLS:
+    fields = _drawn_fields(count, mirrored)
+    if fields * cols * rows > MAX_DRAWN_CELLS:
         raise ParameterError(
-            f"{field} = {count} fields of {cols}x{rows} cells pass the {MAX_DRAWN_CELLS:.0e} "
-            "cells (about a day of work) one call may draw",
+            f"{field} = {count} draws {fields} fields of {cols}x{rows} cells, past the "
+            f"{MAX_DRAWN_CELLS:.0e} cells (about a day of work) one call may draw",
             field=field,
         )
 
 
 def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int, int]:
-    """Replicas per chunk, chunk count and last chunk's replicas of a ``quv`` or ``sim`` call."""
+    """Drawn fields per chunk, chunk count and the last chunk's fields of a ``quv`` or ``sim`` call.
+
+    A call of ``total`` replicas draws ``total`` fields, or ``ceil(total /
+    2)`` for a mirrored model (``ExperimentSpec.mirrored``), whose chunks
+    then hold twice as many replicas as fields.
+    """
     cols, rows = _field_dims(spec, task)
-    chunk = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
-    count = -(-total // chunk)
-    return chunk, count, total - (count - 1) * chunk
+    size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
+    fields = _drawn_fields(total, spec.mirrored)
+    count = -(-fields // size)
+    return size, count, fields - (count - 1) * size
 
 
 def _worker_count(threads: int | None, n_chunks: int) -> int:
@@ -278,17 +299,39 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     tile axes give, at tile ``(v - 1, u - 1)``, the maximum over the leading
     ``v x u`` tiles, and one compare with every threshold counts them all.
     An extent ``(v, u)`` reads its counts at that tile.  Returns the
-    thresholds and, per extent and threshold, the estimate and its Wald
+    thresholds and, per extent and threshold, the estimate and its
     half-width.  The chunks run on at most ``threads`` worker threads, 1 if
     ``None`` (``_worker_count``).
 
-    A chunk is about 512 KiB of source fields (``chunk_layout``), a budget in
-    bytes of the marginal's dtype, so the chunk partition, and with it the
-    stream, depends on the model only.  Each chunk is drawn in one
-    ``sample`` call into a ``(rows, cols, replicas)`` block and then goes
+    Mirror replicas (Hammersley & Morton, "A new Monte Carlo technique:
+    antithetic variates", 1956).  Where the marginal is symmetric about a
+    centre ``c`` (``MarginalDistribution.centre``), the reflected source
+    ``2c - x`` has the law of ``x``, and, the filter being linear, its
+    window sums are ``2cK - S(x)`` with ``K = weights.sum() * m1 * m2``.  So
+    each drawn field also counts as that mirror, which passes where ``min
+    S >= 2cK - n``: the running minima of the tile minima,
+    recorded after the maxima in the same ``scan.tiles`` slot, which the
+    maxima's compare has read by then.  A chunk of ``r`` replicas draws
+    ``ceil(r / 2)`` fields; replica ``2i`` is field ``i`` and ``2i + 1`` its
+    mirror (``fields.STREAM_MAP``).  Full chunks hold an even count, so a
+    pair never straddles two chunks, and for an odd ``total`` the last
+    field's mirror is not tallied.  Over the ``U`` pairs the tally also
+    counts ``C``, the pairs in which both pass, and the half-width is
+    ``z * sqrt(max(p(1 - p) + c_hat, 0) / total)`` with ``c_hat = C / U -
+    p**2``, the pair covariance; without pairs ``c_hat = 0``, the Wald
+    half-width.  Under non-negative weights a field's indicator falls and
+    its mirror's rises in every cell, so their covariance is ``<= 0``
+    (Esary, Proschan & Walkup, 1967) and the mirror never widens the
+    half-width; under mixed signs it can be positive, and the half-width
+    then grows with it.
+
+    A chunk is about 512 KiB of drawn source fields (``chunk_layout``), a
+    budget in bytes of the marginal's dtype, so the chunk partition, and
+    with it the stream, depends on the model only.  Each chunk is drawn in
+    one ``sample`` call into a ``(rows, cols, fields)`` block and then goes
     through the kernels in one pass.  They take its replica-minor
-    view ``(replicas, rows, cols)``: no flat lane wraps across a replica,
-    and the maxima, compares and counts run over contiguous replica
+    view ``(fields, rows, cols)``: no flat lane wraps across a field,
+    and the extrema, compares and counts run over contiguous field
     vectors.  Every pass after the draw, from the block factor to the
     compares, is recorded into one list of passes (the kernels' ``ops``)
     once per worker and chunk shape, and run again on each chunk, so a
@@ -315,37 +358,56 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         empty = np.empty((len(extents), 0))
         return thr, empty, empty
     cols, rows = _field_dims(spec, task)
-    dist = spec.distribution
-    chunk = chunk_layout(spec, task, total)[0]
+    dist, mirrored = spec.distribution, spec.mirrored
+    chunk = chunk_layout(spec, task, total)[0] * (2 if mirrored else 1)
+    if mirrored:
+        # the mirror's window sums are 2cK - S, K = weights.sum() * m1 * m2
+        two_ck = 2 * dist.centre * spec.transform.weights.sum().item() * spec.m1 * spec.m2
 
     def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
-        """Take a ``(rows, cols, count)`` source block; append every pass after its draw to ``ops``.
+        """Take a ``(rows, cols, fields)`` source block; append every pass after its draw to ``ops``.
 
-        Returns the block and the ``(grid_rows, grid_cols, thresholds,
-        replicas)`` bool view the passes write: whether each replica's
-        running maximum at each tile is ``<=`` each threshold.  Every array
-        is taken from ``buffers``.
+        Returns the block and the ``(scores, grid_rows, grid_cols,
+        thresholds, fields)`` bool view the passes write: whether each
+        field's running maximum at each tile is ``<=`` each threshold, and
+        with a mirror whether the mirror's is (its running minimum, past the
+        mirror's limit), and whether both are.  A chunk of odd ``count``
+        clears its last field's mirror.  Every array is taken from
+        ``buffers``.
         """
-        block = buffers.take("source", count * rows * cols, dist.dtype).reshape(rows, cols, count)
+        fields = _drawn_fields(count, mirrored)
+        block = buffers.take("source", fields * rows * cols, dist.dtype).reshape(rows, cols, fields)
         sums = window_sums_batch(
             np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2, buffers=buffers, ops=ops
         )
-        # tile axes first, so every pass below runs over the replicas
-        lead = np.moveaxis(tile_maxima(sums, *tile, buffers=buffers, ops=ops), 0, -1)
-        for i in range(1, lead.shape[0]):
-            ops.append((np.maximum, (lead[i], lead[i - 1]), {"out": lead[i]}))
-        for j in range(1, lead.shape[1]):
-            ops.append((np.maximum, (lead[:, j], lead[:, j - 1]), {"out": lead[:, j]}))
         limits = thr[:, None]
-        if np.issubdtype(lead.dtype, np.integer):
+        if np.issubdtype(sums.dtype, np.integer):
             # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
-            info = np.iinfo(lead.dtype)
+            info = np.iinfo(sums.dtype)
             floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
-            limits = np.array(floors, dtype=lead.dtype)[:, None]
-        below = buffers.take("below", lead.size * thr.size, np.bool_)
-        below = below.reshape(*lead.shape[:2], thr.size, count)
-        ops.append((np.less_equal, (lead[:, :, None, :], limits), {"out": below}))
-        return block, below
+            limits = np.array(floors, dtype=sums.dtype)[:, None]
+        scores = [(np.maximum, np.less_equal, limits)]
+        if mirrored:
+            # Gaussian sums are float: the mirror passes where min S >= 2cK - n
+            scores.append((np.minimum, np.greater_equal, (two_ck - thr)[:, None]))
+        scored = None
+        for k, (reduce, compare, limit) in enumerate(scores):
+            # tile axes first, so every pass below runs over the fields
+            lead = np.moveaxis(tile_maxima(sums, *tile, reduce, buffers=buffers, ops=ops), 0, -1)
+            for i in range(1, lead.shape[0]):
+                ops.append((reduce, (lead[i], lead[i - 1]), {"out": lead[i]}))
+            for j in range(1, lead.shape[1]):
+                ops.append((reduce, (lead[:, j], lead[:, j - 1]), {"out": lead[:, j]}))
+            if scored is None:
+                # the field's score; with a mirror, the mirror's and both
+                shape = (2 * len(scores) - 1, *lead.shape[:2], thr.size, fields)
+                scored = buffers.take("below", math.prod(shape), np.bool_).reshape(shape)
+            ops.append((compare, (lead[:, :, None, :], limit), {"out": scored[k]}))
+        if mirrored:
+            if count % 2:
+                ops.append((scored[1, ..., count // 2 :].fill, (False,), {}))
+            ops.append((np.logical_and, (scored[0], scored[1]), {"out": scored[2]}))
+        return block, scored
 
     # the bytes a full chunk takes, on fresh arrays that no pass touches; they
     # are freed at once, or the heap top they leave would pass glibc's trim
@@ -362,21 +424,29 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         if count not in worker:
             ops = []
             worker[count] = (*record(count, worker["buffers"], ops), ops)
-        block, below, ops = worker[count]
+        block, scored, ops = worker[count]
         dist.sample(rng, block.shape, out=block)
         run_passes(ops)
-        return below.sum(axis=3, dtype=np.int64)
+        return scored.sum(axis=-1, dtype=np.int64)
 
-    counts = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
+    # per score, tile and threshold: the fields, mirrors and pairs that pass
+    tally = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
+    counts = tally[:2].sum(axis=0)
     probs = np.array([counts[v - 1, u - 1] for v, u in extents]) / total
-    return thr, probs, spec.confidence_z * np.sqrt(probs * (1.0 - probs) / total)
+    pairs = total // 2 if mirrored else 0
+    cov = 0.0
+    if pairs:
+        cov = np.array([tally[2, v - 1, u - 1] for v, u in extents]) / pairs - probs**2
+    variance = np.maximum(probs * (1.0 - probs) + cov, 0.0)
+    return thr, probs, spec.confidence_z * np.sqrt(variance / total)
 
 
 def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[EstimateRecord]:
     """Monte Carlo estimates of all four Q_uv for every threshold in one pass.
 
     One source field of the largest (3, 3) size serves all four nested maxima
-    per replica; all thresholds share the same replicas.
+    per replica, or per two where it also counts as its mirror (``_tally``);
+    all thresholds share the same replicas.
     """
     # the window sums of the (3, 3) field are 2 x 2 tiles of block2 x block1
     # anchors (1 x 2 tiles of one row in 1-D); Q_uv reads the leading
@@ -564,7 +634,7 @@ def simulate_distribution(
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
     check_integer("replicas", replicas, minimum=1)
-    check_drawn_cells("replicas", replicas, _field_dims(spec, "sim"))
+    check_drawn_cells("replicas", replicas, _field_dims(spec, "sim"), spec.mirrored)
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
     thr, probs, half = _tally(spec, threads, "sim", replicas, full, [(1, 1)])

@@ -193,12 +193,14 @@ def tile_maxima(
     arr: np.ndarray,
     tile_rows: int,
     tile_cols: int,
+    ufunc: np.ufunc = np.maximum,
     *,
     buffers: Buffers | None = None,
     ops: list | None = None,
 ) -> np.ndarray:
     """Maximum of each disjoint ``tile_rows x tile_cols`` tile of the trailing two axes.
 
+    ``ufunc`` is the reduction: ``np.minimum`` gives each tile's minimum.
     The tiles cover ``arr`` from its first row and column; a ragged edge is
     left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``, a
     view of the ``scan.tiles`` array of ``buffers`` (fresh without them);
@@ -226,10 +228,10 @@ def tile_maxima(
     split = as_strided(arr, shape, strides, writeable=False)
     if tile_rows > 1:
         band = buffers.take("scratch0", split[:, 0].size, arr.dtype).reshape(split[:, 0].shape)
-        passes.append((np.maximum.reduce, (split,), {"axis": 1, "out": band}))
+        passes.append((ufunc.reduce, (split,), {"axis": 1, "out": band}))
         split = band[:, None]
     out = buffers.take("scan.tiles", math.prod(grid + lead), arr.dtype).reshape(grid + lead)
-    passes.append((np.maximum.reduce, (split[:, 0],), {"axis": 2, "out": out}))
+    passes.append((ufunc.reduce, (split[:, 0],), {"axis": 2, "out": out}))
     if ops is None:
         run_passes(passes)
     return np.moveaxis(out, (0, 1), (-2, -1))

@@ -79,3 +79,42 @@ def per_tile_maxima(field: np.ndarray, tile_rows: int, tile_cols: int) -> np.nda
          for c in range(cols)]
         for r in range(rows)
     ])
+
+
+def paired_replicas(fields: np.ndarray, mirrors: np.ndarray, count: int) -> np.ndarray:
+    """A chunk's ``count`` replica values in stream order, replicas on the last axis.
+
+    As ``fields.STREAM_MAP`` states it: replica ``2i`` is field ``i`` and
+    replica ``2i + 1`` its mirror, so an odd ``count`` leaves the last
+    field's mirror out.
+    """
+    out = np.empty(fields.shape[:-1] + (count,), dtype=np.result_type(fields, mirrors))
+    out[..., 0::2] = fields[..., : -(-count // 2)]
+    out[..., 1::2] = mirrors[..., : count // 2]
+    return out
+
+
+def brute_extent_maxima(stack: np.ndarray, transform, m1: int, m2: int, extent) -> np.ndarray:
+    """The largest ``m1 x m2`` window sum anchored in the leading ``extent = (rows, cols)``.
+
+    ``stack`` is ``(replicas, rows, cols)``; each block-factor value is the
+    weighted sum of its configuration matrix and each window sum adds its
+    ``m1 x m2`` values, one site and one window at a time, for all replicas
+    at once, in float64.
+    """
+    weights = transform.weights[::-1, :].astype(np.float64)
+    c2, c1 = weights.shape
+    rows, cols = transform.derived_shape(*stack.shape[-2:])
+    derived = np.empty(stack.shape[:1] + (rows, cols))
+    for j in range(rows):
+        for i in range(cols):
+            matrix = stack[:, j : j + c2, i : i + c1].astype(np.float64)
+            derived[:, j, i] = (matrix * weights).sum(axis=(1, 2))
+    anchors_rows, anchors_cols = extent
+    if not (1 <= anchors_rows <= rows - m2 + 1 and 1 <= anchors_cols <= cols - m1 + 1):
+        raise GeometryError(f"extent {extent} does not fit the {cols}x{rows} derived field")
+    best = np.full(stack.shape[0], -np.inf)
+    for j in range(anchors_rows):
+        for i in range(anchors_cols):
+            np.maximum(best, derived[:, j : j + m2, i : i + m1].sum(axis=(1, 2)), out=best)
+    return best

@@ -441,69 +441,115 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
         "# rng = chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the "
         "UTF-8 text '<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) "
         "of seed and stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian "
-        "words, counter 1, 12 words skipped; chunk cells in (row, col, replica) order; "
-        "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
-        "little-endian bytes, then extra successes at geometric gaps; for p > 1/2 the same draw "
+        "words, counter 1, 12 words skipped; a chunk of r replicas draws r fields, or "
+        "ceil(r / 2) for Gaussian cells of mean c, whose replica 2i is field i and replica "
+        "2i + 1 its mirror 2c - x, so an odd r leaves the last field without its mirror; "
+        "chunk cells in (row, col, field) order; Bernoulli cells byte < top = cut >> 45, "
+        "cut = ceil(p * 2**53), over the words' little-endian bytes, then extra successes at "
+        "geometric gaps; for p > 1/2 the same draw "
         "at 2**53 - cut gives the failures",
         f"# numpy = {np.__version__}",
     ]
 
 
 def test_the_header_alone_redraws_the_row_notes(tmp_path):
-    """The ``# rng``, ``# seed`` and ``# chunks`` lines give every ``q_uv`` of the ``# row`` notes.
+    """The ``# rng``, ``# seed`` and ``# chunks`` lines give every ``q_uv`` and ``b_uv`` note.
 
-    Identity over Bernoulli(0.5) in one chunk: ``cut = 2**52``, so a cell is
-    one byte ``< 128`` and no extra successes are drawn.  The stream is
-    rebuilt with ``hashlib`` and NumPy's SFC64 only, and the window maxima
-    come from the per-site oracle.
+    Identity in one chunk.  Over Bernoulli(0.5), ``cut = 2**52``: a cell is
+    one byte ``< 128`` and no extra successes are drawn.  Over Gaussian
+    cells, NumPy's ``Generator.normal`` on the stream
+    (``MarginalDistribution.sample``), each drawn field also counts as its
+    mirror ``2c - x``, paired as the ``# rng`` line states, at an odd count
+    that leaves one mirror out.  The stream is rebuilt with ``hashlib`` and
+    NumPy's SFC64 only, and the window maxima come from the per-site oracle.
     """
-    config = _write_config(tmp_path, p=0.5, seed=-7, thresholds=[5, 6, 7], iterations=500)
-    out = tmp_path / "approx.tsv"
-    assert main(["approximate", "-c", config, "-o", str(out)]) == 0
-    metadata = read_table(str(out))[0]
-    header = dict(line[2:].split(" = ", 1) for line in metadata if " = " in line)
-    rng_map = header["rng"]
-    for step in (
-        "stream = BLAKE2b (digest_size=8) of the UTF-8 text '<task>:<k>', read little-endian",
-        "SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and stream, each mod 2**64 as "
-        "8 little-endian bytes, read as 3 little-endian words, counter 1, 12 words skipped",
-        "chunk cells in (row, col, replica) order",
-        "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
-        "little-endian bytes",
-    ):
-        assert step in rng_map
-    task, layout = header["chunks"].split(": ")
-    assert task == "quv" and " count=1 " in layout
-    replicas = int(layout.rsplit("last=", 1)[1])
-    seed, p, m1, m2 = int(header["seed"]), float(header["p"]), int(header["m1"]), int(header["m2"])
-    top = math.ceil(p * 2**53) >> 45
-    assert top == 128
-
-    stream = int.from_bytes(hashlib.blake2b(f"{task}:0".encode(), digest_size=8).digest(), "little")
-    key = struct.pack("<QQ", seed % 2**64, stream)
-    words = struct.unpack("<3Q", hashlib.blake2b(key, digest_size=24).digest())
-    sfc = np.random.SFC64(0)
-    sfc.state = {
-        "bit_generator": "SFC64", "state": {"state": [*words, 1]}, "has_uint32": 0, "uinteger": 0,
-    }
-    sfc.random_raw(12)
-    # a block is m + c - 2 cells each way, c = 1 for identity; the Q_33 field is 3 x 3 blocks
-    rows, cols = 3 * (m2 - 1), 3 * (m1 - 1)
-    cells = rows * cols * replicas
-    raw = np.array(sfc.random_raw(-(-cells // 8)), dtype="<u8").view(np.uint8)[:cells]
-    fields = (raw < top).astype(np.int64).reshape(rows, cols, replicas)
-
-    notes = [line for line in metadata if line.startswith("# row n=")]
-    assert len(notes) == 3
-    for note in notes:
-        n = float(note.split(":", 1)[0].split("=", 1)[1])
-        values = dict(item.split("=", 1) for item in note.split(": ", 1)[1].split() if "=" in item)
-        for u, v in ((2, 2), (2, 3), (3, 2), (3, 3)):
-            below = sum(
-                brute_scan_statistic(fields[: v * (m2 - 1), : u * (m1 - 1), r], m1, m2) <= n
-                for r in range(replicas)
+    for marginal in ("bernoulli", "gaussian"):
+        mirrored = marginal == "gaussian"
+        if mirrored:
+            config = _write_config(
+                tmp_path, name="gaussian.json", distribution="gaussian", p=None, mean=0.2,
+                variance=1.0, seed=-7, thresholds=[4, 6, 8], iterations=501,
             )
-            assert values[f"q{u}{v}"] == repr(below / replicas)
+        else:
+            config = _write_config(
+                tmp_path, name="bernoulli.json", p=0.5, seed=-7, thresholds=[5, 6, 7],
+                iterations=500,
+            )
+        out = tmp_path / f"{marginal}.tsv"
+        assert main(["approximate", "-c", config, "-o", str(out)]) == 0
+        metadata = read_table(str(out))[0]
+        header = dict(line[2:].split(" = ", 1) for line in metadata if " = " in line)
+        rng_map = header["rng"]
+        for step in (
+            "stream = BLAKE2b (digest_size=8) of the UTF-8 text '<task>:<k>', read little-endian",
+            "SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and stream, each mod 2**64 as "
+            "8 little-endian bytes, read as 3 little-endian words, counter 1, 12 words skipped",
+            "a chunk of r replicas draws r fields, or ceil(r / 2) for Gaussian cells of mean c, "
+            "whose replica 2i is field i and replica 2i + 1 its mirror 2c - x, so an odd r leaves "
+            "the last field without its mirror",
+            "chunk cells in (row, col, field) order",
+            "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
+            "little-endian bytes",
+        ):
+            assert step in rng_map
+        task, layout = header["chunks"].split(": ")
+        layout = dict(item.split("=") for item in layout.split())
+        assert task == "quv" and layout["count"] == "1"
+        assert layout["mirrored"] == ("yes" if mirrored else "no")
+        replicas, drawn = int(header["iterations"]), int(layout["last"])
+        assert drawn == (-(-replicas // 2) if mirrored else replicas)
+        seed, m1, m2 = int(header["seed"]), int(header["m1"]), int(header["m2"])
+        z = float(header["confidence_z"])
+
+        digest = hashlib.blake2b(f"{task}:0".encode(), digest_size=8).digest()
+        stream = int.from_bytes(digest, "little")
+        key = struct.pack("<QQ", seed % 2**64, stream)
+        words = struct.unpack("<3Q", hashlib.blake2b(key, digest_size=24).digest())
+        sfc = np.random.SFC64(0)
+        sfc.state = {
+            "bit_generator": "SFC64", "state": {"state": [*words, 1]},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        sfc.random_raw(12)
+        # a block is m + c - 2 cells each way, c = 1 for identity; the Q_33 field is 3 x 3 blocks
+        rows, cols = 3 * (m2 - 1), 3 * (m1 - 1)
+        if mirrored:
+            mean, sd = float(header["mean"]), math.sqrt(float(header["variance"]))
+            fields = np.random.Generator(sfc).normal(mean, sd, (rows, cols, drawn))
+            # replica 2i is field i, replica 2i + 1 its mirror 2c - x, c the mean
+            sources = [
+                fields[:, :, r // 2] if r % 2 == 0 else 2 * mean - fields[:, :, r // 2]
+                for r in range(replicas)
+            ]
+        else:
+            top = math.ceil(float(header["p"]) * 2**53) >> 45
+            assert top == 128
+            cells = rows * cols * drawn
+            raw = np.array(sfc.random_raw(-(-cells // 8)), dtype="<u8").view(np.uint8)[:cells]
+            fields = (raw < top).astype(np.int64).reshape(rows, cols, drawn)
+            sources = [fields[:, :, r] for r in range(replicas)]
+        pairs = replicas // 2 if mirrored else 0
+
+        notes = [line for line in metadata if line.startswith("# row n=")]
+        assert len(notes) == 3
+        for note in notes:
+            n = float(note.split(":", 1)[0].split("=", 1)[1])
+            items = note.split(": ", 1)[1].split()
+            values = dict(item.split("=", 1) for item in items if "=" in item)
+            for u, v in ((2, 2), (2, 3), (3, 2), (3, 3)):
+                below = [
+                    brute_scan_statistic(source[: v * (m2 - 1), : u * (m1 - 1)], m1, m2) <= n
+                    for source in sources
+                ]
+                q = sum(below) / replicas
+                assert 0.0 < q < 1.0 and values[f"q{u}{v}"] == repr(q)
+                # the half-width adds the pairs' covariance to the Wald variance
+                cov = 0.0
+                if pairs:
+                    both = sum(below[2 * i] and below[2 * i + 1] for i in range(pairs))
+                    cov = both / pairs - q * q
+                variance = max(q * (1.0 - q) + cov, 0.0)
+                assert values[f"b{u}{v}"] == repr(z * math.sqrt(variance / replicas))
 
 
 def test_row_notes_carry_the_budgets_inputs(tmp_path):
@@ -684,13 +730,16 @@ def test_plotdata_names_the_line_of_a_ragged_or_headless_row(tmp_path, capsys, c
 
 
 def _chunk_header(metadata):
-    """``{task: (size, count, last)}`` read back from the ``# chunks = ...`` line."""
+    """``{task: (fields, count, last, mirrored)}`` read back from the ``# chunks = ...`` line."""
     [line] = [line for line in metadata if line.startswith("# chunks = ")]
     layouts = {}
     for part in line[len("# chunks = ") :].split("; "):
         task, fields = part.split(": ")
         values = dict(field.split("=") for field in fields.split())
-        layouts[task] = tuple(int(values[key]) for key in ("size", "count", "last"))
+        layouts[task] = (
+            *(int(values[key]) for key in ("fields", "count", "last")),
+            {"yes": True, "no": False}[values["mirrored"]],
+        )
     return layouts
 
 
@@ -707,23 +756,27 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
         return accumulate(total, chunk, seed, task, chunk_eval, threads)
 
     monkeypatch.setattr(pipeline, "_accumulate", recording)
-    config = _write_config(tmp_path)
-    headers = []
-    for threads in (1, 2):
-        ran.clear()
-        out = tmp_path / f"table-t{threads}.tsv"
-        assert main([command, "-c", config, "-o", str(out), "--threads", str(threads)]) == 0
-        metadata, _, _ = read_table(str(out))
-        assert metadata[3].startswith("# chunks = ")
-        headers.append(metadata[3])
-        layouts = _chunk_header(metadata)
-        assert list(layouts) == [task for task, _, _ in ran]
-        for task, total, chunk in ran:
-            count = -(-total // chunk)
-            assert count > 2 and total % chunk
-            assert layouts[task] == (chunk, count, total - (count - 1) * chunk)
-    assert list(layouts) == (["quv"] if command == "approximate" else ["sim"])
-    assert headers[0] == headers[1]
+    # Gaussian cells score each drawn field twice: the header counts the fields
+    gaussian = {"distribution": "gaussian", "p": None, "mean": 0.0, "variance": 1.0}
+    for updates, per_field in (({}, 1), (gaussian, 2)):
+        config = _write_config(tmp_path, iterations=2001, replicas=2001, **updates)
+        headers = []
+        for threads in (1, 2):
+            ran.clear()
+            out = tmp_path / f"table-t{threads}.tsv"
+            assert main([command, "-c", config, "-o", str(out), "--threads", str(threads)]) == 0
+            metadata, _, _ = read_table(str(out))
+            assert metadata[3].startswith("# chunks = ")
+            headers.append(metadata[3])
+            layouts = _chunk_header(metadata)
+            assert list(layouts) == [task for task, _, _ in ran]
+            for task, total, chunk in ran:
+                count = -(-total // chunk)
+                assert count > 2 and total % chunk and chunk % per_field == 0
+                last = -(-(total - (count - 1) * chunk) // per_field)
+                assert layouts[task] == (chunk // per_field, count, last, per_field == 2)
+        assert list(layouts) == (["quv"] if command == "approximate" else ["sim"])
+        assert headers[0] == headers[1]
 
 
 def test_one_spec_is_built_per_command(tmp_path, monkeypatch):

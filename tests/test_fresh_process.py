@@ -119,7 +119,7 @@ def test_a_count_at_the_cell_limit_validates(tmp_path):
         assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == 2
     # not through simulate_distribution, which would start the run if its check let this by
     with pytest.raises(ParameterError) as err:
-        check_drawn_cells("replicas", replicas + 1, (spec.source_cols, spec.source_rows))
+        check_drawn_cells("replicas", replicas + 1, (spec.source_cols, spec.source_rows), False)
     assert err.value.field == "replicas"
 
 

@@ -26,6 +26,7 @@ from blockscan import (
 )
 from blockscan import blockfactor, pipeline
 from blockscan.errors import GeometryError, HypothesisError, OrderingError, ParameterError
+from oracles import paired_replicas
 
 
 def _bernoulli_spec(cols=12, rows=12, thresholds=(6, 7, 8), iterations=4000, seed=11, p=0.3):
@@ -740,12 +741,14 @@ def _ma_spec():
     )
 
 
-@pytest.mark.parametrize("shape", ["quv-2d", "quv-1d", "simulate"])
+@pytest.mark.parametrize("shape", ["quv-2d", "quv-1d", "quv-2d-gaussian", "simulate"])
 def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
-    """Tallies from shared tile maxima equal ``sums[:, :v, :u].max(axis=(1, 2))`` per extent.
+    """Tallies from shared tile extrema equal ``sums[:, :v, :u].max(axis=(1, 2))`` per extent.
 
     The oracle draws every chunk again from its stream and takes its window
-    sums with fresh buffers.
+    sums with fresh buffers.  Over Gaussian cells (``quv-1d``,
+    ``quv-2d-gaussian``) it also reflects each chunk into its mirror
+    ``2c - x`` and pairs the replicas as ``fields.STREAM_MAP`` states.
     """
     drawn, sample = [], MarginalDistribution.sample
 
@@ -765,6 +768,11 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     else:
         if shape == "quv-2d":
             spec = _minesweeper_spec(thresholds=range(34, 58, 3), iterations=9000)
+        elif shape == "quv-2d-gaussian":
+            spec = dataclasses.replace(
+                _minesweeper_spec(thresholds=range(30, 66, 5), iterations=9000),
+                distribution=MarginalDistribution.gaussian(0.3, 1.0),
+            )
         else:
             spec = _ma_spec()
         records = estimate_quv(spec, threads=1)
@@ -779,19 +787,34 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     cols, rows = pipeline._field_dims(spec, task)
     thr = np.array(spec.thresholds)
     expected = np.zeros((len(extents), thr.size), dtype=np.int64)
+    left = 9000
     for k, size in enumerate(drawn):
         rng = SeedSpec.for_chunk(spec.seed, task, k).generator()
         block = spec.distribution.sample(rng, size)
-        sums = pipeline.window_sums_batch(
-            np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2
-        )
-        for idx, (v_ext, u_ext) in enumerate(extents):
-            maxima = sums[:, :v_ext, :u_ext].max(axis=(1, 2))
-            expected[idx] += (maxima[:, None] <= thr[None, :]).sum(axis=0)
-    # one draw per chunk: full chunks, then the rest
-    chunk = {"quv-2d": 3640, "quv-1d": 1040, "simulate": 2880}[shape]
+        sources = [block]
+        if spec.mirrored:
+            sources.append(2 * spec.distribution.centre - block)
+        passed = []
+        for source in sources:
+            sums = pipeline.window_sums_batch(
+                np.moveaxis(source, -1, 0), spec.transform, spec.m1, spec.m2
+            )
+            # (extent, threshold, field)
+            passed.append(np.array([
+                sums[:, :v_ext, :u_ext].max(axis=(1, 2)) <= thr[:, None]
+                for v_ext, u_ext in extents
+            ]))
+        count = min(left, len(sources) * size[-1])
+        replicas = paired_replicas(*passed, count) if spec.mirrored else passed[0]
+        expected += replicas.sum(axis=-1)
+        left -= count
+    assert left == 0
+    # one draw per chunk of drawn fields, two replicas each over Gaussian
+    # cells: full chunks, then the rest
+    chunk = {"quv-2d": 3640, "quv-1d": 1040, "quv-2d-gaussian": 455, "simulate": 2880}[shape]
+    fields = 4500 if spec.mirrored else 9000
     assert drawn == [(rows, cols, n) for n in (
-        [chunk] * (9000 // chunk) + [9000 % chunk]
+        [chunk] * (fields // chunk) + [fields % chunk]
     )]
     # at least three thresholds per extent split the replicas
     assert np.all(((expected > 0) & (expected < 9000)).sum(axis=1) >= 3)
@@ -992,7 +1015,7 @@ _BENCHMARK_CALLS = {
     "quv-sparse": lambda: estimate_quv(dataclasses.replace(_SPARSE, iterations=4000)),
     "quv-ma": lambda: estimate_quv(
         dataclasses.replace(_ma_spec(), source_cols=1002, thresholds=(13.0, 15.0, 17.0),
-                            iterations=1100)
+                            iterations=2200)
     ),
     "sim-sparse": lambda: simulate_distribution(_SPARSE, replicas=300),
 }
@@ -1008,7 +1031,10 @@ _BENCHMARK_PLANS = {
     # the doubling to 16 overwrites it, then 16 added; one row of 1 x 2 tiles
     "quv-ma": ["multiply", "multiply", "add", "multiply", "add"]
     + ["add", "add", "add", "copyto", "add", "add"]
-    + ["maximum.reduce", "maximum", "less_equal"],
+    + ["maximum.reduce", "maximum", "less_equal"]
+    # Gaussian cells: the mirror's running minima and compare, and the pairs
+    # in which both pass
+    + ["minimum.reduce", "minimum", "greater_equal", "logical_and"],
     # one tile, the whole field: no running maxima
     "sim-sparse": _MINESWEEPER_SUMS + ["maximum.reduce"] * 2 + ["less_equal"],
 }
@@ -1124,9 +1150,10 @@ def test_a_worker_block_stays_small(spec, simulate, mib, monkeypatch):
 
 
 # bytes per slot of a worker's block: a full chunk's source, its block
-# factor and window sums, the doubling scratch, the tile maxima and the
-# compares; the row pass writes over the source and the column pass over
-# the block factor, so neither has bytes of its own
+# factor and window sums, the doubling scratch, the tile maxima (and on
+# quv-ma, in turn, minima) and the compares (on quv-ma three per field: the
+# field, its mirror and both); the row pass writes over the source and the
+# column pass over the block factor, so neither has bytes of its own
 _BENCHMARK_LAYOUTS = {
     "quv-sparse": {
         "source": 524160, "blockfactor": 429520, "scratch0": 425880,
@@ -1134,7 +1161,7 @@ _BENCHMARK_LAYOUTS = {
     },
     "quv-ma": {
         "source": 524160, "blockfactor": 507520, "scratch0": 507520, "scratch1": 482560,
-        "scan.tiles": 16640, "below": 6240,
+        "scan.tiles": 16640, "below": 18720,
     },
     "sim-sparse": {
         "source": 522720, "blockfactor": 498420, "scratch0": 498150,
