@@ -22,6 +22,7 @@ from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError,
 from .fields import STREAM_MAP, MarginalDistribution
 from .pipeline import (
     DEFAULT_REPLICAS,
+    VIEWS,
     ApproxRow,
     ExperimentSpec,
     SimRow,
@@ -31,8 +32,10 @@ from .pipeline import (
     simulate_distribution,
 )
 
-# the estimates and half-widths each ``# row`` note of an approximation carries
-_ESTIMATES = ("q22", "q23", "q32", "q33", "b22", "b23", "b32", "b33")
+# the estimates and half-widths each ``# row`` note of an approximation carries,
+# in the order of the extents of ``EstimateRecord.sums``
+_EXTENTS = ("22", "23", "32", "33")
+_ESTIMATES = tuple(f"{name}{uv}" for name in ("q", "b") for uv in _EXTENTS)
 
 
 def _reject_constant(name: str):
@@ -188,7 +191,10 @@ def _write_table(
         for task, total in calls:
             fields, count, last = chunk_layout(spec, task, total)
             mirrored = "yes" if spec.mirrored else "no"
-            layouts.append(f"{task}: fields={fields} count={count} last={last} mirrored={mirrored}")
+            layouts.append(
+                f"{task}: fields={fields} count={count} last={last} mirrored={mirrored} "
+                f"views={VIEWS}"
+            )
         lines.append("# chunks = " + "; ".join(layouts))
         for f in dataclass_fields(config):
             value = getattr(config, f.name)
@@ -216,8 +222,13 @@ def write_approx_table(
     for row in rows:
         details = [f"alpha1={row.alpha1:.6g}", f"alpha2={row.alpha2:.6g}"]
         if row.estimate is not None:
-            # the budget's inputs, exact, so a reader can re-derive e_sf
-            details += [f"{name}={getattr(row.estimate, name)!r}" for name in _ESTIMATES]
+            # the budget's inputs, exact, so a reader can re-derive e_sf, and the
+            # integers they are read from (``pipeline.group_estimate``)
+            rec = row.estimate
+            details += [f"{name}={getattr(rec, name)!r}" for name in _ESTIMATES]
+            for name, tally in (("s", rec.sums), ("ss", rec.squares)):
+                details += [f"{name}{uv}={k}" for uv, k in zip(_EXTENTS, tally)]
+            details += [f"N={rec.iterations}", f"R={rec.group}"]
         for label, value in (("t2_1", row.t2_1), ("t2_2", row.t2_2)):
             if value is not None:
                 details.append(f"{label}={value:.6g}")
@@ -371,7 +382,7 @@ def main(argv=None) -> int:
             # the config must suit simulate too, whose replicas draw the whole source
             try:
                 dims = (config.source_cols, config.source_rows)
-                check_drawn_cells("replicas", config.replicas, dims, config.build_spec().mirrored)
+                check_drawn_cells("replicas", config.replicas, dims, config.build_spec().group)
             except ParameterError as exc:
                 raise _key_error(exc) from exc
             print("ok")

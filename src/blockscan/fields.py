@@ -29,9 +29,13 @@ STREAM_MAP = (
     "chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the UTF-8 text "
     "'<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and "
     "stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian words, "
-    "counter 1, 12 words skipped; a chunk of r replicas draws r fields, or ceil(r / 2) "
-    "for Gaussian cells of mean c, whose replica 2i is field i and replica 2i + 1 its "
-    "mirror 2c - x, so an odd r leaves the last field without its mirror; chunk cells in "
+    "counter 1, 12 words skipped; a chunk of r replicas draws ceil(r / R) fields, "
+    "R = V * M, V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
+    "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1, so the "
+    "last field of an r that R does not divide counts its first r mod R replicas; view 0 is "
+    "the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in "
+    "(row, col) order, o_j the stable argsort of the first rows * cols words of the stream "
+    "of the text '<task>-view:<j>' (the same hash, seed and SFC64); chunk cells in "
     "(row, col, field) order; "
     "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
     "little-endian bytes, then extra successes at geometric gaps; for p > 1/2 the same draw "
@@ -221,7 +225,8 @@ class MarginalDistribution:
 
         ``X`` and ``2c - X`` then have the same law, so a linear block
         factor of such cells and its reflection do too, and the pipeline
-        scores every drawn field also as its mirror (``pipeline._tally``).
+        scores every view of a drawn field also as its mirror
+        (``pipeline._tally``).
         Gaussian gives its mean; every other marginal gives ``None``.
         """
         return self.mean if self.kind == "gaussian" else None

@@ -31,13 +31,19 @@ _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 # the ufuncs and the per-chunk stream set-up stay small
 _CHUNK_BYTES = 512 * 1024
 # the most source cells one Monte Carlo call may draw (``check_drawn_cells``):
-# about a day of work at the fastest rate measured, 8.1e8 cells/s on 1 thread
-# and 1.0e9 on 2 (``simulate`` of identity over Bernoulli(0.1) cells on a
-# 2-core Xeon, NumPy 2.4.6), so a count that no run could finish is rejected
-# before any work starts
+# days of work at the fastest rate measured, 4.5e8 drawn cells/s on 1 thread
+# and 7.3e8 on 2 (``simulate`` of identity over 44 x 44 Bernoulli(0.1) cells,
+# each drawn field scored as four views, on a 2-core Xeon, NumPy 2.4.6), so a
+# count that no run could finish is rejected before any work starts
 MAX_DRAWN_CELLS = 10**14
 # the replicas a simulation draws unless told otherwise
 DEFAULT_REPLICAS = 100_000
+# the cell orders each drawn field is scored in (``_tally``): at 4 a given
+# half-width took 1.5-2.1x fewer seconds than one field per replica on the
+# benchmark configs; 8 was up to 14% ahead of 4 on that measure, about the
+# host's spread, with half the groups behind each half-width (README,
+# "Replica groups")
+VIEWS = 4
 
 
 @dataclass(frozen=True)
@@ -115,12 +121,17 @@ class ExperimentSpec:
             raise GeometryError(
                 "source height must cover at least three block units", field="source_rows"
             )
-        check_drawn_cells("iterations", self.iterations, _field_dims(self, "quv"), self.mirrored)
+        check_drawn_cells("iterations", self.iterations, _field_dims(self, "quv"), self.group)
 
     @property
     def mirrored(self) -> bool:
-        """Whether each drawn field also counts as its mirror (``MarginalDistribution.centre``)."""
+        """Whether each view also counts as its mirror (``MarginalDistribution.centre``)."""
         return self.distribution.centre is not None
+
+    @property
+    def group(self) -> int:
+        """The replicas one drawn field counts as: ``VIEWS``, twice that if ``mirrored`` (``_tally``)."""
+        return VIEWS * (2 if self.mirrored else 1)
 
     @property
     def one_dimensional(self) -> bool:
@@ -138,7 +149,13 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """Monte Carlo estimates of the four nested sub-rectangle probabilities."""
+    """Monte Carlo estimates of the four nested sub-rectangle probabilities.
+
+    ``sums`` and ``squares`` are the integer tallies ``sum s`` and ``sum
+    s**2`` behind ``q22``, ``q23``, ``q32`` and ``q33``, in that order, over
+    groups of ``group`` replicas (``group_estimate``); empty where the
+    record was not tallied.
+    """
 
     n: float
     q22: float
@@ -150,6 +167,9 @@ class EstimateRecord:
     b32: float
     b33: float
     iterations: int
+    sums: tuple = ()
+    squares: tuple = ()
+    group: int = 1
 
 
 @dataclass(frozen=True)
@@ -213,23 +233,24 @@ def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
     return quv_field_dims(3, 3, spec)
 
 
-def _drawn_fields(replicas: int, mirrored: bool) -> int:
-    """The fields that ``replicas`` replicas draw: half, rounded up, if each is also its mirror."""
-    return -(-replicas // 2) if mirrored else replicas
+def _drawn_fields(replicas: int, group: int) -> int:
+    """The fields that ``replicas`` replicas draw, each counting as ``group`` of them: rounded up."""
+    return -(-replicas // group)
 
 
-def check_drawn_cells(field: str, count: int, dims: tuple[int, int], mirrored: bool) -> None:
+def check_drawn_cells(field: str, count: int, dims: tuple[int, int], group: int) -> None:
     """Raise, naming ``field``, if the fields ``count`` replicas draw pass the cell limit.
 
-    ``count`` replicas of (cols, rows) ``dims`` draw ``count`` fields, or
-    ``ceil(count / 2)`` where each field also counts as its mirror.
+    ``count`` replicas of (cols, rows) ``dims`` draw ``ceil(count / group)``
+    fields, each drawn field counting as ``group`` replicas
+    (``ExperimentSpec.group``).
     """
     cols, rows = dims
-    fields = _drawn_fields(count, mirrored)
+    fields = _drawn_fields(count, group)
     if fields * cols * rows > MAX_DRAWN_CELLS:
         raise ParameterError(
             f"{field} = {count} draws {fields} fields of {cols}x{rows} cells, past the "
-            f"{MAX_DRAWN_CELLS:.0e} cells (about a day of work) one call may draw",
+            f"{MAX_DRAWN_CELLS:.0e} cells (days of work) one call may draw",
             field=field,
         )
 
@@ -237,13 +258,13 @@ def check_drawn_cells(field: str, count: int, dims: tuple[int, int], mirrored: b
 def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int, int]:
     """Drawn fields per chunk, chunk count and the last chunk's fields of a ``quv`` or ``sim`` call.
 
-    A call of ``total`` replicas draws ``total`` fields, or ``ceil(total /
-    2)`` for a mirrored model (``ExperimentSpec.mirrored``), whose chunks
-    then hold twice as many replicas as fields.
+    A call of ``total`` replicas draws ``ceil(total / R)`` fields, ``R =
+    spec.group`` replicas to a field, so its chunks hold ``R`` times as many
+    replicas as fields.
     """
     cols, rows = _field_dims(spec, task)
     size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
-    fields = _drawn_fields(total, spec.mirrored)
+    fields = _drawn_fields(total, spec.group)
     count = -(-fields // size)
     return size, count, fields - (count - 1) * size
 
@@ -289,55 +310,97 @@ def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, thread
     return run(0)
 
 
+def group_estimate(sums, squares, total: int, group: int, z: float):
+    """The estimate ``q = S / N`` and its half-width from the tallies ``S = sum s``, ``Q = sum s**2``.
+
+    ``N = total`` replicas come in groups of ``group = R``, each scored
+    from one drawn field, and ``s`` is the count of a group's replicas that
+    pass.  ``S`` sums over every group, ``Q`` over the ``G = N // R`` full
+    ones.  The half-width is ``z * sqrt(max(Q / G - (R q)**2, 0) / (R N))``:
+    the variance of a full group's count over ``N / R`` groups, so the
+    correlation of a group's replicas is in it.  ``R q`` is ``S / G`` where
+    ``R`` divides ``N``; otherwise it still has the mean of a full group's
+    count, where ``S / G`` would be off by the short group's, and near ``q
+    = 1`` its square would cancel most of ``Q / G``.  At ``R = 1`` this is
+    the Wald half-width.  A call of fewer than ``R`` replicas has no full
+    group, and its replicas are taken as independent: Wald again.  Works on
+    scalars and arrays alike.
+    """
+    sums, squares = np.asarray(sums, dtype=np.float64), np.asarray(squares, dtype=np.float64)
+    probs = sums / total
+    groups = total // group
+    if groups:
+        spread = squares / groups - (group * probs) ** 2
+    else:
+        spread = group * probs * (1.0 - probs)
+    return probs, z * np.sqrt(np.maximum(spread, 0.0) / (group * total))
+
+
+def _view_orders(spec: ExperimentSpec, task: str, cells: int) -> list[np.ndarray]:
+    """The cell order of views 1 .. ``VIEWS - 1``: a stable argsort of ``cells`` raw SFC64 words each.
+
+    View ``j`` reads the words of the stream ``SeedSpec.for_chunk(seed,
+    f"{task}-view", j)``, so its order depends on the seed, the task and
+    ``j`` only, and on no ``Generator`` method.
+    """
+    bit_generator, orders = SeedSpec(spec.seed).bit_generator(), []
+    for j in range(1, VIEWS):
+        SeedSpec.for_chunk(spec.seed, f"{task}-view", j).reseed(bit_generator)
+        orders.append(np.argsort(bit_generator.random_raw(cells), kind="stable"))
+    return orders
+
+
 def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     """Monte Carlo estimates of P(max window sum <= n) over nested anchor extents.
 
-    Each replica samples one source field of ``_field_dims(spec, task)``,
-    applies the block factor and takes every window sum once.  The sums are
-    cut into ``tile = (rows, cols)`` tiles of anchors and each tile's
-    maximum is taken once; the running maxima of the tile maxima over both
-    tile axes give, at tile ``(v - 1, u - 1)``, the maximum over the leading
-    ``v x u`` tiles, and one compare with every threshold counts them all.
+    Each replica is one source field of ``_field_dims(spec, task)``,
+    through the block factor and every window sum once.  The sums are cut
+    into ``tile = (rows, cols)`` tiles of anchors and each tile's maximum
+    is taken once; the running maxima of the tile maxima over both tile
+    axes give, at tile ``(v - 1, u - 1)``, the maximum over the leading
+    ``v x u`` tiles, and one compare with every threshold scores them all.
     An extent ``(v, u)`` reads its counts at that tile.  Returns the
-    thresholds and, per extent and threshold, the estimate and its
-    half-width.  The chunks run on at most ``threads`` worker threads, 1 if
-    ``None`` (``_worker_count``).
+    thresholds and, per extent and threshold, the estimate, its half-width
+    and the integer tallies ``sum s`` and ``sum s**2`` they are read from
+    (``group_estimate``).  The chunks run on at most ``threads`` worker
+    threads, 1 if ``None`` (``_worker_count``).
 
-    Mirror replicas (Hammersley & Morton, "A new Monte Carlo technique:
-    antithetic variates", 1956).  Where the marginal is symmetric about a
-    centre ``c`` (``MarginalDistribution.centre``), the reflected source
-    ``2c - x`` has the law of ``x``, and, the filter being linear, its
-    window sums are ``2cK - S(x)`` with ``K = weights.sum() * m1 * m2``.  So
-    each drawn field also counts as that mirror, which passes where ``min
-    S >= 2cK - n``: the running minima of the tile minima,
-    recorded after the maxima in the same ``scan.tiles`` slot, which the
-    maxima's compare has read by then.  A chunk of ``r`` replicas draws
-    ``ceil(r / 2)`` fields; replica ``2i`` is field ``i`` and ``2i + 1`` its
-    mirror (``fields.STREAM_MAP``).  Full chunks hold an even count, so a
-    pair never straddles two chunks, and for an odd ``total`` the last
-    field's mirror is not tallied.  Over the ``U`` pairs the tally also
-    counts ``C``, the pairs in which both pass, and the half-width is
-    ``z * sqrt(max(p(1 - p) + c_hat, 0) / total)`` with ``c_hat = C / U -
-    p**2``, the pair covariance; without pairs ``c_hat = 0``, the Wald
-    half-width.  Under non-negative weights a field's indicator falls and
-    its mirror's rises in every cell, so their covariance is ``<= 0``
-    (Esary, Proschan & Walkup, 1967) and the mirror never widens the
-    half-width; under mixed signs it can be positive, and the half-width
-    then grows with it.
+    Replica groups.  The cells of a field are i.i.d., so any fixed
+    permutation of them is a field of the same law, and each drawn field
+    counts as ``R = spec.group`` replicas: ``VIEWS`` views, view 0 the field
+    and view ``j >= 1`` its cells in the order ``_view_orders`` fixes for
+    the whole call, and where the marginal is symmetric about a centre
+    ``c`` (``MarginalDistribution.centre``) each view also as its mirror
+    ``2c - x`` (Hammersley & Morton, "A new Monte Carlo technique:
+    antithetic variates", 1956).  The filter being linear, a mirror's
+    window sums are ``2cK - S`` with ``K = weights.sum() * m1 * m2``, so it
+    passes where ``min S >= 2cK - n``: the running minima of the tile
+    minima, recorded after the maxima in the same ``scan.tiles`` slot,
+    which the maxima's compare has read by then.  Replica ``R i + M j + m``
+    is view ``j`` of field ``i``, its mirror if ``m = 1`` (``M = 2`` with a
+    mirror, else 1; ``fields.STREAM_MAP``).  Full chunks hold a multiple of
+    ``R``, so a group never straddles two chunks, and the last field of a
+    ``total`` that ``R`` does not divide tallies its leading ``total mod
+    R`` replicas only.  The replicas of a group are not independent, so the
+    tally keeps, per extent and threshold, the sum of each field's count
+    ``s`` of passing replicas and, over the full groups, the sum of its
+    square, and the half-width is that of the group counts
+    (``group_estimate``).
 
     A chunk is about 512 KiB of drawn source fields (``chunk_layout``), a
     budget in bytes of the marginal's dtype, so the chunk partition, and
     with it the stream, depends on the model only.  Each chunk is drawn in
-    one ``sample`` call into a ``(rows, cols, fields)`` block and then goes
-    through the kernels in one pass.  They take its replica-minor
-    view ``(fields, rows, cols)``: no flat lane wraps across a field,
-    and the extrema, compares and counts run over contiguous field
-    vectors.  Every pass after the draw, from the block factor to the
-    compares, is recorded into one list of passes (the kernels' ``ops``)
-    once per worker and chunk shape, and run again on each chunk, so a
-    chunk pays no interpreter work that is the same every time; only the
-    counts are a fresh array.
-    Each worker keeps its chunk's source and temporaries in one block of
+    one ``sample`` call into the ``drawn`` slot, a ``(rows, cols, fields)``
+    block that no pass writes.  Per view the plan takes the view's cells
+    into the ``source`` slot (view 0 reads ``drawn`` itself), runs the
+    kernels over its replica-minor view ``(fields, rows, cols)``, in which
+    no flat lane wraps across a field and the extrema and compares run over
+    contiguous field vectors, and adds each score into the uint8 counts
+    ``s``; two int64 sums over the fields close the chunk.  Every pass
+    after the draw is recorded into one list of passes (the kernels'
+    ``ops``) once per worker and chunk shape, and run again on each chunk,
+    so a chunk pays no interpreter work that is the same every time.
+    Each worker keeps its chunk's fields and temporaries in one block of
     ``Buffers``, laid out by one recording at a full chunk on fresh arrays,
     which runs no pass; those arrays are freed before any worker places its
     block.  The window sums write into slots that are dead by then
@@ -356,58 +419,89 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     thr = np.asarray(spec.thresholds, dtype=np.float64)
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
-        return thr, empty, empty
+        return thr, empty, empty, empty, empty
     cols, rows = _field_dims(spec, task)
-    dist, mirrored = spec.distribution, spec.mirrored
-    chunk = chunk_layout(spec, task, total)[0] * (2 if mirrored else 1)
-    if mirrored:
+    dist, group = spec.distribution, spec.group
+    chunk = chunk_layout(spec, task, total)[0] * group
+    orders = [None, *_view_orders(spec, task, rows * cols)]
+    scores = [(np.maximum, np.less_equal)]
+    if spec.mirrored:
         # the mirror's window sums are 2cK - S, K = weights.sum() * m1 * m2
         two_ck = 2 * dist.centre * spec.transform.weights.sum().item() * spec.m1 * spec.m2
+        scores.append((np.minimum, np.greater_equal))
 
     def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
-        """Take a ``(rows, cols, fields)`` source block; append every pass after its draw to ``ops``.
+        """Take the ``drawn`` block of a chunk of ``count`` replicas; append every pass after its draw.
 
-        Returns the block and the ``(scores, grid_rows, grid_cols,
-        thresholds, fields)`` bool view the passes write: whether each
-        field's running maximum at each tile is ``<=`` each threshold, and
-        with a mirror whether the mirror's is (its running minimum, past the
-        mirror's limit), and whether both are.  A chunk of odd ``count``
-        clears its last field's mirror.  Every array is taken from
-        ``buffers``.
+        Returns the ``(rows, cols, fields)`` block and the ``(2, grid_rows,
+        grid_cols, thresholds)`` int64 tally the passes write: per tile and
+        threshold, ``sum s`` over the fields and ``sum s**2`` over those of
+        a full group, ``s`` the count of a field's replicas whose running
+        maximum at the tile is ``<=`` the threshold (a mirror's: whose
+        running minimum is past the mirror's limit).  Every other array is
+        taken from ``buffers``.
         """
-        fields = _drawn_fields(count, mirrored)
-        block = buffers.take("source", fields * rows * cols, dist.dtype).reshape(rows, cols, fields)
-        sums = window_sums_batch(
-            np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2, buffers=buffers, ops=ops
-        )
-        limits = thr[:, None]
-        if np.issubdtype(sums.dtype, np.integer):
-            # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
-            info = np.iinfo(sums.dtype)
-            floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
-            limits = np.array(floors, dtype=sums.dtype)[:, None]
-        scores = [(np.maximum, np.less_equal, limits)]
-        if mirrored:
-            # Gaussian sums are float: the mirror passes where min S >= 2cK - n
-            scores.append((np.minimum, np.greater_equal, (two_ck - thr)[:, None]))
-        scored = None
-        for k, (reduce, compare, limit) in enumerate(scores):
-            # tile axes first, so every pass below runs over the fields
-            lead = np.moveaxis(tile_maxima(sums, *tile, reduce, buffers=buffers, ops=ops), 0, -1)
-            for i in range(1, lead.shape[0]):
-                ops.append((reduce, (lead[i], lead[i - 1]), {"out": lead[i]}))
-            for j in range(1, lead.shape[1]):
-                ops.append((reduce, (lead[:, j], lead[:, j - 1]), {"out": lead[:, j]}))
-            if scored is None:
-                # the field's score; with a mirror, the mirror's and both
-                shape = (2 * len(scores) - 1, *lead.shape[:2], thr.size, fields)
-                scored = buffers.take("below", math.prod(shape), np.bool_).reshape(shape)
-            ops.append((compare, (lead[:, :, None, :], limit), {"out": scored[k]}))
-        if mirrored:
-            if count % 2:
-                ops.append((scored[1, ..., count // 2 :].fill, (False,), {}))
-            ops.append((np.logical_and, (scored[0], scored[1]), {"out": scored[2]}))
-        return block, scored
+        fields = _drawn_fields(count, group)
+        cells = rows * cols
+        drawn = buffers.take("drawn", fields * cells, dist.dtype).reshape(rows, cols, fields)
+        source = buffers.take("source", fields * cells, dist.dtype).reshape(rows, cols, fields)
+        # the replicas of the last field's group that are tallied
+        tail = count - (fields - 1) * group
+        passes = None
+        for j, order in enumerate(orders):
+            block = drawn
+            if order is not None:
+                # 'clip' skips the bounds check for which 'raise' buffers the whole take
+                ops.append((
+                    np.take, (drawn.reshape(cells, fields), order),
+                    {"axis": 0, "out": source.reshape(cells, fields), "mode": "clip"},
+                ))
+                block = source
+            sums = window_sums_batch(
+                np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2,
+                buffers=buffers, ops=ops,
+            )
+            limits = thr[:, None]
+            if np.issubdtype(sums.dtype, np.integer):
+                # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
+                info = np.iinfo(sums.dtype)
+                floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
+                limits = np.array(floors, dtype=sums.dtype)[:, None]
+            for m, (reduce, compare) in enumerate(scores):
+                # tile axes first, so every pass below runs over the fields
+                lead = np.moveaxis(
+                    tile_maxima(sums, *tile, reduce, buffers=buffers, ops=ops), 0, -1
+                )
+                for i in range(1, lead.shape[0]):
+                    ops.append((reduce, (lead[i], lead[i - 1]), {"out": lead[i]}))
+                for k in range(1, lead.shape[1]):
+                    ops.append((reduce, (lead[:, k], lead[:, k - 1]), {"out": lead[:, k]}))
+                # Gaussian sums are float: the mirror passes where min S >= 2cK - n
+                args = (lead[:, :, None, :], two_ck - limits if m else limits)
+                size = lead.shape[0] * lead.shape[1] * thr.size * fields
+                if passes is None:
+                    # replica 0 of each group: its 0 or 1 starts the counts
+                    passes = buffers.take("passes", size, np.uint8)
+                    passes = passes.reshape(*lead.shape[:2], thr.size, fields)
+                    ops.append((compare, args, {"out": passes.view(np.bool_)}))
+                    continue
+                below = buffers.take("below", size, np.bool_).reshape(passes.shape)
+                ops.append((compare, args, {"out": below}))
+                # replica R i + M j + m, M = len(scores), past the short last group
+                if len(scores) * j + m >= tail:
+                    ops.append((below[..., -1].fill, (False,), {}))
+                ops.append((np.add, (passes, below.view(np.uint8)), {"out": passes}))
+        # s**2 <= R**2 fits uint8 up to R = 15; the last add has read ``below`` by now
+        square = np.uint8 if group * group <= np.iinfo(np.uint8).max else np.uint16
+        squares = buffers.take("below", passes.size, square).reshape(passes.shape)
+        tally = np.empty((2, *passes.shape[:-1]), dtype=np.int64)
+        ops.append((np.multiply, (passes, passes), {"out": squares, "dtype": square}))
+        if tail < group:
+            # a short last group counts in sum s only
+            ops.append((squares[..., -1].fill, (0,), {}))
+        ops.append((np.add.reduce, (passes,), {"axis": -1, "dtype": np.int64, "out": tally[0]}))
+        ops.append((np.add.reduce, (squares,), {"axis": -1, "dtype": np.int64, "out": tally[1]}))
+        return drawn, tally
 
     # the bytes a full chunk takes, on fresh arrays that no pass touches; they
     # are freed at once, or the heap top they leave would pass glibc's trim
@@ -424,29 +518,25 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         if count not in worker:
             ops = []
             worker[count] = (*record(count, worker["buffers"], ops), ops)
-        block, scored, ops = worker[count]
-        dist.sample(rng, block.shape, out=block)
+        drawn, tally, ops = worker[count]
+        dist.sample(rng, drawn.shape, out=drawn)
         run_passes(ops)
-        return scored.sum(axis=-1, dtype=np.int64)
+        return tally
 
-    # per score, tile and threshold: the fields, mirrors and pairs that pass
+    # per tile and threshold: sum s over the drawn fields, sum s**2 over the full groups
     tally = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
-    counts = tally[:2].sum(axis=0)
-    probs = np.array([counts[v - 1, u - 1] for v, u in extents]) / total
-    pairs = total // 2 if mirrored else 0
-    cov = 0.0
-    if pairs:
-        cov = np.array([tally[2, v - 1, u - 1] for v, u in extents]) / pairs - probs**2
-    variance = np.maximum(probs * (1.0 - probs) + cov, 0.0)
-    return thr, probs, spec.confidence_z * np.sqrt(variance / total)
+    sums = np.array([tally[0, v - 1, u - 1] for v, u in extents])
+    squares = np.array([tally[1, v - 1, u - 1] for v, u in extents])
+    probs, beta = group_estimate(sums, squares, total, group, spec.confidence_z)
+    return thr, probs, beta, sums, squares
 
 
 def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[EstimateRecord]:
     """Monte Carlo estimates of all four Q_uv for every threshold in one pass.
 
     One source field of the largest (3, 3) size serves all four nested maxima
-    per replica, or per two where it also counts as its mirror (``_tally``);
-    all thresholds share the same replicas.
+    per replica, and each drawn field counts as a group of replicas
+    (``_tally``); all thresholds share the same replicas.
     """
     # the window sums of the (3, 3) field are 2 x 2 tiles of block2 x block1
     # anchors (1 x 2 tiles of one row in 1-D); Q_uv reads the leading
@@ -455,7 +545,7 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
         tile, extents = (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
     else:
         tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
-    thr, q_hat, beta = _tally(spec, threads, "quv", spec.iterations, tile, extents)
+    thr, q_hat, beta, sums, squares = _tally(spec, threads, "quv", spec.iterations, tile, extents)
     records = []
     for t_idx, n in enumerate(thr):
         records.append(
@@ -470,6 +560,9 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
                 b32=float(beta[2, t_idx]),
                 b33=float(beta[3, t_idx]),
                 iterations=spec.iterations,
+                sums=tuple(int(k) for k in sums[:, t_idx]),
+                squares=tuple(int(k) for k in squares[:, t_idx]),
+                group=spec.group,
             )
         )
     return records
@@ -634,10 +727,10 @@ def simulate_distribution(
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
     check_integer("replicas", replicas, minimum=1)
-    check_drawn_cells("replicas", replicas, _field_dims(spec, "sim"), spec.mirrored)
+    check_drawn_cells("replicas", replicas, _field_dims(spec, "sim"), spec.group)
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
-    thr, probs, half = _tally(spec, threads, "sim", replicas, full, [(1, 1)])
+    thr, probs, half, _, _ = _tally(spec, threads, "sim", replicas, full, [(1, 1)])
     return [
         SimRow(n=float(n), prob=float(p), half_width=float(h), replicas=replicas)
         for n, p, h in zip(thr, probs[0], half[0])

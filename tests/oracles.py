@@ -10,6 +10,7 @@ the column and ``j`` the row, stored as ``values[j - 1, i - 1]``.
 import numpy as np
 
 from blockscan.errors import GeometryError
+from blockscan.fields import SeedSpec
 
 
 def configuration_matrix(values: np.ndarray, i: int, j: int, transform) -> np.ndarray:
@@ -81,17 +82,45 @@ def per_tile_maxima(field: np.ndarray, tile_rows: int, tile_cols: int) -> np.nda
     ])
 
 
-def paired_replicas(fields: np.ndarray, mirrors: np.ndarray, count: int) -> np.ndarray:
+def view_orders(seed: int, task: str, cells: int, views: int) -> list[np.ndarray]:
+    """The cell order of views 1 .. ``views - 1`` of a ``task`` call, as ``fields.STREAM_MAP`` states it.
+
+    View ``j`` is the stable argsort of the first ``cells`` raw words of
+    the stream of ``"<task>-view:<j>"``.
+    """
+    return [
+        np.argsort(
+            SeedSpec.for_chunk(seed, f"{task}-view", j).bit_generator().random_raw(cells),
+            kind="stable",
+        )
+        for j in range(1, views)
+    ]
+
+
+def grouped_replicas(scores: list, count: int) -> np.ndarray:
     """A chunk's ``count`` replica values in stream order, replicas on the last axis.
 
-    As ``fields.STREAM_MAP`` states it: replica ``2i`` is field ``i`` and
-    replica ``2i + 1`` its mirror, so an odd ``count`` leaves the last
-    field's mirror out.
+    ``scores[t]`` holds, per drawn field on its last axis, the value of
+    replica ``t`` of the ``R = len(scores)`` that the field counts as; as
+    ``fields.STREAM_MAP`` states it, replica ``R * i + t`` of the chunk is
+    ``scores[t][..., i]``, so a ``count`` that ``R`` does not divide leaves
+    the last field's trailing replicas out.
     """
-    out = np.empty(fields.shape[:-1] + (count,), dtype=np.result_type(fields, mirrors))
-    out[..., 0::2] = fields[..., : -(-count // 2)]
-    out[..., 1::2] = mirrors[..., : count // 2]
-    return out
+    stacked = np.stack(scores, axis=-1)
+    return stacked.reshape(*stacked.shape[:-2], -1)[..., :count]
+
+
+def group_tallies(replicas: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sum s`` and ``sum s**2`` over the groups of ``group`` consecutive replicas (last axis).
+
+    ``s`` is a group's count of true replicas.  A last group short of
+    ``group`` replicas adds the ones it has to ``sum s``, and nothing to
+    ``sum s**2``, which runs over the full groups.
+    """
+    count = replicas.shape[-1]
+    full = count // group * group
+    s = replicas[..., :full].reshape(*replicas.shape[:-1], -1, group).sum(axis=-1, dtype=np.int64)
+    return replicas.sum(axis=-1, dtype=np.int64), (s * s).sum(axis=-1)
 
 
 def brute_extent_maxima(stack: np.ndarray, transform, m1: int, m2: int, extent) -> np.ndarray:

@@ -441,9 +441,13 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
         "# rng = chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the "
         "UTF-8 text '<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) "
         "of seed and stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian "
-        "words, counter 1, 12 words skipped; a chunk of r replicas draws r fields, or "
-        "ceil(r / 2) for Gaussian cells of mean c, whose replica 2i is field i and replica "
-        "2i + 1 its mirror 2c - x, so an odd r leaves the last field without its mirror; "
+        "words, counter 1, 12 words skipped; a chunk of r replicas draws ceil(r / R) fields, "
+        "R = V * M, V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
+        "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1, so the "
+        "last field of an r that R does not divide counts its first r mod R replicas; view 0 is "
+        "the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in "
+        "(row, col) order, o_j the stable argsort of the first rows * cols words of the stream "
+        "of the text '<task>-view:<j>' (the same hash, seed and SFC64); "
         "chunk cells in (row, col, field) order; Bernoulli cells byte < top = cut >> 45, "
         "cut = ceil(p * 2**53), over the words' little-endian bytes, then extra successes at "
         "geometric gaps; for p > 1/2 the same draw "
@@ -453,15 +457,18 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
 
 
 def test_the_header_alone_redraws_the_row_notes(tmp_path):
-    """The ``# rng``, ``# seed`` and ``# chunks`` lines give every ``q_uv`` and ``b_uv`` note.
+    """The ``# rng``, ``# seed`` and ``# chunks`` lines give every ``# row`` note's tallies and estimates.
 
     Identity in one chunk.  Over Bernoulli(0.5), ``cut = 2**52``: a cell is
     one byte ``< 128`` and no extra successes are drawn.  Over Gaussian
     cells, NumPy's ``Generator.normal`` on the stream
-    (``MarginalDistribution.sample``), each drawn field also counts as its
-    mirror ``2c - x``, paired as the ``# rng`` line states, at an odd count
-    that leaves one mirror out.  The stream is rebuilt with ``hashlib`` and
-    NumPy's SFC64 only, and the window maxima come from the per-site oracle.
+    (``MarginalDistribution.sample``), and each view also counts as its
+    mirror ``2c - x``.  Each drawn field counts as its views, whose cell
+    orders are rebuilt from their own streams, grouped as the ``# rng``
+    line states, at a count that ``R`` does not divide.  The streams are
+    rebuilt with ``hashlib`` and NumPy's SFC64 only, the window maxima come
+    from the per-site oracle, and ``sum s``, ``sum s**2``, ``q`` and ``b``
+    are recomputed from them.
     """
     for marginal in ("bernoulli", "gaussian"):
         mirrored = marginal == "gaussian"
@@ -473,7 +480,7 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
         else:
             config = _write_config(
                 tmp_path, name="bernoulli.json", p=0.5, seed=-7, thresholds=[5, 6, 7],
-                iterations=500,
+                iterations=502,
             )
         out = tmp_path / f"{marginal}.tsv"
         assert main(["approximate", "-c", config, "-o", str(out)]) == 0
@@ -484,9 +491,13 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
             "stream = BLAKE2b (digest_size=8) of the UTF-8 text '<task>:<k>', read little-endian",
             "SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and stream, each mod 2**64 as "
             "8 little-endian bytes, read as 3 little-endian words, counter 1, 12 words skipped",
-            "a chunk of r replicas draws r fields, or ceil(r / 2) for Gaussian cells of mean c, "
-            "whose replica 2i is field i and replica 2i + 1 its mirror 2c - x, so an odd r leaves "
-            "the last field without its mirror",
+            "a chunk of r replicas draws ceil(r / R) fields, R = V * M, V the views of the "
+            "chunks line, M = 2 for Gaussian cells of mean c, else 1",
+            "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1",
+            "the last field of an r that R does not divide counts its first r mod R replicas",
+            "cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in (row, col) "
+            "order, o_j the stable argsort of the first rows * cols words of the stream of the "
+            "text '<task>-view:<j>' (the same hash, seed and SFC64)",
             "chunk cells in (row, col, field) order",
             "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
             "little-endian bytes",
@@ -496,39 +507,48 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
         layout = dict(item.split("=") for item in layout.split())
         assert task == "quv" and layout["count"] == "1"
         assert layout["mirrored"] == ("yes" if mirrored else "no")
+        views, mirrors = int(layout["views"]), 2 if mirrored else 1
+        group = views * mirrors
         replicas, drawn = int(header["iterations"]), int(layout["last"])
-        assert drawn == (-(-replicas // 2) if mirrored else replicas)
+        assert drawn == -(-replicas // group) and replicas % group
         seed, m1, m2 = int(header["seed"]), int(header["m1"]), int(header["m2"])
         z = float(header["confidence_z"])
 
-        digest = hashlib.blake2b(f"{task}:0".encode(), digest_size=8).digest()
-        stream = int.from_bytes(digest, "little")
-        key = struct.pack("<QQ", seed % 2**64, stream)
-        words = struct.unpack("<3Q", hashlib.blake2b(key, digest_size=24).digest())
-        sfc = np.random.SFC64(0)
-        sfc.state = {
-            "bit_generator": "SFC64", "state": {"state": [*words, 1]},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        sfc.random_raw(12)
+        def stream(text):
+            digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+            key = struct.pack("<QQ", seed % 2**64, int.from_bytes(digest, "little"))
+            words = struct.unpack("<3Q", hashlib.blake2b(key, digest_size=24).digest())
+            sfc = np.random.SFC64(0)
+            sfc.state = {
+                "bit_generator": "SFC64", "state": {"state": [*words, 1]},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            sfc.random_raw(12)
+            return sfc
+
         # a block is m + c - 2 cells each way, c = 1 for identity; the Q_33 field is 3 x 3 blocks
         rows, cols = 3 * (m2 - 1), 3 * (m1 - 1)
+        sfc = stream(f"{task}:0")
         if mirrored:
             mean, sd = float(header["mean"]), math.sqrt(float(header["variance"]))
             fields = np.random.Generator(sfc).normal(mean, sd, (rows, cols, drawn))
-            # replica 2i is field i, replica 2i + 1 its mirror 2c - x, c the mean
-            sources = [
-                fields[:, :, r // 2] if r % 2 == 0 else 2 * mean - fields[:, :, r // 2]
-                for r in range(replicas)
-            ]
         else:
             top = math.ceil(float(header["p"]) * 2**53) >> 45
             assert top == 128
             cells = rows * cols * drawn
             raw = np.array(sfc.random_raw(-(-cells // 8)), dtype="<u8").view(np.uint8)[:cells]
             fields = (raw < top).astype(np.int64).reshape(rows, cols, drawn)
-            sources = [fields[:, :, r] for r in range(replicas)]
-        pairs = replicas // 2 if mirrored else 0
+        orders = [np.arange(rows * cols)] + [
+            np.argsort(stream(f"{task}-view:{j}").random_raw(rows * cols), kind="stable")
+            for j in range(1, views)
+        ]
+        # replica R * i + M * j + m: view j of field i, its mirror if m = 1
+        sources = []
+        for i in range(drawn):
+            for order in orders:
+                view = fields[:, :, i].reshape(-1)[order].reshape(rows, cols)
+                sources += [view, 2 * mean - view] if mirrored else [view]
+        sources = sources[:replicas]
 
         notes = [line for line in metadata if line.startswith("# row n=")]
         assert len(notes) == 3
@@ -536,20 +556,22 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
             n = float(note.split(":", 1)[0].split("=", 1)[1])
             items = note.split(": ", 1)[1].split()
             values = dict(item.split("=", 1) for item in items if "=" in item)
+            assert (values["N"], values["R"]) == (str(replicas), str(group))
             for u, v in ((2, 2), (2, 3), (3, 2), (3, 3)):
                 below = [
                     brute_scan_statistic(source[: v * (m2 - 1), : u * (m1 - 1)], m1, m2) <= n
                     for source in sources
                 ]
-                q = sum(below) / replicas
+                # s over every group, s**2 over the full ones
+                full = replicas // group
+                counts = [sum(below[g : g + group]) for g in range(0, replicas, group)]
+                total, squares = sum(counts), sum(s * s for s in counts[:full])
+                assert (values[f"s{u}{v}"], values[f"ss{u}{v}"]) == (str(total), str(squares))
+                q = total / replicas
                 assert 0.0 < q < 1.0 and values[f"q{u}{v}"] == repr(q)
-                # the half-width adds the pairs' covariance to the Wald variance
-                cov = 0.0
-                if pairs:
-                    both = sum(below[2 * i] and below[2 * i + 1] for i in range(pairs))
-                    cov = both / pairs - q * q
-                variance = max(q * (1.0 - q) + cov, 0.0)
-                assert values[f"b{u}{v}"] == repr(z * math.sqrt(variance / replicas))
+                # the spread of the full groups' counts about R q, over N / R groups
+                spread = max(squares / full - (group * q) ** 2, 0.0)
+                assert values[f"b{u}{v}"] == repr(z * math.sqrt(spread / (group * replicas)))
 
 
 def test_row_notes_carry_the_budgets_inputs(tmp_path):
@@ -730,15 +752,17 @@ def test_plotdata_names_the_line_of_a_ragged_or_headless_row(tmp_path, capsys, c
 
 
 def _chunk_header(metadata):
-    """``{task: (fields, count, last, mirrored)}`` read back from the ``# chunks = ...`` line."""
+    """``{task: (fields, count, last, mirrored, views)}`` read back from the ``# chunks = ...`` line."""
     [line] = [line for line in metadata if line.startswith("# chunks = ")]
     layouts = {}
     for part in line[len("# chunks = ") :].split("; "):
         task, fields = part.split(": ")
         values = dict(field.split("=") for field in fields.split())
+        assert list(values) == ["fields", "count", "last", "mirrored", "views"]
         layouts[task] = (
             *(int(values[key]) for key in ("fields", "count", "last")),
             {"yes": True, "no": False}[values["mirrored"]],
+            int(values["views"]),
         )
     return layouts
 
@@ -748,7 +772,7 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
     from blockscan import pipeline
 
     # several chunks per call, the last one short
-    monkeypatch.setattr(pipeline, "_chunk_size", lambda nbytes: max(1, 5000 // nbytes))
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda nbytes: max(1, 1250 // nbytes))
     ran, accumulate = [], pipeline._accumulate
 
     def recording(total, chunk, seed, task, chunk_eval, threads):
@@ -756,9 +780,10 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
         return accumulate(total, chunk, seed, task, chunk_eval, threads)
 
     monkeypatch.setattr(pipeline, "_accumulate", recording)
-    # Gaussian cells score each drawn field twice: the header counts the fields
+    # a drawn field counts as four views, and over Gaussian cells as their
+    # mirrors too: the header counts the fields
     gaussian = {"distribution": "gaussian", "p": None, "mean": 0.0, "variance": 1.0}
-    for updates, per_field in (({}, 1), (gaussian, 2)):
+    for updates, per_field in (({}, 4), (gaussian, 8)):
         config = _write_config(tmp_path, iterations=2001, replicas=2001, **updates)
         headers = []
         for threads in (1, 2):
@@ -774,7 +799,7 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
                 count = -(-total // chunk)
                 assert count > 2 and total % chunk and chunk % per_field == 0
                 last = -(-(total - (count - 1) * chunk) // per_field)
-                assert layouts[task] == (chunk // per_field, count, last, per_field == 2)
+                assert layouts[task] == (chunk // per_field, count, last, per_field == 8, 4)
         assert list(layouts) == (["quv"] if command == "approximate" else ["sim"])
         assert headers[0] == headers[1]
 

@@ -88,9 +88,12 @@ def test_the_cli_rejects_a_count_past_the_cell_limit(tmp_path, command, key):
 
 
 def test_approximate_runs_a_source_whose_simulation_would_pass_the_cell_limit(tmp_path):
-    """2e9 columns at the default 1e5 replicas are 2e14 cells; approximate draws 2e3 (3,3) fields."""
+    """8e9 columns at the default 1e5 replicas are 2e14 cells, four replicas to a drawn field.
+
+    Approximate draws 500 (3,3) fields.
+    """
     config = {
-        **CONFIG, "source_cols": 2_000_000_000, "source_rows": 1, "m1": 20, "m2": 1,
+        **CONFIG, "source_cols": 8_000_000_000, "source_rows": 1, "m1": 20, "m2": 1,
         "thresholds": [4, 5],
     }
     (tmp_path / "run.json").write_text(json.dumps(config))
@@ -104,10 +107,11 @@ def test_approximate_runs_a_source_whose_simulation_would_pass_the_cell_limit(tm
 
 
 def test_a_count_at_the_cell_limit_validates(tmp_path):
+    """The limit counts drawn fields, each of which counts as four replicas of Bernoulli cells."""
     spec = _spec()
     cols, rows = quv_field_dims(3, 3, spec)
-    iterations = MAX_DRAWN_CELLS // (cols * rows)
-    replicas = MAX_DRAWN_CELLS // (spec.source_cols * spec.source_rows)
+    iterations = 4 * (MAX_DRAWN_CELLS // (cols * rows))
+    replicas = 4 * (MAX_DRAWN_CELLS // (spec.source_cols * spec.source_rows))
     assert _spec(iterations=iterations, replicas=replicas).iterations == iterations
     with pytest.raises(ConfigError) as err:
         _spec(iterations=iterations + 1)
@@ -119,7 +123,7 @@ def test_a_count_at_the_cell_limit_validates(tmp_path):
         assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == 2
     # not through simulate_distribution, which would start the run if its check let this by
     with pytest.raises(ParameterError) as err:
-        check_drawn_cells("replicas", replicas + 1, (spec.source_cols, spec.source_rows), False)
+        check_drawn_cells("replicas", replicas + 1, (spec.source_cols, spec.source_rows), 4)
     assert err.value.field == "replicas"
 
 

@@ -1,11 +1,13 @@
-"""Mirror replicas: a field of Gaussian cells also counts as its reflection.
+"""Replica groups: a drawn field also counts as its views, and over Gaussian cells as their mirrors.
 
-Where ``MarginalDistribution.centre`` is set (the Gaussian mean), the pipeline scores each drawn
-field ``x`` twice, as itself and as ``2c - x``, and widens or narrows the
-half-width by the pairs' covariance.  These checks hold the paired estimator
-against plain Monte Carlo of independent fields summed site by site, pin its
-half-width where the pairs are positively correlated, and run it at replica
-counts that leave a mirror out.
+Each drawn field is scored as ``VIEWS`` fixed permutations of its cells,
+and where ``MarginalDistribution.centre`` is set (the Gaussian mean) each
+view also as its reflection ``2c - x``; the half-width is read off the
+spread of the per-field counts of passing replicas.  These checks hold the
+group estimator against plain Monte Carlo of independent fields summed
+site by site and against an exact ``Q_uv`` found by enumeration, pin it
+to the Wald and pair forms it reduces to, check that every view is a
+permutation of its field, and run it at counts that leave a group short.
 """
 import dataclasses
 import json
@@ -22,10 +24,10 @@ from blockscan import (
     minesweeper_transform,
     simulate_distribution,
 )
-from blockscan import pipeline
+from blockscan import identity_transform, pipeline
 from blockscan.cli import main, read_table
 from blockscan.errors import ParameterError
-from oracles import brute_extent_maxima
+from oracles import brute_extent_maxima, group_tallies
 
 
 @pytest.mark.parametrize(
@@ -82,7 +84,8 @@ def test_paired_estimates_agree_with_plain_brute_force_indicators(name):
     """Each ``Q_uv`` and simulated CDF point lies within the joint half-width of plain Monte Carlo.
 
     The plain estimates draw independent fields from their own generator,
-    with no mirror, and sum each window of each field site by site.
+    with no views and no mirror, and sum each window of each field site by
+    site.
     """
     spec = _CASES[name]
     assert spec.mirrored
@@ -108,8 +111,10 @@ def test_paired_estimates_agree_with_plain_brute_force_indicators(name):
 def test_a_mixed_sign_ma_widens_the_half_width_past_wald():
     """MA ``[1, -1, 0]`` sums telescope, so a field and its mirror pass together more often.
 
-    Over two tiles of anchors the pair covariance ``c_hat`` is about +0.018
-    at ``n = 3.5``: the half-width grows past Wald's by about 5%.
+    Over two tiles of anchors the excess ``c_hat`` of the per-replica
+    variance over ``q(1 - q)``, which the views' covariance adds to the
+    mirror's, is positive at ``n = 3.5``, and the half-width grows past
+    Wald's.
     """
     spec = _spec(
         ma_transform((1, -1, 0)), MarginalDistribution.gaussian(0.0, 1.0), 66, 1, (20, 1),
@@ -132,14 +137,14 @@ def _usable_cpus(monkeypatch, n):
 def test_odd_counts_write_the_same_table_at_one_two_and_three_threads(
     tmp_path, command, count, monkeypatch
 ):
-    """One replica (a field without its mirror), three, and an odd count over seven chunks.
+    """One replica (a field without its other seven), three, and a count over fourteen chunks.
 
-    Chunks hold 290 replicas, 145 fields each, so 2001 replicas end in a
-    chunk of 261 replicas whose last field has no mirror.  The tables are
+    Chunks hold 152 replicas, 19 fields of eight each, so 2001 replicas end
+    in a chunk of 25 replicas whose last field counts one.  The tables are
     compared whole but for the wall time and the thread count.
     """
     _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 145)
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 19)
     config = tmp_path / "run.json"
     config.write_text(
         '{"transform": "minesweeper", "distribution": "gaussian", "mean": 0.3, "variance": 1.0, '
@@ -159,14 +164,20 @@ def test_odd_counts_write_the_same_table_at_one_two_and_three_threads(
     assert tables[1] == tables[0] and tables[2] == tables[0]
     metadata, _, rows = read_table(str(tmp_path / "t1.tsv"))
     [chunks] = [line for line in metadata if line.startswith("# chunks = ")]
-    chunk_count = -(-count // 290)
-    last = -(-(count - (chunk_count - 1) * 290) // 2)
-    assert chunks.endswith(f"fields=145 count={chunk_count} last={last} mirrored=yes")
+    chunk_count = -(-count // 152)
+    last = -(-(count - (chunk_count - 1) * 152) // 8)
+    assert chunks.endswith(f"fields=19 count={chunk_count} last={last} mirrored=yes views=4")
     assert len(rows) == 3
 
 
 def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys):
-    """Twice as many replicas fit under the limit where each drawn field is scored twice."""
+    """``R`` times as many replicas fit under the limit where each drawn field counts as ``R``.
+
+    ``R`` is 8 over Gaussian cells, four views and their mirrors, and 4 over
+    Bernoulli cells; ``R F`` replicas, ``F`` fields at the limit, pass and
+    ``R F + 1`` are rejected, through the library and through
+    ``validate-config``.
+    """
     spec = _CASES["ma"]
     config = {
         "transform": "ma", "ma_coeffs": [0.3, 0.1, 0.5], "distribution": "gaussian",
@@ -174,19 +185,143 @@ def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys
         "thresholds": [3.0],
     }
     limit = pipeline.MAX_DRAWN_CELLS // 66
-    for replicas, status in ((2 * limit, 0), (2 * limit + 1, 2)):
+    for replicas, status in ((8 * limit, 0), (8 * limit + 1, 2)):
         (tmp_path / "run.json").write_text(json.dumps({**config, "replicas": replicas}))
         assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == status
     assert f"draws {limit + 1} fields of 66x1 cells" in capsys.readouterr().err
+    plain_config = {**config, "distribution": "bernoulli", "p": 0.3, "mean": None, "variance": None}
+    for replicas, status in ((4 * limit, 0), (4 * limit + 1, 2)):
+        (tmp_path / "run.json").write_text(json.dumps({**plain_config, "replicas": replicas}))
+        assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == status
+    assert f"replicas = {4 * limit + 1} draws {limit + 1} fields of 66x1" in capsys.readouterr().err
     cols, rows = pipeline.quv_field_dims(3, 3, spec)
     fields = pipeline.MAX_DRAWN_CELLS // (cols * rows)
-    assert dataclasses.replace(spec, iterations=2 * fields).iterations == 2 * fields
+    assert dataclasses.replace(spec, iterations=8 * fields).iterations == 8 * fields
     with pytest.raises(ParameterError) as err:
-        dataclasses.replace(spec, iterations=2 * fields + 1)
+        dataclasses.replace(spec, iterations=8 * fields + 1)
     assert err.value.field == "iterations"
-    assert f"iterations = {2 * fields + 1} draws {fields + 1} fields of {cols}x{rows} cells" in str(
+    assert f"iterations = {8 * fields + 1} draws {fields + 1} fields of {cols}x{rows} cells" in str(
         err.value
     )
     plain = dataclasses.replace(spec, distribution=MarginalDistribution.bernoulli(0.3))
+    assert dataclasses.replace(plain, iterations=4 * fields).iterations == 4 * fields
     with pytest.raises(ParameterError):
-        dataclasses.replace(plain, iterations=fields + 1)
+        dataclasses.replace(plain, iterations=4 * fields + 1)
+
+
+def test_the_group_half_width_is_wald_for_single_replicas_and_the_pair_form_for_two():
+    """``group_estimate`` on synthetic tallies: Wald at ``R = 1``, PR 25's ``c_hat`` form at ``R = 2``.
+
+    The replicas are drawn with a shared component, so neighbours pass
+    together and the pair covariance is well away from 0.
+    """
+    rng = np.random.default_rng(5)
+    common = rng.random(3000).repeat(2)
+    passed = (0.6 * common + 0.4 * rng.random(6000)) < 0.55
+    total, z = passed.size, 1.96
+    p = passed.sum() / total
+    sums, squares = group_tallies(passed, 1)
+    assert squares == sums
+    q, b = pipeline.group_estimate(sums, squares, total, 1, z)
+    assert q == p and b == pytest.approx(z * math.sqrt(p * (1.0 - p) / total), rel=1e-12)
+    # replica 2i and 2i + 1 form a pair; C counts the pairs in which both pass
+    pairs = total // 2
+    both = np.sum(passed[0::2] & passed[1::2])
+    c_hat = both / pairs - p * p
+    assert c_hat > 0.02
+    sums, squares = group_tallies(passed, 2)
+    q, b = pipeline.group_estimate(sums, squares, total, 2, z)
+    assert q == p
+    assert b == pytest.approx(z * math.sqrt((p * (1.0 - p) + c_hat) / total), rel=1e-12)
+    # with fewer replicas than one group, the replicas count as independent
+    q, b = pipeline.group_estimate(3, 5, 7, 8, z)
+    assert b == pytest.approx(z * math.sqrt(q * (1.0 - q) / 7), rel=1e-12)
+
+
+def test_a_short_last_group_keeps_the_half_width_near_one():
+    """At ``q`` near 1 a count that ``R`` does not divide still gets about Wald's half-width.
+
+    11 of 200001 replicas fail, each in its own group of eight, so the
+    groups' counts vary as independent replicas would.  The short last
+    group, one passing replica, adds to ``sum s`` only, and the mean
+    subtracted is ``R q``: ``(sum s / G)**2`` would exceed ``sum s**2 / G``
+    there and leave a half-width of 0.
+    """
+    passed = np.ones(200_001, dtype=bool)
+    passed[np.arange(11) * 8 * 1000 + 3] = False
+    sums, squares = group_tallies(passed, 8)
+    assert (sums, squares) == (199_990, 24_989 * 64 + 11 * 49)
+    q, b = pipeline.group_estimate(sums, squares, passed.size, 8, 1.96)
+    wald = 1.96 * math.sqrt(q * (1.0 - q) / passed.size)
+    assert q == 199_990 / 200_001 and 0.9 * wald < b < wald
+
+
+def _exact_row_scan(p, n):
+    """``Q_22`` and ``Q_33`` of windows of 3 over 6 Bernoulli(``p``) cells, over all 64 patterns.
+
+    The identity row scan at ``m1 = 3`` has blocks of 2 cells; ``Q_22``
+    reads the 2 windows that start in the first block, ``Q_33`` the 4 of
+    the whole 6-cell field.
+    """
+    q22 = q33 = 0.0
+    for pattern in range(64):
+        cells = [(pattern >> k) & 1 for k in range(6)]
+        weight = p ** sum(cells) * (1.0 - p) ** (6 - sum(cells))
+        sums = [sum(cells[a : a + 3]) for a in range(4)]
+        q22 += weight * (max(sums[:2]) <= n)
+        q33 += weight * (max(sums) <= n)
+    return q22, q33
+
+
+def test_group_half_widths_cover_an_exact_q_uv():
+    """Over 200 seeds, ``|q - Q| <= b`` for at least 90% of the estimates.
+
+    Identity over 6 Bernoulli(0.3) cells: every view of a field holds the
+    same cells, so its views pass together far more often than independent
+    replicas, and a half-width that left that out would cover too rarely.
+    400 iterations are 100 groups of four.
+    """
+    spec = ExperimentSpec(
+        transform=identity_transform(), distribution=MarginalDistribution.bernoulli(0.3),
+        source_cols=6, source_rows=1, m1=3, m2=1, thresholds=(0, 1), iterations=400,
+    )
+    assert pipeline.quv_field_dims(3, 3, spec) == (6, 1) and spec.group == 4
+    exact = [_exact_row_scan(0.3, n) for n in spec.thresholds]
+    covered = []
+    for seed in range(200):
+        for rec, (q22, q33) in zip(estimate_quv(dataclasses.replace(spec, seed=seed)), exact):
+            covered += [abs(rec.q22 - q22) <= rec.b22, abs(rec.q33 - q33) <= rec.b33]
+    assert np.mean(covered) >= 0.9
+
+
+def test_every_view_is_a_permutation_of_its_drawn_field(monkeypatch):
+    """Each take of a view's cells holds, field by field, the drawn field's cells in another order.
+
+    Gaussian cells are distinct, so equal sorted columns make each view a
+    permutation of its field; the three cell orders differ from each other
+    and from the field's own.
+    """
+    taken, run_passes = [], pipeline.run_passes
+
+    def checking(ops):
+        for fn, args, kwargs in ops:
+            fn(*args, **kwargs)
+            if fn is np.take:
+                drawn, order = args
+                out = kwargs["out"]
+                assert np.array_equal(np.sort(out, axis=0), np.sort(drawn, axis=0))
+                assert not np.array_equal(out, drawn)
+                taken.append(order)
+
+    monkeypatch.setattr(pipeline, "run_passes", checking)
+    spec = _CASES["minesweeper-gaussian"]
+    for call in (lambda: estimate_quv(spec, threads=1),
+                 lambda: simulate_distribution(spec, replicas=800, threads=1)):
+        taken.clear()
+        call()
+        orders = {tuple(order) for order in taken}
+        # every chunk takes each of the three views once
+        assert taken and len(taken) % 3 == 0 and len(orders) == 3
+        cells = len(taken[0])
+        assert all(sorted(order) == list(range(cells)) for order in orders)
+        assert tuple(range(cells)) not in orders

@@ -26,7 +26,7 @@ from blockscan import (
 )
 from blockscan import blockfactor, pipeline
 from blockscan.errors import GeometryError, HypothesisError, OrderingError, ParameterError
-from oracles import paired_replicas
+from oracles import grouped_replicas, view_orders
 
 
 def _bernoulli_spec(cols=12, rows=12, thresholds=(6, 7, 8), iterations=4000, seed=11, p=0.3):
@@ -293,9 +293,11 @@ def test_tallies_pin_the_stream_partition():
     # partition, the per-chunk streams (SFC64 whose words are the BLAKE2b
     # digest of (seed, stream)), the way a chunk's Bernoulli cells are drawn
     # from its stream (one byte per cell, then extra successes at gaps from
-    # NumPy's geometric draw), which replica each drawn cell belongs to
-    # (cells in (row, col, replica) order) or the per-replica sample -> block
-    # factor -> window sums -> maxima pipeline changes.
+    # NumPy's geometric draw), which field each drawn cell belongs to (cells
+    # in (row, col, field) order), the cell order of each view of a field
+    # (the stable argsort of the raw words of its own stream), or the
+    # per-replica sample -> block factor -> window sums -> maxima pipeline
+    # changes.
     spec = ExperimentSpec(
         source_cols=12,
         source_rows=12,
@@ -304,16 +306,17 @@ def test_tallies_pin_the_stream_partition():
         distribution=MarginalDistribution.bernoulli(0.3),
         transform=catalog_transform("minesweeper"),
         thresholds=(22.0, 26.0, 30.0),
-        iterations=20_000,  # six chunks of a 12 x 12 bool field, the last one partial
+        # 5000 drawn fields of four views: two chunks of a 12 x 12 bool field, the last one partial
+        iterations=20_000,
         seed=2014,
     )
     counts = [
         [round(getattr(rec, q) * rec.iterations) for q in ("q22", "q23", "q32", "q33")]
         for rec in estimate_quv(spec)
     ]
-    assert counts == [[2098, 422, 441, 38], [5461, 2112, 2112, 434], [10276, 6181, 6214, 2655]]
+    assert counts == [[2138, 448, 422, 32], [5559, 2227, 2125, 416], [10327, 6336, 6198, 2637]]
     sims = simulate_distribution(spec, replicas=10_000)
-    assert [round(row.prob * row.replicas) for row in sims] == [14, 230, 1314]
+    assert [round(row.prob * row.replicas) for row in sims] == [18, 241, 1325]
 
 
 # --- assembly and the error ledger -----------------------------------------
@@ -656,9 +659,13 @@ def test_each_worker_runs_one_contiguous_range_of_chunks(total, chunk, threads, 
 
 
 def test_tallies_are_identical_at_one_two_and_three_workers(monkeypatch):
-    """7 quv chunks and 5 simulation chunks, no multiple of 2 or 3, each with a short last chunk."""
+    """7 quv chunks and 5 simulation chunks, no multiple of 2 or 3, each with a short last chunk.
+
+    500 and 313 drawn fields of four views, 73 to a chunk; the simulation's
+    last field counts two of its views.
+    """
     _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 290)
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 73)
     started, count = [], pipeline._worker_count
 
     def counting(threads, n_chunks):
@@ -705,9 +712,10 @@ def _chunks_and_dtypes(spec, monkeypatch):
 @pytest.mark.parametrize(
     "distribution, chunks",
     [
-        # 12 x 12 Q_uv fields and 20 x 20 lattices of bool, then of int64
-        (MarginalDistribution.bernoulli(0.5), [3640, 1310]),
-        (MarginalDistribution.binomial(16, 0.5), [455, 163]),
+        # replicas per chunk: four views of each of 3640 12 x 12 Q_uv fields
+        # and 1310 20 x 20 lattices of bool, then of 455 and 163 of int64
+        (MarginalDistribution.bernoulli(0.5), [4 * 3640, 4 * 1310]),
+        (MarginalDistribution.binomial(16, 0.5), [4 * 455, 4 * 163]),
     ],
     ids=["bernoulli", "binomial"],
 )
@@ -745,12 +753,15 @@ def _ma_spec():
 def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     """Tallies from shared tile extrema equal ``sums[:, :v, :u].max(axis=(1, 2))`` per extent.
 
-    The oracle draws every chunk again from its stream and takes its window
+    The oracle draws every chunk again from its stream, permutes each field
+    into its views (``oracles.view_orders``) and takes each view's window
     sums with fresh buffers.  Over Gaussian cells (``quv-1d``,
-    ``quv-2d-gaussian``) it also reflects each chunk into its mirror
-    ``2c - x`` and pairs the replicas as ``fields.STREAM_MAP`` states.
+    ``quv-2d-gaussian``) it also reflects each view into its mirror ``2c -
+    x``.  It groups the replicas as ``fields.STREAM_MAP`` states, and the
+    count of 15001 leaves the last field with one replica.
     """
     drawn, sample = [], MarginalDistribution.sample
+    total = 15_001
 
     def recording(self, rng, size, **kwargs):
         out = sample(self, rng, size, **kwargs)
@@ -760,21 +771,21 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     monkeypatch.setattr(MarginalDistribution, "sample", recording)
     if shape == "simulate":
         spec = _minesweeper_spec(cols=14, rows=13, thresholds=range(40, 64, 3))
-        rows = simulate_distribution(spec, replicas=9000, threads=1)
+        rows = simulate_distribution(spec, replicas=total, threads=1)
         tallies = [[round(row.prob * row.replicas) for row in rows]]
         task = "sim"
         derived_rows, derived_cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
         extents = [(derived_rows - spec.m2 + 1, derived_cols - spec.m1 + 1)]
     else:
         if shape == "quv-2d":
-            spec = _minesweeper_spec(thresholds=range(34, 58, 3), iterations=9000)
+            spec = _minesweeper_spec(thresholds=range(34, 58, 3), iterations=total)
         elif shape == "quv-2d-gaussian":
             spec = dataclasses.replace(
-                _minesweeper_spec(thresholds=range(30, 66, 5), iterations=9000),
+                _minesweeper_spec(thresholds=range(30, 66, 5), iterations=total),
                 distribution=MarginalDistribution.gaussian(0.3, 1.0),
             )
         else:
-            spec = _ma_spec()
+            spec = dataclasses.replace(_ma_spec(), iterations=total)
         records = estimate_quv(spec, threads=1)
         tallies = [
             [round(getattr(rec, q) * rec.iterations) for rec in records]
@@ -785,39 +796,41 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         task = "quv"
     monkeypatch.undo()
     cols, rows = pipeline._field_dims(spec, task)
+    orders = view_orders(spec.seed, task, rows * cols, 4)
     thr = np.array(spec.thresholds)
     expected = np.zeros((len(extents), thr.size), dtype=np.int64)
-    left = 9000
+    left = total
     for k, size in enumerate(drawn):
         rng = SeedSpec.for_chunk(spec.seed, task, k).generator()
         block = spec.distribution.sample(rng, size)
-        sources = [block]
-        if spec.mirrored:
-            sources.append(2 * spec.distribution.centre - block)
+        flat = block.reshape(rows * cols, -1)
         passed = []
-        for source in sources:
-            sums = pipeline.window_sums_batch(
-                np.moveaxis(source, -1, 0), spec.transform, spec.m1, spec.m2
-            )
-            # (extent, threshold, field)
-            passed.append(np.array([
-                sums[:, :v_ext, :u_ext].max(axis=(1, 2)) <= thr[:, None]
-                for v_ext, u_ext in extents
-            ]))
-        count = min(left, len(sources) * size[-1])
-        replicas = paired_replicas(*passed, count) if spec.mirrored else passed[0]
-        expected += replicas.sum(axis=-1)
+        for view in [block] + [flat[order].reshape(size) for order in orders]:
+            sources = [view]
+            if spec.mirrored:
+                sources.append(2 * spec.distribution.centre - view)
+            for source in sources:
+                sums = pipeline.window_sums_batch(
+                    np.moveaxis(source, -1, 0), spec.transform, spec.m1, spec.m2
+                )
+                # (extent, threshold, field)
+                passed.append(np.array([
+                    sums[:, :v_ext, :u_ext].max(axis=(1, 2)) <= thr[:, None]
+                    for v_ext, u_ext in extents
+                ]))
+        count = min(left, len(passed) * size[-1])
+        expected += grouped_replicas(passed, count).sum(axis=-1)
         left -= count
     assert left == 0
-    # one draw per chunk of drawn fields, two replicas each over Gaussian
-    # cells: full chunks, then the rest
+    # one draw per chunk of drawn fields, four replicas each, eight over
+    # Gaussian cells: full chunks, then the rest
     chunk = {"quv-2d": 3640, "quv-1d": 1040, "quv-2d-gaussian": 455, "simulate": 2880}[shape]
-    fields = 4500 if spec.mirrored else 9000
+    fields = -(-total // (8 if spec.mirrored else 4))
     assert drawn == [(rows, cols, n) for n in (
         [chunk] * (fields // chunk) + [fields % chunk]
     )]
     # at least three thresholds per extent split the replicas
-    assert np.all(((expected > 0) & (expected < 9000)).sum(axis=1) >= 3)
+    assert np.all(((expected > 0) & (expected < total)).sum(axis=1) >= 3)
     assert np.array_equal(np.array(tallies), expected)
 
 
@@ -827,12 +840,14 @@ def test_integer_maxima_meet_any_threshold_like_a_float_compare():
     thresholds = (-1e300, -129.0, -128.0, -0.5, 0.0, 45.5, 50.0, 50.99, 72.0, 127.5, 128.0, 1e300)
     spec = dataclasses.replace(_minesweeper_spec(iterations=2000), thresholds=thresholds)
     tallies = [round(rec.q33 * rec.iterations) for rec in estimate_quv(spec)]
-    # 2000 replicas are one chunk, drawn from stream 0
+    # 2000 replicas are four views of 500 fields, one chunk, drawn from stream 0
     cols, rows = pipeline._field_dims(spec, "quv")
     rng = SeedSpec.for_chunk(spec.seed, "quv", 0).generator()
-    block = spec.distribution.sample(rng, (rows, cols, 2000))
+    block = spec.distribution.sample(rng, (rows * cols, 500))
+    views = [block] + [block[order] for order in view_orders(spec.seed, "quv", rows * cols, 4)]
+    stack = np.concatenate([view.T.reshape(500, rows, cols) for view in views])
     # the pipeline's sums of bool cells: int8, whose ends the outer thresholds pass
-    sums = pipeline.window_sums_batch(np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2)
+    sums = pipeline.window_sums_batch(stack, spec.transform, spec.m1, spec.m2)
     maxima = sums[:, : 2 * spec.block2, : 2 * spec.block1].max(axis=(1, 2))
     assert maxima.dtype == np.int8
     expected = [int(np.sum(maxima.astype(np.float64) <= n)) for n in thresholds]
@@ -908,8 +923,8 @@ def _owner(array):
 
 
 _KERNELS = {"window_sums_batch": "sums", "tile_maxima": "scan.tiles"}
-# the slots the passes write, as the kernels and the compares name them
-_SLOTS = ("blockfactor", "source", "below")
+# the slots the draw and the passes write, as the pipeline and the kernels name them
+_SLOTS = ("drawn", "source", "blockfactor", "below", "passes")
 
 
 def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
@@ -918,7 +933,7 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
 
     def drawing(self, rng, size, **kwargs):
         out = sample(self, rng, size, **kwargs)
-        results.setdefault("drawn", []).append(out)
+        results.setdefault("sampled", []).append(out)
         return out
 
     def taking(self, name, size, dtype):
@@ -937,38 +952,47 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
             return out
 
         monkeypatch.setattr(pipeline, name, recording)
-    estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)
+    estimate_quv(_minesweeper_spec(iterations=4 * 12_720), threads=1)
     monkeypatch.undo()
-    # one draw per chunk, the drawn block (rows, cols, replicas)
-    sizes = [3640] * 5 + [1800]
-    assert [out.shape[-1] for out in results["drawn"]] == sizes
-    # the kernels run only while a plan records, each result replicas-first:
-    # once at a full chunk on fresh arrays to lay out the block, then on the
-    # worker's block for the full chunks and for the last
-    for layer in ("sums", "scan.tiles", "below"):
-        # the compares take one flat bool per extent (4), threshold (2) and replica
-        replicas = [out.size // 8 if layer == "below" else len(out) for out in results[layer]]
-        assert replicas == [3640, 3640, 1800]
-    # the block factor's slot is taken twice per recording, by its shifted
-    # adds and by the column pass, and the source's twice, by the drawn
-    # block and by the row pass
-    assert [len(results[name]) for name in _SLOTS] == [6, 6, 3]
-    results["rows"] = results.pop("source")[1::2]
+    # one draw per chunk, the drawn block (rows, cols, fields)
+    sizes = [3640] * 3 + [1800]
+    assert [out.shape[-1] for out in results["sampled"]] == sizes
+    # the kernels run only while a plan records, once per view of four, each
+    # result fields-first: once at a full chunk on fresh arrays to lay out
+    # the block, then on the worker's block for the full chunks and for the last
+    recordings = (3640, 3640, 1800)
+    for layer in ("sums", "scan.tiles"):
+        assert [len(out) for out in results[layer]] == [n for n in recordings for _ in range(4)]
+    # every score but the first compares into one flat bool per extent (4),
+    # threshold (2) and field, whose slot then holds the squared counts; the
+    # counts are one such uint8
+    assert [out.size // 8 for out in results["below"]] == [n for n in recordings for _ in range(4)]
+    assert [out.size // 8 for out in results["passes"]] == list(recordings)
+    # per recording: the drawn block once; the source once for the views and
+    # once per view by its row pass; the block factor twice per view, by its
+    # shifted adds and by its column pass
+    assert [len(results[name]) for name in _SLOTS] == [3, 15, 24, 12, 3]
+    source = results.pop("source")
+    results["views"] = source[0::5]
+    results["rows"] = [out for k, out in enumerate(source) if k % 5]
     for layer, arrays in results.items():
-        if layer != "drawn":
+        if layer != "sampled":
             del arrays[: len(arrays) // 3]
     first = {layer: arrays[0] for layer, arrays in results.items()}
     for arrays in results.values():
         assert all(np.shares_memory(arrays[0], later) for later in arrays[1:])
-    # one block holds them all; the row pass lies over the drawn source and
-    # the window sums over the block factor, each read by then, and no other
-    # two overlap
+    # one block holds them all; the draw lies in the drawn slot, the row
+    # passes over the views, which the shifted adds have read, and the
+    # window sums over the block factor, read by then; no other two overlap
     assert len({id(_owner(a)) for arrays in results.values() for a in arrays}) == 1
     overlapping = {
         frozenset((a, b)) for a in first for b in first
         if a != b and np.shares_memory(first[a], first[b])
     }
-    assert overlapping == {frozenset(("blockfactor", "sums")), frozenset(("rows", "drawn"))}
+    assert overlapping == {
+        frozenset(("blockfactor", "sums")), frozenset(("rows", "views")),
+        frozenset(("drawn", "sampled")),
+    }
 
 
 def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
@@ -986,12 +1010,14 @@ def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
 
         monkeypatch.setattr(pipeline, name, recording)
     monkeypatch.setattr(pipeline, "run_passes", lambda ops: runs.append(ops) or run_passes(ops))
-    estimate_quv(_minesweeper_spec(iterations=20_000), threads=1)
-    # one recording lays out the block, then one per chunk shape, each with every kernel
+    # 20000 drawn fields of four views
+    estimate_quv(_minesweeper_spec(iterations=80_000), threads=1)
+    # one recording lays out the block, then one per chunk shape, each with
+    # every kernel once per view
     assert [(name, count) for name, count, _ in recorded] == [
-        (name, count) for count in (3640, 3640, 1800) for name in _KERNELS
+        (name, count) for count in (3640, 3640, 1800) for _ in range(4) for name in _KERNELS
     ]
-    k = len(_KERNELS)
+    k = 4 * len(_KERNELS)
     for plan in range(3):
         assert all(ops is recorded[k * plan][2] for _, _, ops in recorded[k * plan : k * plan + k])
     # each chunk runs its shape's recorded plan, and nothing else
@@ -1006,37 +1032,48 @@ def _pass_name(fn) -> str:
 
 
 # the benchmark configs: 44x44 minesweeper over Bernoulli(0.1), and MA(2)
-# over 1002 Gaussian cells; the counts give each call a short last chunk
+# over 1002 Gaussian cells; the counts, multiples of the replicas a drawn
+# field counts as, give each call a short last chunk
 _SPARSE = dataclasses.replace(
     _minesweeper_spec(cols=44, rows=44, thresholds=(31, 32, 33)),
     distribution=MarginalDistribution.bernoulli(0.1),
 )
 _BENCHMARK_CALLS = {
-    "quv-sparse": lambda: estimate_quv(dataclasses.replace(_SPARSE, iterations=4000)),
+    "quv-sparse": lambda: estimate_quv(dataclasses.replace(_SPARSE, iterations=16_000)),
     "quv-ma": lambda: estimate_quv(
         dataclasses.replace(_ma_spec(), source_cols=1002, thresholds=(13.0, 15.0, 17.0),
-                            iterations=2200)
+                            iterations=8800)
     ),
-    "sim-sparse": lambda: simulate_distribution(_SPARSE, replicas=300),
+    "sim-sparse": lambda: simulate_distribution(_SPARSE, replicas=1200),
 }
 # 3x3 minesweeper: the first of its 8 unit weights copied, 7 added; 3x3
 # windows: a width-2 doubling and one add per side
 _MINESWEEPER_SUMS = ["copyto"] + ["add"] * 7 + ["add", "add"] * 2
+# 3 weighted terms, each but the first through a scratch multiply; a
+# width-20 row pass: doublings to 4 and 8, the 4-block copied out before
+# the doubling to 16 overwrites it, then 16 added
+_MA_SUMS = ["multiply", "multiply", "add", "multiply", "add"] + ["add"] * 3 + ["copyto", "add", "add"]
+# one row of 1 x 2 tiles: maxima over the tile, running maxima, one compare;
+# Gaussian cells: the mirror's minima, running minima and compare
+_MA_SCORES = ["maximum.reduce", "maximum", "less_equal"]
+_MA_MIRROR = ["minimum.reduce", "minimum", "greater_equal"]
+# 2 x 2 tiles: maxima over tile rows, then tile columns; running maxima
+# down and across; one compare
+_SPARSE_SCORES = ["maximum.reduce"] * 2 + ["maximum"] * 2 + ["less_equal"]
+# one tile, the whole field: no running maxima
+_SIM_SCORES = ["maximum.reduce"] * 2 + ["less_equal"]
+# the squared counts, then sum s and sum s**2 over the fields
+_TALLY = ["multiply", "add.reduce", "add.reduce"]
+# view 0 reads the drawn block and its first score starts the counts; views
+# 1-3 each take their cells into the source first, and every other score is
+# added into the counts
 _BENCHMARK_PLANS = {
-    # 2 x 2 tiles: maxima over tile rows, then tile columns; running maxima
-    # down and across; one compare
-    "quv-sparse": _MINESWEEPER_SUMS + ["maximum.reduce"] * 2 + ["maximum"] * 2 + ["less_equal"],
-    # 3 weighted terms, each but the first through a scratch multiply; a
-    # width-20 row pass: doublings to 4 and 8, the 4-block copied out before
-    # the doubling to 16 overwrites it, then 16 added; one row of 1 x 2 tiles
-    "quv-ma": ["multiply", "multiply", "add", "multiply", "add"]
-    + ["add", "add", "add", "copyto", "add", "add"]
-    + ["maximum.reduce", "maximum", "less_equal"]
-    # Gaussian cells: the mirror's running minima and compare, and the pairs
-    # in which both pass
-    + ["minimum.reduce", "minimum", "greater_equal", "logical_and"],
-    # one tile, the whole field: no running maxima
-    "sim-sparse": _MINESWEEPER_SUMS + ["maximum.reduce"] * 2 + ["less_equal"],
+    "quv-sparse": _MINESWEEPER_SUMS + _SPARSE_SCORES
+    + (["take"] + _MINESWEEPER_SUMS + _SPARSE_SCORES + ["add"]) * 3 + _TALLY,
+    "quv-ma": _MA_SUMS + _MA_SCORES + _MA_MIRROR + ["add"]
+    + (["take"] + _MA_SUMS + _MA_SCORES + ["add"] + _MA_MIRROR + ["add"]) * 3 + _TALLY,
+    "sim-sparse": _MINESWEEPER_SUMS + _SIM_SCORES
+    + (["take"] + _MINESWEEPER_SUMS + _SIM_SCORES + ["add"]) * 3 + _TALLY,
 }
 
 
@@ -1130,16 +1167,21 @@ def _ma_columns(cols):
 @pytest.mark.parametrize(
     "spec, simulate, mib",
     [
-        (_minesweeper_spec(cols=44, rows=44, thresholds=(31,)), False, 1.5),
-        (_ma_columns(1002), False, 2.0),
-        (_minesweeper_spec(cols=44, rows=44, thresholds=(31,)), True, 1.5),
-        # one replica of 1.6 MB of source per chunk
+        # each 0.5 MiB above the source's own: the drawn fields, kept whole
+        # while their views are scored
+        (_minesweeper_spec(cols=44, rows=44, thresholds=(31,)), False, 2.0),
+        (_ma_columns(1002), False, 2.5),
+        (_minesweeper_spec(cols=44, rows=44, thresholds=(31,)), True, 2.0),
+        # one drawn field of 1.6 MB of source per chunk
         (_ma_columns(200_000), True, 8.0),
     ],
     ids=["quv-sparse", "quv-ma", "sim-sparse", "sim-ma-200000"],
 )
 def test_a_worker_block_stays_small(spec, simulate, mib, monkeypatch):
-    """One chunk of source and temporaries per worker: a few MiB, also for a long float field."""
+    """One chunk of drawn fields, a view of them and temporaries per worker: a few MiB.
+
+    Also for a long float field.
+    """
     monkeypatch.setattr(_Recorded, "layouts", [])
     monkeypatch.setattr(pipeline, "Buffers", _Recorded)
     if simulate:
@@ -1149,23 +1191,24 @@ def test_a_worker_block_stays_small(spec, simulate, mib, monkeypatch):
     assert len(_Recorded.layouts) == 1 and sum(_Recorded.layouts[0].values()) <= mib * 2**20
 
 
-# bytes per slot of a worker's block: a full chunk's source, its block
-# factor and window sums, the doubling scratch, the tile maxima (and on
-# quv-ma, in turn, minima) and the compares (on quv-ma three per field: the
-# field, its mirror and both); the row pass writes over the source and the
+# bytes per slot of a worker's block: a full chunk's drawn fields, the
+# source one view of them is taken into, its block factor and window sums,
+# the doubling scratch, the tile maxima (and on quv-ma, in turn, minima),
+# the per-field counts of passing replicas and one compare, whose slot then
+# holds the counts' squares; the row pass writes over the source and the
 # column pass over the block factor, so neither has bytes of its own
 _BENCHMARK_LAYOUTS = {
     "quv-sparse": {
-        "source": 524160, "blockfactor": 429520, "scratch0": 425880,
-        "scan.tiles": 14560, "below": 43680,
+        "drawn": 524160, "source": 524160, "blockfactor": 429520, "scratch0": 425880,
+        "scan.tiles": 14560, "passes": 43680, "below": 43680,
     },
     "quv-ma": {
-        "source": 524160, "blockfactor": 507520, "scratch0": 507520, "scratch1": 482560,
-        "scan.tiles": 16640, "below": 18720,
+        "drawn": 524160, "source": 524160, "blockfactor": 507520, "scratch0": 507520,
+        "scratch1": 482560, "scan.tiles": 16640, "passes": 6240, "below": 6240,
     },
     "sim-sparse": {
-        "source": 522720, "blockfactor": 498420, "scratch0": 498150,
-        "scan.tiles": 270, "below": 810,
+        "drawn": 522720, "source": 522720, "blockfactor": 498420, "scratch0": 498150,
+        "scan.tiles": 270, "passes": 810, "below": 810,
     },
 }
 
@@ -1251,12 +1294,14 @@ def test_a_call_builds_one_generator_per_worker(monkeypatch):
 
     monkeypatch.setattr(np.random, "SFC64", SFC64)
     monkeypatch.setattr(np.random, "Generator", generator)
-    spec = _minesweeper_spec(iterations=20_000)  # six chunks
+    spec = _minesweeper_spec(iterations=80_000)  # six chunks
+    # one more SFC64 per call, reseeded to each view's stream for its cell order
     estimate_quv(spec, threads=2)
-    assert sorted(built) == ["Generator", "Generator", "SFC64", "SFC64"]  # in either thread's order
+    assert built[0] == "SFC64"
+    assert sorted(built[1:]) == ["Generator", "Generator", "SFC64", "SFC64"]  # either thread first
     built.clear()
     simulate_distribution(spec, replicas=3000, threads=1)
-    assert built == ["SFC64", "Generator"]
+    assert built == ["SFC64", "SFC64", "Generator"]
 
 
 def test_back_to_back_calls_fault_in_no_pages():
