@@ -210,7 +210,10 @@ def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys
 
 
 def test_the_group_half_width_is_wald_for_single_replicas_and_the_pair_form_for_two():
-    """``group_estimate`` on synthetic tallies: Wald at ``R = 1``, PR 25's ``c_hat`` form at ``R = 2``.
+    """``group_estimate`` on synthetic tallies: Wald at ``R = 1``, the mirror pairs' form at ``R = 2``.
+
+    The pair form is ``z * sqrt((p(1 - p) + c_hat) / N)``, ``c_hat = C / U -
+    p**2`` with ``C`` the pairs of the ``U`` in which both pass.
 
     The replicas are drawn with a shared component, so neighbours pass
     together and the pair covariance is well away from 0.
