@@ -254,9 +254,14 @@ def write_sim_table(
     raw: bool = False,
     wall_time: float | None = None,
 ) -> None:
+    # the integers each row is read from (``pipeline.group_estimate``)
+    notes = [
+        f"# row n={_fmt_threshold(r.n)}: s={r.sums} ss={r.squares} N={r.replicas} R={r.group}"
+        for r in rows
+    ]
     cells = [(row.n, row.prob, row.half_width) for row in rows]
     _write_table(
-        path, "simulate", ("n", "sim", "half_width"), cells, raw, config, (), wall_time,
+        path, "simulate", ("n", "sim", "half_width"), cells, raw, config, notes, wall_time,
         [("sim", config.replicas)],
     )
 

@@ -29,10 +29,9 @@ STREAM_MAP = (
     "chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the UTF-8 text "
     "'<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and "
     "stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian words, "
-    "counter 1, 12 words skipped; a chunk of r replicas draws ceil(r / R) fields, "
-    "R = V * M, V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
-    "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1, so the "
-    "last field of an r that R does not divide counts its first r mod R replicas; view 0 is "
+    "counter 1, 12 words skipped; each field of a chunk counts as R = V * M replicas, "
+    "V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
+    "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1; view 0 is "
     "the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in "
     "(row, col) order, o_j the stable argsort of the first rows * cols words of the stream "
     "of the text '<task>-view:<j>' (the same hash, seed and SFC64); chunk cells in "

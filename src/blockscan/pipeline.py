@@ -51,7 +51,8 @@ class ExperimentSpec:
     """The values that decide a table, each named as its config key; a pure function input.
 
     ``seed`` is the master seed: every chunk draws from its own stream of
-    it (``_accumulate``).
+    it (``_accumulate``).  ``iterations`` is a request, rounded up to whole
+    groups of ``group`` replicas (``_tally``).
     """
 
     transform: BlockFactorTransform
@@ -153,8 +154,8 @@ class EstimateRecord:
 
     ``sums`` and ``squares`` are the integer tallies ``sum s`` and ``sum
     s**2`` behind ``q22``, ``q23``, ``q32`` and ``q33``, in that order, over
-    groups of ``group`` replicas (``group_estimate``); empty where the
-    record was not tallied.
+    the ``iterations`` replicas tallied in groups of ``group``
+    (``group_estimate``); empty where the record was not tallied.
     """
 
     n: float
@@ -176,8 +177,9 @@ class EstimateRecord:
 class ApproxRow:
     """One output row: threshold, approximation, and the error ledger (``nan`` if invalid).
 
-    ``beta0`` marks a valid row whose ``e_sf`` uses a half-width of 0,
-    from an estimate of exactly 0 or 1, so ``e_sf`` understates its error.
+    ``beta0`` marks a valid row whose ``e_sf`` uses a half-width of 0, from
+    group counts that are all equal (``group_estimate``), so ``e_sf``
+    understates its error.
     ``estimate`` is the record the row was assembled from: the ``Q_uv`` and
     half-widths that the ledger's ``e_sf`` is a sum of.
     """
@@ -205,12 +207,15 @@ class ApproxRow:
 
 @dataclass(frozen=True)
 class SimRow:
-    """Empirical CDF point from direct simulation, with its half-width (``_tally``)."""
+    """Empirical CDF point from direct simulation, its half-width and their tallies (``_tally``)."""
 
     n: float
     prob: float
     half_width: float
     replicas: int
+    sums: int
+    squares: int
+    group: int
 
 
 def quv_field_dims(u: int, v: int, spec: ExperimentSpec) -> tuple[int, int]:
@@ -234,7 +239,7 @@ def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
 
 
 def _drawn_fields(replicas: int, group: int) -> int:
-    """The fields that ``replicas`` replicas draw, each counting as ``group`` of them: rounded up."""
+    """The fields a request of ``replicas`` draws, ``group`` replicas to a field: rounded up."""
     return -(-replicas // group)
 
 
@@ -259,8 +264,7 @@ def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int,
     """Drawn fields per chunk, chunk count and the last chunk's fields of a ``quv`` or ``sim`` call.
 
     A call of ``total`` replicas draws ``ceil(total / R)`` fields, ``R =
-    spec.group`` replicas to a field, so its chunks hold ``R`` times as many
-    replicas as fields.
+    spec.group`` replicas to a field.
     """
     cols, rows = _field_dims(spec, task)
     size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
@@ -279,7 +283,7 @@ def _worker_count(threads: int | None, n_chunks: int) -> int:
 
 
 def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, threads):
-    """Sum integer tallies over fixed-size replica chunks, one stream per chunk.
+    """Sum integer tallies over chunks of ``chunk`` of ``total`` drawn fields, one stream per chunk.
 
     Worker ``w`` of ``W`` (``_worker_count``) runs chunks
     ``[w * n // W, (w + 1) * n // W)`` of the ``n`` in order, in one thread,
@@ -310,29 +314,22 @@ def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, thread
     return run(0)
 
 
-def group_estimate(sums, squares, total: int, group: int, z: float):
+def group_estimate(sums, squares, groups: int, group: int, z: float):
     """The estimate ``q = S / N`` and its half-width from the tallies ``S = sum s``, ``Q = sum s**2``.
 
-    ``N = total`` replicas come in groups of ``group = R``, each scored
-    from one drawn field, and ``s`` is the count of a group's replicas that
-    pass.  ``S`` sums over every group, ``Q`` over the ``G = N // R`` full
-    ones.  The half-width is ``z * sqrt(max(Q / G - (R q)**2, 0) / (R N))``:
-    the variance of a full group's count over ``N / R`` groups, so the
-    correlation of a group's replicas is in it.  ``R q`` is ``S / G`` where
-    ``R`` divides ``N``; otherwise it still has the mean of a full group's
-    count, where ``S / G`` would be off by the short group's, and near ``q
-    = 1`` its square would cancel most of ``Q / G``.  At ``R = 1`` this is
-    the Wald half-width.  A call of fewer than ``R`` replicas has no full
-    group, and its replicas are taken as independent: Wald again.  Works on
-    scalars and arrays alike.
+    ``G = groups`` drawn fields each count as a group of ``group = R``
+    replicas, ``N = R G`` in all, and ``s`` is the count of a group's
+    replicas that pass.  The half-width is ``z * sqrt(max(Q / G - (R
+    q)**2, 0) / (R N))``: the variance of a group's count over ``G``
+    groups, so the correlation of a group's replicas is in it.  At ``R =
+    1`` this is the Wald half-width.  It is 0 wherever all ``G`` counts are
+    equal: at ``q`` of 0 or 1, and wherever ``G = 1``.  Works on scalars and
+    arrays alike.
     """
     sums, squares = np.asarray(sums, dtype=np.float64), np.asarray(squares, dtype=np.float64)
+    total = group * groups
     probs = sums / total
-    groups = total // group
-    if groups:
-        spread = squares / groups - (group * probs) ** 2
-    else:
-        spread = group * probs * (1.0 - probs)
+    spread = squares / groups - (group * probs) ** 2
     return probs, z * np.sqrt(np.maximum(spread, 0.0) / (group * total))
 
 
@@ -359,9 +356,11 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     is taken once; the running maxima of the tile maxima over both tile
     axes give, at tile ``(v - 1, u - 1)``, the maximum over the leading
     ``v x u`` tiles, and one compare with every threshold scores them all.
-    An extent ``(v, u)`` reads its counts at that tile.  Returns the
-    thresholds and, per extent and threshold, the estimate, its half-width
-    and the integer tallies ``sum s`` and ``sum s**2`` they are read from
+    An extent ``(v, u)`` reads its counts at that tile.  A request of
+    ``total`` replicas draws ``G = ceil(total / R)`` fields and tallies
+    every replica of each, ``N = R G``.  Returns ``N``, the thresholds and,
+    per extent and threshold, the estimate, its half-width and the integer
+    tallies ``sum s`` and ``sum s**2`` they are read from
     (``group_estimate``).  The chunks run on at most ``threads`` worker
     threads, 1 if ``None`` (``_worker_count``).
 
@@ -378,12 +377,9 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     minima, recorded after the maxima in the same ``scan.tiles`` slot,
     which the maxima's compare has read by then.  Replica ``R i + M j + m``
     is view ``j`` of field ``i``, its mirror if ``m = 1`` (``M = 2`` with a
-    mirror, else 1; ``fields.STREAM_MAP``).  Full chunks hold a multiple of
-    ``R``, so a group never straddles two chunks, and the last field of a
-    ``total`` that ``R`` does not divide tallies its leading ``total mod
-    R`` replicas only.  The replicas of a group are not independent, so the
-    tally keeps, per extent and threshold, the sum of each field's count
-    ``s`` of passing replicas and, over the full groups, the sum of its
+    mirror, else 1; ``fields.STREAM_MAP``).  The replicas of a group are
+    not independent, so the tally keeps, per extent and threshold, the sum
+    of each field's count ``s`` of passing replicas and the sum of its
     square, and the half-width is that of the group counts
     (``group_estimate``).
 
@@ -417,12 +413,13 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     threads = 1 if threads is None else threads
     check_integer("threads", threads, minimum=1)
     thr = np.asarray(spec.thresholds, dtype=np.float64)
+    dist, group = spec.distribution, spec.group
+    fields = _drawn_fields(total, group)
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
-        return thr, empty, empty, empty, empty
+        return group * fields, thr, empty, empty, empty, empty
     cols, rows = _field_dims(spec, task)
-    dist, group = spec.distribution, spec.group
-    chunk = chunk_layout(spec, task, total)[0] * group
+    chunk = chunk_layout(spec, task, total)[0]
     orders = [None, *_view_orders(spec, task, rows * cols)]
     scores = [(np.maximum, np.less_equal)]
     if spec.mirrored:
@@ -430,23 +427,19 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         two_ck = 2 * dist.centre * spec.transform.weights.sum().item() * spec.m1 * spec.m2
         scores.append((np.minimum, np.greater_equal))
 
-    def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
-        """Take the ``drawn`` block of a chunk of ``count`` replicas; append every pass after its draw.
+    def record(fields: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
+        """Take the ``drawn`` block of a chunk of ``fields`` fields; append every pass after its draw.
 
         Returns the ``(rows, cols, fields)`` block and the ``(2, grid_rows,
         grid_cols, thresholds)`` int64 tally the passes write: per tile and
-        threshold, ``sum s`` over the fields and ``sum s**2`` over those of
-        a full group, ``s`` the count of a field's replicas whose running
-        maximum at the tile is ``<=`` the threshold (a mirror's: whose
-        running minimum is past the mirror's limit).  Every other array is
-        taken from ``buffers``.
+        threshold, ``sum s`` and ``sum s**2`` over the fields, ``s`` the
+        count of a field's replicas whose running maximum at the tile is
+        ``<=`` the threshold (a mirror's: whose running minimum is past the
+        mirror's limit).  Every other array is taken from ``buffers``.
         """
-        fields = _drawn_fields(count, group)
         cells = rows * cols
         drawn = buffers.take("drawn", fields * cells, dist.dtype).reshape(rows, cols, fields)
         source = buffers.take("source", fields * cells, dist.dtype).reshape(rows, cols, fields)
-        # the replicas of the last field's group that are tallied
-        tail = count - (fields - 1) * group
         passes = None
         for j, order in enumerate(orders):
             block = drawn
@@ -487,18 +480,12 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
                     continue
                 below = buffers.take("below", size, np.bool_).reshape(passes.shape)
                 ops.append((compare, args, {"out": below}))
-                # replica R i + M j + m, M = len(scores), past the short last group
-                if len(scores) * j + m >= tail:
-                    ops.append((below[..., -1].fill, (False,), {}))
                 ops.append((np.add, (passes, below.view(np.uint8)), {"out": passes}))
         # s**2 <= R**2 fits uint8 up to R = 15; the last add has read ``below`` by now
         square = np.uint8 if group * group <= np.iinfo(np.uint8).max else np.uint16
         squares = buffers.take("below", passes.size, square).reshape(passes.shape)
         tally = np.empty((2, *passes.shape[:-1]), dtype=np.int64)
         ops.append((np.multiply, (passes, passes), {"out": squares, "dtype": square}))
-        if tail < group:
-            # a short last group counts in sum s only
-            ops.append((squares[..., -1].fill, (0,), {}))
         ops.append((np.add.reduce, (passes,), {"axis": -1, "dtype": np.int64, "out": tally[0]}))
         ops.append((np.add.reduce, (squares,), {"axis": -1, "dtype": np.int64, "out": tally[1]}))
         return drawn, tally
@@ -512,7 +499,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     del probe
 
     def chunk_eval(worker: dict, rng: np.random.Generator, count: int) -> np.ndarray:
-        # ``worker`` keeps the worker's block and one recorded plan per replica count
+        # ``worker`` keeps the worker's block and one recorded plan per field count
         if not worker:
             worker["buffers"] = Buffers(layout)
         if count not in worker:
@@ -523,12 +510,12 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         run_passes(ops)
         return tally
 
-    # per tile and threshold: sum s over the drawn fields, sum s**2 over the full groups
-    tally = _accumulate(total, chunk, spec.seed, task, chunk_eval, threads)
+    # per tile and threshold: sum s and sum s**2 over the drawn fields
+    tally = _accumulate(fields, chunk, spec.seed, task, chunk_eval, threads)
     sums = np.array([tally[0, v - 1, u - 1] for v, u in extents])
     squares = np.array([tally[1, v - 1, u - 1] for v, u in extents])
-    probs, beta = group_estimate(sums, squares, total, group, spec.confidence_z)
-    return thr, probs, beta, sums, squares
+    probs, beta = group_estimate(sums, squares, fields, group, spec.confidence_z)
+    return group * fields, thr, probs, beta, sums, squares
 
 
 def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[EstimateRecord]:
@@ -545,7 +532,9 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
         tile, extents = (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
     else:
         tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
-    thr, q_hat, beta, sums, squares = _tally(spec, threads, "quv", spec.iterations, tile, extents)
+    tallied, thr, q_hat, beta, sums, squares = _tally(
+        spec, threads, "quv", spec.iterations, tile, extents
+    )
     records = []
     for t_idx, n in enumerate(thr):
         records.append(
@@ -559,7 +548,7 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
                 b23=float(beta[1, t_idx]),
                 b32=float(beta[2, t_idx]),
                 b33=float(beta[3, t_idx]),
-                iterations=spec.iterations,
+                iterations=tallied,
                 sums=tuple(int(k) for k in sums[:, t_idx]),
                 squares=tuple(int(k) for k in squares[:, t_idx]),
                 group=spec.group,
@@ -725,13 +714,15 @@ def approximate(spec: ExperimentSpec, threads: int | None = None) -> list[Approx
 def simulate_distribution(
     spec: ExperimentSpec, replicas: int = DEFAULT_REPLICAS, threads: int | None = None
 ) -> list[SimRow]:
-    """Direct Monte Carlo of the full-size scan; returns the empirical CDF."""
+    """Direct Monte Carlo of the full-size scan over ``replicas`` rounded up to whole groups."""
     check_integer("replicas", replicas, minimum=1)
     check_drawn_cells("replicas", replicas, _field_dims(spec, "sim"), spec.group)
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
-    thr, probs, half, _, _ = _tally(spec, threads, "sim", replicas, full, [(1, 1)])
+    tallied, thr, probs, half, sums, squares = _tally(
+        spec, threads, "sim", replicas, full, [(1, 1)]
+    )
     return [
-        SimRow(n=float(n), prob=float(p), half_width=float(h), replicas=replicas)
-        for n, p, h in zip(thr, probs[0], half[0])
+        SimRow(float(n), float(p), float(h), tallied, int(s), int(ss), spec.group)
+        for n, p, h, s, ss in zip(thr, probs[0], half[0], sums[0], squares[0])
     ]

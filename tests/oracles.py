@@ -97,30 +97,26 @@ def view_orders(seed: int, task: str, cells: int, views: int) -> list[np.ndarray
     ]
 
 
-def grouped_replicas(scores: list, count: int) -> np.ndarray:
-    """A chunk's ``count`` replica values in stream order, replicas on the last axis.
+def grouped_replicas(scores: list) -> np.ndarray:
+    """A chunk's replica values in stream order, replicas on the last axis.
 
     ``scores[t]`` holds, per drawn field on its last axis, the value of
     replica ``t`` of the ``R = len(scores)`` that the field counts as; as
     ``fields.STREAM_MAP`` states it, replica ``R * i + t`` of the chunk is
-    ``scores[t][..., i]``, so a ``count`` that ``R`` does not divide leaves
-    the last field's trailing replicas out.
+    ``scores[t][..., i]``.
     """
     stacked = np.stack(scores, axis=-1)
-    return stacked.reshape(*stacked.shape[:-2], -1)[..., :count]
+    return stacked.reshape(*stacked.shape[:-2], -1)
 
 
 def group_tallies(replicas: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
     """``sum s`` and ``sum s**2`` over the groups of ``group`` consecutive replicas (last axis).
 
-    ``s`` is a group's count of true replicas.  A last group short of
-    ``group`` replicas adds the ones it has to ``sum s``, and nothing to
-    ``sum s**2``, which runs over the full groups.
+    ``s`` is a group's count of true replicas; ``group`` must divide the
+    count of replicas.
     """
-    count = replicas.shape[-1]
-    full = count // group * group
-    s = replicas[..., :full].reshape(*replicas.shape[:-1], -1, group).sum(axis=-1, dtype=np.int64)
-    return replicas.sum(axis=-1, dtype=np.int64), (s * s).sum(axis=-1)
+    s = replicas.reshape(*replicas.shape[:-1], -1, group).sum(axis=-1, dtype=np.int64)
+    return s.sum(axis=-1), (s * s).sum(axis=-1)
 
 
 def brute_extent_maxima(stack: np.ndarray, transform, m1: int, m2: int, extent) -> np.ndarray:

@@ -441,10 +441,9 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
         "# rng = chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the "
         "UTF-8 text '<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) "
         "of seed and stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian "
-        "words, counter 1, 12 words skipped; a chunk of r replicas draws ceil(r / R) fields, "
-        "R = V * M, V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
-        "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1, so the "
-        "last field of an r that R does not divide counts its first r mod R replicas; view 0 is "
+        "words, counter 1, 12 words skipped; each field of a chunk counts as R = V * M replicas, "
+        "V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
+        "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1; view 0 is "
         "the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in "
         "(row, col) order, o_j the stable argsort of the first rows * cols words of the stream "
         "of the text '<task>-view:<j>' (the same hash, seed and SFC64); "
@@ -465,7 +464,8 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
     (``MarginalDistribution.sample``), and each view also counts as its
     mirror ``2c - x``.  Each drawn field counts as its views, whose cell
     orders are rebuilt from their own streams, grouped as the ``# rng``
-    line states, at a count that ``R`` does not divide.  The streams are
+    line states, at a request that ``R`` does not divide, which tallies
+    every replica of its last field.  The streams are
     rebuilt with ``hashlib`` and NumPy's SFC64 only, the window maxima come
     from the per-site oracle, and ``sum s``, ``sum s**2``, ``q`` and ``b``
     are recomputed from them.
@@ -491,10 +491,9 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
             "stream = BLAKE2b (digest_size=8) of the UTF-8 text '<task>:<k>', read little-endian",
             "SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and stream, each mod 2**64 as "
             "8 little-endian bytes, read as 3 little-endian words, counter 1, 12 words skipped",
-            "a chunk of r replicas draws ceil(r / R) fields, R = V * M, V the views of the "
-            "chunks line, M = 2 for Gaussian cells of mean c, else 1",
+            "each field of a chunk counts as R = V * M replicas, V the views of the chunks "
+            "line, M = 2 for Gaussian cells of mean c, else 1",
             "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1",
-            "the last field of an r that R does not divide counts its first r mod R replicas",
             "cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in (row, col) "
             "order, o_j the stable argsort of the first rows * cols words of the stream of the "
             "text '<task>-view:<j>' (the same hash, seed and SFC64)",
@@ -509,8 +508,9 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
         assert layout["mirrored"] == ("yes" if mirrored else "no")
         views, mirrors = int(layout["views"]), 2 if mirrored else 1
         group = views * mirrors
-        replicas, drawn = int(header["iterations"]), int(layout["last"])
-        assert drawn == -(-replicas // group) and replicas % group
+        requested, drawn = int(header["iterations"]), int(layout["last"])
+        assert drawn == -(-requested // group) and requested % group
+        replicas = group * drawn
         seed, m1, m2 = int(header["seed"]), int(header["m1"]), int(header["m2"])
         z = float(header["confidence_z"])
 
@@ -548,7 +548,7 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
             for order in orders:
                 view = fields[:, :, i].reshape(-1)[order].reshape(rows, cols)
                 sources += [view, 2 * mean - view] if mirrored else [view]
-        sources = sources[:replicas]
+        assert len(sources) == replicas
 
         notes = [line for line in metadata if line.startswith("# row n=")]
         assert len(notes) == 3
@@ -562,15 +562,13 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
                     brute_scan_statistic(source[: v * (m2 - 1), : u * (m1 - 1)], m1, m2) <= n
                     for source in sources
                 ]
-                # s over every group, s**2 over the full ones
-                full = replicas // group
                 counts = [sum(below[g : g + group]) for g in range(0, replicas, group)]
-                total, squares = sum(counts), sum(s * s for s in counts[:full])
+                total, squares = sum(counts), sum(s * s for s in counts)
                 assert (values[f"s{u}{v}"], values[f"ss{u}{v}"]) == (str(total), str(squares))
                 q = total / replicas
                 assert 0.0 < q < 1.0 and values[f"q{u}{v}"] == repr(q)
-                # the spread of the full groups' counts about R q, over N / R groups
-                spread = max(squares / full - (group * q) ** 2, 0.0)
+                # the spread of the groups' counts about R q, over N / R groups
+                spread = max(squares / drawn - (group * q) ** 2, 0.0)
                 assert values[f"b{u}{v}"] == repr(z * math.sqrt(spread / (group * replicas)))
 
 
@@ -615,6 +613,30 @@ def test_simulate_subcommand(tmp_path):
     assert columns == ["n", "sim", "half_width"]
     probs = [row["sim"] for row in rows]
     assert probs == sorted(probs)  # CDF is monotone in the threshold
+
+
+def test_sim_row_notes_give_each_row_exactly(tmp_path):
+    """A simulate ``# row`` note's ``s``, ``ss``, ``N`` and ``R`` give ``sim`` and ``half_width``.
+
+    A request of 2001 replicas draws 501 fields and tallies all four
+    replicas of each, 2004 in all (``pipeline.group_estimate``).
+    """
+    config, out = _write_config(tmp_path, replicas=2001), tmp_path / "sim.tsv"
+    assert main(["simulate", "-c", config, "-o", str(out), "--raw"]) == 0
+    metadata, _, rows = read_table(str(out))
+    notes = [line for line in metadata if line.startswith("# row n=")]
+    assert len(notes) == len(rows) == 3
+    for note, row in zip(notes, rows):
+        head, items = note.split(": ", 1)
+        assert float(head[len("# row n=") :]) == row["n"]
+        values = dict(item.split("=") for item in items.split())
+        assert list(values) == ["s", "ss", "N", "R"]
+        sums, squares, total, group = (int(value) for value in values.values())
+        assert (total, group) == (2004, 4)
+        q = sums / total
+        assert 0.0 < q < 1.0 and row["sim"] == q
+        spread = squares / (total // group) - (group * q) ** 2
+        assert spread > 0.0 and row["half_width"] == 1.96 * math.sqrt(spread / (group * total))
 
 
 def test_simulate_rejects_bad_replicas(tmp_path, capsys):
@@ -771,8 +793,8 @@ def _chunk_header(metadata):
 def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monkeypatch):
     from blockscan import pipeline
 
-    # several chunks per call, the last one short
-    monkeypatch.setattr(pipeline, "_chunk_size", lambda nbytes: max(1, 1250 // nbytes))
+    # several chunks per call, the last one short: at least two fields to a chunk
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda nbytes: max(1, 2500 // nbytes))
     ran, accumulate = [], pipeline._accumulate
 
     def recording(total, chunk, seed, task, chunk_eval, threads):
@@ -781,7 +803,7 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
 
     monkeypatch.setattr(pipeline, "_accumulate", recording)
     # a drawn field counts as four views, and over Gaussian cells as their
-    # mirrors too: the header counts the fields
+    # mirrors too: the accumulator and the header count the fields
     gaussian = {"distribution": "gaussian", "p": None, "mean": 0.0, "variance": 1.0}
     for updates, per_field in (({}, 4), (gaussian, 8)):
         config = _write_config(tmp_path, iterations=2001, replicas=2001, **updates)
@@ -795,11 +817,12 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
             headers.append(metadata[3])
             layouts = _chunk_header(metadata)
             assert list(layouts) == [task for task, _, _ in ran]
-            for task, total, chunk in ran:
-                count = -(-total // chunk)
-                assert count > 2 and total % chunk and chunk % per_field == 0
-                last = -(-(total - (count - 1) * chunk) // per_field)
-                assert layouts[task] == (chunk // per_field, count, last, per_field == 8, 4)
+            for task, fields, chunk in ran:
+                count = -(-fields // chunk)
+                assert fields == -(-2001 // per_field)
+                assert count > 2 and fields % chunk
+                last = fields - (count - 1) * chunk
+                assert layouts[task] == (chunk, count, last, per_field == 8, 4)
         assert list(layouts) == (["quv"] if command == "approximate" else ["sim"])
         assert headers[0] == headers[1]
 

@@ -7,7 +7,8 @@ spread of the per-field counts of passing replicas.  These checks hold the
 group estimator against plain Monte Carlo of independent fields summed
 site by site and against an exact ``Q_uv`` found by enumeration, pin it
 to the Wald and pair forms it reduces to, check that every view is a
-permutation of its field, and run it at counts that leave a group short.
+permutation of its field, and check that a request that ``R`` does not
+divide tallies every replica of its last field.
 """
 import dataclasses
 import json
@@ -137,11 +138,11 @@ def _usable_cpus(monkeypatch, n):
 def test_odd_counts_write_the_same_table_at_one_two_and_three_threads(
     tmp_path, command, count, monkeypatch
 ):
-    """One replica (a field without its other seven), three, and a count over fourteen chunks.
+    """A request of one replica, of three, and of a count over fourteen chunks.
 
-    Chunks hold 152 replicas, 19 fields of eight each, so 2001 replicas end
-    in a chunk of 25 replicas whose last field counts one.  The tables are
-    compared whole but for the wall time and the thread count.
+    Chunks hold 19 fields of eight replicas each, so 2001 replicas draw 251
+    fields and end in a chunk of 4 fields.  The tables are compared whole
+    but for the wall time and the thread count.
     """
     _usable_cpus(monkeypatch, 3)
     monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 19)
@@ -164,10 +165,63 @@ def test_odd_counts_write_the_same_table_at_one_two_and_three_threads(
     assert tables[1] == tables[0] and tables[2] == tables[0]
     metadata, _, rows = read_table(str(tmp_path / "t1.tsv"))
     [chunks] = [line for line in metadata if line.startswith("# chunks = ")]
-    chunk_count = -(-count // 152)
-    last = -(-(count - (chunk_count - 1) * 152) // 8)
+    fields = -(-count // 8)
+    chunk_count = -(-fields // 19)
+    last = fields - (chunk_count - 1) * 19
     assert chunks.endswith(f"fields=19 count={chunk_count} last={last} mirrored=yes views=4")
     assert len(rows) == 3
+    notes = [line for line in metadata if line.startswith("# row n=")]
+    assert len(notes) == 3 and all(f" N={8 * fields} R=8" in note for note in notes)
+
+
+# Bernoulli cells count four replicas to a drawn field, Gaussian MA cells eight
+_ODD_MODELS = {
+    "bernoulli": (4, {
+        "transform": "minesweeper", "distribution": "bernoulli", "p": 0.5,
+        "source_cols": 12, "source_rows": 12, "m1": 3, "m2": 3, "thresholds": [40, 44, 48],
+        "seed": 6,
+    }),
+    "ma": (8, {
+        "transform": "ma", "ma_coeffs": [0.3, 0.1, 0.5], "distribution": "gaussian",
+        "mean": 0.0, "variance": 1.0, "source_cols": 66, "source_rows": 1, "m1": 20, "m2": 1,
+        "thresholds": [3.0, 5.0, 7.0], "seed": 6,
+    }),
+}
+
+
+@pytest.mark.parametrize("command", ["approximate", "simulate"])
+@pytest.mark.parametrize("model", list(_ODD_MODELS))
+def test_a_request_that_r_does_not_divide_writes_the_table_of_the_next_multiple(
+    tmp_path, command, model, monkeypatch
+):
+    """2001 replicas write the table of 2004 over Bernoulli cells, and of 2008 over Gaussian MA.
+
+    Each drawn field counts as ``R`` replicas, and a call tallies every
+    replica of every field it draws.  The data rows and ``# row`` notes of
+    both requests are the same at 1, 2 and 3 threads, over chunks of 19
+    fields, and the notes give the count tallied.
+    """
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 19)
+    group, config = _ODD_MODELS[model]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    size = "--iterations" if command == "approximate" else "--replicas"
+    tallied = {"bernoulli": 2004, "ma": 2008}[model]
+    tables = []
+    for count in (2001, tallied):
+        for threads in (1, 2, 3):
+            out = tmp_path / f"{count}-t{threads}.tsv"
+            argv = [command, "-c", str(path), "-o", str(out), size, str(count), "--raw"]
+            assert main(argv + ["--threads", str(threads)]) == 0
+            tables.append([
+                line for line in out.read_text().splitlines()
+                if not line.startswith("#") or line.startswith("# row n=")
+            ])
+    assert all(table == tables[0] for table in tables)
+    notes = [line for line in tables[0] if line.startswith("#")]
+    assert len(notes) == 3 and len(tables[0]) == 6
+    assert all(f" N={tallied} R={group}" in note for note in notes)
 
 
 def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys):
@@ -233,30 +287,12 @@ def test_the_group_half_width_is_wald_for_single_replicas_and_the_pair_form_for_
     c_hat = both / pairs - p * p
     assert c_hat > 0.02
     sums, squares = group_tallies(passed, 2)
-    q, b = pipeline.group_estimate(sums, squares, total, 2, z)
+    q, b = pipeline.group_estimate(sums, squares, pairs, 2, z)
     assert q == p
     assert b == pytest.approx(z * math.sqrt((p * (1.0 - p) + c_hat) / total), rel=1e-12)
-    # with fewer replicas than one group, the replicas count as independent
-    q, b = pipeline.group_estimate(3, 5, 7, 8, z)
-    assert b == pytest.approx(z * math.sqrt(q * (1.0 - q) / 7), rel=1e-12)
-
-
-def test_a_short_last_group_keeps_the_half_width_near_one():
-    """At ``q`` near 1 a count that ``R`` does not divide still gets about Wald's half-width.
-
-    11 of 200001 replicas fail, each in its own group of eight, so the
-    groups' counts vary as independent replicas would.  The short last
-    group, one passing replica, adds to ``sum s`` only, and the mean
-    subtracted is ``R q``: ``(sum s / G)**2`` would exceed ``sum s**2 / G``
-    there and leave a half-width of 0.
-    """
-    passed = np.ones(200_001, dtype=bool)
-    passed[np.arange(11) * 8 * 1000 + 3] = False
-    sums, squares = group_tallies(passed, 8)
-    assert (sums, squares) == (199_990, 24_989 * 64 + 11 * 49)
-    q, b = pipeline.group_estimate(sums, squares, passed.size, 8, 1.96)
-    wald = 1.96 * math.sqrt(q * (1.0 - q) / passed.size)
-    assert q == 199_990 / 200_001 and 0.9 * wald < b < wald
+    # one group of four, two of which pass: every group count is equal, so b is 0
+    q, b = pipeline.group_estimate(2, 4, 1, 4, z)
+    assert q == 0.5 and b == 0.0
 
 
 def _exact_row_scan(p, n):

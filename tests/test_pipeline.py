@@ -26,7 +26,7 @@ from blockscan import (
 )
 from blockscan import blockfactor, pipeline
 from blockscan.errors import GeometryError, HypothesisError, OrderingError, ParameterError
-from oracles import grouped_replicas, view_orders
+from oracles import group_tallies, grouped_replicas, view_orders
 
 
 def _bernoulli_spec(cols=12, rows=12, thresholds=(6, 7, 8), iterations=4000, seed=11, p=0.3):
@@ -662,7 +662,7 @@ def test_tallies_are_identical_at_one_two_and_three_workers(monkeypatch):
     """7 quv chunks and 5 simulation chunks, no multiple of 2 or 3, each with a short last chunk.
 
     500 and 313 drawn fields of four views, 73 to a chunk; the simulation's
-    last field counts two of its views.
+    1250 replicas round up to the 1252 of its 313 fields.
     """
     _usable_cpus(monkeypatch, 3)
     monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 73)
@@ -712,10 +712,10 @@ def _chunks_and_dtypes(spec, monkeypatch):
 @pytest.mark.parametrize(
     "distribution, chunks",
     [
-        # replicas per chunk: four views of each of 3640 12 x 12 Q_uv fields
-        # and 1310 20 x 20 lattices of bool, then of 455 and 163 of int64
-        (MarginalDistribution.bernoulli(0.5), [4 * 3640, 4 * 1310]),
-        (MarginalDistribution.binomial(16, 0.5), [4 * 455, 4 * 163]),
+        # drawn fields per chunk: 3640 12 x 12 Q_uv fields and 1310 20 x 20
+        # lattices of bool, then 455 and 163 of int64
+        (MarginalDistribution.bernoulli(0.5), [3640, 1310]),
+        (MarginalDistribution.binomial(16, 0.5), [455, 163]),
     ],
     ids=["bernoulli", "binomial"],
 )
@@ -757,8 +757,10 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     into its views (``oracles.view_orders``) and takes each view's window
     sums with fresh buffers.  Over Gaussian cells (``quv-1d``,
     ``quv-2d-gaussian``) it also reflects each view into its mirror ``2c -
-    x``.  It groups the replicas as ``fields.STREAM_MAP`` states, and the
-    count of 15001 leaves the last field with one replica.
+    x``.  It groups the replicas as ``fields.STREAM_MAP`` states, and
+    recounts ``sum s`` and ``sum s**2``; a request of 15001 replicas tallies
+    every replica of its last field, 15004 of them, or 15008 over Gaussian
+    cells.
     """
     drawn, sample = [], MarginalDistribution.sample
     total = 15_001
@@ -772,7 +774,10 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     if shape == "simulate":
         spec = _minesweeper_spec(cols=14, rows=13, thresholds=range(40, 64, 3))
         rows = simulate_distribution(spec, replicas=total, threads=1)
-        tallies = [[round(row.prob * row.replicas) for row in rows]]
+        tallied = {row.replicas for row in rows}
+        tallies = [
+            [[round(row.prob * row.replicas) for row in rows]], [[row.squares for row in rows]]
+        ]
         task = "sim"
         derived_rows, derived_cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
         extents = [(derived_rows - spec.m2 + 1, derived_cols - spec.m1 + 1)]
@@ -787,9 +792,13 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         else:
             spec = dataclasses.replace(_ma_spec(), iterations=total)
         records = estimate_quv(spec, threads=1)
+        tallied = {rec.iterations for rec in records}
         tallies = [
-            [round(getattr(rec, q) * rec.iterations) for rec in records]
-            for q in ("q22", "q23", "q32", "q33")
+            [
+                [round(getattr(rec, f"q{uv}") * rec.iterations) for rec in records]
+                for uv in ("22", "23", "32", "33")
+            ],
+            [[rec.squares[e] for rec in records] for e in range(4)],
         ]
         rows_per_block = 1 if spec.one_dimensional else spec.block2
         extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
@@ -798,8 +807,8 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     cols, rows = pipeline._field_dims(spec, task)
     orders = view_orders(spec.seed, task, rows * cols, 4)
     thr = np.array(spec.thresholds)
-    expected = np.zeros((len(extents), thr.size), dtype=np.int64)
-    left = total
+    # (sum s or sum s**2, extent, threshold)
+    expected = np.zeros((2, len(extents), thr.size), dtype=np.int64)
     for k, size in enumerate(drawn):
         rng = SeedSpec.for_chunk(spec.seed, task, k).generator()
         block = spec.distribution.sample(rng, size)
@@ -818,19 +827,18 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
                     sums[:, :v_ext, :u_ext].max(axis=(1, 2)) <= thr[:, None]
                     for v_ext, u_ext in extents
                 ]))
-        count = min(left, len(passed) * size[-1])
-        expected += grouped_replicas(passed, count).sum(axis=-1)
-        left -= count
-    assert left == 0
+        expected += np.array(group_tallies(grouped_replicas(passed), len(passed)))
     # one draw per chunk of drawn fields, four replicas each, eight over
     # Gaussian cells: full chunks, then the rest
     chunk = {"quv-2d": 3640, "quv-1d": 1040, "quv-2d-gaussian": 455, "simulate": 2880}[shape]
-    fields = -(-total // (8 if spec.mirrored else 4))
+    group = 8 if spec.mirrored else 4
+    fields = -(-total // group)
     assert drawn == [(rows, cols, n) for n in (
         [chunk] * (fields // chunk) + [fields % chunk]
     )]
+    assert tallied == {group * fields} == {15_008 if spec.mirrored else 15_004}
     # at least three thresholds per extent split the replicas
-    assert np.all(((expected > 0) & (expected < total)).sum(axis=1) >= 3)
+    assert np.all(((expected[0] > 0) & (expected[0] < group * fields)).sum(axis=1) >= 3)
     assert np.array_equal(np.array(tallies), expected)
 
 
