@@ -189,10 +189,11 @@ def _write_table(
         spec = config.build_spec()
         layouts = []
         for task, total in calls:
-            fields, count, last = chunk_layout(spec, task, total)
+            size, count, last = chunk_layout(spec, task, total)
+            unit = "pairs" if spec.group_fields(task) == 2 else "fields"
             mirrored = "yes" if spec.mirrored else "no"
             layouts.append(
-                f"{task}: fields={fields} count={count} last={last} mirrored={mirrored} "
+                f"{task}: {unit}={size} count={count} last={last} mirrored={mirrored} "
                 f"views={VIEWS}"
             )
         lines.append("# chunks = " + "; ".join(layouts))
@@ -387,7 +388,10 @@ def main(argv=None) -> int:
             # the config must suit simulate too, whose replicas draw the whole source
             try:
                 dims = (config.source_cols, config.source_rows)
-                check_drawn_cells("replicas", config.replicas, dims, config.build_spec().group)
+                spec = config.build_spec()
+                check_drawn_cells(
+                    "replicas", config.replicas, dims, spec.group("sim"), spec.group_fields("sim")
+                )
             except ParameterError as exc:
                 raise _key_error(exc) from exc
             print("ok")

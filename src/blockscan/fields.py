@@ -29,9 +29,13 @@ STREAM_MAP = (
     "chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the UTF-8 text "
     "'<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and "
     "stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian words, "
-    "counter 1, 12 words skipped; each field of a chunk counts as R = V * M replicas, "
-    "V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
-    "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1; view 0 is "
+    "counter 1, 12 words skipped; each group of a chunk counts as R = V * P * M replicas, "
+    "V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; a chunks "
+    "line of pairs= makes field i of a chunk of h pairs a group with field i + h, of P = 4 "
+    "members x, y, u = c + (x + y - 2c) / sqrt 2 and v = c + (x - y) / sqrt 2, whose view j "
+    "is that of the views j of x and y; one of fields= makes each field a group of P = 1 "
+    "member x; replica R * i + M * (P * j + k) + m is view j of member k of group i, and its "
+    "mirror 2c - x if m = 1; view 0 is "
     "the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in "
     "(row, col) order, o_j the stable argsort of the first rows * cols words of the stream "
     "of the text '<task>-view:<j>' (the same hash, seed and SFC64); chunk cells in "
@@ -226,7 +230,12 @@ class MarginalDistribution:
         factor of such cells and its reflection do too, and the pipeline
         scores every view of a drawn field also as its mirror
         (``pipeline._tally``).
-        Gaussian gives its mean; every other marginal gives ``None``.
+        Gaussian gives its mean; every other marginal gives ``None``.  Two
+        independent fields of Gaussian cells, ``x`` and ``y``, also keep
+        their joint law under any rotation of the pair about ``c``, so the
+        pipeline scores a pair of them also as its rotations by 45 degrees,
+        ``c + (x - c + y - c) / sqrt 2`` and ``c + (x - y) / sqrt 2``, of
+        which the mirror is the one by 180 degrees.
         """
         return self.mean if self.kind == "gaussian" else None
 

@@ -52,7 +52,7 @@ class ExperimentSpec:
 
     ``seed`` is the master seed: every chunk draws from its own stream of
     it (``_accumulate``).  ``iterations`` is a request, rounded up to whole
-    groups of ``group`` replicas (``_tally``).
+    groups of ``group("quv")`` replicas (``_tally``).
     """
 
     transform: BlockFactorTransform
@@ -122,16 +122,34 @@ class ExperimentSpec:
             raise GeometryError(
                 "source height must cover at least three block units", field="source_rows"
             )
-        check_drawn_cells("iterations", self.iterations, _field_dims(self, "quv"), self.group)
+        check_drawn_cells(
+            "iterations", self.iterations, _field_dims(self, "quv"), self.group("quv"),
+            self.group_fields("quv"),
+        )
 
     @property
     def mirrored(self) -> bool:
         """Whether each view also counts as its mirror (``MarginalDistribution.centre``)."""
         return self.distribution.centre is not None
 
-    @property
-    def group(self) -> int:
-        """The replicas one drawn field counts as: ``VIEWS``, twice that if ``mirrored`` (``_tally``)."""
+    def group_fields(self, task: str) -> int:
+        """The fields one group of a ``quv`` or ``sim`` call draws (``_tally``).
+
+        A pair where ``mirrored`` and a chunk's bytes hold two fields or
+        more (``_chunk_size``), else one.
+        """
+        if not self.mirrored:
+            return 1
+        cols, rows = _field_dims(self, task)
+        return 2 if _chunk_size(rows * cols * self.distribution.dtype.itemsize) >= 2 else 1
+
+    def group(self, task: str) -> int:
+        """The replicas one group of a ``quv`` or ``sim`` call counts as (``_tally``).
+
+        Per view: a pair's eight rotations, a field and its mirror, or the field.
+        """
+        if self.group_fields(task) == 2:
+            return 8 * VIEWS
         return VIEWS * (2 if self.mirrored else 1)
 
     @property
@@ -238,20 +256,22 @@ def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
     return quv_field_dims(3, 3, spec)
 
 
-def _drawn_fields(replicas: int, group: int) -> int:
-    """The fields a request of ``replicas`` draws, ``group`` replicas to a field: rounded up."""
+def _drawn_groups(replicas: int, group: int) -> int:
+    """The groups a request of ``replicas`` draws, ``group`` replicas to a group: rounded up."""
     return -(-replicas // group)
 
 
-def check_drawn_cells(field: str, count: int, dims: tuple[int, int], group: int) -> None:
+def check_drawn_cells(
+    field: str, count: int, dims: tuple[int, int], group: int, group_fields: int = 1
+) -> None:
     """Raise, naming ``field``, if the fields ``count`` replicas draw pass the cell limit.
 
     ``count`` replicas of (cols, rows) ``dims`` draw ``ceil(count / group)``
-    fields, each drawn field counting as ``group`` replicas
-    (``ExperimentSpec.group``).
+    groups of ``group_fields`` fields, each group counting as ``group``
+    replicas (``ExperimentSpec.group``).
     """
     cols, rows = dims
-    fields = _drawn_fields(count, group)
+    fields = _drawn_groups(count, group) * group_fields
     if fields * cols * rows > MAX_DRAWN_CELLS:
         raise ParameterError(
             f"{field} = {count} draws {fields} fields of {cols}x{rows} cells, past the "
@@ -261,16 +281,18 @@ def check_drawn_cells(field: str, count: int, dims: tuple[int, int], group: int)
 
 
 def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int, int]:
-    """Drawn fields per chunk, chunk count and the last chunk's fields of a ``quv`` or ``sim`` call.
+    """Groups per chunk, chunk count and the last chunk's groups of a ``quv`` or ``sim`` call.
 
-    A call of ``total`` replicas draws ``ceil(total / R)`` fields, ``R =
-    spec.group`` replicas to a field.
+    A call of ``total`` replicas draws ``ceil(total / R)`` groups, ``R =
+    spec.group(task)`` replicas to a group, and a chunk holds as many whole
+    groups as its bytes do (``_chunk_size``): pairs of fields where
+    ``spec.group_fields(task)`` is 2, else fields.
     """
     cols, rows = _field_dims(spec, task)
-    size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
-    fields = _drawn_fields(total, spec.group)
-    count = -(-fields // size)
-    return size, count, fields - (count - 1) * size
+    size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize) // spec.group_fields(task)
+    groups = _drawn_groups(total, spec.group(task))
+    count = -(-groups // size)
+    return size, count, groups - (count - 1) * size
 
 
 def _worker_count(threads: int | None, n_chunks: int) -> int:
@@ -283,7 +305,7 @@ def _worker_count(threads: int | None, n_chunks: int) -> int:
 
 
 def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, threads):
-    """Sum integer tallies over chunks of ``chunk`` of ``total`` drawn fields, one stream per chunk.
+    """Sum integer tallies over chunks of ``chunk`` of ``total`` groups, one stream per chunk.
 
     Worker ``w`` of ``W`` (``_worker_count``) runs chunks
     ``[w * n // W, (w + 1) * n // W)`` of the ``n`` in order, in one thread,
@@ -317,7 +339,7 @@ def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, thread
 def group_estimate(sums, squares, groups: int, group: int, z: float):
     """The estimate ``q = S / N`` and its half-width from the tallies ``S = sum s``, ``Q = sum s**2``.
 
-    ``G = groups`` drawn fields each count as a group of ``group = R``
+    ``G = groups`` groups of drawn fields each count as ``group = R``
     replicas, ``N = R G`` in all, and ``s`` is the count of a group's
     replicas that pass.  The half-width is ``z * sqrt(max(Q / G - (R
     q)**2, 0) / (R N))``: the variance of a group's count over ``G``
@@ -357,110 +379,95 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     axes give, at tile ``(v - 1, u - 1)``, the maximum over the leading
     ``v x u`` tiles, and one compare with every threshold scores them all.
     An extent ``(v, u)`` reads its counts at that tile.  A request of
-    ``total`` replicas draws ``G = ceil(total / R)`` fields and tallies
+    ``total`` replicas draws ``G = ceil(total / R)`` groups and tallies
     every replica of each, ``N = R G``.  Returns ``N``, the thresholds and,
     per extent and threshold, the estimate, its half-width and the integer
     tallies ``sum s`` and ``sum s**2`` they are read from
     (``group_estimate``).  The chunks run on at most ``threads`` worker
     threads, 1 if ``None`` (``_worker_count``).
 
-    Replica groups.  The cells of a field are i.i.d., so any fixed
-    permutation of them is a field of the same law, and each drawn field
-    counts as ``R = spec.group`` replicas: ``VIEWS`` views, view 0 the field
+    Replica groups (README, "Replica groups").  The cells of a field are
+    i.i.d., so each drawn field counts as ``VIEWS`` views: view 0 the field
     and view ``j >= 1`` its cells in the order ``_view_orders`` fixes for
-    the whole call, and where the marginal is symmetric about a centre
-    ``c`` (``MarginalDistribution.centre``) each view also as its mirror
-    ``2c - x`` (Hammersley & Morton, "A new Monte Carlo technique:
-    antithetic variates", 1956).  The filter being linear, a mirror's
-    window sums are ``2cK - S`` with ``K = weights.sum() * m1 * m2``, so it
-    passes where ``min S >= 2cK - n``: the running minima of the tile
-    minima, recorded after the maxima in the same ``scan.tiles`` slot,
-    which the maxima's compare has read by then.  Replica ``R i + M j + m``
-    is view ``j`` of field ``i``, its mirror if ``m = 1`` (``M = 2`` with a
-    mirror, else 1; ``fields.STREAM_MAP``).  The replicas of a group are
-    not independent, so the tally keeps, per extent and threshold, the sum
-    of each field's count ``s`` of passing replicas and the sum of its
-    square, and the half-width is that of the group counts
-    (``group_estimate``).
+    the call.  Where the marginal is symmetric about a centre ``c``
+    (``MarginalDistribution.centre``) each view also counts as its mirror
+    ``2c - x``, whose window sums are ``2cK - S``, ``K = weights.sum() * m1
+    * m2``: it passes where the running minimum of the tile minima is ``>=
+    2cK - n``.  Gaussian fields come in pairs where a chunk holds two or
+    more (``spec.group_fields``), field ``i`` of ``g`` pairs with field ``i
+    + g``, and each view of a pair also counts as its rotations ``u = c +
+    (x - c + y - c) / sqrt 2`` and ``v = c + (x - y) / sqrt 2``: two passes
+    write ``S(x) + S(y)`` into the ``u`` lanes and ``S(x) - S(y)`` into the
+    ``v`` lanes of the slot the last window pass did not write, scored
+    like a view against ``2cK + sqrt 2 (n - cK)`` and ``sqrt 2 (n - cK)``,
+    their mirrors against those limits reflected about ``2cK`` and 0.  A
+    group counts as ``R = spec.group(task)`` replicas, in the order
+    ``fields.STREAM_MAP`` states; they are not independent, so the tally
+    keeps, per extent and threshold, the sum of each group's count ``s`` of
+    passing replicas and of its square (``group_estimate``).
 
-    A chunk is about 512 KiB of drawn source fields (``chunk_layout``), a
-    budget in bytes of the marginal's dtype, so the chunk partition, and
-    with it the stream, depends on the model only.  Each chunk is drawn in
-    one ``sample`` call into the ``drawn`` slot, a ``(rows, cols, fields)``
+    A chunk is about 512 KiB of drawn fields (``chunk_layout``), a budget
+    in bytes of the marginal's dtype, so the chunk partition, and with it
+    the stream, depends on the model only.  Each chunk is drawn in one
+    ``sample`` call into the ``drawn`` slot, a ``(rows, cols, fields)``
     block that no pass writes.  Per view the plan takes the view's cells
-    into the ``source`` slot (view 0 reads ``drawn`` itself), runs the
-    kernels over its replica-minor view ``(fields, rows, cols)``, in which
-    no flat lane wraps across a field and the extrema and compares run over
-    contiguous field vectors, and adds each score into the uint8 counts
-    ``s``; two int64 sums over the fields close the chunk.  Every pass
-    after the draw is recorded into one list of passes (the kernels'
-    ``ops``) once per worker and chunk shape, and run again on each chunk,
-    so a chunk pays no interpreter work that is the same every time.
-    Each worker keeps its chunk's fields and temporaries in one block of
-    ``Buffers``, laid out by one recording at a full chunk on fresh arrays,
-    which runs no pass; those arrays are freed before any worker places its
-    block.  The window sums write into slots that are dead by then
-    (``window_sums_batch``): the row pass over the source, which the block
-    factor has read, and the column pass over the block factor, which the
-    row pass has read; a one-row window has no column pass, and its sums go
-    over the source.  So a chunk's passes stay in L2 on the benchmark
-    configs, unless one field alone passes the budget.  One block, not one
-    allocation per temporary: glibc trims its heap once the free memory at
-    the top exceeds twice the largest block it has mapped and freed, so
-    separate temporaries, all freed as this call ends, would be faulted in
-    again by the next call, while one freed block stays under that bound.
+    into the ``source`` slot (view 0 reads ``drawn``), runs the kernels
+    over its replica-minor view ``(fields, rows, cols)``, so that the
+    extrema and compares run over contiguous field vectors, and adds each
+    score into the uint8 count of each field; views 2 and up run view 1's
+    passes again after their own take.  A pair's two counts are added, and
+    two int64 sums over the groups close the chunk.  The passes are
+    recorded once per worker and chunk shape (the kernels' ``ops``) and run
+    on every chunk of that shape.  A worker keeps its chunk's arrays in one
+    block of ``Buffers``, laid out by one recording on fresh arrays that
+    are freed before any worker places its block: glibc trims its heap once
+    the free memory at its top exceeds twice the largest block it has
+    mapped and freed, so separate temporaries freed as a call ends would
+    be faulted in again by the next call.  The window sums write over
+    slots that are dead by then (``window_sums_batch``), so a chunk's
+    passes stay in L2 on the benchmark configs.
     """
     threads = 1 if threads is None else threads
     check_integer("threads", threads, minimum=1)
     thr = np.asarray(spec.thresholds, dtype=np.float64)
-    dist, group = spec.distribution, spec.group
-    fields = _drawn_fields(total, group)
+    dist, group, pair = spec.distribution, spec.group(task), spec.group_fields(task)
+    groups = _drawn_groups(total, group)
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
-        return group * fields, thr, empty, empty, empty, empty
+        return group * groups, thr, empty, empty, empty, empty
     cols, rows = _field_dims(spec, task)
     chunk = chunk_layout(spec, task, total)[0]
     orders = [None, *_view_orders(spec, task, rows * cols)]
     scores = [(np.maximum, np.less_equal)]
     if spec.mirrored:
-        # the mirror's window sums are 2cK - S, K = weights.sum() * m1 * m2
-        two_ck = 2 * dist.centre * spec.transform.weights.sum().item() * spec.m1 * spec.m2
+        ck = dist.centre * spec.transform.weights.sum().item() * spec.m1 * spec.m2
+        two_ck = 2 * ck
         scores.append((np.minimum, np.greater_equal))
 
-    def record(fields: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
-        """Take the ``drawn`` block of a chunk of ``fields`` fields; append every pass after its draw.
+    def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
+        """Take the ``drawn`` block of a chunk of ``count`` groups; append every pass after its draw.
 
         Returns the ``(rows, cols, fields)`` block and the ``(2, grid_rows,
         grid_cols, thresholds)`` int64 tally the passes write: per tile and
-        threshold, ``sum s`` and ``sum s**2`` over the fields, ``s`` the
-        count of a field's replicas whose running maximum at the tile is
-        ``<=`` the threshold (a mirror's: whose running minimum is past the
-        mirror's limit).  Every other array is taken from ``buffers``.
+        threshold, ``sum s`` and ``sum s**2`` over the groups, ``s`` the
+        count of a group's replicas whose running maximum at the tile is
+        ``<=`` its limit (a mirror's: whose running minimum is ``>=`` it).
+        Every other array is taken from ``buffers``.
         """
-        cells = rows * cols
+        cells, fields = rows * cols, pair * count
         drawn = buffers.take("drawn", fields * cells, dist.dtype).reshape(rows, cols, fields)
         source = buffers.take("source", fields * cells, dist.dtype).reshape(rows, cols, fields)
         passes = None
-        for j, order in enumerate(orders):
-            block = drawn
-            if order is not None:
-                # 'clip' skips the bounds check for which 'raise' buffers the whole take
-                ops.append((
-                    np.take, (drawn.reshape(cells, fields), order),
-                    {"axis": 0, "out": source.reshape(cells, fields), "mode": "clip"},
-                ))
-                block = source
-            sums = window_sums_batch(
-                np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2,
-                buffers=buffers, ops=ops,
-            )
-            limits = thr[:, None]
-            if np.issubdtype(sums.dtype, np.integer):
-                # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
-                info = np.iinfo(sums.dtype)
-                floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
-                limits = np.array(floors, dtype=sums.dtype)[:, None]
-            for m, (reduce, compare) in enumerate(scores):
+        if pair == 2:
+            # u lanes centre on 2cK, v lanes on 0; at c = 0 they share one limit
+            half = math.sqrt(2.0) * (thr[:, None] - ck)
+            centres = np.repeat([two_ck, 0.0], count) if two_ck else np.zeros(1)
+            rotated_bounds = [centres + half, centres - half]
+
+        def score(sums: np.ndarray, limits: list) -> None:
+            """Append the passes adding each score of ``sums`` against its ``limits`` into the counts."""
+            nonlocal passes
+            for (reduce, compare), limit in zip(scores, limits):
                 # tile axes first, so every pass below runs over the fields
                 lead = np.moveaxis(
                     tile_maxima(sums, *tile, reduce, buffers=buffers, ops=ops), 0, -1
@@ -469,8 +476,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
                     ops.append((reduce, (lead[i], lead[i - 1]), {"out": lead[i]}))
                 for k in range(1, lead.shape[1]):
                     ops.append((reduce, (lead[:, k], lead[:, k - 1]), {"out": lead[:, k]}))
-                # Gaussian sums are float: the mirror passes where min S >= 2cK - n
-                args = (lead[:, :, None, :], two_ck - limits if m else limits)
+                args = (lead[:, :, None, :], limit)
                 size = lead.shape[0] * lead.shape[1] * thr.size * fields
                 if passes is None:
                     # replica 0 of each group: its 0 or 1 starts the counts
@@ -481,6 +487,55 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
                 below = buffers.take("below", size, np.bool_).reshape(passes.shape)
                 ops.append((compare, args, {"out": below}))
                 ops.append((np.add, (passes, below.view(np.uint8)), {"out": passes}))
+
+        for j, order in enumerate(orders):
+            block = drawn
+            if order is not None:
+                # 'clip' skips the bounds check for which 'raise' buffers the whole take
+                ops.append((
+                    np.take, (drawn.reshape(cells, fields), order),
+                    {"axis": 0, "out": source.reshape(cells, fields), "mode": "clip"},
+                ))
+                block = source
+            if j > 1:
+                # the same passes over the same slots: only the take differs
+                ops.extend(repeated)
+                continue
+            start = len(ops)
+            sums = window_sums_batch(
+                np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2,
+                buffers=buffers, ops=ops,
+            )
+            if j == 0:
+                limits = thr[:, None]
+                if np.issubdtype(sums.dtype, np.integer):
+                    # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
+                    info = np.iinfo(sums.dtype)
+                    floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
+                    limits = np.array(floors, dtype=sums.dtype)[:, None]
+                # Gaussian sums are float: the mirror passes where min S >= 2cK - n
+                bounds = [limits, two_ck - limits] if spec.mirrored else [limits]
+            score(sums, bounds)
+            if pair == 2:
+                # of the two slots the window passes write (``window_sums_batch``),
+                # the one that does not hold the sums is dead by now
+                dead = "blockfactor" if np.may_share_memory(sums, source) else "source"
+                # the items from the sums' first lane to their last
+                span = sum((n - 1) * st for n, st in zip(sums.shape, sums.strides)) // sums.itemsize
+                rotated = np.ndarray(
+                    sums.shape, sums.dtype, strides=sums.strides,
+                    buffer=buffers.take(dead, span + 1, sums.dtype),
+                )
+                halves = (sums[:count], sums[count:])
+                ops.append((np.add, halves, {"out": rotated[:count]}))
+                ops.append((np.subtract, halves, {"out": rotated[count:]}))
+                score(rotated, rotated_bounds)
+            repeated = ops[start:]
+        if pair == 2:
+            # a pair's count is the sum of its two fields' counts
+            halves = (passes[..., :count], passes[..., count:])
+            ops.append((np.add, halves, {"out": halves[0]}))
+            passes = halves[0]
         # s**2 <= R**2 fits uint8 up to R = 15; the last add has read ``below`` by now
         square = np.uint8 if group * group <= np.iinfo(np.uint8).max else np.uint16
         squares = buffers.take("below", passes.size, square).reshape(passes.shape)
@@ -499,7 +554,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     del probe
 
     def chunk_eval(worker: dict, rng: np.random.Generator, count: int) -> np.ndarray:
-        # ``worker`` keeps the worker's block and one recorded plan per field count
+        # ``worker`` keeps the worker's block and one recorded plan per group count
         if not worker:
             worker["buffers"] = Buffers(layout)
         if count not in worker:
@@ -510,12 +565,12 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         run_passes(ops)
         return tally
 
-    # per tile and threshold: sum s and sum s**2 over the drawn fields
-    tally = _accumulate(fields, chunk, spec.seed, task, chunk_eval, threads)
+    # per tile and threshold: sum s and sum s**2 over the groups
+    tally = _accumulate(groups, chunk, spec.seed, task, chunk_eval, threads)
     sums = np.array([tally[0, v - 1, u - 1] for v, u in extents])
     squares = np.array([tally[1, v - 1, u - 1] for v, u in extents])
-    probs, beta = group_estimate(sums, squares, fields, group, spec.confidence_z)
-    return group * fields, thr, probs, beta, sums, squares
+    probs, beta = group_estimate(sums, squares, groups, group, spec.confidence_z)
+    return group * groups, thr, probs, beta, sums, squares
 
 
 def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[EstimateRecord]:
@@ -551,7 +606,7 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
                 iterations=tallied,
                 sums=tuple(int(k) for k in sums[:, t_idx]),
                 squares=tuple(int(k) for k in squares[:, t_idx]),
-                group=spec.group,
+                group=spec.group("quv"),
             )
         )
     return records
@@ -716,13 +771,15 @@ def simulate_distribution(
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan over ``replicas`` rounded up to whole groups."""
     check_integer("replicas", replicas, minimum=1)
-    check_drawn_cells("replicas", replicas, _field_dims(spec, "sim"), spec.group)
+    check_drawn_cells(
+        "replicas", replicas, _field_dims(spec, "sim"), spec.group("sim"), spec.group_fields("sim")
+    )
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
     tallied, thr, probs, half, sums, squares = _tally(
         spec, threads, "sim", replicas, full, [(1, 1)]
     )
     return [
-        SimRow(float(n), float(p), float(h), tallied, int(s), int(ss), spec.group)
+        SimRow(float(n), float(p), float(h), tallied, int(s), int(ss), spec.group("sim"))
         for n, p, h, s, ss in zip(thr, probs[0], half[0], sums[0], squares[0])
     ]

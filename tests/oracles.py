@@ -7,6 +7,8 @@ against them.  They cost O(sites x window) interpreter steps, so they serve
 small fields only.  A lattice position is ``(i, j)``, 1-based, with ``i``
 the column and ``j`` the row, stored as ``values[j - 1, i - 1]``.
 """
+import math
+
 import numpy as np
 
 from blockscan.errors import GeometryError
@@ -119,27 +121,76 @@ def group_tallies(replicas: np.ndarray, group: int) -> tuple[np.ndarray, np.ndar
     return s.sum(axis=-1), (s * s).sum(axis=-1)
 
 
-def brute_extent_maxima(stack: np.ndarray, transform, m1: int, m2: int, extent) -> np.ndarray:
-    """The largest ``m1 x m2`` window sum anchored in the leading ``extent = (rows, cols)``.
+def brute_window_sums(stack: np.ndarray, transform, m1: int, m2: int) -> np.ndarray:
+    """Every ``m1 x m2`` window sum of the block factor of each field of a ``(replicas, rows, cols)`` stack.
 
-    ``stack`` is ``(replicas, rows, cols)``; each block-factor value is the
-    weighted sum of its configuration matrix and each window sum adds its
-    ``m1 x m2`` values, one site and one window at a time, for all replicas
-    at once, in float64.
+    Each block-factor value is the weighted sum of its configuration
+    matrix and each window sum adds its ``m1 x m2`` values, one site and
+    one window at a time, for all replicas at once, in float64.  Returns
+    ``(replicas, anchor_rows, anchor_cols)``.
     """
     weights = transform.weights[::-1, :].astype(np.float64)
     c2, c1 = weights.shape
     rows, cols = transform.derived_shape(*stack.shape[-2:])
-    derived = np.empty(stack.shape[:1] + (rows, cols))
+    # replicas last, so that each term is one whole vector of them
+    fields = np.moveaxis(stack, 0, -1).astype(np.float64)
+    derived = np.empty((rows, cols) + stack.shape[:1])
     for j in range(rows):
         for i in range(cols):
-            matrix = stack[:, j : j + c2, i : i + c1].astype(np.float64)
-            derived[:, j, i] = (matrix * weights).sum(axis=(1, 2))
+            derived[j, i] = sum(
+                weights[s, t] * fields[j + s, i + t] for s in range(c2) for t in range(c1)
+            )
+    sums = np.empty((rows - m2 + 1, cols - m1 + 1) + stack.shape[:1])
+    for j in range(rows - m2 + 1):
+        for i in range(cols - m1 + 1):
+            sums[j, i] = sum(derived[j + s, i + t] for s in range(m2) for t in range(m1))
+    return np.moveaxis(sums, -1, 0)
+
+
+def brute_extent_maxima(stack: np.ndarray, transform, m1: int, m2: int, extent) -> np.ndarray:
+    """The largest ``m1 x m2`` window sum anchored in the leading ``extent = (rows, cols)``.
+
+    ``stack`` is ``(replicas, rows, cols)``; the sums are ``brute_window_sums``.
+    """
+    sums = brute_window_sums(stack, transform, m1, m2)
     anchors_rows, anchors_cols = extent
-    if not (1 <= anchors_rows <= rows - m2 + 1 and 1 <= anchors_cols <= cols - m1 + 1):
-        raise GeometryError(f"extent {extent} does not fit the {cols}x{rows} derived field")
-    best = np.full(stack.shape[0], -np.inf)
-    for j in range(anchors_rows):
-        for i in range(anchors_cols):
-            np.maximum(best, derived[:, j : j + m2, i : i + m1].sum(axis=(1, 2)), out=best)
-    return best
+    if not (1 <= anchors_rows <= sums.shape[1] and 1 <= anchors_cols <= sums.shape[2]):
+        raise GeometryError(f"extent {extent} does not fit the {sums.shape[1:]} anchors")
+    return sums[:, :anchors_rows, :anchors_cols].max(axis=(1, 2))
+
+
+def view_replicas(sums: np.ndarray, extents, thresholds, ck=None, paired=False) -> list:
+    """Whether each replica that one view of a chunk counts as passes, in ``fields.STREAM_MAP`` order.
+
+    ``sums`` is ``(fields, rows, cols)``: the window sums of each drawn
+    field in this view.  Returns one ``(extent, threshold, group)`` bool
+    array per replica of a group in the view, the maximum over the leading
+    ``extent = (rows, cols)`` anchors ``<=`` the threshold: the field's,
+    or, with ``ck = cK`` (``c`` the centre, ``K = weights.sum() * m1 *
+    m2``), the field's and its mirror's ``2c - x``, which passes where the
+    minimum is ``>= 2cK - n``.  ``paired`` pairs field ``i`` of ``2h`` with
+    field ``i + h``, whose members are ``x``, ``y``, ``u = c + (x - c + y -
+    c) / sqrt 2`` and ``v = c + (x - y) / sqrt 2``, each with its mirror.
+    ``u`` and ``v`` are scored on ``S(x) + S(y) <= 2cK + sqrt 2 (n - cK)``
+    and ``S(x) - S(y) <= sqrt 2 (n - cK)``, and their mirrors on the
+    minima ``>=`` the limits reflected about ``2cK`` and 0, in the
+    pipeline's float64 arithmetic, so tallies match it exactly.
+    """
+    thr = np.asarray(thresholds, dtype=np.float64)
+    if paired:
+        half = len(sums) // 2
+        x, y = sums[:half], sums[half:]
+        rotation = math.sqrt(2.0) * (thr - ck)
+        members = [
+            (x, thr, 2 * ck - thr), (y, thr, 2 * ck - thr),
+            (x + y, 2 * ck + rotation, 2 * ck - rotation), (x - y, rotation, -rotation),
+        ]
+    else:
+        members = [(sums, thr, None if ck is None else 2 * ck - thr)]
+    replicas = []
+    for member, limits, mirrors in members:
+        windows = [member[:, :rows, :cols].reshape(len(member), -1) for rows, cols in extents]
+        replicas.append(np.array([[w.max(axis=1) <= n for n in limits] for w in windows]))
+        if mirrors is not None:
+            replicas.append(np.array([[w.min(axis=1) >= n for n in mirrors] for w in windows]))
+    return replicas

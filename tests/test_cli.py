@@ -441,9 +441,13 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
         "# rng = chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the "
         "UTF-8 text '<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) "
         "of seed and stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian "
-        "words, counter 1, 12 words skipped; each field of a chunk counts as R = V * M replicas, "
-        "V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
-        "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1; view 0 is "
+        "words, counter 1, 12 words skipped; each group of a chunk counts as R = V * P * M "
+        "replicas, V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
+        "a chunks line of pairs= makes field i of a chunk of h pairs a group with field i + h, "
+        "of P = 4 members x, y, u = c + (x + y - 2c) / sqrt 2 and v = c + (x - y) / sqrt 2, "
+        "whose view j is that of the views j of x and y; one of fields= makes each field a "
+        "group of P = 1 member x; replica R * i + M * (P * j + k) + m is view j of member k of "
+        "group i, and its mirror 2c - x if m = 1; view 0 is "
         "the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in "
         "(row, col) order, o_j the stable argsort of the first rows * cols words of the stream "
         "of the text '<task>-view:<j>' (the same hash, seed and SFC64); "
@@ -461,11 +465,12 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
     Identity in one chunk.  Over Bernoulli(0.5), ``cut = 2**52``: a cell is
     one byte ``< 128`` and no extra successes are drawn.  Over Gaussian
     cells, NumPy's ``Generator.normal`` on the stream
-    (``MarginalDistribution.sample``), and each view also counts as its
-    mirror ``2c - x``.  Each drawn field counts as its views, whose cell
-    orders are rebuilt from their own streams, grouped as the ``# rng``
-    line states, at a request that ``R`` does not divide, which tallies
-    every replica of its last field.  The streams are
+    (``MarginalDistribution.sample``); the fields come in pairs, whose
+    rotations ``u`` and ``v`` are built cell by cell, and each member also
+    counts as its mirror ``2c - x``.  Each drawn field counts as its views,
+    whose cell orders are rebuilt from their own streams, grouped as the
+    ``# rng`` line states, at a request that ``R`` does not divide, which
+    tallies every replica of its last group.  The streams are
     rebuilt with ``hashlib`` and NumPy's SFC64 only, the window maxima come
     from the per-site oracle, and ``sum s``, ``sum s**2``, ``q`` and ``b``
     are recomputed from them.
@@ -491,9 +496,13 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
             "stream = BLAKE2b (digest_size=8) of the UTF-8 text '<task>:<k>', read little-endian",
             "SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and stream, each mod 2**64 as "
             "8 little-endian bytes, read as 3 little-endian words, counter 1, 12 words skipped",
-            "each field of a chunk counts as R = V * M replicas, V the views of the chunks "
+            "each group of a chunk counts as R = V * P * M replicas, V the views of the chunks "
             "line, M = 2 for Gaussian cells of mean c, else 1",
-            "replica R * i + M * j + m is view j of field i, and its mirror 2c - x if m = 1",
+            "a chunks line of pairs= makes field i of a chunk of h pairs a group with field "
+            "i + h, of P = 4 members x, y, u = c + (x + y - 2c) / sqrt 2 and v = c + (x - y) / "
+            "sqrt 2, whose view j is that of the views j of x and y",
+            "replica R * i + M * (P * j + k) + m is view j of member k of group i, and its "
+            "mirror 2c - x if m = 1",
             "cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in (row, col) "
             "order, o_j the stable argsort of the first rows * cols words of the stream of the "
             "text '<task>-view:<j>' (the same hash, seed and SFC64)",
@@ -506,11 +515,14 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
         layout = dict(item.split("=") for item in layout.split())
         assert task == "quv" and layout["count"] == "1"
         assert layout["mirrored"] == ("yes" if mirrored else "no")
+        assert list(layout)[0] == ("pairs" if mirrored else "fields")
         views, mirrors = int(layout["views"]), 2 if mirrored else 1
-        group = views * mirrors
-        requested, drawn = int(header["iterations"]), int(layout["last"])
-        assert drawn == -(-requested // group) and requested % group
-        replicas = group * drawn
+        members = 4 if mirrored else 1
+        group = views * members * mirrors
+        requested, groups = int(header["iterations"]), int(layout["last"])
+        assert groups == -(-requested // group) and requested % group
+        replicas = group * groups
+        drawn = groups * (2 if mirrored else 1)
         seed, m1, m2 = int(header["seed"]), int(header["m1"]), int(header["m2"])
         z = float(header["confidence_z"])
 
@@ -542,12 +554,21 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
             np.argsort(stream(f"{task}-view:{j}").random_raw(rows * cols), kind="stable")
             for j in range(1, views)
         ]
-        # replica R * i + M * j + m: view j of field i, its mirror if m = 1
+        # replica R * i + M * (P * j + k) + m: view j of member k of group i,
+        # its mirror if m = 1; a pair is field i and field i + groups
         sources = []
-        for i in range(drawn):
+        for i in range(groups):
             for order in orders:
-                view = fields[:, :, i].reshape(-1)[order].reshape(rows, cols)
-                sources += [view, 2 * mean - view] if mirrored else [view]
+                x, y = (fields[:, :, f].reshape(-1)[order].reshape(rows, cols) for f in (
+                    i, i + groups if mirrored else i
+                ))
+                if not mirrored:
+                    sources.append(x)
+                    continue
+                for member in (
+                    x, y, mean + (x - mean + y - mean) / math.sqrt(2), mean + (x - y) / math.sqrt(2)
+                ):
+                    sources += [member, 2 * mean - member]
         assert len(sources) == replicas
 
         notes = [line for line in metadata if line.startswith("# row n=")]
@@ -568,7 +589,7 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
                 q = total / replicas
                 assert 0.0 < q < 1.0 and values[f"q{u}{v}"] == repr(q)
                 # the spread of the groups' counts about R q, over N / R groups
-                spread = max(squares / drawn - (group * q) ** 2, 0.0)
+                spread = max(squares / groups - (group * q) ** 2, 0.0)
                 assert values[f"b{u}{v}"] == repr(z * math.sqrt(spread / (group * replicas)))
 
 
@@ -774,15 +795,21 @@ def test_plotdata_names_the_line_of_a_ragged_or_headless_row(tmp_path, capsys, c
 
 
 def _chunk_header(metadata):
-    """``{task: (fields, count, last, mirrored, views)}`` read back from the ``# chunks = ...`` line."""
+    """``{task: (unit, size, count, last, mirrored, views)}`` read back from the ``# chunks = ...`` line.
+
+    ``unit`` is ``fields`` or ``pairs``, the groups that ``size`` and ``last`` count.
+    """
     [line] = [line for line in metadata if line.startswith("# chunks = ")]
     layouts = {}
     for part in line[len("# chunks = ") :].split("; "):
         task, fields = part.split(": ")
         values = dict(field.split("=") for field in fields.split())
-        assert list(values) == ["fields", "count", "last", "mirrored", "views"]
+        unit = next(iter(values))
+        assert unit in ("fields", "pairs")
+        assert list(values) == [unit, "count", "last", "mirrored", "views"]
         layouts[task] = (
-            *(int(values[key]) for key in ("fields", "count", "last")),
+            unit,
+            *(int(values[key]) for key in (unit, "count", "last")),
             {"yes": True, "no": False}[values["mirrored"]],
             int(values["views"]),
         )
@@ -793,8 +820,8 @@ def _chunk_header(metadata):
 def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monkeypatch):
     from blockscan import pipeline
 
-    # several chunks per call, the last one short: at least two fields to a chunk
-    monkeypatch.setattr(pipeline, "_chunk_size", lambda nbytes: max(1, 2500 // nbytes))
+    # several chunks per call, the last one short: at least two groups to a chunk
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda nbytes: max(1, 5000 // nbytes))
     ran, accumulate = [], pipeline._accumulate
 
     def recording(total, chunk, seed, task, chunk_eval, threads):
@@ -802,10 +829,11 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
         return accumulate(total, chunk, seed, task, chunk_eval, threads)
 
     monkeypatch.setattr(pipeline, "_accumulate", recording)
-    # a drawn field counts as four views, and over Gaussian cells as their
-    # mirrors too: the accumulator and the header count the fields
+    # a drawn field counts as four views; a pair of Gaussian fields as the
+    # views of its eight rotations: the accumulator and the header count the
+    # groups, fields or pairs
     gaussian = {"distribution": "gaussian", "p": None, "mean": 0.0, "variance": 1.0}
-    for updates, per_field in (({}, 4), (gaussian, 8)):
+    for updates, group, unit in (({}, 4, "fields"), (gaussian, 32, "pairs")):
         config = _write_config(tmp_path, iterations=2001, replicas=2001, **updates)
         headers = []
         for threads in (1, 2):
@@ -817,12 +845,12 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
             headers.append(metadata[3])
             layouts = _chunk_header(metadata)
             assert list(layouts) == [task for task, _, _ in ran]
-            for task, fields, chunk in ran:
-                count = -(-fields // chunk)
-                assert fields == -(-2001 // per_field)
-                assert count > 2 and fields % chunk
-                last = fields - (count - 1) * chunk
-                assert layouts[task] == (chunk, count, last, per_field == 8, 4)
+            for task, groups, chunk in ran:
+                count = -(-groups // chunk)
+                assert groups == -(-2001 // group)
+                assert count > 2 and groups % chunk
+                last = groups - (count - 1) * chunk
+                assert layouts[task] == (unit, chunk, count, last, group == 32, 4)
         assert list(layouts) == (["quv"] if command == "approximate" else ["sim"])
         assert headers[0] == headers[1]
 

@@ -1,14 +1,17 @@
-"""Replica groups: a drawn field also counts as its views, and over Gaussian cells as their mirrors.
+"""Replica groups: a drawn field also counts as its views, and over Gaussian cells as their mirrors and rotations.
 
 Each drawn field is scored as ``VIEWS`` fixed permutations of its cells,
 and where ``MarginalDistribution.centre`` is set (the Gaussian mean) each
-view also as its reflection ``2c - x``; the half-width is read off the
-spread of the per-field counts of passing replicas.  These checks hold the
-group estimator against plain Monte Carlo of independent fields summed
-site by site and against an exact ``Q_uv`` found by enumeration, pin it
-to the Wald and pair forms it reduces to, check that every view is a
-permutation of its field, and check that a request that ``R`` does not
-divide tallies every replica of its last field.
+view also as its reflection ``2c - x``; Gaussian fields come in pairs,
+each view of which also counts as the pair's rotations by 45 degrees.
+The half-width is read off the spread of the per-group counts of passing
+replicas.  These checks hold the group estimator against plain Monte
+Carlo of independent fields summed site by site, against the rotation
+orbit of each pair recounted by brute force, and against an exact
+``Q_uv`` found by enumeration, pin it to the Wald and pair forms it
+reduces to, check that every view is a permutation of its field, and
+check that a request that ``R`` does not divide tallies every replica of
+its last group.
 """
 import dataclasses
 import json
@@ -28,7 +31,15 @@ from blockscan import (
 from blockscan import identity_transform, pipeline
 from blockscan.cli import main, read_table
 from blockscan.errors import ParameterError
-from oracles import brute_extent_maxima, group_tallies
+from blockscan.fields import SeedSpec
+from oracles import (
+    brute_extent_maxima,
+    brute_window_sums,
+    group_tallies,
+    grouped_replicas,
+    view_orders,
+    view_replicas,
+)
 
 
 @pytest.mark.parametrize(
@@ -68,45 +79,137 @@ _CASES = {
 }
 
 
-def _plain_estimates(spec, dims, extent, replicas, seed):
-    """Per threshold, the share of ``replicas`` independent fields whose extent maximum is ``<= n``.
-
-    Returns those shares and their Wald half-widths.
-    """
+def _plain_estimate(spec, dims, extent, n, replicas, seed):
+    """The share of ``replicas`` independent fields whose extent maximum is ``<= n``, and its Wald half-width."""
     cols, rows = dims
     stack = spec.distribution.sample(np.random.default_rng(seed), (replicas, rows, cols))
-    maxima = brute_extent_maxima(stack, spec.transform, spec.m1, spec.m2, extent)
-    probs = np.array([np.mean(maxima <= n) for n in spec.thresholds])
-    return probs, spec.confidence_z * np.sqrt(probs * (1.0 - probs) / replicas)
+    prob = np.mean(brute_extent_maxima(stack, spec.transform, spec.m1, spec.m2, extent) <= n)
+    return prob, spec.confidence_z * math.sqrt(prob * (1.0 - prob) / replicas)
 
 
 @pytest.mark.parametrize("name", list(_CASES))
 def test_paired_estimates_agree_with_plain_brute_force_indicators(name):
-    """Each ``Q_uv`` and simulated CDF point lies within the joint half-width of plain Monte Carlo.
+    """Over 40 seeds, at most 8 ``Q_uv`` and 8 simulated CDF points lie outside the joint half-width.
 
-    The plain estimates draw independent fields from their own generator,
-    with no views and no mirror, and sum each window of each field site by
-    site.
+    Seed ``k`` runs the group estimates at seed ``k`` and compares one
+    ``Q_uv`` row, cycling through the 4 extents and 3 thresholds, and one
+    simulated CDF point, cycling through the thresholds, with plain Monte
+    Carlo: 4000 independent fields from a generator of their own, with no
+    views, pairs or mirrors, each window of each field summed site by site.
+    The seeds are independent.  Where both half-widths are honest, ``q -
+    p`` has a standard deviation of about ``sqrt(b**2 + h**2) / z <= (b +
+    h) / z``, so one comparison fails with probability at most about
+    ``P(|Z| > 1.96) = 0.05``, and a count passes 8 of 40 with probability
+    at most ``P(Bin(40, 0.05) >= 9) = 1.3e-4``: under 2.6e-4 per case that
+    the test fails falsely.
     """
     spec = _CASES[name]
-    assert spec.mirrored
-    records = estimate_quv(spec, threads=1)
-    dims = pipeline.quv_field_dims(3, 3, spec)
-    for u, v in pipeline._UV_PAIRS:
-        extent = (1 if spec.one_dimensional else (v - 1) * spec.block2, (u - 1) * spec.block1)
-        plain, plain_half = _plain_estimates(spec, dims, extent, 4000, seed=u * 10 + v)
-        for rec, p, h in zip(records, plain, plain_half):
-            q, b = getattr(rec, f"q{u}{v}"), getattr(rec, f"b{u}{v}")
-            assert 0.0 < q < 1.0 and b > 0.0
-            assert abs(q - p) <= b + h, (name, u, v, rec.n)
-    sim = simulate_distribution(spec, replicas=4000, threads=1)
+    assert spec.mirrored and spec.group("quv") == spec.group("sim") == 32
     derived_rows, derived_cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
-    extent = (derived_rows - spec.m2 + 1, derived_cols - spec.m1 + 1)
-    dims = (spec.source_cols, spec.source_rows)
-    plain, plain_half = _plain_estimates(spec, dims, extent, 4000, seed=99)
-    for row, p, h in zip(sim, plain, plain_half):
-        assert 0.0 < row.prob < 1.0
-        assert abs(row.prob - p) <= row.half_width + h, (name, "sim", row.n)
+    full = (derived_rows - spec.m2 + 1, derived_cols - spec.m1 + 1)
+    outside = {"quv": 0, "sim": 0}
+    for seed in range(40):
+        seeded = dataclasses.replace(spec, seed=seed)
+        (u, v), t = pipeline._UV_PAIRS[seed % 4], seed // 4 % 3
+        rec = estimate_quv(seeded, threads=1)[t]
+        q, b = getattr(rec, f"q{u}{v}"), getattr(rec, f"b{u}{v}")
+        extent = (1 if spec.one_dimensional else (v - 1) * spec.block2, (u - 1) * spec.block1)
+        dims = pipeline.quv_field_dims(3, 3, spec)
+        p, h = _plain_estimate(spec, dims, extent, rec.n, 4000, seed=1000 + seed)
+        assert 0.0 < q < 1.0 and b > 0.0 and 0.0 < p < 1.0
+        outside["quv"] += abs(q - p) > b + h
+        row = simulate_distribution(seeded, replicas=4000, threads=1)[seed % 3]
+        dims = (spec.source_cols, spec.source_rows)
+        p, h = _plain_estimate(spec, dims, full, row.n, 4000, seed=2000 + seed)
+        assert 0.0 < row.prob < 1.0 and row.half_width > 0.0 and 0.0 < p < 1.0
+        outside["sim"] += abs(row.prob - p) > row.half_width + h
+    assert outside["quv"] <= 8 and outside["sim"] <= 8, outside
+
+
+# (spec, simulate, chunk bytes' fields): chunks of 3 pairs, or of one field
+_ORBIT_CASES = {
+    "quv-1d": (_CASES["ma"], False, 7),
+    "quv-2d-gaussian": (_CASES["minesweeper-gaussian"], False, 7),
+    # cK = 1.5 * 8 * 9 = 108: the u lanes' limits are offset by 2cK
+    "quv-offset": (
+        _spec(
+            minesweeper_transform(), MarginalDistribution.gaussian(1.5, 2.0), 12, 12, (3, 3),
+            (130.0, 145.0, 160.0),
+        ),
+        False, 7,
+    ),
+    "sim-one-field-chunks": (_CASES["minesweeper-gaussian"], True, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORBIT_CASES))
+def test_rotated_replicas_tally_like_the_orbits_of_their_pairs(name, monkeypatch):
+    """``sum s`` and ``sum s**2`` at 1, 2 and 3 threads equal those recounted from each pair's orbit.
+
+    A request of 2001 replicas (401 of one-field groups) draws ``ceil(N /
+    R)`` groups.  The oracle follows ``fields.STREAM_MAP``: it draws chunk
+    ``k`` again from its stream, the groups in chunks of 3 pairs, field
+    ``i`` of a chunk of ``h`` pairs paired with field ``i + h``, permutes
+    the fields into their views (``oracles.view_orders``), sums each
+    window of each view site by site (``oracles.brute_window_sums``) and
+    scores each view of a pair as ``x``, ``y`` and their rotations ``u``
+    and ``v`` by 45 degrees, each with its mirror
+    (``oracles.view_replicas``), 32 replicas to a pair.  Where a chunk
+    holds one field only, a field is a group of its views and their
+    mirrors, 8 replicas, and the chunks line counts fields.
+    """
+    spec, simulate, chunk = _ORBIT_CASES[name]
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: chunk)
+    task = "sim" if simulate else "quv"
+    paired = chunk >= 2
+    group, size = (32, chunk // 2) if paired else (8, 1)
+    assert (spec.group(task), spec.group_fields(task)) == (group, 2 if paired else 1)
+    count = 2001 if paired else 401
+    groups = -(-count // group)
+    assert pipeline.chunk_layout(spec, task, count) == (
+        size, -(-groups // size), groups - (-(-groups // size) - 1) * size
+    )
+    if simulate:
+        derived_rows, derived_cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
+        extents = [(derived_rows - spec.m2 + 1, derived_cols - spec.m1 + 1)]
+        cols, rows = spec.source_cols, spec.source_rows
+    else:
+        rows_per_block = 1 if spec.one_dimensional else spec.block2
+        extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
+        cols, rows = pipeline.quv_field_dims(3, 3, spec)
+    dist = spec.distribution
+    ck = dist.mean * spec.transform.weights.sum().item() * spec.m1 * spec.m2
+    orders = view_orders(spec.seed, task, rows * cols, 4)
+    thr = np.array(spec.thresholds)
+    expected = np.zeros((2, len(extents), thr.size), dtype=np.int64)
+    for k, start in enumerate(range(0, groups, size)):
+        fields = (2 if paired else 1) * min(size, groups - start)
+        rng = SeedSpec.for_chunk(spec.seed, task, k).generator()
+        block = rng.normal(dist.mean, math.sqrt(dist.variance), (rows, cols, fields))
+        flat = block.reshape(rows * cols, fields)
+        replicas = []
+        for view in [block] + [flat[order].reshape(block.shape) for order in orders]:
+            sums = brute_window_sums(np.moveaxis(view, -1, 0), spec.transform, spec.m1, spec.m2)
+            replicas += view_replicas(sums, extents, thr, ck, paired)
+        assert len(replicas) == group
+        expected += np.array(group_tallies(grouped_replicas(replicas), group))
+    # at least two thresholds per extent split the replicas
+    assert np.all(((expected[0] > 0) & (expected[0] < group * groups)).sum(axis=1) >= 2)
+    for threads in (1, 2, 3):
+        if simulate:
+            rows_out = simulate_distribution(spec, replicas=count, threads=threads)
+            tallies = [[[row.sums for row in rows_out]], [[row.squares for row in rows_out]]]
+            tallied = {row.replicas for row in rows_out}
+        else:
+            records = estimate_quv(dataclasses.replace(spec, iterations=count), threads=threads)
+            tallies = [
+                [[rec.sums[e] for rec in records] for e in range(4)],
+                [[rec.squares[e] for rec in records] for e in range(4)],
+            ]
+            tallied = {rec.iterations for rec in records}
+        assert tallied == {group * groups}
+        assert np.array_equal(np.array(tallies), expected), threads
 
 
 def test_a_mixed_sign_ma_widens_the_half_width_past_wald():
@@ -138,14 +241,14 @@ def _usable_cpus(monkeypatch, n):
 def test_odd_counts_write_the_same_table_at_one_two_and_three_threads(
     tmp_path, command, count, monkeypatch
 ):
-    """A request of one replica, of three, and of a count over fourteen chunks.
+    """A request of one replica, of three, and of a count over sixteen chunks.
 
-    Chunks hold 19 fields of eight replicas each, so 2001 replicas draw 251
-    fields and end in a chunk of 4 fields.  The tables are compared whole
-    but for the wall time and the thread count.
+    Chunks hold 4 pairs of fields of 32 replicas each, so 2001 replicas
+    draw 63 pairs and end in a chunk of 3 pairs.  The tables are compared
+    whole but for the wall time and the thread count.
     """
     _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 19)
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 9)
     config = tmp_path / "run.json"
     config.write_text(
         '{"transform": "minesweeper", "distribution": "gaussian", "mean": 0.3, "variance": 1.0, '
@@ -165,23 +268,23 @@ def test_odd_counts_write_the_same_table_at_one_two_and_three_threads(
     assert tables[1] == tables[0] and tables[2] == tables[0]
     metadata, _, rows = read_table(str(tmp_path / "t1.tsv"))
     [chunks] = [line for line in metadata if line.startswith("# chunks = ")]
-    fields = -(-count // 8)
-    chunk_count = -(-fields // 19)
-    last = fields - (chunk_count - 1) * 19
-    assert chunks.endswith(f"fields=19 count={chunk_count} last={last} mirrored=yes views=4")
+    pairs = -(-count // 32)
+    chunk_count = -(-pairs // 4)
+    last = pairs - (chunk_count - 1) * 4
+    assert chunks.endswith(f"pairs=4 count={chunk_count} last={last} mirrored=yes views=4")
     assert len(rows) == 3
     notes = [line for line in metadata if line.startswith("# row n=")]
-    assert len(notes) == 3 and all(f" N={8 * fields} R=8" in note for note in notes)
+    assert len(notes) == 3 and all(f" N={32 * pairs} R=32" in note for note in notes)
 
 
-# Bernoulli cells count four replicas to a drawn field, Gaussian MA cells eight
+# Bernoulli cells count four replicas to a drawn field, a pair of Gaussian MA fields 32
 _ODD_MODELS = {
     "bernoulli": (4, {
         "transform": "minesweeper", "distribution": "bernoulli", "p": 0.5,
         "source_cols": 12, "source_rows": 12, "m1": 3, "m2": 3, "thresholds": [40, 44, 48],
         "seed": 6,
     }),
-    "ma": (8, {
+    "ma": (32, {
         "transform": "ma", "ma_coeffs": [0.3, 0.1, 0.5], "distribution": "gaussian",
         "mean": 0.0, "variance": 1.0, "source_cols": 66, "source_rows": 1, "m1": 20, "m2": 1,
         "thresholds": [3.0, 5.0, 7.0], "seed": 6,
@@ -194,12 +297,13 @@ _ODD_MODELS = {
 def test_a_request_that_r_does_not_divide_writes_the_table_of_the_next_multiple(
     tmp_path, command, model, monkeypatch
 ):
-    """2001 replicas write the table of 2004 over Bernoulli cells, and of 2008 over Gaussian MA.
+    """2001 replicas write the table of 2004 over Bernoulli cells, and of 2016 over Gaussian MA.
 
-    Each drawn field counts as ``R`` replicas, and a call tallies every
-    replica of every field it draws.  The data rows and ``# row`` notes of
-    both requests are the same at 1, 2 and 3 threads, over chunks of 19
-    fields, and the notes give the count tallied.
+    Each group, a field or a pair of Gaussian fields, counts as ``R``
+    replicas, and a call tallies every replica of every group it draws.
+    The data rows and ``# row`` notes of both requests are the same at 1, 2
+    and 3 threads, over chunks of 19 fields or 9 pairs, and the notes give
+    the count tallied.
     """
     _usable_cpus(monkeypatch, 3)
     monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 19)
@@ -207,7 +311,7 @@ def test_a_request_that_r_does_not_divide_writes_the_table_of_the_next_multiple(
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     size = "--iterations" if command == "approximate" else "--replicas"
-    tallied = {"bernoulli": 2004, "ma": 2008}[model]
+    tallied = {"bernoulli": 2004, "ma": 2016}[model]
     tables = []
     for count in (2001, tallied):
         for threads in (1, 2, 3):
@@ -224,13 +328,16 @@ def test_a_request_that_r_does_not_divide_writes_the_table_of_the_next_multiple(
     assert all(f" N={tallied} R={group}" in note for note in notes)
 
 
-def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys):
-    """``R`` times as many replicas fit under the limit where each drawn field counts as ``R``.
+def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys, monkeypatch):
+    """``R`` replicas to a group of fields fit under the limit as the group's fields allow.
 
-    ``R`` is 8 over Gaussian cells, four views and their mirrors, and 4 over
-    Bernoulli cells; ``R F`` replicas, ``F`` fields at the limit, pass and
-    ``R F + 1`` are rejected, through the library and through
-    ``validate-config``.
+    ``R`` is 32 over a pair of Gaussian fields, four views of its eight
+    rotations, and 4 over a Bernoulli field; ``F`` fields at the limit hold
+    ``floor(F / 2)`` pairs, so ``32 floor(F / 2)`` replicas pass and one
+    more is rejected, and ``4 F`` and ``4 F + 1`` over Bernoulli cells,
+    through the library and through ``validate-config``.  Where a chunk
+    holds one field only, a Gaussian field is a group of ``R = 8``, its
+    views and their mirrors.
     """
     spec = _CASES["ma"]
     config = {
@@ -239,10 +346,11 @@ def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys
         "thresholds": [3.0],
     }
     limit = pipeline.MAX_DRAWN_CELLS // 66
-    for replicas, status in ((8 * limit, 0), (8 * limit + 1, 2)):
+    pairs = limit // 2
+    for replicas, status in ((32 * pairs, 0), (32 * pairs + 1, 2)):
         (tmp_path / "run.json").write_text(json.dumps({**config, "replicas": replicas}))
         assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == status
-    assert f"draws {limit + 1} fields of 66x1 cells" in capsys.readouterr().err
+    assert f"draws {2 * pairs + 2} fields of 66x1 cells" in capsys.readouterr().err
     plain_config = {**config, "distribution": "bernoulli", "p": 0.3, "mean": None, "variance": None}
     for replicas, status in ((4 * limit, 0), (4 * limit + 1, 2)):
         (tmp_path / "run.json").write_text(json.dumps({**plain_config, "replicas": replicas}))
@@ -250,17 +358,24 @@ def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys
     assert f"replicas = {4 * limit + 1} draws {limit + 1} fields of 66x1" in capsys.readouterr().err
     cols, rows = pipeline.quv_field_dims(3, 3, spec)
     fields = pipeline.MAX_DRAWN_CELLS // (cols * rows)
-    assert dataclasses.replace(spec, iterations=8 * fields).iterations == 8 * fields
+    pairs = fields // 2
+    assert dataclasses.replace(spec, iterations=32 * pairs).iterations == 32 * pairs
     with pytest.raises(ParameterError) as err:
-        dataclasses.replace(spec, iterations=8 * fields + 1)
+        dataclasses.replace(spec, iterations=32 * pairs + 1)
     assert err.value.field == "iterations"
-    assert f"iterations = {8 * fields + 1} draws {fields + 1} fields of {cols}x{rows} cells" in str(
-        err.value
+    assert f"iterations = {32 * pairs + 1} draws {2 * pairs + 2} fields of {cols}x{rows} cells" in (
+        str(err.value)
     )
     plain = dataclasses.replace(spec, distribution=MarginalDistribution.bernoulli(0.3))
     assert dataclasses.replace(plain, iterations=4 * fields).iterations == 4 * fields
     with pytest.raises(ParameterError):
         dataclasses.replace(plain, iterations=4 * fields + 1)
+    monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 1)
+    assert spec.group("quv") == 8 and spec.group_fields("quv") == 1
+    assert dataclasses.replace(spec, iterations=8 * fields).iterations == 8 * fields
+    with pytest.raises(ParameterError) as err:
+        dataclasses.replace(spec, iterations=8 * fields + 1)
+    assert f"iterations = {8 * fields + 1} draws {fields + 1} fields" in str(err.value)
 
 
 def test_the_group_half_width_is_wald_for_single_replicas_and_the_pair_form_for_two():
@@ -324,7 +439,7 @@ def test_group_half_widths_cover_an_exact_q_uv():
         transform=identity_transform(), distribution=MarginalDistribution.bernoulli(0.3),
         source_cols=6, source_rows=1, m1=3, m2=1, thresholds=(0, 1), iterations=400,
     )
-    assert pipeline.quv_field_dims(3, 3, spec) == (6, 1) and spec.group == 4
+    assert pipeline.quv_field_dims(3, 3, spec) == (6, 1) and spec.group("quv") == 4
     exact = [_exact_row_scan(0.3, n) for n in spec.thresholds]
     covered = []
     for seed in range(200):

@@ -26,7 +26,7 @@ from blockscan import (
 )
 from blockscan import blockfactor, pipeline
 from blockscan.errors import GeometryError, HypothesisError, OrderingError, ParameterError
-from oracles import group_tallies, grouped_replicas, view_orders
+from oracles import group_tallies, grouped_replicas, view_orders, view_replicas
 
 
 def _bernoulli_spec(cols=12, rows=12, thresholds=(6, 7, 8), iterations=4000, seed=11, p=0.3):
@@ -756,14 +756,15 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     The oracle draws every chunk again from its stream, permutes each field
     into its views (``oracles.view_orders``) and takes each view's window
     sums with fresh buffers.  Over Gaussian cells (``quv-1d``,
-    ``quv-2d-gaussian``) it also reflects each view into its mirror ``2c -
-    x``.  It groups the replicas as ``fields.STREAM_MAP`` states, and
-    recounts ``sum s`` and ``sum s**2``; a request of 15001 replicas tallies
-    every replica of its last field, 15004 of them, or 15008 over Gaussian
-    cells.
+    ``quv-2d-gaussian``) it pairs field ``i`` of a chunk of ``h`` pairs with
+    field ``i + h`` and scores each view of a pair as its rotations and
+    their mirrors (``oracles.view_replicas``).  It groups the replicas as
+    ``fields.STREAM_MAP`` states, and recounts ``sum s`` and ``sum s**2``;
+    a request of 20001 replicas tallies every replica of its last group,
+    20004 of them, or 20032 over Gaussian pairs.
     """
     drawn, sample = [], MarginalDistribution.sample
-    total = 15_001
+    total = 20_001
 
     def recording(self, rng, size, **kwargs):
         out = sample(self, rng, size, **kwargs)
@@ -807,6 +808,9 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     cols, rows = pipeline._field_dims(spec, task)
     orders = view_orders(spec.seed, task, rows * cols, 4)
     thr = np.array(spec.thresholds)
+    paired, ck = spec.mirrored, None
+    if paired:
+        ck = spec.distribution.centre * spec.transform.weights.sum().item() * spec.m1 * spec.m2
     # (sum s or sum s**2, extent, threshold)
     expected = np.zeros((2, len(extents), thr.size), dtype=np.int64)
     for k, size in enumerate(drawn):
@@ -815,30 +819,23 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         flat = block.reshape(rows * cols, -1)
         passed = []
         for view in [block] + [flat[order].reshape(size) for order in orders]:
-            sources = [view]
-            if spec.mirrored:
-                sources.append(2 * spec.distribution.centre - view)
-            for source in sources:
-                sums = pipeline.window_sums_batch(
-                    np.moveaxis(source, -1, 0), spec.transform, spec.m1, spec.m2
-                )
-                # (extent, threshold, field)
-                passed.append(np.array([
-                    sums[:, :v_ext, :u_ext].max(axis=(1, 2)) <= thr[:, None]
-                    for v_ext, u_ext in extents
-                ]))
+            sums = pipeline.window_sums_batch(
+                np.moveaxis(view, -1, 0), spec.transform, spec.m1, spec.m2
+            )
+            passed += view_replicas(sums, extents, thr, ck, paired)
         expected += np.array(group_tallies(grouped_replicas(passed), len(passed)))
-    # one draw per chunk of drawn fields, four replicas each, eight over
-    # Gaussian cells: full chunks, then the rest
-    chunk = {"quv-2d": 3640, "quv-1d": 1040, "quv-2d-gaussian": 455, "simulate": 2880}[shape]
-    group = 8 if spec.mirrored else 4
-    fields = -(-total // group)
+    # one draw per chunk: of groups of one field, four replicas each, or of
+    # pairs of Gaussian fields, 32 each; full chunks, then the rest
+    chunk = {"quv-2d": 3640, "quv-1d": 1040, "quv-2d-gaussian": 454, "simulate": 2880}[shape]
+    group, pair = (32, 2) if paired else (4, 1)
+    groups = -(-total // group)
     assert drawn == [(rows, cols, n) for n in (
-        [chunk] * (fields // chunk) + [fields % chunk]
+        [chunk] * (pair * groups // chunk) + [pair * groups % chunk]
     )]
-    assert tallied == {group * fields} == {15_008 if spec.mirrored else 15_004}
+    assert len(drawn) >= 2
+    assert tallied == {group * groups} == {20_032 if paired else 20_004}
     # at least three thresholds per extent split the replicas
-    assert np.all(((expected[0] > 0) & (expected[0] < group * fields)).sum(axis=1) >= 3)
+    assert np.all(((expected[0] > 0) & (expected[0] < group * groups)).sum(axis=1) >= 3)
     assert np.array_equal(np.array(tallies), expected)
 
 
@@ -965,24 +962,25 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     # one draw per chunk, the drawn block (rows, cols, fields)
     sizes = [3640] * 3 + [1800]
     assert [out.shape[-1] for out in results["sampled"]] == sizes
-    # the kernels run only while a plan records, once per view of four, each
-    # result fields-first: once at a full chunk on fresh arrays to lay out
-    # the block, then on the worker's block for the full chunks and for the last
+    # the kernels run only while a plan records, for views 0 and 1 (views 2
+    # and 3 run view 1's passes again), each result fields-first: once at a
+    # full chunk on fresh arrays to lay out the block, then on the worker's
+    # block for the full chunks and for the last
     recordings = (3640, 3640, 1800)
     for layer in ("sums", "scan.tiles"):
-        assert [len(out) for out in results[layer]] == [n for n in recordings for _ in range(4)]
-    # every score but the first compares into one flat bool per extent (4),
-    # threshold (2) and field, whose slot then holds the squared counts; the
-    # counts are one such uint8
-    assert [out.size // 8 for out in results["below"]] == [n for n in recordings for _ in range(4)]
+        assert [len(out) for out in results[layer]] == [n for n in recordings for _ in range(2)]
+    # view 1's score compares into one flat bool per extent (4), threshold
+    # (2) and field, whose slot then holds the squared counts; the counts
+    # are one such uint8
+    assert [out.size // 8 for out in results["below"]] == [n for n in recordings for _ in range(2)]
     assert [out.size // 8 for out in results["passes"]] == list(recordings)
     # per recording: the drawn block once; the source once for the views and
-    # once per view by its row pass; the block factor twice per view, by its
-    # shifted adds and by its column pass
-    assert [len(results[name]) for name in _SLOTS] == [3, 15, 24, 12, 3]
+    # once per recorded view by its row pass; the block factor twice per
+    # recorded view, by its shifted adds and by its column pass
+    assert [len(results[name]) for name in _SLOTS] == [3, 9, 12, 6, 3]
     source = results.pop("source")
-    results["views"] = source[0::5]
-    results["rows"] = [out for k, out in enumerate(source) if k % 5]
+    results["views"] = source[0::3]
+    results["rows"] = [out for k, out in enumerate(source) if k % 3]
     for layer, arrays in results.items():
         if layer != "sampled":
             del arrays[: len(arrays) // 3]
@@ -1004,7 +1002,11 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
 
 
 def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
-    """Five full chunks and a partial one on one worker record two chunk plans, each with every kernel."""
+    """Five full chunks and a partial one on one worker record two chunk plans, each with every kernel.
+
+    Each plan calls the kernels for views 0 and 1 only: views 2 and 3 run
+    view 1's recorded passes again, after their own take.
+    """
     recorded, runs, run_passes = [], [], pipeline.run_passes
     for name in _KERNELS:
 
@@ -1021,11 +1023,11 @@ def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
     # 20000 drawn fields of four views
     estimate_quv(_minesweeper_spec(iterations=80_000), threads=1)
     # one recording lays out the block, then one per chunk shape, each with
-    # every kernel once per view
+    # every kernel once for view 0 and once for view 1
     assert [(name, count) for name, count, _ in recorded] == [
-        (name, count) for count in (3640, 3640, 1800) for _ in range(4) for name in _KERNELS
+        (name, count) for count in (3640, 3640, 1800) for _ in range(2) for name in _KERNELS
     ]
-    k = 4 * len(_KERNELS)
+    k = 2 * len(_KERNELS)
     for plan in range(3):
         assert all(ops is recorded[k * plan][2] for _, _, ops in recorded[k * plan : k * plan + k])
     # each chunk runs its shape's recorded plan, and nothing else
@@ -1040,8 +1042,8 @@ def _pass_name(fn) -> str:
 
 
 # the benchmark configs: 44x44 minesweeper over Bernoulli(0.1), and MA(2)
-# over 1002 Gaussian cells; the counts, multiples of the replicas a drawn
-# field counts as, give each call a short last chunk
+# over 1002 Gaussian cells; the counts, multiples of the replicas a group
+# counts as, give each call a short last chunk
 _SPARSE = dataclasses.replace(
     _minesweeper_spec(cols=44, rows=44, thresholds=(31, 32, 33)),
     distribution=MarginalDistribution.bernoulli(0.1),
@@ -1050,7 +1052,7 @@ _BENCHMARK_CALLS = {
     "quv-sparse": lambda: estimate_quv(dataclasses.replace(_SPARSE, iterations=16_000)),
     "quv-ma": lambda: estimate_quv(
         dataclasses.replace(_ma_spec(), source_cols=1002, thresholds=(13.0, 15.0, 17.0),
-                            iterations=8800)
+                            iterations=17_600)
     ),
     "sim-sparse": lambda: simulate_distribution(_SPARSE, replicas=1200),
 }
@@ -1065,21 +1067,24 @@ _MA_SUMS = ["multiply", "multiply", "add", "multiply", "add"] + ["add"] * 3 + ["
 # Gaussian cells: the mirror's minima, running minima and compare
 _MA_SCORES = ["maximum.reduce", "maximum", "less_equal"]
 _MA_MIRROR = ["minimum.reduce", "minimum", "greater_equal"]
+# a pair's S(x) + S(y) and S(x) - S(y), scored like a view and its mirror
+_MA_ROTATED = ["add", "subtract"] + _MA_SCORES + ["add"] + _MA_MIRROR + ["add"]
 # 2 x 2 tiles: maxima over tile rows, then tile columns; running maxima
 # down and across; one compare
 _SPARSE_SCORES = ["maximum.reduce"] * 2 + ["maximum"] * 2 + ["less_equal"]
 # one tile, the whole field: no running maxima
 _SIM_SCORES = ["maximum.reduce"] * 2 + ["less_equal"]
-# the squared counts, then sum s and sum s**2 over the fields
+# the squared counts, then sum s and sum s**2 over the groups
 _TALLY = ["multiply", "add.reduce", "add.reduce"]
 # view 0 reads the drawn block and its first score starts the counts; views
 # 1-3 each take their cells into the source first, and every other score is
-# added into the counts
+# added into the counts; a pair's two counts are added before the squares
 _BENCHMARK_PLANS = {
     "quv-sparse": _MINESWEEPER_SUMS + _SPARSE_SCORES
     + (["take"] + _MINESWEEPER_SUMS + _SPARSE_SCORES + ["add"]) * 3 + _TALLY,
-    "quv-ma": _MA_SUMS + _MA_SCORES + _MA_MIRROR + ["add"]
-    + (["take"] + _MA_SUMS + _MA_SCORES + ["add"] + _MA_MIRROR + ["add"]) * 3 + _TALLY,
+    "quv-ma": _MA_SUMS + _MA_SCORES + _MA_MIRROR + ["add"] + _MA_ROTATED
+    + (["take"] + _MA_SUMS + _MA_SCORES + ["add"] + _MA_MIRROR + ["add"] + _MA_ROTATED) * 3
+    + ["add"] + _TALLY,
     "sim-sparse": _MINESWEEPER_SUMS + _SIM_SCORES
     + (["take"] + _MINESWEEPER_SUMS + _SIM_SCORES + ["add"]) * 3 + _TALLY,
 }
