@@ -26,15 +26,15 @@ from .pipeline import (
     ApproxRow,
     ExperimentSpec,
     SimRow,
+    _UV_PAIRS,
     approximate,
-    check_drawn_cells,
     chunk_layout,
     simulate_distribution,
 )
 
 # the estimates and half-widths each ``# row`` note of an approximation carries,
 # in the order of the extents of ``EstimateRecord.sums``
-_EXTENTS = ("22", "23", "32", "33")
+_EXTENTS = tuple(f"{u}{v}" for u, v in _UV_PAIRS)
 _ESTIMATES = tuple(f"{name}{uv}" for name in ("q", "b") for uv in _EXTENTS)
 
 
@@ -187,14 +187,14 @@ def _write_table(
     if config is not None:
         lines += [f"# rng = {STREAM_MAP}", f"# numpy = {np.__version__}"]
         spec = config.build_spec()
+        mirrored = "yes" if spec.mirrored else "no"
         layouts = []
         for task, total in calls:
-            size, count, last = chunk_layout(spec, task, total)
-            unit = "pairs" if spec.group_fields(task) == 2 else "fields"
-            mirrored = "yes" if spec.mirrored else "no"
+            layout = chunk_layout(spec, task, total)
+            unit = "pairs" if layout.fields == 2 else "fields"
             layouts.append(
-                f"{task}: {unit}={size} count={count} last={last} mirrored={mirrored} "
-                f"views={VIEWS}"
+                f"{task}: {unit}={layout.size} count={layout.count} last={layout.last} "
+                f"mirrored={mirrored} views={VIEWS}"
             )
         lines.append("# chunks = " + "; ".join(layouts))
         for f in dataclass_fields(config):
@@ -387,11 +387,7 @@ def main(argv=None) -> int:
             config = RunConfig.from_file(args.config)
             # the config must suit simulate too, whose replicas draw the whole source
             try:
-                dims = (config.source_cols, config.source_rows)
-                spec = config.build_spec()
-                check_drawn_cells(
-                    "replicas", config.replicas, dims, spec.group("sim"), spec.group_fields("sim")
-                )
+                chunk_layout(config.build_spec(), "sim", config.replicas)
             except ParameterError as exc:
                 raise _key_error(exc) from exc
             print("ok")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 # passes read and write in L2, large enough that the per-call overhead of
 # the ufuncs and the per-chunk stream set-up stay small
 _CHUNK_BYTES = 512 * 1024
-# the most source cells one Monte Carlo call may draw (``check_drawn_cells``):
+# the most source cells one Monte Carlo call may draw (``chunk_layout``):
 # days of work at the fastest rate measured, 4.5e8 drawn cells/s on 1 thread
 # and 7.3e8 on 2 (``simulate`` of identity over 44 x 44 Bernoulli(0.1) cells,
 # each drawn field scored as four views, on a 2-core Xeon, NumPy 2.4.6), so a
@@ -52,7 +53,7 @@ class ExperimentSpec:
 
     ``seed`` is the master seed: every chunk draws from its own stream of
     it (``_accumulate``).  ``iterations`` is a request, rounded up to whole
-    groups of ``group("quv")`` replicas (``_tally``).
+    groups of replicas (``chunk_layout``).
     """
 
     transform: BlockFactorTransform
@@ -122,35 +123,12 @@ class ExperimentSpec:
             raise GeometryError(
                 "source height must cover at least three block units", field="source_rows"
             )
-        check_drawn_cells(
-            "iterations", self.iterations, _field_dims(self, "quv"), self.group("quv"),
-            self.group_fields("quv"),
-        )
+        chunk_layout(self, "quv", self.iterations)
 
     @property
     def mirrored(self) -> bool:
         """Whether each view also counts as its mirror (``MarginalDistribution.centre``)."""
         return self.distribution.centre is not None
-
-    def group_fields(self, task: str) -> int:
-        """The fields one group of a ``quv`` or ``sim`` call draws (``_tally``).
-
-        A pair where ``mirrored`` and a chunk's bytes hold two fields or
-        more (``_chunk_size``), else one.
-        """
-        if not self.mirrored:
-            return 1
-        cols, rows = _field_dims(self, task)
-        return 2 if _chunk_size(rows * cols * self.distribution.dtype.itemsize) >= 2 else 1
-
-    def group(self, task: str) -> int:
-        """The replicas one group of a ``quv`` or ``sim`` call counts as (``_tally``).
-
-        Per view: a pair's eight rotations, a field and its mirror, or the field.
-        """
-        if self.group_fields(task) == 2:
-            return 8 * VIEWS
-        return VIEWS * (2 if self.mirrored else 1)
 
     @property
     def one_dimensional(self) -> bool:
@@ -256,43 +234,48 @@ def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
     return quv_field_dims(3, 3, spec)
 
 
-def _drawn_groups(replicas: int, group: int) -> int:
-    """The groups a request of ``replicas`` draws, ``group`` replicas to a group: rounded up."""
-    return -(-replicas // group)
+class ChunkLayout(NamedTuple):
+    """What a Monte Carlo call draws (``chunk_layout``).
 
-
-def check_drawn_cells(
-    field: str, count: int, dims: tuple[int, int], group: int, group_fields: int = 1
-) -> None:
-    """Raise, naming ``field``, if the fields ``count`` replicas draw pass the cell limit.
-
-    ``count`` replicas of (cols, rows) ``dims`` draw ``ceil(count / group)``
-    groups of ``group_fields`` fields, each group counting as ``group``
-    replicas (``ExperimentSpec.group``).
+    ``groups`` groups (``G``) of ``fields`` drawn fields, each counting as
+    ``group`` replicas (``R``), ``size`` whole groups to a chunk, in
+    ``count`` chunks, the last of ``last`` groups.
     """
-    cols, rows = dims
-    fields = _drawn_groups(count, group) * group_fields
-    if fields * cols * rows > MAX_DRAWN_CELLS:
+
+    fields: int
+    group: int
+    groups: int
+    size: int
+    count: int
+    last: int
+
+
+def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> ChunkLayout:
+    """The groups a ``quv`` or ``sim`` call of ``total`` replicas draws, and their chunks.
+
+    A group is a pair of Gaussian fields where ``spec.mirrored`` and a
+    chunk's bytes hold two fields or more (``_chunk_size``), counting as
+    the views of its eight rotations; else a field, counting as its views
+    and, where ``mirrored``, their mirrors (``_tally``).  The call draws
+    ``ceil(total / R)`` groups, and a chunk holds as many whole groups as
+    its bytes do.  Raises, naming ``iterations`` (``quv``) or ``replicas``
+    (``sim``), if the drawn fields pass ``MAX_DRAWN_CELLS``.
+    """
+    cols, rows = _field_dims(spec, task)
+    size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
+    fields = 2 if spec.mirrored and size >= 2 else 1
+    group = VIEWS * (8 if fields == 2 else 2 if spec.mirrored else 1)
+    groups = -(-total // group)
+    if groups * fields * cols * rows > MAX_DRAWN_CELLS:
+        field = "iterations" if task == "quv" else "replicas"
         raise ParameterError(
-            f"{field} = {count} draws {fields} fields of {cols}x{rows} cells, past the "
+            f"{field} = {total} draws {groups * fields} fields of {cols}x{rows} cells, past the "
             f"{MAX_DRAWN_CELLS:.0e} cells (days of work) one call may draw",
             field=field,
         )
-
-
-def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> tuple[int, int, int]:
-    """Groups per chunk, chunk count and the last chunk's groups of a ``quv`` or ``sim`` call.
-
-    A call of ``total`` replicas draws ``ceil(total / R)`` groups, ``R =
-    spec.group(task)`` replicas to a group, and a chunk holds as many whole
-    groups as its bytes do (``_chunk_size``): pairs of fields where
-    ``spec.group_fields(task)`` is 2, else fields.
-    """
-    cols, rows = _field_dims(spec, task)
-    size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize) // spec.group_fields(task)
-    groups = _drawn_groups(total, spec.group(task))
+    size //= fields
     count = -(-groups // size)
-    return size, count, groups - (count - 1) * size
+    return ChunkLayout(fields, group, groups, size, count, groups - (count - 1) * size)
 
 
 def _worker_count(threads: int | None, n_chunks: int) -> int:
@@ -379,10 +362,11 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     axes give, at tile ``(v - 1, u - 1)``, the maximum over the leading
     ``v x u`` tiles, and one compare with every threshold scores them all.
     An extent ``(v, u)`` reads its counts at that tile.  A request of
-    ``total`` replicas draws ``G = ceil(total / R)`` groups and tallies
-    every replica of each, ``N = R G``.  Returns ``N``, the thresholds and,
-    per extent and threshold, the estimate, its half-width and the integer
-    tallies ``sum s`` and ``sum s**2`` they are read from
+    ``total`` replicas draws the ``G`` groups of ``chunk_layout``, which
+    raises before any draw if they pass the cell limit, and tallies every
+    replica of each, ``N = R G``.  Returns that ``ChunkLayout``, the
+    thresholds and, per extent and threshold, the estimate, its half-width
+    and the integer tallies ``sum s`` and ``sum s**2`` they are read from
     (``group_estimate``).  The chunks run on at most ``threads`` worker
     threads, 1 if ``None`` (``_worker_count``).
 
@@ -394,17 +378,17 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     ``2c - x``, whose window sums are ``2cK - S``, ``K = weights.sum() * m1
     * m2``: it passes where the running minimum of the tile minima is ``>=
     2cK - n``.  Gaussian fields come in pairs where a chunk holds two or
-    more (``spec.group_fields``), field ``i`` of ``g`` pairs with field ``i
+    more (``chunk_layout``), field ``i`` of ``g`` pairs with field ``i
     + g``, and each view of a pair also counts as its rotations ``u = c +
     (x - c + y - c) / sqrt 2`` and ``v = c + (x - y) / sqrt 2``: two passes
     write ``S(x) + S(y)`` into the ``u`` lanes and ``S(x) - S(y)`` into the
     ``v`` lanes of the slot the last window pass did not write, scored
     like a view against ``2cK + sqrt 2 (n - cK)`` and ``sqrt 2 (n - cK)``,
     their mirrors against those limits reflected about ``2cK`` and 0.  A
-    group counts as ``R = spec.group(task)`` replicas, in the order
-    ``fields.STREAM_MAP`` states; they are not independent, so the tally
-    keeps, per extent and threshold, the sum of each group's count ``s`` of
-    passing replicas and of its square (``group_estimate``).
+    group counts as ``R`` replicas, in the order ``fields.STREAM_MAP``
+    states; they are not independent, so the tally keeps, per extent and
+    threshold, the sum of each group's count ``s`` of passing replicas and
+    of its square (``group_estimate``).
 
     A chunk is about 512 KiB of drawn fields (``chunk_layout``), a budget
     in bytes of the marginal's dtype, so the chunk partition, and with it
@@ -427,16 +411,15 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     slots that are dead by then (``window_sums_batch``), so a chunk's
     passes stay in L2 on the benchmark configs.
     """
+    layout = chunk_layout(spec, task, total)
     threads = 1 if threads is None else threads
     check_integer("threads", threads, minimum=1)
     thr = np.asarray(spec.thresholds, dtype=np.float64)
-    dist, group, pair = spec.distribution, spec.group(task), spec.group_fields(task)
-    groups = _drawn_groups(total, group)
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
-        return group * groups, thr, empty, empty, empty, empty
+        return layout, thr, empty, empty, empty, empty
+    dist, group, pair, groups = spec.distribution, layout.group, layout.fields, layout.groups
     cols, rows = _field_dims(spec, task)
-    chunk = chunk_layout(spec, task, total)[0]
     orders = [None, *_view_orders(spec, task, rows * cols)]
     scores = [(np.maximum, np.less_equal)]
     if spec.mirrored:
@@ -549,14 +532,14 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     # are freed at once, or the heap top they leave would pass glibc's trim
     # bound and every call would fault its worker blocks in again
     probe = Buffers()
-    record(chunk, probe, [])
-    layout = probe.taken
+    record(layout.size, probe, [])
+    taken = probe.taken
     del probe
 
     def chunk_eval(worker: dict, rng: np.random.Generator, count: int) -> np.ndarray:
         # ``worker`` keeps the worker's block and one recorded plan per group count
         if not worker:
-            worker["buffers"] = Buffers(layout)
+            worker["buffers"] = Buffers(taken)
         if count not in worker:
             ops = []
             worker[count] = (*record(count, worker["buffers"], ops), ops)
@@ -566,11 +549,11 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         return tally
 
     # per tile and threshold: sum s and sum s**2 over the groups
-    tally = _accumulate(groups, chunk, spec.seed, task, chunk_eval, threads)
+    tally = _accumulate(groups, layout.size, spec.seed, task, chunk_eval, threads)
     sums = np.array([tally[0, v - 1, u - 1] for v, u in extents])
     squares = np.array([tally[1, v - 1, u - 1] for v, u in extents])
     probs, beta = group_estimate(sums, squares, groups, group, spec.confidence_z)
-    return group * groups, thr, probs, beta, sums, squares
+    return layout, thr, probs, beta, sums, squares
 
 
 def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[EstimateRecord]:
@@ -587,7 +570,7 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
         tile, extents = (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
     else:
         tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
-    tallied, thr, q_hat, beta, sums, squares = _tally(
+    layout, thr, q_hat, beta, sums, squares = _tally(
         spec, threads, "quv", spec.iterations, tile, extents
     )
     records = []
@@ -603,10 +586,10 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
                 b23=float(beta[1, t_idx]),
                 b32=float(beta[2, t_idx]),
                 b33=float(beta[3, t_idx]),
-                iterations=tallied,
+                iterations=layout.group * layout.groups,
                 sums=tuple(int(k) for k in sums[:, t_idx]),
                 squares=tuple(int(k) for k in squares[:, t_idx]),
-                group=spec.group("quv"),
+                group=layout.group,
             )
         )
     return records
@@ -771,15 +754,13 @@ def simulate_distribution(
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan over ``replicas`` rounded up to whole groups."""
     check_integer("replicas", replicas, minimum=1)
-    check_drawn_cells(
-        "replicas", replicas, _field_dims(spec, "sim"), spec.group("sim"), spec.group_fields("sim")
-    )
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
-    tallied, thr, probs, half, sums, squares = _tally(
+    layout, thr, probs, half, sums, squares = _tally(
         spec, threads, "sim", replicas, full, [(1, 1)]
     )
+    tallied = layout.group * layout.groups
     return [
-        SimRow(float(n), float(p), float(h), tallied, int(s), int(ss), spec.group("sim"))
+        SimRow(float(n), float(p), float(h), tallied, int(s), int(ss), layout.group)
         for n, p, h, s, ss in zip(thr, probs[0], half[0], sums[0], squares[0])
     ]

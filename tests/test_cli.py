@@ -820,8 +820,6 @@ def _chunk_header(metadata):
 def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monkeypatch):
     from blockscan import pipeline
 
-    # several chunks per call, the last one short: at least two groups to a chunk
-    monkeypatch.setattr(pipeline, "_chunk_size", lambda nbytes: max(1, 5000 // nbytes))
     ran, accumulate = [], pipeline._accumulate
 
     def recording(total, chunk, seed, task, chunk_eval, threads):
@@ -830,10 +828,22 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
 
     monkeypatch.setattr(pipeline, "_accumulate", recording)
     # a drawn field counts as four views; a pair of Gaussian fields as the
-    # views of its eight rotations: the accumulator and the header count the
-    # groups, fields or pairs
+    # views of its eight rotations; a Gaussian field that fills a chunk alone
+    # as its views and their mirrors: the accumulator and the header count
+    # the groups, fields or pairs
     gaussian = {"distribution": "gaussian", "p": None, "mean": 0.0, "variance": 1.0}
-    for updates, group, unit in (({}, 4, "fields"), (gaussian, 32, "pairs")):
+
+    def several(nbytes):
+        # several chunks per call, the last one short: at least two groups to a chunk
+        return max(1, 5000 // nbytes)
+
+    cases = (
+        ({}, several, 4, "fields"),
+        (gaussian, several, 32, "pairs"),
+        (gaussian, lambda nbytes: 1, 8, "fields"),
+    )
+    for updates, chunk_size, group, unit in cases:
+        monkeypatch.setattr(pipeline, "_chunk_size", chunk_size)
         config = _write_config(tmp_path, iterations=2001, replicas=2001, **updates)
         headers = []
         for threads in (1, 2):
@@ -848,9 +858,12 @@ def test_header_gives_the_chunk_layout_the_pipeline_ran(tmp_path, command, monke
             for task, groups, chunk in ran:
                 count = -(-groups // chunk)
                 assert groups == -(-2001 // group)
-                assert count > 2 and groups % chunk
+                # a chunk of one group is never short
+                assert count > 2 and (groups % chunk if chunk_size is several else chunk == 1)
                 last = groups - (count - 1) * chunk
-                assert layouts[task] == (unit, chunk, count, last, group == 32, 4)
+                assert layouts[task] == (unit, chunk, count, last, updates == gaussian, 4)
+                notes = [line for line in metadata if line.startswith("# row ")]
+                assert notes and all(f" N={group * groups} R={group}" in n for n in notes)
         assert list(layouts) == (["quv"] if command == "approximate" else ["sim"])
         assert headers[0] == headers[1]
 

@@ -17,7 +17,7 @@ import blockscan
 from blockscan import ExperimentSpec, quv_field_dims
 from blockscan.cli import RunConfig, main
 from blockscan.errors import ConfigError, ParameterError
-from blockscan.pipeline import MAX_DRAWN_CELLS, check_drawn_cells
+from blockscan.pipeline import MAX_DRAWN_CELLS, chunk_layout
 
 SRC = str(Path(blockscan.__file__).resolve().parents[1])
 CONFIG = {
@@ -123,7 +123,7 @@ def test_a_count_at_the_cell_limit_validates(tmp_path):
         assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == 2
     # not through simulate_distribution, which would start the run if its check let this by
     with pytest.raises(ParameterError) as err:
-        check_drawn_cells("replicas", replicas + 1, (spec.source_cols, spec.source_rows), 4)
+        chunk_layout(spec, "sim", replicas + 1)
     assert err.value.field == "replicas"
 
 

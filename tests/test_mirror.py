@@ -104,7 +104,9 @@ def test_paired_estimates_agree_with_plain_brute_force_indicators(name):
     the test fails falsely.
     """
     spec = _CASES[name]
-    assert spec.mirrored and spec.group("quv") == spec.group("sim") == 32
+    assert spec.mirrored
+    assert pipeline.chunk_layout(spec, "quv", 1).group == 32
+    assert pipeline.chunk_layout(spec, "sim", 1).group == 32
     derived_rows, derived_cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (derived_rows - spec.m2 + 1, derived_cols - spec.m1 + 1)
     outside = {"quv": 0, "sim": 0}
@@ -164,11 +166,11 @@ def test_rotated_replicas_tally_like_the_orbits_of_their_pairs(name, monkeypatch
     task = "sim" if simulate else "quv"
     paired = chunk >= 2
     group, size = (32, chunk // 2) if paired else (8, 1)
-    assert (spec.group(task), spec.group_fields(task)) == (group, 2 if paired else 1)
     count = 2001 if paired else 401
     groups = -(-count // group)
     assert pipeline.chunk_layout(spec, task, count) == (
-        size, -(-groups // size), groups - (-(-groups // size) - 1) * size
+        2 if paired else 1, group, groups, size, -(-groups // size),
+        groups - (-(-groups // size) - 1) * size,
     )
     if simulate:
         derived_rows, derived_cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
@@ -371,7 +373,8 @@ def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys
     with pytest.raises(ParameterError):
         dataclasses.replace(plain, iterations=4 * fields + 1)
     monkeypatch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 1)
-    assert spec.group("quv") == 8 and spec.group_fields("quv") == 1
+    layout = pipeline.chunk_layout(spec, "quv", 1)
+    assert (layout.fields, layout.group) == (1, 8)
     assert dataclasses.replace(spec, iterations=8 * fields).iterations == 8 * fields
     with pytest.raises(ParameterError) as err:
         dataclasses.replace(spec, iterations=8 * fields + 1)
@@ -439,7 +442,8 @@ def test_group_half_widths_cover_an_exact_q_uv():
         transform=identity_transform(), distribution=MarginalDistribution.bernoulli(0.3),
         source_cols=6, source_rows=1, m1=3, m2=1, thresholds=(0, 1), iterations=400,
     )
-    assert pipeline.quv_field_dims(3, 3, spec) == (6, 1) and spec.group("quv") == 4
+    assert pipeline.quv_field_dims(3, 3, spec) == (6, 1)
+    assert pipeline.chunk_layout(spec, "quv", spec.iterations)[1:3] == (4, 100)
     exact = [_exact_row_scan(0.3, n) for n in spec.thresholds]
     covered = []
     for seed in range(200):
