@@ -98,10 +98,6 @@ class RunConfig:
             raise ConfigError("<file>", "config must be a JSON object")
         return cls.from_mapping(raw, overrides)
 
-    def resolved_threads(self) -> int:
-        """``threads``, or 1 if it is not set; ``build_spec`` checks it."""
-        return 1 if self.threads is None else self.threads
-
     def build_spec(self) -> ExperimentSpec:
         """The run's spec, built and checked on the first call; later calls return that object."""
         if "_spec" not in self.__dict__:
@@ -114,7 +110,8 @@ class RunConfig:
             raise ConfigError("ma_coeffs", "required for the ma transform, and only for it")
         try:
             check_integer("replicas", self.replicas, minimum=1)
-            check_integer("threads", self.resolved_threads(), minimum=1)
+            if self.threads is not None:  # unset, the pipeline runs one worker
+                check_integer("threads", self.threads, minimum=1)
             params = {} if self.ma_coeffs is None else {"coeffs": self.ma_coeffs}
             spec = ExperimentSpec(
                 transform=catalog_transform(self.transform, **params),
@@ -173,30 +170,26 @@ def _write_table(
     config: RunConfig | None = None,
     notes=(),
     wall_time: float | None = None,
-    calls=(),
+    call: tuple | None = None,
 ) -> None:
     """Write a ``#`` header and one line per ``(threshold, *values)`` row.
 
     The header holds the version line, with a ``config`` the stream map,
-    NumPy version, chunk layout of each Monte Carlo call in ``calls`` (a
-    ``(task, replicas)`` pair, see ``pipeline.chunk_layout``) and config
-    keys that are set (lists as JSON), then the ``notes`` lines, the wall
-    time and the column names, in that order.
+    NumPy version, chunk layout of the Monte Carlo ``call`` (a ``(task,
+    replicas)`` pair, see ``pipeline.chunk_layout``) and config keys that
+    are set (lists as JSON), then the ``notes`` lines, the wall time and
+    the column names, in that order.
     """
     lines = [f"# blockscan {command} v{__version__}"]
     if config is not None:
         lines += [f"# rng = {STREAM_MAP}", f"# numpy = {np.__version__}"]
         spec = config.build_spec()
-        mirrored = "yes" if spec.mirrored else "no"
-        layouts = []
-        for task, total in calls:
-            layout = chunk_layout(spec, task, total)
-            unit = "pairs" if layout.fields == 2 else "fields"
-            layouts.append(
-                f"{task}: {unit}={layout.size} count={layout.count} last={layout.last} "
-                f"mirrored={mirrored} views={VIEWS}"
-            )
-        lines.append("# chunks = " + "; ".join(layouts))
+        layout = chunk_layout(spec, *call)
+        unit = "pairs" if layout.fields == 2 else "fields"
+        lines.append(
+            f"# chunks = {call[0]}: {unit}={layout.size} count={layout.count} "
+            f"last={layout.last} mirrored={'yes' if spec.mirrored else 'no'} views={VIEWS}"
+        )
         for f in dataclass_fields(config):
             value = getattr(config, f.name)
             if value is not None:
@@ -244,7 +237,7 @@ def write_approx_table(
     cells = [[getattr(row, name) for name in columns] for row in rows]
     _write_table(
         path, "approximate", columns, cells, raw, config, notes, wall_time,
-        [("quv", config.iterations)],
+        ("quv", config.iterations),
     )
 
 
@@ -263,7 +256,7 @@ def write_sim_table(
     cells = [(row.n, row.prob, row.half_width) for row in rows]
     _write_table(
         path, "simulate", ("n", "sim", "half_width"), cells, raw, config, notes, wall_time,
-        [("sim", config.replicas)],
+        ("sim", config.replicas),
     )
 
 
@@ -335,26 +328,6 @@ def emit_plotdata(approx_path: str, out_path: str, sim_path: str | None = None) 
     _write_table(out_path, "plotdata", ("n", "sim", "approx", "lower", "upper"), cells)
 
 
-def run_approx(config: RunConfig, out_path: str, raw: bool = False) -> list[ApproxRow]:
-    spec, threads = config.build_spec(), config.resolved_threads()
-    start = time.perf_counter()
-    rows = approximate(spec, threads=threads)
-    write_approx_table(out_path, rows, config, raw=raw, wall_time=time.perf_counter() - start)
-    return rows
-
-
-def run_sim(config: RunConfig, out_path: str, raw: bool = False) -> list[SimRow]:
-    spec, threads = config.build_spec(), config.resolved_threads()
-    start = time.perf_counter()
-    try:
-        rows = simulate_distribution(spec, replicas=config.replicas, threads=threads)
-    except ParameterError as exc:
-        # the spec is checked; what is left to fail is the replicas check, before any work
-        raise _key_error(exc) from exc
-    write_sim_table(out_path, rows, config, raw=raw, wall_time=time.perf_counter() - start)
-    return rows
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blockscan")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -383,26 +356,32 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate-config":
-            config = RunConfig.from_file(args.config)
-            # the config must suit simulate too, whose replicas draw the whole source
-            try:
-                chunk_layout(config.build_spec(), "sim", config.replicas)
-            except ParameterError as exc:
-                raise _key_error(exc) from exc
-            print("ok")
-            return 0
         if args.command == "plotdata":
             emit_plotdata(args.approx, args.output, sim_path=args.sim)
             return 0
         names = {f.name for f in dataclass_fields(RunConfig)}
         overrides = {key: value for key, value in vars(args).items() if key in names}
         config = RunConfig.from_file(args.config, overrides=overrides)
+        spec = config.build_spec()
+        if args.command == "validate-config":
+            # the config must suit simulate too, whose replicas draw the whole source
+            chunk_layout(spec, "sim", config.replicas)
+            print("ok")
+            return 0
+        start = time.perf_counter()
+        if args.command == "approximate":
+            rows = approximate(spec, threads=config.threads)
+            write = write_approx_table
+        else:
+            rows = simulate_distribution(spec, replicas=config.replicas, threads=config.threads)
+            write = write_sim_table
         out = args.output or f"blockscan-{args.command}.tsv"
-        run = run_approx if args.command == "approximate" else run_sim
-        run(config, out, raw=args.raw)
+        write(out, rows, config, raw=args.raw, wall_time=time.perf_counter() - start)
         return 0
     except (BlockScanError, OSError) as exc:
+        if getattr(exc, "field", None):
+            # a check past the config's own, such as a count past the cell limit
+            exc = _key_error(exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,13 @@ _WORDS = struct.Struct("<3Q")
 # the largest binomial trials and Poisson mean NumPy draws from
 _INT64_MAX = (1 << 63) - 1
 _POISSON_MEAN_MAX = float(_INT64_MAX - math.sqrt(_INT64_MAX) * 10)
+# the parameters each marginal kind takes (``MarginalDistribution``)
+_PARAMETERS = {
+    "bernoulli": ("p",),
+    "binomial": ("trials", "p"),
+    "poisson": ("mean",),
+    "gaussian": ("mean", "variance"),
+}
 # how a call's chunk becomes draws, and its draws cells, as output tables
 # name it: a seed draws other tables under another map
 STREAM_MAP = (
@@ -144,8 +151,14 @@ class MarginalDistribution:
     variance: float | None = None
 
     def __post_init__(self):
-        # each rejection names the parameter at fault, or the kind; a parameter
-        # that is set is checked and normalised whether or not the kind takes it
+        # each rejection names the kind, or the parameter at fault: one the kind
+        # does not take, which a table would record though no draw reads it, or
+        # one it takes, checked and normalised
+        if not isinstance(self.kind, str) or self.kind not in _PARAMETERS:
+            raise ParameterError(f"unknown distribution kind {self.kind!r}", field="distribution")
+        for name in ("p", "trials", "mean", "variance"):
+            if getattr(self, name) is not None and name not in _PARAMETERS[self.kind]:
+                raise ParameterError(f"{self.kind} takes no {name}", field=name)
         for name in ("p", "mean", "variance"):
             value = getattr(self, name)
             if value is not None:
@@ -171,15 +184,13 @@ class MarginalDistribution:
                     f"poisson mean must be in (0, {_POISSON_MEAN_MAX:.6g}], got {self.mean}",
                     field="mean",
                 )
-        elif self.kind == "gaussian":
+        else:
             if self.mean is None:
                 raise ParameterError("gaussian mean is required", field="mean")
             if self.variance is None or not self.variance > 0.0:
                 raise ParameterError(
                     f"gaussian variance must be > 0, got {self.variance}", field="variance"
                 )
-        else:
-            raise ParameterError(f"unknown distribution kind {self.kind!r}", field="distribution")
 
     @classmethod
     def bernoulli(cls, p: float) -> "MarginalDistribution":

@@ -94,8 +94,6 @@ class ExperimentSpec:
                     f"window sums of {self.distribution.kind} cells can reach {top}, past int64",
                     field="trials" if self.distribution.kind == "binomial" else "mean",
                 )
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1", field="iterations")
         check_real("confidence_z", self.confidence_z)
         if not self.confidence_z > 0.0:
             raise ParameterError(
@@ -253,21 +251,27 @@ class ChunkLayout(NamedTuple):
 def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> ChunkLayout:
     """The groups a ``quv`` or ``sim`` call of ``total`` replicas draws, and their chunks.
 
-    A group is a pair of Gaussian fields where ``spec.mirrored`` and a
+    ``total`` is the call's count, ``iterations`` (``quv``) or ``replicas``
+    (``sim``); the pipeline checks it here only, an integer of at least 1,
+    and makes it an ``int``, so that no NumPy integer wraps in the cell
+    count.  A
+    group is a pair of Gaussian fields where ``spec.mirrored`` and a
     chunk's bytes hold two fields or more (``_chunk_size``), counting as
     the views of its eight rotations; else a field, counting as its views
     and, where ``mirrored``, their mirrors (``_tally``).  The call draws
     ``ceil(total / R)`` groups, and a chunk holds as many whole groups as
-    its bytes do.  Raises, naming ``iterations`` (``quv``) or ``replicas``
-    (``sim``), if the drawn fields pass ``MAX_DRAWN_CELLS``.
+    its bytes do.  Raises a ``ParameterError`` naming the count if it is
+    not such an integer or its drawn fields pass ``MAX_DRAWN_CELLS``.
     """
+    field = "iterations" if task == "quv" else "replicas"
+    check_integer(field, total, minimum=1)
+    total = int(total)
     cols, rows = _field_dims(spec, task)
     size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
     fields = 2 if spec.mirrored and size >= 2 else 1
     group = VIEWS * (8 if fields == 2 else 2 if spec.mirrored else 1)
     groups = -(-total // group)
     if groups * fields * cols * rows > MAX_DRAWN_CELLS:
-        field = "iterations" if task == "quv" else "replicas"
         raise ParameterError(
             f"{field} = {total} draws {groups * fields} fields of {cols}x{rows} cells, past the "
             f"{MAX_DRAWN_CELLS:.0e} cells (days of work) one call may draw",
@@ -278,13 +282,16 @@ def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> ChunkLayout:
     return ChunkLayout(fields, group, groups, size, count, groups - (count - 1) * size)
 
 
-def _worker_count(threads: int | None, n_chunks: int) -> int:
-    """Threads worth starting: the requested count, at most one per chunk and per usable CPU."""
+def _worker_count(threads: int, n_chunks: int) -> int:
+    """Threads worth starting: at most one per chunk and per usable CPU.
+
+    ``threads`` is the count ``_tally`` resolved and checked, at least 1.
+    """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(threads or 1, n_chunks, cpus))
+    return max(1, min(threads, n_chunks, cpus))
 
 
 def _accumulate(total: int, chunk: int, seed: int, task: str, chunk_eval, threads):
@@ -368,7 +375,8 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     thresholds and, per extent and threshold, the estimate, its half-width
     and the integer tallies ``sum s`` and ``sum s**2`` they are read from
     (``group_estimate``).  The chunks run on at most ``threads`` worker
-    threads, 1 if ``None`` (``_worker_count``).
+    threads (``_worker_count``); the pipeline checks ``threads`` here
+    only, an integer of at least 1, and makes an unset ``None`` 1.
 
     Replica groups (README, "Replica groups").  The cells of a field are
     i.i.d., so each drawn field counts as ``VIEWS`` views: view 0 the field
@@ -753,7 +761,6 @@ def simulate_distribution(
     spec: ExperimentSpec, replicas: int = DEFAULT_REPLICAS, threads: int | None = None
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan over ``replicas`` rounded up to whole groups."""
-    check_integer("replicas", replicas, minimum=1)
     rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
     full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
     layout, thr, probs, half, sums, squares = _tally(

@@ -57,10 +57,10 @@ def test_valid_config_parses():
     spec = config.build_spec()
     assert spec.m1 == 3 and spec.thresholds == (6.0, 7.0, 8.0)
     assert config.build_spec() is spec
-    # threads, or 1 if it is not set; null sets nothing
-    assert config.resolved_threads() == 1
-    assert RunConfig.from_mapping({**BASE_CONFIG, "threads": None}).resolved_threads() == 1
-    assert RunConfig.from_mapping({**BASE_CONFIG, "threads": 2}).resolved_threads() == 2
+    # null sets nothing: an unset threads reaches the pipeline as None, one worker
+    assert config.threads is None
+    assert RunConfig.from_mapping({**BASE_CONFIG, "threads": None}).threads is None
+    assert RunConfig.from_mapping({**BASE_CONFIG, "threads": 2}).threads == 2
 
 
 def test_unset_keys_take_the_librarys_defaults():
@@ -221,9 +221,11 @@ def _wrong_types():
         # an integer key takes a JSON integer only
         pytest.param(BASE_CONFIG, {"iterations": 1e5}, "iterations", id="float-iterations"),
         pytest.param(BINOMIAL_CONFIG, {"trials": 2.5}, "trials", id="fraction-trials"),
-        # a distribution parameter the kind does not take is checked all the same,
-        # and only the ma transform takes ma_coeffs
+        # a distribution parameter the kind does not take is rejected, though a
+        # table's header would record it, as ma_coeffs is on any transform but ma
         pytest.param(BASE_CONFIG, {"mean": "0"}, "mean", id="unused-mean"),
+        pytest.param(BASE_CONFIG, {"mean": 3.0}, "mean", id="stray-mean"),
+        pytest.param(BASE_CONFIG, {"trials": 7}, "trials", id="stray-trials"),
         pytest.param(BASE_CONFIG, {"ma_coeffs": [0.3]}, "ma_coeffs", id="unused-coeffs"),
         *_wrong_types(),
     ],
@@ -282,8 +284,9 @@ def test_validate_config_rejects_what_the_run_would(tmp_path, capsys, updates):
         ({"transform": "ma", "ma_coeffs": [0.0, 0.0]}, "ma_coeffs"),
         ({"p": 1.5}, "p"),
         ({"distribution": "binomial", "trials": 0}, "trials"),
-        ({"distribution": "poisson", "mean": -1.0}, "mean"),
-        ({"distribution": "gaussian", "mean": 0.0, "variance": 0.0}, "variance"),
+        # BASE_CONFIG's p is unset: neither kind takes it
+        ({"distribution": "poisson", "p": None, "mean": -1.0}, "mean"),
+        ({"distribution": "gaussian", "p": None, "mean": 0.0, "variance": 0.0}, "variance"),
         # a transform window wider or taller than the source, named before m1 and m2 fit
         ({"transform": "minesweeper", "source_cols": 2}, "source_cols"),
         ({"transform": "minesweeper", "source_rows": 2}, "source_rows"),

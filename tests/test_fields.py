@@ -179,6 +179,27 @@ def test_invalid_parameters_rejected(build):
     assert err.value.field == dict(_INVALID)[build]
 
 
+# the parameters each kind takes, at valid values
+_TAKEN = {
+    "bernoulli": {"p": 0.1},
+    "binomial": {"trials": 7, "p": 0.1},
+    "poisson": {"mean": 3.0},
+    "gaussian": {"mean": 0.0, "variance": 1.0},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TAKEN))
+def test_a_parameter_the_kind_does_not_take_is_rejected(kind):
+    """A table records every parameter set, so one that no draw reads would misstate the run."""
+    taken = _TAKEN[kind]
+    MarginalDistribution(kind, **taken)
+    strays = {"p": 0.5, "trials": 7, "mean": 3.0, "variance": 1.0}
+    for name in set(strays) - set(taken):
+        with pytest.raises(ParameterError, match=f"^{kind} takes no {name}$") as err:
+            MarginalDistribution(kind, **taken, **{name: strays[name]})
+        assert err.value.field == name
+
+
 def test_largest_accepted_parameters_draw():
     """The largest Poisson mean and binomial trials accepted are ones NumPy draws."""
     rng = SeedSpec(4).generator()

@@ -229,6 +229,23 @@ def test_simulate_rejects_counts_that_are_not_integers(field, value):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("count", [np.int64(2**62), np.uint64(2**63)], ids=["int64", "uint64"])
+@pytest.mark.parametrize("task, field", [("quv", "iterations"), ("sim", "replicas")])
+def test_a_numpy_integer_count_past_the_cell_limit_is_rejected(task, field, count):
+    """The count is made an int first: in int64 the cell count would wrap below the limit."""
+    spec = _bernoulli_spec()
+    # the layout first: if it let the count by, the run below would not end
+    with pytest.raises(ParameterError, match=f"^{field} = {int(count)} draws ") as err:
+        pipeline.chunk_layout(spec, task, count)
+    assert err.value.field == field
+    with pytest.raises(ParameterError, match=f"^{field} = {int(count)} draws ") as err:
+        if task == "sim":
+            simulate_distribution(spec, replicas=count)
+        else:
+            dataclasses.replace(spec, iterations=count)  # the spec lays out its quv call
+    assert err.value.field == field
+
+
 def test_spec_rejects_a_window_side_below_one():
     for side in ("m1", "m2"):
         for value in (0, -3):
@@ -591,12 +608,30 @@ class SerialPool:
         return map(fn, items)
 
 
+def _unset_threads_workers(monkeypatch):
+    """The workers ``estimate_quv`` starts over 7 chunks when ``threads`` is not given."""
+    started, count = [], pipeline._worker_count
+
+    def counting(threads, n_chunks):
+        started.append((threads, n_chunks, count(threads, n_chunks)))
+        return started[-1][-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_chunk_size", lambda replica_bytes: 73)
+        patch.setattr(pipeline, "_worker_count", counting)
+        estimate_quv(_minesweeper_spec(iterations=2000))
+    # ``_tally`` resolves the unset count to 1 before it reaches ``_worker_count``
+    [(threads, n_chunks, workers)] = started
+    assert threads == 1 and n_chunks == 7
+    return workers
+
+
 def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
     """A huge thread request starts one worker per chunk; the pool is never started."""
     _usable_cpus(monkeypatch, 64)
     assert pipeline._worker_count(10**9, 13) == 13
     assert pipeline._worker_count(2, 13) == 2
-    assert pipeline._worker_count(None, 13) == 1
+    assert _unset_threads_workers(monkeypatch) == 1
     assert pipeline._worker_count(8, 1) == 1
     monkeypatch.setattr(SerialPool, "requested", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
@@ -620,7 +655,7 @@ def test_worker_count_is_capped_at_the_usable_cpus(affinity, monkeypatch):
     assert pipeline._worker_count(100_000, 30_000) == 3
     assert pipeline._worker_count(2, 30_000) == 2
     assert pipeline._worker_count(100_000, 2) == 2
-    assert pipeline._worker_count(None, 30_000) == 1
+    assert _unset_threads_workers(monkeypatch) == 1
     if not affinity:
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)  # unknown: one worker
         assert pipeline._worker_count(100_000, 30_000) == 1
