@@ -145,8 +145,7 @@ def ma_transform(coeffs) -> BlockFactorTransform:
             f"moving-average coefficients must be a non-empty list, got {coeffs!r}",
             field="ma_coeffs",
         )
-    for a in coeffs:
-        check_real("ma_coeffs", a)
+    coeffs = [check_real("ma_coeffs", a) for a in coeffs]
     if not any(coeffs):
         raise ParameterError("moving-average coefficients must not all be zero", field="ma_coeffs")
     return BlockFactorTransform(name="ma", weights=np.array(coeffs, dtype=np.float64)[None, :])

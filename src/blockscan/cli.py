@@ -95,7 +95,7 @@ class RunConfig:
                 # the stack
                 raise ConfigError("<file>", f"{path} is not a readable JSON config: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ConfigError("<file>", "config must be a JSON object")
+            raise ConfigError("<file>", f"{path} is not a JSON object")
         return cls.from_mapping(raw, overrides)
 
     def build_spec(self) -> ExperimentSpec:

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the two type checks every layer uses."""
 from __future__ import annotations
 
+import math
 import numbers
-import sys
 
 
 class BlockScanError(Exception):
@@ -21,28 +21,32 @@ class ParameterError(BlockScanError, ValueError):
     """A parameter is not of its type or is outside its domain."""
 
 
-def check_integer(field: str, value, minimum: int | None = None) -> None:
-    """Raise unless ``value`` is an integer, not a bool, and at least ``minimum`` if given.
+def check_integer(field: str, value, minimum: int | None = None) -> int:
+    """``value`` as an ``int``; raise unless an integer, not a bool, at least ``minimum`` if given.
 
-    So a size, count or seed is one that NumPy can take.
+    So a size, count or seed is one NumPy can take, and no NumPy integer wraps in its arithmetic.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{field} must be an integer, got {value!r}", field=field)
-    if minimum is not None and value < minimum:
-        raise ParameterError(f"{field} must be >= {minimum}, got {value}", field=field)
+    number = int(value)
+    if minimum is not None and number < minimum:
+        raise ParameterError(f"{field} must be >= {minimum}, got {number}", field=field)
+    return number
 
 
-def check_real(field: str, value) -> None:
-    """Raise unless ``value`` is a real number, not a bool, with a finite float value.
+def check_real(field: str, value) -> float:
+    """``value`` as a ``float``; raise unless a real number, not a bool, with a finite float value.
 
-    nan, the infinities and ints past the float range fail.
+    nan, the infinities and reals past the float range fail, whatever their type.
     """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not abs(value) <= sys.float_info.max
-    ):
-        raise ParameterError(f"{field} must be a finite number, got {value!r}", field=field)
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ParameterError(f"{field} must be a finite number, got {value!r}", field=field)
 
 
 class GeometryError(BlockScanError, ValueError):

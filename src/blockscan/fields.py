@@ -160,13 +160,10 @@ class MarginalDistribution:
             if getattr(self, name) is not None and name not in _PARAMETERS[self.kind]:
                 raise ParameterError(f"{self.kind} takes no {name}", field=name)
         for name in ("p", "mean", "variance"):
-            value = getattr(self, name)
-            if value is not None:
-                check_real(name, value)
-                object.__setattr__(self, name, float(value))
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.trials is not None:
-            check_integer("trials", self.trials)
-            object.__setattr__(self, "trials", int(self.trials))
+            object.__setattr__(self, "trials", check_integer("trials", self.trials))
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ParameterError(f"bernoulli p must be in [0, 1], got {self.p}", field="p")
@@ -228,7 +225,7 @@ class MarginalDistribution:
         if self.kind == "bernoulli":
             return 1
         if self.kind == "binomial":
-            return int(self.trials)
+            return self.trials
         if self.kind == "poisson":
             return math.ceil(self.mean + 15.0 + math.sqrt(225.0 + 90.0 * self.mean))
         return None

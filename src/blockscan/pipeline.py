@@ -69,9 +69,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for field in ("source_cols", "source_rows", "m1", "m2", "iterations", "seed"):
-            check_integer(field, getattr(self, field))
-            # a NumPy integer would wrap or overflow in the size and seed arithmetic
-            object.__setattr__(self, field, int(getattr(self, field)))
+            object.__setattr__(self, field, check_integer(field, getattr(self, field)))
         derived_rows, derived_cols = self.transform.derived_shape(self.source_rows, self.source_cols)
         if self.one_dimensional and self.source_rows != 1:
             # the row-scan path samples one row, so it would answer for one row only
@@ -94,7 +92,7 @@ class ExperimentSpec:
                     f"window sums of {self.distribution.kind} cells can reach {top}, past int64",
                     field="trials" if self.distribution.kind == "binomial" else "mean",
                 )
-        check_real("confidence_z", self.confidence_z)
+        object.__setattr__(self, "confidence_z", check_real("confidence_z", self.confidence_z))
         if not self.confidence_z > 0.0:
             raise ParameterError(
                 f"confidence_z must be > 0, got {self.confidence_z}", field="confidence_z"
@@ -103,11 +101,10 @@ class ExperimentSpec:
             raise ParameterError(
                 f"thresholds must be a list, got {self.thresholds!r}", field="thresholds"
             )
-        object.__setattr__(self, "thresholds", tuple(self.thresholds))
-        for n in self.thresholds:
-            check_real("thresholds", n)
+        thresholds = tuple(check_real("thresholds", n) for n in self.thresholds)
+        object.__setattr__(self, "thresholds", thresholds)
         # tables pair their rows by threshold
-        if len({float(n) for n in self.thresholds}) != len(self.thresholds):
+        if len(set(thresholds)) != len(thresholds):
             raise ParameterError(
                 f"thresholds must not repeat, got {self.thresholds!r}", field="thresholds"
             )
@@ -253,19 +250,18 @@ def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> ChunkLayout:
 
     ``total`` is the call's count, ``iterations`` (``quv``) or ``replicas``
     (``sim``); the pipeline checks it here only, an integer of at least 1,
-    and makes it an ``int``, so that no NumPy integer wraps in the cell
-    count.  A
-    group is a pair of Gaussian fields where ``spec.mirrored`` and a
-    chunk's bytes hold two fields or more (``_chunk_size``), counting as
-    the views of its eight rotations; else a field, counting as its views
-    and, where ``mirrored``, their mirrors (``_tally``).  The call draws
-    ``ceil(total / R)`` groups, and a chunk holds as many whole groups as
-    its bytes do.  Raises a ``ParameterError`` naming the count if it is
-    not such an integer or its drawn fields pass ``MAX_DRAWN_CELLS``.
+    as the ``int`` that ``check_integer`` returns, so that no NumPy integer
+    wraps in the cell count.  A group is a pair of Gaussian fields where
+    ``spec.mirrored`` and a chunk's bytes hold two fields or more
+    (``_chunk_size``), counting as the views of its eight rotations; else a
+    field, counting as its views and, where ``mirrored``, their mirrors
+    (``_tally``).  The call draws ``ceil(total / R)`` groups, and a chunk
+    holds as many whole groups as its bytes do.  Raises a ``ParameterError``
+    naming the count if it is not such an integer or its drawn fields pass
+    ``MAX_DRAWN_CELLS``.
     """
     field = "iterations" if task == "quv" else "replicas"
-    check_integer(field, total, minimum=1)
-    total = int(total)
+    total = check_integer(field, total, minimum=1)
     cols, rows = _field_dims(spec, task)
     size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
     fields = 2 if spec.mirrored and size >= 2 else 1
@@ -420,8 +416,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     passes stay in L2 on the benchmark configs.
     """
     layout = chunk_layout(spec, task, total)
-    threads = 1 if threads is None else threads
-    check_integer("threads", threads, minimum=1)
+    threads = check_integer("threads", 1 if threads is None else threads, minimum=1)
     thr = np.asarray(spec.thresholds, dtype=np.float64)
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
@@ -621,6 +616,14 @@ def _error_factor(alpha: float, m: int):
     return error_factor_F(constants, m, 1.0 - alpha), constants.t2
 
 
+def _square(x: float) -> float:
+    """``x ** 2``, or ``inf`` past the float range, where ``**`` raises and ``*`` gives ``inf``."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def two_step_approximation(rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
     """Assemble one threshold row from the four Q_uv estimates (2-D path)."""
     _check_slack(
@@ -643,16 +646,18 @@ def two_step_approximation(rec: EstimateRecord, L1: int, L2: int) -> ApproxRow:
     valid = alpha1 <= ALPHA_MAX and alpha2 <= ALPHA_MAX
     ledger = {}
     if valid:
+        # float sides: their product past the float range is inf, where an int's raises
+        L1, L2 = float(L1), float(L2)
         f1, t2_1 = _error_factor(alpha2, L1)
         f2, t2_2 = _error_factor(alpha1, L2)
         b2_term = 1.0 - r2 + L1 * f1 * (1.0 - q22) ** 2
         c22 = 1.0 - q22 + rec.b22
         c23 = 1.0 - q23 + rec.b23
-        c2_term = 1.0 - r2 + L1 * (rec.b22 + rec.b32) + L1 * f1 * c22**2
+        c2_term = 1.0 - r2 + L1 * (rec.b22 + rec.b32) + L1 * f1 * _square(c22)
         ledger = dict(
-            e_app=L2 * f2 * b2_term**2 + L1 * L2 * f1 * ((1.0 - q22) ** 2 + (1.0 - q23) ** 2),
+            e_app=L2 * f2 * _square(b2_term) + L1 * L2 * f1 * ((1.0 - q22) ** 2 + (1.0 - q23) ** 2),
             e_sf=L1 * L2 * (rec.b22 + rec.b23 + rec.b32 + rec.b33),
-            e_sapp=L2 * f2 * c2_term**2 + L1 * L2 * f1 * (c22**2 + c23**2),
+            e_sapp=L2 * f2 * _square(c2_term) + L1 * L2 * f1 * (_square(c22) + _square(c23)),
             t2_1=t2_1,
             t2_2=t2_2,
         )
@@ -683,7 +688,7 @@ def one_step_approximation(rec: EstimateRecord, L1: int) -> ApproxRow:
         ledger = dict(
             e_app=L1 * f1 * (1.0 - q2) ** 2,
             e_sf=L1 * (rec.b22 + rec.b32),
-            e_sapp=L1 * f1 * (1.0 - q2 + rec.b22) ** 2,
+            e_sapp=L1 * f1 * _square(1.0 - q2 + rec.b22),
             t2_1=t2_1,
         )
     return ApproxRow(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,7 +122,12 @@ def test_ma_output_variance_matches_coefficients():
 
 
 def test_ma_coefficients_validated():
-    for coeffs in ((), (0.0, 0.0), [0.3, math.nan], [0.3, math.inf], ["x", 1], 0.3, "0.3"):
+    bad = (
+        (), (0.0, 0.0), [0.3, math.nan], [0.3, math.inf], ["x", 1], 0.3, "0.3",
+        [0.3, -math.inf], [0.3, 10**400], [0.3, Fraction(10**400)], [0.3, np.float32("inf")],
+        [True, 0.3],
+    )
+    for coeffs in bad:
         with pytest.raises(ParameterError) as err:
             ma_transform(coeffs)
         assert err.value.field == "ma_coeffs"

@@ -16,6 +16,7 @@ from blockscan.pipeline import (
     ExperimentSpec,
     approximate,
     estimate_quv,
+    one_step_approximation,
     simulate_distribution,
     two_step_approximation,
 )
@@ -294,6 +295,9 @@ def test_validate_config_rejects_what_the_run_would(tmp_path, capsys, updates):
           "m2": 1}, "source_cols"),
         # plotdata pairs the rows of two tables by threshold
         ({"thresholds": [6, 6, 8]}, "thresholds"),
+        # a 2-D transform under a one-row window, and a row scan whose block is empty
+        ({"transform": "minesweeper", "m2": 1}, "m2"),
+        ({"source_rows": 1, "m2": 1, "m1": 1}, "m1"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -375,6 +379,10 @@ _UNREADABLE_CONFIGS = {
             not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
         ),
     ),
+    # JSON, but not an object of keys
+    "array": b"[1, 2]",
+    "null": b"null",
+    "string": b'"run.json"',
 }
 
 
@@ -383,7 +391,7 @@ _UNREADABLE_CONFIGS = {
 )
 @pytest.mark.parametrize("command", ["validate-config", "approximate", "simulate"])
 def test_an_unreadable_config_exits_with_code_2_naming_the_file(tmp_path, capsys, command, content):
-    """Not UTF-8, nested past the stack, or an integer past Python's digit limit: no traceback."""
+    """Not UTF-8, nested past the stack, an integer past Python's digit limit or not an object."""
     path = tmp_path / "unreadable.json"
     path.write_bytes(content)
     argv = [command, "-c", str(path)]
@@ -629,6 +637,41 @@ def test_a_zero_half_width_is_noted_and_changes_no_value(tmp_path):
     assert values == plain_values
 
 
+def test_a_clamped_row_is_noted_and_changes_no_value(tmp_path):
+    config = RunConfig.from_file(_write_config(tmp_path))
+    # q32 a hair above q22, within the Monte Carlo slack: clamped to q22
+    rec = EstimateRecord(
+        n=5.0, q22=0.99, q23=0.985, q32=0.9901, q33=0.984,
+        b22=1e-4, b23=1e-4, b32=1e-4, b33=1e-4, iterations=100_000,
+    )
+    row = one_step_approximation(rec, 10)
+    assert row.clamped
+    paths = [str(tmp_path / name) for name in ("clamped.tsv", "plain.tsv")]
+    write_approx_table(paths[0], [row], config)
+    write_approx_table(paths[1], [dataclasses.replace(row, clamped=False)], config)
+    (noted, _, values), (plain, _, plain_values) = (read_table(path) for path in paths)
+    [note] = [line for line in noted if line.startswith("# row n=5:")]
+    assert note.endswith(" clamped") and "clamped" not in "".join(plain)
+    assert values == plain_values
+
+
+def test_a_ledger_past_the_float_range_is_written_as_inf(tmp_path, capsys):
+    """A half-width multiplier of 1e300 squares past the float range: the run still ends in 0."""
+    config_path = _write_config(tmp_path, **{**MA_CONFIG, "confidence_z": 1e300})
+    approx_out, plot_out = tmp_path / "approx.tsv", tmp_path / "plot.tsv"
+    assert main(["approximate", "-c", config_path, "-o", str(approx_out), "--raw"]) == 0
+    assert main(["plotdata", "--approx", str(approx_out), "-o", str(plot_out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, _, rows = read_table(str(approx_out))
+    _, _, bands = read_table(str(plot_out))
+    infinite = [i for i, row in enumerate(rows) if row["e_sapp"] == math.inf]
+    assert infinite
+    for i in infinite:
+        assert rows[i]["valid"] and rows[i]["e_total"] == math.inf
+        # an infinite budget is the band [0, 1]
+        assert (bands[i]["lower"], bands[i]["upper"]) == (0.0, 1.0)
+
+
 def test_simulate_subcommand(tmp_path):
     config_path = _write_config(tmp_path)
     out = tmp_path / "sim.tsv"
@@ -747,7 +790,9 @@ def test_plotdata_threshold_mismatch_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--approx", "--sim"])
-@pytest.mark.parametrize("table", ["no-columns", "wrong-columns", "non-numeric", "not-utf8"])
+@pytest.mark.parametrize(
+    "table", ["no-columns", "wrong-columns", "non-numeric", "not-utf8", "empty-cell"]
+)
 def test_plotdata_rejects_a_table_it_cannot_read(tmp_path, capsys, flag, table):
     config_path = _write_config(tmp_path)
     approx_out, sim_out = tmp_path / "approx.tsv", tmp_path / "sim.tsv"
@@ -766,7 +811,11 @@ def test_plotdata_rejects_a_table_it_cannot_read(tmp_path, capsys, flag, table):
     else:
         lines = good.read_text().splitlines()
         cells = lines[-1].split("\t")
-        cells[2 if flag == "--approx" else 1] = "abc"
+        if table == "non-numeric":
+            cells[2 if flag == "--approx" else 1] = "abc"
+        else:
+            # an empty e_total or sim cell: read_table takes it, plotdata has no band or point
+            cells[5 if flag == "--approx" else 1] = ""
         bad.write_text("\n".join(lines[:-1] + ["\t".join(cells)]) + "\n")
     tables = {"--approx": str(approx_out), "--sim": str(sim_out), flag: str(bad)}
     argv = ["plotdata", "--approx", tables["--approx"], "--sim", tables["--sim"]]

@@ -145,6 +145,7 @@ def test_poisson_chisquare_goodness_of_fit():
     assert result.pvalue > 0.001
 
 
+_NOT_FINITE = (10**400, Fraction(10**400), math.nan, math.inf, -math.inf, np.float32("inf"), True)
 # each build and the field its rejection names
 _INVALID = [
     (lambda: MarginalDistribution.bernoulli(-0.1), "p"),
@@ -169,6 +170,10 @@ _INVALID = [
     (lambda: MarginalDistribution.gaussian(math.inf, 1.0), "mean"),
     (lambda: MarginalDistribution.gaussian("0", 1.0), "mean"),
     (lambda: MarginalDistribution.gaussian(0.0, math.inf), "variance"),
+    # past the float range or not finite, whatever the type; a bool is no number
+    *[(lambda bad=bad: MarginalDistribution.bernoulli(bad), "p") for bad in _NOT_FINITE],
+    *[(lambda bad=bad: MarginalDistribution.gaussian(bad, 1.0), "mean") for bad in _NOT_FINITE],
+    *[(lambda bad=bad: MarginalDistribution.gaussian(0.0, bad), "variance") for bad in _NOT_FINITE],
 ]
 
 

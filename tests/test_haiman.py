@@ -86,6 +86,10 @@ def test_cubic_root_domain():
         solve_t2(0.0)
     with pytest.raises(ParameterError):
         solve_t2(0.2)
+    # the bound's constants take alpha in [0, ALPHA_MAX] only
+    for alpha in (0.2, -0.1):
+        with pytest.raises(ParameterError, match="alpha must be in"):
+            theorem1_constants(alpha)
 
 
 # --- constants --------------------------------------------------------------

@@ -165,7 +165,13 @@ def test_integer_window_sums_at_the_int64_edge_are_exact():
 @pytest.mark.parametrize(
     "field, value",
     [("confidence_z", 0.0), ("confidence_z", -1.0),
-     ("confidence_z", math.nan), ("confidence_z", math.inf), ("confidence_z", "2")],
+     ("confidence_z", math.nan), ("confidence_z", math.inf), ("confidence_z", "2"),
+     # past the float range or not finite, whatever the type; a bool is no number
+     pytest.param("confidence_z", -math.inf, id="confidence_z-minus-inf"),
+     pytest.param("confidence_z", 10**400, id="confidence_z-huge-int"),
+     pytest.param("confidence_z", Fraction(10**400), id="confidence_z-huge-fraction"),
+     pytest.param("confidence_z", np.float32("inf"), id="confidence_z-float32-inf"),
+     pytest.param("confidence_z", True, id="confidence_z-bool")],
 )
 def test_spec_rejects_bad_l_mode_and_confidence_z(field, value):
     with pytest.raises(ParameterError, match=field) as err:
@@ -178,7 +184,9 @@ def test_spec_rejects_bad_l_mode_and_confidence_z(field, value):
     # a repeated threshold would pair the rows of two tables ambiguously
     [("thresholds", (6.0, 7.0, 6.0)), ("thresholds", (7, 7.0)), ("thresholds", (6.0, math.nan)),
      ("thresholds", (math.inf,)), ("thresholds", (-math.inf,)), ("thresholds", (10**400,)),
-     ("thresholds", 5)],
+     ("thresholds", 5),
+     pytest.param("thresholds", (Fraction(10**400),), id="thresholds-huge-fraction"),
+     pytest.param("thresholds", (np.float32("inf"),), id="thresholds-float32-inf")],
 )
 def test_spec_rejects_bad_threads_and_thresholds(field, value):
     with pytest.raises(ParameterError, match=field) as err:
@@ -197,11 +205,39 @@ def test_spec_rejects_thresholds_that_are_not_numbers(value):
 
 
 def test_spec_takes_numpy_and_fraction_thresholds():
-    spec = dataclasses.replace(
-        _bernoulli_spec(), thresholds=(np.float64(6.5), np.int64(7), np.int8(8), Fraction(17, 2))
+    thresholds = (
+        np.float64(6.5), np.int64(7), np.int8(8), Fraction(17, 2), np.float32(9.5), np.float16(10.5)
     )
+    spec = dataclasses.replace(_bernoulli_spec(), thresholds=thresholds)
+    # stored as the floats they were checked as
+    assert all(type(n) is float for n in spec.thresholds)
     rows = simulate_distribution(spec, replicas=50)
-    assert [row.n for row in rows] == [6.5, 7.0, 8.0, 8.5]
+    assert [row.n for row in rows] == list(spec.thresholds) == [6.5, 7.0, 8.0, 8.5, 9.5, 10.5]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_spec_takes_numpy_floats_as_floats(dtype):
+    """A float32 or float16 value is checked as the float it converts to, with no overflow warning."""
+    spec = dataclasses.replace(
+        _ma_spec(),
+        distribution=MarginalDistribution.gaussian(dtype(0.5), dtype(2.0)),
+        transform=ma_transform([dtype(0.25), dtype(0.5)]),
+        thresholds=(dtype(9.0), dtype(11.5)),
+        confidence_z=dtype(2.0),
+    )
+    values = (spec.distribution.mean, spec.distribution.variance, *spec.thresholds)
+    assert [type(v) for v in (*values, spec.confidence_z)] == [float] * 5
+    assert values == (0.5, 2.0, 9.0, 11.5) and spec.confidence_z == 2.0
+    assert spec.transform.weights.tolist() == [[0.25, 0.5]]
+    assert MarginalDistribution.bernoulli(dtype(0.25)).p == 0.25
+    plain = dataclasses.replace(
+        _ma_spec(),
+        distribution=MarginalDistribution.gaussian(0.5, 2.0),
+        transform=ma_transform([0.25, 0.5]),
+        thresholds=(9.0, 11.5),
+        confidence_z=2.0,
+    )
+    assert estimate_quv(spec) == estimate_quv(plain)
 
 
 @pytest.mark.parametrize("field", ["source_cols", "source_rows", "m1", "m2", "iterations", "seed"])
@@ -219,6 +255,10 @@ def test_spec_takes_numpy_integer_sizes_as_ints():
     spec = _bernoulli_spec(cols=np.int64(12), iterations=np.int32(50), seed=np.int64(-1))
     assert type(spec.source_cols) is type(spec.iterations) is type(spec.seed) is int
     assert estimate_quv(spec) == estimate_quv(_bernoulli_spec(iterations=50, seed=-1))
+    # a uint64 seed past int64 is the int it holds
+    spec = _bernoulli_spec(iterations=50, seed=np.uint64(2**63))
+    assert type(spec.seed) is int and spec.seed == 2**63
+    assert estimate_quv(spec) == estimate_quv(_bernoulli_spec(iterations=50, seed=2**63))
 
 
 @pytest.mark.parametrize("field", ["replicas", "threads"])
@@ -389,6 +429,24 @@ def test_slack_errors_name_the_nested_pair():
         one_step_approximation(_record(q22=0.9, q32=0.99), 46)
     with pytest.raises(OrderingError, match="q33 <= q23"):
         two_step_approximation(_record(q33=0.999, q23=0.5), 10, 10)
+
+
+def test_a_ledger_term_past_the_float_range_is_inf():
+    """``**`` raises past the float range where ``*`` gives inf: the ledger reads inf instead."""
+    rec = _record(q22=0.999, q23=0.95, q32=0.95, q33=0.95)
+    for side in (10**110, 10**170):
+        row = two_step_approximation(rec, side, side)
+        assert row.valid and row.e_app == row.e_total == math.inf
+    row = one_step_approximation(_record(b22=1e200), 10)
+    assert row.valid and row.e_sapp == row.e_total == math.inf
+    # half-widths of z = 1e150 through the whole 2-D path
+    spec = dataclasses.replace(
+        _minesweeper_spec(cols=44, rows=44, thresholds=(31, 32, 33), iterations=4000),
+        distribution=MarginalDistribution.bernoulli(0.1),
+        confidence_z=1e150,
+    )
+    rows = approximate(spec)
+    assert any(row.valid and row.e_sapp == row.e_total == math.inf for row in rows)
 
 
 def test_monte_carlo_noise_clamps_to_consistency():
