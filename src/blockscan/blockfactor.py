@@ -95,8 +95,8 @@ class Buffers:
     cache line; any other name, or a take larger than its bytes, gets new
     bytes of its own.  ``taken`` records the most bytes taken per name.
     Contents are not kept: the next take of a name may overwrite what the
-    last one handed out.  ``scratch0`` and ``scratch1`` hold temporaries of
-    one kernel call only.  Not thread-safe: give each worker its own.  A
+    last one handed out.  ``scratch0`` holds temporaries of one kernel call
+    only.  Not thread-safe: give each worker its own.  A
     fresh ``Buffers()`` hands out fresh arrays.
     """
 

@@ -182,10 +182,11 @@ def _write_table(
     """
     lines = [f"# blockscan {command} v{__version__}"]
     if config is not None:
-        lines += [f"# rng = {STREAM_MAP}", f"# numpy = {np.__version__}"]
         spec = config.build_spec()
         layout = chunk_layout(spec, *call)
         unit = "pairs" if layout.fields == 2 else "fields"
+        names = [name for name in ("streams", unit, spec.distribution.kind) if name in STREAM_MAP]
+        lines += [f"# rng = {'; '.join(map(STREAM_MAP.get, names))}", f"# numpy = {np.__version__}"]
         lines.append(
             f"# chunks = {call[0]}: {unit}={layout.size} count={layout.count} "
             f"last={layout.last} mirrored={'yes' if spec.mirrored else 'no'} views={VIEWS}"

@@ -30,27 +30,29 @@ _PARAMETERS = {
     "poisson": ("mean",),
     "gaussian": ("mean", "variance"),
 }
-# how a call's chunk becomes draws, and its draws cells, as output tables
-# name it: a seed draws other tables under another map
-STREAM_MAP = (
-    "chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the UTF-8 text "
-    "'<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) of seed and "
-    "stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian words, "
-    "counter 1, 12 words skipped; each group of a chunk counts as R = V * P * M replicas, "
-    "V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; a chunks "
-    "line of pairs= makes field i of a chunk of h pairs a group with field i + h, of P = 4 "
-    "members x, y, u = c + (x + y - 2c) / sqrt 2 and v = c + (x - y) / sqrt 2, whose view j "
-    "is that of the views j of x and y; one of fields= makes each field a group of P = 1 "
-    "member x; replica R * i + M * (P * j + k) + m is view j of member k of group i, and its "
-    "mirror 2c - x if m = 1; view 0 is "
-    "the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in "
-    "(row, col) order, o_j the stable argsort of the first rows * cols words of the stream "
-    "of the text '<task>-view:<j>' (the same hash, seed and SFC64); chunk cells in "
-    "(row, col, field) order; "
-    "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
-    "little-endian bytes, then extra successes at geometric gaps; for p > 1/2 the same draw "
-    "at 2**53 - cut gives the failures"
-)
+# how a call's chunk becomes draws, and its draws cells, as output tables name it;
+# a table states the streams clause, its chunks line's unit's and its marginal's,
+# if any (``cli._write_table``), and a seed draws other tables under another map
+STREAM_MAP = {
+    "streams": "chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the UTF-8 "
+    "text '<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) of seed "
+    "and stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian words, "
+    "counter 1, 12 words skipped; each group of a chunk counts as R = V * P * M replicas, V "
+    "the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; replica R * i "
+    "+ M * (P * j + k) + m is view j of member k of group i, and its mirror 2c - x if m = 1; "
+    "view 0 is the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a "
+    "field in (row, col) order, o_j the stable argsort of the first rows * cols words of the "
+    "stream of the text '<task>-view:<j>' (the same hash, seed and SFC64)",
+    "pairs": "a chunks line of pairs= makes field i of member 0 and field i of member 1 of a "
+    "chunk a group of P = 4 members x, y, u = c + (x + y - 2c) / sqrt 2 and v = c + (x - y) "
+    "/ sqrt 2, whose view j is that of the views j of x and y; chunk cells in (member, row, "
+    "col, field) order",
+    "fields": "one of fields= makes each field a group of P = 1 member x; chunk cells in (row, "
+    "col, field) order",
+    "bernoulli": "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the "
+    "words' little-endian bytes, then extra successes at geometric gaps; for p > 1/2 the "
+    "same draw at 2**53 - cut gives the failures",
+}
 
 
 @dataclass(frozen=True)

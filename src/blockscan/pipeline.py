@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .blockfactor import BlockFactorTransform, Buffers, run_passes
 from .errors import GeometryError, OrderingError, ParameterError, check_integer, check_real
@@ -70,6 +71,9 @@ class ExperimentSpec:
     def __post_init__(self):
         for field in ("source_cols", "source_rows", "m1", "m2", "iterations", "seed"):
             object.__setattr__(self, field, check_integer(field, getattr(self, field)))
+            # the ledger counts blocks in floats, and float() of a side this long overflows
+            if field.startswith("source") and getattr(self, field) >= 2**1024 - 2**970:
+                raise GeometryError(f"{field} is past the float range", field=field)
         derived_rows, derived_cols = self.transform.derived_shape(self.source_rows, self.source_cols)
         if self.one_dimensional and self.source_rows != 1:
             # the row-scan path samples one row, so it would answer for one row only
@@ -83,15 +87,21 @@ class ExperimentSpec:
                 raise GeometryError("scan window does not fit in the derived field", field=side)
             if not self.one_dimensional and getattr(self, side) < 2:
                 raise GeometryError("two-dimensional scans require m1 >= 2 and m2 >= 2", field=side)
-        # integer weights keep the sums exact in int64; past it they would wrap
-        cell, weights = self.distribution.cell_bound, self.transform.weights
-        if cell is not None and np.issubdtype(weights.dtype, np.integer):
-            top = cell * int(np.abs(weights).sum()) * self.m1 * self.m2
-            if top > np.iinfo(np.int64).max:
-                raise ParameterError(
-                    f"window sums of {self.distribution.kind} cells can reach {top}, past int64",
-                    field="trials" if self.distribution.kind == "binomial" else "mean",
-                )
+        # window sums stay exact in int64 (integer cells under integer weights), else
+        # finite in float64: a Gaussian cell passes 40 standard deviations with
+        # probability below 1e-300, and a pair's rotated lanes reach twice as far
+        dist, weights = self.distribution, self.transform.weights
+        cell, exact = dist.cell_bound, np.issubdtype(weights.dtype, np.integer)
+        if cell is None:
+            cell, exact = 2.0 * (abs(dist.mean) + 40.0 * math.sqrt(dist.variance)), False
+        number, top = (int, np.iinfo(np.int64).max) if exact else (float, np.finfo(float).max)
+        window = number(cell) * number(self.m1) * number(self.m2)
+        if window * sum(abs(number(w)) for w in weights.flat) > top:
+            coeffs = self.transform.name == "ma" and window <= top
+            raise ParameterError(
+                f"window sums of {dist.kind} cells can pass {'int64' if exact else 'the float range'}",
+                field="ma_coeffs" if coeffs else "trials" if dist.kind == "binomial" else "mean",
+            )
         object.__setattr__(self, "confidence_z", check_real("confidence_z", self.confidence_z))
         if not self.confidence_z > 0.0:
             raise ParameterError(
@@ -382,11 +392,12 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     ``2c - x``, whose window sums are ``2cK - S``, ``K = weights.sum() * m1
     * m2``: it passes where the running minimum of the tile minima is ``>=
     2cK - n``.  Gaussian fields come in pairs where a chunk holds two or
-    more (``chunk_layout``), field ``i`` of ``g`` pairs with field ``i
-    + g``, and each view of a pair also counts as its rotations ``u = c +
-    (x - c + y - c) / sqrt 2`` and ``v = c + (x - y) / sqrt 2``: two passes
-    write ``S(x) + S(y)`` into the ``u`` lanes and ``S(x) - S(y)`` into the
-    ``v`` lanes of the slot the last window pass did not write, scored
+    more (``chunk_layout``), field ``i`` of member 0 with field ``i`` of
+    member 1, and each view of a pair also counts as its rotations ``u = c
+    + (x - c + y - c) / sqrt 2`` and ``v = c + (x - y) / sqrt 2``: two
+    passes, each one contiguous run over a member's lanes, write ``S(x) +
+    S(y)`` into member 0's lanes and ``S(x) - S(y)`` into member 1's of the
+    slot the last window pass did not write, scored
     like a view against ``2cK + sqrt 2 (n - cK)`` and ``sqrt 2 (n - cK)``,
     their mirrors against those limits reflected about ``2cK`` and 0.  A
     group counts as ``R`` replicas, in the order ``fields.STREAM_MAP``
@@ -397,10 +408,11 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     A chunk is about 512 KiB of drawn fields (``chunk_layout``), a budget
     in bytes of the marginal's dtype, so the chunk partition, and with it
     the stream, depends on the model only.  Each chunk is drawn in one
-    ``sample`` call into the ``drawn`` slot, a ``(rows, cols, fields)``
-    block that no pass writes.  Per view the plan takes the view's cells
-    into the ``source`` slot (view 0 reads ``drawn``), runs the kernels
-    over its replica-minor view ``(fields, rows, cols)``, so that the
+    ``sample`` call into the ``drawn`` slot, a ``(members, rows, cols,
+    fields)`` block that no pass writes, of 2 members where the fields are
+    paired, else 1.  Per view the plan takes the view's cells into the
+    ``source`` slot (view 0 reads ``drawn``), runs the kernels over its
+    replica-minor view ``(members, fields, rows, cols)``, so that the
     extrema and compares run over contiguous field vectors, and adds each
     score into the uint8 count of each field; views 2 and up run view 1's
     passes again after their own take.  A pair's two counts are added, and
@@ -412,8 +424,8 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     the free memory at its top exceeds twice the largest block it has
     mapped and freed, so separate temporaries freed as a call ends would
     be faulted in again by the next call.  The window sums write over
-    slots that are dead by then (``window_sums_batch``), so a chunk's
-    passes stay in L2 on the benchmark configs.
+    slots that are dead by then (``window_sums_batch``), so a block is
+    1.6-2.1 MB on the benchmark configs, about a core's 2 MiB of L2.
     """
     layout = chunk_layout(spec, task, total)
     threads = check_integer("threads", 1 if threads is None else threads, minimum=1)
@@ -433,21 +445,21 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
         """Take the ``drawn`` block of a chunk of ``count`` groups; append every pass after its draw.
 
-        Returns the ``(rows, cols, fields)`` block and the ``(2, grid_rows,
+        Returns the ``(members, rows, cols, count)`` block and the ``(2, grid_rows,
         grid_cols, thresholds)`` int64 tally the passes write: per tile and
         threshold, ``sum s`` and ``sum s**2`` over the groups, ``s`` the
         count of a group's replicas whose running maximum at the tile is
         ``<=`` its limit (a mirror's: whose running minimum is ``>=`` it).
         Every other array is taken from ``buffers``.
         """
-        cells, fields = rows * cols, pair * count
-        drawn = buffers.take("drawn", fields * cells, dist.dtype).reshape(rows, cols, fields)
-        source = buffers.take("source", fields * cells, dist.dtype).reshape(rows, cols, fields)
+        cells, shape = rows * cols, (pair, rows, cols, count)
+        drawn = buffers.take("drawn", pair * cells * count, dist.dtype).reshape(shape)
+        source = buffers.take("source", pair * cells * count, dist.dtype).reshape(shape)
         passes = None
         if pair == 2:
             # u lanes centre on 2cK, v lanes on 0; at c = 0 they share one limit
-            half = math.sqrt(2.0) * (thr[:, None] - ck)
-            centres = np.repeat([two_ck, 0.0], count) if two_ck else np.zeros(1)
+            half = math.sqrt(2.0) * (thr[:, None, None] - ck)
+            centres = np.array([[two_ck], [0.0]]) if two_ck else np.zeros((1, 1))
             rotated_bounds = [centres + half, centres - half]
 
         def score(sums: np.ndarray, limits: list) -> None:
@@ -456,21 +468,20 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
             for (reduce, compare), limit in zip(scores, limits):
                 # tile axes first, so every pass below runs over the fields
                 lead = np.moveaxis(
-                    tile_maxima(sums, *tile, reduce, buffers=buffers, ops=ops), 0, -1
+                    tile_maxima(sums, *tile, reduce, buffers=buffers, ops=ops), (-2, -1), (0, 1)
                 )
                 for i in range(1, lead.shape[0]):
                     ops.append((reduce, (lead[i], lead[i - 1]), {"out": lead[i]}))
                 for k in range(1, lead.shape[1]):
                     ops.append((reduce, (lead[:, k], lead[:, k - 1]), {"out": lead[:, k]}))
-                args = (lead[:, :, None, :], limit)
-                size = lead.shape[0] * lead.shape[1] * thr.size * fields
+                args = (lead[:, :, None], limit)
+                counts = (*lead.shape[:2], thr.size, pair, count)
                 if passes is None:
                     # replica 0 of each group: its 0 or 1 starts the counts
-                    passes = buffers.take("passes", size, np.uint8)
-                    passes = passes.reshape(*lead.shape[:2], thr.size, fields)
+                    passes = buffers.take("passes", math.prod(counts), np.uint8).reshape(counts)
                     ops.append((compare, args, {"out": passes.view(np.bool_)}))
                     continue
-                below = buffers.take("below", size, np.bool_).reshape(passes.shape)
+                below = buffers.take("below", passes.size, np.bool_).reshape(counts)
                 ops.append((compare, args, {"out": below}))
                 ops.append((np.add, (passes, below.view(np.uint8)), {"out": passes}))
 
@@ -479,8 +490,8 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
             if order is not None:
                 # 'clip' skips the bounds check for which 'raise' buffers the whole take
                 ops.append((
-                    np.take, (drawn.reshape(cells, fields), order),
-                    {"axis": 0, "out": source.reshape(cells, fields), "mode": "clip"},
+                    np.take, (drawn.reshape(pair, cells, count), order),
+                    {"axis": 1, "out": source.reshape(pair, cells, count), "mode": "clip"},
                 ))
                 block = source
             if j > 1:
@@ -489,16 +500,16 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
                 continue
             start = len(ops)
             sums = window_sums_batch(
-                np.moveaxis(block, -1, 0), spec.transform, spec.m1, spec.m2,
+                np.moveaxis(block, -1, 1), spec.transform, spec.m1, spec.m2,
                 buffers=buffers, ops=ops,
             )
             if j == 0:
-                limits = thr[:, None]
+                limits = thr[:, None, None]
                 if np.issubdtype(sums.dtype, np.integer):
                     # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
                     info = np.iinfo(sums.dtype)
                     floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
-                    limits = np.array(floors, dtype=sums.dtype)[:, None]
+                    limits = np.array(floors, dtype=sums.dtype)[:, None, None]
                 # Gaussian sums are float: the mirror passes where min S >= 2cK - n
                 bounds = [limits, two_ck - limits] if spec.mirrored else [limits]
             score(sums, bounds)
@@ -506,22 +517,19 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
                 # of the two slots the window passes write (``window_sums_batch``),
                 # the one that does not hold the sums is dead by now
                 dead = "blockfactor" if np.may_share_memory(sums, source) else "source"
-                # the items from the sums' first lane to their last
-                span = sum((n - 1) * st for n, st in zip(sums.shape, sums.strides)) // sums.itemsize
-                rotated = np.ndarray(
-                    sums.shape, sums.dtype, strides=sums.strides,
-                    buffer=buffers.take(dead, span + 1, sums.dtype),
-                )
-                halves = (sums[:count], sums[count:])
-                ops.append((np.add, halves, {"out": rotated[:count]}))
-                ops.append((np.subtract, halves, {"out": rotated[count:]}))
-                score(rotated, rotated_bounds)
+                # each member's lanes, from its first to its last, as one contiguous run
+                lanes = sum((n - 1) * st for n, st in zip(sums.shape[1:], sums.strides[1:]))
+                lanes, gap = lanes // sums.itemsize + 1, sums.strides[0] // sums.itemsize
+                x, y = (as_strided(half, (lanes,), (sums.itemsize,)) for half in sums)
+                out = buffers.take(dead, gap + lanes, sums.dtype)
+                ops.append((np.add, (x, y), {"out": out[:lanes]}))
+                ops.append((np.subtract, (x, y), {"out": out[gap:]}))
+                score(np.ndarray(sums.shape, sums.dtype, out, strides=sums.strides), rotated_bounds)
             repeated = ops[start:]
         if pair == 2:
             # a pair's count is the sum of its two fields' counts
-            halves = (passes[..., :count], passes[..., count:])
-            ops.append((np.add, halves, {"out": halves[0]}))
-            passes = halves[0]
+            ops.append((np.add, (passes[..., 0, :], passes[..., 1, :]), {"out": passes[..., 0, :]}))
+        passes = passes[..., 0, :]
         # s**2 <= R**2 fits uint8 up to R = 15; the last add has read ``below`` by now
         square = np.uint8 if group * group <= np.iinfo(np.uint8).max else np.uint16
         squares = buffers.take("below", passes.size, square).reshape(passes.shape)

@@ -5,10 +5,10 @@ the i.i.d. source, recorded by ``window_sums_batch`` on one flat 1-D layout
 of the whole stack: the transform's shifted adds, then the window sum,
 which is separable: width-``m1`` running sums along each row, then
 height-``m2`` running sums of those along each column.  Each running sum is
-built by doubling, adding shifted copies of blocks of width 1, 2, 4, ...
-and combining the blocks named by the set bits of ``m``, so a window of
-side ``m`` costs O(log m) array passes and no prefix sums.  Every pass is
-one contiguous array operation over the whole stack.  Integer sources under
+one chain over the bits of ``m``: a block doubles its width per bit and
+takes one more shifted cell where the bit is set, so a window of side
+``m`` costs O(log m) array passes, no copy and no prefix sums.  Every pass
+is one contiguous array operation over the whole stack.  Integer sources under
 integer weights sum exactly in the narrowest integer dtype that their dtype
 allows; everything else sums in float64, each result a short tree of terms.
 """
@@ -25,45 +25,33 @@ from .errors import GeometryError
 
 def _running_sums(
     x: np.ndarray, m: int, step: int, out: np.ndarray, buffers: Buffers, ops: list
-) -> None:
-    """Record into ``ops`` the passes writing ``sum(x[k + i * step] for i < m)`` to ``out[k]``.
+) -> np.ndarray:
+    """Record into ``ops`` the passes of ``sum(x[k + i * step] for i < m)``; return where they land.
 
-    ``block`` holds the width-``w`` running sums for ``w`` = 1, 2, 4, ...,
-    built by doubling in ``out.dtype`` in ``scratch0`` and ``scratch1`` of
-    ``buffers`` in turn; the block of each set bit of ``m`` is added in at
-    the offset the lower bits already cover.  Every pass is one contiguous
-    1-D ufunc.  The first piece stays a view until the second is added into
-    ``out``; it is copied there first only if its block is about to be
-    overwritten, and last if it is the only piece.
+    One chain over the bits of ``m`` below its top one, highest first,
+    starting from ``x``, a block of width ``w = 1``: each bit doubles the
+    block, ``block + block[w * step:]`` in ``out.dtype``, and a set bit
+    then adds ``x[2w * step:]`` into the doubled block in place.  So a
+    window of side ``m`` costs ``floor(log2 m) + popcount(m) - 1``
+    contiguous 1-D passes and no copy.  The doublings alternate between
+    ``out`` and the ``scratch0`` of ``buffers`` so that the last one lands
+    in ``out``: only ``m >= 4`` takes ``scratch0``.  ``out`` has room for
+    ``x.size`` lanes, and the result is its first ``x.size - (m - 1) *
+    step``, or ``x`` itself at ``m = 1``.
     """
-    n, dtype = out.size, out.dtype
-    # the pieces so far, the scratch index holding them and the one holding block
-    total = held = here = None
-    block, width, offset = x, 1, 0
-    while True:
-        if m & width:
-            piece = block[offset * step : offset * step + n]
-            if total is None:
-                total, held = piece, here
-            else:
-                ops.append((np.add, (total, piece), {"out": out, "dtype": dtype}))
-                total, held = out, None
-            offset += width
-        if 2 * width > m:
-            break
-        there = 1 if here == 0 else 0
-        if held == there:
-            ops.append((np.copyto, (out, total), {}))
-            total, held = out, None
+    block, width, dtype = x, 1, out.dtype
+    for bit in reversed(range(m.bit_length() - 1)):
         length = block.size - width * step
-        doubled = buffers.take(f"scratch{there}", length, dtype)
+        doubled = out[:length] if bit % 2 == 0 else buffers.take("scratch0", length, dtype)
         ops.append((
-            np.add, (block[:length], block[width * step : width * step + length]),
-            {"out": doubled, "dtype": dtype},
+            np.add, (block[:length], block[width * step :]), {"out": doubled, "dtype": dtype}
         ))
-        block, here, width = doubled, there, 2 * width
-    if total is not out:
-        ops.append((np.copyto, (out, total), {}))
+        block, width = doubled, 2 * width
+        if m >> bit & 1:
+            block = block[: length - step]
+            ops.append((np.add, (block, x[width * step :]), {"out": block, "dtype": dtype}))
+            width += 1
+    return block
 
 
 def window_sums_batch(
@@ -95,12 +83,13 @@ def window_sums_batch(
     the ``input`` array of ``buffers`` by a recorded ``np.copyto``.
 
     The passes, on the same ``R`` and ``C``: the transform's shifted adds
-    into ``blockfactor`` (weighted terms through ``scratch0``), width-``m1``
-    running sums along the rows into ``source``, and height-``m2`` running
-    sums of those along the columns back into ``blockfactor``, which the
-    row pass has read.  A side of 1 has no pass: each pass writes the one
-    of the two slots that it does not read, and the result is a strided
-    view of the last one written.  The slots are arrays of ``buffers``
+    into ``blockfactor`` (the first two unit terms in one add, weighted
+    terms through ``scratch0``), width-``m1`` running sums along the rows
+    into ``source``, and height-``m2`` running sums of those along the
+    columns back into ``blockfactor``, which the row pass has read (sides
+    of 4 and up double through ``scratch0`` too, ``_running_sums``).  A
+    side of 1 has no pass, and the result is a strided view of the slot
+    the last pass wrote.  The slots are arrays of ``buffers``
     (fresh without it), so the next call on the same ``buffers`` overwrites
     the result.  A caller may hold its source in the ``source`` array of
     ``buffers``: only the shifted adds read it, and they run before the
@@ -153,36 +142,36 @@ def window_sums_batch(
 
     length = span - (transform.c2 - 1) * row_step - (transform.c1 - 1) * col_step
     values = buffers.take("blockfactor", length, derived_dtype)
-    first = True
-    for s in range(transform.c2):
-        for t in range(transform.c1):
-            w = kernel[s, t]
-            if w == 0:
-                continue
-            start = s * row_step + t * col_step
-            view = flat[start : start + length]
-            if first:
-                if w == 1:
-                    passes.append((np.copyto, (values, view), {"casting": "unsafe"}))
-                else:
-                    passes.append((np.multiply, (view, w), {"out": values, "dtype": derived_dtype}))
-                first = False
-            elif w == 1:
-                passes.append((np.add, (values, view), {"out": values}))
-            else:
-                scratch = buffers.take("scratch0", length, derived_dtype)
-                passes.append((np.multiply, (view, w), {"out": scratch, "dtype": derived_dtype}))
-                passes.append((np.add, (values, scratch), {"out": values}))
-    if first:
+    terms = [
+        (flat[s * row_step + t * col_step :][:length], kernel[s, t])
+        for s in range(transform.c2)
+        for t in range(transform.c1)
+        if kernel[s, t] != 0
+    ]
+    if not terms:
         passes.append((values.fill, (0,), {}))
+    elif len(terms) > 1 and terms[0][1] == terms[1][1] == 1:
+        # the first two unit terms in one pass
+        both = (terms[0][0], terms.pop(1)[0])
+        passes.append((np.add, both, {"out": values, "dtype": derived_dtype}))
+    elif terms[0][1] == 1:
+        passes.append((np.copyto, (values, terms[0][0]), {"casting": "unsafe"}))
+    else:
+        passes.append((np.multiply, terms[0], {"out": values, "dtype": derived_dtype}))
+    for view, w in terms[1:]:
+        if w == 1:
+            passes.append((np.add, (values, view), {"out": values}))
+        else:
+            scratch = buffers.take("scratch0", length, derived_dtype)
+            passes.append((np.multiply, (view, w), {"out": scratch, "dtype": derived_dtype}))
+            passes.append((np.add, (values, scratch), {"out": values}))
 
     slot = "blockfactor"
     for m, step in ((m1, col_step), (m2, row_step)):
         if m > 1:
             slot = "source" if slot == "blockfactor" else "blockfactor"
-            sums = buffers.take(slot, values.size - (m - 1) * step, dtype)
-            _running_sums(values, m, step, sums, buffers, passes)
-            values = sums
+            out = buffers.take(slot, values.size, dtype)
+            values = _running_sums(values, m, step, out, buffers, passes)
     if ops is None:
         run_passes(passes)
     strides = [step * values.itemsize for step in steps]

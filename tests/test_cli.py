@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +230,11 @@ def _wrong_types():
         pytest.param(BASE_CONFIG, {"mean": 3.0}, "mean", id="stray-mean"),
         pytest.param(BASE_CONFIG, {"trials": 7}, "trials", id="stray-trials"),
         pytest.param(BASE_CONFIG, {"ma_coeffs": [0.3]}, "ma_coeffs", id="unused-coeffs"),
+        # window sums that could pass the float range, and a side past it
+        pytest.param(MA_CONFIG, {"ma_coeffs": [1e308, 1e308]}, "ma_coeffs", id="huge-coeffs"),
+        pytest.param(MA_CONFIG, {"mean": 1.7e308}, "mean", id="huge-mean"),
+        pytest.param(BASE_CONFIG, {"source_cols": 10**400}, "source_cols", id="huge-cols"),
+        pytest.param(BASE_CONFIG, {"source_rows": 10**400}, "source_rows", id="huge-rows"),
         *_wrong_types(),
     ],
 )
@@ -445,6 +452,7 @@ def test_approximate_round_trip(tmp_path):
 
 @pytest.mark.parametrize("command", ["approximate", "simulate"])
 def test_header_names_the_stream_map_and_numpy(tmp_path, command):
+    """A Bernoulli table states the map of its fields and its cells, and no clause of pairs."""
     out = tmp_path / "table.tsv"
     assert main([command, "-c", _write_config(tmp_path), "-o", str(out)]) == 0
     metadata, _, _ = read_table(str(out))
@@ -454,20 +462,47 @@ def test_header_names_the_stream_map_and_numpy(tmp_path, command):
         "of seed and stream, each mod 2**64 as 8 little-endian bytes, read as 3 little-endian "
         "words, counter 1, 12 words skipped; each group of a chunk counts as R = V * P * M "
         "replicas, V the views of the chunks line, M = 2 for Gaussian cells of mean c, else 1; "
-        "a chunks line of pairs= makes field i of a chunk of h pairs a group with field i + h, "
-        "of P = 4 members x, y, u = c + (x + y - 2c) / sqrt 2 and v = c + (x - y) / sqrt 2, "
-        "whose view j is that of the views j of x and y; one of fields= makes each field a "
-        "group of P = 1 member x; replica R * i + M * (P * j + k) + m is view j of member k of "
-        "group i, and its mirror 2c - x if m = 1; view 0 is "
-        "the field, and cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in "
-        "(row, col) order, o_j the stable argsort of the first rows * cols words of the stream "
-        "of the text '<task>-view:<j>' (the same hash, seed and SFC64); "
-        "chunk cells in (row, col, field) order; Bernoulli cells byte < top = cut >> 45, "
-        "cut = ceil(p * 2**53), over the words' little-endian bytes, then extra successes at "
-        "geometric gaps; for p > 1/2 the same draw "
-        "at 2**53 - cut gives the failures",
+        "replica R * i + M * (P * j + k) + m is view j of member k of group i, and its mirror "
+        "2c - x if m = 1; view 0 is the field, and cell t of view j >= 1 is cell o_j[t] of the "
+        "field, cells of a field in (row, col) order, o_j the stable argsort of the first rows "
+        "* cols words of the stream of the text '<task>-view:<j>' (the same hash, seed and "
+        "SFC64); one of fields= makes each field a group of P = 1 member x; chunk cells in "
+        "(row, col, field) order; Bernoulli cells byte < top = cut >> 45, cut = ceil(p * "
+        "2**53), over the words' little-endian bytes, then extra successes at geometric gaps; "
+        "for p > 1/2 the same draw at 2**53 - cut gives the failures",
         f"# numpy = {np.__version__}",
     ]
+
+
+@pytest.mark.parametrize(
+    "updates, paired",
+    [
+        ({}, False),
+        ({"distribution": "binomial", "trials": 3}, False),
+        ({"distribution": "gaussian", "p": None, "mean": 0.5, "variance": 2.0}, True),
+        # one 20000-column Gaussian field fills a chunk: unpaired
+        (
+            {"distribution": "gaussian", "p": None, "mean": 0.0, "variance": 1.0,
+             "transform": "ma", "ma_coeffs": [0.3, 0.1, 0.5], "source_cols": 200_000,
+             "source_rows": 1, "m1": 20, "m2": 1},
+            False,
+        ),
+    ],
+    ids=["bernoulli", "binomial", "gaussian-pairs", "gaussian-fields"],
+)
+def test_the_rng_line_states_the_clauses_its_model_reads(tmp_path, updates, paired):
+    """Only Bernoulli tables name the byte draw; only a chunk of pairs names the pairs' cells."""
+    out = tmp_path / "table.tsv"
+    config = _write_config(tmp_path, **updates)
+    assert main(["simulate", "-c", config, "--replicas", "8", "-o", str(out)]) == 0
+    header = dict(line[2:].split(" = ", 1) for line in read_table(str(out))[0] if " = " in line)
+    assert header["chunks"].startswith("sim: pairs=" if paired else "sim: fields=")
+    rng_map = header["rng"]
+    assert ("Bernoulli cells" in rng_map) == (updates.get("distribution") is None)
+    assert ("a chunks line of pairs=" in rng_map) == paired
+    assert ("one of fields=" in rng_map) == (not paired)
+    assert ("chunk cells in (member, row, col, field) order" in rng_map) == paired
+    assert ("chunk cells in (row, col, field) order" in rng_map) == (not paired)
 
 
 def test_the_header_alone_redraws_the_row_notes(tmp_path):
@@ -509,19 +544,26 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
             "8 little-endian bytes, read as 3 little-endian words, counter 1, 12 words skipped",
             "each group of a chunk counts as R = V * P * M replicas, V the views of the chunks "
             "line, M = 2 for Gaussian cells of mean c, else 1",
-            "a chunks line of pairs= makes field i of a chunk of h pairs a group with field "
-            "i + h, of P = 4 members x, y, u = c + (x + y - 2c) / sqrt 2 and v = c + (x - y) / "
-            "sqrt 2, whose view j is that of the views j of x and y",
             "replica R * i + M * (P * j + k) + m is view j of member k of group i, and its "
             "mirror 2c - x if m = 1",
             "cell t of view j >= 1 is cell o_j[t] of the field, cells of a field in (row, col) "
             "order, o_j the stable argsort of the first rows * cols words of the stream of the "
             "text '<task>-view:<j>' (the same hash, seed and SFC64)",
-            "chunk cells in (row, col, field) order",
-            "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
-            "little-endian bytes",
         ):
             assert step in rng_map
+        if mirrored:
+            assert (
+                "a chunks line of pairs= makes field i of member 0 and field i of member 1 of a "
+                "chunk a group of P = 4 members x, y, u = c + (x + y - 2c) / sqrt 2 and v = c + "
+                "(x - y) / sqrt 2, whose view j is that of the views j of x and y" in rng_map
+            )
+            assert "chunk cells in (member, row, col, field) order" in rng_map
+        else:
+            assert "chunk cells in (row, col, field) order" in rng_map
+            assert (
+                "Bernoulli cells byte < top = cut >> 45, cut = ceil(p * 2**53), over the words' "
+                "little-endian bytes" in rng_map
+            )
         task, layout = header["chunks"].split(": ")
         layout = dict(item.split("=") for item in layout.split())
         assert task == "quv" and layout["count"] == "1"
@@ -554,7 +596,9 @@ def test_the_header_alone_redraws_the_row_notes(tmp_path):
         sfc = stream(f"{task}:0")
         if mirrored:
             mean, sd = float(header["mean"]), math.sqrt(float(header["variance"]))
-            fields = np.random.Generator(sfc).normal(mean, sd, (rows, cols, drawn))
+            # member 0 holds field i of each pair, member 1 its field i + groups
+            pairs = np.random.Generator(sfc).normal(mean, sd, (2, rows, cols, groups))
+            fields = np.moveaxis(pairs, 0, 2).reshape(rows, cols, drawn)
         else:
             top = math.ceil(float(header["p"]) * 2**53) >> 45
             assert top == 128
@@ -934,6 +978,30 @@ def test_one_spec_is_built_per_command(tmp_path, monkeypatch):
     config = _write_config(tmp_path)
     assert main(["approximate", "-c", config, "-o", str(tmp_path / "approx.tsv")]) == 0
     assert len(built) == 1
+
+
+def test_the_benchmark_configs_validate(tmp_path, monkeypatch):
+    """The benchmark's workloads pass ``validate-config``: no range check rejects them."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, workloads)  # its dataclasses look it up
+    loader.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        config = tmp_path / f"{workload.name}.json"
+        config.write_text(json.dumps(workload.flat_config(workload.default_seed, workload.size)))
+        assert main(["validate-config", "-c", str(config)]) == 0
+
+
+def test_a_lattice_side_at_1e300_keeps_its_row(tmp_path):
+    """Bernoulli(0) minesweeper cells never pass: at 10**300 columns the row reads 1, valid."""
+    config = _write_config(
+        tmp_path, **{**MINESWEEPER_CONFIG, "p": 0.0, "source_cols": 10**300, "thresholds": [1]}
+    )
+    out = tmp_path / "approx.tsv"
+    assert main(["approximate", "-c", config, "-o", str(out), "--iterations", "40", "--raw"]) == 0
+    [row] = read_table(str(out))[2]
+    assert row["approx"] == 1.0 and row["valid"]
 
 
 def test_a_lattice_past_the_float_range_of_the_approximant_runs(tmp_path):

@@ -150,8 +150,9 @@ def test_rotated_replicas_tally_like_the_orbits_of_their_pairs(name, monkeypatch
 
     A request of 2001 replicas (401 of one-field groups) draws ``ceil(N /
     R)`` groups.  The oracle follows ``fields.STREAM_MAP``: it draws chunk
-    ``k`` again from its stream, the groups in chunks of 3 pairs, field
-    ``i`` of a chunk of ``h`` pairs paired with field ``i + h``, permutes
+    ``k`` again from its stream, the groups in chunks of 3 pairs, its cells
+    in (member, row, col, field) order, field ``i`` of member 0 paired with
+    field ``i`` of member 1, permutes
     the fields into their views (``oracles.view_orders``), sums each
     window of each view site by site (``oracles.brute_window_sums``) and
     scores each view of a pair as ``x``, ``y`` and their rotations ``u``
@@ -186,10 +187,12 @@ def test_rotated_replicas_tally_like_the_orbits_of_their_pairs(name, monkeypatch
     thr = np.array(spec.thresholds)
     expected = np.zeros((2, len(extents), thr.size), dtype=np.int64)
     for k, start in enumerate(range(0, groups, size)):
-        fields = (2 if paired else 1) * min(size, groups - start)
+        members, h = (2 if paired else 1), min(size, groups - start)
         rng = SeedSpec.for_chunk(spec.seed, task, k).generator()
-        block = rng.normal(dist.mean, math.sqrt(dist.variance), (rows, cols, fields))
-        flat = block.reshape(rows * cols, fields)
+        drawn = rng.normal(dist.mean, math.sqrt(dist.variance), (members, rows, cols, h))
+        # fields member by member: field i of member 1 becomes field i + h
+        block = np.moveaxis(drawn, 0, 2).reshape(rows, cols, members * h)
+        flat = block.reshape(rows * cols, members * h)
         replicas = []
         for view in [block] + [flat[order].reshape(block.shape) for order in orders]:
             sums = brute_window_sums(np.moveaxis(view, -1, 0), spec.transform, spec.m1, spec.m2)
@@ -467,7 +470,8 @@ def test_every_view_is_a_permutation_of_its_drawn_field(monkeypatch):
             if fn is np.take:
                 drawn, order = args
                 out = kwargs["out"]
-                assert np.array_equal(np.sort(out, axis=0), np.sort(drawn, axis=0))
+                # (member, cell, field): each member's fields are permuted on their own
+                assert np.array_equal(np.sort(out, axis=1), np.sort(drawn, axis=1))
                 assert not np.array_equal(out, drawn)
                 taken.append(order)
 

@@ -144,6 +144,47 @@ def test_integer_window_sums_must_fit_int64(distribution, transform, m, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize(
+    "coeffs, mean, field",
+    [
+        # 2 (|mean| + 40 sd) m1 times sum|w| = 2e308: the weights pass the range
+        ([1e308, 1e308], 0.0, "ma_coeffs"),
+        # the marginal alone: 2 (|mean| + 40 sd) passes it
+        ([0.3, 0.1, 0.5], 1.7e308, "mean"),
+    ],
+    ids=["coeffs", "mean"],
+)
+def test_gaussian_window_sums_must_stay_in_the_float_range(coeffs, mean, field):
+    """A model whose float sums, or a pair's rotated lanes, could overflow is rejected up front."""
+    with pytest.raises(ParameterError) as err:
+        ExperimentSpec(
+            source_cols=1002,
+            source_rows=1,
+            m1=20,
+            m2=1,
+            distribution=MarginalDistribution.gaussian(mean, 1.0),
+            transform=ma_transform(coeffs),
+            thresholds=(5.0,),
+        )
+    assert err.value.field == field
+
+
+def test_gaussian_window_sums_near_the_float_range_are_accepted():
+    """2 (1e306 + 40) times 20 cells times sum|w| = 0.9 is about 3.6e307: in range."""
+    spec = dataclasses.replace(_ma_spec(), distribution=MarginalDistribution.gaussian(1e306, 1.0))
+    assert spec.distribution.mean == 1e306
+
+
+@pytest.mark.parametrize("side", ["source_cols", "source_rows"])
+def test_a_lattice_side_past_the_float_range_is_rejected(side):
+    """The ledger counts blocks in floats: a side ``float()`` cannot hold is a ``GeometryError``."""
+    spec = dataclasses.replace(_minesweeper_spec(), **{side: 10**300})
+    assert getattr(spec, side) == 10**300
+    with pytest.raises(GeometryError) as err:
+        dataclasses.replace(spec, **{side: 10**400})
+    assert err.value.field == side
+
+
 def test_integer_window_sums_at_the_int64_edge_are_exact():
     """The largest accepted trials give window sums that reach int64 max without wrapping."""
     trials = (2**63 - 1) // 4
@@ -849,8 +890,8 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     The oracle draws every chunk again from its stream, permutes each field
     into its views (``oracles.view_orders``) and takes each view's window
     sums with fresh buffers.  Over Gaussian cells (``quv-1d``,
-    ``quv-2d-gaussian``) it pairs field ``i`` of a chunk of ``h`` pairs with
-    field ``i + h`` and scores each view of a pair as its rotations and
+    ``quv-2d-gaussian``) it pairs field ``i`` of member 0 of a chunk with
+    field ``i`` of member 1 and scores each view of a pair as its rotations and
     their mirrors (``oracles.view_replicas``).  It groups the replicas as
     ``fields.STREAM_MAP`` states, and recounts ``sum s`` and ``sum s**2``;
     a request of 20001 replicas tallies every replica of its last group,
@@ -908,10 +949,11 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
     expected = np.zeros((2, len(extents), thr.size), dtype=np.int64)
     for k, size in enumerate(drawn):
         rng = SeedSpec.for_chunk(spec.seed, task, k).generator()
-        block = spec.distribution.sample(rng, size)
+        # (member, row, col, field) cells as (row, col, field), member 1's fields after member 0's
+        block = np.moveaxis(spec.distribution.sample(rng, size), 0, 2).reshape(rows, cols, -1)
         flat = block.reshape(rows * cols, -1)
         passed = []
-        for view in [block] + [flat[order].reshape(size) for order in orders]:
+        for view in [block] + [flat[order].reshape(block.shape) for order in orders]:
             sums = pipeline.window_sums_batch(
                 np.moveaxis(view, -1, 0), spec.transform, spec.m1, spec.m2
             )
@@ -919,12 +961,10 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         expected += np.array(group_tallies(grouped_replicas(passed), len(passed)))
     # one draw per chunk: of groups of one field, four replicas each, or of
     # pairs of Gaussian fields, 32 each; full chunks, then the rest
-    chunk = {"quv-2d": 3640, "quv-1d": 1040, "quv-2d-gaussian": 454, "simulate": 2880}[shape]
+    chunk = {"quv-2d": 3640, "quv-1d": 520, "quv-2d-gaussian": 227, "simulate": 2880}[shape]
     group, pair = (32, 2) if paired else (4, 1)
     groups = -(-total // group)
-    assert drawn == [(rows, cols, n) for n in (
-        [chunk] * (pair * groups // chunk) + [pair * groups % chunk]
-    )]
+    assert drawn == [(pair, rows, cols, n) for n in [chunk] * (groups // chunk) + [groups % chunk]]
     assert len(drawn) >= 2
     assert tallied == {group * groups} == {20_032 if paired else 20_004}
     # at least three thresholds per extent split the replicas
@@ -1056,12 +1096,12 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     sizes = [3640] * 3 + [1800]
     assert [out.shape[-1] for out in results["sampled"]] == sizes
     # the kernels run only while a plan records, for views 0 and 1 (views 2
-    # and 3 run view 1's passes again), each result fields-first: once at a
+    # and 3 run view 1's passes again), each result (members, fields, ...): once at a
     # full chunk on fresh arrays to lay out the block, then on the worker's
     # block for the full chunks and for the last
     recordings = (3640, 3640, 1800)
     for layer in ("sums", "scan.tiles"):
-        assert [len(out) for out in results[layer]] == [n for n in recordings for _ in range(2)]
+        assert [out.shape[1] for out in results[layer]] == [n for n in recordings for _ in range(2)]
     # view 1's score compares into one flat bool per extent (4), threshold
     # (2) and field, whose slot then holds the squared counts; the counts
     # are one such uint8
@@ -1107,7 +1147,7 @@ def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
             ops = kwargs["ops"]
             before = len(ops)
             out = fn(source, *args, **kwargs)
-            recorded.append((name, len(source), ops))
+            recorded.append((name, source.shape[1], ops))
             assert len(ops) > before
             return out
 
@@ -1149,13 +1189,13 @@ _BENCHMARK_CALLS = {
     ),
     "sim-sparse": lambda: simulate_distribution(_SPARSE, replicas=1200),
 }
-# 3x3 minesweeper: the first of its 8 unit weights copied, 7 added; 3x3
-# windows: a width-2 doubling and one add per side
-_MINESWEEPER_SUMS = ["copyto"] + ["add"] * 7 + ["add", "add"] * 2
+# 3x3 minesweeper: the first two of its 8 unit weights added in one pass,
+# 6 more added; 3x3 windows: a doubling to 2 and one add of the source per side
+_MINESWEEPER_SUMS = ["add"] * 7 + ["add", "add"] * 2
 # 3 weighted terms, each but the first through a scratch multiply; a
-# width-20 row pass: doublings to 4 and 8, the 4-block copied out before
-# the doubling to 16 overwrites it, then 16 added
-_MA_SUMS = ["multiply", "multiply", "add", "multiply", "add"] + ["add"] * 3 + ["copyto", "add", "add"]
+# width-20 row pass, 20 = 0b10100: doublings to 2 and 4, the source added
+# (5), doublings to 10 and 20
+_MA_SUMS = ["multiply", "multiply", "add", "multiply", "add"] + ["add"] * 5
 # one row of 1 x 2 tiles: maxima over the tile, running maxima, one compare;
 # Gaussian cells: the mirror's minima, running minima and compare
 _MA_SCORES = ["maximum.reduce", "maximum", "less_equal"]
@@ -1181,6 +1221,27 @@ _BENCHMARK_PLANS = {
     "sim-sparse": _MINESWEEPER_SUMS + _SIM_SCORES
     + (["take"] + _MINESWEEPER_SUMS + _SIM_SCORES + ["add"]) * 3 + _TALLY,
 }
+
+
+# the integer tallies of the quv-sparse and sim-sparse calls, per threshold
+# 31, 32 and 33: sum s and sum s**2 of Q22, Q23, Q32 and Q33, or of the
+# simulated point; a change to the kernel that moves any of them redraws
+# the integer tables
+_BENCHMARK_TALLIES = {
+    "quv-sparse": [
+        ((15986, 15975, 15969, 15944), (63902, 63825, 63785, 63614)),
+        ((15991, 15985, 15980, 15967), (63937, 63895, 63862, 63775)),
+        ((15996, 15993, 15991, 15984), (63972, 63951, 63939, 63892)),
+    ],
+    "sim-sparse": [(1090, 4084), (1137, 4385), (1165, 4563)],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_BENCHMARK_TALLIES))
+def test_each_integer_benchmark_call_keeps_its_pinned_tallies(workload):
+    """The ``# row`` tallies of the Bernoulli benchmark configs, to the last count."""
+    rows = _BENCHMARK_CALLS[workload]()
+    assert [(row.sums, row.squares) for row in rows] == _BENCHMARK_TALLIES[workload]
 
 
 @pytest.mark.parametrize("workload", sorted(_BENCHMARK_CALLS))
@@ -1223,7 +1284,7 @@ def test_the_kernels_read_each_drawn_chunk_in_place(spec, monkeypatch):
     kernel = pipeline.window_sums_batch
 
     def recording(source, *args, **kwargs):
-        steps.append(source.strides[0] / source.itemsize)
+        steps.append(source.strides[1] / source.itemsize)
         return kernel(source, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "window_sums_batch", recording)
@@ -1299,21 +1360,23 @@ def test_a_worker_block_stays_small(spec, simulate, mib, monkeypatch):
 
 # bytes per slot of a worker's block: a full chunk's drawn fields, the
 # source one view of them is taken into, its block factor and window sums,
-# the doubling scratch, the tile maxima (and on quv-ma, in turn, minima),
-# the per-field counts of passing replicas and one compare, whose slot then
-# holds the counts' squares; the row pass writes over the source and the
-# column pass over the block factor, so neither has bytes of its own
+# the scratch (on quv-ma the weighted terms and the doublings; on the 3x3
+# windows of the others only the tile maxima's band), the tile maxima (and
+# on quv-ma, in turn, minima), the per-field counts of passing replicas and
+# one compare, whose slot then holds the counts' squares; the row pass
+# writes over the source and the column pass over the block factor, so
+# neither has bytes of its own
 _BENCHMARK_LAYOUTS = {
     "quv-sparse": {
-        "drawn": 524160, "source": 524160, "blockfactor": 429520, "scratch0": 425880,
+        "drawn": 524160, "source": 524160, "blockfactor": 429520, "scratch0": 58240,
         "scan.tiles": 14560, "passes": 43680, "below": 43680,
     },
     "quv-ma": {
-        "drawn": 524160, "source": 524160, "blockfactor": 507520, "scratch0": 507520,
-        "scratch1": 482560, "scan.tiles": 16640, "passes": 6240, "below": 6240,
+        "drawn": 524160, "source": 524160, "blockfactor": 515840, "scratch0": 515840,
+        "scan.tiles": 16640, "passes": 6240, "below": 6240,
     },
     "sim-sparse": {
-        "drawn": 522720, "source": 522720, "blockfactor": 498420, "scratch0": 498150,
+        "drawn": 522720, "source": 522720, "blockfactor": 498420, "scratch0": 10800,
         "scan.tiles": 270, "passes": 810, "below": 810,
     },
 }

@@ -9,14 +9,44 @@ from blockscan.blockfactor import (
     identity_transform,
     ma_transform,
     minesweeper_transform,
+    narrow_int,
+    run_passes,
 )
 from blockscan.errors import GeometryError
-from blockscan.scan import tile_maxima, window_sums_batch
+from blockscan.scan import _running_sums, tile_maxima, window_sums_batch
 
 from oracles import brute_moving_sums, brute_scan_statistic, per_site_block_factor
 
 # sums of a plain field: its identity block factor is the field itself
 IDENTITY = identity_transform()
+
+
+@pytest.mark.parametrize("step", [1, 9], ids=["column", "row"])
+def test_running_sums_chain_the_bits_of_m(step):
+    """Every side 1..70 sums like a brute moving sum, in ``floor(log2 m) + popcount(m) - 1`` adds.
+
+    The cells are int8 at its bounds: a run of 127, a mix of both and a run
+    of -128, so that the sums reach ``m`` times either bound in
+    ``narrow_int(int8, m)``, and they are exact there.  No pass copies, the
+    result is the head of ``out`` (``x`` itself at ``m = 1``), and only ``m
+    >= 4`` takes a scratch slot.
+    """
+    rng = np.random.default_rng(70)
+    mixed = rng.choice(np.array([-128, 127], dtype=np.int8), 10 * step + 3)
+    x = np.concatenate([np.full(70 * step, 127, np.int8), mixed, np.full(70 * step, -128, np.int8)])
+    size = x.size
+    for m in range(1, 71):
+        dtype, n = narrow_int(np.int8, m), size - (m - 1) * step
+        buffers, ops, out = Buffers(), [], np.empty(size, narrow_int(np.int8, m))
+        result = _running_sums(x, m, step, out, buffers, ops)
+        assert len(ops) == m.bit_length() - 1 + bin(m).count("1") - 1
+        assert all(fn is np.add for fn, _, _ in ops)
+        assert ("scratch0" in buffers.taken) == (m >= 4)
+        run_passes(ops)
+        brute = sum(x[i * step : i * step + n].astype(np.int64) for i in range(m))
+        assert result.size == n and np.array_equal(result, brute), m
+        assert result is x if m == 1 else (result.dtype == dtype and np.shares_memory(result, out))
+        assert brute.min() == -128 * m and brute.max() == 127 * m
 
 
 def test_constant_field_sums():
@@ -276,10 +306,10 @@ def test_tile_maxima_match_per_tile_maxima():
 def test_kernels_reusing_buffers_equal_fresh_arrays():
     """One ``Buffers`` through many calls: no call reads what an earlier one left behind.
 
-    Window sides 1 to 20 take every path of the doubling: one set bit
-    (powers of two, copied out at the end), adjacent set bits, and set bits
-    far enough apart (18, 20) that the first piece must leave its block
-    before that block is overwritten.
+    Window sides 1 to 20 take every path of the bit chain: powers of two
+    (doublings only), adjacent set bits, set bits far apart (17, 20), and
+    from 4 on doublings that alternate between the output and the scratch
+    slot, which the block factor's weighted terms also write.
     """
     rng = np.random.default_rng(31)
     buffers = Buffers()
