@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .blockfactor import catalog_transform
 from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError, check_integer
-from .fields import STREAM_MAP, MarginalDistribution
+from .fields import MarginalDistribution, stream_map
 from .pipeline import (
     DEFAULT_REPLICAS,
     VIEWS,
@@ -185,8 +185,8 @@ def _write_table(
         spec = config.build_spec()
         layout = chunk_layout(spec, *call)
         unit = "pairs" if layout.fields == 2 else "fields"
-        names = [name for name in ("streams", unit, spec.distribution.kind) if name in STREAM_MAP]
-        lines += [f"# rng = {'; '.join(map(STREAM_MAP.get, names))}", f"# numpy = {np.__version__}"]
+        rng_map = stream_map(spec.distribution.kind, layout.fields == 2)
+        lines += [f"# rng = {rng_map}", f"# numpy = {np.__version__}"]
         lines.append(
             f"# chunks = {call[0]}: {unit}={layout.size} count={layout.count} "
             f"last={layout.last} mirrored={'yes' if spec.mirrored else 'no'} views={VIEWS}"

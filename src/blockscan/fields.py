@@ -30,9 +30,8 @@ _PARAMETERS = {
     "poisson": ("mean",),
     "gaussian": ("mean", "variance"),
 }
-# how a call's chunk becomes draws, and its draws cells, as output tables name it;
-# a table states the streams clause, its chunks line's unit's and its marginal's,
-# if any (``cli._write_table``), and a seed draws other tables under another map
+# how a call's chunk becomes draws, and its draws cells, as output tables name it,
+# by the clauses each model reads (``stream_map``): a seed draws other tables under another map
 STREAM_MAP = {
     "streams": "chunk k (from 0) of a <task> call: stream = BLAKE2b (digest_size=8) of the UTF-8 "
     "text '<task>:<k>', read little-endian; SFC64 a, b, c = BLAKE2b (digest_size=24) of seed "
@@ -53,6 +52,12 @@ STREAM_MAP = {
     "words' little-endian bytes, then extra successes at geometric gaps; for p > 1/2 the "
     "same draw at 2**53 - cut gives the failures",
 }
+
+
+def stream_map(kind: str, paired: bool) -> str:
+    """A table's ``# rng`` text: the ``STREAM_MAP`` clauses its chunks and cells read."""
+    names = ["streams", "pairs" if paired else "fields"] + ["bernoulli"] * (kind == "bernoulli")
+    return "; ".join(STREAM_MAP[name] for name in names)
 
 
 @dataclass(frozen=True)
@@ -220,9 +225,10 @@ class MarginalDistribution:
         probability below ``2**-64``: Bernstein's inequality for the Poisson
         law bounds ``P(X >= mean + t)`` by ``exp(-t**2 / (2 * (mean + t / 3)))``,
         and ``t = 15 + sqrt(225 + 90 * mean)`` makes that ``exp(-45) < 2**-64``.
-        Its one reader is ``ExperimentSpec``, which rejects a model whose
-        integer window sums could pass int64; the kernel sizes its sums by
-        the dtype alone.
+        Its one reader is ``ExperimentSpec``, which bounds window sums by
+        int64 under integer weights and by the float range otherwise (a
+        Gaussian cell, ``None`` here, by 40 standard deviations); the kernel
+        sizes its sums by the dtype alone.
         """
         if self.kind == "bernoulli":
             return 1

@@ -71,9 +71,12 @@ class ExperimentSpec:
     def __post_init__(self):
         for field in ("source_cols", "source_rows", "m1", "m2", "iterations", "seed"):
             object.__setattr__(self, field, check_integer(field, getattr(self, field)))
-            # the ledger counts blocks in floats, and float() of a side this long overflows
-            if field.startswith("source") and getattr(self, field) >= 2**1024 - 2**970:
-                raise GeometryError(f"{field} is past the float range", field=field)
+        for side in ("source_cols", "source_rows"):
+            # the ledger counts blocks in floats
+            try:
+                float(getattr(self, side))
+            except OverflowError:
+                raise GeometryError(f"{side} is past the float range", field=side) from None
         derived_rows, derived_cols = self.transform.derived_shape(self.source_rows, self.source_cols)
         if self.one_dimensional and self.source_rows != 1:
             # the row-scan path samples one row, so it would answer for one row only
@@ -179,8 +182,8 @@ class ApproxRow:
     """One output row: threshold, approximation, and the error ledger (``nan`` if invalid).
 
     ``beta0`` marks a valid row whose ``e_sf`` uses a half-width of 0, from
-    group counts that are all equal (``group_estimate``), so ``e_sf``
-    understates its error.
+    group counts that are all equal and neither 0 nor ``R``
+    (``group_estimate``), so ``e_sf`` understates its error.
     ``estimate`` is the record the row was assembled from: the ``Q_uv`` and
     half-widths that the ledger's ``e_sf`` is a sum of.
     """
@@ -340,15 +343,21 @@ def group_estimate(sums, squares, groups: int, group: int, z: float):
     replicas that pass.  The half-width is ``z * sqrt(max(Q / G - (R
     q)**2, 0) / (R N))``: the variance of a group's count over ``G``
     groups, so the correlation of a group's replicas is in it.  At ``R =
-    1`` this is the Wald half-width.  It is 0 wherever all ``G`` counts are
-    equal: at ``q`` of 0 or 1, and wherever ``G = 1``.  Works on scalars and
-    arrays alike.
+    1`` this is the Wald half-width.  At ``q`` of 1, where every group passes
+    whole, it is the exact Clopper-Pearson bound ``1 - a**(1 / G)``, ``a =
+    P(Z > z)``, instead: a group passes whole with probability at most
+    ``q``, and ``q**G >= a`` for any ``q`` it leaves out; ``q`` of 0 takes
+    it on ``1 - q``.  Other equal counts (``G = 1``, or tiny ``G``) keep a
+    half-width of 0.  Works on scalars and arrays alike.
     """
     sums, squares = np.asarray(sums, dtype=np.float64), np.asarray(squares, dtype=np.float64)
     total = group * groups
     probs = sums / total
     spread = squares / groups - (group * probs) ** 2
-    return probs, z * np.sqrt(np.maximum(spread, 0.0) / (group * total))
+    wald = z * np.sqrt(np.maximum(spread, 0.0) / (group * total))
+    tail = 0.5 * math.erfc(z / math.sqrt(2.0))
+    whole = -math.expm1(math.log(tail) / groups) if tail else 1.0
+    return probs, np.where((probs == 0.0) | (probs == 1.0), whole, wald)
 
 
 def _view_orders(spec: ExperimentSpec, task: str, cells: int) -> list[np.ndarray]:
@@ -425,7 +434,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     mapped and freed, so separate temporaries freed as a call ends would
     be faulted in again by the next call.  The window sums write over
     slots that are dead by then (``window_sums_batch``), so a block is
-    1.6-2.1 MB on the benchmark configs, about a core's 2 MiB of L2.
+    1.6-2.1 MB on the benchmark configs, under a core's 2 MiB of L2.
     """
     layout = chunk_layout(spec, task, total)
     threads = check_integer("threads", 1 if threads is None else threads, minimum=1)

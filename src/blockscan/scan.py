@@ -8,7 +8,7 @@ height-``m2`` running sums of those along each column.  Each running sum is
 one chain over the bits of ``m``: a block doubles its width per bit and
 takes one more shifted cell where the bit is set, so a window of side
 ``m`` costs O(log m) array passes, no copy and no prefix sums.  Every pass
-is one contiguous array operation over the whole stack.  Integer sources under
+is one array operation over the whole stack, over contiguous runs.  Integer sources under
 integer weights sum exactly in the narrowest integer dtype that their dtype
 allows; everything else sums in float64, each result a short tree of terms.
 """
@@ -78,9 +78,13 @@ def window_sums_batch(
     offset ``s * R + t * C`` and every pass is one contiguous 1-D ufunc over
     the whole stack.  Lane ``k`` of each pass holds the result anchored at
     ``flat[k]``; lanes that wrap across a row (or, in a replicas-first
-    stack, a replica) are computed but never read.  A source with a stride
-    that is not a positive multiple of its item size is first copied into
-    the ``input`` array of ``buffers`` by a recorded ``np.copyto``.
+    stack, a replica) are computed but never read, except those past the
+    end of a slab of the outermost stack axis whose slabs do not overlap (a
+    pair's members): the block factor writes each slab cut at its last
+    derived cell, packed, and the later passes run over the packed slabs.
+    A source with a stride that is not a positive multiple of its item
+    size is first copied into the ``input`` array of ``buffers`` by a
+    recorded ``np.copyto``.
 
     The passes, on the same ``R`` and ``C``: the transform's shifted adds
     into ``blockfactor`` (the first two unit terms in one add, weighted
@@ -136,14 +140,19 @@ def window_sums_batch(
         passes.append((np.copyto, (copy, arr), {}))
         arr = copy
     steps = [st // size if n > 1 else 0 for n, st in zip(arr.shape, arr.strides)]
-    span = 1 + sum((n - 1) * step for n, step in zip(arr.shape, steps))
     row_step, col_step = steps[-2:]
-    flat = as_strided(arr, shape=(span,), strides=(size,), writeable=False)
+    # the slabs of the outermost stack axis, where they do not overlap (a pair's
+    # members), else the whole stack as one slab
+    slab = 1 + sum((n - 1) * step for n, step in zip(arr.shape[1:], steps[1:]))
+    slabs = arr.shape[0] if arr.ndim > 2 and steps[0] >= slab else 1
+    slab += (arr.shape[0] // slabs - 1) * steps[0]
+    flat = as_strided(arr, (slabs, slab), (steps[0] * size, size), writeable=False)
 
-    length = span - (transform.c2 - 1) * row_step - (transform.c1 - 1) * col_step
-    values = buffers.take("blockfactor", length, derived_dtype)
+    length = slab - (transform.c2 - 1) * row_step - (transform.c1 - 1) * col_step
+    values = buffers.take("blockfactor", slabs * length, derived_dtype)
+    packed = values.reshape(slabs, length)
     terms = [
-        (flat[s * row_step + t * col_step :][:length], kernel[s, t])
+        (flat[:, s * row_step + t * col_step :][:, :length], kernel[s, t])
         for s in range(transform.c2)
         for t in range(transform.c1)
         if kernel[s, t] != 0
@@ -153,18 +162,20 @@ def window_sums_batch(
     elif len(terms) > 1 and terms[0][1] == terms[1][1] == 1:
         # the first two unit terms in one pass
         both = (terms[0][0], terms.pop(1)[0])
-        passes.append((np.add, both, {"out": values, "dtype": derived_dtype}))
+        passes.append((np.add, both, {"out": packed, "dtype": derived_dtype}))
     elif terms[0][1] == 1:
-        passes.append((np.copyto, (values, terms[0][0]), {"casting": "unsafe"}))
+        passes.append((np.copyto, (packed, terms[0][0]), {"casting": "unsafe"}))
     else:
-        passes.append((np.multiply, terms[0], {"out": values, "dtype": derived_dtype}))
+        passes.append((np.multiply, terms[0], {"out": packed, "dtype": derived_dtype}))
     for view, w in terms[1:]:
         if w == 1:
-            passes.append((np.add, (values, view), {"out": values}))
+            passes.append((np.add, (packed, view), {"out": packed}))
         else:
-            scratch = buffers.take("scratch0", length, derived_dtype)
+            scratch = buffers.take("scratch0", values.size, derived_dtype).reshape(packed.shape)
             passes.append((np.multiply, (view, w), {"out": scratch, "dtype": derived_dtype}))
-            passes.append((np.add, (values, scratch), {"out": values}))
+            passes.append((np.add, (packed, scratch), {"out": packed}))
+    if slabs > 1:
+        steps[0] = length
 
     slot = "blockfactor"
     for m, step in ((m1, col_step), (m2, row_step)):

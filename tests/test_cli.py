@@ -768,8 +768,11 @@ def test_degenerate_distribution_via_cli(tmp_path):
     config_path = _write_config(tmp_path, p=0.0, thresholds=[0])
     out = tmp_path / "sim0.tsv"
     assert main(["simulate", "-c", config_path, "-o", str(out)]) == 0
-    _, _, rows = read_table(str(out))
-    assert rows[0]["sim"] == 1.0 and rows[0]["half_width"] == 0.0
+    header, _, rows = read_table(str(out))
+    # every one of the 500 groups of 4 passes: the Clopper-Pearson bound of 500 groups
+    assert "# row n=0: s=2000 ss=8000 N=2000 R=4" in header
+    whole = 1.0 - (0.5 * math.erfc(1.96 / math.sqrt(2.0))) ** (1 / 500)
+    assert rows[0]["sim"] == 1.0 and rows[0]["half_width"] == round(whole, 6)
 
 
 def test_seed_override_changes_simulation(tmp_path):

@@ -416,6 +416,27 @@ def test_the_group_half_width_is_wald_for_single_replicas_and_the_pair_form_for_
     assert q == 0.5 and b == 0.0
 
 
+def test_groups_that_all_pass_or_all_fail_take_the_clopper_pearson_bound():
+    """Where every group passes whole, the half-width is ``1 - a**(1 / G)``, ``a = P(Z > z)``.
+
+    A group passes whole with probability at most ``q``, so ``G`` groups
+    all do with probability at most ``q**G``; the bound is the ``q`` at
+    which that is ``a``.  Groups that all fail whole take the same bound on
+    ``1 - q``.
+    """
+    z = 1.96
+    a = 0.5 * math.erfc(z / math.sqrt(2.0))
+    for groups, group in ((1, 4), (13, 4), (625, 32), (10**6, 16)):
+        q, b = pipeline.group_estimate(groups * group, groups * group**2, groups, group, z)
+        assert q == 1.0 and (1.0 - b) ** groups == pytest.approx(a, rel=1e-9)
+        assert pipeline.group_estimate(0, 0, groups, group, z) == (0.0, b)
+    # lane by lane: whole passes, whole failures, and counts 4, 4, 0, 2, 0 of five groups of 4
+    q, b = pipeline.group_estimate([20, 0, 10], [80, 0, 36], 5, 4, z)
+    whole = 1.0 - a ** (1 / 5)
+    assert q.tolist() == [1.0, 0.0, 0.5]
+    assert b == pytest.approx([whole, whole, z * math.sqrt((36 / 5 - 2.0**2) / (4 * 20))], rel=1e-12)
+
+
 def _exact_row_scan(p, n):
     """``Q_22`` and ``Q_33`` of windows of 3 over 6 Bernoulli(``p``) cells, over all 64 patterns.
 

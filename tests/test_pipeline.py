@@ -363,9 +363,12 @@ def test_trivial_thresholds():
     spec = _bernoulli_spec(thresholds=(9, -1), iterations=500)
     records = estimate_quv(spec)
     top = records[0]
-    assert (top.q22, top.q33) == (1.0, 1.0) and top.b22 == 0.0
+    # 500 replicas in 125 groups of 4 that all pass: the Clopper-Pearson bound of 125 groups
+    whole = 1.0 - (0.5 * math.erfc(1.96 / math.sqrt(2.0))) ** (1 / 125)
+    assert (top.q22, top.q33) == (1.0, 1.0) and top.b22 == pytest.approx(whole, rel=1e-12)
     row = two_step_approximation(top, 5, 5)
-    assert row.approx == 1.0 and row.e_total == 0.0 and row.valid
+    assert row.approx == 1.0 and row.e_app == 0.0 and row.valid and not row.beta0
+    assert row.e_sf == 5 * 5 * (top.b22 + top.b23 + top.b32 + top.b33) > 0.0
     bottom = two_step_approximation(records[1], 5, 5)
     assert bottom.approx == 0.0 and not bottom.valid
     assert math.isnan(bottom.e_total)
@@ -575,7 +578,10 @@ def test_interpolation_bracketed_by_direct_simulation():
 def test_simulation_degenerate_distribution():
     spec = _bernoulli_spec(thresholds=(0,), p=0.0, iterations=100)
     sim = simulate_distribution(spec, replicas=50)[0]
-    assert sim.prob == 1.0 and sim.half_width == 0.0
+    # 52 replicas in 13 groups of 4 that all pass: the Clopper-Pearson bound of 13 groups
+    whole = 1.0 - (0.5 * math.erfc(1.96 / math.sqrt(2.0))) ** (1 / 13)
+    assert (sim.replicas, sim.group) == (52, 4)
+    assert sim.prob == 1.0 and sim.half_width == pytest.approx(whole, rel=1e-12)
     with pytest.raises(ParameterError):
         simulate_distribution(spec, replicas=0)
 
@@ -1372,7 +1378,7 @@ _BENCHMARK_LAYOUTS = {
         "scan.tiles": 14560, "passes": 43680, "below": 43680,
     },
     "quv-ma": {
-        "drawn": 524160, "source": 524160, "blockfactor": 515840, "scratch0": 515840,
+        "drawn": 524160, "source": 524160, "blockfactor": 507520, "scratch0": 507520,
         "scan.tiles": 16640, "passes": 6240, "below": 6240,
     },
     "sim-sparse": {
