@@ -30,7 +30,6 @@ from .pipeline import (
     approximate,
     estimate_quv,
     one_step_approximation,
-    quv_field_dims,
     simulate_distribution,
     two_step_approximation,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ma_transform",
     "minesweeper_transform",
     "one_step_approximation",
-    "quv_field_dims",
     "simulate_distribution",
     "solve_t2",
     "theorem1_constants",

@@ -249,9 +249,11 @@ def write_sim_table(
     raw: bool = False,
     wall_time: float | None = None,
 ) -> None:
-    # the integers each row is read from (``pipeline.group_estimate``)
+    # the integers each row is read from (``pipeline.group_estimate``), and
+    # ``beta0`` where its half-width is 0, as on an ``approximate`` row
     notes = [
         f"# row n={_fmt_threshold(r.n)}: s={r.sums} ss={r.squares} N={r.replicas} R={r.group}"
+        + (" beta0" if r.half_width == 0.0 else "")
         for r in rows
     ]
     cells = [(row.n, row.prob, row.half_width) for row in rows]

@@ -29,8 +29,10 @@ from .scan import tile_maxima, window_sums_batch
 
 _UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 # bytes of source fields per chunk: small enough that a chunk's kernel
-# passes read and write in L2, large enough that the per-call overhead of
-# the ufuncs and the per-chunk stream set-up stay small
+# passes read and write in about a core's 2 MiB of L2 (worker blocks of
+# 1,638,000 / 2,109,120 / 1,556,550 B on the benchmark configs, ``_tally``),
+# large enough that the per-call overhead of the ufuncs and the per-chunk
+# stream set-up stay small
 _CHUNK_BYTES = 512 * 1024
 # the most source cells one Monte Carlo call may draw (``chunk_layout``):
 # days of work at the fastest rate measured, 4.5e8 drawn cells/s on 1 thread
@@ -222,24 +224,26 @@ class SimRow:
     group: int
 
 
-def quv_field_dims(u: int, v: int, spec: ExperimentSpec) -> tuple[int, int]:
-    """Minimal source (cols, rows) feeding the Q_uv sub-rectangle event."""
-    if u not in (2, 3) or v not in (2, 3):
-        raise ParameterError("u and v must be in {2, 3}")
-    # a row scan's block2 is 0: its field is one row
-    return u * spec.block1, max(1, v * spec.block2)
-
-
 def _chunk_size(replica_bytes: int) -> int:
     """Replicas per chunk: 512 KiB of source fields of ``replica_bytes``, 1 to 8192 of them."""
     return max(1, min(8192, _CHUNK_BYTES // max(replica_bytes, 1)))
 
 
-def _field_dims(spec: ExperimentSpec, task: str) -> tuple[int, int]:
-    """Source (cols, rows) that one replica of a ``quv`` or ``sim`` call samples."""
+def _field_dims(spec: ExperimentSpec, task: str):
+    """A ``quv`` or ``sim`` call's drawn ``(cols, rows)``, anchor ``tile`` and ``extents`` (``_tally``).
+
+    ``quv`` draws the (3, 3) field of ``Q_uv``: 2 x 2 tiles of ``block2 x
+    block1`` anchors (a row scan's: 1 x 2), of which ``Q_uv`` reads the
+    leading ``(v - 1) x (u - 1)``; ``sim`` draws the lattice, one tile.
+    """
     if task == "sim":
-        return spec.source_cols, spec.source_rows
-    return quv_field_dims(3, 3, spec)
+        rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
+        tile = (rows - spec.m2 + 1, cols - spec.m1 + 1)
+        return (spec.source_cols, spec.source_rows), tile, [(1, 1)]
+    if spec.one_dimensional:
+        return (3 * spec.block1, 1), (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
+    tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
+    return (3 * spec.block1, 3 * spec.block2), tile, extents
 
 
 class ChunkLayout(NamedTuple):
@@ -275,7 +279,7 @@ def chunk_layout(spec: ExperimentSpec, task: str, total: int) -> ChunkLayout:
     """
     field = "iterations" if task == "quv" else "replicas"
     total = check_integer(field, total, minimum=1)
-    cols, rows = _field_dims(spec, task)
+    (cols, rows), _, _ = _field_dims(spec, task)
     size = _chunk_size(rows * cols * spec.distribution.dtype.itemsize)
     fields = 2 if spec.mirrored and size >= 2 else 1
     group = VIEWS * (8 if fields == 2 else 2 if spec.mirrored else 1)
@@ -374,24 +378,25 @@ def _view_orders(spec: ExperimentSpec, task: str, cells: int) -> list[np.ndarray
     return orders
 
 
-def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
+def _tally(spec: ExperimentSpec, threads, task: str, total: int):
     """Monte Carlo estimates of P(max window sum <= n) over nested anchor extents.
 
-    Each replica is one source field of ``_field_dims(spec, task)``,
-    through the block factor and every window sum once.  The sums are cut
-    into ``tile = (rows, cols)`` tiles of anchors and each tile's maximum
-    is taken once; the running maxima of the tile maxima over both tile
-    axes give, at tile ``(v - 1, u - 1)``, the maximum over the leading
-    ``v x u`` tiles, and one compare with every threshold scores them all.
-    An extent ``(v, u)`` reads its counts at that tile.  A request of
-    ``total`` replicas draws the ``G`` groups of ``chunk_layout``, which
-    raises before any draw if they pass the cell limit, and tallies every
-    replica of each, ``N = R G``.  Returns that ``ChunkLayout``, the
-    thresholds and, per extent and threshold, the estimate, its half-width
-    and the integer tallies ``sum s`` and ``sum s**2`` they are read from
-    (``group_estimate``).  The chunks run on at most ``threads`` worker
-    threads (``_worker_count``); the pipeline checks ``threads`` here
-    only, an integer of at least 1, and makes an unset ``None`` 1.
+    Each replica is one source field of the ``(cols, rows)`` that
+    ``_field_dims(spec, task)`` gives, through the block factor and every
+    window sum once.  The sums are cut into its ``tile = (rows, cols)``
+    tiles of anchors and each tile's maximum is taken once; the running
+    maxima of the tile maxima over both tile axes give, at tile ``(v - 1,
+    u - 1)``, the maximum over the leading ``v x u`` tiles, and one compare
+    with every threshold scores them all.  Each of its extents ``(v, u)``
+    reads its counts at that tile.  A request of ``total`` replicas draws
+    the ``G`` groups of ``chunk_layout``, which raises before any draw if
+    they pass the cell limit, and tallies every replica of each, ``N = R
+    G``.  Returns that ``ChunkLayout``, the thresholds and, per extent and
+    threshold, the estimate, its half-width and the integer tallies ``sum
+    s`` and ``sum s**2`` they are read from (``group_estimate``).  The
+    chunks run on at most ``threads`` worker threads (``_worker_count``);
+    the pipeline checks ``threads`` here only, an integer of at least 1,
+    and makes an unset ``None`` 1.
 
     Replica groups (README, "Replica groups").  The cells of a field are
     i.i.d., so each drawn field counts as ``VIEWS`` views: view 0 the field
@@ -423,7 +428,8 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     ``source`` slot (view 0 reads ``drawn``), runs the kernels over its
     replica-minor view ``(members, fields, rows, cols)``, so that the
     extrema and compares run over contiguous field vectors, and adds each
-    score into the uint8 count of each field; views 2 and up run view 1's
+    score, a compare into ``below``, into the uint8 count of each field,
+    zero-filled by the plan's first score; views 2 and up run view 1's
     passes again after their own take.  A pair's two counts are added, and
     two int64 sums over the groups close the chunk.  The passes are
     recorded once per worker and chunk shape (the kernels' ``ops``) and run
@@ -434,16 +440,18 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
     mapped and freed, so separate temporaries freed as a call ends would
     be faulted in again by the next call.  The window sums write over
     slots that are dead by then (``window_sums_batch``), so a block is
-    1.6-2.1 MB on the benchmark configs, under a core's 2 MiB of L2.
+    1,638,000 / 2,109,120 / 1,556,550 B on the ``quv-sparse`` / ``quv-ma``
+    / ``sim-sparse`` benchmark configs, about a core's 2 MiB of L2:
+    ``quv-ma``'s 11,968 B over it measured as no cost.
     """
     layout = chunk_layout(spec, task, total)
     threads = check_integer("threads", 1 if threads is None else threads, minimum=1)
+    (cols, rows), tile, extents = _field_dims(spec, task)
     thr = np.asarray(spec.thresholds, dtype=np.float64)
     if thr.size == 0:
         empty = np.empty((len(extents), 0))
         return layout, thr, empty, empty, empty, empty
     dist, group, pair, groups = spec.distribution, layout.group, layout.fields, layout.groups
-    cols, rows = _field_dims(spec, task)
     orders = [None, *_view_orders(spec, task, rows * cols)]
     scores = [(np.maximum, np.less_equal)]
     if spec.mirrored:
@@ -466,9 +474,9 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
         source = buffers.take("source", pair * cells * count, dist.dtype).reshape(shape)
         passes = None
         if pair == 2:
-            # u lanes centre on 2cK, v lanes on 0; at c = 0 they share one limit
+            # u lanes centre on 2cK, v lanes on 0
             half = math.sqrt(2.0) * (thr[:, None, None] - ck)
-            centres = np.array([[two_ck], [0.0]]) if two_ck else np.zeros((1, 1))
+            centres = np.array([[two_ck], [0.0]])
             rotated_bounds = [centres + half, centres - half]
 
         def score(sums: np.ndarray, limits: list) -> None:
@@ -483,15 +491,12 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int, tile, extents):
                     ops.append((reduce, (lead[i], lead[i - 1]), {"out": lead[i]}))
                 for k in range(1, lead.shape[1]):
                     ops.append((reduce, (lead[:, k], lead[:, k - 1]), {"out": lead[:, k]}))
-                args = (lead[:, :, None], limit)
                 counts = (*lead.shape[:2], thr.size, pair, count)
                 if passes is None:
-                    # replica 0 of each group: its 0 or 1 starts the counts
                     passes = buffers.take("passes", math.prod(counts), np.uint8).reshape(counts)
-                    ops.append((compare, args, {"out": passes.view(np.bool_)}))
-                    continue
+                    ops.append((passes.fill, (0,), {}))
                 below = buffers.take("below", passes.size, np.bool_).reshape(counts)
-                ops.append((compare, args, {"out": below}))
+                ops.append((compare, (lead[:, :, None], limit), {"out": below}))
                 ops.append((np.add, (passes, below.view(np.uint8)), {"out": passes}))
 
         for j, order in enumerate(orders):
@@ -583,16 +588,7 @@ def estimate_quv(spec: ExperimentSpec, threads: int | None = None) -> list[Estim
     per replica, and each drawn field counts as a group of replicas
     (``_tally``); all thresholds share the same replicas.
     """
-    # the window sums of the (3, 3) field are 2 x 2 tiles of block2 x block1
-    # anchors (1 x 2 tiles of one row in 1-D); Q_uv reads the leading
-    # (v - 1) x (u - 1) of them
-    if spec.one_dimensional:
-        tile, extents = (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
-    else:
-        tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
-    layout, thr, q_hat, beta, sums, squares = _tally(
-        spec, threads, "quv", spec.iterations, tile, extents
-    )
+    layout, thr, q_hat, beta, sums, squares = _tally(spec, threads, "quv", spec.iterations)
     records = []
     for t_idx, n in enumerate(thr):
         records.append(
@@ -783,11 +779,7 @@ def simulate_distribution(
     spec: ExperimentSpec, replicas: int = DEFAULT_REPLICAS, threads: int | None = None
 ) -> list[SimRow]:
     """Direct Monte Carlo of the full-size scan over ``replicas`` rounded up to whole groups."""
-    rows, cols = spec.transform.derived_shape(spec.source_rows, spec.source_cols)
-    full = (rows - spec.m2 + 1, cols - spec.m1 + 1)
-    layout, thr, probs, half, sums, squares = _tally(
-        spec, threads, "sim", replicas, full, [(1, 1)]
-    )
+    layout, thr, probs, half, sums, squares = _tally(spec, threads, "sim", replicas)
     tallied = layout.group * layout.groups
     return [
         SimRow(float(n), float(p), float(h), tallied, int(s), int(ss), layout.group)

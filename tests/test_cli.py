@@ -681,6 +681,24 @@ def test_a_zero_half_width_is_noted_and_changes_no_value(tmp_path):
     assert values == plain_values
 
 
+def test_a_zero_simulated_half_width_is_noted(tmp_path):
+    """A one-group ``simulate`` row, neither all-pass nor all-fail, has a half-width of 0: ``beta0``."""
+    config_path = _write_config(
+        tmp_path, transform="minesweeper", thresholds=[26, 28, 80], seed=5
+    )
+    out = tmp_path / "sim.tsv"
+    assert main(["simulate", "-c", config_path, "--replicas", "4", "-o", str(out)]) == 0
+    metadata, _, rows = read_table(str(out))
+    notes = [line for line in metadata if line.startswith("# row n=")]
+    assert [(row["sim"], row["half_width"]) for row in rows[:2]] == [(0.25, 0.0), (0.75, 0.0)]
+    assert notes[:2] == [
+        "# row n=26: s=1 ss=1 N=4 R=4 beta0", "# row n=28: s=3 ss=9 N=4 R=4 beta0"
+    ]
+    # the one group passes whole at 80: the Clopper-Pearson bound, unmarked
+    assert rows[2]["sim"] == 1.0 and rows[2]["half_width"] > 0.0
+    assert notes[2] == "# row n=80: s=4 ss=16 N=4 R=4"
+
+
 def test_a_clamped_row_is_noted_and_changes_no_value(tmp_path):
     config = RunConfig.from_file(_write_config(tmp_path))
     # q32 a hair above q22, within the Monte Carlo slack: clamped to q22

@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 import blockscan
-from blockscan import ExperimentSpec, quv_field_dims
+from blockscan import ExperimentSpec
 from blockscan.cli import RunConfig, main
 from blockscan.errors import ConfigError, ParameterError
-from blockscan.pipeline import MAX_DRAWN_CELLS, chunk_layout
+from blockscan.pipeline import MAX_DRAWN_CELLS, _field_dims, chunk_layout
 
 SRC = str(Path(blockscan.__file__).resolve().parents[1])
 CONFIG = {
@@ -109,7 +109,7 @@ def test_approximate_runs_a_source_whose_simulation_would_pass_the_cell_limit(tm
 def test_a_count_at_the_cell_limit_validates(tmp_path):
     """The limit counts drawn fields, each of which counts as four replicas of Bernoulli cells."""
     spec = _spec()
-    cols, rows = quv_field_dims(3, 3, spec)
+    cols, rows = _field_dims(spec, "quv")[0]
     iterations = 4 * (MAX_DRAWN_CELLS // (cols * rows))
     replicas = 4 * (MAX_DRAWN_CELLS // (spec.source_cols * spec.source_rows))
     assert _spec(iterations=iterations, replicas=replicas).iterations == iterations

@@ -116,7 +116,7 @@ def test_paired_estimates_agree_with_plain_brute_force_indicators(name):
         rec = estimate_quv(seeded, threads=1)[t]
         q, b = getattr(rec, f"q{u}{v}"), getattr(rec, f"b{u}{v}")
         extent = (1 if spec.one_dimensional else (v - 1) * spec.block2, (u - 1) * spec.block1)
-        dims = pipeline.quv_field_dims(3, 3, spec)
+        dims = pipeline._field_dims(spec, "quv")[0]
         p, h = _plain_estimate(spec, dims, extent, rec.n, 4000, seed=1000 + seed)
         assert 0.0 < q < 1.0 and b > 0.0 and 0.0 < p < 1.0
         outside["quv"] += abs(q - p) > b + h
@@ -180,7 +180,7 @@ def test_rotated_replicas_tally_like_the_orbits_of_their_pairs(name, monkeypatch
     else:
         rows_per_block = 1 if spec.one_dimensional else spec.block2
         extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
-        cols, rows = pipeline.quv_field_dims(3, 3, spec)
+        cols, rows = pipeline._field_dims(spec, "quv")[0]
     dist = spec.distribution
     ck = dist.mean * spec.transform.weights.sum().item() * spec.m1 * spec.m2
     orders = view_orders(spec.seed, task, rows * cols, 4)
@@ -361,7 +361,7 @@ def test_the_cell_limit_counts_the_fields_a_mirrored_call_draws(tmp_path, capsys
         (tmp_path / "run.json").write_text(json.dumps({**plain_config, "replicas": replicas}))
         assert main(["validate-config", "-c", str(tmp_path / "run.json")]) == status
     assert f"replicas = {4 * limit + 1} draws {limit + 1} fields of 66x1" in capsys.readouterr().err
-    cols, rows = pipeline.quv_field_dims(3, 3, spec)
+    cols, rows = pipeline._field_dims(spec, "quv")[0]
     fields = pipeline.MAX_DRAWN_CELLS // (cols * rows)
     pairs = fields // 2
     assert dataclasses.replace(spec, iterations=32 * pairs).iterations == 32 * pairs
@@ -466,7 +466,7 @@ def test_group_half_widths_cover_an_exact_q_uv():
         transform=identity_transform(), distribution=MarginalDistribution.bernoulli(0.3),
         source_cols=6, source_rows=1, m1=3, m2=1, thresholds=(0, 1), iterations=400,
     )
-    assert pipeline.quv_field_dims(3, 3, spec) == (6, 1)
+    assert pipeline._field_dims(spec, "quv")[0] == (6, 1)
     assert pipeline.chunk_layout(spec, "quv", spec.iterations)[1:3] == (4, 100)
     exact = [_exact_row_scan(0.3, n) for n in spec.thresholds]
     covered = []

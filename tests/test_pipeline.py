@@ -20,7 +20,6 @@ from blockscan import (
     ma_transform,
     minesweeper_transform,
     one_step_approximation,
-    quv_field_dims,
     simulate_distribution,
     two_step_approximation,
 )
@@ -61,15 +60,16 @@ def _minesweeper_spec(cols=20, rows=20, thresholds=(30, 32), iterations=4000, se
 
 
 def test_quv_field_dims():
+    """The (3, 3) field of ``Q_uv``, its tiles of ``block2 x block1`` anchors and their extents."""
     minesweeper = _minesweeper_spec()
-    assert quv_field_dims(2, 2, minesweeper) == (8, 8)
-    assert quv_field_dims(3, 2, minesweeper) == (12, 8)
-    assert quv_field_dims(3, 3, minesweeper) == (12, 12)
-    identity = _bernoulli_spec()
-    assert quv_field_dims(2, 2, identity) == (4, 4)
-    assert quv_field_dims(3, 3, _ma_spec()) == (63, 1)
-    with pytest.raises(ParameterError):
-        quv_field_dims(1, 2, identity)
+    extents = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    assert pipeline._field_dims(minesweeper, "quv") == ((12, 12), (4, 4), extents)
+    assert pipeline._field_dims(_bernoulli_spec(), "quv")[0] == (6, 6)
+    # a row scan: one row, one row of tiles
+    ma = _ma_spec()
+    assert pipeline._field_dims(ma, "quv") == ((63, 1), (1, 21), [(1, 1), (1, 1), (1, 2), (1, 2)])
+    # a simulation: the whole lattice, one tile of every anchor
+    assert pipeline._field_dims(minesweeper, "sim") == ((20, 20), (16, 16), [(1, 1)])
 
 
 def test_spec_validation():
@@ -867,7 +867,7 @@ def test_a_kernel_dtype_never_moves_the_chunk_partition(distribution, chunks, mo
         minesweeper, source_cols=20, source_rows=20, m1=5, m2=5,
         transform=identity_transform(),
     )
-    assert quv_field_dims(3, 3, identity) == (12, 12)
+    assert pipeline._field_dims(identity, "quv")[0] == (12, 12)
     ident_chunks, ident_dtypes = _chunks_and_dtypes(identity, monkeypatch)
     mine_chunks, mine_dtypes = _chunks_and_dtypes(minesweeper, monkeypatch)
     assert ident_chunks == mine_chunks == chunks
@@ -945,7 +945,7 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
         extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
         task = "quv"
     monkeypatch.undo()
-    cols, rows = pipeline._field_dims(spec, task)
+    (cols, rows), _, _ = pipeline._field_dims(spec, task)
     orders = view_orders(spec.seed, task, rows * cols, 4)
     thr = np.array(spec.thresholds)
     paired, ck = spec.mirrored, None
@@ -985,7 +985,7 @@ def test_integer_maxima_meet_any_threshold_like_a_float_compare():
     spec = dataclasses.replace(_minesweeper_spec(iterations=2000), thresholds=thresholds)
     tallies = [round(rec.q33 * rec.iterations) for rec in estimate_quv(spec)]
     # 2000 replicas are four views of 500 fields, one chunk, drawn from stream 0
-    cols, rows = pipeline._field_dims(spec, "quv")
+    cols, rows = pipeline._field_dims(spec, "quv")[0]
     rng = SeedSpec.for_chunk(spec.seed, "quv", 0).generator()
     block = spec.distribution.sample(rng, (rows * cols, 500))
     views = [block] + [block[order] for order in view_orders(spec.seed, "quv", rows * cols, 4)]
@@ -1108,15 +1108,15 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     recordings = (3640, 3640, 1800)
     for layer in ("sums", "scan.tiles"):
         assert [out.shape[1] for out in results[layer]] == [n for n in recordings for _ in range(2)]
-    # view 1's score compares into one flat bool per extent (4), threshold
-    # (2) and field, whose slot then holds the squared counts; the counts
-    # are one such uint8
-    assert [out.size // 8 for out in results["below"]] == [n for n in recordings for _ in range(2)]
+    # the scores of views 0 and 1 compare into one flat bool per extent (4),
+    # threshold (2) and field, whose slot then holds the squared counts; the
+    # counts are one such uint8
+    assert [out.size // 8 for out in results["below"]] == [n for n in recordings for _ in range(3)]
     assert [out.size // 8 for out in results["passes"]] == list(recordings)
     # per recording: the drawn block once; the source once for the views and
     # once per recorded view by its row pass; the block factor twice per
     # recorded view, by its shifted adds and by its column pass
-    assert [len(results[name]) for name in _SLOTS] == [3, 9, 12, 6, 3]
+    assert [len(results[name]) for name in _SLOTS] == [3, 9, 12, 9, 3]
     source = results.pop("source")
     results["views"] = source[0::3]
     results["rows"] = [out for k, out in enumerate(source) if k % 3]
@@ -1202,30 +1202,32 @@ _MINESWEEPER_SUMS = ["add"] * 7 + ["add", "add"] * 2
 # width-20 row pass, 20 = 0b10100: doublings to 2 and 4, the source added
 # (5), doublings to 10 and 20
 _MA_SUMS = ["multiply", "multiply", "add", "multiply", "add"] + ["add"] * 5
-# one row of 1 x 2 tiles: maxima over the tile, running maxima, one compare;
-# Gaussian cells: the mirror's minima, running minima and compare
-_MA_SCORES = ["maximum.reduce", "maximum", "less_equal"]
-_MA_MIRROR = ["minimum.reduce", "minimum", "greater_equal"]
+# one row of 1 x 2 tiles: maxima over the tile, running maxima; Gaussian
+# cells: the mirror's minima, running minima, compare and add
+_MA_TILES = ["maximum.reduce", "maximum"]
+_MA_MIRROR = ["minimum.reduce", "minimum", "greater_equal", "add"]
+# every score is one compare, added into the counts
+_SCORE = ["less_equal", "add"]
 # a pair's S(x) + S(y) and S(x) - S(y), scored like a view and its mirror
-_MA_ROTATED = ["add", "subtract"] + _MA_SCORES + ["add"] + _MA_MIRROR + ["add"]
+_MA_ROTATED = ["add", "subtract"] + _MA_TILES + _SCORE + _MA_MIRROR
 # 2 x 2 tiles: maxima over tile rows, then tile columns; running maxima
-# down and across; one compare
-_SPARSE_SCORES = ["maximum.reduce"] * 2 + ["maximum"] * 2 + ["less_equal"]
+# down and across
+_SPARSE_TILES = ["maximum.reduce"] * 2 + ["maximum"] * 2
 # one tile, the whole field: no running maxima
-_SIM_SCORES = ["maximum.reduce"] * 2 + ["less_equal"]
+_SIM_TILES = ["maximum.reduce"] * 2
 # the squared counts, then sum s and sum s**2 over the groups
 _TALLY = ["multiply", "add.reduce", "add.reduce"]
-# view 0 reads the drawn block and its first score starts the counts; views
-# 1-3 each take their cells into the source first, and every other score is
-# added into the counts; a pair's two counts are added before the squares
+# view 0 reads the drawn block, and its first score zero-fills the counts
+# before its compare; views 1-3 each take their cells into the source
+# first; a pair's two counts are added before the squares
 _BENCHMARK_PLANS = {
-    "quv-sparse": _MINESWEEPER_SUMS + _SPARSE_SCORES
-    + (["take"] + _MINESWEEPER_SUMS + _SPARSE_SCORES + ["add"]) * 3 + _TALLY,
-    "quv-ma": _MA_SUMS + _MA_SCORES + _MA_MIRROR + ["add"] + _MA_ROTATED
-    + (["take"] + _MA_SUMS + _MA_SCORES + ["add"] + _MA_MIRROR + ["add"] + _MA_ROTATED) * 3
+    "quv-sparse": _MINESWEEPER_SUMS + _SPARSE_TILES + ["fill"] + _SCORE
+    + (["take"] + _MINESWEEPER_SUMS + _SPARSE_TILES + _SCORE) * 3 + _TALLY,
+    "quv-ma": _MA_SUMS + _MA_TILES + ["fill"] + _SCORE + _MA_MIRROR + _MA_ROTATED
+    + (["take"] + _MA_SUMS + _MA_TILES + _SCORE + _MA_MIRROR + _MA_ROTATED) * 3
     + ["add"] + _TALLY,
-    "sim-sparse": _MINESWEEPER_SUMS + _SIM_SCORES
-    + (["take"] + _MINESWEEPER_SUMS + _SIM_SCORES + ["add"]) * 3 + _TALLY,
+    "sim-sparse": _MINESWEEPER_SUMS + _SIM_TILES + ["fill"] + _SCORE
+    + (["take"] + _MINESWEEPER_SUMS + _SIM_TILES + _SCORE) * 3 + _TALLY,
 }
 
 
@@ -1378,7 +1380,7 @@ _BENCHMARK_LAYOUTS = {
         "scan.tiles": 14560, "passes": 43680, "below": 43680,
     },
     "quv-ma": {
-        "drawn": 524160, "source": 524160, "blockfactor": 507520, "scratch0": 507520,
+        "drawn": 524160, "source": 524160, "blockfactor": 515840, "scratch0": 515840,
         "scan.tiles": 16640, "passes": 6240, "below": 6240,
     },
     "sim-sparse": {

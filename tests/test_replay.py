@@ -88,16 +88,23 @@ ORACLES = {
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_a_replica_minor_stack_is_read_in_place(kernel):
-    """A (rows, cols, replicas) block seen replicas-first: no input copy, replicas stay innermost."""
-    block = np.random.default_rng(13).integers(-4, 5, size=(9, 9, 5)).astype(np.int8)
-    stack = np.moveaxis(block, -1, 0)
-    buffers = Buffers()
-    for _ in range(2):
-        out = KERNELS[kernel](stack, buffers=buffers)
-        assert "input" not in buffers.taken
-        assert out.strides[0] == out.itemsize
-        for index in range(len(stack)):
-            assert np.array_equal(out[index], ORACLES[kernel](stack[index]))
+    """A (rows, cols, replicas) block seen replicas-first: no input copy, replicas stay innermost.
+
+    Also the pipeline's pair of members, a (members, rows, cols, replicas)
+    block seen as (members, replicas, rows, cols): one flat run reads across
+    the member boundary, whose wrap lanes no result reads.
+    """
+    rng = np.random.default_rng(13)
+    for shape in ((9, 9, 5), (2, 9, 9, 5)):
+        block = rng.integers(-4, 5, size=shape).astype(np.int8)
+        stack = np.moveaxis(block, -1, -3)
+        buffers = Buffers()
+        for _ in range(2):
+            out = KERNELS[kernel](stack, buffers=buffers)
+            assert "input" not in buffers.taken
+            assert out.strides[-3] == out.itemsize
+            for index in np.ndindex(stack.shape[:-2]):
+                assert np.array_equal(out[index], ORACLES[kernel](stack[index]))
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "replica-minor"])

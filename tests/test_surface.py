@@ -1,4 +1,5 @@
-"""The package surface: no module imports a name it never uses, and ``__all__`` resolves.
+"""The package surface: no module imports a name it never uses, no module-level function
+or class goes unread, and ``__all__`` resolves.
 
 Built on the standard-library ``ast`` module, so it needs no linter.
 """
@@ -11,6 +12,17 @@ import blockscan
 
 MODULES = sorted(Path(blockscan.__file__).parent.glob("*.py"))
 ORACLES = Path(__file__).with_name("oracles.py")
+
+
+def _listed_in_all(tree: ast.Module) -> set[str]:
+    """The names a module-level ``__all__`` of ``tree`` lists."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,12 +39,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            read.update(ast.literal_eval(node.value))
-    return sorted(imported - read)
+    return sorted(imported - read - _listed_in_all(tree))
 
 
 def test_unused_imports_finds_what_nothing_reads():
@@ -75,3 +82,49 @@ def test_the_per_site_oracles_live_in_the_tests_only():
     retired = _defined(ORACLES) | {"__call__", "approximant_H", "IndexRangeError"}
     for path in MODULES:
         assert _defined(path).isdisjoint(retired), path.stem
+
+
+def unread_definitions(sources: list[str]) -> list[str]:
+    """Module-level functions and classes of ``sources`` that none of them reads.
+
+    A name counts as read where any source loads it (``name``) or one of
+    its attributes (``module.name``), or lists it in a module-level
+    ``__all__``; the ``def`` or ``class`` statement binds it and reads nothing.
+    """
+    defined, read = set(), set()
+    for tree in map(ast.parse, sources):
+        defined.update(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        read |= _listed_in_all(tree)
+    return sorted(defined - read)
+
+
+def test_unread_definitions_finds_what_nothing_reads():
+    sources = [
+        "__all__ = ['public']\n"
+        "def public(): return _helper()\n"
+        "def _helper(): return 1\n"
+        "class Spare:\n"
+        "    def method(self): pass\n",
+        "from . import first\n"
+        "def _used(): pass\n"
+        "def main(): return first.attr, _used\n"
+        "class Kept: pass\n"
+        "x: Kept = None\n",
+    ]
+    assert unread_definitions(sources) == ["Spare", "main"]
+
+
+def test_the_package_defines_only_what_it_reads():
+    """Every module-level function and class is read in the package or listed in ``__all__``.
+
+    ``cli.main`` is read by its own ``__main__`` guard.
+    """
+    assert unread_definitions([path.read_text() for path in MODULES]) == []
