@@ -22,11 +22,11 @@ from .errors import AlignmentError, BlockScanError, ConfigError, ParameterError,
 from .fields import MarginalDistribution, stream_map
 from .pipeline import (
     DEFAULT_REPLICAS,
+    UV_PAIRS,
     VIEWS,
     ApproxRow,
     ExperimentSpec,
     SimRow,
-    _UV_PAIRS,
     approximate,
     chunk_layout,
     simulate_distribution,
@@ -34,7 +34,7 @@ from .pipeline import (
 
 # the estimates and half-widths each ``# row`` note of an approximation carries,
 # in the order of the extents of ``EstimateRecord.sums``
-_EXTENTS = tuple(f"{u}{v}" for u, v in _UV_PAIRS)
+_EXTENTS = tuple(f"{u}{v}" for u, v in UV_PAIRS)
 _ESTIMATES = tuple(f"{name}{uv}" for name in ("q", "b") for uv in _EXTENTS)
 
 

@@ -25,14 +25,14 @@ from .haiman import (
     error_factor_F,
     theorem1_constants,
 )
-from .scan import tile_maxima, window_sums_batch
+from .scan import running_extrema, window_sums_batch
 
-_UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
-# bytes of source fields per chunk: small enough that a chunk's kernel
-# passes read and write in about a core's 2 MiB of L2 (worker blocks of
-# 1,638,000 / 2,109,120 / 1,556,550 B on the benchmark configs, ``_tally``),
-# large enough that the per-call overhead of the ufuncs and the per-chunk
-# stream set-up stay small
+# the (u, v) of the four Q_uv, in the order of every table's extents
+UV_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
+# bytes of source fields per chunk: small enough that a chunk's kernel passes
+# read and write in about a core's 2 MiB of L2 (README, the worker blocks), large
+# enough that the per-call overhead of the ufuncs and the per-chunk stream set-up
+# stay small
 _CHUNK_BYTES = 512 * 1024
 # the most source cells one Monte Carlo call may draw (``chunk_layout``):
 # days of work at the fastest rate measured, 4.5e8 drawn cells/s on 1 thread
@@ -241,8 +241,8 @@ def _field_dims(spec: ExperimentSpec, task: str):
         tile = (rows - spec.m2 + 1, cols - spec.m1 + 1)
         return (spec.source_cols, spec.source_rows), tile, [(1, 1)]
     if spec.one_dimensional:
-        return (3 * spec.block1, 1), (1, spec.block1), [(1, u - 1) for u, _ in _UV_PAIRS]
-    tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in _UV_PAIRS]
+        return (3 * spec.block1, 1), (1, spec.block1), [(1, u - 1) for u, _ in UV_PAIRS]
+    tile, extents = (spec.block2, spec.block1), [(v - 1, u - 1) for u, v in UV_PAIRS]
     return (3 * spec.block1, 3 * spec.block2), tile, extents
 
 
@@ -385,10 +385,10 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
     ``_field_dims(spec, task)`` gives, through the block factor and every
     window sum once.  The sums are cut into its ``tile = (rows, cols)``
     tiles of anchors and each tile's maximum is taken once; the running
-    maxima of the tile maxima over both tile axes give, at tile ``(v - 1,
-    u - 1)``, the maximum over the leading ``v x u`` tiles, and one compare
-    with every threshold scores them all.  Each of its extents ``(v, u)``
-    reads its counts at that tile.  A request of ``total`` replicas draws
+    maxima of the tile maxima over both tile axes (``running_extrema``)
+    give, at tile ``(v - 1, u - 1)``, the maximum over the leading ``v x
+    u`` tiles, and one compare with every threshold scores them all.  Each
+    of its extents ``(v, u)`` reads its counts at that tile.  A request of ``total`` replicas draws
     the ``G`` groups of ``chunk_layout``, which raises before any draw if
     they pass the cell limit, and tallies every replica of each, ``N = R
     G``.  Returns that ``ChunkLayout``, the thresholds and, per extent and
@@ -429,20 +429,19 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
     replica-minor view ``(members, fields, rows, cols)``, so that the
     extrema and compares run over contiguous field vectors, and adds each
     score, a compare into ``below``, into the uint8 count of each field,
-    zero-filled by the plan's first score; views 2 and up run view 1's
+    zero-filled by the plan's first pass; views 2 and up run view 1's
     passes again after their own take.  A pair's two counts are added, and
-    two int64 sums over the groups close the chunk.  The passes are
-    recorded once per worker and chunk shape (the kernels' ``ops``) and run
-    on every chunk of that shape.  A worker keeps its chunk's arrays in one
-    block of ``Buffers``, laid out by one recording on fresh arrays that
-    are freed before any worker places its block: glibc trims its heap once
-    the free memory at its top exceeds twice the largest block it has
-    mapped and freed, so separate temporaries freed as a call ends would
-    be faulted in again by the next call.  The window sums write over
-    slots that are dead by then (``window_sums_batch``), so a block is
-    1,638,000 / 2,109,120 / 1,556,550 B on the ``quv-sparse`` / ``quv-ma``
-    / ``sim-sparse`` benchmark configs, about a core's 2 MiB of L2:
-    ``quv-ma``'s 11,968 B over it measured as no cost.
+    two uint32 sums over the groups, copied into the int64 tally, close the
+    chunk.  The passes are recorded once per worker and chunk shape (the
+    kernels' ``ops``) and run on every chunk of that shape.  A worker keeps
+    its chunk's arrays in one block of ``Buffers``, laid out by one
+    recording on fresh arrays that are freed before any worker places its
+    block: glibc trims its heap once the free memory at its top exceeds
+    twice the largest block it has mapped and freed, so separate
+    temporaries freed as a call ends would be faulted in again by the next
+    call.  The window sums write over slots that are dead by then
+    (``window_sums_batch``), so a block on the benchmark configs is about a
+    core's 2 MiB of L2 (README).
     """
     layout = chunk_layout(spec, task, total)
     threads = check_integer("threads", 1 if threads is None else threads, minimum=1)
@@ -453,11 +452,16 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
         return layout, thr, empty, empty, empty, empty
     dist, group, pair, groups = spec.distribution, layout.group, layout.fields, layout.groups
     orders = [None, *_view_orders(spec, task, rows * cols)]
+    grid = tuple(map(max, zip(*extents)))  # the tiles the counts are kept at
     scores = [(np.maximum, np.less_equal)]
     if spec.mirrored:
         ck = dist.centre * spec.transform.weights.sum().item() * spec.m1 * spec.m2
         two_ck = 2 * ck
         scores.append((np.minimum, np.greater_equal))
+        # a pair's rotations: u lanes centre on 2cK, v lanes on 0
+        reach = math.sqrt(2.0) * (thr[:, None, None] - ck)
+        centres = np.array([[two_ck], [0.0]])
+        rotated_bounds = [centres + reach, centres - reach]
 
     def record(count: int, buffers: Buffers, ops: list) -> tuple[np.ndarray, np.ndarray]:
         """Take the ``drawn`` block of a chunk of ``count`` groups; append every pass after its draw.
@@ -466,37 +470,23 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
         grid_cols, thresholds)`` int64 tally the passes write: per tile and
         threshold, ``sum s`` and ``sum s**2`` over the groups, ``s`` the
         count of a group's replicas whose running maximum at the tile is
-        ``<=`` its limit (a mirror's: whose running minimum is ``>=`` it).
-        Every other array is taken from ``buffers``.
+        ``<=`` its limit (a mirror's: whose running minimum is ``>=`` it),
+        from uint8 counts that the first pass zero-fills.  Every other array
+        is taken from ``buffers``.
         """
         cells, shape = rows * cols, (pair, rows, cols, count)
         drawn = buffers.take("drawn", pair * cells * count, dist.dtype).reshape(shape)
         source = buffers.take("source", pair * cells * count, dist.dtype).reshape(shape)
-        passes = None
-        if pair == 2:
-            # u lanes centre on 2cK, v lanes on 0
-            half = math.sqrt(2.0) * (thr[:, None, None] - ck)
-            centres = np.array([[two_ck], [0.0]])
-            rotated_bounds = [centres + half, centres - half]
+        counts = (*grid, thr.size, pair, count)
+        passes = buffers.take("passes", math.prod(counts), np.uint8).reshape(counts)
+        ops.append((passes.fill, (0,), {}))
 
         def score(sums: np.ndarray, limits: list) -> None:
             """Append the passes adding each score of ``sums`` against its ``limits`` into the counts."""
-            nonlocal passes
             for (reduce, compare), limit in zip(scores, limits):
-                # tile axes first, so every pass below runs over the fields
-                lead = np.moveaxis(
-                    tile_maxima(sums, *tile, reduce, buffers=buffers, ops=ops), (-2, -1), (0, 1)
-                )
-                for i in range(1, lead.shape[0]):
-                    ops.append((reduce, (lead[i], lead[i - 1]), {"out": lead[i]}))
-                for k in range(1, lead.shape[1]):
-                    ops.append((reduce, (lead[:, k], lead[:, k - 1]), {"out": lead[:, k]}))
-                counts = (*lead.shape[:2], thr.size, pair, count)
-                if passes is None:
-                    passes = buffers.take("passes", math.prod(counts), np.uint8).reshape(counts)
-                    ops.append((passes.fill, (0,), {}))
+                extrema = running_extrema(sums, tile, reduce, buffers=buffers, ops=ops)
                 below = buffers.take("below", passes.size, np.bool_).reshape(counts)
-                ops.append((compare, (lead[:, :, None], limit), {"out": below}))
+                ops.append((compare, (extrema[:, :, None], limit), {"out": below}))
                 ops.append((np.add, (passes, below.view(np.uint8)), {"out": passes}))
 
         for j, order in enumerate(orders):
@@ -547,10 +537,14 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
         # s**2 <= R**2 fits uint8 up to R = 15; the last add has read ``below`` by now
         square = np.uint8 if group * group <= np.iinfo(np.uint8).max else np.uint16
         squares = buffers.take("below", passes.size, square).reshape(passes.shape)
-        tally = np.empty((2, *passes.shape[:-1]), dtype=np.int64)
+        # a chunk's sum s**2 <= 32**2 * 8192 (R <= 32, 8192 groups, ``_chunk_size``)
+        # is below 2**32: a chunk sums in uint32, half int64's cast buffer, a call in int64
+        closing = np.empty((2, *passes.shape[:-1]), dtype=np.uint32)
+        tally = np.empty(closing.shape, dtype=np.int64)
         ops.append((np.multiply, (passes, passes), {"out": squares, "dtype": square}))
-        ops.append((np.add.reduce, (passes,), {"axis": -1, "dtype": np.int64, "out": tally[0]}))
-        ops.append((np.add.reduce, (squares,), {"axis": -1, "dtype": np.int64, "out": tally[1]}))
+        ops.append((np.add.reduce, (passes,), {"axis": -1, "dtype": np.uint32, "out": closing[0]}))
+        ops.append((np.add.reduce, (squares,), {"axis": -1, "dtype": np.uint32, "out": closing[1]}))
+        ops.append((np.copyto, (tally, closing), {}))
         return drawn, tally
 
     # the bytes a full chunk takes, on fresh arrays that no pass touches; they

@@ -1,4 +1,4 @@
-"""The one kernel from source cells to window sums, and the tile maxima of those sums.
+"""The one kernel from source cells to window sums, and the running extrema of their tiles.
 
 A linear block factor and a window sum compose into one linear filter of
 the i.i.d. source, recorded by ``window_sums_batch`` on one flat 1-D layout
@@ -78,19 +78,19 @@ def window_sums_batch(
     offset ``s * R + t * C`` and every pass is one contiguous 1-D ufunc over
     the whole stack.  Lane ``k`` of each pass holds the result anchored at
     ``flat[k]``; lanes that wrap across a row (or, in a replicas-first
-    stack, a replica or a pair's member) are computed but never read: a
-    ``quv-ma`` pair's 1,040 make its worker block 2,109,120 B, 11,968 B
-    over 2 MiB of L2, at no measured cost (``pipeline._tally``).  A
-    source with a stride that is not a positive multiple of its item size
-    is first copied into the ``input`` array of ``buffers`` by a recorded
-    ``np.copyto``.
+    stack, a replica or a pair's member) are computed but never read; they
+    measured as no cost even where they take a worker block past a core's
+    2 MiB of L2 (README).  A source with a stride that is not a positive
+    multiple of its item size is first copied into the ``input`` array of
+    ``buffers`` by a recorded ``np.copyto``.
 
     The passes, on the same ``R`` and ``C``: the transform's shifted adds
-    into ``blockfactor`` (the first two unit terms in one add, weighted
-    terms through ``scratch0``), width-``m1`` running sums along the rows
-    into ``source``, and height-``m2`` running sums of those along the
-    columns back into ``blockfactor``, which the row pass has read (sides
-    of 4 and up double through ``scratch0`` too, ``_running_sums``).  A
+    into ``blockfactor`` (the first two unit terms in one add, else a
+    multiply by the first weight; later weighted terms through
+    ``scratch0``), width-``m1`` running sums along the rows into
+    ``source``, and height-``m2`` running sums of those along the columns
+    back into ``blockfactor``, which the row pass has read (sides of 4 and
+    up double through ``scratch0`` too, ``_running_sums``).  A
     side of 1 has no pass, and the result is a strided view of the slot
     the last pass wrote.  The slots are arrays of ``buffers``
     (fresh without it), so the next call on the same ``buffers`` overwrites
@@ -157,9 +157,8 @@ def window_sums_batch(
         # the first two unit terms in one pass
         both = (terms[0][0], terms.pop(1)[0])
         passes.append((np.add, both, {"out": values, "dtype": derived_dtype}))
-    elif terms[0][1] == 1:
-        passes.append((np.copyto, (values, terms[0][0]), {"casting": "unsafe"}))
     else:
+        # a lone unit weight too: x * 1 is x exactly on int and float lanes
         passes.append((np.multiply, terms[0], {"out": values, "dtype": derived_dtype}))
     for view, w in terms[1:]:
         if w == 1:
@@ -181,49 +180,36 @@ def window_sums_batch(
     return np.ndarray(out_shape, dtype=values.dtype, buffer=values, strides=strides)
 
 
-def tile_maxima(
-    arr: np.ndarray,
-    tile_rows: int,
-    tile_cols: int,
-    ufunc: np.ufunc = np.maximum,
-    *,
-    buffers: Buffers | None = None,
-    ops: list | None = None,
+def running_extrema(
+    sums: np.ndarray, tile: tuple, reduce: np.ufunc, *, buffers: Buffers, ops: list
 ) -> np.ndarray:
-    """Maximum of each disjoint ``tile_rows x tile_cols`` tile of the trailing two axes.
+    """Record the running ``reduce`` (``np.maximum`` or ``np.minimum``) over the tiles of ``sums``.
 
-    ``ufunc`` is the reduction: ``np.minimum`` gives each tile's minimum.
-    The tiles cover ``arr`` from its first row and column; a ragged edge is
-    left out.  Returns ``(..., rows // tile_rows, cols // tile_cols)``, a
-    view of the ``scan.tiles`` array of ``buffers`` (fresh without them);
-    ``ops`` records the passes instead of running them, as in
-    ``window_sums_batch``.  The
-    view ``(grid_rows, tile_rows, grid_cols, tile_cols, ...)`` of ``arr``,
-    built from its strides so that it never copies, is reduced over the
-    tile rows into a band in ``scratch0``, whose inner runs are whole rows
-    (a one-row tile is its own band), and the band over the tile columns
-    into ``scan.tiles`` laid out ``(grid_rows, grid_cols, ...)``: the stack
-    axes stay innermost, where a replica-minor stack keeps its replicas
-    contiguous.
+    The disjoint ``tile = (rows, cols)`` tiles cover the trailing two axes
+    from the first row and column; a ragged edge is left out.  The view
+    ``(grid_rows, tile_rows, grid_cols, tile_cols, ...)`` of ``sums``, built
+    from its strides so that it never copies, is reduced over the tile rows
+    into a band in ``scratch0`` whose inner runs are whole rows (a one-row
+    tile is its own band), then over the tile columns into ``scan.tiles``,
+    grid first, so that the stack axes stay innermost; the tile extrema then
+    run down and across the grid in place.  Returns that ``(grid_rows,
+    grid_cols, ...)`` view, at ``(i, k)`` the extremum over the leading ``(i
+    + 1) x (k + 1)`` tiles.  The passes are appended to ``ops``; none runs.
     """
-    rows, cols = arr.shape[-2:]
-    if not (1 <= tile_cols <= cols and 1 <= tile_rows <= rows):
-        raise GeometryError(
-            f"tile {tile_cols}x{tile_rows} does not fit in {cols}x{rows} array"
-        )
-    buffers = Buffers() if buffers is None else buffers
-    passes = [] if ops is None else ops
-    grid, lead = (rows // tile_rows, cols // tile_cols), arr.shape[:-2]
-    row, col = arr.strides[-2:]
+    tile_rows, tile_cols = tile
+    grid, lead = (sums.shape[-2] // tile_rows, sums.shape[-1] // tile_cols), sums.shape[:-2]
+    row, col = sums.strides[-2:]
     shape = (grid[0], tile_rows, grid[1], tile_cols) + lead
-    strides = (row * tile_rows, row, col * tile_cols, col) + arr.strides[:-2]
-    split = as_strided(arr, shape, strides, writeable=False)
+    strides = (row * tile_rows, row, col * tile_cols, col) + sums.strides[:-2]
+    split = as_strided(sums, shape, strides, writeable=False)
     if tile_rows > 1:
-        band = buffers.take("scratch0", split[:, 0].size, arr.dtype).reshape(split[:, 0].shape)
-        passes.append((ufunc.reduce, (split,), {"axis": 1, "out": band}))
+        band = buffers.take("scratch0", split[:, 0].size, sums.dtype).reshape(split[:, 0].shape)
+        ops.append((reduce.reduce, (split,), {"axis": 1, "out": band}))
         split = band[:, None]
-    out = buffers.take("scan.tiles", math.prod(grid + lead), arr.dtype).reshape(grid + lead)
-    passes.append((ufunc.reduce, (split[:, 0],), {"axis": 2, "out": out}))
-    if ops is None:
-        run_passes(passes)
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    out = buffers.take("scan.tiles", math.prod(grid + lead), sums.dtype).reshape(grid + lead)
+    ops.append((reduce.reduce, (split[:, 0],), {"axis": 2, "out": out}))
+    for i in range(1, grid[0]):
+        ops.append((reduce, (out[i], out[i - 1]), {"out": out[i]}))
+    for k in range(1, grid[1]):
+        ops.append((reduce, (out[:, k], out[:, k - 1]), {"out": out[:, k]}))
+    return out

@@ -84,6 +84,12 @@ def per_tile_maxima(field: np.ndarray, tile_rows: int, tile_cols: int) -> np.nda
     ])
 
 
+def running_tile_maxima(field: np.ndarray, tile_rows: int, tile_cols: int) -> np.ndarray:
+    """At ``(i, k)``, the maximum over the leading ``(i + 1) x (k + 1)`` whole tiles of one 2-D field."""
+    tiles = per_tile_maxima(field, tile_rows, tile_cols)
+    return np.maximum.accumulate(np.maximum.accumulate(tiles, axis=0), axis=1)
+
+
 def view_orders(seed: int, task: str, cells: int, views: int) -> list[np.ndarray]:
     """The cell order of views 1 .. ``views - 1`` of a ``task`` call, as ``fields.STREAM_MAP`` states it.
 

@@ -112,7 +112,7 @@ def test_paired_estimates_agree_with_plain_brute_force_indicators(name):
     outside = {"quv": 0, "sim": 0}
     for seed in range(40):
         seeded = dataclasses.replace(spec, seed=seed)
-        (u, v), t = pipeline._UV_PAIRS[seed % 4], seed // 4 % 3
+        (u, v), t = pipeline.UV_PAIRS[seed % 4], seed // 4 % 3
         rec = estimate_quv(seeded, threads=1)[t]
         q, b = getattr(rec, f"q{u}{v}"), getattr(rec, f"b{u}{v}")
         extent = (1 if spec.one_dimensional else (v - 1) * spec.block2, (u - 1) * spec.block1)
@@ -179,7 +179,7 @@ def test_rotated_replicas_tally_like_the_orbits_of_their_pairs(name, monkeypatch
         cols, rows = spec.source_cols, spec.source_rows
     else:
         rows_per_block = 1 if spec.one_dimensional else spec.block2
-        extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
+        extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline.UV_PAIRS]
         cols, rows = pipeline._field_dims(spec, "quv")[0]
     dist = spec.distribution
     ck = dist.mean * spec.transform.weights.sum().item() * spec.m1 * spec.m2

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -942,7 +943,7 @@ def test_tile_maxima_count_like_per_extent_maxima(shape, monkeypatch):
             [[rec.squares[e] for rec in records] for e in range(4)],
         ]
         rows_per_block = 1 if spec.one_dimensional else spec.block2
-        extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline._UV_PAIRS]
+        extents = [((v - 1) * rows_per_block, (u - 1) * spec.block1) for u, v in pipeline.UV_PAIRS]
         task = "quv"
     monkeypatch.undo()
     (cols, rows), _, _ = pipeline._field_dims(spec, task)
@@ -1066,7 +1067,7 @@ def _owner(array):
     return array
 
 
-_KERNELS = {"window_sums_batch": "sums", "tile_maxima": "scan.tiles"}
+_KERNELS = {"window_sums_batch": "sums", "running_extrema": "scan.tiles"}
 # the slots the draw and the passes write, as the pipeline and the kernels name them
 _SLOTS = ("drawn", "source", "blockfactor", "below", "passes")
 
@@ -1104,10 +1105,13 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     # the kernels run only while a plan records, for views 0 and 1 (views 2
     # and 3 run view 1's passes again), each result (members, fields, ...): once at a
     # full chunk on fresh arrays to lay out the block, then on the worker's
-    # block for the full chunks and for the last
+    # block for the full chunks and for the last; the running extrema lay
+    # their grid first
     recordings = (3640, 3640, 1800)
-    for layer in ("sums", "scan.tiles"):
-        assert [out.shape[1] for out in results[layer]] == [n for n in recordings for _ in range(2)]
+    assert [out.shape[1] for out in results["sums"]] == [n for n in recordings for _ in range(2)]
+    assert [out.shape[-1] for out in results["scan.tiles"]] == [
+        n for n in recordings for _ in range(2)
+    ]
     # the scores of views 0 and 1 compare into one flat bool per extent (4),
     # threshold (2) and field, whose slot then holds the squared counts; the
     # counts are one such uint8
@@ -1215,18 +1219,19 @@ _MA_ROTATED = ["add", "subtract"] + _MA_TILES + _SCORE + _MA_MIRROR
 _SPARSE_TILES = ["maximum.reduce"] * 2 + ["maximum"] * 2
 # one tile, the whole field: no running maxima
 _SIM_TILES = ["maximum.reduce"] * 2
-# the squared counts, then sum s and sum s**2 over the groups
-_TALLY = ["multiply", "add.reduce", "add.reduce"]
-# view 0 reads the drawn block, and its first score zero-fills the counts
-# before its compare; views 1-3 each take their cells into the source
-# first; a pair's two counts are added before the squares
+# the squared counts, then sum s and sum s**2 over the groups, copied into
+# the int64 tally
+_TALLY = ["multiply", "add.reduce", "add.reduce", "copyto"]
+# the counts are zero-filled first; view 0 reads the drawn block, and
+# views 1-3 each take their cells into the source first; a pair's two
+# counts are added before the squares
 _BENCHMARK_PLANS = {
-    "quv-sparse": _MINESWEEPER_SUMS + _SPARSE_TILES + ["fill"] + _SCORE
+    "quv-sparse": ["fill"] + _MINESWEEPER_SUMS + _SPARSE_TILES + _SCORE
     + (["take"] + _MINESWEEPER_SUMS + _SPARSE_TILES + _SCORE) * 3 + _TALLY,
-    "quv-ma": _MA_SUMS + _MA_TILES + ["fill"] + _SCORE + _MA_MIRROR + _MA_ROTATED
+    "quv-ma": ["fill"] + _MA_SUMS + _MA_TILES + _SCORE + _MA_MIRROR + _MA_ROTATED
     + (["take"] + _MA_SUMS + _MA_TILES + _SCORE + _MA_MIRROR + _MA_ROTATED) * 3
     + ["add"] + _TALLY,
-    "sim-sparse": _MINESWEEPER_SUMS + _SIM_TILES + ["fill"] + _SCORE
+    "sim-sparse": ["fill"] + _MINESWEEPER_SUMS + _SIM_TILES + _SCORE
     + (["take"] + _MINESWEEPER_SUMS + _SIM_TILES + _SCORE) * 3 + _TALLY,
 }
 
@@ -1268,6 +1273,31 @@ def test_each_benchmark_chunk_plan_runs_its_pinned_passes(workload, monkeypatch)
     monkeypatch.setattr(pipeline, "run_passes", recording)
     _BENCHMARK_CALLS[workload]()
     assert plans == [_BENCHMARK_PLANS[workload]] * 2
+
+
+def test_no_pass_of_the_quv_sparse_plan_allocates_48_kib(monkeypatch):
+    """Each recorded pass of the ``quv-sparse`` full-chunk plan, run alone, allocates under 48 KiB.
+
+    The closing sums reduce the uint8 counts into uint32, whose cast buffer
+    is half that of an int64 reduce, which took more.
+    """
+    plans, run_passes = [], pipeline.run_passes
+    monkeypatch.setattr(pipeline, "run_passes", lambda ops: plans.append(ops) or run_passes(ops))
+    _BENCHMARK_CALLS["quv-sparse"]()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    peaks = []
+    try:
+        for fn, args, kwargs in plans[0]:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args, **kwargs)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before, _pass_name(fn)))
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert max(peaks)[0] < 48 * 1024, max(peaks)
+    assert len(peaks) == len(_BENCHMARK_PLANS["quv-sparse"])
 
 
 class _Kept(pipeline.Buffers):

@@ -3,6 +3,7 @@
 The pipeline records a chunk's passes once per worker and chunk shape and
 runs them on every chunk, so these tests record once, overwrite the input in
 place between runs, and check every result against fresh kernels.
+``running_extrema`` only records; its fresh runs here record and then run.
 """
 import gc
 import weakref
@@ -24,9 +25,9 @@ from blockscan import (
 from blockscan import pipeline
 from blockscan.blockfactor import Buffers, run_passes
 from blockscan.errors import GeometryError
-from blockscan.scan import tile_maxima, window_sums_batch
+from blockscan.scan import running_extrema, window_sums_batch
 
-from oracles import brute_moving_sums, per_site_block_factor, per_tile_maxima
+from oracles import brute_moving_sums, per_site_block_factor, running_tile_maxima
 
 # weights other than 0 and 1 take the scratch pass of the block factor
 WEIGHTED = BlockFactorTransform(
@@ -43,6 +44,21 @@ LAYOUTS = {
     "reversed": lambda holder: holder[:, ::-1, :],
 }
 
+
+def _extrema(sums, tile, *, buffers=None, ops=None):
+    """The running maxima of ``sums``'s tiles, as a ``(..., grid_rows, grid_cols)`` view.
+
+    Without ``ops`` the passes are recorded and then run, on fresh
+    ``buffers`` without them.
+    """
+    passes = [] if ops is None else ops
+    buffers = Buffers() if buffers is None else buffers
+    out = running_extrema(sums, tile, np.maximum, buffers=buffers, ops=passes)
+    if ops is None:
+        run_passes(passes)
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
 KERNELS = {
     "blockfactor": partial(window_sums_batch, transform=minesweeper_transform(), m1=1, m2=1),
     "blockfactor-weighted": partial(window_sums_batch, transform=WEIGHTED, m1=1, m2=1),
@@ -50,9 +66,9 @@ KERNELS = {
     "window-sums": partial(window_sums_batch, transform=identity_transform(), m1=3, m2=2),
     "row-sums": partial(window_sums_batch, transform=identity_transform(), m1=5, m2=1),
     "column-sums": partial(window_sums_batch, transform=identity_transform(), m1=1, m2=4),
-    "tile-maxima": partial(tile_maxima, tile_rows=2, tile_cols=3),
-    "row-tiles": partial(tile_maxima, tile_rows=1, tile_cols=3),
-    "one-tile": partial(tile_maxima, tile_rows=9, tile_cols=9),
+    "tile-maxima": partial(_extrema, tile=(2, 3)),
+    "row-tiles": partial(_extrema, tile=(1, 3)),
+    "one-tile": partial(_extrema, tile=(9, 9)),
 }
 
 
@@ -80,9 +96,9 @@ ORACLES = {
     "window-sums": partial(brute_moving_sums, m1=3, m2=2),
     "row-sums": partial(brute_moving_sums, m1=5, m2=1),
     "column-sums": partial(brute_moving_sums, m1=1, m2=4),
-    "tile-maxima": partial(per_tile_maxima, tile_rows=2, tile_cols=3),
-    "row-tiles": partial(per_tile_maxima, tile_rows=1, tile_cols=3),
-    "one-tile": partial(per_tile_maxima, tile_rows=9, tile_cols=9),
+    "tile-maxima": partial(running_tile_maxima, tile_rows=2, tile_cols=3),
+    "row-tiles": partial(running_tile_maxima, tile_rows=1, tile_cols=3),
+    "one-tile": partial(running_tile_maxima, tile_rows=9, tile_cols=9),
 }
 
 
@@ -114,16 +130,16 @@ def test_tile_maxima_leave_out_ragged_edges(layout):
     holder = np.empty((3, 9, 9), dtype=np.int16)
     holder[...] = rng.integers(-50, 50, size=holder.shape)
     stack = LAYOUTS[layout](holder)
-    for tile_rows, tile_cols in ((2, 4), (4, 2), (5, 5), (9, 4), (2, 9), (1, 4)):
-        tiles = tile_maxima(stack, tile_rows, tile_cols)
-        assert tiles.shape == (3, 9 // tile_rows, 9 // tile_cols)
+    for tile in ((2, 4), (4, 2), (5, 5), (9, 4), (2, 9), (1, 4)):
+        tiles = _extrema(stack, tile)
+        assert tiles.shape == (3, 9 // tile[0], 9 // tile[1])
         # a maximum in the ragged edge changes no tile
         raised = LAYOUTS[layout](holder.copy())
-        raised[:, 9 // tile_rows * tile_rows :, :] = 99
-        raised[:, :, 9 // tile_cols * tile_cols :] = 99
-        assert np.array_equal(tile_maxima(raised, tile_rows, tile_cols), tiles)
+        raised[:, 9 // tile[0] * tile[0] :, :] = 99
+        raised[:, :, 9 // tile[1] * tile[1] :] = 99
+        assert np.array_equal(_extrema(raised, tile), tiles)
         for index in range(3):
-            assert np.array_equal(tiles[index], per_tile_maxima(stack[index], tile_rows, tile_cols))
+            assert np.array_equal(tiles[index], running_tile_maxima(stack[index], *tile))
 
 
 BAD_CALLS = {
@@ -139,10 +155,6 @@ BAD_CALLS = {
         # a window one column wider than the block factor
         partial(window_sums_batch, transform=minesweeper_transform(), m1=3, m2=3),
         partial(window_sums_batch, transform=minesweeper_transform(), m1=8, m2=3),
-    ),
-    "tile-maxima": (
-        partial(tile_maxima, tile_rows=2, tile_cols=2),
-        partial(tile_maxima, tile_rows=2, tile_cols=10),
     ),
 }
 
@@ -194,7 +206,7 @@ def test_a_recorded_chunk_plan_reruns_on_an_overwritten_block(layout):
 
     def kernels(source, **kwargs):
         sums = window_sums_batch(source, transform, 3, 2, **kwargs)
-        return sums, tile_maxima(sums, 2, 3, **kwargs)
+        return sums, _extrema(sums, (2, 3), **kwargs)
 
     ops = []
     plan = kernels(view, buffers=_Junk(), ops=ops)

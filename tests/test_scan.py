@@ -13,9 +13,14 @@ from blockscan.blockfactor import (
     run_passes,
 )
 from blockscan.errors import GeometryError
-from blockscan.scan import _running_sums, tile_maxima, window_sums_batch
+from blockscan.scan import _running_sums, running_extrema, window_sums_batch
 
-from oracles import brute_moving_sums, brute_scan_statistic, per_site_block_factor
+from oracles import (
+    brute_moving_sums,
+    brute_scan_statistic,
+    per_site_block_factor,
+    running_tile_maxima,
+)
 
 # sums of a plain field: its identity block factor is the field itself
 IDENTITY = identity_transform()
@@ -287,20 +292,35 @@ def test_flat_kernel_handles_any_input_layout(layout, dtype):
                 assert np.array_equal(out[index], expected), (transform.name, m1, m2)
 
 
+def _extrema(sums, tile_rows, tile_cols, reduce=np.maximum, buffers=None):
+    """``running_extrema`` of ``sums``, recorded and then run."""
+    ops = []
+    buffers = Buffers() if buffers is None else buffers
+    out = running_extrema(sums, (tile_rows, tile_cols), reduce, buffers=buffers, ops=ops)
+    run_passes(ops)
+    return out
+
+
 def test_tile_maxima_match_per_tile_maxima():
-    """Every tile's maximum, for ragged edges, one tile, single rows and a 2-D input."""
+    """The running extrema of the tiles, for ragged edges, one tile, single rows and a 2-D input.
+
+    Grid first: at ``(i, k, ...)`` the extremum over the leading ``(i + 1)
+    x (k + 1)`` tiles, the running maxima of ``oracles.per_tile_maxima``
+    down and across the grid, and for minima those of the negated field.
+    """
     rng = np.random.default_rng(55)
     stack = rng.integers(-50, 50, size=(4, 9, 11)).astype(np.int16)
     for tile_rows, tile_cols in ((1, 1), (2, 3), (4, 4), (9, 11), (5, 6), (1, 5), (9, 2)):
-        tiles = tile_maxima(stack, tile_rows, tile_cols)
         grid = (9 // tile_rows, 11 // tile_cols)
-        assert tiles.shape == (4,) + grid and tiles.dtype == stack.dtype
-        for b, r, c in np.ndindex(tiles.shape):
-            block = stack[b, r * tile_rows : (r + 1) * tile_rows, c * tile_cols : (c + 1) * tile_cols]
-            assert tiles[b, r, c] == block.max()
-        assert np.array_equal(tile_maxima(stack[2], tile_rows, tile_cols), tiles[2])
-    with pytest.raises(GeometryError):
-        tile_maxima(stack, 10, 1)
+        for reduce, sign in ((np.maximum, 1), (np.minimum, -1)):
+            tiles = _extrema(stack, tile_rows, tile_cols, reduce)
+            assert tiles.shape == grid + (4,) and tiles.dtype == stack.dtype
+            expected = [sign * running_tile_maxima(sign * field, tile_rows, tile_cols) for field in stack]
+            assert np.array_equal(tiles, np.stack(expected, axis=-1))
+            assert np.array_equal(_extrema(stack[2], tile_rows, tile_cols, reduce), tiles[..., 2])
+        maxima = _extrema(stack, tile_rows, tile_cols)
+        for r, c, b in np.ndindex(maxima.shape):
+            assert maxima[r, c, b] == stack[b, : (r + 1) * tile_rows, : (c + 1) * tile_cols].max()
 
 
 def test_kernels_reusing_buffers_equal_fresh_arrays():
@@ -333,5 +353,7 @@ def test_kernels_reusing_buffers_equal_fresh_arrays():
         assert sums.dtype == fresh_sums.dtype and np.array_equal(sums, fresh_sums)
         for index in np.ndindex(2):
             assert np.array_equal(sums[index], brute_moving_sums(fresh[index], m1, m2))
-        tiles = tile_maxima(sums, 1, 2, buffers=buffers)
-        assert np.array_equal(tiles, tile_maxima(sums.copy(), 1, 2))
+        tiles = _extrema(sums, 1, 2, buffers=buffers)
+        assert np.array_equal(tiles, _extrema(sums.copy(), 1, 2))
+        for index in range(2):
+            assert np.array_equal(tiles[..., index], running_tile_maxima(sums[index], 1, 2))

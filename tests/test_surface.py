@@ -1,5 +1,5 @@
-"""The package surface: no module imports a name it never uses, no module-level function
-or class goes unread, and ``__all__`` resolves.
+"""The package surface: no module imports a name it never uses or another module's
+private name, no module-level function or class goes unread, and ``__all__`` resolves.
 
 Built on the standard-library ``ast`` module, so it needs no linter.
 """
@@ -60,6 +60,39 @@ def test_unused_imports_finds_what_nothing_reads():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names that ``source`` imports from another module of the package.
+
+    A relative ``from`` import, or one from ``blockscan``, of a name that
+    starts with ``_`` and is not a dunder such as ``__version__``.
+    """
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "blockscan")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    )
+
+
+def test_private_imports_finds_underscored_package_names():
+    source = (
+        "from . import __version__\n"
+        "from .pipeline import UV_PAIRS, _field_dims\n"
+        "from blockscan.scan import _running_sums as sums\n"
+        "from numpy.lib import _private\n"
+        "import blockscan._hidden\n"
+    )
+    assert private_imports(source) == ["_field_dims", "_running_sums"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_imports_a_private_name_of_another(path):
+    """A name two modules must agree on is public; a private one stays in its module."""
+    assert private_imports(path.read_text()) == []
 
 
 def test_every_name_in_all_resolves():
