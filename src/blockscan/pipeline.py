@@ -365,13 +365,14 @@ def group_estimate(sums, squares, groups: int, group: int, z: float):
 
 
 def _view_orders(spec: ExperimentSpec, task: str, cells: int) -> list[np.ndarray]:
-    """The cell order of views 1 .. ``VIEWS - 1``: a stable argsort of ``cells`` raw SFC64 words each.
+    """The cell order of each of the ``VIEWS`` views: view 0's is the field's own, ``arange(cells)``.
 
-    View ``j`` reads the words of the stream ``SeedSpec.for_chunk(seed,
-    f"{task}-view", j)``, so its order depends on the seed, the task and
-    ``j`` only, and on no ``Generator`` method.
+    View ``j >= 1`` takes a stable argsort of ``cells`` raw SFC64 words of
+    the stream ``SeedSpec.for_chunk(seed, f"{task}-view", j)``, so its order
+    depends on the seed, the task and ``j`` only, and on no ``Generator``
+    method.
     """
-    bit_generator, orders = SeedSpec(spec.seed).bit_generator(), []
+    bit_generator, orders = SeedSpec(spec.seed).bit_generator(), [np.arange(cells)]
     for j in range(1, VIEWS):
         SeedSpec.for_chunk(spec.seed, f"{task}-view", j).reseed(bit_generator)
         orders.append(np.argsort(bit_generator.random_raw(cells), kind="stable"))
@@ -399,9 +400,9 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
     and makes an unset ``None`` 1.
 
     Replica groups (README, "Replica groups").  The cells of a field are
-    i.i.d., so each drawn field counts as ``VIEWS`` views: view 0 the field
-    and view ``j >= 1`` its cells in the order ``_view_orders`` fixes for
-    the call.  Where the marginal is symmetric about a centre ``c``
+    i.i.d., so each drawn field counts as ``VIEWS`` views: view ``j`` its
+    cells in the order ``_view_orders`` fixes for the call, view 0's the
+    field's own.  Where the marginal is symmetric about a centre ``c``
     (``MarginalDistribution.centre``) each view also counts as its mirror
     ``2c - x``, whose window sums are ``2cK - S``, ``K = weights.sum() * m1
     * m2``: it passes where the running minimum of the tile minima is ``>=
@@ -425,12 +426,12 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
     ``sample`` call into the ``drawn`` slot, a ``(members, rows, cols,
     fields)`` block that no pass writes, of 2 members where the fields are
     paired, else 1.  Per view the plan takes the view's cells into the
-    ``source`` slot (view 0 reads ``drawn``), runs the kernels over its
-    replica-minor view ``(members, fields, rows, cols)``, so that the
-    extrema and compares run over contiguous field vectors, and adds each
-    score, a compare into ``below``, into the uint8 count of each field,
-    zero-filled by the plan's first pass; views 2 and up run view 1's
-    passes again after their own take.  A pair's two counts are added, and
+    ``source`` slot, then runs one view's passes, recorded once: the
+    kernels over the replica-minor view ``(members, fields, rows, cols)`` of
+    ``source``, so that the extrema and compares run over contiguous field
+    vectors, and an add of each score, a compare into ``below``, into the
+    uint8 count of each field, zero-filled by the plan's first pass.  A
+    pair's two counts are added, and
     two uint32 sums over the groups, copied into the int64 tally, close the
     chunk.  The passes are recorded once per worker and chunk shape (the
     kernels' ``ops``) and run on every chunk of that shape.  A worker keeps
@@ -451,7 +452,7 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
         empty = np.empty((len(extents), 0))
         return layout, thr, empty, empty, empty, empty
     dist, group, pair, groups = spec.distribution, layout.group, layout.fields, layout.groups
-    orders = [None, *_view_orders(spec, task, rows * cols)]
+    orders = _view_orders(spec, task, rows * cols)
     grid = tuple(map(max, zip(*extents)))  # the tiles the counts are kept at
     scores = [(np.maximum, np.less_equal)]
     if spec.mirrored:
@@ -480,56 +481,48 @@ def _tally(spec: ExperimentSpec, threads, task: str, total: int):
         counts = (*grid, thr.size, pair, count)
         passes = buffers.take("passes", math.prod(counts), np.uint8).reshape(counts)
         ops.append((passes.fill, (0,), {}))
+        # one view's passes, recorded once over ``source``: every view runs them after its take
+        view = []
 
         def score(sums: np.ndarray, limits: list) -> None:
-            """Append the passes adding each score of ``sums`` against its ``limits`` into the counts."""
+            """Append to ``view`` the passes adding each score of ``sums`` against its ``limits``."""
             for (reduce, compare), limit in zip(scores, limits):
-                extrema = running_extrema(sums, tile, reduce, buffers=buffers, ops=ops)
+                extrema = running_extrema(sums, tile, reduce, buffers=buffers, ops=view)
                 below = buffers.take("below", passes.size, np.bool_).reshape(counts)
-                ops.append((compare, (extrema[:, :, None], limit), {"out": below}))
-                ops.append((np.add, (passes, below.view(np.uint8)), {"out": passes}))
+                view.append((compare, (extrema[:, :, None], limit), {"out": below}))
+                view.append((np.add, (passes, below.view(np.uint8)), {"out": passes}))
 
-        for j, order in enumerate(orders):
-            block = drawn
-            if order is not None:
-                # 'clip' skips the bounds check for which 'raise' buffers the whole take
-                ops.append((
-                    np.take, (drawn.reshape(pair, cells, count), order),
-                    {"axis": 1, "out": source.reshape(pair, cells, count), "mode": "clip"},
-                ))
-                block = source
-            if j > 1:
-                # the same passes over the same slots: only the take differs
-                ops.extend(repeated)
-                continue
-            start = len(ops)
-            sums = window_sums_batch(
-                np.moveaxis(block, -1, 1), spec.transform, spec.m1, spec.m2,
-                buffers=buffers, ops=ops,
-            )
-            if j == 0:
-                limits = thr[:, None, None]
-                if np.issubdtype(sums.dtype, np.integer):
-                    # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
-                    info = np.iinfo(sums.dtype)
-                    floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
-                    limits = np.array(floors, dtype=sums.dtype)[:, None, None]
-                # Gaussian sums are float: the mirror passes where min S >= 2cK - n
-                bounds = [limits, two_ck - limits] if spec.mirrored else [limits]
-            score(sums, bounds)
-            if pair == 2:
-                # of the two slots the window passes write (``window_sums_batch``),
-                # the one that does not hold the sums is dead by now
-                dead = "blockfactor" if np.may_share_memory(sums, source) else "source"
-                # each member's lanes, from its first to its last, as one contiguous run
-                lanes = sum((n - 1) * st for n, st in zip(sums.shape[1:], sums.strides[1:]))
-                lanes, gap = lanes // sums.itemsize + 1, sums.strides[0] // sums.itemsize
-                x, y = (as_strided(half, (lanes,), (sums.itemsize,)) for half in sums)
-                out = buffers.take(dead, gap + lanes, sums.dtype)
-                ops.append((np.add, (x, y), {"out": out[:lanes]}))
-                ops.append((np.subtract, (x, y), {"out": out[gap:]}))
-                score(np.ndarray(sums.shape, sums.dtype, out, strides=sums.strides), rotated_bounds)
-            repeated = ops[start:]
+        sums = window_sums_batch(
+            np.moveaxis(source, -1, 1), spec.transform, spec.m1, spec.m2,
+            buffers=buffers, ops=view,
+        )
+        limits = thr[:, None, None]
+        if np.issubdtype(sums.dtype, np.integer):
+            # integer S <= n exactly when S <= floor(n); |S| <= max < |min| makes the clip exact
+            info = np.iinfo(sums.dtype)
+            floors = [min(max(math.floor(n), info.min), info.max) for n in thr]
+            limits = np.array(floors, dtype=sums.dtype)[:, None, None]
+        # Gaussian sums are float: the mirror passes where min S >= 2cK - n
+        score(sums, [limits, two_ck - limits] if spec.mirrored else [limits])
+        if pair == 2:
+            # of the two slots the window passes write (``window_sums_batch``),
+            # the one that does not hold the sums is dead by now
+            dead = "blockfactor" if np.may_share_memory(sums, source) else "source"
+            # each member's lanes, from its first to its last, as one contiguous run
+            lanes = sum((n - 1) * st for n, st in zip(sums.shape[1:], sums.strides[1:]))
+            lanes, gap = lanes // sums.itemsize + 1, sums.strides[0] // sums.itemsize
+            x, y = (as_strided(half, (lanes,), (sums.itemsize,)) for half in sums)
+            out = buffers.take(dead, gap + lanes, sums.dtype)
+            view.append((np.add, (x, y), {"out": out[:lanes]}))
+            view.append((np.subtract, (x, y), {"out": out[gap:]}))
+            score(np.ndarray(sums.shape, sums.dtype, out, strides=sums.strides), rotated_bounds)
+        for order in orders:
+            # 'clip' skips the bounds check for which 'raise' buffers the whole take
+            ops.append((
+                np.take, (drawn.reshape(pair, cells, count), order),
+                {"axis": 1, "out": source.reshape(pair, cells, count), "mode": "clip"},
+            ))
+            ops.extend(view)
         if pair == 2:
             # a pair's count is the sum of its two fields' counts
             ops.append((np.add, (passes[..., 0, :], passes[..., 1, :]), {"out": passes[..., 0, :]}))

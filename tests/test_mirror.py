@@ -477,11 +477,11 @@ def test_group_half_widths_cover_an_exact_q_uv():
 
 
 def test_every_view_is_a_permutation_of_its_drawn_field(monkeypatch):
-    """Each take of a view's cells holds, field by field, the drawn field's cells in another order.
+    """Each view's take holds, field by field, the drawn field's cells; view 0's in their own order.
 
     Gaussian cells are distinct, so equal sorted columns make each view a
-    permutation of its field; the three cell orders differ from each other
-    and from the field's own.
+    permutation of its field; the cell orders of views 1-3 differ from each
+    other and from the field's own, which view 0 copies as it is.
     """
     taken, run_passes = [], pipeline.run_passes
 
@@ -493,8 +493,7 @@ def test_every_view_is_a_permutation_of_its_drawn_field(monkeypatch):
                 out = kwargs["out"]
                 # (member, cell, field): each member's fields are permuted on their own
                 assert np.array_equal(np.sort(out, axis=1), np.sort(drawn, axis=1))
-                assert not np.array_equal(out, drawn)
-                taken.append(order)
+                taken.append((tuple(order), np.array_equal(out, drawn)))
 
     monkeypatch.setattr(pipeline, "run_passes", checking)
     spec = _CASES["minesweeper-gaussian"]
@@ -502,9 +501,14 @@ def test_every_view_is_a_permutation_of_its_drawn_field(monkeypatch):
                  lambda: simulate_distribution(spec, replicas=800, threads=1)):
         taken.clear()
         call()
-        orders = {tuple(order) for order in taken}
-        # every chunk takes each of the three views once
-        assert taken and len(taken) % 3 == 0 and len(orders) == 3
-        cells = len(taken[0])
+        # every chunk takes each of the four views once, in order
+        assert taken and len(taken) % 4 == 0
+        views = [taken[j::4] for j in range(4)]
+        assert all(len(set(view)) == 1 for view in views)
+        (identity, same), *others = [view[0] for view in views]
+        cells = len(identity)
+        assert identity == tuple(range(cells)) and same
+        orders = {order for order, _ in others}
+        assert len(orders) == 3 and tuple(range(cells)) not in orders
         assert all(sorted(order) == list(range(cells)) for order in orders)
-        assert tuple(range(cells)) not in orders
+        assert not any(same for _, same in others)

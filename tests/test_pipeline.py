@@ -1102,28 +1102,25 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
     # one draw per chunk, the drawn block (rows, cols, fields)
     sizes = [3640] * 3 + [1800]
     assert [out.shape[-1] for out in results["sampled"]] == sizes
-    # the kernels run only while a plan records, for views 0 and 1 (views 2
-    # and 3 run view 1's passes again), each result (members, fields, ...): once at a
-    # full chunk on fresh arrays to lay out the block, then on the worker's
-    # block for the full chunks and for the last; the running extrema lay
-    # their grid first
-    recordings = (3640, 3640, 1800)
-    assert [out.shape[1] for out in results["sums"]] == [n for n in recordings for _ in range(2)]
-    assert [out.shape[-1] for out in results["scan.tiles"]] == [
-        n for n in recordings for _ in range(2)
-    ]
-    # the scores of views 0 and 1 compare into one flat bool per extent (4),
+    # the kernels run only while a plan records, once for the one recorded
+    # view that every view runs, each result (members, fields, ...): once at
+    # a full chunk on fresh arrays to lay out the block, then on the
+    # worker's block for the full chunks and for the last; the running
+    # extrema lay their grid first
+    recordings = [3640, 3640, 1800]
+    assert [out.shape[1] for out in results["sums"]] == recordings
+    assert [out.shape[-1] for out in results["scan.tiles"]] == recordings
+    # the view's score compares into one flat bool per extent (4),
     # threshold (2) and field, whose slot then holds the squared counts; the
     # counts are one such uint8
-    assert [out.size // 8 for out in results["below"]] == [n for n in recordings for _ in range(3)]
-    assert [out.size // 8 for out in results["passes"]] == list(recordings)
+    assert [out.size // 8 for out in results["below"]] == [n for n in recordings for _ in range(2)]
+    assert [out.size // 8 for out in results["passes"]] == recordings
     # per recording: the drawn block once; the source once for the views and
-    # once per recorded view by its row pass; the block factor twice per
-    # recorded view, by its shifted adds and by its column pass
-    assert [len(results[name]) for name in _SLOTS] == [3, 9, 12, 9, 3]
+    # once by the recorded view's row pass; the block factor twice, by its
+    # shifted adds and by its column pass
+    assert [len(results[name]) for name in _SLOTS] == [3, 6, 6, 6, 3]
     source = results.pop("source")
-    results["views"] = source[0::3]
-    results["rows"] = [out for k, out in enumerate(source) if k % 3]
+    results["views"], results["rows"] = source[0::2], source[1::2]
     for layer, arrays in results.items():
         if layer != "sampled":
             del arrays[: len(arrays) // 3]
@@ -1147,8 +1144,8 @@ def test_a_worker_writes_every_chunk_into_the_same_buffers(monkeypatch):
 def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
     """Five full chunks and a partial one on one worker record two chunk plans, each with every kernel.
 
-    Each plan calls the kernels for views 0 and 1 only: views 2 and 3 run
-    view 1's recorded passes again, after their own take.
+    Each plan calls each kernel once: every view, after its own take, runs
+    the one view's recorded passes.
     """
     recorded, runs, run_passes = [], [], pipeline.run_passes
     for name in _KERNELS:
@@ -1166,16 +1163,24 @@ def test_a_worker_records_one_chunk_plan_per_chunk_shape(monkeypatch):
     # 20000 drawn fields of four views
     estimate_quv(_minesweeper_spec(iterations=80_000), threads=1)
     # one recording lays out the block, then one per chunk shape, each with
-    # every kernel once for view 0 and once for view 1
+    # every kernel once
     assert [(name, count) for name, count, _ in recorded] == [
-        (name, count) for count in (3640, 3640, 1800) for _ in range(2) for name in _KERNELS
+        (name, count) for count in (3640, 3640, 1800) for name in _KERNELS
     ]
-    k = 2 * len(_KERNELS)
-    for plan in range(3):
-        assert all(ops is recorded[k * plan][2] for _, _, ops in recorded[k * plan : k * plan + k])
-    # each chunk runs its shape's recorded plan, and nothing else
-    assert [ops is recorded[k][2] for ops in runs] == [True] * 5 + [False]
-    assert runs[5] is recorded[2 * k][2]
+    # the kernels of a recording append to one view's passes
+    k = len(_KERNELS)
+    views = [recorded[k * plan][2] for plan in range(3)]
+    assert all(ops is views[i // k] for i, (_, _, ops) in enumerate(recorded))
+    # each chunk runs its shape's recorded plan, and nothing else: the full
+    # chunks one plan, the last another, each with the view's passes after
+    # each of its four takes
+    assert [ops is runs[0] for ops in runs] == [True] * 5 + [False]
+    for ops, view in ((runs[0], views[1]), (runs[5], views[2])):
+        takes = [i for i, (fn, _, _) in enumerate(ops) if fn is np.take]
+        assert len(takes) == 4
+        for i in takes:
+            run = ops[i + 1 : i + 1 + len(view)]
+            assert len(run) == len(view) and all(a is b for a, b in zip(run, view))
 
 
 def _pass_name(fn) -> str:
@@ -1222,37 +1227,43 @@ _SIM_TILES = ["maximum.reduce"] * 2
 # the squared counts, then sum s and sum s**2 over the groups, copied into
 # the int64 tally
 _TALLY = ["multiply", "add.reduce", "add.reduce", "copyto"]
-# the counts are zero-filled first; view 0 reads the drawn block, and
-# views 1-3 each take their cells into the source first; a pair's two
-# counts are added before the squares
+# the counts are zero-filled first; each of the four views takes its cells
+# into the source, then runs the one recorded view; a pair's two counts are
+# added before the squares: 77, 122 and 69 passes
 _BENCHMARK_PLANS = {
-    "quv-sparse": ["fill"] + _MINESWEEPER_SUMS + _SPARSE_TILES + _SCORE
-    + (["take"] + _MINESWEEPER_SUMS + _SPARSE_TILES + _SCORE) * 3 + _TALLY,
-    "quv-ma": ["fill"] + _MA_SUMS + _MA_TILES + _SCORE + _MA_MIRROR + _MA_ROTATED
-    + (["take"] + _MA_SUMS + _MA_TILES + _SCORE + _MA_MIRROR + _MA_ROTATED) * 3
+    "quv-sparse": ["fill"]
+    + (["take"] + _MINESWEEPER_SUMS + _SPARSE_TILES + _SCORE) * 4 + _TALLY,
+    "quv-ma": ["fill"]
+    + (["take"] + _MA_SUMS + _MA_TILES + _SCORE + _MA_MIRROR + _MA_ROTATED) * 4
     + ["add"] + _TALLY,
-    "sim-sparse": ["fill"] + _MINESWEEPER_SUMS + _SIM_TILES + _SCORE
-    + (["take"] + _MINESWEEPER_SUMS + _SIM_TILES + _SCORE) * 3 + _TALLY,
+    "sim-sparse": ["fill"]
+    + (["take"] + _MINESWEEPER_SUMS + _SIM_TILES + _SCORE) * 4 + _TALLY,
 }
 
 
-# the integer tallies of the quv-sparse and sim-sparse calls, per threshold
-# 31, 32 and 33: sum s and sum s**2 of Q22, Q23, Q32 and Q33, or of the
-# simulated point; a change to the kernel that moves any of them redraws
-# the integer tables
+# the integer tallies of the benchmark calls, per threshold (31, 32 and 33;
+# on quv-ma 13, 15 and 17): sum s and sum s**2 of Q22, Q23, Q32 and Q33, or
+# of the simulated point; a change to the kernel that moves any of them
+# redraws the tables, and on quv-ma they count the pairs' rotations and the
+# mirrors too
 _BENCHMARK_TALLIES = {
     "quv-sparse": [
         ((15986, 15975, 15969, 15944), (63902, 63825, 63785, 63614)),
         ((15991, 15985, 15980, 15967), (63937, 63895, 63862, 63775)),
         ((15996, 15993, 15991, 15984), (63972, 63951, 63939, 63892)),
     ],
+    "quv-ma": [
+        ((17559, 17559, 17528, 17528), (560649, 560649, 558720, 558720)),
+        ((17593, 17593, 17587, 17587), (562759, 562759, 562383, 562383)),
+        ((17599, 17599, 17599, 17599), (563137, 563137, 563137, 563137)),
+    ],
     "sim-sparse": [(1090, 4084), (1137, 4385), (1165, 4563)],
 }
 
 
 @pytest.mark.parametrize("workload", sorted(_BENCHMARK_TALLIES))
-def test_each_integer_benchmark_call_keeps_its_pinned_tallies(workload):
-    """The ``# row`` tallies of the Bernoulli benchmark configs, to the last count."""
+def test_each_benchmark_call_keeps_its_pinned_tallies(workload):
+    """The ``# row`` tallies of the benchmark configs, to the last count."""
     rows = _BENCHMARK_CALLS[workload]()
     assert [(row.sums, row.squares) for row in rows] == _BENCHMARK_TALLIES[workload]
 
@@ -1275,15 +1286,18 @@ def test_each_benchmark_chunk_plan_runs_its_pinned_passes(workload, monkeypatch)
     assert plans == [_BENCHMARK_PLANS[workload]] * 2
 
 
-def test_no_pass_of_the_quv_sparse_plan_allocates_48_kib(monkeypatch):
-    """Each recorded pass of the ``quv-sparse`` full-chunk plan, run alone, allocates under 48 KiB.
+@pytest.mark.parametrize("workload", ["quv-sparse", "sim-sparse"])
+def test_no_pass_of_a_bernoulli_benchmark_plan_allocates_48_kib(workload, monkeypatch):
+    """Each pass of a Bernoulli benchmark call's full-chunk plan, run alone, allocates under 48 KiB.
 
     The closing sums reduce the uint8 counts into uint32, whose cast buffer
-    is half that of an int64 reduce, which took more.
+    is half that of an int64 reduce, which took more on ``quv-sparse``.
+    ``quv-ma`` is left out: its float compares of the strided running
+    extrema buffer about 100 KB a pass.
     """
     plans, run_passes = [], pipeline.run_passes
     monkeypatch.setattr(pipeline, "run_passes", lambda ops: plans.append(ops) or run_passes(ops))
-    _BENCHMARK_CALLS["quv-sparse"]()
+    _BENCHMARK_CALLS[workload]()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     peaks = []
@@ -1297,7 +1311,7 @@ def test_no_pass_of_the_quv_sparse_plan_allocates_48_kib(monkeypatch):
         if not tracing:
             tracemalloc.stop()
     assert max(peaks)[0] < 48 * 1024, max(peaks)
-    assert len(peaks) == len(_BENCHMARK_PLANS["quv-sparse"])
+    assert len(peaks) == len(_BENCHMARK_PLANS[workload])
 
 
 class _Kept(pipeline.Buffers):
